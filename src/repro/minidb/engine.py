@@ -574,7 +574,8 @@ class Database:
         With ``include_storage=True`` (and disk storage) the text gains
         a trailing section with the storage-counter deltas this
         execution caused — pages read/written/evicted/pruned, readahead
-        activity, and WAL bytes. Opt-in so the default text stays
+        activity, WAL bytes, pages decoded, and heap pages whose fill
+        accounting was rebuilt (0 for anything that only reads). Opt-in so the default text stays
         byte-stable across storage modes and execution paths.
         """
         before = (self.storage.counters
@@ -588,7 +589,8 @@ class Database:
                      for name in ("pages_read", "pages_written",
                                   "pages_evicted", "pages_pruned",
                                   "pages_prefetched", "prefetch_hits",
-                                  "prefetch_wasted", "wal_bytes")]
+                                  "prefetch_wasted", "wal_bytes",
+                                  "pages_decoded", "accounting_rebuilds")]
             text = "\n".join([text, "Storage:"] + lines)
         return Explained(plan=plan, text=text,
                          estimated_cost=plan.estimated_cost,

@@ -42,7 +42,11 @@ from repro.minidb.storage.btree import (
     InnerNode,
     LeafNode,
 )
-from repro.minidb.storage.heap import DiskRowStore, HeapPageNode
+from repro.minidb.storage.heap import (
+    DiskRowStore,
+    HeapPageNode,
+    storage_fault_active,
+)
 from repro.minidb.storage.page import (
     KIND_BTREE_INNER,
     KIND_BTREE_LEAF,
@@ -51,6 +55,7 @@ from repro.minidb.storage.page import (
     configured_page_size,
 )
 from repro.minidb.storage.pager import Pager, configured_buffer_pages
+from repro.minidb.vector import encode_enabled
 
 if TYPE_CHECKING:
     from repro.minidb.catalog import Catalog
@@ -75,18 +80,6 @@ def configured_checkpoint_bytes() -> int:
         return max(1, int(env.strip()))
     except ValueError:
         return DEFAULT_CHECKPOINT_BYTES
-
-
-def _decode_node(kind: int, cells: list[bytes]):
-    if kind == KIND_HEAP:
-        return HeapPageNode.from_cells(cells)
-    if kind == KIND_HEAP_DICT:
-        return HeapPageNode.from_dict_cells(cells)
-    if kind == KIND_BTREE_LEAF:
-        return LeafNode.from_cells(cells)
-    if kind == KIND_BTREE_INNER:
-        return InnerNode.from_cells(cells)
-    raise StorageError(f"unknown page kind {kind}")
 
 
 class DiskStorage:
@@ -117,9 +110,17 @@ class DiskStorage:
         self.path = path or tempfile.mkdtemp(prefix="minidb-")
         os.makedirs(self.path, exist_ok=True)
         self.sync = sync
-        #: Per-storage override for the dictionary page codec; None
-        #: defers to REPRO_ENCODE at page-construction time.
-        self.encode = encode
+        #: Whether pages filled by this storage may take the dictionary
+        #: layout: the *encode* override, else REPRO_ENCODE. Resolved
+        #: here, like the decode fault below, so that decoding a page
+        #: never consults the environment.
+        self.encode = encode_enabled() if encode is None else bool(encode)
+        self._decode_fault = storage_fault_active()
+        #: Pages decoded into nodes (demand reads + consumed prefetches)
+        #: and decoded heap nodes whose fill accounting had to be
+        #: re-derived because they were written to again.
+        self.pages_decoded = 0
+        self.accounting_rebuilds = 0
         self.checkpoint_bytes = (checkpoint_bytes
                                  if checkpoint_bytes is not None
                                  else configured_checkpoint_bytes())
@@ -132,7 +133,8 @@ class DiskStorage:
         capacity = (buffer_pages if buffer_pages is not None
                     else configured_buffer_pages())
         self.pager = Pager(os.path.join(self.path, _DATA), self.page_size,
-                           capacity, _decode_node, readahead=readahead)
+                           capacity, self._decode_node,
+                           readahead=readahead)
         self.wal = walmod.WriteAheadLog(os.path.join(self.path, _WAL),
                                         sync=sync,
                                         group_commit=group_commit)
@@ -157,6 +159,20 @@ class DiskStorage:
         self.pages_moved = 0
         self.replaying = False
         self._manifest_cache = manifest
+
+    def _decode_node(self, kind: int, cells: list[bytes]):
+        """The pager's decode callback: a page's cells to its node."""
+        self.pages_decoded += 1
+        if kind == KIND_HEAP:
+            return HeapPageNode.from_cells(cells, self.encode,
+                                           self._decode_fault)
+        if kind == KIND_HEAP_DICT:
+            return HeapPageNode.from_dict_cells(cells, self._decode_fault)
+        if kind == KIND_BTREE_LEAF:
+            return LeafNode.from_cells(cells)
+        if kind == KIND_BTREE_INNER:
+            return InnerNode.from_cells(cells)
+        raise StorageError(f"unknown page kind {kind}")
 
     # -- page allocation ------------------------------------------------
 
@@ -296,6 +312,10 @@ class DiskStorage:
         pager = self.pager
         for old_id, new_id in moves:
             node = pager.fetch(old_id)
+            # The move rewrites the page from its node; a heap node
+            # decoded for reading has to recover its layout choice.
+            if isinstance(node, HeapPageNode) and node.ensure_accounting():
+                self.accounting_rebuilds += 1
             pager.discard(old_id)
             pager.adopt(new_id, node)
             zone = self.zones.pop(old_id, None)
@@ -328,7 +348,7 @@ class DiskStorage:
         for slot, child in enumerate(node.children):
             new_id = mapping.get(child, child)
             if new_id != child:
-                node.children[slot] = new_id
+                node.set_child(slot, new_id)
                 changed = True
         if changed:
             self.pager.mark_dirty(page_id)
@@ -581,4 +601,6 @@ class DiskStorage:
             "prefetch_wasted": pager.prefetch_wasted,
             "compactions": self.compactions,
             "pages_moved": self.pages_moved,
+            "pages_decoded": self.pages_decoded,
+            "accounting_rebuilds": self.accounting_rebuilds,
         }

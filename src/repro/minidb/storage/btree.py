@@ -36,11 +36,13 @@ from repro.minidb.storage.page import (
     KIND_BTREE_LEAF,
     SLOT_SIZE,
     cell_capacity,
+    cells_size,
 )
 from repro.minidb.storage.serde import (
     decode_value,
     encode_value,
     read_varint,
+    varint_length,
     write_varint,
 )
 from repro.minidb.storage.zones import leaf_zone, pruning_enabled
@@ -56,29 +58,59 @@ def _encode_entry(key: Any, seq: int, position: int) -> bytes:
     return bytes(out)
 
 
+def _encode_separator(child: int, key: Any, seq: int) -> bytes:
+    out = bytearray()
+    write_varint(out, child)
+    encode_value(out, key)
+    write_varint(out, seq)
+    return bytes(out)
+
+
 class LeafNode:
-    """Decoded leaf: parallel entry arrays plus a running byte size."""
+    """Decoded leaf: parallel entry arrays, the entries' encoded cells,
+    and their byte size.
 
-    __slots__ = ("keys", "seqs", "positions", "nbytes")
+    ``cells[i]`` is the stored form of entry *i*. Keeping it means a
+    decode never re-encodes anything to learn ``nbytes``, and writing a
+    leaf back after one insert encodes one entry, not all of them.
+    """
 
-    def __init__(self, keys: list, seqs: list[int],
-                 positions: list[int]) -> None:
+    __slots__ = ("keys", "seqs", "positions", "cells", "nbytes")
+
+    def __init__(self, keys: list, seqs: list[int], positions: list[int],
+                 cells: list[bytes]) -> None:
         self.keys = keys
         self.seqs = seqs
         self.positions = positions
-        self.nbytes = sum(
-            len(_encode_entry(key, seq, position)) + SLOT_SIZE
-            for key, seq, position in zip(keys, seqs, positions))
+        self.cells = cells
+        self.nbytes = cells_size(cells)
 
     def clone(self) -> "LeafNode":
         return LeafNode(list(self.keys), list(self.seqs),
-                        list(self.positions))
+                        list(self.positions), list(self.cells))
+
+    def insert(self, slot: int, key: Any, seq: int, position: int) -> None:
+        cell = _encode_entry(key, seq, position)
+        self.keys.insert(slot, key)
+        self.seqs.insert(slot, seq)
+        self.positions.insert(slot, position)
+        self.cells.insert(slot, cell)
+        self.nbytes += len(cell) + SLOT_SIZE
+
+    def split(self) -> "LeafNode":
+        """Move the upper half of the entries to a new right sibling."""
+        mid = len(self.keys) // 2
+        right = LeafNode(self.keys[mid:], self.seqs[mid:],
+                         self.positions[mid:], self.cells[mid:])
+        del self.keys[mid:]
+        del self.seqs[mid:]
+        del self.positions[mid:]
+        del self.cells[mid:]
+        self.nbytes -= right.nbytes
+        return right
 
     def encode_cells(self) -> tuple[int, list[bytes]]:
-        return KIND_BTREE_LEAF, [
-            _encode_entry(key, seq, position)
-            for key, seq, position in zip(self.keys, self.seqs,
-                                          self.positions)]
+        return KIND_BTREE_LEAF, self.cells
 
     @classmethod
     def from_cells(cls, cells: list[bytes]) -> "LeafNode":
@@ -92,7 +124,7 @@ class LeafNode:
             keys.append(key)
             seqs.append(seq)
             positions.append(position)
-        return cls(keys, seqs, positions)
+        return cls(keys, seqs, positions, cells)
 
 
 class InnerNode:
@@ -101,33 +133,64 @@ class InnerNode:
     ``seps[i]`` is the smallest entry in the subtree of
     ``children[i + 1]``; descent for a probe ``(key, seq)`` picks the
     child whose separator run covers it.
+
+    ``nbytes`` is kept exact under every mutation (child ids included —
+    copy-on-write and compaction change them, and a varint can change
+    length), so a node that stayed resident splits exactly when the same
+    node evicted and re-read would.
     """
 
     __slots__ = ("children", "sep_keys", "sep_seqs", "nbytes")
 
     def __init__(self, children: list[int], sep_keys: list,
-                 sep_seqs: list[int]) -> None:
+                 sep_seqs: list[int], nbytes: int | None = None) -> None:
         self.children = children
         self.sep_keys = sep_keys
         self.sep_seqs = sep_seqs
-        self.nbytes = sum(len(cell) + SLOT_SIZE
-                          for cell in self.encode_cells()[1])
+        self.nbytes = (cells_size(self.encode_cells()[1])
+                       if nbytes is None else nbytes)
 
     def clone(self) -> "InnerNode":
         return InnerNode(list(self.children), list(self.sep_keys),
-                         list(self.sep_seqs))
+                         list(self.sep_seqs), self.nbytes)
+
+    def set_child(self, index: int, child: int) -> None:
+        self.nbytes += (varint_length(child)
+                        - varint_length(self.children[index]))
+        self.children[index] = child
+
+    def insert_separator(self, index: int, child: int, key: Any,
+                         seq: int) -> None:
+        """Insert *child* after ``children[index]``, led by (key, seq)."""
+        self.children.insert(index + 1, child)
+        self.sep_keys.insert(index, key)
+        self.sep_seqs.insert(index, seq)
+        self.nbytes += len(_encode_separator(child, key, seq)) + SLOT_SIZE
+
+    def split(self) -> tuple["InnerNode", Any, int]:
+        """Move the upper half to a new right sibling; returns it with
+        the (key, seq) separator promoted to the parent."""
+        mid = len(self.sep_keys) // 2
+        sep_key = self.sep_keys[mid]
+        sep_seq = self.sep_seqs[mid]
+        right = InnerNode(self.children[mid + 1:], self.sep_keys[mid + 1:],
+                          self.sep_seqs[mid + 1:])
+        # The promoted separator's cell leaves this node whole; its
+        # child pointer reappears as the right node's leftmost cell.
+        promoted = _encode_separator(right.children[0], sep_key, sep_seq)
+        self.nbytes -= (right.nbytes - varint_length(right.children[0])
+                        + len(promoted))
+        del self.children[mid + 1:]
+        del self.sep_keys[mid:]
+        del self.sep_seqs[mid:]
+        return right, sep_key, sep_seq
 
     def encode_cells(self) -> tuple[int, list[bytes]]:
         first = bytearray()
         write_varint(first, self.children[0])
         cells = [bytes(first)]
-        for child, key, seq in zip(self.children[1:], self.sep_keys,
-                                   self.sep_seqs):
-            cell = bytearray()
-            write_varint(cell, child)
-            encode_value(cell, key)
-            write_varint(cell, seq)
-            cells.append(bytes(cell))
+        cells.extend(map(_encode_separator, self.children[1:],
+                         self.sep_keys, self.sep_seqs))
         return KIND_BTREE_INNER, cells
 
     @classmethod
@@ -143,7 +206,7 @@ class InnerNode:
             children.append(child)
             sep_keys.append(key)
             sep_seqs.append(seq)
-        return cls(children, sep_keys, sep_seqs)
+        return cls(children, sep_keys, sep_seqs, cells_size(cells))
 
 
 class DiskBTree:
@@ -217,7 +280,8 @@ class DiskBTree:
         self.next_seq += 1
         self.entry_count += 1
         if self.root is None:
-            root = LeafNode([key], [seq], [position])
+            root = LeafNode([key], [seq], [position],
+                            [_encode_entry(key, seq, position)])
             self.root = self._adopt(root)
             self._note_leaf(self.root, root)
             return
@@ -245,7 +309,7 @@ class DiskBTree:
                 child_id = node.children[child_idx]
                 child = self._fetch(child_id)
                 child_id, child = self._shadow(child_id, child)
-                node.children[child_idx] = child_id
+                node.set_child(child_idx, child_id)
                 pager.pin(child_id)
                 pinned.append(child_id)
                 path.append((node, child_idx))
@@ -254,11 +318,8 @@ class DiskBTree:
             # Equal keys always land after existing ones: seq is larger
             # than every stored seq, and descent already picked the
             # rightmost candidate leaf.
-            slot = bisect.bisect_right(node.keys, key)
-            node.keys.insert(slot, key)
-            node.seqs.insert(slot, seq)
-            node.positions.insert(slot, position)
-            node.nbytes += len(_encode_entry(key, seq, position)) + SLOT_SIZE
+            node.insert(bisect.bisect_right(node.keys, key), key, seq,
+                        position)
             self._note_leaf(node_id, node)
             self._split_upward(node_id, node, path, pinned)
         finally:
@@ -284,29 +345,12 @@ class DiskBTree:
         pager = self.storage.pager
         while node.nbytes > capacity:
             if isinstance(node, LeafNode):
-                mid = len(node.keys) // 2
-                right = LeafNode(node.keys[mid:], node.seqs[mid:],
-                                 node.positions[mid:])
-                del node.keys[mid:]
-                del node.seqs[mid:]
-                del node.positions[mid:]
-                node.nbytes -= right.nbytes
+                right = node.split()
                 sep_key = right.keys[0]
                 sep_seq = right.seqs[0]
                 self._note_leaf(node_id, node)
             else:
-                mid = len(node.sep_keys) // 2
-                sep_key = node.sep_keys[mid]
-                sep_seq = node.sep_seqs[mid]
-                right = InnerNode(node.children[mid + 1:],
-                                  node.sep_keys[mid + 1:],
-                                  node.sep_seqs[mid + 1:])
-                del node.children[mid + 1:]
-                del node.sep_keys[mid:]
-                del node.sep_seqs[mid:]
-                node.nbytes = sum(
-                    len(cell) + SLOT_SIZE
-                    for cell in node.encode_cells()[1])
+                right, sep_key, sep_seq = node.split()
             right_id = self._adopt(right)
             if isinstance(right, LeafNode):
                 self._note_leaf(right_id, right)
@@ -314,14 +358,8 @@ class DiskBTree:
             pinned.append(right_id)
             if path:
                 parent, child_idx = path.pop()
-                parent.children.insert(child_idx + 1, right_id)
-                parent.sep_keys.insert(child_idx, sep_key)
-                parent.sep_seqs.insert(child_idx, sep_seq)
-                cell = bytearray()
-                write_varint(cell, right_id)
-                encode_value(cell, sep_key)
-                write_varint(cell, sep_seq)
-                parent.nbytes += len(cell) + SLOT_SIZE
+                parent.insert_separator(child_idx, right_id, sep_key,
+                                        sep_seq)
                 node = parent
                 node_id = self._parent_id(parent, path)
             else:
@@ -364,27 +402,31 @@ class DiskBTree:
         budget = max(SLOT_SIZE * 4, (capacity * 9) // 10)
         level: list[tuple[int, Any, int]] = []  # (page_id, key, seq)
         leaf_entries: list[tuple[Any, int, int]] = []
+        leaf_cells: list[bytes] = []
         size = 0
 
         def flush_leaf() -> None:
-            nonlocal leaf_entries, size
+            nonlocal leaf_entries, leaf_cells, size
             if not leaf_entries:
                 return
             node = LeafNode([e[0] for e in leaf_entries],
                             [e[1] for e in leaf_entries],
-                            [e[2] for e in leaf_entries])
+                            [e[2] for e in leaf_entries], leaf_cells)
             leaf_id = self._adopt(node)
             self._note_leaf(leaf_id, node)
             level.append((leaf_id, leaf_entries[0][0],
                           leaf_entries[0][1]))
             leaf_entries = []
+            leaf_cells = []
             size = 0
 
         for entry in entries:
-            entry_size = len(_encode_entry(*entry)) + SLOT_SIZE
+            cell = _encode_entry(*entry)
+            entry_size = len(cell) + SLOT_SIZE
             if leaf_entries and size + entry_size > budget:
                 flush_leaf()
             leaf_entries.append(entry)
+            leaf_cells.append(cell)
             size += entry_size
         flush_leaf()
 
@@ -393,11 +435,8 @@ class DiskBTree:
             group: list[tuple[int, Any, int]] = []
             group_size = len(bytes(8))  # leftmost child cell estimate
             for child_id, key, seq in level:
-                cell = bytearray()
-                write_varint(cell, child_id)
-                encode_value(cell, key)
-                write_varint(cell, seq)
-                cell_size = len(cell) + SLOT_SIZE
+                cell_size = (len(_encode_separator(child_id, key, seq))
+                             + SLOT_SIZE)
                 if group and group_size + cell_size > budget:
                     parent_level.append(self._flush_inner(group))
                     group = []
@@ -522,9 +561,10 @@ class DiskBTree:
         """Assert structural invariants; raises StorageError on breach.
 
         Checked: every leaf at the same depth (balance), entries sorted
-        by ``(key, seq)`` globally, node byte sizes within capacity,
-        separator keys equal to the smallest entry of their subtree, and
-        the recorded entry count matching an actual walk.
+        by ``(key, seq)`` globally, node byte sizes within capacity and
+        equal to what the node encodes to, leaf cells matching their
+        entries, separator keys equal to the smallest entry of their
+        subtree, and the recorded entry count matching an actual walk.
         """
         if self.root is None:
             if self.entry_count:
@@ -542,10 +582,19 @@ class DiskBTree:
                 raise StorageError(
                     f"page {page_id} overflows capacity "
                     f"({node.nbytes} > {capacity})")
+            encoded = cells_size(node.encode_cells()[1])
+            if node.nbytes != encoded:
+                raise StorageError(
+                    f"page {page_id} records {node.nbytes} bytes but "
+                    f"encodes to {encoded}")
             if isinstance(node, LeafNode):
                 leaf_depths.add(depth)
                 if not node.keys and self.entry_count:
                     raise StorageError(f"empty leaf {page_id}")
+                if node.cells != list(map(_encode_entry, node.keys,
+                                          node.seqs, node.positions)):
+                    raise StorageError(
+                        f"leaf {page_id} cells out of step with entries")
                 for key, seq in zip(node.keys, node.seqs):
                     entry = (key, seq)
                     if previous is not None and entry <= previous:

@@ -15,26 +15,39 @@ the first append after a checkpoint clones it to a fresh page id, so a
 torn flush can never damage checkpointed state.
 
 Heap pages come in two wire formats. ``KIND_HEAP`` stores one serialized
-row per cell. When encoding is on (``REPRO_ENCODE``, see
-:mod:`repro.minidb.vector`) a page tracks a second, column-major layout
-as rows are added: per column, a dictionary of distinct values plus one
-varint code per row. At flush time :meth:`HeapPageNode.encode_cells`
-emits whichever layout is smaller — ``KIND_HEAP_DICT`` pages hold a
-header cell (row/column counts + per-column layout flags) followed by
-one cell per column, each independently dictionary-coded or plain.
-Both layouts decode to the identical row tuples; the choice is purely a
-size optimization, and ``nbytes`` (the fill limit) is the *minimum* of
-the two layouts, so low-cardinality tables pack more rows per page.
+row per cell. ``KIND_HEAP_DICT`` is column-major: a header cell
+(row/column counts + per-column layout flags) followed by one cell per
+column, each independently dictionary-coded (distinct values plus one
+varint code per row) or plain. Both layouts decode to the identical row
+tuples; the choice is purely a size optimization.
+
+Which layout a page gets is decided while it is being *filled*. A page
+under construction — a fresh page, or the table's tail page being
+topped up — carries fill accounting: the row-major byte total and, when
+encoding is on (the storage's resolved ``encode`` flag), per-column
+dictionary state, so :meth:`HeapPageNode.try_add` can answer "would one
+more row fit?" for both layouts without re-encoding anything. ``nbytes``
+(the fill limit) is the *minimum* of the two, so low-cardinality tables
+pack more rows per page, and :meth:`HeapPageNode.encode_cells` emits
+whichever layout that minimum came from.
+
+A page that is only *read* carries none of that. Decoding takes
+``nbytes`` straight off the page (cell lengths + slot entries — exactly
+what either layout's accounting sums to) and keeps the rows; no value is
+re-serialized and no dictionary is rebuilt. The accounting is
+reconstructed from the rows once, when such a node is first written
+again — in practice only a table's tail page on the first append after
+it was faulted in, or a page relocated by compaction.
 
 Reads go through the buffer pool one page at a time; iterating a table
 ten times the pool size keeps peak residency at the pool bound.
 
 The module also hosts the storage fault for the differential fuzzer:
-with ``REPRO_FUZZ_INJECT_BUG=storage``, decoding a heap page silently
-adds 1 to the first integer of its last row — a classic "corruption
-below the cache" bug that only shows up once a page has been evicted and
-re-read, which is exactly what the ``disk`` oracle label's tiny buffer
-pool forces.
+with ``REPRO_FUZZ_INJECT_BUG=storage`` (read once, when the storage is
+constructed), decoding a heap page silently adds 1 to the first integer
+of its last row — a classic "corruption below the cache" bug that only
+shows up once a page has been evicted and re-read, which is exactly
+what the ``disk`` oracle label's tiny buffer pool forces.
 """
 
 from __future__ import annotations
@@ -48,6 +61,7 @@ from repro.minidb.storage.page import (
     KIND_HEAP_DICT,
     SLOT_SIZE,
     cell_capacity,
+    cells_size,
 )
 from repro.minidb.storage.serde import (
     decode_row,
@@ -59,18 +73,18 @@ from repro.minidb.storage.serde import (
     write_varint,
 )
 from repro.minidb.storage.zones import heap_zone, page_qualifies
-from repro.minidb.vector import encode_enabled, record_bytes_saved
+from repro.minidb.vector import record_bytes_saved
 
 __all__ = ["DiskRowStore", "HeapPageNode"]
 
 _FAULT_ENV = "REPRO_FUZZ_INJECT_BUG"
 
-#: Capacity bound used when replaying already-placed rows in
-#: ``HeapPageNode.__init__`` — placement was decided by the writer.
+#: Capacity bound used when re-deriving the accounting of already-placed
+#: rows — placement was decided by the writer.
 _NO_LIMIT = float("inf")
 
 
-def _storage_fault_active() -> bool:
+def storage_fault_active() -> bool:
     return os.environ.get(_FAULT_ENV, "") == "storage"
 
 
@@ -113,31 +127,67 @@ class _ColumnDict:
         return (varint_length(len(self.values)) + self.value_bytes
                 + self.code_bytes)
 
+    def copy(self) -> "_ColumnDict":
+        twin = _ColumnDict()
+        twin.index = dict(self.index)
+        twin.values = list(self.values)
+        twin.codes = list(self.codes)
+        twin.value_bytes = self.value_bytes
+        twin.code_bytes = self.code_bytes
+        twin.plain = self.plain
+        return twin
+
 
 class HeapPageNode:
     """Decoded heap page: a run of row tuples plus its encoded size.
 
-    When *encode* resolves true the node maintains per-column dictionary
-    state alongside the rows, and ``nbytes`` is the smaller of the
-    row-major and column-major encodings (the layout actually emitted by
-    :meth:`encode_cells`). The decision is frozen at construction so a
+    ``nbytes`` is the size of the layout :meth:`encode_cells` emits: the
+    row-major encoding, or — when *encode* is true — the smaller of that
+    and the column-major one. *encode* is frozen at construction so a
     knob flip mid-run can never make an already-filled page overflow.
+
+    A node built by :meth:`from_cells` / :meth:`from_dict_cells` takes
+    ``nbytes`` off the stored page and has no fill accounting
+    (``_plain_bytes is None``); :meth:`ensure_accounting` re-derives it
+    from the rows the first time the node is written to.
     """
 
     __slots__ = ("rows", "nbytes", "encode", "_plain_bytes", "_cols")
 
-    def __init__(self, rows: list[tuple],
-                 encode: bool | None = None) -> None:
-        self.rows: list[tuple] = []
-        self.encode = encode_enabled() if encode is None else bool(encode)
-        self.nbytes = 0
-        self._plain_bytes = 0
+    def __init__(self, rows: list[tuple], encode: bool,
+                 nbytes: int = 0) -> None:
+        # Non-empty *rows* are rows already placed on a stored page, and
+        # *nbytes* is that page's size; a page being built starts empty.
+        self.rows = rows
+        self.encode = encode
+        self.nbytes = nbytes
+        self._plain_bytes: int | None = None if rows else 0
         self._cols: list[_ColumnDict] | None = None
-        for row in rows:
-            self.try_add(row, _NO_LIMIT)
+
+    def ensure_accounting(self) -> bool:
+        """Re-derive the fill accounting a decoded node starts without.
+
+        Returns whether there was anything to do (the storage counts
+        these as ``accounting_rebuilds``). The row list itself is left
+        untouched, so a reader iterating it never sees a transient.
+        """
+        if self._plain_bytes is not None:
+            return False
+        self._plain_bytes = 0
+        for count, row in enumerate(self.rows, 1):
+            self._account(row, count, _NO_LIMIT)
+        return True
 
     def try_add(self, row: tuple, capacity: float) -> bool:
-        """Add *row* if the page still fits in *capacity* bytes.
+        """Add *row* if the page still fits in *capacity* bytes."""
+        self.ensure_accounting()
+        if not self._account(row, len(self.rows) + 1, capacity):
+            return False
+        self.rows.append(row)
+        return True
+
+    def _account(self, row: tuple, count: int, capacity: float) -> bool:
+        """Account for *row* as the page's *count*-th, if it fits.
 
         Simulates both layouts' sizes first and commits only on success,
         so a rejected row leaves the dictionary state untouched.
@@ -146,7 +196,6 @@ class HeapPageNode:
         if not self.encode:
             if plain > capacity:
                 return False
-            self.rows.append(row)
             self._plain_bytes = plain
             self.nbytes = plain
             return True
@@ -155,7 +204,7 @@ class HeapPageNode:
             cols = [_ColumnDict() for _ in row]
         # header cell: varint(nrows) + varint(ncols) + one flag byte
         # per column.
-        dict_total = (varint_length(len(self.rows) + 1)
+        dict_total = (varint_length(count)
                       + varint_length(len(cols)) + len(cols) + SLOT_SIZE)
         staged = []
         for col, value in zip(cols, row):
@@ -189,12 +238,20 @@ class HeapPageNode:
             col.code_bytes = code_bytes
             col.plain = col_plain
         self._cols = cols
-        self.rows.append(row)
         self._plain_bytes = plain
         self.nbytes = nbytes
         return True
 
+    def clone(self) -> "HeapPageNode":
+        """A private copy (own row list and fill state) for copy-on-write."""
+        twin = HeapPageNode(list(self.rows), self.encode, self.nbytes)
+        twin._plain_bytes = self._plain_bytes
+        if self._cols is not None:
+            twin._cols = [col.copy() for col in self._cols]
+        return twin
+
     def encode_cells(self) -> tuple[int, list[bytes]]:
+        self.ensure_accounting()
         if (self.encode and self._cols is not None
                 and self.nbytes < self._plain_bytes):
             record_bytes_saved(self._plain_bytes - self.nbytes)
@@ -226,20 +283,24 @@ class HeapPageNode:
         return cells
 
     @classmethod
-    def from_cells(cls, cells: list[bytes]) -> "HeapPageNode":
+    def from_cells(cls, cells: list[bytes], encode: bool,
+                   fault: bool = False) -> "HeapPageNode":
+        """Decode a ``KIND_HEAP`` page; *encode* is the owning storage's
+        resolved flag, governing the layout of any later top-up."""
         rows = [decode_row(cell) for cell in cells]
-        if rows and _storage_fault_active():
+        if rows and fault:
             _apply_storage_fault(rows)
-        return cls(rows)
+        return cls(rows, encode, cells_size(cells))
 
     @classmethod
-    def from_dict_cells(cls, cells: list[bytes]) -> "HeapPageNode":
+    def from_dict_cells(cls, cells: list[bytes],
+                        fault: bool = False) -> "HeapPageNode":
         """Decode a ``KIND_HEAP_DICT`` page back into row tuples.
 
-        The node is rebuilt with ``encode=True`` regardless of the
-        current knob: the page was sized under the column-major layout,
-        and re-freezing that choice keeps a knob flip from overflowing
-        it on the next top-up.
+        The node gets ``encode=True`` regardless of the storage's flag:
+        the page was sized under the column-major layout, and
+        re-freezing that choice keeps a knob flip from overflowing it on
+        the next top-up.
         """
         header = cells[0]
         nrows, offset = read_varint(header, 0)
@@ -255,20 +316,27 @@ class HeapPageNode:
                 for _ in range(ndv):
                     value, at = decode_value(cell, at)
                     values.append(value)
-                for _ in range(nrows):
-                    code, at = read_varint(cell, at)
-                    out.append(values[code])
+                if ndv <= 0x80:
+                    # Every code is a one-byte varint: the code vector
+                    # is the next nrows bytes as they stand.
+                    codes = cell[at:at + nrows]
+                    if len(codes) != nrows:
+                        raise StorageError("truncated code vector")
+                    out = [values[code] for code in codes]
+                else:
+                    for _ in range(nrows):
+                        code, at = read_varint(cell, at)
+                        out.append(values[code])
             else:
                 at = 0
                 for _ in range(nrows):
                     value, at = decode_value(cell, at)
                     out.append(value)
             columns.append(out)
-        rows = [tuple(column[i] for column in columns)
-                for i in range(nrows)]
-        if rows and _storage_fault_active():
+        rows = list(zip(*columns)) if columns else [()] * nrows
+        if rows and fault:
             _apply_storage_fault(rows)
-        return cls(rows, encode=True)
+        return cls(rows, True, cells_size(cells))
 
 
 class DiskRowStore:
@@ -410,6 +478,11 @@ class DiskRowStore:
         if self.page_ids:
             page_id = self.page_ids[-1]
             node = pager.fetch(page_id)
+            # A faulted-in tail page knows only its stored size; the
+            # capacity test needs the writer's (a row-major page may
+            # have room under the dictionary layout).
+            if node.ensure_accounting():
+                self.storage.accounting_rebuilds += 1
             if node.nbytes < capacity:
                 page_id, node = self._shadow_last(page_id, node)
                 pager.pin(page_id)
@@ -451,7 +524,7 @@ class DiskRowStore:
         if not self.storage.page_shadowed(page_id):
             self.storage.pager.mark_dirty(page_id)
             return page_id, node
-        clone = HeapPageNode(list(node.rows), encode=node.encode)
+        clone = node.clone()
         new_id = self.storage.allocate_page()
         self.storage.pager.adopt(new_id, clone)
         self.storage.free_page(page_id)

@@ -168,6 +168,89 @@ class TestZonePruning:
             assert "wal_bytes=0" in detailed.text  # read-only query
 
 
+class TestReadPathDoesNoWriteWork:
+    """Faulting a page in to read it must not re-serialize what is on
+    it: sizes come off the stored page, and the fill accounting a
+    writer needs is only rebuilt when the page is written to again."""
+
+    SCAN = "SELECT epc, v FROM reads WHERE id >= 900 AND id < 1000"
+    PROBE = "SELECT id, epc FROM reads WHERE v >= 100 AND v < 150"
+
+    def _build(self, path) -> int:
+        with _open(path, buffer_pages=64) as db:
+            db.create_table("reads", SCHEMA)
+            db.load("reads", _rows(2000))
+            db.create_index("reads", "v")
+            return len(db.table("reads").rows.page_ids)
+
+    @staticmethod
+    def _count_encoder_calls(monkeypatch) -> dict[str, int]:
+        """Wrap every binding of the value/row/entry encoders."""
+        from repro.minidb.storage import btree, heap, serde
+
+        calls: dict[str, int] = {}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        for module in (serde, heap, btree):
+            for name in ("encode_value", "encode_row", "_encode_entry",
+                         "_encode_separator"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(
+                        module, name,
+                        counting(name, getattr(module, name)))
+        return calls
+
+    def test_scans_encode_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "db"
+        heap_pages = self._build(path)
+        with _open(path, buffer_pages=heap_pages // 4) as db:
+            db.execute("SELECT id FROM reads WHERE id = -1")  # warm stats
+            calls = self._count_encoder_calls(monkeypatch)
+            before = db.storage.counters
+            scan = db.explain_analyze(self.SCAN, include_storage=True)
+            probe = db.explain_analyze(self.PROBE, include_storage=True)
+            after = db.storage.counters
+            assert "SeqScan(reads)" in scan.text
+            assert "pages_pruned=0" not in scan.text
+            assert "IndexRangeScan(reads.v" in probe.text
+            for text in (scan.text, probe.text):
+                assert "accounting_rebuilds=0" in text
+                assert "pages_decoded=0" not in text
+            decoded = after["pages_decoded"] - before["pages_decoded"]
+            assert decoded == after["pages_read"] - before["pages_read"]
+            assert decoded > heap_pages  # the pool turned over
+            assert after["accounting_rebuilds"] == 0
+            assert calls == {}, f"read path encoded: {calls}"
+
+    def test_decoded_node_has_no_fill_state_until_topped_up(
+            self, tmp_path):
+        path = tmp_path / "db"
+        heap_pages = self._build(path)
+        # A pool that holds the table: the tail stays resident between
+        # the two appends below.
+        with _open(path, buffer_pages=2 * heap_pages) as db:
+            store = db.table("reads").rows
+            storage = db.storage
+            for page_id in store.page_ids:
+                node = storage.pager.fetch(page_id)
+                assert node._cols is None and node._plain_bytes is None
+            assert storage.counters["accounting_rebuilds"] == 0
+            db.append("reads", _rows(3, 2000))
+            # Only the tail page was written to; one rebuild, not one
+            # per page (the append cloned it off the manifest's copy).
+            assert storage.counters["accounting_rebuilds"] == 1
+            tail = storage.pager.fetch(store.page_ids[-1])
+            assert tail._plain_bytes is not None
+            assert [row[0] for row in tail.rows[-3:]] == [2000, 2001, 2002]
+            db.append("reads", _rows(3, 2003))
+            assert storage.counters["accounting_rebuilds"] == 1
+
+
 class TestReadahead:
     def test_sequential_scan_prefetches(self, tmp_path, monkeypatch):
         path = tmp_path / "db"

@@ -12,9 +12,13 @@ Four layers of coverage for the ``REPRO_ENCODE`` knob:
 - the exact-NDV satellite: a warm dictionary turns the append-patch
   ndv from a lower bound into an exact count, without losing the
   in-place patch (no re-analyze);
-- the ``storage stat`` CLI footprint report shape.
+- the ``storage stat`` CLI footprint report shape;
+- the per-storage ``encode`` override surviving a page's round trip
+  through disk (a re-read page is topped up under the storage's flag,
+  not the ambient knob's).
 """
 
+import json
 import random
 
 import pytest
@@ -23,6 +27,7 @@ from repro.minidb import Database, PlannerOptions, SqlType, TableSchema
 from repro.minidb.codegen.knobs import forced_codegen
 from repro.minidb.plan import shard
 from repro.minidb.storage.__main__ import stat
+from repro.minidb.storage.page import KIND_HEAP, KIND_HEAP_DICT, decode_page
 from repro.minidb.vector import (
     DictColumn,
     RLEColumn,
@@ -273,3 +278,45 @@ class TestStorageStatFootprint:
         assert dict_pages == 0
         assert stored == plain
         assert ratio == 1.0
+
+
+class TestStorageEncodeOverrideSurvivesReread:
+    """``Database(storage="disk", encode=False)`` must keep writing
+    row-major pages after the pages it tops up came back from disk."""
+
+    def _heap_page_kinds(self, path):
+        with open(path / "MANIFEST.json", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        page_size = manifest["page_size"]
+        kinds = []
+        with open(path / "data.pages", "rb") as pages:
+            for page_id, _count in manifest["tables"]["reads"]["heap_pages"]:
+                pages.seek(page_id * page_size)
+                kinds.append(decode_page(pages.read(page_size))[0])
+        return kinds
+
+    def _run(self, path, encode):
+        rows = _reads_rows(100)
+        db = Database(storage="disk", storage_path=str(path),
+                      encode=encode)
+        db.create_table("reads", READS_SCHEMA)
+        db.load("reads", rows[:50])
+        db.shutdown()
+        first = self._heap_page_kinds(path)
+        db = Database(storage="disk", storage_path=str(path),
+                      encode=encode)
+        db.append("reads", rows[50:])  # tops up the re-read tail page
+        assert list(db.table("reads").scan()) == rows
+        db.shutdown()
+        return first, self._heap_page_kinds(path)
+
+    @pytest.mark.parametrize("encode,knob,kind", [
+        (False, "1", KIND_HEAP),      # the knob says yes, the storage no
+        (True, "0", KIND_HEAP_DICT),  # and the other way round
+    ])
+    def test_override_beats_knob_across_reopen(self, tmp_path, monkeypatch,
+                                               encode, knob, kind):
+        monkeypatch.setenv("REPRO_ENCODE", knob)
+        first, second = self._run(tmp_path / "db", encode)
+        assert set(first) == {kind}
+        assert set(second) == {kind}

@@ -26,6 +26,9 @@ from repro.minidb.storage.btree import BTreeBackedIndex
 from repro.minidb.storage.heap import DiskRowStore
 from repro.minidb.storage.page import (
     KIND_HEAP,
+    KIND_HEAP_DICT,
+    SLOT_SIZE,
+    cell_capacity,
     decode_page,
     encode_page,
 )
@@ -294,6 +297,34 @@ class TestBTreeProperties:
             harness.close()
 
 
+    def test_inner_node_size_stays_exact_under_mutation(self):
+        # nbytes is maintained incrementally (child ids change under
+        # copy-on-write and compaction, and a varint can change length);
+        # it must always equal what the node encodes to, or a resident
+        # node would split at a different point than a re-read one.
+        from repro.minidb.storage.btree import InnerNode
+        from repro.minidb.storage.page import cells_size
+
+        def exact(node):
+            return node.nbytes == cells_size(node.encode_cells()[1])
+
+        node = InnerNode(list(range(1, 12)),
+                         [f"k{i:02d}" for i in range(10)], list(range(10)))
+        assert exact(node)
+        node.set_child(0, 300)          # one varint byte -> two
+        node.set_child(5, 70_000)       # -> three
+        assert exact(node)
+        node.set_child(5, 6)            # and back
+        node.insert_separator(3, 20_000, "k03x", 99)
+        assert exact(node)
+        right, key, seq = node.split()
+        assert exact(node) and exact(right)
+        assert (key, seq) not in zip(node.sep_keys, node.sep_seqs)
+        assert len(node.children) == len(node.sep_keys) + 1
+        assert len(right.children) == len(right.sep_keys) + 1
+        assert exact(node.clone())
+
+
 class TestHeapProperties:
     @given(st.lists(st.tuples(st.integers(), st.text(max_size=20),
                               st.floats(allow_nan=False)),
@@ -316,6 +347,128 @@ class TestHeapProperties:
             assert list(store) == rows[::-1]
         finally:
             storage.simulate_crash()
+
+
+class TestPlacementIdentity:
+    """Where rows and index entries land may depend on the rows, the
+    batch boundaries and the checkpoints — never on whether the pages
+    they passed through stayed resident. A decoded page knows only its
+    stored size; these properties pin that a writer continuing from it
+    makes exactly the choices a writer that never let go would."""
+
+    SCHEMA = TableSchema.of(
+        ("id", SqlType.INTEGER), ("tag", SqlType.VARCHAR),
+        ("loc", SqlType.INTEGER))
+    #: Low-cardinality tags, a narrow loc range and the occasional long
+    #: string: pages flip between the row-major and dictionary layouts.
+    rows = st.lists(
+        st.tuples(st.integers(-5, 400),
+                  st.one_of(st.sampled_from(["a", "b", "dock-7"]),
+                            st.text(max_size=24)),
+                  st.one_of(st.none(), st.integers(0, 6))),
+        min_size=1, max_size=160)
+
+    @staticmethod
+    def _batches(rows, cuts):
+        edges = sorted({min(cut, len(rows)) for cut in cuts} | {len(rows)})
+        return [rows[lo:hi] for lo, hi in zip([0] + edges, edges) if hi > lo]
+
+    def _play(self, path, batches, gaps, encodes, pool, eager=False):
+        """Append *batches*, separated by *gaps*; returns the live pages.
+
+        A gap is ``"checkpoint"``, ``"evict"`` (checkpoint, then churn
+        the pool with a full scan) or ``"reopen"`` (shutdown, open again
+        under the next flag of *encodes*). *eager* re-derives every heap
+        page's fill accounting right after a reopen — decoding as it
+        used to be, the reference for an encode flip.
+        """
+        encodes = iter(encodes)
+        kwargs = dict(storage="disk", storage_path=str(path),
+                      page_size=256, buffer_pages=pool)
+        db = Database(encode=next(encodes), **kwargs)
+        db.create_table("t", self.SCHEMA)
+        db.create_index("t", "loc")
+        for batch, gap in zip(batches, gaps + ["shutdown"]):
+            db.append("t", batch)
+            if gap == "shutdown":
+                break
+            if gap == "reopen":
+                db.shutdown()
+                db = Database(encode=next(encodes), **kwargs)
+                if eager:
+                    store = db.table("t").rows
+                    for page_id in store.page_ids:
+                        db.storage.pager.fetch(page_id).ensure_accounting()
+            else:
+                db.checkpoint()
+                if gap == "evict":
+                    assert len(list(db.table("t").scan())) > 0
+        table = db.table("t")
+        tree = table.index_on("loc").tree
+        tree.check_invariants()
+        layout = (table.rows.manifest_pages(), tree.root,
+                  sorted(tree.pages))
+        live = [page_id for page_id, _ in layout[0]] + layout[2]
+        scanned = list(table.scan())
+        db.shutdown()
+        with open(path / "data.pages", "rb") as pages:
+            images = {}
+            for page_id in live:
+                pages.seek(page_id * 256)
+                images[page_id] = pages.read(256)
+        return layout, images, scanned
+
+    @given(rows, st.lists(st.integers(0, 160), max_size=3), st.booleans(),
+           st.lists(st.sampled_from(["evict", "reopen"]), min_size=3,
+                    max_size=3))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_eviction_and_reopen_do_not_move_rows(
+            self, tmp_path_factory, rows, cuts, encode, gaps):
+        batches = self._batches(rows, cuts)
+        gaps = gaps[:len(batches) - 1]
+        root = tmp_path_factory.mktemp("placement")
+        resident = self._play(root / "resident", batches,
+                              ["checkpoint"] * len(gaps),
+                              [encode], pool=4096)
+        disturbed = self._play(root / "disturbed", batches, gaps,
+                               [encode] * len(batches), pool=4)
+        assert disturbed[2] == resident[2] == rows
+        assert disturbed[0] == resident[0]
+        assert disturbed[1] == resident[1]
+
+    @given(rows, st.integers(0, 160), st.booleans())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_encode_flip_on_reopen_matches_eager_decode(
+            self, tmp_path_factory, rows, cut, first):
+        batches = self._batches(rows, [cut])
+        gaps = ["reopen"] * (len(batches) - 1)
+        root = tmp_path_factory.mktemp("flip")
+        flags = [first, not first]
+        eager = self._play(root / "eager", batches, gaps, flags,
+                           pool=4096, eager=True)
+        lazy = self._play(root / "lazy", batches, gaps, flags, pool=4)
+        assert lazy == eager
+
+    def test_full_row_major_tail_gains_room_when_encoding_turns_on(
+            self, tmp_path):
+        # Four of these rows fill a 256-byte page row-major to the last
+        # byte; dictionary-coded, each further copy costs three code
+        # bytes. Written with encoding off and topped up after a reopen
+        # with it on, the tail must take the rows the dictionary layout
+        # has room for — a node that trusted its stored (row-major) size
+        # would call the page full and start a new one.
+        row = (7, "x" * 50, 3)
+        assert 4 * (len(encode_row(row)) + SLOT_SIZE) == cell_capacity(256)
+        rows = [row] * 40
+        layout, images, scanned = self._play(
+            tmp_path, [rows[:4], rows[4:]], ["reopen"], [False, True],
+            pool=4)
+        assert scanned == rows
+        (page_id, count), *_ = layout[0]
+        assert count > 4
+        assert decode_page(images[page_id])[0] == KIND_HEAP_DICT
 
 
 class TestKnobs:
