@@ -53,6 +53,7 @@ __all__ = [
     "UNBOUNDED",
     "column",
     "lit",
+    "true_positions",
     "and_all",
     "or_all",
 ]
@@ -187,6 +188,25 @@ def _merge_encoded(a_col: Any, b_col: Any, fn: Callable) -> Any:
                           in zip(a_col.run_values, b_col.run_values)],
                          a_col.run_lengths, a_col.starts, a_col.length)
     return None
+
+
+def true_positions(values: Any) -> list[int]:
+    """Row positions where a batch kernel's result is TRUE.
+
+    The selection vector of a predicate (NULL and FALSE both reject). An
+    encoded result is tested once per distinct value or per run, never
+    per row.
+    """
+    if isinstance(values, DictColumn):
+        truth = [value is True for value in values.values]
+        return [i for i, code in enumerate(values.codes) if truth[code]]
+    if isinstance(values, RLEColumn):
+        selected: list[int] = []
+        for start, length, value in values.runs():
+            if value is True:
+                selected.extend(range(start, start + length))
+        return selected
+    return [i for i, value in enumerate(values) if value is True]
 
 
 def _may_raise(expr: "Expr") -> bool:
@@ -720,6 +740,63 @@ class Case(Expr):
             if bound_else is not None:
                 return bound_else(row)
             return None
+
+        return evaluate
+
+    def _bind_batch_fast(self, resolver: Resolver) -> BatchBound:
+        """Selection-vector kernel.
+
+        Each WHEN condition sees only the rows no earlier arm took, and
+        each THEN / ELSE only the rows that select it, so an arm that
+        would raise on a row it never receives (``CASE WHEN b = 0 THEN 0
+        ELSE a / b END``) stays as silent as in the row evaluator.
+        Literal arms are stored straight into the output.
+        """
+        def arm(result: Expr) -> tuple[bool, Any]:
+            if isinstance(result, Literal):
+                return True, result.value
+            return False, result.bind_batch(resolver)
+
+        arms = [(condition.bind_batch(resolver), *arm(result))
+                for condition, result in self.whens]
+        else_literal, else_payload = arm(
+            self.else_result if self.else_result is not None
+            else Literal(None))
+
+        def evaluate(batch: RowBatch) -> list:
+            out = [else_payload if else_literal else None] * batch.length
+            # ``current`` holds the rows still undecided; ``rows`` maps
+            # its positions back to the batch's (None = identity).
+            current, rows = batch, None
+            for index, (condition, literal, payload) in enumerate(arms):
+                hits = true_positions(condition(current))
+                if not hits:
+                    continue
+                everything = len(hits) == current.length
+                targets = hits if rows is None else [rows[i] for i in hits]
+                if literal:
+                    for target in targets:
+                        out[target] = payload
+                else:
+                    values = payload(current if everything
+                                     else current.take(hits))
+                    for target, value in zip(targets, values):
+                        out[target] = value
+                if everything:
+                    return out
+                if index + 1 < len(arms) or not else_literal:
+                    taken = set(hits)
+                    keep = [i for i in range(current.length)
+                            if i not in taken]
+                    rows = keep if rows is None else [rows[i] for i in keep]
+                    current = current.take(keep)
+            if not else_literal:
+                values = else_payload(current)
+                if rows is None:
+                    return values
+                for target, value in zip(rows, values):
+                    out[target] = value
+            return out
 
         return evaluate
 

@@ -32,11 +32,11 @@ Each operator carries:
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import compress, islice
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ExecutionError
-from repro.minidb.expressions import BatchBound, Expr
+from repro.minidb.expressions import BatchBound, Expr, true_positions
 from repro.minidb.index import IndexRange, SortedIndex
 from repro.minidb.plan.planschema import PlanSchema
 from repro.minidb.storage.heap import DiskRowStore
@@ -547,15 +547,7 @@ class FilterOp(PhysicalNode):
                 # as contiguous slices of the input batch.
                 yield from self._run_batches(batch, values)
                 continue
-            if isinstance(values, DictColumn):
-                # One truth test per distinct value, then a code lookup
-                # per row instead of an identity check per row.
-                truth = [value is True for value in values.values]
-                selected = [i for i, code in enumerate(values.codes)
-                            if truth[code]]
-            else:
-                selected = [i for i, value in enumerate(values)
-                            if value is True]
+            selected = true_positions(values)
             if not selected:
                 continue
             out = batch if len(selected) == batch.length \
@@ -751,70 +743,58 @@ class HashJoinOp(PhysicalNode):
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         size = _resolve_batch_size(size)
-        table: dict[tuple, list[tuple]] = {}
+        # One join key (every join the rewrites emit) keys the table by
+        # the bare value; several keys by their tuple.
+        single = len(self._left_keys) == 1
+        table: dict[Any, list[tuple]] = {}
         for right_batch in self.right.batches(size):
-            right_rows = right_batch.rows()
             key_columns = self._key_columns(right_batch,
                                             self._batch_right_keys,
                                             self._right_keys)
-            for i in range(right_batch.length):
-                key = tuple(column[i] for column in key_columns)
-                if any(part is None for part in key):
+            keys = key_columns[0] if single else zip(*key_columns)
+            for key, right_row in zip(keys, right_batch.rows()):
+                if key is None or not single and None in key:
                     continue
-                table.setdefault(key, []).append(right_rows[i])
+                bucket = table.get(key)
+                if bucket is None:
+                    table[key] = [right_row]
+                else:
+                    bucket.append(right_row)
         residual = self._residual
         null_pad = (None,) * len(self.right.schema)
         pad_left = self.kind == "left"
         width = len(self.schema)
-        single = len(self._left_keys) == 1
+        probe = table.get
         for left_batch in self.left.batches(size):
-            left_rows = left_batch.rows()
             key_columns = self._key_columns(left_batch,
                                             self._batch_left_keys,
                                             self._left_keys)
-            out: list[tuple] = []
-            if single:
-                key_column = key_columns[0]
-                if isinstance(key_column, DictColumn):
-                    # Probe the hash table once per distinct key value,
-                    # then walk codes: per row it's one list index, not
-                    # a hash probe. NULL (code 0) maps to no matches.
-                    buckets = [() if value is None
-                               else table.get((value,), ())
-                               for value in key_column.values]
-                    per_row = key_column.codes
-                else:
-                    buckets = None
-                    per_row = key_column
-                for i, part in enumerate(per_row):
-                    matched = False
-                    candidates = buckets[part] if buckets is not None \
-                        else (table.get((part,), ())
-                              if part is not None else ())
-                    if candidates:
-                        for right_row in candidates:
-                            joined = left_rows[i] + right_row
-                            if residual is not None \
-                                    and residual(joined) is not True:
-                                continue
-                            matched = True
-                            out.append(joined)
-                    if not matched and pad_left:
-                        out.append(left_rows[i] + null_pad)
+            # A key with a NULL in it is never in the table, so such a
+            # probe finds nothing.
+            keys = key_columns[0] if single else zip(*key_columns)
+            if isinstance(keys, DictColumn):
+                # Probe the hash table once per distinct key value,
+                # then walk codes: per row it's one list index, not
+                # a hash probe.
+                buckets = [probe(value, ()) for value in keys.values]
+                matches = [buckets[code] for code in keys.codes]
             else:
-                for i in range(left_batch.length):
-                    key = tuple(column[i] for column in key_columns)
-                    matched = False
-                    if not any(part is None for part in key):
-                        for right_row in table.get(key, ()):
-                            joined = left_rows[i] + right_row
-                            if residual is not None \
-                                    and residual(joined) is not True:
-                                continue
-                            matched = True
-                            out.append(joined)
-                    if not matched and pad_left:
-                        out.append(left_rows[i] + null_pad)
+                matches = [probe(key, ()) for key in keys]
+            out: list[tuple] = []
+            pairs = zip(left_batch.rows(), matches)
+            if not pad_left:
+                pairs = compress(pairs, matches)  # drop the unmatched
+            for left_row, candidates in pairs:
+                matched = False
+                for right_row in candidates:
+                    joined = left_row + right_row
+                    if residual is not None \
+                            and residual(joined) is not True:
+                        continue
+                    matched = True
+                    out.append(joined)
+                if not matched and pad_left:
+                    out.append(left_row + null_pad)
             if out:
                 self.actual_rows += len(out)
                 self.actual_batches += 1

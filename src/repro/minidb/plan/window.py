@@ -5,45 +5,70 @@ compile into: scalar aggregates over ROWS/RANGE frames within
 ``PARTITION BY epc ORDER BY rtime`` sequences, evaluated in a single
 pass over sorted data.
 
-Execution outline:
+The operator never works sequence by sequence. It assembles the whole
+sorted input column-wise once, and every step below is a kernel over
+those whole-input columns that takes the partition spans as an argument:
 
-1. buffer the input; sort by (partition keys, order keys) unless the
-   planner proved the input already carries that order (``presorted`` —
-   the paper's "order sharing" optimization);
-2. split into partitions;
-3. for each function, compute frame bounds per row with two monotone
-   pointers and aggregate incrementally (running counters for
-   count/sum/avg, a monotonic deque for min/max), so a partition costs
-   O(n) per function rather than O(n * frame);
-4. emit each input row extended with one value per function.
+1. concatenate the child's batches column-wise; unless the planner
+   proved the input already carries the order (``presorted`` — the
+   paper's "order sharing" optimization), compute the sort permutation
+   from the key columns and gather every column by it;
+2. find the partition spans — contiguous ``(start, end)`` runs of equal
+   partition keys — in one scan;
+3. evaluate each function over the whole input:
 
-A ``naive`` mode re-scans the frame for every row; it exists only for
-the ablation benchmark contrasting the two strategies.
+   * a single-row ``ROWS BETWEEN k AND k`` frame (the rule compiler's
+     previous/next-read look-ups) and ``lag``/``lead`` are the argument
+     column shifted by ``k`` and masked at sequence boundaries
+     (:func:`_shifted`) — no frame is ever materialized;
+   * every other frame gets inclusive ``(lo, hi)`` row-index arrays
+     from one two-pointer sweep (:func:`_sweep_bounds`) per *distinct
+     frame* of the operator, shared by all its functions with that
+     frame. The default peer-group frame, whole-partition frames,
+     ``UNBOUNDED`` ends, NULL order keys and descending order keys all
+     land there. :func:`_aggregate` consumes the arrays: a monotonic
+     deque of indices for ``min``/``max``, prefix counters for ``count``
+     and for ``sum``/``avg`` over integers (where running totals are
+     exact); float sums add each frame left to right;
+4. emit ``input columns + computed columns`` as slices, cut at the first
+   sequence end at or past the batch size.
+
+The tuple-at-a-time path (``scalar_rows``) buffers and sorts rows, then
+calls the same kernels. ``naive`` mode (``PlannerOptions(naive_windows=
+True)``) is the test reference and the ablation baseline: it takes the
+same ``(lo, hi)`` arrays — also for single-row frames — and re-aggregates
+every frame from scratch (:func:`_rescan`).
 
 Partitions are independent, so the whole operator parallelizes per
-sequence. That no longer happens here: the planner's shard pass
+sequence. That does not happen here: the planner's shard pass
 (``plan.shard``) wraps eligible window pipelines in an Exchange, which
 runs this operator per cluster-key morsel inside the database's
-persistent worker pool — replacing the fork-per-query pool this module
-used to spawn. ``parallel_workers`` is kept as the per-execution
-metric: the Exchange sets it to the pool size it used, and serial
-executions zero it.
+persistent worker pool. ``parallel_workers`` is kept as the
+per-execution metric: the Exchange sets it to the pool size it used,
+and serial executions zero it.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate, islice
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ExecutionError
 from repro.minidb.expressions import UNBOUNDED, BatchBound, Expr, WindowFrame
+from repro.minidb.plan.logical import infer_type
 from repro.minidb.plan.physical import (Ordering, PhysicalNode,
                                         _resolve_batch_size)
 from repro.minidb.plan.planschema import PlanSchema
 from repro.minidb.types import sort_key, sort_key_column
-from repro.minidb.vector import RowBatch
+from repro.minidb.vector import ENCODED_TYPES, RowBatch, concat_columns
 
 __all__ = ["WindowOp", "WindowFuncSpec"]
+
+#: Inclusive per-row frame bounds over the whole sorted input.
+Bounds = tuple[list[int], list[int]]
+#: Contiguous ``(start, end)`` runs of equal partition keys.
+Spans = list[tuple[int, int]]
 
 
 class WindowFuncSpec:
@@ -63,62 +88,269 @@ class WindowFuncSpec:
         self.offset = offset
 
 
-class _SumState:
-    """Incremental count/sum/avg over a sliding frame."""
-
-    __slots__ = ("values", "lo", "count", "total")
-
-    def __init__(self) -> None:
-        self.values: list[Any] = []
-        self.lo = 0
-        self.count = 0
-        self.total: Any = 0
-
-    def add(self, value: Any) -> None:
-        self.values.append(value)
-        if value is not None:
-            self.count += 1
-            self.total += value
-
-    def advance_lo(self, lo: int) -> None:
-        while self.lo < lo:
-            value = self.values[self.lo]
-            if value is not None:
-                self.count -= 1
-                self.total -= value
-            self.lo += 1
+def _whole_partition(frame: WindowFrame | None) -> bool:
+    """Whether *frame* is UNBOUNDED on both sides."""
+    return frame is not None \
+        and frame.start == UNBOUNDED and frame.end == UNBOUNDED
 
 
-class _ExtremeState:
-    """Incremental min/max via a monotonic deque of (index, value).
+def _does_value_arithmetic(frame: WindowFrame | None) -> bool:
+    """Whether *frame* adds an offset to the order key (RANGE, bounded)."""
+    return frame is not None and frame.mode == "range" \
+        and not _whole_partition(frame)
 
-    The frame only ever advances (adds on the right, evicts on the
-    left), so the deque front always holds the current extreme.
+
+def _single_row_shift(frame: WindowFrame | None) -> int | None:
+    """``k`` when *frame* is ``ROWS BETWEEN k AND k``, else None."""
+    if frame is None or frame.mode != "rows" or frame.start != frame.end \
+            or frame.start == UNBOUNDED:
+        return None
+    return int(frame.start)
+
+
+def _partition_spans(total: int, partition_columns: list[list]) -> Spans:
+    """Spans of equal partition keys over sorted key columns."""
+    if not partition_columns:
+        return [(0, total)]
+    keys = partition_columns[0] if len(partition_columns) == 1 \
+        else list(zip(*partition_columns))
+    starts = [0]
+    starts.extend(index for index, (previous, current)
+                  in enumerate(zip(keys, islice(keys, 1, None)), 1)
+                  if previous != current)
+    return list(zip(starts, starts[1:] + [total]))
+
+
+def _arranger(order: list[int] | None) -> Callable[[Any], list | None]:
+    """A function giving a column as a plain list, gathered by *order*
+    when there is one.
+
+    It remembers its results: one column object asked for several times
+    (a key or argument that is a plain input column) is decoded and
+    gathered once.
     """
+    done: dict[int, tuple[Any, list]] = {}  # id -> (column kept alive, result)
 
-    __slots__ = ("entries", "is_min")
+    def arrange(column: Any) -> list | None:
+        if column is None:
+            return None
+        if id(column) not in done:
+            plain = column.decode() \
+                if isinstance(column, ENCODED_TYPES) else column
+            if order is not None:
+                plain = [plain[i] for i in order]
+            done[id(column)] = (column, plain)
+        return done[id(column)][1]
 
-    def __init__(self, is_min: bool) -> None:
-        self.entries: deque[tuple[int, Any]] = deque()
-        self.is_min = is_min
+    return arrange
 
-    def add(self, index: int, value: Any) -> None:
-        if value is None:
-            return
-        if self.is_min:
-            while self.entries and self.entries[-1][1] >= value:
-                self.entries.pop()
+
+def _shifted(values: list, spans: Spans, shift: int) -> list:
+    """``values[i + shift]`` where that row is in row *i*'s sequence,
+    else NULL: the whole column moved once, then masked per span."""
+    reach = abs(shift)
+    total = len(values)
+    if reach == 0:
+        return values
+    if reach >= total:
+        return [None] * total
+    if shift < 0:
+        out = [None] * reach + values[:total - reach]
+        for start, end in spans:
+            for index in range(start, min(end, start + reach)):
+                out[index] = None
+    else:
+        out = values[reach:] + [None] * reach
+        for start, end in spans:
+            for index in range(max(start, end - reach), end):
+                out[index] = None
+    return out
+
+
+def _sweep_bounds(frame: WindowFrame | None, spans: Spans,
+                  peers: list | None, ascending: bool) -> Bounds:
+    """Inclusive ``(lo, hi)`` frame indices for every row of the input.
+
+    *peers* is the first order-key column as sorted (None without ORDER
+    BY). Only equality is asked of it unless the frame does value
+    arithmetic; then it is numeric, and negated first if it descends.
+    An empty frame has ``lo > hi``. Within the input ``lo`` never
+    decreases and never points before the row's own span, and ``hi``
+    never decreases within a span — :func:`_aggregate` relies on both.
+    """
+    lo: list[int] = []
+    hi: list[int] = []
+    if _whole_partition(frame) or (frame is None and peers is None):
+        for start, end in spans:
+            lo += [start] * (end - start)
+            hi += [end - 1] * (end - start)
+        return lo, hi
+    if frame is None:
+        # Default frame, RANGE UNBOUNDED PRECEDING .. CURRENT ROW: up to
+        # the last peer of the current row.
+        for start, end in spans:
+            lo += [start] * (end - start)
+            index = start
+            while index < end:
+                value = peers[index]
+                after = index + 1
+                while after < end and peers[after] == value:
+                    after += 1
+                hi += [after - 1] * (after - index)
+                index = after
+        return lo, hi
+    first_offset, last_offset = frame.start, frame.end
+    if frame.mode == "rows":
+        for start, end in spans:
+            if first_offset == UNBOUNDED:
+                lo += [start] * (end - start)
+            else:
+                shift = int(first_offset)
+                lo += [index if index > start else start
+                       for index in range(start + shift, end + shift)]
+            if last_offset == UNBOUNDED:
+                hi += [end - 1] * (end - start)
+            else:
+                shift = int(last_offset)
+                final = end - 1
+                hi += [index if index < final else final
+                       for index in range(start + shift, end + shift)]
+        return lo, hi
+    # RANGE: an UNBOUNDED side reaches the partition edge; an offset
+    # side is a value bound on a numeric key, which never admits a
+    # NULL-key row, and for a NULL-key row reaches its NULL peers. NULL
+    # keys sort first ascending and last descending, so a span is up to
+    # three runs: NULLs, values, NULLs.
+    values = peers if ascending else [None if value is None else -value
+                                      for value in peers]
+    lo_append, hi_append = lo.append, hi.append
+    for start, end in spans:
+        first = start
+        while first < end and values[first] is None:
+            first += 1
+        last = end
+        while last > first and values[last - 1] is None:
+            last -= 1
+        if first > start:
+            lo += [start] * (first - start)
+            hi += [end - 1 if last_offset == UNBOUNDED
+                   else first - 1] * (first - start)
+        if first_offset == UNBOUNDED:
+            lo += [start] * (last - first)
         else:
-            while self.entries and self.entries[-1][1] <= value:
-                self.entries.pop()
-        self.entries.append((index, value))
+            reached = first
+            for index in range(first, last):
+                bound = values[index] + first_offset
+                while reached < last and values[reached] < bound:
+                    reached += 1
+                lo_append(reached)
+        if last_offset == UNBOUNDED:
+            hi += [end - 1] * (last - first)
+        else:
+            reached = first
+            for index in range(first, last):
+                bound = values[index] + last_offset
+                while reached < last and values[reached] <= bound:
+                    reached += 1
+                hi_append(reached - 1)
+        if last < end:
+            lo += [start if first_offset == UNBOUNDED
+                   else last] * (end - last)
+            hi += [end - 1] * (end - last)
+    return lo, hi
 
-    def advance_lo(self, lo: int) -> None:
-        while self.entries and self.entries[0][0] < lo:
-            self.entries.popleft()
 
-    def result(self) -> Any:
-        return self.entries[0][1] if self.entries else None
+def _sliding_extreme(arguments: list, lo: list[int], hi: list[int],
+                     is_min: bool) -> list:
+    """min/max per frame: a monotonic deque of argument indices.
+
+    No span bookkeeping is needed: ``lo`` never points before the row's
+    own span, so whatever an earlier sequence left in the deque is
+    evicted before the front is read.
+    """
+    out: list = []
+    emit = out.append
+    candidates: deque[int] = deque()
+    push, drop_back, drop_front = (candidates.append, candidates.pop,
+                                   candidates.popleft)
+    added = -1
+    for first, last in zip(lo, hi):
+        while added < last:
+            added += 1
+            value = arguments[added]
+            if value is None:
+                continue
+            if is_min:
+                while candidates and arguments[candidates[-1]] >= value:
+                    drop_back()
+            else:
+                while candidates and arguments[candidates[-1]] <= value:
+                    drop_back()
+            push(added)
+        while candidates and candidates[0] < first:
+            drop_front()
+        emit(arguments[candidates[0]] if candidates else None)
+    return out
+
+
+def _aggregate(spec: WindowFuncSpec, arguments: list | None,
+               lo: list[int], hi: list[int]) -> list:
+    """One aggregate over every row's ``[lo, hi]`` frame, in O(rows)."""
+    name = spec.name
+    if spec.count_star:
+        return [last - first + 1 if last >= first else 0
+                for first, last in zip(lo, hi)]
+    if name in ("min", "max"):
+        return _sliding_extreme(arguments, lo, hi, name == "min")
+    counts = list(accumulate((value is not None for value in arguments),
+                             initial=0))
+    if name == "count":
+        return [counts[last + 1] - counts[first] if last >= first else 0
+                for first, last in zip(lo, hi)]
+    if not all(value is None or isinstance(value, int)
+               for value in arguments):
+        # A float running total cancels catastrophically when a large
+        # value leaves the frame; add each frame up on its own.
+        return _rescan(spec, arguments, lo, hi)
+    totals = list(accumulate((value or 0 for value in arguments),
+                             initial=0))
+    if name == "sum":
+        return [totals[last + 1] - totals[first]
+                if last >= first and counts[last + 1] > counts[first]
+                else None for first, last in zip(lo, hi)]
+    return [(totals[last + 1] - totals[first])
+            / (counts[last + 1] - counts[first])
+            if last >= first and counts[last + 1] > counts[first]
+            else None for first, last in zip(lo, hi)]
+
+
+def _rescan(spec: WindowFuncSpec, arguments: list | None,
+            lo: list[int], hi: list[int]) -> list:
+    """Reference aggregation: every frame re-read from scratch."""
+    name = spec.name
+    results: list[Any] = []
+    for first, last in zip(lo, hi):
+        if first > last:
+            results.append(0 if name == "count" else None)
+            continue
+        if spec.count_star:
+            results.append(last - first + 1)
+            continue
+        window = [value for value in arguments[first:last + 1]
+                  if value is not None]
+        if name == "count":
+            results.append(len(window))
+        elif not window:
+            results.append(None)
+        elif name == "sum":
+            results.append(sum(window))
+        elif name == "avg":
+            results.append(sum(window) / len(window))
+        elif name == "min":
+            results.append(min(window))
+        else:
+            results.append(max(window))
+    return results
 
 
 class WindowOp(PhysicalNode):
@@ -173,10 +405,17 @@ class WindowOp(PhysicalNode):
         #: oracle can assert the parallel path really ran.
         self.parallel_workers = 0
         for spec in self.functions:
-            if spec.frame is not None and spec.frame.mode == "range" \
-                    and len(self._order_keys) != 1:
+            if spec.frame is None or spec.frame.mode != "range":
+                continue
+            if len(self._order_keys) != 1:
                 raise ExecutionError(
                     "RANGE frames require exactly one ORDER BY key")
+            if _does_value_arithmetic(spec.frame) and order_exprs \
+                    and not infer_type(order_exprs[0],
+                                       child.schema).is_numeric:
+                raise ExecutionError(
+                    "RANGE frames with an offset require a numeric "
+                    "ORDER BY key")
 
     def inputs(self) -> Sequence[PhysicalNode]:
         return (self.child,)
@@ -203,13 +442,22 @@ class WindowOp(PhysicalNode):
             if self._partition_keys:
                 buffered.sort(key=lambda row: tuple(
                     sort_key(key(row)) for key in self._partition_keys))
-        partitions = list(self._partitions(buffered))
-        for partition in partitions:
-            computed = [self._evaluate(spec, partition)
-                        for spec in self.functions]
-            for row_index, row in enumerate(partition):
-                self.actual_rows += 1
-                yield row + tuple(column[row_index] for column in computed)
+        if not buffered:
+            return
+        spans = _partition_spans(
+            len(buffered), [[key(row) for row in buffered]
+                            for key in self._partition_keys])
+        order_column = [self._order_keys[0][0](row) for row in buffered] \
+            if self._order_keys else None
+        argument_columns = [
+            None if spec.argument is None
+            else [spec.argument(row) for row in buffered]
+            for spec in self.functions]
+        computed = self._window_columns(spans, order_column,
+                                        argument_columns)
+        for row, values in zip(buffered, zip(*computed)):
+            self.actual_rows += 1
+            yield row + values
 
     # -- vectorized path ----------------------------------------------
 
@@ -222,48 +470,34 @@ class WindowOp(PhysicalNode):
         in_rows = big.rows()
         return [[bound(row) for row in in_rows] for bound in row_bounds]
 
-    def _normalized_order(self, order_columns: list[list],
-                          start: int, end: int) -> list[Any] | None:
-        """Slice of the first order-key column, ascending-normalized."""
-        if not self._order_keys:
-            return None
-        _, ascending = self._order_keys[0]
-        column = order_columns[0][start:end]
-        if ascending:
-            return column
-        return [None if value is None else -value for value in column]
-
-    def _partition_spans(self, total: int,
-                         partition_columns: list[list],
-                         ) -> list[tuple[int, int]]:
-        """Contiguous (start, end) spans of equal partition keys."""
-        if not partition_columns:
-            return [(0, total)]
-        spans: list[tuple[int, int]] = []
-        start = 0
-        current = tuple(column[0] for column in partition_columns)
-        for index in range(1, total):
-            candidate = tuple(column[index]
-                              for column in partition_columns)
-            if candidate != current:
-                spans.append((start, index))
-                start = index
-                current = candidate
-        spans.append((start, total))
-        return spans
+    def _sort_permutation(self, total: int, partition_columns: list,
+                          order_columns: list) -> list[int]:
+        """Stable multi-pass index sort over the key columns: order keys
+        last-to-first, then the composite partition key, matching the
+        scalar path's per-pass row sorts."""
+        order = list(range(total))
+        for column, (_, ascending) in zip(reversed(order_columns),
+                                          reversed(self._order_keys)):
+            keyed = sort_key_column(column)
+            order.sort(key=keyed.__getitem__, reverse=not ascending)
+        if partition_columns:
+            keyed = [sort_key_column(column)
+                     for column in partition_columns]
+            composite = keyed[0] if len(keyed) == 1 else list(zip(*keyed))
+            order.sort(key=composite.__getitem__)
+        return order
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         self.parallel_workers = 0
         size = _resolve_batch_size(size)
-        buffered: list[tuple] = []
-        for batch in self.child.batches(size):
-            buffered.extend(batch.rows())
+        collected = list(self.child.batches(size))
+        total = sum(batch.length for batch in collected)
         if not self.presorted:
-            self.sorted_rows = len(buffered)
-        if not buffered:
+            self.sorted_rows = total
+        if not total:
             return
         width_in = len(self.child.schema)
-        big = RowBatch.from_rows(buffered, width_in)
+        big = concat_columns(collected, width_in)
         partition_columns = self._eval_columns(
             big, self._batch_partition, self._partition_keys)
         order_columns = self._eval_columns(
@@ -277,257 +511,71 @@ class WindowOp(PhysicalNode):
                 argument_columns.append(self._batch_arguments[index](big))
             else:
                 argument_columns.append(
-                    [spec.argument(row) for row in buffered])
-        if not self.presorted:
-            # Stable multi-pass index sort over precomputed key arrays:
-            # order keys last-to-first, then the composite partition key,
-            # matching the scalar path's per-pass row sorts.
-            order = list(range(len(buffered)))
-            for column, (_, ascending) in zip(reversed(order_columns),
-                                              reversed(self._order_keys)):
-                keyed = sort_key_column(column)
-                order.sort(key=keyed.__getitem__, reverse=not ascending)
-            if partition_columns:
-                composite = list(zip(*[sort_key_column(column)
-                                       for column in partition_columns]))
-                order.sort(key=composite.__getitem__)
-            buffered = [buffered[i] for i in order]
-            partition_columns = [[column[i] for i in order]
-                                 for column in partition_columns]
-            order_columns = [[column[i] for i in order]
-                             for column in order_columns]
-            argument_columns = [
-                None if column is None else [column[i] for i in order]
-                for column in argument_columns]
-            big = RowBatch.from_rows(buffered, width_in)
-        sorted_columns = big.columns
-        spans = self._partition_spans(len(buffered), partition_columns)
-        partitions = [buffered[start:end] for start, end in spans]
-        func_count = len(self.functions)
-        out_columns: list[list] = [[] for _ in range(width_in + func_count)]
-        pending = 0
-        for span_index, (start, end) in enumerate(spans):
-            order_slice = self._normalized_order(order_columns,
-                                                 start, end)
-            computed = []
-            for index, spec in enumerate(self.functions):
-                arguments = (None if argument_columns[index] is None
-                             else argument_columns[index][start:end])
-                computed.append(self._evaluate(
-                    spec, partitions[span_index],
-                    order_values=order_slice, arguments=arguments))
-            for position in range(width_in):
-                out_columns[position].extend(
-                    sorted_columns[position][start:end])
-            for position, column in enumerate(computed):
-                out_columns[width_in + position].extend(column)
-            pending += end - start
-            if pending >= size:
-                self.actual_rows += pending
-                self.actual_batches += 1
-                yield RowBatch(out_columns, pending)
-                out_columns = [[] for _ in range(width_in + func_count)]
-                pending = 0
-        if pending:
-            self.actual_rows += pending
-            self.actual_batches += 1
-            yield RowBatch(out_columns, pending)
-
-    def _partitions(self, rows: list[tuple]) -> Iterator[list[tuple]]:
-        if not rows:
-            return
-        if not self._partition_keys:
-            yield rows
-            return
-        keys = self._partition_keys
-        start = 0
-        current = tuple(key(rows[0]) for key in keys)
-        for index in range(1, len(rows)):
-            candidate = tuple(key(rows[index]) for key in keys)
-            if candidate != current:
-                yield rows[start:index]
-                start = index
-                current = candidate
-        yield rows[start:]
-
-    # ------------------------------------------------------------------
-
-    def _order_values(self, partition: list[tuple]) -> list[Any]:
-        """Order-key values normalized so the sequence is ascending."""
-        key, ascending = self._order_keys[0]
-        if ascending:
-            return [key(row) for row in partition]
-        return [None if key(row) is None else -key(row) for row in partition]
-
-    def _frame_bounds(self, spec: WindowFuncSpec, size: int,
-                      order_values: list[Any] | None,
-                      ) -> Iterator[tuple[int, int]]:
-        """Yield inclusive (lo, hi) frame indices for each row in order.
-
-        Both bounds are monotonically nondecreasing across rows, which the
-        incremental aggregation relies on. An empty frame is signalled by
-        lo > hi.
-        """
-        frame = spec.frame
-        if frame is None:
-            if not spec.has_order:
-                for _ in range(size):
-                    yield 0, size - 1
-                return
-            # Default frame: RANGE UNBOUNDED PRECEDING .. CURRENT ROW,
-            # which includes the full peer group of the current row.
-            values = order_values if order_values is not None else []
-            hi = 0
-            for index in range(size):
-                if hi < index:
-                    hi = index
-                while hi + 1 < size and values[hi + 1] == values[index]:
-                    hi += 1
-                yield 0, hi
-            return
-        if frame.mode == "rows":
-            for index in range(size):
-                lo = 0 if frame.start == UNBOUNDED \
-                    else max(0, index + int(frame.start))
-                hi = size - 1 if frame.end == UNBOUNDED \
-                    else min(size - 1, index + int(frame.end))
-                yield lo, hi
-            return
-        # RANGE mode with value offsets on a single numeric order key.
-        # Order values ascend (NULLs first); rows with a NULL key form
-        # their own peer group, and value-bounded frames of non-NULL rows
-        # never include NULL-key rows.
-        values = order_values
-        assert values is not None
-        first_value = 0
-        while first_value < size and values[first_value] is None:
-            first_value += 1
-        lo = first_value
-        hi = first_value - 1
-        for index in range(size):
-            center = values[index]
-            if center is None:
-                yield 0, first_value - 1
+                    [spec.argument(row) for row in big.rows()])
+        arrange = _arranger(None if self.presorted
+                            else self._sort_permutation(
+                                total, partition_columns, order_columns))
+        spans = _partition_spans(
+            total, [arrange(column) for column in partition_columns])
+        computed = self._window_columns(
+            spans, arrange(order_columns[0]) if order_columns else None,
+            [arrange(column) for column in argument_columns])
+        out_columns = [arrange(column) for column in big.columns] + computed
+        flushed = 0
+        for _, end in spans:
+            if end - flushed < size and end < total:
                 continue
-            if frame.start == UNBOUNDED:
-                target_lo = 0
-            else:
-                low_value = center + frame.start
-                while lo < size and values[lo] < low_value:
-                    lo += 1
-                target_lo = lo
-            if frame.end == UNBOUNDED:
-                target_hi = size - 1
-            else:
-                high_value = center + frame.end
-                while hi + 1 < size and values[hi + 1] <= high_value:
-                    hi += 1
-                target_hi = hi
-            yield target_lo, target_hi
+            length = end - flushed
+            self.actual_rows += length
+            self.actual_batches += 1
+            yield RowBatch(out_columns if length == total
+                           else [column[flushed:end]
+                                 for column in out_columns], length)
+            flushed = end
 
     # ------------------------------------------------------------------
 
-    def _evaluate(self, spec: WindowFuncSpec,
-                  partition: list[tuple],
-                  order_values: list[Any] | None = None,
-                  arguments: list[Any] | None = None) -> list[Any]:
-        """Window column for one partition.
-
-        ``order_values`` / ``arguments`` may be supplied precomputed (the
-        batch path slices them out of whole-input columns); otherwise
-        they are derived from the partition rows here.
-        """
-        size = len(partition)
-        if spec.name == "row_number":
-            return list(range(1, size + 1))
+    def _row_shift(self, spec: WindowFuncSpec) -> int | None:
+        """``k`` when the function's value at row *i* is its argument at
+        row ``i + k`` of the same sequence (or NULL), else None."""
         if spec.name in ("lag", "lead"):
-            if arguments is None:
-                argument = spec.argument
-                if argument is None:
+            return -spec.offset if spec.name == "lag" else spec.offset
+        if self.naive or spec.name in ("avg", "row_number"):
+            return None
+        return _single_row_shift(spec.frame)
+
+    def _window_columns(self, spans: Spans, order_column: list | None,
+                        argument_columns: list) -> list[list]:
+        """One computed column per function over the whole sorted input.
+
+        ``order_column`` is the first ORDER BY key as sorted, or None.
+        Frame bounds are swept once per distinct frame and shared.
+        """
+        bounds: dict[WindowFrame | None, Bounds] = {}
+        computed: list[list] = []
+        for spec, arguments in zip(self.functions, argument_columns):
+            shift = self._row_shift(spec)
+            if spec.name == "row_number":
+                column: list = []
+                for start, end in spans:
+                    column.extend(range(1, end - start + 1))
+            elif shift is not None:
+                if spec.count_star:
+                    arguments = [1] * spans[-1][1]
+                elif arguments is None:
                     raise ExecutionError(
                         f"{spec.name}() requires an argument")
-                arguments = [argument(row) for row in partition]
-            values = arguments
-            offset = spec.offset
-            if offset == 0:
-                return values
-            padding = [None] * min(offset, size)
-            if spec.name == "lag":
-                return padding + values[:size - offset]
-            return values[offset:] + padding
-        if order_values is None and self._order_keys:
-            order_values = self._order_values(partition)
-        if arguments is None and not spec.count_star:
-            arguments = [spec.argument(row) for row in partition]
-        if self.naive:
-            return self._evaluate_naive(spec, size, order_values, arguments)
-        return self._evaluate_sliding(spec, size, order_values, arguments)
-
-    def _evaluate_sliding(self, spec: WindowFuncSpec, size: int,
-                          order_values: list[Any] | None,
-                          arguments: list[Any] | None) -> list[Any]:
-        results: list[Any] = []
-        bounds = self._frame_bounds(spec, size, order_values)
-        if spec.name in ("min", "max"):
-            state = _ExtremeState(is_min=spec.name == "min")
-            added = -1
-            for lo, hi in bounds:
-                while added < hi:
-                    added += 1
-                    state.add(added, arguments[added])
-                state.advance_lo(min(lo, added + 1))
-                if lo > hi:
-                    results.append(None)
-                else:
-                    results.append(state.result())
-            return results
-        state = _SumState()
-        added = -1
-        for lo, hi in bounds:
-            while added < hi:
-                added += 1
-                if spec.count_star:
-                    state.add(1)
-                else:
-                    state.add(arguments[added])
-            state.advance_lo(min(lo, added + 1))
-            if lo > hi:
-                results.append(0 if spec.name == "count" else None)
-                continue
-            if spec.name == "count":
-                results.append((hi - lo + 1) if spec.count_star
-                               else state.count)
-            elif spec.name == "sum":
-                results.append(state.total if state.count else None)
-            else:  # avg
-                results.append(state.total / state.count
-                               if state.count else None)
-        return results
-
-    def _evaluate_naive(self, spec: WindowFuncSpec, size: int,
-                        order_values: list[Any] | None,
-                        arguments: list[Any] | None) -> list[Any]:
-        """Reference implementation: rescan the frame for every row."""
-        results: list[Any] = []
-        for lo, hi in self._frame_bounds(spec, size, order_values):
-            if lo > hi:
-                results.append(0 if spec.name == "count" else None)
-                continue
-            if spec.count_star:
-                results.append(hi - lo + 1)
-                continue
-            window = [value for value in arguments[lo:hi + 1]
-                      if value is not None]
-            if spec.name == "count":
-                results.append(len(window))
-            elif not window:
-                results.append(None)
-            elif spec.name == "sum":
-                results.append(sum(window))
-            elif spec.name == "avg":
-                results.append(sum(window) / len(window))
-            elif spec.name == "min":
-                results.append(min(window))
+                column = _shifted(arguments, spans, shift)
+                if spec.name == "count":
+                    column = [0 if value is None else 1 for value in column]
             else:
-                results.append(max(window))
-        return results
+                frame = spec.frame
+                if frame not in bounds:
+                    bounds[frame] = _sweep_bounds(
+                        frame, spans,
+                        order_column if spec.has_order else None,
+                        not self._order_keys or self._order_keys[0][1])
+                evaluate = _rescan if self.naive else _aggregate
+                column = evaluate(spec, arguments, *bounds[frame])
+            computed.append(column)
+        return computed

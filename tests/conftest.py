@@ -8,10 +8,18 @@ must not mutate them. Small per-test databases are built from the
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.datagen import GeneratorConfig
 from repro.minidb import Database, SqlType, TableSchema
 from repro.workloads import Workbench
+
+# Properties without their own ``max_examples`` run under the loaded
+# profile: ``ci`` here, ``--hypothesis-profile nightly`` in the nightly
+# job. No deadline: an example builds and queries a database.
+settings.register_profile("ci", deadline=None)
+settings.register_profile("nightly", max_examples=2000, deadline=None)
+settings.load_profile("ci")
 
 #: The Figure-2 reads schema used across unit tests.
 READS = TableSchema.of(

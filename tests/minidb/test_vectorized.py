@@ -10,9 +10,12 @@ from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.sqlparse import parse_expression
 from repro.minidb.vector import (
     DEFAULT_BATCH_SIZE,
+    DictColumn,
+    RLEColumn,
     RowBatch,
     batch_execution_enabled,
     configured_batch_size,
+    encode_column,
     forced_batch_size,
 )
 
@@ -82,8 +85,18 @@ def _resolver():
     return resolve
 
 
+def _encoded_batch() -> RowBatch:
+    """ROWS with dictionary-encoded a and b and a run-length s."""
+    a, b, s = (list(column) for column in zip(*ROWS))
+    batch = RowBatch([encode_column(a), encode_column(b),
+                      RLEColumn.from_values(s)], len(ROWS))
+    assert isinstance(batch.columns[0], DictColumn)
+    return batch
+
+
 class TestBatchExpressionParity:
-    """bind_batch must agree with bind, value for value, NULLs included."""
+    """bind_batch must agree with bind, value for value, NULLs included,
+    over plain and over encoded input columns."""
 
     EXPRESSIONS = [
         "a", "42", "a + b", "a - 1", "b * 2", "a / 2",
@@ -93,26 +106,42 @@ class TestBatchExpressionParity:
         "a in (1, 4, 9)", "s in ('x', 'z')", "a not in (2, 5)",
         "a in (1, null)",
         "case when a is null then -1 else a end",
+        # The rule templates' flag filter: literal arms only.
+        "case when a = 1 and true then false else true end",
+        # Several arms; a NULL condition falls through to the next.
+        "case when a < 2 then 'lo' when a < 5 then s else 'hi' end",
+        "case when a < b then a when b is null then -b else b end",
+        "case when null then 1 else 2 end",
+        # No ELSE: undecided rows are NULL.
+        "case when a > 3 then b end",
+        "case when a > 3 then 'big' when s = 'x' then s end",
+        # An arm may raise only on the rows that reach it.
+        "case when b = 0 then 0 else a / b end",
+        "case when a = 0 then -1 when 10 / a > 3 then 1 else 0 end",
+        "case when a is null then 0 when a = 0 then 0 else b / a end",
+        # Every row taken by the first arm / by none.
+        "case when true then a else 1 / 0 end",
+        "case when a > 100 then 1 / 0 else s end",
     ]
 
-    @pytest.mark.parametrize("text", EXPRESSIONS)
-    def test_matches_scalar_bind(self, text):
+    @staticmethod
+    def _check(text):
         expr = parse_expression(text)
         resolver = _resolver()
         bound = expr.bind(resolver)
         batch_bound = expr.bind_batch(resolver)
-        batch = RowBatch.from_rows(ROWS, 3)
-        assert batch_bound(batch) == [bound(row) for row in ROWS]
+        expected = [bound(row) for row in ROWS]
+        assert batch_bound(RowBatch.from_rows(ROWS, 3)) == expected
+        assert list(batch_bound(_encoded_batch())) == expected
+
+    @pytest.mark.parametrize("text", EXPRESSIONS)
+    def test_matches_scalar_bind(self, text):
+        self._check(text)
 
     @pytest.mark.parametrize("text", EXPRESSIONS)
     def test_fallback_kernel_matches(self, text, monkeypatch):
         monkeypatch.setenv("REPRO_VECTOR_FALLBACK", "1")
-        expr = parse_expression(text)
-        resolver = _resolver()
-        bound = expr.bind(resolver)
-        batch_bound = expr.bind_batch(resolver)
-        batch = RowBatch.from_rows(ROWS, 3)
-        assert batch_bound(batch) == [bound(row) for row in ROWS]
+        self._check(text)
 
     def test_kleene_three_valued_corners(self):
         resolver = _resolver()

@@ -7,10 +7,16 @@ the naive per-row rescan, and both must agree with an independent
 Python reference model.
 """
 
-from hypothesis import given, settings
+import contextlib
+
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.errors import ExecutionError
 from repro.minidb import Database, PlannerOptions, SqlType, TableSchema
+from repro.minidb.plan.window import WindowOp
+from repro.minidb.vector import forced_batch_size, materialize
 
 SCHEMA = TableSchema.of(("g", SqlType.VARCHAR),
                         ("t", SqlType.TIMESTAMP),
@@ -115,6 +121,17 @@ class TestFunctions:
             from w""")
         assert rs.rows == [("a", 1, 1), ("a", 3, 2), ("b", 2, 1)]
 
+    @pytest.mark.parametrize("size", [0, 1024])
+    def test_two_partition_keys(self, size):
+        db = make_db([("b", 1, 20), ("a", 1, 10), ("a", 2, 30), ("a", 1, 5)])
+        with forced_batch_size(size):
+            rs = run(db, """
+                select g, t, sum(v) over (partition by g, t) as s,
+                       row_number() over (partition by g, t) as rn
+                from w""")
+        assert rs.rows == [("a", 1, 15, 1), ("a", 1, 15, 2),
+                           ("a", 2, 30, 1), ("b", 1, 20, 1)]
+
     def test_lag_and_lead(self):
         db = make_db([("a", 1, 10), ("a", 2, 20), ("a", 3, 30)])
         rs = run(db, """
@@ -155,91 +172,242 @@ class TestFunctions:
         assert by_t == {3: None, 2: 30, 1: 20}
 
 
+class TestFloatSums:
+    def test_sliding_float_sum_does_not_cancel(self):
+        # A running total would compute (1e16 + 1.0) - 1e16 == 0.0.
+        db = Database()
+        db.create_table("f", TableSchema.of(("g", SqlType.VARCHAR),
+                                            ("t", SqlType.INTEGER),
+                                            ("v", SqlType.DOUBLE)))
+        db.load("f", [("a", 1, 1e16), ("a", 2, 1.0), ("a", 3, 3.0)])
+        for frame, expected in [
+                ("rows between 1 following and 1 following",
+                 [1.0, 3.0, None]),
+                ("rows between current row and 1 following",
+                 [1e16, 4.0, 3.0])]:
+            sql = (f"select sum(v) over (partition by g order by t "
+                   f"{frame}) as s from f")
+            for size in (0, 1024):
+                with forced_batch_size(size):
+                    assert run(db, sql).column("s") == expected
+                    assert run(db, sql, naive=True).column("s") == expected
+
+
+class TestDescendingVarcharOrder:
+    ROWS = [("a", 1, 10), ("a", 2, 20), ("b", 3, 30), ("c", 4, None)]
+
+    @pytest.mark.parametrize("size", [0, 1024])
+    def test_row_number_rows_frame_and_default_frame(self, size):
+        db = make_db(self.ROWS)
+        with forced_batch_size(size):
+            rs = run(db, """
+                select g, row_number() over (order by g desc) as rn,
+                       max(v) over (order by g desc
+                           rows between 1 preceding and 1 preceding) as p,
+                       count(*) over (order by g desc) as n
+                from w""")
+        assert rs.rows == [("c", 1, None, 1), ("b", 2, None, 2),
+                           ("a", 3, 30, 4), ("a", 4, 10, 4)]
+
+    def test_range_offset_needs_a_numeric_key(self):
+        db = make_db(self.ROWS)
+        with pytest.raises(ExecutionError, match="numeric ORDER BY key"):
+            run(db, """select count(*) over (order by g desc
+                       range between 1 preceding and current row) from w""")
+        # Without an offset no arithmetic is done on the key.
+        rs = run(db, """select count(*) over (order by g desc
+                        range between unbounded preceding
+                        and unbounded following) as n from w""")
+        assert rs.column("n") == [4, 4, 4, 4]
+
+
 # ----------------------------------------------------------------------
-# Property tests: sliding == naive == reference model.
+# Property test: kernels == naive rescan == independent reference model.
 # ----------------------------------------------------------------------
 
-def _dedupe(rows):
-    """ROWS frames are order-sensitive for tied sort keys, so the
-    property data keeps (group, t) unique."""
-    seen = set()
+PROPERTY_SCHEMA = TableSchema.of(("g", SqlType.VARCHAR),
+                                 ("t", SqlType.INTEGER),
+                                 ("v", SqlType.INTEGER),
+                                 ("f", SqlType.DOUBLE))
+
+#: Dyadic floats, whose sums are exact in any order, plus two values big
+#: enough that a running total loses the small ones.
+FLOATS = [0.25, -1.5, 3.0, 1.0, 8.75, 1e16, -1e16]
+
+property_rows = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]),
+              st.one_of(st.none(), st.integers(0, 8)),
+              st.one_of(st.none(), st.integers(-10, 10)),
+              st.one_of(st.none(), st.sampled_from(FLOATS))),
+    min_size=0, max_size=24)
+
+_offset = st.one_of(st.none(), st.integers(-3, 3))  # None = UNBOUNDED
+#: A frame is None (the default frame) or (mode, start, end).
+property_frame = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(["rows", "range"]), _offset, _offset)
+    .filter(lambda f: f[1] is None or f[2] is None or f[1] <= f[2]))
+
+property_function = st.tuples(
+    st.sampled_from(["sum", "avg", "min", "max", "count", "count*"]),
+    st.sampled_from(["v", "f"]),
+    st.integers(0, 1))  # which of the two drawn frames it uses
+
+
+def _frame_sql(frame):
+    if frame is None:
+        return ""
+    mode, start, end = frame
+
+    def bound(offset, unbounded):
+        if offset is None:
+            return unbounded
+        if offset == 0:
+            return "current row"
+        return f"{-offset} preceding" if offset < 0 \
+            else f"{offset} following"
+
+    return (f"{mode} between {bound(start, 'unbounded preceding')} "
+            f"and {bound(end, 'unbounded following')}")
+
+
+def _in_frame(frame, keys, i, j):
+    """Is sorted row *j* in the frame of sorted row *i*?  ``keys`` are
+    the order keys normalized to ascend (negated under DESC)."""
+    if frame is None:  # up to and including the current row's peers
+        return j <= i or keys[j] == keys[i]
+    mode, start, end = frame
+    if mode == "rows":
+        return (start is None or start <= j - i) \
+            and (end is None or j - i <= end)
+    if keys[i] is None or keys[j] is None:
+        # NULL keys are peers of each other; anything else reaches them,
+        # or is reached from them, only through an UNBOUNDED side.
+        return (keys[i] is None and keys[j] is None) \
+            or (j < i and start is None) or (j > i and end is None)
+    return (start is None or keys[i] + start <= keys[j]) \
+        and (end is None or keys[j] <= keys[i] + end)
+
+
+def reference(rows, descending, functions):
+    """Independent O(n^2) model: the query's rows, in output order."""
+    # The engine's order: stable by t (NULLs first; reversed wholesale
+    # under DESC, which keeps ties in arrival order), then stable by g.
+    ordered = sorted(rows, key=lambda r: (r[1] is not None, r[1] or 0),
+                     reverse=descending)
+    ordered.sort(key=lambda r: r[0])
     out = []
-    for row in rows:
-        if (row[0], row[1]) in seen:
-            continue
-        seen.add((row[0], row[1]))
-        out.append(row)
+    for group in sorted({row[0] for row in ordered}):
+        members = [row for row in ordered if row[0] == group]
+        keys = [None if row[1] is None
+                else -row[1] if descending else row[1] for row in members]
+        for i, row in enumerate(members):
+            computed = []
+            for func, column, frame in functions:
+                window = [other[2 if column == "v" else 3]
+                          for j, other in enumerate(members)
+                          if _in_frame(frame, keys, i, j)]
+                values = [value for value in window if value is not None]
+                if func == "count*":
+                    computed.append(len(window))
+                elif func == "count":
+                    computed.append(len(values))
+                elif not values:
+                    computed.append(None)
+                elif func == "sum":
+                    computed.append(sum(values))
+                elif func == "avg":
+                    computed.append(sum(values) / len(values))
+                else:
+                    computed.append((min if func == "min" else max)(values))
+            out.append(row + tuple(computed))
     return out
 
 
-rows_strategy = st.lists(
-    st.tuples(st.sampled_from(["a", "b"]),
-              st.integers(0, 30),
-              st.one_of(st.none(), st.integers(-10, 10))),
-    min_size=0, max_size=40).map(_dedupe)
+#: NULL keys sort to one end of the sequence; a frame reaches across
+#: that boundary only through an UNBOUNDED side.
+NULL_KEY_ROWS = [("a", None, 1, 1.0), ("a", 3, 4, 0.25), ("a", None, 2, 3.0),
+                 ("a", 5, 8, 1e16), ("a", 5, None, 1.0), ("b", None, 7, None)]
+NULL_KEY_PICKS = [("sum", "v", 0), ("count*", "v", 0), ("max", "f", 1),
+                  ("sum", "f", 1)]
 
 
-def _bound_sql(offset, is_start):
-    if offset == 0:
-        return "current row"
-    if offset < 0:
-        return f"{-offset} preceding"
-    return f"{offset} following"
+@given(rows=property_rows, descending=st.booleans(),
+       frames=st.tuples(property_frame, property_frame),
+       picks=st.lists(property_function, min_size=1, max_size=4))
+@example(rows=NULL_KEY_ROWS, descending=False, picks=NULL_KEY_PICKS,
+         frames=(("range", -1, None), ("range", None, 1)))
+@example(rows=NULL_KEY_ROWS, descending=True, picks=NULL_KEY_PICKS,
+         frames=(("range", -1, None), ("range", None, 1)))
+@example(rows=NULL_KEY_ROWS, descending=True, picks=NULL_KEY_PICKS,
+         frames=(("range", 0, 2), None))
+def test_sliding_matches_naive_and_reference(rows, descending, frames,
+                                             picks):
+    """Several functions in one Window operator, some sharing a frame,
+    over NULL keys and arguments, ties, floats and either direction: the
+    kernels, the naive rescan and the model agree at every batch size."""
+    functions = [(func, column, frames[which])
+                 for func, column, which in picks]
+    direction = "desc" if descending else "asc"
+    items = ", ".join(
+        f"{'count(*)' if func == 'count*' else f'{func}({column})'} over "
+        f"(partition by g order by t {direction} {_frame_sql(frame)}) "
+        f"as x{index}"
+        for index, (func, column, frame) in enumerate(functions))
+    sql = f"select g, t, v, f, {items} from w"
+    db = Database()
+    db.create_table("w", PROPERTY_SCHEMA)
+    db.load("w", rows)
+    assert len([node for node in db.plan(sql).walk()
+                if isinstance(node, WindowOp)]) == 1
+    expected = reference(rows, descending, functions)
+    # Float sums are exact, hence comparable with the model, only while
+    # no value is large enough to absorb another.
+    exact = all(row[3] is None or abs(row[3]) < 1e6 for row in rows)
+    modelled = [4 + index for index, (func, column, _)
+                in enumerate(functions)
+                if exact or column == "v" or func not in ("sum", "avg")]
+    for size in (0, 1, 7, None):
+        with forced_batch_size(size) if size is not None \
+                else contextlib.nullcontext():
+            fast = run(db, sql).rows
+            slow = run(db, sql, naive=True).rows
+        assert fast == slow
+        assert [row[:4] for row in fast] == [row[:4] for row in expected]
+        for position in modelled:
+            assert [row[position] for row in fast] \
+                == [row[position] for row in expected]
 
 
-def reference(rows, func, mode, start, end):
-    """Independent O(n^2) model of one windowed aggregate."""
-    out = []
-    groups = {}
-    for row in sorted(rows, key=lambda r: (r[0], r[1])):
-        groups.setdefault(row[0], []).append(row)
-    for group_rows in groups.values():
-        for i, row in enumerate(group_rows):
-            window = []
-            for j, other in enumerate(group_rows):
-                if mode == "rows":
-                    inside = start <= j - i <= end
-                else:
-                    inside = (row[1] + start) <= other[1] <= (row[1] + end)
-                if inside:
-                    window.append(other[2])
-            values = [v for v in window if v is not None]
-            if func == "count":
-                out.append(len(window))
-            elif not values:
-                out.append(None)
-            elif func == "sum":
-                out.append(sum(values))
-            elif func == "min":
-                out.append(min(values))
-            else:
-                out.append(max(values))
-    return sorted(out, key=lambda v: (v is None, v))
+class TestSharedBounds:
+    def test_one_sweep_per_distinct_frame_per_operator(self, monkeypatch,
+                                                       dirty_bench):
+        """On a 3-rule cleansed query the bounds sweep runs once per
+        distinct swept frame of each Window operator — not per function,
+        not per sequence."""
+        from repro.minidb.plan import window
 
+        calls = []
+        sweep = window._sweep_bounds
 
-@settings(max_examples=60, deadline=None)
-@given(rows=rows_strategy,
-       func=st.sampled_from(["sum", "min", "max", "count"]),
-       mode=st.sampled_from(["rows", "range"]),
-       bounds=st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
-def test_sliding_matches_naive_and_reference(rows, func, mode, bounds):
-    start, end = min(bounds), max(bounds)
-    frame = (f"{mode} between {_bound_sql(start, True)} "
-             f"and {_bound_sql(end, False)}")
-    argument = "*" if func == "count" else "v"
-    sql = (f"select {func}({argument}) over (partition by g order by t asc "
-           f"{frame}) as x from w")
-    db = make_db(rows)
-    fast = run(db, sql, naive=False).column("x")
-    slow = run(db, sql, naive=True).column("x")
-    assert fast == slow
-    key = lambda v: (v is None, v)  # noqa: E731
-    if func == "count":
-        expected = reference(rows, "count", mode, start, end)
-        assert sorted(fast, key=key) == expected
-    else:
-        expected = reference(rows, func, mode, start, end)
-        assert sorted(fast, key=key) == expected
+        def counting(frame, spans, *rest):
+            calls.append((frame, len(spans)))
+            return sweep(frame, spans, *rest)
+
+        monkeypatch.setattr(window, "_sweep_bounds", counting)
+        bench = dirty_bench.with_rules(("reader", "duplicate", "replacing"))
+        plan = bench.engine.rewrite(bench.q1(0.30)).physical
+        operators = [node for node in plan.walk()
+                     if isinstance(node, WindowOp)]
+        assert len(operators) >= 3
+        rows = materialize(plan)
+        assert rows
+        swept = [{spec.frame for spec in node.functions
+                  if window._single_row_shift(spec.frame) is None}
+                 for node in operators]
+        assert any(swept)  # the RANGE look-ahead of the reader rule
+        assert len(calls) == sum(len(frames) for frames in swept)
+        assert max(sequences for _, sequences in calls) > 1
 
 
 class TestLagLeadOffsets:
