@@ -44,9 +44,8 @@ BENCH_SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() == "1"
 #: Knob environment variables snapshotted into every results file, so a
 #: recorded number can always be tied back to the configuration that
 #: produced it.
-_KNOB_ENV = ("REPRO_CODEGEN", "REPRO_WORKERS", "REPRO_BATCH_SIZE",
-             "REPRO_ENCODE",
-             "REPRO_PARALLEL", "REPRO_BENCH_SCALE", "REPRO_BENCH_SMOKE",
+_KNOB_ENV = ("REPRO_BATCH_SIZE", "REPRO_ENCODE",
+             "REPRO_BENCH_SCALE", "REPRO_BENCH_SMOKE",
              "REPRO_STORAGE", "REPRO_BUFFER_PAGES", "REPRO_PAGE_SIZE",
              "REPRO_WAL_LIMIT", "REPRO_GROUP_COMMIT", "REPRO_READAHEAD",
              "REPRO_ZONE_PRUNE", "REPRO_SERVE_WORKERS",

@@ -79,10 +79,7 @@ def stream_setup():
     rtimes = [row[1] for row in data.case_reads]
     queries = [QUERY.format(t=timestamp_for_fraction_below(rtimes, sel))
                for sel in PANEL]
-    try:
-        yield db, registry, chunks, queries
-    finally:
-        db.close()
+    return db, registry, chunks, queries
 
 
 def test_streaming_appends_warm_patched_vs_cold(stream_setup,

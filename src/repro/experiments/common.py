@@ -74,21 +74,11 @@ _WORKBENCHES: dict[tuple, Workbench] = {}
 def workbench_for(settings: ExperimentSettings,
                   rule_names: tuple[str, ...] = STANDARD_RULE_ORDER,
                   ) -> Workbench:
-    """Cached workbench for the given settings and rule set.
-
-    Setting ``REPRO_WORKERS`` (or the deprecated ``REPRO_PARALLEL``
-    alias) to a worker count ≥ 2 lets the planner shard large segments
-    across the persistent pool for every experiment run in this
-    process; unset or ``0`` keeps the serial executor.
-    """
-    from repro.minidb.parallel import configured_worker_count
-
+    """Cached workbench for the given settings and rule set."""
     base_key = (settings.scale, settings.anomaly_percent, settings.seed)
     base = _WORKBENCHES.get(base_key)
     if base is None:
         base = Workbench.create(settings.config(), rule_names)
-        if configured_worker_count() >= 2:
-            base.database.options.parallel_windows = True
         _WORKBENCHES[base_key] = base
         _WORKBENCHES[base_key + (tuple(rule_names),)] = base
         return base

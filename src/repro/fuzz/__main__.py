@@ -39,10 +39,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--stop-after", type=int, default=1,
                         metavar="N", dest="stop_after",
                         help="stop after N divergent cases (default: 1)")
-    parser.add_argument("--codegen", default=None,
-                        choices=("on", "off", "random"),
-                        help="pin query compilation for the sweep, or "
-                             "'random' to flip it per iteration")
     parser.add_argument("--no-shrink", action="store_true",
                         help="skip delta-debugging on divergence")
     parser.add_argument("--regression-dir", type=Path, default=None,
@@ -77,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         regression_dir=args.regression_dir,
         max_rules=args.max_rules,
         stop_after_failures=args.stop_after,
-        codegen=args.codegen,
         report=report if args.verbose else None,
     )
     outcome = run_fuzz(config)

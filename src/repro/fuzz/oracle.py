@@ -21,8 +21,6 @@ path and diffs canonicalized row bags against the naive strategy
 ``eager``                 materialize Φ_C(R) up front, query the copy
 ``plan-cache``            the eager query re-run through the prepared-
                           plan cache (hit must reproduce the miss)
-``parallel``              naive re-run with shard-parallel execution
-                          forced on (threshold lowered, 2 workers)
 ``vectorized``            naive re-run under batch execution with a
                           small odd batch size (stressing chunk
                           boundaries); metrics must show batches ran
@@ -32,13 +30,6 @@ path and diffs canonicalized row bags against the naive strategy
                           and run-skipping filters must reproduce the
                           plain rows; in memory mode a non-empty scan
                           must report encoded columns in its metrics
-``compiled``              naive re-run with query compilation forced on
-                          (``REPRO_CODEGEN=1``) and batch size 7; when
-                          the planner fused a spine, metrics must show
-                          a compiled pipeline actually ran
-``sharded``               naive re-run with the shard pool (2 workers)
-                          *and* batch size 7 together; metrics must
-                          show at least one Exchange dispatched
 ``incremental``           load a prefix, warm the region cache, then
                           interleave ``Database.append`` chunks with
                           queries: after every append the cached
@@ -73,21 +64,17 @@ abort the sweep: one broken path still reports the others.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import shutil
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import RewriteError
 from repro.fuzz.cases import READS_COLUMNS, FuzzCase
-from repro.minidb.codegen import CompiledSpineOp, forced_codegen
 from repro.minidb.engine import Database
 from repro.minidb.schema import Column, TableSchema
-from repro.minidb.optimizer.planner import PlannerOptions
-from repro.minidb.plan.shard import ExchangeOp
 from repro.minidb.types import SqlType
 from repro.minidb.vector import forced_batch_size, forced_encoding
 from repro.rewrite.cache import CacheOptions
@@ -96,13 +83,12 @@ from repro.rewrite.engine import DeferredCleansingEngine
 from repro.sqlts.registry import RuleRegistry
 
 __all__ = ["ALL_LABELS", "Divergence", "OracleReport", "run_case",
-           "build_database", "forced_parallel_windows"]
+           "build_database"]
 
 #: Every comparison the oracle can run, in execution order.
 ALL_LABELS = ("expanded", "joinback", "chosen", "cached-cold",
               "cached-warm", "cached-invalidated", "eager", "plan-cache",
-              "parallel", "vectorized", "encoded", "compiled", "sharded",
-              "incremental", "disk", "served")
+              "vectorized", "encoded", "incremental", "disk", "served")
 
 _READS_SCHEMA = TableSchema.of(
     ("epc", SqlType.VARCHAR),
@@ -192,33 +178,6 @@ def build_database(case: FuzzCase,
     return db, registry
 
 
-@contextlib.contextmanager
-def forced_parallel_windows(workers: int = 2,
-                            threshold: int = 1) -> Iterator[None]:
-    """Force shard-parallel execution on for a block.
-
-    Fuzz datasets sit far below ``SHARD_ROW_THRESHOLD``, so the
-    threshold is lowered and the worker count pinned via
-    ``REPRO_WORKERS`` for the duration; both are restored afterwards.
-    (The name predates the shard executor, when only windows went
-    parallel; it is kept because regression files import it.)
-    """
-    from repro.minidb.plan import shard
-
-    saved_threshold = shard.SHARD_ROW_THRESHOLD
-    saved_env = os.environ.get("REPRO_WORKERS")
-    shard.SHARD_ROW_THRESHOLD = threshold
-    os.environ["REPRO_WORKERS"] = str(workers)
-    try:
-        yield
-    finally:
-        shard.SHARD_ROW_THRESHOLD = saved_threshold
-        if saved_env is None:
-            os.environ.pop("REPRO_WORKERS", None)
-        else:
-            os.environ["REPRO_WORKERS"] = saved_env
-
-
 def _diff(baseline: Sequence[tuple],
           got: Sequence[tuple]) -> tuple[list[tuple], list[tuple]]:
     """Bag difference: (rows only in baseline, rows only in got)."""
@@ -238,9 +197,9 @@ def run_case(case: FuzzCase,
 
     db, registry = build_database(case)
     engine = DeferredCleansingEngine(db, registry)
-    # Genuine tuple-at-a-time interpreted reference: batch execution and
-    # query compilation both pinned off, whatever the ambient env says.
-    with forced_codegen(False), forced_batch_size(0):
+    # Genuine tuple-at-a-time interpreted reference: batch execution
+    # pinned off, whatever the ambient env says.
+    with forced_batch_size(0):
         report.baseline = engine.execute(
             sql, strategies={"naive"}).canonical()
 
@@ -337,21 +296,6 @@ def run_case(case: FuzzCase,
 
         compare("plan-cache", plan_cache_hit)
 
-    def parallel() -> tuple[tuple, ...]:
-        options = PlannerOptions(parallel_windows=True)
-        parallel_db, parallel_registry = build_database(case)
-        parallel_db.options = options
-        parallel_engine = DeferredCleansingEngine(parallel_db,
-                                                  parallel_registry)
-        try:
-            with forced_parallel_windows():
-                return parallel_engine.execute(
-                    sql, strategies={"naive"}).canonical()
-        finally:
-            parallel_db.close()
-
-    compare("parallel", parallel)
-
     def vectorized() -> tuple[tuple, ...]:
         vector_db, vector_registry = build_database(case)
         vector_engine = DeferredCleansingEngine(vector_db, vector_registry)
@@ -395,56 +339,6 @@ def run_case(case: FuzzCase,
         return result.canonical()
 
     compare("encoded", encoded)
-
-    def compiled() -> tuple[tuple, ...]:
-        codegen_db, codegen_registry = build_database(case)
-        codegen_engine = DeferredCleansingEngine(codegen_db,
-                                                 codegen_registry)
-        # Compiled kernels over batch size 7: fused spines must agree
-        # with the interpreted baseline at awkward chunk boundaries.
-        with forced_codegen(True), forced_batch_size(7):
-            result, metrics, choice = codegen_engine.execute_with_metrics(
-                sql, strategies={"naive"})
-        # Not every plan fuses (uncovered operators fall back to the
-        # interpreter) — but when the planner DID wrap a spine, metrics
-        # reporting zero fused pipelines would mean the label silently
-        # re-tested the interpreted path.
-        planned = any(isinstance(node, CompiledSpineOp)
-                      for node in choice.chosen.physical.walk())
-        if planned and metrics.fused_pipelines == 0:
-            raise AssertionError(
-                "compiled strategy planned a fused spine but metrics "
-                "recorded zero fused pipelines")
-        return result.canonical()
-
-    compare("compiled", compiled)
-
-    def sharded() -> tuple[tuple, ...]:
-        shard_db, shard_registry = build_database(case)
-        shard_engine = DeferredCleansingEngine(shard_db, shard_registry)
-        # Shard pool and batch path together: 2 workers over key-mode
-        # morsels, with batch size 7 forcing awkward chunk boundaries
-        # inside each worker as well.
-        try:
-            with forced_parallel_windows(workers=2, threshold=1), \
-                    forced_batch_size(7):
-                result, metrics, choice = shard_engine.execute_with_metrics(
-                    sql, strategies={"naive"})
-        finally:
-            shard_db.close()
-        # Not every plan can shard (an equality conjunct may become an
-        # IndexRangeScan, which has no SeqScan spine) — but when the
-        # planner DID wrap a segment, a silent serial fallback here
-        # would mean the label never exercises the pool.
-        planned = any(isinstance(node, ExchangeOp)
-                      for node in choice.chosen.physical.walk())
-        if planned and metrics.sharded_segments == 0:
-            raise AssertionError(
-                "sharded strategy dispatched zero Exchange segments — "
-                "the shard pool did not run")
-        return result.canonical()
-
-    compare("sharded", sharded)
 
     def incremental() -> tuple[tuple, ...]:
         # Streaming replay: load a prefix, warm the region cache, then
@@ -511,7 +405,7 @@ def run_case(case: FuzzCase,
                     disk_registry.define(text)
                 disk_engine = DeferredCleansingEngine(disk_db,
                                                       disk_registry)
-                with forced_codegen(False), forced_batch_size(0):
+                with forced_batch_size(0):
                     result = disk_engine.execute(
                         sql, strategies={"naive"}).canonical()
                 counters = disk_db.storage.counters

@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 from repro.fuzz.cases import FuzzCase
 from repro.fuzz.datasets import random_profile
-from repro.minidb.codegen import forced_codegen
 from repro.fuzz.oracle import OracleReport, run_case
 from repro.fuzz.queries import random_query
 from repro.fuzz.regression import write_regression
@@ -43,12 +42,6 @@ class FuzzConfig:
     regression_dir: Path | None = None
     max_rules: int = 3
     stop_after_failures: int = 1
-    #: Query-compilation mode for the whole sweep: ``"on"``/``"off"``
-    #: pin ``REPRO_CODEGEN`` for every label, ``"random"`` flips a coin
-    #: per iteration (nightly mode), ``None`` leaves the ambient env
-    #: alone. The ``compiled`` label always forces codegen on for its
-    #: own run regardless.
-    codegen: str | None = None
     #: Progress callback (message) — the CLI wires this to stderr.
     report: Callable[[str], None] | None = None
 
@@ -113,19 +106,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzOutcome:
         case_rng = random.Random(master.getrandbits(64))
         case = generate_case(case_rng, config.seed, iteration,
                              max_rules=config.max_rules)
-        # Drawn AFTER generate_case so the case stream for a given seed
-        # is identical across codegen modes (same bugs, same shapes).
-        if config.codegen == "random":
-            enabled = bool(case_rng.getrandbits(1))
-        elif config.codegen in ("on", "off"):
-            enabled = config.codegen == "on"
-        else:
-            enabled = None
-        if enabled is None:
-            oracle_report = run_case(case, labels=config.labels)
-        else:
-            with forced_codegen(enabled):
-                oracle_report = run_case(case, labels=config.labels)
+        oracle_report = run_case(case, labels=config.labels)
         outcome.iterations_run += 1
         for label, status in oracle_report.results.items():
             if status.startswith("skipped"):

@@ -1,9 +1,9 @@
 """Registry of every ``REPRO_*`` environment knob the library reads.
 
 Knobs are plain environment variables scattered across subsystems
-(vectorization, codegen, storage, the shard pool, the server, the bench
-harness). A typo — ``REPRO_WORKER=2`` instead of ``REPRO_WORKERS=2`` —
-used to silently configure nothing; :func:`validate_environment` makes
+(vectorization, storage, the server, the bench harness). A typo —
+``REPRO_BATCHSIZE=0`` instead of ``REPRO_BATCH_SIZE=0`` — used to
+silently configure nothing; :func:`validate_environment` makes
 it fail loudly instead: any ``REPRO_``-prefixed variable not in
 :data:`KNOWN_KNOBS` triggers a one-shot :class:`UnknownKnobWarning`.
 
@@ -33,10 +33,6 @@ KNOWN_KNOBS: dict[str, str] = {
     "REPRO_BATCH_SIZE": "vectorized batch size (0 = tuple-at-a-time)",
     "REPRO_VECTOR_FALLBACK": "count batch-kernel scalar fallbacks",
     "REPRO_ENCODE": "encoded columnar execution (default on)",
-    "REPRO_CODEGEN": "enable fused-kernel query compilation",
-    "REPRO_CODEGEN_DUMP": "directory to dump generated kernel source",
-    "REPRO_WORKERS": "shard-pool worker count (0 disables)",
-    "REPRO_PARALLEL": "deprecated alias for REPRO_WORKERS",
     "REPRO_STORAGE": "default storage mode: memory or disk",
     "REPRO_BUFFER_PAGES": "buffer-pool capacity in pages",
     "REPRO_PAGE_SIZE": "on-disk page size in bytes",

@@ -16,17 +16,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro import knobs
-from repro.minidb import parallel
 from repro.minidb.catalog import Catalog
-from repro.minidb.codegen import CompiledSpineOp, cache_stats, codegen_enabled
 from repro.minidb.optimizer.cost import CostModel
 from repro.minidb.optimizer.planner import Planner, PlannerOptions
 from repro.minidb.optimizer.stats import StatsRepository
-from repro.minidb.plan import shard
 from repro.minidb.plan.builder import build_plan
 from repro.minidb.plan.logical import LogicalNode
 from repro.minidb.plan.physical import FilterOp, PhysicalNode, SortOp
-from repro.minidb.plan.shard import ExchangeOp
 from repro.minidb.plan.window import WindowOp
 from repro.minidb import vector
 from repro.minidb.vector import materialize
@@ -58,10 +54,6 @@ class ExecutionMetrics:
     rows_sorted: int = 0
     sort_operators: int = 0
     operators: int = 0
-    #: Window operators whose last execution actually fanned out to a
-    #: worker pool (0 under serial evaluation — the fuzz oracle asserts
-    #: on this to prove the parallel path was exercised, not skipped).
-    parallel_window_ops: int = 0
     #: Prepared-plan cache counters for the call that produced these
     #: metrics (filled in by ``Database.execute_with_metrics``).
     plan_cache_hits: int = 0
@@ -77,22 +69,6 @@ class ExecutionMetrics:
     filter_output_rows: int = 0
     #: (operator label, rows produced) per plan node in walk order.
     operator_rows: list[tuple[str, int]] = field(default_factory=list)
-    #: Exchange operators that actually fanned out to the shard pool.
-    sharded_segments: int = 0
-    #: Largest pool size any Exchange used this execution (0 = serial).
-    shard_workers: int = 0
-    #: Morsels dispatched / morsels run by a worker other than their
-    #: round-robin home (work stealing), summed over all Exchanges.
-    shard_morsels: int = 0
-    shard_steals: int = 0
-    #: Rows produced per morsel, concatenated across Exchanges in plan
-    #: walk order — the shard balance the morsel builder achieved.
-    shard_rows: list[int] = field(default_factory=list)
-    #: Shard-pool lifecycle counters for the call that produced these
-    #: metrics (filled in by ``Database.execute_with_metrics``); a reused
-    #: warm pool shows spawns=0.
-    pool_spawns: int = 0
-    pool_reuses: int = 0
     #: Incremental-cleansing counters for the call that produced these
     #: metrics (filled in by the rewrite engine's
     #: ``execute_with_metrics``): delta epochs consumed from table delta
@@ -101,9 +77,6 @@ class ExecutionMetrics:
     delta_epochs_applied: int = 0
     sequences_recleaned: int = 0
     cache_patches: int = 0
-    #: Compiled spines in the executed plan (0 unless REPRO_CODEGEN=1
-    #: produced at least one fused kernel for this query).
-    fused_pipelines: int = 0
     #: Disk-storage counters for the call that produced these metrics
     #: (filled in by ``execute_with_metrics``; all 0 in memory mode):
     #: pages faulted into the buffer pool, pages written back, pages
@@ -117,12 +90,6 @@ class ExecutionMetrics:
     pages_pruned: int = 0
     pages_prefetched: int = 0
     prefetch_wasted: int = 0
-    #: Kernel compile-cache activity and compile time for the call that
-    #: produced these metrics (filled in by ``execute_with_metrics``).
-    #: A plan-cache hit re-runs its kernels without touching either.
-    codegen_cache_hits: int = 0
-    codegen_cache_misses: int = 0
-    compile_ms: float = 0.0
     #: Encoded-execution activity for the call that produced these
     #: metrics (filled in by ``execute_with_metrics``): encoded columns
     #: served by scans, full decodes back to plain lists (fallback
@@ -131,6 +98,12 @@ class ExecutionMetrics:
     encoded_columns: int = 0
     decode_fallbacks: int = 0
     bytes_saved: int = 0
+    # 0 stub: only bench/statements.py reads it; the [benchmark] PR deletes it
+    fused_pipelines: int = 0
+    # 0 stub: only bench/statements.py reads it; the [benchmark] PR deletes it
+    sharded_segments: int = 0
+    # 0 stub: only bench/statements.py reads it; the [benchmark] PR deletes it
+    shard_workers: int = 0
 
     @property
     def selection_density(self) -> float | None:
@@ -156,17 +129,6 @@ class ExecutionMetrics:
             elif isinstance(node, WindowOp) and node.sorted_rows:
                 metrics.rows_sorted += node.sorted_rows
                 metrics.sort_operators += 1
-            if isinstance(node, WindowOp) and node.parallel_workers:
-                metrics.parallel_window_ops += 1
-            if isinstance(node, CompiledSpineOp):
-                metrics.fused_pipelines += 1
-            if isinstance(node, ExchangeOp) and node.workers_used:
-                metrics.sharded_segments += 1
-                metrics.shard_workers = max(metrics.shard_workers,
-                                            node.workers_used)
-                metrics.shard_morsels += node.morsel_count
-                metrics.shard_steals += node.steal_count
-                metrics.shard_rows.extend(node.per_shard_rows)
         return metrics
 
 
@@ -260,7 +222,6 @@ class Database:
         # Attributes __del__/__exit__ touch are assigned before anything
         # that can raise, so shutdown() is safe after a failed __init__.
         self.storage = None
-        self._shard_pool: parallel.ShardWorkerPool | None = None
         self._storage_closed = False
         knobs.validate_environment()
         #: Per-database override for encoded columnar execution;
@@ -289,10 +250,6 @@ class Database:
         self.cost_model = CostModel()
         self.options = options or PlannerOptions()
         self.plan_cache = PreparedPlanCache(plan_cache_size)
-        #: Lifetime shard-pool counters; the pool-reuse invariant ("one
-        #: spawn per database state, not per query") is pinned on these.
-        self.pool_spawns = 0
-        self.pool_reuses = 0
 
     def __del__(self) -> None:
         try:
@@ -306,24 +263,16 @@ class Database:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
 
-    def close(self) -> None:
-        """Release the shard pool (if any); the database stays usable."""
-        pool = getattr(self, "_shard_pool", None)
-        self._shard_pool = None
-        if pool is not None:
-            pool.close()
-
     def shutdown(self) -> None:
-        """Release the pool and cleanly close disk storage (checkpoint,
-        truncate the WAL, delete a temp-owned directory). The database
-        is unusable afterwards in disk mode.
+        """Cleanly close disk storage (checkpoint, truncate the WAL,
+        delete a temp-owned directory). The database is unusable
+        afterwards in disk mode; a no-op in memory mode.
 
         Idempotent, and safe to call on a partially constructed instance
         (``__exit__``/``__del__`` after a failed ``__init__``): every
         attribute touched here is assigned before ``__init__`` can
         raise, and the storage backend is closed exactly once.
         """
-        self.close()
         storage = getattr(self, "storage", None)
         if storage is not None and not getattr(self, "_storage_closed",
                                                True):
@@ -355,49 +304,6 @@ class Database:
         from repro.minidb.snapshot import Snapshot
 
         return Snapshot(self, plan_cache=plan_cache)
-
-    # -- shard pool ---------------------------------------------------------
-
-    def _pool_fingerprint(self) -> tuple:
-        """Everything a forked worker snapshot depends on.
-
-        Workers hold fork-time copies of the catalog and table rows, so
-        any data/DDL/stats change — or a knob change that alters plan
-        shapes — makes the current pool stale.
-        """
-        return (self.catalog.version, self.stats.version,
-                tuple(table.version for table in self.catalog),
-                parallel.configured_worker_count(),
-                shard.SHARD_ROW_THRESHOLD,
-                codegen_enabled(),
-                self._encode_resolved())
-
-    def shard_pool(self) -> "parallel.ShardWorkerPool | None":
-        """The persistent worker pool, spawning or respawning as needed.
-
-        Returns None when ``REPRO_WORKERS`` disables parallelism. The
-        pool is forked lazily on the first dispatch and reused across
-        queries until the database fingerprint moves.
-        """
-        workers = parallel.configured_worker_count()
-        if workers < 2:
-            self.close()
-            return None
-        fingerprint = self._pool_fingerprint()
-        pool = self._shard_pool
-        if pool is not None and pool.alive \
-                and pool.fingerprint == fingerprint:
-            self.pool_reuses += 1
-            return pool
-        self.close()
-        pool = parallel.ShardWorkerPool(self, workers, fingerprint)
-        self._shard_pool = pool
-        self.pool_spawns += 1
-        return pool
-
-    def discard_shard_pool(self) -> None:
-        """Drop a failed pool so the next dispatch forks a fresh one."""
-        self.close()
 
     # -- DDL / loading ------------------------------------------------------
 
@@ -486,13 +392,9 @@ class Database:
     def _fingerprint(self, options: PlannerOptions) -> tuple:
         """The staleness key guarding prepared-plan reuse.
 
-        The worker count and shard threshold participate because the
-        shard pass changes the plan *shape* with them: a plan cached
-        under one setting must not be replayed under another.
-
         Table *data* epochs deliberately do not participate: physical
-        plans read table rows live at execution time (Exchange morsels
-        are built at dispatch), so an append never makes a plan wrong —
+        plans read table rows live at execution time, so an append
+        never makes a plan wrong —
         only stale statistics can, and those are covered by the stats
         version (``StatsRepository.apply_append`` keeps it unchanged for
         trickle appends precisely so prepared plans stay warm). Schema
@@ -501,26 +403,7 @@ class Database:
         return (self.catalog.version, self.stats.version,
                 tuple(table.schema_epoch for table in self.catalog),
                 tuple(sorted(vars(options).items())),
-                parallel.configured_worker_count(),
-                shard.SHARD_ROW_THRESHOLD,
-                codegen_enabled(),
                 self._encode_resolved())
-
-    def _arm_exchanges(self, plan: PhysicalNode, logical: LogicalNode,
-                       options: PlannerOptions) -> None:
-        """Attach the dispatch payload to every Exchange in *plan*.
-
-        The payload is the pickled logical plan + options: workers
-        re-plan it serially to reconstruct the segment subtrees. Plans
-        without Exchanges pay nothing here.
-        """
-        exchanges = [node for node in plan.walk()
-                     if isinstance(node, ExchangeOp)]
-        if not exchanges:
-            return
-        payload = parallel.dumps_plan(logical, options)
-        for exchange in exchanges:
-            exchange.attach(self, payload)
 
     def plan(self, query: str | SelectStmt | LogicalNode,
              options: PlannerOptions | None = None) -> PhysicalNode:
@@ -547,15 +430,11 @@ class Database:
                               effective)
             logical = build_plan(statement, self.catalog)
             plan = planner.plan(logical)
-            self._arm_exchanges(plan, logical, effective)
             self.plan_cache.remember_plan(query, fingerprint, plan)
             return plan
         planner = Planner(self.catalog, self.stats, self.cost_model,
                           effective)
-        logical = self._to_logical(query)
-        plan = planner.plan(logical)
-        self._arm_exchanges(plan, logical, effective)
-        return plan
+        return planner.plan(self._to_logical(query))
 
     def explain(self, query: str | SelectStmt | LogicalNode,
                 options: PlannerOptions | None = None) -> Explained:
@@ -595,28 +474,6 @@ class Database:
         return Explained(plan=plan, text=text,
                          estimated_cost=plan.estimated_cost,
                          estimated_rows=plan.estimated_rows)
-
-    def explain_codegen(self, query: str | SelectStmt | LogicalNode,
-                        options: PlannerOptions | None = None) -> str:
-        """EXPLAIN CODEGEN: the generated kernel source for *query*.
-
-        Plans the query (honoring ``REPRO_CODEGEN``) and returns the
-        emitted source of every compiled spine, headed by its virtual
-        filename (the one tracebacks and ``linecache`` report). When the
-        plan contains no compiled pipeline, says why-ish: the knob state
-        is included so a disabled knob is obvious.
-        """
-        plan = self.plan(query, options)
-        sections: list[str] = []
-        for index, node in enumerate(node for node in plan.walk()
-                                     if isinstance(node, CompiledSpineOp)):
-            sections.append(f"-- pipeline {index}: {node.filename}\n"
-                            f"{node.source_text}")
-        if not sections:
-            state = "on" if codegen_enabled() else "off"
-            return (f"-- no compiled pipelines "
-                    f"(REPRO_CODEGEN is {state})\n")
-        return "\n".join(sections)
 
     # -- execution --------------------------------------------------------
 
@@ -674,9 +531,6 @@ class Database:
         """Run *query* and also report per-operator work counters."""
         hits_before = self.plan_cache.hits
         misses_before = self.plan_cache.misses
-        spawns_before = self.pool_spawns
-        reuses_before = self.pool_reuses
-        codegen_before = cache_stats()
         encode_before = vector.encode_stats()
         storage_before = (self.storage.counters
                           if self.storage is not None else None)
@@ -686,12 +540,6 @@ class Database:
         metrics = ExecutionMetrics.from_plan(plan)
         metrics.plan_cache_hits = self.plan_cache.hits - hits_before
         metrics.plan_cache_misses = self.plan_cache.misses - misses_before
-        metrics.pool_spawns = self.pool_spawns - spawns_before
-        metrics.pool_reuses = self.pool_reuses - reuses_before
-        codegen_after = cache_stats()
-        metrics.codegen_cache_hits = codegen_after[0] - codegen_before[0]
-        metrics.codegen_cache_misses = codegen_after[1] - codegen_before[1]
-        metrics.compile_ms = codegen_after[2] - codegen_before[2]
         encode_after = vector.encode_stats()
         metrics.encoded_columns = encode_after[0] - encode_before[0]
         metrics.decode_fallbacks = encode_after[1] - encode_before[1]

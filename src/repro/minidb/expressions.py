@@ -20,7 +20,6 @@ references onto computed columns.
 
 from __future__ import annotations
 
-import math
 import operator as _operator
 import re
 from dataclasses import dataclass
@@ -33,8 +32,6 @@ from repro.minidb.vector import (ENCODED_TYPES, DictColumn, RLEColumn,
 
 __all__ = [
     "BatchBound",
-    "EmitContext",
-    "EmitUnsupported",
     "Expr",
     "ColumnRef",
     "Literal",
@@ -65,66 +62,6 @@ Bound = Callable[[tuple], Any]
 #: A batch-bound expression evaluates a whole RowBatch to a value list.
 BatchBound = Callable[[RowBatch], list]
 
-class EmitUnsupported(Exception):
-    """A node (or operand shape) has no source-level emitter.
-
-    The codegen layer catches this at plan time and leaves the affected
-    pipeline on the interpreted vectorized path — it is a fusion
-    boundary, never a user-visible error.
-    """
-
-
-class EmitContext:
-    """Shared state for emitting one generated kernel.
-
-    ``resolve_column`` maps ``(qualifier, name)`` to a Python expression
-    reading the column value for the current row; the codegen pipeline
-    swaps it per fusion stage so the same expression tree can be emitted
-    against different row environments. ``temp()`` hands out
-    kernel-unique walrus temporaries, keeping generated source
-    deterministic for a given plan (the compile cache is keyed on the
-    source text). ``flip_comparisons`` is the emitter's deliberate fault
-    for fuzz-oracle drills (``REPRO_FUZZ_INJECT_BUG=codegen``): ordering
-    comparisons swap inclusivity (``<`` ↔ ``<=``, ``>`` ↔ ``>=``), the
-    classic off-by-one an emitter can introduce.
-    """
-
-    __slots__ = ("resolve_column", "flip_comparisons", "_counter")
-
-    def __init__(self,
-                 resolve_column: Callable[[str | None, str], str]
-                 | None = None,
-                 flip_comparisons: bool = False) -> None:
-        self.resolve_column = resolve_column
-        self.flip_comparisons = flip_comparisons
-        self._counter = 0
-
-    def temp(self) -> str:
-        self._counter += 1
-        return f"_t{self._counter}"
-
-    def column(self, qualifier: str | None, name: str) -> str:
-        if self.resolve_column is None:
-            raise EmitUnsupported("no column resolver in emit context")
-        return self.resolve_column(qualifier, name)
-
-    def comparison_op(self, op: str) -> str:
-        if self.flip_comparisons:
-            return {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}.get(op, op)
-        return op
-
-
-def emit_constant(value: Any) -> str:
-    """Render *value* as a Python literal that round-trips exactly."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return repr(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise EmitUnsupported(f"non-finite float constant {value!r}")
-        return repr(value)
-    raise EmitUnsupported(f"constant of type {type(value).__name__}")
-
-
 _COMPARISON_OPS = {"=", "!=", "<", "<=", ">", ">="}
 _ARITHMETIC_OPS = {"+", "-", "*", "/"}
 _LOGICAL_OPS = {"and", "or"}
@@ -146,10 +83,6 @@ _ARITH_FN = {
     "-": _operator.sub,
     "*": _operator.mul,
 }
-
-#: SQL comparison spelling → Python operator, for the source emitters.
-_PY_COMPARE = {"=": "==", "!=": "!=", "<": "<", "<=": "<=",
-               ">": ">", ">=": ">="}
 
 
 def _kleene_and_value(a: Any, b: Any) -> Any:
@@ -207,19 +140,6 @@ def true_positions(values: Any) -> list[int]:
                 selected.extend(range(start, start + length))
         return selected
     return [i for i, value in enumerate(values) if value is True]
-
-
-def _may_raise(expr: "Expr") -> bool:
-    """Whether evaluating *expr* can raise (among emit-supported nodes).
-
-    Division is the only such node (``TypeMismatchError`` on a zero
-    divisor). The emitters short-circuit around NULL operands for
-    speed, which skips evaluating the other side — legal only when that
-    side is total; raising operands get eager (interpreter-identical)
-    forms instead.
-    """
-    return any(isinstance(node, BinaryOp) and node.op == "/"
-               for node in expr.walk())
 
 
 class Expr:
@@ -288,26 +208,6 @@ class Expr:
         """Every :class:`ColumnRef` appearing anywhere in the tree."""
         return {node for node in self.walk() if isinstance(node, ColumnRef)}
 
-    def emit_value(self, ctx: EmitContext) -> str:
-        """Python source for this expression's three-valued *value*.
-
-        The emitted text evaluates to exactly what the :meth:`bind`
-        closure would return for the same row (NULL as ``None``).
-        Nodes without an emitter raise :class:`EmitUnsupported`; the
-        codegen layer treats that as a fusion boundary.
-        """
-        raise EmitUnsupported(type(self).__name__)
-
-    def emit_truth(self, ctx: EmitContext) -> str:
-        """Python source for the *filter truth* of this expression.
-
-        Evaluates to a plain bool that is ``True`` exactly when the
-        interpreter's value is ``True`` (SQL WHERE keeps only TRUE,
-        folding NULL into rejection). Subclasses override this with
-        forms that skip materializing the three-valued result.
-        """
-        return f"({self.emit_value(ctx)} is True)"
-
     def to_sql(self) -> str:
         """Render this expression as SQL text."""
         raise NotImplementedError
@@ -336,9 +236,6 @@ class ColumnRef(Expr):
         position = resolver(self.qualifier, self.name)
         return lambda batch: batch.columns[position]
 
-    def emit_value(self, ctx: EmitContext) -> str:
-        return ctx.column(self.qualifier, self.name)
-
     def to_sql(self) -> str:
         if self.qualifier:
             return f"{self.qualifier}.{self.name}"
@@ -362,12 +259,6 @@ class Literal(Expr):
     def _bind_batch_fast(self, resolver: Resolver) -> BatchBound:
         value = self.value
         return lambda batch: [value] * batch.length
-
-    def emit_value(self, ctx: EmitContext) -> str:
-        return emit_constant(self.value)
-
-    def emit_truth(self, ctx: EmitContext) -> str:
-        return "True" if self.value is True else "False"
 
     def to_sql(self) -> str:
         if self.value is None:
@@ -519,71 +410,6 @@ class BinaryOp(Expr):
         return lambda batch: [None if a is None or b is None else fn(a, b)
                               for a, b in zip(left(batch), right(batch))]
 
-    def emit_value(self, ctx: EmitContext) -> str:
-        op = self.op
-        if op == "and":
-            return (f"_sql_and({self.left.emit_value(ctx)}, "
-                    f"{self.right.emit_value(ctx)})")
-        if op == "or":
-            return (f"_sql_or({self.left.emit_value(ctx)}, "
-                    f"{self.right.emit_value(ctx)})")
-        if op == "/":
-            return (f"_sql_div({self.left.emit_value(ctx)}, "
-                    f"{self.right.emit_value(ctx)})")
-        if op in _COMPARISON_OPS:
-            op = _PY_COMPARE[ctx.comparison_op(op)]
-        left = self.left.emit_value(ctx)
-        right = self.right.emit_value(ctx)
-        a, b = ctx.temp(), ctx.temp()
-        if _may_raise(self.right):
-            # Eager form: evaluate both operands like the interpreter
-            # before the NULL checks, so a raising right side raises
-            # even when the left is NULL.
-            return (f"(({a} := {left}), ({b} := {right}), "
-                    f"(None if {a} is None or {b} is None "
-                    f"else ({a} {op} {b})))[2]")
-        return (f"(None if ({a} := {left}) is None "
-                f"or ({b} := {right}) is None else ({a} {op} {b}))")
-
-    def emit_truth(self, ctx: EmitContext) -> str:
-        op = self.op
-        # Truth-context AND/OR short-circuits (rows are usually decided
-        # by the first conjunct), which the pure-expression semantics
-        # allow; a right side that can raise forces the eager bitwise
-        # form — the operands are plain bools — so exceptions surface
-        # exactly as in the interpreter's eager Kleene kernels.
-        if op in _LOGICAL_OPS:
-            joiner = op if not _may_raise(self.right) \
-                else ("&" if op == "and" else "|")
-            return (f"({self.left.emit_truth(ctx)} "
-                    f"{joiner} {self.right.emit_truth(ctx)})")
-        if op not in _COMPARISON_OPS:
-            return super().emit_truth(ctx)
-        op = _PY_COMPARE[ctx.comparison_op(op)]
-        # Hoist literal operands, mirroring the batch kernels: a NULL
-        # literal makes the comparison NULL everywhere (never TRUE).
-        if isinstance(self.right, Literal):
-            if self.right.value is None:
-                return "False"
-            t = ctx.temp()
-            return (f"(({t} := {self.left.emit_value(ctx)}) is not None "
-                    f"and {t} {op} {emit_constant(self.right.value)})")
-        if isinstance(self.left, Literal):
-            if self.left.value is None:
-                return "False"
-            t = ctx.temp()
-            return (f"(({t} := {self.right.emit_value(ctx)}) is not None "
-                    f"and {emit_constant(self.left.value)} {op} {t})")
-        a, b = ctx.temp(), ctx.temp()
-        if _may_raise(self.right):
-            return (f"(({a} := {self.left.emit_value(ctx)}), "
-                    f"({b} := {self.right.emit_value(ctx)}), "
-                    f"({a} is not None and {b} is not None "
-                    f"and {a} {op} {b}))[2]")
-        return (f"(({a} := {self.left.emit_value(ctx)}) is not None "
-                f"and ({b} := {self.right.emit_value(ctx)}) is not None "
-                f"and {a} {op} {b})")
-
     def to_sql(self) -> str:
         op = self.op.upper() if self.op in _LOGICAL_OPS else self.op
         return f"({self.left.to_sql()} {op} {self.right.to_sql()})"
@@ -634,21 +460,6 @@ class UnaryOp(Expr):
             return [None if v is None else -v for v in column]
         return evaluate
 
-    def emit_value(self, ctx: EmitContext) -> str:
-        t = ctx.temp()
-        body = "not " if self.op == "not" else "-"
-        return (f"(None if ({t} := {self.operand.emit_value(ctx)}) is None "
-                f"else ({body}{t}))")
-
-    def emit_truth(self, ctx: EmitContext) -> str:
-        if self.op != "not":
-            return super().emit_truth(ctx)
-        # NOT is TRUE exactly when the operand is non-NULL and falsy
-        # (the batch kernel applies Python `not` to non-None values).
-        t = ctx.temp()
-        return (f"(({t} := {self.operand.emit_value(ctx)}) is not None "
-                f"and not {t})")
-
     def to_sql(self) -> str:
         if self.op == "not":
             return f"(NOT {self.operand.to_sql()})"
@@ -690,14 +501,6 @@ class IsNull(Expr):
                 return [v is not None for v in column]
             return [v is None for v in column]
         return evaluate
-
-    def emit_value(self, ctx: EmitContext) -> str:
-        keyword = "is not None" if self.negated else "is None"
-        return f"({self.operand.emit_value(ctx)} {keyword})"
-
-    def emit_truth(self, ctx: EmitContext) -> str:
-        # Already a plain bool — value and truth coincide.
-        return self.emit_value(ctx)
 
     def to_sql(self) -> str:
         keyword = "IS NOT NULL" if self.negated else "IS NULL"
@@ -868,44 +671,6 @@ class InList(Expr):
                     for v in column]
 
         return evaluate
-
-    def _emit_members(self) -> tuple[str, bool]:
-        """(source for the membership collection, saw-a-NULL-item)."""
-        if not all(isinstance(item, Literal) for item in self.items):
-            raise EmitUnsupported("IN list with non-literal items")
-        rendered: list[str] = []
-        seen: set = set()
-        has_null = False
-        for item in self.items:
-            if item.value is None:
-                has_null = True
-                continue
-            if item.value in seen:
-                continue
-            seen.add(item.value)
-            rendered.append(emit_constant(item.value))
-        if not rendered:
-            return "()", has_null
-        return "{" + ", ".join(rendered) + "}", has_null
-
-    def emit_value(self, ctx: EmitContext) -> str:
-        members, has_null = self._emit_members()
-        hit, miss = repr(not self.negated), repr(self.negated)
-        miss_case = "None" if has_null else miss
-        t = ctx.temp()
-        return (f"(None if ({t} := {self.operand.emit_value(ctx)}) is None "
-                f"else ({hit} if {t} in {members} else {miss_case}))")
-
-    def emit_truth(self, ctx: EmitContext) -> str:
-        members, has_null = self._emit_members()
-        if self.negated and has_null:
-            # Misses become NULL (a NULL item may have matched), hits
-            # become FALSE: the predicate can never be TRUE.
-            return "False"
-        t = ctx.temp()
-        membership = "not in" if self.negated else "in"
-        return (f"(({t} := {self.operand.emit_value(ctx)}) is not None "
-                f"and {t} {membership} {members})")
 
     def to_sql(self) -> str:
         body = ", ".join(item.to_sql() for item in self.items)

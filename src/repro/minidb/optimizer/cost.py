@@ -31,15 +31,6 @@ class CostModel:
     DISTINCT_ROW = 0.9
     SEMI_BUILD_ROW = 1.0
     SEMI_PROBE_ROW = 0.8
-    #: Marginal speedup per extra shard worker (dispatch + result-
-    #: transfer overhead keeps scaling well below linear).
-    PARALLEL_EFFICIENCY = 0.7
-    #: Per-row cost of shipping a result tuple back from a worker.
-    EXCHANGE_ROW = 0.05
-    #: Fixed per-query dispatch cost of an Exchange (morsel setup,
-    #: payload transfer, merge bookkeeping) — the pool fork itself is
-    #: amortized across queries and not charged here.
-    EXCHANGE_SETUP = 50.0
 
     def seq_scan(self, table_rows: float) -> float:
         return self.SCAN_ROW * table_rows
@@ -68,11 +59,8 @@ class CostModel:
         return self.NESTED_LOOP_PAIR * outer_rows * max(inner_rows, 1.0)
 
     def window(self, input_rows: float, function_count: int,
-               needs_sort: bool, parallel_workers: int = 1) -> float:
+               needs_sort: bool) -> float:
         compute = self.WINDOW_ROW_PER_FN * max(function_count, 1) * input_rows
-        if parallel_workers > 1:
-            # The sort stays serial; only per-partition evaluation scales.
-            compute /= 1.0 + self.PARALLEL_EFFICIENCY * (parallel_workers - 1)
         return compute + (self.sort(input_rows) if needs_sort else 0.0)
 
     def aggregate(self, input_rows: float, aggregate_count: int) -> float:
@@ -84,15 +72,3 @@ class CostModel:
     def semi_join(self, build_rows: float, probe_rows: float) -> float:
         return (self.SEMI_BUILD_ROW * build_rows
                 + self.SEMI_PROBE_ROW * probe_rows)
-
-    def exchange(self, segment_cost: float, output_rows: float,
-                 workers: int) -> float:
-        """Total cost of a sharded segment run across *workers*.
-
-        Replaces the segment's serial cost (it is divided by the
-        effective parallelism), so the rewrite chooser ranks candidate
-        rewrites on what they will actually cost under the pool.
-        """
-        scaled = segment_cost / (1.0 + self.PARALLEL_EFFICIENCY
-                                 * (max(workers, 1) - 1))
-        return scaled + self.EXCHANGE_ROW * output_rows + self.EXCHANGE_SETUP

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from repro.errors import PlanningError
 from repro.minidb.catalog import Catalog
-from repro.minidb.codegen import apply_codegen
 from repro.minidb.expressions import (
     BinaryOp,
     ColumnRef,
@@ -68,9 +67,7 @@ from repro.minidb.plan.physical import (
     SortOp,
     UnionAllOp,
 )
-from repro.minidb.plan.shard import apply_sharding
 from repro.minidb.plan.window import WindowFuncSpec, WindowOp
-from repro.minidb.parallel import configured_worker_count
 
 __all__ = ["Planner", "PlannerOptions"]
 
@@ -84,15 +81,6 @@ class PlannerOptions:
     order_sharing: bool = True
     naive_windows: bool = False
     push_filters: bool = True
-    #: Historical toggle for the retired per-window fork pool; kept so
-    #: ablation configs keep parsing. Parallelism is now planned as
-    #: Exchange segments (see ``shard_parallel``), which subsume the
-    #: per-sequence window path.
-    parallel_windows: bool = False
-    #: Wrap shardable pipeline segments in Exchange operators; still
-    #: subject to the ``REPRO_WORKERS`` and row-threshold gates at both
-    #: plan and execution time.
-    shard_parallel: bool = True
 
 
 class Planner:
@@ -111,27 +99,9 @@ class Planner:
 
     def plan(self, logical: LogicalNode) -> PhysicalNode:
         """Optimize and lower *logical* into an executable plan."""
-        root = self.plan_unsharded(logical)
-        if self._options.shard_parallel:
-            workers = configured_worker_count()
-            if workers >= 2:
-                root = apply_sharding(root, workers, self._cost)
-        return root
-
-    def plan_unsharded(self, logical: LogicalNode) -> PhysicalNode:
-        """Lower *logical* without the shard post-pass.
-
-        Pool workers call this (via ``shard_parallel=False``) to rebuild
-        the exact serial plan shape the parent's Exchange walk indices
-        refer to.
-        """
         optimized = push_down_filters(logical) \
             if self._options.push_filters else logical
-        root = self._lower(optimized)
-        # Codegen runs before the shard post-pass so parent and pool
-        # workers (which re-plan with shard_parallel=False) agree on
-        # tree shape and walk indices. No-op unless REPRO_CODEGEN=1.
-        return apply_codegen(root)
+        return self._lower(optimized)
 
     # ------------------------------------------------------------------
 
@@ -298,9 +268,8 @@ class Planner:
             access.estimated_cost = self._cost.seq_scan(base_rows)
             # Zone-map pruning specs: every ``col op literal`` conjunct
             # lets a disk-backed scan skip pages whose min/max disprove
-            # it. Attribute-only (no tree-shape change), so shard walk
-            # indices and the plan cache stay valid; zones are consulted
-            # at execution time.
+            # it. Attribute-only (no tree-shape change), so the plan
+            # cache stays valid; zones are consulted at execution time.
             access.prune = [
                 (node.schema.resolve(ref.qualifier, ref.name), op, value)
                 for ref, op, value in
@@ -721,7 +690,6 @@ class Planner:
         op = WindowOp(child, window_schema, partition_keys, order_keys,
                       specs, presorted=presorted, ordering=ordering_out,
                       naive=self._options.naive_windows,
-                      parallel=self._options.parallel_windows,
                       partition_exprs=list(node.partition_by),
                       order_exprs=[spec.expr for spec in node.order_by],
                       argument_exprs=[call.argument

@@ -180,23 +180,10 @@ class PhysicalNode:
                 node.sorted_rows = 0
             if hasattr(node, "input_rows"):
                 node.input_rows = 0
-            if hasattr(node, "kernel_runs"):  # codegen.CompiledSpineOp
-                node.kernel_runs = 0
-            if hasattr(node, "workers_used"):  # ExchangeOp
-                node.workers_used = 0
-                node.morsel_count = 0
-                node.steal_count = 0
-                node.per_shard_rows = []
 
 
 class SeqScan(PhysicalNode):
     """Full scan of a stored table in insertion order.
-
-    ``shard`` restricts the scan to one morsel of a shard-parallel
-    dispatch (see ``plan.shard``): either a contiguous row range
-    ``("block", lo, hi)`` or a key-value set ``("key", position,
-    values)``. Pool workers set it around each morsel execution; it is
-    always None in serial plans.
 
     ``visible_count``/``visible_rows`` pin the scan to an MVCC
     snapshot (see ``minidb.snapshot``). With ``visible_count`` set the
@@ -207,14 +194,12 @@ class SeqScan(PhysicalNode):
     after the snapshot was pinned. Both are None for live execution.
     """
 
-    __slots__ = ('table', 'shard', 'prune', 'visible_count',
-                 'visible_rows')
+    __slots__ = ('table', 'prune', 'visible_count', 'visible_rows')
 
     def __init__(self, table: Table, schema: PlanSchema) -> None:
         super().__init__()
         self.table = table
         self.schema = schema
-        self.shard: tuple | None = None
         #: Zone-pruning conjuncts ``(column position, op, literal)``
         #: attached by the planner; consulted only for disk-backed
         #: tables, where page zone maps can disprove whole pages.
@@ -248,8 +233,7 @@ class SeqScan(PhysicalNode):
         return store.pruned_pages(self.prune)
 
     def _pruned_rows(self, pages) -> Iterator[list]:
-        """Per-page row runs from *pages*, snapshot- and shard-restricted."""
-        shard = self.shard
+        """Per-page row runs from *pages*, snapshot-restricted."""
         bound = self.visible_count
         for start, rows in pages:
             if bound is not None:
@@ -259,32 +243,8 @@ class SeqScan(PhysicalNode):
                     continue
                 if start + len(rows) > bound:
                     rows = rows[:bound - start]
-            if shard is None:
-                selected = rows
-            elif shard[0] == "block":
-                _, lo, hi = shard
-                selected = rows[max(0, lo - start):
-                                max(0, hi - start)]
-            else:
-                _, position, values = shard
-                selected = [row for row in rows
-                            if row[position] in values]
-            if selected:
-                yield selected
-
-    def _shard_rows(self, rows, bound: int | None) -> Iterator[tuple]:
-        kind = self.shard[0]
-        if kind == "block":
-            _, lo, hi = self.shard
-            if bound is not None:
-                hi = min(hi, bound)
-            yield from rows[lo:hi]
-            return
-        _, position, values = self.shard
-        source = rows if bound is None else islice(iter(rows), bound)
-        for row in source:
-            if row[position] in values:
-                yield row
+            if rows:
+                yield rows
 
     def scalar_rows(self) -> Iterator[tuple]:
         pages = self._pruned_source()
@@ -296,9 +256,7 @@ class SeqScan(PhysicalNode):
             return
         rows = self._source_rows()
         bound = self.visible_count
-        if self.shard is not None:
-            source = self._shard_rows(rows, bound)
-        elif bound is None:
+        if bound is None:
             source = rows
         else:
             # Never iterate the live store unbounded under a snapshot:
@@ -334,9 +292,6 @@ class SeqScan(PhysicalNode):
         if encoded:
             record_encoded_columns(encoded)
         bound = self.visible_count
-        if self.shard is not None:
-            yield from self._shard_batches(columns, size, bound)
-            return
         total = len(self.table.rows) if bound is None else bound
         for lo in range(0, total, size):
             hi = min(lo + size, total)
@@ -349,32 +304,16 @@ class SeqScan(PhysicalNode):
 
         The frozen prefix is a plain row list from a retired epoch, so
         the columnar cache (which reflects the live store) cannot be
-        used; rows are transposed per chunk instead, shard-restricted
-        the same way the live paths are.
+        used; rows are transposed per chunk instead.
         """
         rows = self.visible_rows
         total = len(rows)
         if self.visible_count is not None:
             total = min(total, self.visible_count)
-        if self.shard is None:
-            for lo in range(0, total, size):
-                chunk = rows[lo:min(lo + size, total)]
-                if chunk:
-                    yield self._row_chunk_batch(chunk)
-            return
-        if self.shard[0] == "block":
-            _, shard_lo, shard_hi = self.shard
-            shard_hi = min(shard_hi, total)
-            for lo in range(shard_lo, shard_hi, size):
-                chunk = rows[lo:min(lo + size, shard_hi)]
-                if chunk:
-                    yield self._row_chunk_batch(chunk)
-            return
-        _, position, values = self.shard
-        selected = [row for row in rows[:total]
-                    if row[position] in values]
-        for lo in range(0, len(selected), size):
-            yield self._row_chunk_batch(selected[lo:lo + size])
+        for lo in range(0, total, size):
+            chunk = rows[lo:min(lo + size, total)]
+            if chunk:
+                yield self._row_chunk_batch(chunk)
 
     def _row_chunk_batch(self, chunk: list[tuple]) -> RowBatch:
         self.actual_rows += len(chunk)
@@ -382,38 +321,8 @@ class SeqScan(PhysicalNode):
         return RowBatch([list(column) for column in zip(*chunk)],
                         len(chunk))
 
-    def _shard_batches(self, columns: list[list], size: int,
-                       bound: int | None) -> Iterator[RowBatch]:
-        kind = self.shard[0]
-        if kind == "block":
-            _, shard_lo, shard_hi = self.shard
-            if bound is not None:
-                shard_hi = min(shard_hi, bound)
-            for lo in range(shard_lo, shard_hi, size):
-                hi = min(lo + size, shard_hi)
-                self.actual_rows += hi - lo
-                self.actual_batches += 1
-                yield RowBatch([column[lo:hi] for column in columns],
-                               hi - lo)
-            return
-        _, position, values = self.shard
-        key_column = columns[position] if columns else []
-        if bound is not None:
-            key_column = key_column[:bound]
-        selected = [i for i, value in enumerate(key_column)
-                    if value in values]
-        for lo in range(0, len(selected), size):
-            chunk = selected[lo:lo + size]
-            self.actual_rows += len(chunk)
-            self.actual_batches += 1
-            yield RowBatch([column.take(chunk)
-                            if isinstance(column, ENCODED_TYPES)
-                            else [column[i] for i in chunk]
-                            for column in columns], len(chunk))
-
     def label(self) -> str:
-        suffix = "" if self.shard is None else f" shard={self.shard[0]}"
-        return f"SeqScan({self.table.name}){suffix}"
+        return f"SeqScan({self.table.name})"
 
 
 class IndexRangeScan(PhysicalNode):
@@ -594,8 +503,7 @@ class ProjectOp(PhysicalNode):
     closures elementwise.
     """
 
-    __slots__ = ('child', '_bound_items', '_batch_items', 'item_exprs',
-                 'passthrough')
+    __slots__ = ('child', '_bound_items', '_batch_items')
 
     def __init__(self, child: PhysicalNode, schema: PlanSchema,
                  bound_items: Sequence[Callable[[tuple], Any]],
@@ -605,9 +513,6 @@ class ProjectOp(PhysicalNode):
         self.child = child
         self.schema = schema
         self._bound_items = list(bound_items)
-        # Kept unbound for the codegen emitter (and for EXPLAIN CODEGEN).
-        self.item_exprs = list(item_exprs) if item_exprs is not None else None
-        self.passthrough = dict(passthrough)
         self._batch_items: list[tuple[str, Any]] | None = None
         if item_exprs is not None:
             resolver = child.schema.resolver()
@@ -666,7 +571,7 @@ class HashJoinOp(PhysicalNode):
 
     __slots__ = ('left', 'right', '_left_keys', '_right_keys', 'kind',
                  '_residual', 'residual_expr', '_batch_left_keys',
-                 '_batch_right_keys', 'left_key_exprs', 'right_key_exprs')
+                 '_batch_right_keys')
 
     def __init__(self, left: PhysicalNode, right: PhysicalNode,
                  schema: PlanSchema,
@@ -688,11 +593,6 @@ class HashJoinOp(PhysicalNode):
         self.residual_expr = residual_expr
         self._batch_left_keys: list[BatchBound] | None = None
         self._batch_right_keys: list[BatchBound] | None = None
-        # Kept unbound for the codegen emitter.
-        self.left_key_exprs = (list(left_key_exprs)
-                               if left_key_exprs is not None else None)
-        self.right_key_exprs = (list(right_key_exprs)
-                                if right_key_exprs is not None else None)
         if left_key_exprs is not None:
             resolver = left.schema.resolver()
             self._batch_left_keys = [expr.bind_batch(resolver)

@@ -38,14 +38,6 @@ calls the same kernels. ``naive`` mode (``PlannerOptions(naive_windows=
 True)``) is the test reference and the ablation baseline: it takes the
 same ``(lo, hi)`` arrays — also for single-row frames — and re-aggregates
 every frame from scratch (:func:`_rescan`).
-
-Partitions are independent, so the whole operator parallelizes per
-sequence. That does not happen here: the planner's shard pass
-(``plan.shard``) wraps eligible window pipelines in an Exchange, which
-runs this operator per cluster-key morsel inside the database's
-persistent worker pool. ``parallel_workers`` is kept as the
-per-execution metric: the Exchange sets it to the pool size it used,
-and serial executions zero it.
 """
 
 from __future__ import annotations
@@ -357,9 +349,8 @@ class WindowOp(PhysicalNode):
     """Physical window operator; see module docstring."""
 
     __slots__ = ("child", "_partition_keys", "_order_keys", "functions",
-                 "presorted", "naive", "parallel", "sorted_rows",
-                 "parallel_workers", "_batch_partition", "_batch_order",
-                 "_batch_arguments")
+                 "presorted", "naive", "sorted_rows",
+                 "_batch_partition", "_batch_order", "_batch_arguments")
 
     def __init__(self, child: PhysicalNode, schema: PlanSchema,
                  partition_keys: Sequence[Callable[[tuple], Any]],
@@ -368,7 +359,6 @@ class WindowOp(PhysicalNode):
                  presorted: bool,
                  ordering: Ordering,
                  naive: bool = False,
-                 parallel: bool = False,
                  partition_exprs: Sequence[Expr] | None = None,
                  order_exprs: Sequence[Expr] | None = None,
                  argument_exprs: Sequence[Expr | None] | None = None,
@@ -398,12 +388,7 @@ class WindowOp(PhysicalNode):
         self.presorted = presorted
         self.ordering = ordering
         self.naive = naive
-        self.parallel = parallel
         self.sorted_rows = 0
-        #: Pool size actually used by the last execution (0 = serial);
-        #: surfaced through ``ExecutionMetrics`` so tests and the fuzz
-        #: oracle can assert the parallel path really ran.
-        self.parallel_workers = 0
         for spec in self.functions:
             if spec.frame is None or spec.frame.mode != "range":
                 continue
@@ -432,7 +417,6 @@ class WindowOp(PhysicalNode):
     # ------------------------------------------------------------------
 
     def scalar_rows(self) -> Iterator[tuple]:
-        self.parallel_workers = 0
         buffered = list(self.child.rows())
         if not self.presorted:
             self.sorted_rows = len(buffered)
@@ -488,7 +472,6 @@ class WindowOp(PhysicalNode):
         return order
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
-        self.parallel_workers = 0
         size = _resolve_batch_size(size)
         collected = list(self.child.batches(size))
         total = sum(batch.length for batch in collected)

@@ -40,11 +40,8 @@ import copy
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import SnapshotError
-from repro.minidb import parallel
-from repro.minidb.codegen import codegen_enabled
 from repro.minidb.optimizer.planner import Planner, PlannerOptions
 from repro.minidb.optimizer.stats import TableStats
-from repro.minidb.plan import shard
 from repro.minidb.plan.builder import build_plan
 from repro.minidb.plan.logical import LogicalNode
 from repro.minidb.plan.physical import IndexRangeScan, PhysicalNode, SeqScan
@@ -161,22 +158,15 @@ class Snapshot:
         """
         return ("snapshot", self._catalog_version, self.stats.version,
                 self._schema_epochs,
-                tuple(sorted(vars(options).items())),
-                parallel.configured_worker_count(),
-                shard.SHARD_ROW_THRESHOLD,
-                codegen_enabled())
+                tuple(sorted(vars(options).items())))
 
     def _plan_query(self, query: SelectStmt | LogicalNode,
                     options: PlannerOptions) -> PhysicalNode:
         planner = Planner(self._db.catalog, self.stats,
                           self._db.cost_model, options)
-        if isinstance(query, LogicalNode):
-            logical = query
-        else:
-            logical = build_plan(query, self._db.catalog)
-        plan = planner.plan(logical)
-        self._db._arm_exchanges(plan, logical, options)
-        return plan
+        if not isinstance(query, LogicalNode):
+            query = build_plan(query, self._db.catalog)
+        return planner.plan(query)
 
     def plan(self, query: str | SelectStmt | LogicalNode,
              options: PlannerOptions | None = None) -> PhysicalNode:

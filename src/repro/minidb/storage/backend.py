@@ -105,7 +105,6 @@ class DiskStorage:
         self.wal = None
         self.catalog: "Catalog | None" = None
         self.dead = False
-        self.readonly = False
         self.owns_dir = path is None
         self.path = path or tempfile.mkdtemp(prefix="minidb-")
         os.makedirs(self.path, exist_ok=True)
@@ -200,8 +199,6 @@ class DiskStorage:
     def _commit(self, payloads: list[bytes]) -> None:
         if self.replaying or self.dead:
             return
-        if self.readonly:
-            raise StorageError("storage is read-only (forked worker)")
         self.epoch += 1
         self.wal.commit(payloads, self.epoch)
 
@@ -232,7 +229,7 @@ class DiskStorage:
         Only ever called *after* a table finished updating both rows and
         indexes, so a checkpoint can never capture a half-applied batch.
         """
-        if self.replaying or self.dead or self.readonly:
+        if self.replaying or self.dead:
             return
         if self.wal.size >= self.checkpoint_bytes:
             self.checkpoint()
@@ -251,7 +248,7 @@ class DiskStorage:
         recovery path reads, which keeps a crash at ``compaction-move``
         exactly as recoverable as one at ``checkpoint-before-manifest``.
         """
-        if self.dead or self.readonly or self.catalog is None \
+        if self.dead or self.catalog is None \
                 or self.pager is None or self.pager.closed:
             return
         self.pager.flush_all(sync=self.sync)
@@ -529,21 +526,6 @@ class DiskStorage:
 
     # -- lifecycle ------------------------------------------------------
 
-    def flush_for_fork(self) -> None:
-        """Write dirty pages so forked workers re-read complete data.
-
-        No fsync: workers share the OS page cache with the parent, so
-        durability is not the point — visibility through a fresh file
-        descriptor is.
-        """
-        if not (self.dead or self.readonly or self.pager.closed):
-            self.pager.flush_all(sync=False)
-
-    def reopen_worker(self) -> None:
-        """Forked worker: own read-only descriptor, empty pool."""
-        self.pager.reopen_readonly()
-        self.readonly = True
-
     def simulate_crash(self) -> None:
         """Abandon all state exactly as a power cut would leave it.
 
@@ -565,11 +547,7 @@ class DiskStorage:
         and repeated calls are all no-ops for the missing pieces.
         """
         pager, wal = self.pager, self.wal
-        if self.dead or self.readonly or pager is None or pager.closed:
-            if self.readonly and pager is not None:
-                pager.close(sync=False)
-                if wal is not None:
-                    wal.close()
+        if self.dead or pager is None or pager.closed:
             return
         self.checkpoint()
         pager.close(sync=self.sync)

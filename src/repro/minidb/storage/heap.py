@@ -4,8 +4,8 @@
 It is deliberately *list-shaped* — ``len()``, integer / slice / strided
 indexing, iteration, ``append``/``extend`` and a ``replace`` — so every
 read-only consumer in the engine (columnar transposition, statistics,
-shard morsel slicing, cache sizing via ``rows[::step]``) works unchanged
-against either backend. Only :class:`~repro.minidb.table.Table`'s
+cache sizing via ``rows[::step]``) works unchanged against either
+backend. Only :class:`~repro.minidb.table.Table`'s
 mutation paths know the difference.
 
 Mutations write ahead first: ``extend`` / ``replace`` log one WAL

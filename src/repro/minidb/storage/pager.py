@@ -16,9 +16,7 @@ can assert it never happens in practice.
 Writes go through ``os.pwrite`` on a raw file descriptor — no user-space
 buffering, so the bytes the crash-recovery rig sees on "power cut" are
 exactly the bytes the protocol ordered written. Reads use ``os.pread``,
-which leaves the descriptor offset untouched and therefore stays safe
-when forked shard workers inherit the parent's descriptor for a moment
-before re-opening their own (see ``reopen_readonly``).
+which leaves the descriptor offset untouched.
 
 The pager knows nothing about allocation or manifests: the storage
 backend decides page ids; the pager just reads, caches, and writes them.
@@ -87,15 +85,13 @@ class Pager:
 
     def __init__(self, path: str, page_size: int, capacity: int,
                  decode_node: Callable[[int, list[bytes]], Any],
-                 readonly: bool = False,
                  readahead: int | None = None) -> None:
         self.path = path
         self.page_size = page_size
         self.capacity = max(1, capacity)
         self._decode_node = decode_node
-        self.readonly = readonly
-        flags = os.O_RDONLY if readonly else os.O_RDWR | os.O_CREAT
-        self._fd: int | None = os.open(path, flags, 0o644)
+        self._fd: int | None = os.open(path, os.O_RDWR | os.O_CREAT,
+                                       0o644)
         # Insertion order doubles as LRU order: re-inserting on access
         # moves a frame to the back; eviction scans from the front.
         self._frames: dict[int, Frame] = {}
@@ -130,7 +126,7 @@ class Pager:
             return
         self.prefetch_wasted += len(self._staged)
         self._staged.clear()
-        if sync and not self.readonly:
+        if sync:
             os.fsync(self._fd)
         os.close(self._fd)
         self._fd = None
@@ -142,20 +138,6 @@ class Pager:
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
-
-    def reopen_readonly(self) -> None:
-        """Re-open the file read-only with an empty pool.
-
-        Forked shard workers call this so they hold their own descriptor
-        and re-read pages honestly instead of trusting fork-copied
-        frames; the parent flushes dirty frames before forking.
-        """
-        if self._fd is not None:
-            os.close(self._fd)
-        self._fd = os.open(self.path, os.O_RDONLY)
-        self.readonly = True
-        self._frames.clear()
-        self._staged.clear()
 
     def _require_fd(self) -> int:
         if self._fd is None:
@@ -307,7 +289,7 @@ class Pager:
         for frame in list(self._frames.values()):
             if frame.dirty:
                 self._write_frame(frame)
-        if sync and not self.readonly:
+        if sync:
             os.fsync(self._require_fd())
 
     # -- eviction -------------------------------------------------------

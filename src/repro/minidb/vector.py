@@ -55,7 +55,6 @@ __all__ = [
     "batch_execution_enabled",
     "concat_columns",
     "configured_batch_size",
-    "decode_batch",
     "encode_column",
     "encode_enabled",
     "encode_stats",
@@ -135,7 +134,7 @@ def encode_stats() -> tuple[int, int, int]:
     """``(encoded_columns, decode_fallbacks, bytes_saved)`` counters.
 
     Monotonic totals; :meth:`Database.execute_with_metrics` diffs them
-    around a statement the same way it diffs the codegen cache stats.
+    around a statement.
     """
     return tuple(_ENCODE_STATS)
 
@@ -540,20 +539,6 @@ def extend_column(column: "DictColumn | RLEColumn", source: list,
                   start: int) -> None:
     """Extend an encoded cache column with freshly appended rows."""
     column.extend_from(source, start)
-
-
-def decode_batch(batch: "RowBatch") -> "RowBatch":
-    """A batch with every encoded column decoded to a plain list.
-
-    The maximal-fallback boundary for consumers that must see plain
-    lists (the codegen kernels index and re-emit columns directly).
-    """
-    if not any(isinstance(column, ENCODED_TYPES)
-               for column in batch.columns):
-        return batch
-    columns = [column.decode() if isinstance(column, ENCODED_TYPES)
-               else column for column in batch.columns]
-    return RowBatch(columns, batch.length, rows=batch._rows)
 
 
 def concat_columns(batches: "list[RowBatch]", width: int) -> "RowBatch":

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import RewriteError
-from repro.minidb.codegen import cache_stats
 from repro.minidb.engine import Database, ExecutionMetrics
 from repro.minidb.expressions import (
     BinaryOp,
@@ -233,9 +232,6 @@ class DeferredCleansingEngine:
             self, query: str | SelectStmt,
             strategies: set[str] | None = None,
     ) -> tuple[ResultSet, ExecutionMetrics, RewriteResult]:
-        spawns = self.database.pool_spawns
-        reuses = self.database.pool_reuses
-        codegen_before = cache_stats()
         encode_before = encode_stats()
         cache = self.region_cache
         patches = cache.patches if cache is not None else 0
@@ -245,12 +241,6 @@ class DeferredCleansingEngine:
         plan = result.physical
         rows = materialize(plan)
         metrics = ExecutionMetrics.from_plan(plan)
-        metrics.pool_spawns = self.database.pool_spawns - spawns
-        metrics.pool_reuses = self.database.pool_reuses - reuses
-        codegen_after = cache_stats()
-        metrics.codegen_cache_hits = codegen_after[0] - codegen_before[0]
-        metrics.codegen_cache_misses = codegen_after[1] - codegen_before[1]
-        metrics.compile_ms = codegen_after[2] - codegen_before[2]
         encode_after = encode_stats()
         metrics.encoded_columns = encode_after[0] - encode_before[0]
         metrics.decode_fallbacks = encode_after[1] - encode_before[1]
@@ -305,12 +295,6 @@ class DeferredCleansingEngine:
         served the same way; None means the region did not fit the
         cache budget and the normal candidate race should run.
 
-        Materialization goes through ``Database.plan``, so when
-        ``REPRO_WORKERS`` enables sharding the cleansing pipeline that
-        fills the region runs shard-parallel on the persistent pool —
-        the cached rows are byte-identical either way (the exchange
-        merge is deterministic), so cache keys stay mode-independent.
-
         A region whose source table has only *appended* rows since
         materialization is patched rather than re-materialized: the
         lookup hands the cache a patcher that re-cleanses just the dirty
@@ -359,8 +343,7 @@ class DeferredCleansingEngine:
         own* ec (not the current probe's, which may be narrower) with an
         extra OR-of-equalities restriction to the dirty cluster keys —
         the predicate is constant per sequence, so pushing it with the
-        ec guards is sound, and going through ``Database.plan`` keeps
-        the recompute composed with sharding and batching.
+        ec guards is sound.
         """
 
         def patch(entry: RegionEntry,

@@ -42,25 +42,24 @@ from repro.sqlts.model import CleansingRule
 __all__ = ["RuleContextAnalysis", "ExpandedAnalysis", "analyze_expanded",
            "FAULT_ENV"]
 
-#: Test-only fault injection: when this environment variable is set to a
-#: non-empty value other than "0", :func:`analyze_expanded` deliberately
+#: Test-only fault injection: when this environment variable is set to
+#: ``1`` or ``expanded``, :func:`analyze_expanded` deliberately
 #: drops every derived context condition, collapsing the expanded
 #: condition ``ec = s OR cc`` to just ``s``. That is precisely the class
 #: of silent wrong-answer bug the differential fuzzer exists to catch
 #: (the cleansing window loses the context rows outside the query
 #: region), and the fuzz acceptance test flips this flag to prove the
 #: oracle detects it and the shrinker minimizes it. Never set outside
-#: tests; the flag is read per call and defaults to off. The value
-#: ``codegen`` selects the codegen emitter's fault instead (see
-#: ``repro.minidb.codegen.pipeline``) and ``storage`` the disk
-#: backend's page-decode fault (``repro.minidb.storage.heap``), so
-#: the drills stay separable.
+#: tests; the flag is read per call and defaults to off. Every other
+#: value belongs to another layer's drill (``storage``: the disk
+#: backend's page-decode fault in ``repro.minidb.storage.heap``;
+#: ``encode``: the mapping rotation in ``repro.minidb.vector``) and
+#: leaves this one off, so the drills stay separable.
 FAULT_ENV = "REPRO_FUZZ_INJECT_BUG"
 
 
 def _fault_injected() -> bool:
-    return os.environ.get(FAULT_ENV, "") not in ("", "0", "codegen",
-                                             "storage")
+    return os.environ.get(FAULT_ENV, "") in ("1", "expanded")
 
 
 @dataclass

@@ -192,13 +192,6 @@ def joinback_subplan(database: Database, registry: RuleRegistry,
     ``ec_conjuncts`` of None means the plain join-back (no expanded
     condition available); otherwise the improved variant filters the
     joined-back rows by ec first (§5.3).
-
-    Under shard-parallel execution the semi-join's probe side (the
-    σ_ec(R) scan feeding the rule chain) lies on the shard spine and is
-    partitioned by cluster key, while the relevant-sequence list on the
-    build side is a broadcast subtree: every worker evaluates it in
-    full, so per-shard membership checks see the complete key set and
-    the merged output matches the serial plan row for row.
     """
     ckey, _ = validate_rule_keys(rules)
     table = database.table(table_name)

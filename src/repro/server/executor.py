@@ -44,7 +44,6 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Sequence
 
-from repro.minidb import parallel
 from repro.minidb.engine import Database, PreparedPlanCache
 from repro.rewrite.engine import DeferredCleansingEngine
 from repro.sqlts.registry import RuleRegistry
@@ -115,9 +114,8 @@ class ThreadExecutor:
         #: plain dict), session setup, and cleansed-query execution.
         self._write_lock = threading.Lock()
         self._sessions: dict[str, _Session] = {}
-        #: Disk storage is single-threaded end to end, and a live shard
-        #: pool must not be dispatched from two threads at once — both
-        #: force queries to run exclusive instead of snapshot-pinned.
+        #: Disk storage is single-threaded end to end, which forces
+        #: queries to run exclusive instead of snapshot-pinned.
         self._exclusive_reads = database.storage is not None
 
     @property
@@ -179,7 +177,7 @@ class ThreadExecutor:
                 # patch region caches — a mutation, so fully exclusive.
                 with self._write_lock:
                     return _wire_result(session.engine.execute(sql))
-            if self._exclusive_reads or parallel.configured_worker_count() >= 2:
+            if self._exclusive_reads:
                 with self._write_lock:
                     return _wire_result(self.database.execute(sql))
             with self._write_lock:

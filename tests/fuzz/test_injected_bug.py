@@ -169,50 +169,3 @@ def test_fault_flag_off_means_no_fault(monkeypatch) -> None:
     monkeypatch.setenv(FAULT_ENV, "0")
     outcome = run_fuzz(FuzzConfig(seed=SEED, iterations=5))
     assert outcome.ok, outcome.summary()
-
-
-#: Seed 1 surfaces the codegen emitter fault at iteration 0; the
-#: inclusivity swap needs a case whose comparison constant sits exactly
-#: on a row boundary, which this seed's quantile-drawn rtime bound does.
-CODEGEN_SEED = 1
-CODEGEN_ITERATIONS = 20
-
-
-def test_codegen_fault_is_caught_and_shrunk(tmp_path,
-                                            monkeypatch) -> None:
-    """``REPRO_FUZZ_INJECT_BUG=codegen`` flips comparison inclusivity
-    inside the kernel emitter; only the compiled label must catch it,
-    and the shrunk case must become a runnable regression."""
-    monkeypatch.setenv(FAULT_ENV, "codegen")
-    # codegen="off" pins the ambient knob for every label; the compiled
-    # label still forces kernels on for its own run, so it alone can
-    # see the emitter fault even when the suite runs REPRO_CODEGEN=1.
-    outcome = run_fuzz(FuzzConfig(seed=CODEGEN_SEED,
-                                  iterations=CODEGEN_ITERATIONS,
-                                  codegen="off",
-                                  regression_dir=tmp_path))
-    assert not outcome.ok, (
-        "the fuzzer failed to catch the injected codegen bug within "
-        f"{CODEGEN_ITERATIONS} iterations at seed {CODEGEN_SEED}")
-    failure = outcome.failures[0]
-
-    # The emitter fault lives entirely inside compiled kernels; every
-    # interpreted label must have stayed clean.
-    assert failure.report.diverged_labels() == {"compiled"}
-
-    rows, rules, conjuncts = failure.shrunk.size()
-    assert rows <= 10, failure.shrunk.describe()
-    assert rules == 1, failure.shrunk.describe()
-    assert conjuncts <= 1, failure.shrunk.describe()
-
-    shrunk_report = run_case(failure.shrunk)
-    assert not shrunk_report.ok
-
-    assert failure.regression_path is not None
-    assert failure.regression_path.parent == tmp_path
-    text = failure.regression_path.read_text()
-    assert "run_case" in text and "READS_ROWS" in text
-
-    monkeypatch.delenv(FAULT_ENV)
-    clean_report = run_case(failure.shrunk)
-    assert clean_report.ok, clean_report.summary()

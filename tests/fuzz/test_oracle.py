@@ -5,11 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.fuzz.cases import DimensionSpec, FuzzCase, QuerySpec
-from repro.fuzz.oracle import (ALL_LABELS, build_database,
-                               forced_parallel_windows, run_case)
-from repro.minidb.optimizer.planner import PlannerOptions
+from repro.fuzz.oracle import ALL_LABELS, run_case
 from repro.minidb.result import ResultSet
-from repro.rewrite.engine import DeferredCleansingEngine
 
 ROWS = [
     ("E1", 100, "r1", "L1", "step"),
@@ -51,8 +48,8 @@ def test_every_label_reported() -> None:
 
 def test_label_restriction_limits_sweep() -> None:
     report = run_case(_case(["c.rtime >= 105"]),
-                      labels=["expanded", "parallel"])
-    assert set(report.results) <= {"expanded", "parallel"}
+                      labels=["expanded", "vectorized"])
+    assert set(report.results) <= {"expanded", "vectorized"}
     assert report.ok
 
 
@@ -80,20 +77,6 @@ def test_baseline_is_canonical_bag() -> None:
     # Duplicates are preserved: bags, not sets.
     deduped = ResultSet(["a", "b"], [(2, "y"), (1, "x")])
     assert result.canonical() != deduped.canonical()
-
-
-def test_parallel_label_actually_fans_out() -> None:
-    """The parallel comparison must exercise the fork-pool path, not
-    silently fall back to serial evaluation (the metrics hook counts
-    window operators whose last run used workers)."""
-    case = _case(["c.rtime >= 0"])
-    db, registry = build_database(case)
-    db.options = PlannerOptions(parallel_windows=True)
-    engine = DeferredCleansingEngine(db, registry)
-    with forced_parallel_windows(workers=2, threshold=1):
-        _, metrics, _ = engine.execute_with_metrics(
-            case.query.sql("caser"), strategies={"naive"})
-    assert metrics.parallel_window_ops >= 1
 
 
 def test_divergence_reported_with_row_diff() -> None:

@@ -8,7 +8,7 @@ Four layers of coverage for the ``REPRO_ENCODE`` knob:
   protocol);
 - the acceptance parity matrix — rows AND the full EXPLAIN ANALYZE
   render byte-identical between ``encode=True`` and ``encode=False``
-  for every workers × batch-size × storage × codegen combination;
+  for every batch-size × storage combination;
 - the exact-NDV satellite: a warm dictionary turns the append-patch
   ndv from a lower bound into an exact count, without losing the
   in-place patch (no re-analyze);
@@ -23,9 +23,7 @@ import random
 
 import pytest
 
-from repro.minidb import Database, PlannerOptions, SqlType, TableSchema
-from repro.minidb.codegen.knobs import forced_codegen
-from repro.minidb.plan import shard
+from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.storage.__main__ import stat
 from repro.minidb.storage.page import KIND_HEAP, KIND_HEAP_DICT, decode_page
 from repro.minidb.vector import (
@@ -145,12 +143,11 @@ PARITY_QUERIES = [
 
 
 def _build(encode, storage, path):
-    options = PlannerOptions(parallel_windows=True)
     if storage == "disk":
         db = Database(storage="disk", storage_path=str(path),
-                      encode=encode, options=options)
+                      encode=encode)
     else:
-        db = Database(encode=encode, options=options)
+        db = Database(encode=encode)
     db.create_table("reads", READS_SCHEMA)
     db.load("reads", _reads_rows())
     db.create_table("dim", DIM_SCHEMA)
@@ -158,10 +155,10 @@ def _build(encode, storage, path):
     return db
 
 
-def _observe(db, batch_size, codegen):
+def _observe(db, batch_size):
     """(rows, EXPLAIN ANALYZE text) per parity query, one knob combo."""
     out = []
-    with forced_batch_size(batch_size), forced_codegen(codegen):
+    with forced_batch_size(batch_size):
         for sql in PARITY_QUERIES:
             db.plan_cache.clear()
             explained = db.explain_analyze(sql)
@@ -172,24 +169,13 @@ def _observe(db, batch_size, codegen):
 class TestEncodedParityMatrix:
     """The acceptance matrix: encoding must be invisible everywhere.
 
-    For each workers × batch × storage × codegen combination the
-    encoded database must produce byte-identical rows AND an identical
-    EXPLAIN ANALYZE render (operator labels and actual row counts) to
-    the plain one.
+    For each batch × storage combination the encoded database must
+    produce byte-identical rows AND an identical EXPLAIN ANALYZE render
+    (operator labels and actual row counts) to the plain one.
     """
 
     @pytest.mark.parametrize("storage", ["memory", "disk"])
-    @pytest.mark.parametrize("workers", [0, 2])
-    @pytest.mark.parametrize("codegen", [False, True],
-                             ids=["interp", "codegen"])
-    def test_rows_and_explain_identical(self, tmp_path, storage, workers,
-                                        codegen, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        monkeypatch.setenv("REPRO_WORKERS", str(workers))
-        if workers:
-            # The parity dataset sits far below the shard threshold;
-            # drop it so the Exchange actually engages.
-            monkeypatch.setattr(shard, "SHARD_ROW_THRESHOLD", 64)
+    def test_rows_and_explain_identical(self, tmp_path, storage):
         encoded = _build(True, storage, tmp_path / "enc")
         plain = _build(False, storage, tmp_path / "plain")
         try:
@@ -197,12 +183,12 @@ class TestEncodedParityMatrix:
             # (early-out under Limit), so parity is asserted encoded
             # vs plain *within* each batch size, never across sizes.
             for batch_size in (0, 1, 7):
-                assert (_observe(encoded, batch_size, codegen)
-                        == _observe(plain, batch_size, codegen)), (
+                assert (_observe(encoded, batch_size)
+                        == _observe(plain, batch_size)), (
                     f"encoding visible at batch size {batch_size}")
         finally:
-            encoded.close()
-            plain.close()
+            encoded.shutdown()
+            plain.shutdown()
 
 
 class TestExactNdvFromDictionary:

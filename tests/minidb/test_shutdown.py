@@ -63,6 +63,5 @@ def test_disk_storage_close_tolerates_partial_construction(monkeypatch,
     bare.wal = None
     bare.catalog = None
     bare.dead = False
-    bare.readonly = False
     bare.close()
     bare.checkpoint()

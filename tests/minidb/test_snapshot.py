@@ -3,18 +3,14 @@
 The core contract (ISSUE §tentpole, satellite 3): a reader that pinned
 a snapshot sees *exactly* its epoch while ``append()`` lands twice
 underneath it — rows AND EXPLAIN ANALYZE output byte-identical to a
-frozen replica of the pinned state — across storage={memory,disk} ×
-workers={0,2}.
+frozen replica of the pinned state — across storage={memory,disk}.
 """
 
 from __future__ import annotations
 
-import contextlib
-
 import pytest
 
 from repro.errors import SnapshotError
-from repro.fuzz.oracle import forced_parallel_windows
 from repro.minidb import Database, SqlType, TableSchema
 
 READS = TableSchema.of(
@@ -50,32 +46,28 @@ def _build(storage: str, rows: list[tuple]) -> Database:
 
 
 @pytest.mark.parametrize("storage", ["memory", "disk"])
-@pytest.mark.parametrize("workers", [0, 2])
-def test_snapshot_pins_epoch_under_double_append(storage, workers):
+def test_snapshot_pins_epoch_under_double_append(storage):
     """Rows and EXPLAIN ANALYZE match a frozen replica, twice over."""
-    parallel = (forced_parallel_windows(workers=2, threshold=1)
-                if workers else contextlib.nullcontext())
-    with parallel:
-        live = _build(storage, _rows(40))
-        frozen = _build(storage, _rows(40))  # replica of the pinned epoch
-        try:
-            with live.snapshot() as snapshot:
-                before = [snapshot.execute(sql).rows for sql in QUERIES]
-                live.append("r", _rows(12, start=40))
-                mid = [snapshot.execute(sql).rows for sql in QUERIES]
-                live.append("r", _rows(12, start=52))
-                after = [snapshot.execute(sql).rows for sql in QUERIES]
-                expected = [frozen.execute(sql).rows for sql in QUERIES]
-                assert before == mid == after == expected
-                for sql in QUERIES:
-                    assert (snapshot.explain_analyze(sql)
-                            == frozen.explain_analyze(sql).text)
-            # The live database sees every appended row.
-            total = live.execute("select count(*) as n from r").scalar()
-            assert total == 64
-        finally:
-            live.shutdown()
-            frozen.shutdown()
+    live = _build(storage, _rows(40))
+    frozen = _build(storage, _rows(40))  # replica of the pinned epoch
+    try:
+        with live.snapshot() as snapshot:
+            before = [snapshot.execute(sql).rows for sql in QUERIES]
+            live.append("r", _rows(12, start=40))
+            mid = [snapshot.execute(sql).rows for sql in QUERIES]
+            live.append("r", _rows(12, start=52))
+            after = [snapshot.execute(sql).rows for sql in QUERIES]
+            expected = [frozen.execute(sql).rows for sql in QUERIES]
+            assert before == mid == after == expected
+            for sql in QUERIES:
+                assert (snapshot.explain_analyze(sql)
+                        == frozen.explain_analyze(sql).text)
+        # The live database sees every appended row.
+        total = live.execute("select count(*) as n from r").scalar()
+        assert total == 64
+    finally:
+        live.shutdown()
+        frozen.shutdown()
 
 
 @pytest.mark.parametrize("storage", ["memory", "disk"])

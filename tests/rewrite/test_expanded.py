@@ -1,7 +1,9 @@
 """Figure-4 analysis tests: context conditions, ec assembly, residuals."""
 
+import pytest
+
 from repro.minidb.sqlparse import parse_expression
-from repro.rewrite.expanded import analyze_expanded, analyze_rule
+from repro.rewrite.expanded import FAULT_ENV, analyze_expanded, analyze_rule
 from repro.sqlts import parse_rule
 
 READS_COLUMNS = {"epc", "rtime", "reader", "biz_loc", "biz_step"}
@@ -141,3 +143,26 @@ class TestAssembly:
         for conjunct in analysis.ec_conjuncts:
             assert "SELECT" not in conjunct.to_sql().split("OR")[0] \
                 or " OR " not in conjunct.to_sql()
+
+
+class TestFaultDrillsAreSeparable:
+    """``REPRO_FUZZ_INJECT_BUG`` names one layer's drill at a time: only
+    the expanded drill's own names may drop the context conditions."""
+
+    @pytest.mark.parametrize("name", ["encode", "storage", "no-such-drill"])
+    def test_other_drills_leave_context_conditions(self, monkeypatch, name):
+        clean = analyze_expanded([READER, DUPLICATE], s("rtime <= 1000"),
+                                 READS_COLUMNS)
+        monkeypatch.setenv(FAULT_ENV, name)
+        drilled = analyze_expanded([READER, DUPLICATE], s("rtime <= 1000"),
+                                   READS_COLUMNS)
+        assert drilled.cc is not None
+        assert drilled.cc.to_sql() == clean.cc.to_sql()
+        assert [c.to_sql() for c in drilled.ec_conjuncts] \
+            == [c.to_sql() for c in clean.ec_conjuncts]
+
+    def test_own_name_drops_them(self, monkeypatch):
+        monkeypatch.setenv(FAULT_ENV, "expanded")
+        drilled = analyze_expanded([READER, DUPLICATE], s("rtime <= 1000"),
+                                   READS_COLUMNS)
+        assert drilled.cc is None

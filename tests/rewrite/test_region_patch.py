@@ -6,14 +6,12 @@ cluster-key sequences, splicing them over the cached clean ones. These
 tests pin the patch-vs-invalidate decision tree (NULL cluster keys,
 MODIFY-ed cluster keys, threshold overruns, truncated history) and the
 headline guarantee: the patched region and query results are
-byte-identical to a cold full recompute, across the workers × batch
-determinism matrix.
+byte-identical to a cold full recompute, at both batch settings.
 """
 
 import pytest
 
 from repro.minidb import Database, SqlType, TableSchema
-from repro.minidb.plan import shard
 from repro.minidb.sqlparse import parse_expression
 from repro.minidb.table import _DELTA_LOG_LIMIT
 from repro.minidb.types import sort_key
@@ -235,23 +233,16 @@ class TestDirectCacheLookup:
         assert cache.patches == 0 and cache.invalidations == 1
 
 
-@pytest.mark.parametrize("workers", [0, 2])
 @pytest.mark.parametrize("batch", [0, 7])
-def test_patched_region_byte_identical_to_cold(monkeypatch, workers, batch):
-    """Determinism matrix: incremental == full recompute, byte for byte.
+def test_patched_region_byte_identical_to_cold(monkeypatch, batch):
+    """Determinism: incremental == full recompute, byte for byte.
 
     Two engines over the same data history — one queries between appends
     (so its region is patched twice), one only queries at the end (cold
     full cleanse). The materialized regions and the final result rows
-    must be identical under every workers × batch combination.
+    must be identical at either batch setting.
     """
     monkeypatch.setenv("REPRO_BATCH_SIZE", str(batch))
-    if workers:
-        monkeypatch.setenv("REPRO_WORKERS", str(workers))
-        monkeypatch.setattr(shard, "SHARD_ROW_THRESHOLD", 64)
-    else:
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
 
     prefix = base_rows(epcs=30, per_epc=10)
     chunks = [
@@ -261,26 +252,20 @@ def test_patched_region_byte_identical_to_cold(monkeypatch, workers, batch):
     sql = "select epc, rtime, reader, biz_loc from r where rtime <= 400"
 
     db_inc, incremental, _ = make_engines(prefix)
-    try:
+    incremental.execute(sql)
+    for chunk in chunks:
+        db_inc.append("r", chunk)
         incremental.execute(sql)
-        for chunk in chunks:
-            db_inc.append("r", chunk)
-            incremental.execute(sql)
-        patched_region = list(only_entry(incremental).table.rows)
-        patched_rows = incremental.execute(sql).rows
-        assert incremental.region_cache.patches == len(chunks)
-        assert incremental.region_cache.stores == 1
-    finally:
-        db_inc.close()
+    patched_region = list(only_entry(incremental).table.rows)
+    patched_rows = incremental.execute(sql).rows
+    assert incremental.region_cache.patches == len(chunks)
+    assert incremental.region_cache.stores == 1
 
     db_cold, cold, _ = make_engines(prefix)
-    try:
-        for chunk in chunks:
-            db_cold.append("r", chunk)
-        cold_rows = cold.execute(sql).rows
-        cold_region = list(only_entry(cold).table.rows)
-    finally:
-        db_cold.close()
+    for chunk in chunks:
+        db_cold.append("r", chunk)
+    cold_rows = cold.execute(sql).rows
+    cold_region = list(only_entry(cold).table.rows)
 
     assert patched_region == cold_region
     assert patched_rows == cold_rows

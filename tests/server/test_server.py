@@ -142,9 +142,8 @@ class TestRoundTrip:
     def test_session_plan_cache_reuse(self, monkeypatch):
         # The per-session snapshot path (and its plan cache) is only
         # taken when the executor is not in exclusive-read mode, so pin
-        # the ambient worker/storage knobs rather than inherit the CI
-        # matrix (disk storage and workers>=2 both force exclusive).
-        monkeypatch.setenv("REPRO_WORKERS", "0")
+        # the ambient storage knob rather than inherit the CI matrix
+        # (disk storage forces exclusive).
         monkeypatch.setenv("REPRO_STORAGE", "memory")
         db = make_db()
         sql = "select biz_loc, count(*) as n from reads group by biz_loc"

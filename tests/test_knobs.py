@@ -17,12 +17,22 @@ def fresh_latch(monkeypatch):
 
 
 def test_typo_warns_with_suggestion(fresh_latch, monkeypatch):
-    monkeypatch.setenv("REPRO_WORKER", "2")  # typo for REPRO_WORKERS
+    monkeypatch.setenv("REPRO_BATCHSIZE", "7")  # typo for REPRO_BATCH_SIZE
     with pytest.warns(knobs.UnknownKnobWarning,
-                      match=r"REPRO_WORKER \(did you mean "
-                            r"REPRO_WORKERS\?\)"):
+                      match=r"REPRO_BATCHSIZE \(did you mean "
+                            r"REPRO_BATCH_SIZE\?\)"):
         unknown = knobs.validate_environment(force=True)
-    assert unknown == ["REPRO_WORKER"]
+    assert unknown == ["REPRO_BATCHSIZE"]
+
+
+@pytest.mark.parametrize("name, value", [("REPRO_WORKERS", "2"),
+                                         ("REPRO_CODEGEN", "1")])
+def test_removed_knob_warns(fresh_latch, monkeypatch, name, value):
+    """A knob whose layer was deleted must not silently configure
+    nothing."""
+    monkeypatch.setenv(name, value)
+    with pytest.warns(knobs.UnknownKnobWarning, match=name):
+        Database()
 
 
 def test_database_construction_validates(fresh_latch, monkeypatch):
@@ -32,7 +42,7 @@ def test_database_construction_validates(fresh_latch, monkeypatch):
 
 
 def test_known_knobs_stay_silent(fresh_latch, monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "0")
+    monkeypatch.setenv("REPRO_ENCODE", "0")
     monkeypatch.setenv("REPRO_BATCH_SIZE", "0")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -64,3 +74,4 @@ def test_registry_matches_readme():
               / "README.md").read_text(encoding="utf-8")
     missing = [name for name in knobs.KNOWN_KNOBS if name not in readme]
     assert not missing, f"knobs undocumented in README: {missing}"
+    assert len(knobs.KNOWN_KNOBS) == 18
