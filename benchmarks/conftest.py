@@ -5,15 +5,16 @@ so the full suite regenerates every figure in minutes on a laptop; raise
 it for better-separated curves. Workbenches are session-cached through
 the experiment harness, mirroring the paper's pre-loaded db-10..db-40.
 
-Every benchmark run also appends machine-readable results to
-``BENCH_PR10.json`` at the repo root (the per-PR successor to PR 9's
-``BENCH_PR9.json``): one wall-clock record per test — stamped with the
+Every benchmark run also writes machine-readable results to
+``BENCH_RESULTS.json`` at the repo root (gitignored; the checked-in
+``BENCH_PR*.json`` files are earlier runs of this recorder): one
+wall-clock record per test — stamped with the
 process's peak heap bytes (``ru_maxrss``) so memory regressions show
 up next to timing ones — plus any :class:`ExecutionMetrics` rows a
 test explicitly records via the ``record_metrics`` fixture, all under
 a ``host`` block capturing the machine and knob configuration the
-numbers were taken on. The file tracks the perf trajectory across PRs
-without having to parse pytest-benchmark output.
+numbers were taken on, so a run can be read without parsing
+pytest-benchmark output.
 
 ``REPRO_BENCH_SMOKE=1`` switches the suite to a correctness smoke run:
 iteration counts drop to the minimum and timing-ratio assertions are
@@ -36,7 +37,7 @@ from repro.experiments.common import ExperimentSettings, workbench_for
 
 BENCH_SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "12"))
 
-BENCH_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
+BENCH_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_RESULTS.json"
 
 #: Smoke mode: run everything once, assert correctness, skip timing bars.
 BENCH_SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() == "1"
@@ -68,7 +69,7 @@ def host_metadata() -> dict:
 
 @pytest.fixture(scope="session")
 def bench_records():
-    """Accumulates result rows; written to BENCH_PR10.json at session end."""
+    """Accumulates result rows; written to BENCH_RESULTS.json at session end."""
     records = []
     yield records
     payload = {"bench_scale": BENCH_SCALE, "host": host_metadata(),

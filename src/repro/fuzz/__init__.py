@@ -5,7 +5,7 @@ The deferred-cleansing claim — every rewrite answers exactly the naive
 random SQL-TS rules, and random user queries are pushed through every
 execution path (expanded, join-back, cost-based choice, region cache
 cold/warm/invalidated, eager materialization, prepared-plan cache,
-batch and encoded execution) and the canonicalized row bags are diffed
+batch execution) and the canonicalized row bags are diffed
 against the naive baseline. Divergences are delta-debugged to minimal
 cases and persisted as self-contained pytest regressions.
 

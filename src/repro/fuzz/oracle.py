@@ -24,12 +24,6 @@ path and diffs canonicalized row bags against the naive strategy
 ``vectorized``            naive re-run under batch execution with a
                           small odd batch size (stressing chunk
                           boundaries); metrics must show batches ran
-``encoded``               naive re-run with encoded execution forced on
-                          (``REPRO_ENCODE=1``) over batch size 7 —
-                          dictionary/RLE kernels, code-range compares
-                          and run-skipping filters must reproduce the
-                          plain rows; in memory mode a non-empty scan
-                          must report encoded columns in its metrics
 ``incremental``           load a prefix, warm the region cache, then
                           interleave ``Database.append`` chunks with
                           queries: after every append the cached
@@ -76,7 +70,7 @@ from repro.fuzz.cases import READS_COLUMNS, FuzzCase
 from repro.minidb.engine import Database
 from repro.minidb.schema import Column, TableSchema
 from repro.minidb.types import SqlType
-from repro.minidb.vector import forced_batch_size, forced_encoding
+from repro.minidb.vector import forced_batch_size
 from repro.rewrite.cache import CacheOptions
 from repro.rewrite.eager import materialize_cleansed
 from repro.rewrite.engine import DeferredCleansingEngine
@@ -88,7 +82,7 @@ __all__ = ["ALL_LABELS", "Divergence", "OracleReport", "run_case",
 #: Every comparison the oracle can run, in execution order.
 ALL_LABELS = ("expanded", "joinback", "chosen", "cached-cold",
               "cached-warm", "cached-invalidated", "eager", "plan-cache",
-              "vectorized", "encoded", "incremental", "disk", "served")
+              "vectorized", "incremental", "disk", "served")
 
 _READS_SCHEMA = TableSchema.of(
     ("epc", SqlType.VARCHAR),
@@ -313,32 +307,6 @@ def run_case(case: FuzzCase,
         return result.canonical()
 
     compare("vectorized", vectorized)
-
-    def encoded() -> tuple[tuple, ...]:
-        from repro.minidb.plan.physical import SeqScan
-
-        enc_db, enc_registry = build_database(case)
-        enc_engine = DeferredCleansingEngine(enc_db, enc_registry)
-        # Encoded columnar execution over batch size 7: dictionary code
-        # mapping, code-range compares, RLE run-skipping and encoded
-        # join probes must agree with the plain interpreted baseline.
-        with forced_encoding(True), forced_batch_size(7):
-            result, metrics, choice = enc_engine.execute_with_metrics(
-                sql, strategies={"naive"})
-        # Metrics must prove encoded columns actually flowed — but only
-        # when a SeqScan ran over the in-memory columnar cache (the
-        # disk label's zone-pruned scan path bypasses it, and an empty
-        # result can ride an index range that never scans).
-        scanned = any(isinstance(node, SeqScan)
-                      for node in choice.chosen.physical.walk())
-        if (enc_db.storage is None and scanned and result.rows
-                and metrics.encoded_columns == 0):
-            raise AssertionError(
-                "encoded strategy reported zero encoded columns — the "
-                "encoded execution path did not run")
-        return result.canonical()
-
-    compare("encoded", encoded)
 
     def incremental() -> tuple[tuple, ...]:
         # Streaming replay: load a prefix, warm the region cache, then

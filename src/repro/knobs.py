@@ -32,7 +32,7 @@ KNOWN_KNOBS: dict[str, str] = {
     "REPRO_SCALE": "experiments CLI dataset scale factor",
     "REPRO_BATCH_SIZE": "vectorized batch size (0 = tuple-at-a-time)",
     "REPRO_VECTOR_FALLBACK": "count batch-kernel scalar fallbacks",
-    "REPRO_ENCODE": "encoded columnar execution (default on)",
+    "REPRO_ENCODE": "dictionary heap-page layout on disk (default on)",
     "REPRO_STORAGE": "default storage mode: memory or disk",
     "REPRO_BUFFER_PAGES": "buffer-pool capacity in pages",
     "REPRO_PAGE_SIZE": "on-disk page size in bytes",

@@ -24,7 +24,7 @@ from repro.minidb.plan.builder import build_plan
 from repro.minidb.plan.logical import LogicalNode
 from repro.minidb.plan.physical import FilterOp, PhysicalNode, SortOp
 from repro.minidb.plan.window import WindowOp
-from repro.minidb import vector
+from repro.minidb.storage.heap import bytes_saved
 from repro.minidb.vector import materialize
 from repro.minidb.result import ResultSet
 from repro.minidb.schema import Column, TableSchema
@@ -90,13 +90,8 @@ class ExecutionMetrics:
     pages_pruned: int = 0
     pages_prefetched: int = 0
     prefetch_wasted: int = 0
-    #: Encoded-execution activity for the call that produced these
-    #: metrics (filled in by ``execute_with_metrics``): encoded columns
-    #: served by scans, full decodes back to plain lists (fallback
-    #: boundaries), and heap-page bytes avoided by the dictionary page
-    #: codec for writes issued during the call.
-    encoded_columns: int = 0
-    decode_fallbacks: int = 0
+    #: Heap-page bytes avoided by the dictionary page codec for writes
+    #: issued during the call (filled in by ``execute_with_metrics``).
     bytes_saved: int = 0
     # 0 stub: only bench/statements.py reads it; the [benchmark] PR deletes it
     fused_pipelines: int = 0
@@ -207,7 +202,9 @@ class Database:
     ``REPRO_STORAGE`` sets the default mode; *storage_path* names the
     database directory (a throwaway temp dir when omitted), and reopening
     an existing directory runs recovery — the catalog comes back with
-    the exact state of the last committed write.
+    the exact state of the last committed write. *encode* overrides
+    ``REPRO_ENCODE`` — whether heap pages may take the dictionary layout
+    on disk; it has no effect in memory mode.
     """
 
     def __init__(self, options: PlannerOptions | None = None,
@@ -224,9 +221,6 @@ class Database:
         self.storage = None
         self._storage_closed = False
         knobs.validate_environment()
-        #: Per-database override for encoded columnar execution;
-        #: None defers to REPRO_ENCODE (default on).
-        self.encode = encode
         mode = storage or os.environ.get("REPRO_STORAGE", "memory")
         if mode not in ("memory", "disk"):
             raise ValueError(
@@ -243,9 +237,6 @@ class Database:
         self.catalog = Catalog(self.storage)
         if self.storage is not None:
             self.storage.open(self.catalog)
-        if encode is not None:
-            for table in self.catalog:
-                table.encode = encode
         self.stats = StatsRepository()
         self.cost_model = CostModel()
         self.options = options or PlannerOptions()
@@ -284,12 +275,6 @@ class Database:
         if self.storage is not None:
             self.storage.checkpoint()
 
-    def _encode_resolved(self) -> bool:
-        """Effective encoded-execution setting (kwarg over knob)."""
-        if self.encode is None:
-            return vector.encode_enabled()
-        return bool(self.encode)
-
     def snapshot(self, *, plan_cache: PreparedPlanCache | None = None):
         """Pin a consistent MVCC read view over every table.
 
@@ -309,10 +294,7 @@ class Database:
 
     def create_table(self, name: str, schema: TableSchema) -> Table:
         """Create an empty table."""
-        table = self.catalog.create_table(name, schema)
-        if self.encode is not None:
-            table.encode = self.encode
-        return table
+        return self.catalog.create_table(name, schema)
 
     def drop_table(self, name: str) -> None:
         self.catalog.drop_table(name)
@@ -402,8 +384,7 @@ class Database:
         """
         return (self.catalog.version, self.stats.version,
                 tuple(table.schema_epoch for table in self.catalog),
-                tuple(sorted(vars(options).items())),
-                self._encode_resolved())
+                tuple(sorted(vars(options).items())))
 
     def plan(self, query: str | SelectStmt | LogicalNode,
              options: PlannerOptions | None = None) -> PhysicalNode:
@@ -531,7 +512,7 @@ class Database:
         """Run *query* and also report per-operator work counters."""
         hits_before = self.plan_cache.hits
         misses_before = self.plan_cache.misses
-        encode_before = vector.encode_stats()
+        saved_before = bytes_saved()
         storage_before = (self.storage.counters
                           if self.storage is not None else None)
         plan = self.plan(query, options)
@@ -540,10 +521,7 @@ class Database:
         metrics = ExecutionMetrics.from_plan(plan)
         metrics.plan_cache_hits = self.plan_cache.hits - hits_before
         metrics.plan_cache_misses = self.plan_cache.misses - misses_before
-        encode_after = vector.encode_stats()
-        metrics.encoded_columns = encode_after[0] - encode_before[0]
-        metrics.decode_fallbacks = encode_after[1] - encode_before[1]
-        metrics.bytes_saved = encode_after[2] - encode_before[2]
+        metrics.bytes_saved = bytes_saved() - saved_before
         if storage_before is not None:
             storage_after = self.storage.counters
             for name in ("pages_read", "pages_written", "pages_evicted",

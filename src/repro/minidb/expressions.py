@@ -27,8 +27,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import PlanningError, TypeMismatchError
 from repro.minidb.types import sql_and, sql_not, sql_or
-from repro.minidb.vector import (ENCODED_TYPES, DictColumn, RLEColumn,
-                                 RowBatch, vector_fallback_enabled)
+from repro.minidb.vector import RowBatch, vector_fallback_enabled
 
 __all__ = [
     "BatchBound",
@@ -85,60 +84,11 @@ _ARITH_FN = {
 }
 
 
-def _kleene_and_value(a: Any, b: Any) -> Any:
-    if a is False or b is False:
-        return False
-    if a is None or b is None:
-        return None
-    return True
-
-
-def _kleene_or_value(a: Any, b: Any) -> Any:
-    if a is True or b is True:
-        return True
-    if a is None or b is None:
-        return None
-    return False
-
-
-def _merge_encoded(a_col: Any, b_col: Any, fn: Callable) -> Any:
-    """Combine two encoded kernel results sharing one code layout.
-
-    Both sides of ``x >= lo AND x <= hi`` come back as DictColumns (or
-    RLEColumns) sharing the *same* codes/runs object when they were
-    computed over the same source column, so the conjunction can be
-    evaluated once per distinct value instead of once per row. Returns
-    None when the shapes don't line up and the caller must zip row-wise.
-    """
-    if (type(a_col) is DictColumn and type(b_col) is DictColumn
-            and a_col.codes is b_col.codes):
-        return DictColumn(a_col.codes,
-                          [fn(a, b) for a, b
-                           in zip(a_col.values, b_col.values)])
-    if (type(a_col) is RLEColumn and type(b_col) is RLEColumn
-            and a_col.starts is b_col.starts):
-        return RLEColumn([fn(a, b) for a, b
-                          in zip(a_col.run_values, b_col.run_values)],
-                         a_col.run_lengths, a_col.starts, a_col.length)
-    return None
-
-
-def true_positions(values: Any) -> list[int]:
+def true_positions(values: list) -> list[int]:
     """Row positions where a batch kernel's result is TRUE.
 
-    The selection vector of a predicate (NULL and FALSE both reject). An
-    encoded result is tested once per distinct value or per run, never
-    per row.
+    The selection vector of a predicate (NULL and FALSE both reject).
     """
-    if isinstance(values, DictColumn):
-        truth = [value is True for value in values.values]
-        return [i for i, code in enumerate(values.codes) if truth[code]]
-    if isinstance(values, RLEColumn):
-        selected: list[int] = []
-        for start, length, value in values.runs():
-            if value is True:
-                selected.extend(range(start, start + length))
-        return selected
     return [i for i, value in enumerate(values) if value is True]
 
 
@@ -348,25 +298,17 @@ class BinaryOp(Expr):
         right = self.right.bind_batch(resolver)
         if op == "and":
             def kleene_and(batch: RowBatch) -> list:
-                a_col, b_col = left(batch), right(batch)
-                merged = _merge_encoded(a_col, b_col, _kleene_and_value)
-                if merged is not None:
-                    return merged
                 return [False if a is False or b is False
                         else None if a is None or b is None
                         else True
-                        for a, b in zip(a_col, b_col)]
+                        for a, b in zip(left(batch), right(batch))]
             return kleene_and
         if op == "or":
             def kleene_or(batch: RowBatch) -> list:
-                a_col, b_col = left(batch), right(batch)
-                merged = _merge_encoded(a_col, b_col, _kleene_or_value)
-                if merged is not None:
-                    return merged
                 return [True if a is True or b is True
                         else None if a is None or b is None
                         else False
-                        for a, b in zip(a_col, b_col)]
+                        for a, b in zip(left(batch), right(batch))]
             return kleene_or
         if op == "/":
             return lambda batch: [_arith("/", a, b)
@@ -374,39 +316,19 @@ class BinaryOp(Expr):
         fn = _COMPARE_FN[op] if op in _COMPARISON_OPS else _ARITH_FN[op]
         # Hoist literal operands out of the comprehension: column-vs-
         # constant is by far the most common shape in rewrite output
-        # (``rtime <= t``, ``reader = 'rdr-3'``). On an encoded operand
-        # the kernel evaluates once per distinct value (or run) and maps
-        # over codes; ordering ops on sorted dictionaries bisect.
-        compare = op in _COMPARISON_OPS
+        # (``rtime <= t``, ``reader = 'rdr-3'``).
         if isinstance(self.right, Literal):
             constant = self.right.value
             if constant is None:
                 return lambda batch: [None] * batch.length
-
-            def with_right_constant(batch: RowBatch) -> list:
-                column = left(batch)
-                if isinstance(column, ENCODED_TYPES):
-                    if compare:
-                        return column.map_compare(op, fn, constant)
-                    return column.map_values(lambda v: fn(v, constant))
-                return [None if v is None else fn(v, constant)
-                        for v in column]
-            return with_right_constant
+            return lambda batch: [None if v is None else fn(v, constant)
+                                  for v in left(batch)]
         if isinstance(self.left, Literal):
             constant = self.left.value
             if constant is None:
                 return lambda batch: [None] * batch.length
-
-            def with_left_constant(batch: RowBatch) -> list:
-                column = right(batch)
-                if isinstance(column, ENCODED_TYPES):
-                    if compare:
-                        return column.map_compare(op, fn, constant,
-                                                  flipped=True)
-                    return column.map_values(lambda v: fn(constant, v))
-                return [None if v is None else fn(constant, v)
-                        for v in column]
-            return with_left_constant
+            return lambda batch: [None if v is None else fn(constant, v)
+                                  for v in right(batch)]
         return lambda batch: [None if a is None or b is None else fn(a, b)
                               for a, b in zip(left(batch), right(batch))]
 
@@ -447,18 +369,11 @@ class UnaryOp(Expr):
 
     def _bind_batch_fast(self, resolver: Resolver) -> BatchBound:
         operand = self.operand.bind_batch(resolver)
-        invert = self.op == "not"
-
-        def evaluate(batch: RowBatch) -> list:
-            column = operand(batch)
-            if isinstance(column, ENCODED_TYPES):
-                if invert:
-                    return column.map_values(_operator.not_)
-                return column.map_values(_operator.neg)
-            if invert:
-                return [None if v is None else not v for v in column]
-            return [None if v is None else -v for v in column]
-        return evaluate
+        if self.op == "not":
+            return lambda batch: [None if v is None else not v
+                                  for v in operand(batch)]
+        return lambda batch: [None if v is None else -v
+                              for v in operand(batch)]
 
     def to_sql(self) -> str:
         if self.op == "not":
@@ -487,20 +402,9 @@ class IsNull(Expr):
 
     def _bind_batch_fast(self, resolver: Resolver) -> BatchBound:
         operand = self.operand.bind_batch(resolver)
-        negated = self.negated
-
-        def evaluate(batch: RowBatch) -> list:
-            column = operand(batch)
-            if isinstance(column, ENCODED_TYPES):
-                # NULL itself maps (to True/False), so this is the one
-                # kernel that rewrites every dictionary slot.
-                if negated:
-                    return column.map_all(lambda v: v is not None)
-                return column.map_all(lambda v: v is None)
-            if negated:
-                return [v is not None for v in column]
-            return [v is None for v in column]
-        return evaluate
+        if self.negated:
+            return lambda batch: [v is not None for v in operand(batch)]
+        return lambda batch: [v is None for v in operand(batch)]
 
     def to_sql(self) -> str:
         keyword = "IS NOT NULL" if self.negated else "IS NULL"
@@ -659,16 +563,11 @@ class InList(Expr):
         hit, miss = not self.negated, self.negated
 
         def evaluate(batch: RowBatch) -> list:
-            column = operand(batch)
-            if isinstance(column, ENCODED_TYPES):
-                return column.map_values(
-                    lambda v: hit if v in members
-                    else None if has_null_item else miss)
             return [None if v is None
                     else hit if v in members
                     else None if has_null_item
                     else miss
-                    for v in column]
+                    for v in operand(batch)]
 
         return evaluate
 

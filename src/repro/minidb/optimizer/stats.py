@@ -211,10 +211,7 @@ class StatsRepository:
     def apply_append(self, table: Table, start: int) -> bool:
         """Patch cached stats in place for rows appended at *start*.
 
-        Row count, null counts, and min/max are updated exactly. When
-        the table has a warm dictionary-encoded column (see
-        ``Table.encoded_ndv``) ndv is read exactly off the dictionary —
-        the encoder already deduplicated every value; otherwise ndv
+        Row count, null counts, and min/max are updated exactly; ndv
         becomes a lower-bound estimate (old ndv plus appended values that
         provably fall outside the old [min, max]). Histograms and span
         fractions are left as-is — for a trickle append they remain
@@ -253,11 +250,7 @@ class StatsRepository:
                     column_stats.min_value = value
                 if old_max is None or value > old_max:
                     column_stats.max_value = value
-            exact_ndv = table.encoded_ndv(position)
-            if exact_ndv is not None:
-                column_stats.ndv = exact_ndv
-            else:
-                column_stats.ndv += len(outside)
+            column_stats.ndv += len(outside)
         self._stats[table.name] = (stats, table, table.version)
         self.patches += 1
         return True

@@ -45,14 +45,10 @@ from repro.minidb.table import Table
 from repro.minidb.types import sort_key_column
 from repro.minidb.vector import (
     DEFAULT_BATCH_SIZE,
-    ENCODED_TYPES,
-    DictColumn,
-    RLEColumn,
     RowBatch,
     batch_execution_enabled,
     concat_columns,
     configured_batch_size,
-    record_encoded_columns,
 )
 
 __all__ = [
@@ -286,11 +282,7 @@ class SeqScan(PhysicalNode):
         if self.visible_rows is not None:
             yield from self._frozen_batches(size)
             return
-        columns = self.table.encoded_columnar()
-        encoded = sum(1 for column in columns
-                      if isinstance(column, ENCODED_TYPES))
-        if encoded:
-            record_encoded_columns(encoded)
+        columns = self.table.columnar()
         bound = self.visible_count
         total = len(self.table.rows) if bound is None else bound
         for lo in range(0, total, size):
@@ -449,40 +441,11 @@ class FilterOp(PhysicalNode):
         batch_bound = self._batch_bound
         for batch in self.child.batches(size):
             self.input_rows += batch.length
-            values = batch_bound(batch)
-            if isinstance(values, RLEColumn):
-                # Run-wise selection: rejected runs are skipped without
-                # inspecting a single row, surviving runs pass through
-                # as contiguous slices of the input batch.
-                yield from self._run_batches(batch, values)
-                continue
-            selected = true_positions(values)
+            selected = true_positions(batch_bound(batch))
             if not selected:
                 continue
             out = batch if len(selected) == batch.length \
                 else batch.take(selected)
-            self.actual_rows += out.length
-            self.actual_batches += 1
-            yield out
-
-    def _run_batches(self, batch: RowBatch,
-                     values: RLEColumn) -> Iterator[RowBatch]:
-        spans: list[list[int]] = []
-        for start, length, value in values.runs():
-            if value is not True:
-                continue
-            if spans and spans[-1][1] == start:
-                spans[-1][1] = start + length
-            else:
-                spans.append([start, start + length])
-        if len(spans) == 1 and spans[0][0] == 0 \
-                and spans[0][1] == batch.length:
-            self.actual_rows += batch.length
-            self.actual_batches += 1
-            yield batch
-            return
-        for lo, hi in spans:
-            out = batch.slice(lo, hi)
             self.actual_rows += out.length
             self.actual_batches += 1
             yield out
@@ -672,14 +635,7 @@ class HashJoinOp(PhysicalNode):
             # A key with a NULL in it is never in the table, so such a
             # probe finds nothing.
             keys = key_columns[0] if single else zip(*key_columns)
-            if isinstance(keys, DictColumn):
-                # Probe the hash table once per distinct key value,
-                # then walk codes: per row it's one list index, not
-                # a hash probe.
-                buckets = [probe(value, ()) for value in keys.values]
-                matches = [buckets[code] for code in keys.codes]
-            else:
-                matches = [probe(key, ()) for key in keys]
+            matches = [probe(key, ()) for key in keys]
             out: list[tuple] = []
             pairs = zip(left_batch.rows(), matches)
             if not pad_left:
@@ -878,16 +834,11 @@ class SortOp(PhysicalNode):
         return order
 
     def _sorted_rows(self, buffered: list[tuple],
-                     collected: list[RowBatch] | None = None) -> list[tuple]:
+                     collected: list[RowBatch]) -> list[tuple]:
         if not buffered:
             return buffered
         if self._batch_keys is not None:
-            if collected:
-                # Column-wise concat keeps dictionary codes intact, so
-                # sorted-dictionary keys sort by raw integer codes.
-                big = concat_columns(collected, len(self.schema))
-            else:
-                big = RowBatch.from_rows(buffered, len(self.schema))
+            big = concat_columns(collected, len(self.schema))
             decorated = [sort_key_column(batch_key(big))
                          for batch_key in self._batch_keys]
         else:

@@ -53,7 +53,7 @@ from repro.minidb.plan.physical import (Ordering, PhysicalNode,
                                         _resolve_batch_size)
 from repro.minidb.plan.planschema import PlanSchema
 from repro.minidb.types import sort_key, sort_key_column
-from repro.minidb.vector import ENCODED_TYPES, RowBatch, concat_columns
+from repro.minidb.vector import RowBatch, concat_columns
 
 __all__ = ["WindowOp", "WindowFuncSpec"]
 
@@ -114,24 +114,18 @@ def _partition_spans(total: int, partition_columns: list[list]) -> Spans:
 
 
 def _arranger(order: list[int] | None) -> Callable[[Any], list | None]:
-    """A function giving a column as a plain list, gathered by *order*
-    when there is one.
+    """A function giving a column gathered by *order* when there is one.
 
     It remembers its results: one column object asked for several times
-    (a key or argument that is a plain input column) is decoded and
-    gathered once.
+    (a key or argument that is a plain input column) is gathered once.
     """
     done: dict[int, tuple[Any, list]] = {}  # id -> (column kept alive, result)
 
     def arrange(column: Any) -> list | None:
-        if column is None:
-            return None
+        if column is None or order is None:
+            return column
         if id(column) not in done:
-            plain = column.decode() \
-                if isinstance(column, ENCODED_TYPES) else column
-            if order is not None:
-                plain = [plain[i] for i in order]
-            done[id(column)] = (column, plain)
+            done[id(column)] = (column, [column[i] for i in order])
         return done[id(column)][1]
 
     return arrange

@@ -9,7 +9,7 @@ non-empty WAL means recovery would replay on top of them.
 Per table, the report includes the heap *footprint*: bytes as stored
 (dictionary-coded pages count at their compressed size) versus the bytes
 the same rows would occupy row-major, plus the resulting compression
-ratio — the observable effect of the ``REPRO_ENCODE`` knob on disk.
+ratio — the observable effect of the ``REPRO_ENCODE`` knob.
 """
 
 from __future__ import annotations

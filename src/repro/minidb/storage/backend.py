@@ -6,7 +6,7 @@ One :class:`DiskStorage` owns a database directory::
     wal.log        logical redo log, truncated at each checkpoint
     MANIFEST.json  atomic checkpoint root (written via tmp + rename)
 
-Durability protocol (see DESIGN.md §13):
+Durability protocol (see DESIGN.md §11):
 
 1. Every mutation batch is logged to the WAL and fsync'd *before* any
    page changes — commit means the COMMIT record is on disk.
@@ -55,13 +55,12 @@ from repro.minidb.storage.page import (
     configured_page_size,
 )
 from repro.minidb.storage.pager import Pager, configured_buffer_pages
-from repro.minidb.vector import encode_enabled
 
 if TYPE_CHECKING:
     from repro.minidb.catalog import Catalog
 
 __all__ = ["DEFAULT_CHECKPOINT_BYTES", "DiskStorage",
-           "configured_checkpoint_bytes"]
+           "configured_checkpoint_bytes", "encode_enabled"]
 
 #: WAL size that triggers an automatic checkpoint at the end of the
 #: mutation that crossed it (``REPRO_WAL_LIMIT`` overrides).
@@ -80,6 +79,12 @@ def configured_checkpoint_bytes() -> int:
         return max(1, int(env.strip()))
     except ValueError:
         return DEFAULT_CHECKPOINT_BYTES
+
+
+def encode_enabled() -> bool:
+    """Whether ``REPRO_ENCODE`` (default on, ``0`` = off) lets heap
+    pages take the dictionary layout."""
+    return os.environ.get("REPRO_ENCODE", "").strip() != "0"
 
 
 class DiskStorage:

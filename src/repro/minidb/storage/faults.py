@@ -9,7 +9,7 @@ handler on the way out can accidentally "survive" the power cut; tests
 catch it explicitly, abandon the database object without closing it, and
 reopen the files to exercise recovery.
 
-Fault-point catalog (see DESIGN.md §13 for the protocol each interrupts):
+Fault-point catalog (see DESIGN.md §11 for the protocol each interrupts):
 
 ====================================  ==================================
 ``wal-record-torn``                   half of a WAL op record is written,

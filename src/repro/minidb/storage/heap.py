@@ -73,9 +73,21 @@ from repro.minidb.storage.serde import (
     write_varint,
 )
 from repro.minidb.storage.zones import heap_zone, page_qualifies
-from repro.minidb.vector import record_bytes_saved
 
-__all__ = ["DiskRowStore", "HeapPageNode"]
+__all__ = ["DiskRowStore", "HeapPageNode", "bytes_saved"]
+
+#: Running total behind :func:`bytes_saved`.
+_BYTES_SAVED = 0
+
+
+def bytes_saved() -> int:
+    """Heap-page bytes the dictionary layout has avoided so far.
+
+    A monotonic process-wide total; ``execute_with_metrics`` diffs it
+    around a statement.
+    """
+    return _BYTES_SAVED
+
 
 _FAULT_ENV = "REPRO_FUZZ_INJECT_BUG"
 
@@ -254,7 +266,8 @@ class HeapPageNode:
         self.ensure_accounting()
         if (self.encode and self._cols is not None
                 and self.nbytes < self._plain_bytes):
-            record_bytes_saved(self._plain_bytes - self.nbytes)
+            global _BYTES_SAVED
+            _BYTES_SAVED += self._plain_bytes - self.nbytes
             return KIND_HEAP_DICT, self._dict_cells()
         return KIND_HEAP, [encode_row(row) for row in self.rows]
 

@@ -12,7 +12,6 @@ import threading
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import CatalogError, SchemaError
-from repro.minidb import vector
 from repro.minidb.index import SortedIndex
 from repro.minidb.schema import TableSchema
 from repro.minidb.storage.btree import BTreeBackedIndex, DiskBTree
@@ -115,14 +114,6 @@ class Table:
         self._delta_floor = 0
         self._columns: list[list] | None = None
         self._columns_rows = 0
-        # Encoded twin of the columnar cache (DictColumn/RLEColumn per
-        # column where the encoder judged it worthwhile, the *same*
-        # plain list object otherwise). Extended incrementally on
-        # append, evicted together with the plain cache. ``encode``
-        # is the per-Database override: None defers to REPRO_ENCODE.
-        self.encode: bool | None = None
-        self._encoded: list | None = None
-        self._encoded_rows = 0
         # Pinned snapshot versions by data epoch. Pinning the same epoch
         # twice shares one TableVersion (refcounted); the registry only
         # holds versions with live pins.
@@ -429,8 +420,6 @@ class Table:
         """
         self._columns = None
         self._columns_rows = 0
-        self._encoded = None
-        self._encoded_rows = 0
 
     def columnar(self) -> list[list]:
         """The table contents as one list per column (insertion order).
@@ -463,56 +452,6 @@ class Table:
                 column.extend(row[position] for row in tail)
             self._columns_rows = len(self.rows)
         return self._columns
-
-    def encode_resolved(self) -> bool:
-        """Whether this table serves encoded columns (knob or override)."""
-        if self.encode is None:
-            return vector.encode_enabled()
-        return bool(self.encode)
-
-    def encoded_columnar(self) -> list:
-        """The columnar cache with per-column encodings applied.
-
-        Same contract as :meth:`columnar` — cached, extended in place on
-        append (new dictionary values get fresh codes; history is never
-        re-encoded), evicted on rewrite — but each column is whatever
-        the encoder chose: a :class:`~repro.minidb.vector.DictColumn`,
-        an :class:`~repro.minidb.vector.RLEColumn`, or the *identical*
-        plain list object from the plain cache (so undecodable columns
-        cost nothing twice). Falls back to :meth:`columnar` entirely
-        when encoding is off for this table.
-        """
-        if not self.encode_resolved():
-            return self.columnar()
-        with self._columnar_lock:
-            plain = self._columnar_locked()
-            if self._encoded is None:
-                self._encoded = [vector.encode_column(column)
-                                 for column in plain]
-                self._encoded_rows = self._columns_rows
-            elif self._encoded_rows < self._columns_rows:
-                start = self._encoded_rows
-                for position, column in enumerate(self._encoded):
-                    if column is plain[position]:
-                        continue  # plain choice: shares the live list
-                    vector.extend_column(column, plain[position], start)
-                self._encoded_rows = self._columns_rows
-            return self._encoded
-
-    def encoded_ndv(self, position: int) -> int | None:
-        """Exact distinct non-null count from a warm dictionary, or None.
-
-        Deliberately read-only with respect to the cache: ingest paths
-        (stats patching on append) must not pay for an encode build, so
-        the answer is only available once a query has already warmed the
-        encoded cache for this table.
-        """
-        if self._encoded is None or not self.encode_resolved():
-            return None
-        column = self.encoded_columnar()[position]
-        if isinstance(column, vector.DictColumn):
-            return column.distinct_count()
-        return None
 
     def column_values(self, name: str) -> Iterator[Any]:
         """Yield the values of one column across all rows."""

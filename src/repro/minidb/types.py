@@ -194,19 +194,7 @@ def sort_key_column(values: list) -> list:
     the column holds no NULLs the wrapper is an identity ordering, so the
     raw values are returned and comparisons run at C speed instead of
     through ``_NullFirst.__lt__``.
-
-    Encoded columns offer ``sort_codes()`` (duck-typed so this module
-    never depends on the vector layer): a sorted dictionary's integer
-    codes reproduce the NULLS-FIRST-ascending order exactly — NULL is
-    code 0, non-null codes follow value order — so the sort compares
-    small ints instead of wrapped values. Unsortable encodings decode.
     """
-    codes_hook = getattr(values, "sort_codes", None)
-    if codes_hook is not None:
-        codes = codes_hook()
-        if codes is not None:
-            return codes
-        values = list(values)
     if any(value is None for value in values):
         return [_NullFirst(value) for value in values]
     return values

@@ -41,7 +41,8 @@ from repro.minidb.plan.physical import PhysicalNode
 from repro.minidb.result import ResultSet
 from repro.minidb.sqlparse import parse_select
 from repro.minidb.sqlparse.ast import SelectStmt, TableName
-from repro.minidb.vector import encode_stats, materialize
+from repro.minidb.storage.heap import bytes_saved
+from repro.minidb.vector import materialize
 from repro.rewrite.cache import CacheOptions, CleansingRegionCache, RegionEntry
 from repro.rewrite.context import QueryContext, extract_context
 from repro.rewrite.expanded import ExpandedAnalysis, analyze_expanded
@@ -232,7 +233,7 @@ class DeferredCleansingEngine:
             self, query: str | SelectStmt,
             strategies: set[str] | None = None,
     ) -> tuple[ResultSet, ExecutionMetrics, RewriteResult]:
-        encode_before = encode_stats()
+        saved_before = bytes_saved()
         cache = self.region_cache
         patches = cache.patches if cache is not None else 0
         recleaned = cache.sequences_recleaned if cache is not None else 0
@@ -241,10 +242,7 @@ class DeferredCleansingEngine:
         plan = result.physical
         rows = materialize(plan)
         metrics = ExecutionMetrics.from_plan(plan)
-        encode_after = encode_stats()
-        metrics.encoded_columns = encode_after[0] - encode_before[0]
-        metrics.decode_fallbacks = encode_after[1] - encode_before[1]
-        metrics.bytes_saved = encode_after[2] - encode_before[2]
+        metrics.bytes_saved = bytes_saved() - saved_before
         if cache is not None:
             metrics.cache_patches = cache.patches - patches
             metrics.sequences_recleaned = \

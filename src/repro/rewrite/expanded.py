@@ -52,8 +52,7 @@ __all__ = ["RuleContextAnalysis", "ExpandedAnalysis", "analyze_expanded",
 #: oracle detects it and the shrinker minimizes it. Never set outside
 #: tests; the flag is read per call and defaults to off. Every other
 #: value belongs to another layer's drill (``storage``: the disk
-#: backend's page-decode fault in ``repro.minidb.storage.heap``;
-#: ``encode``: the mapping rotation in ``repro.minidb.vector``) and
+#: backend's page-decode fault in ``repro.minidb.storage.heap``) and
 #: leaves this one off, so the drills stay separable.
 FAULT_ENV = "REPRO_FUZZ_INJECT_BUG"
 

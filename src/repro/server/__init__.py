@@ -3,7 +3,7 @@
 ``python -m repro.server`` starts a TCP server over a demo database;
 programmatic use goes through :func:`serve_in_thread` /
 :func:`serve_loopback` (hosting) and :class:`ServerClient` (driving).
-See ``DESIGN.md`` §15 for the architecture: snapshot epochs keep
+See ``DESIGN.md`` §13 for the architecture: snapshot epochs keep
 readers off the ingest path, a bounded executor keeps engine code off
 the event loop, and admission control sheds instead of queueing.
 """

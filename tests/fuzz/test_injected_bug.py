@@ -114,57 +114,6 @@ def test_storage_fault_is_caught_and_shrunk(tmp_path,
     assert clean_report.ok, clean_report.summary()
 
 
-#: Seed 0 surfaces the encode code-mapping fault at iteration 0: any
-#: rule whose predicate evaluates over a dictionary column with at
-#: least two distinct values runs the rotated mapping.
-ENCODE_SEED = 0
-ENCODE_ITERATIONS = 15
-
-
-def test_encode_fault_is_caught_and_shrunk(tmp_path,
-                                           monkeypatch) -> None:
-    """``REPRO_FUZZ_INJECT_BUG=encode`` rotates the per-dictionary-value
-    results inside the encoded mapping kernels; only the ``encoded``
-    label forces encoding on, so it alone must catch it, and the shrunk
-    case must become a runnable regression."""
-    monkeypatch.setenv(FAULT_ENV, "encode")
-    # Pin the ambient knobs: under a REPRO_ENCODE=1 CI leg every batch
-    # label would otherwise run the rotated mapping (including the
-    # vectorized one), and the diff would no longer isolate the encoded
-    # execution path; memory storage keeps the disk label's scans off
-    # the columnar cache entirely.
-    monkeypatch.setenv("REPRO_ENCODE", "0")
-    monkeypatch.setenv("REPRO_STORAGE", "memory")
-    outcome = run_fuzz(FuzzConfig(seed=ENCODE_SEED,
-                                  iterations=ENCODE_ITERATIONS,
-                                  regression_dir=tmp_path))
-    assert not outcome.ok, (
-        "the fuzzer failed to catch the injected encode bug within "
-        f"{ENCODE_ITERATIONS} iterations at seed {ENCODE_SEED}")
-    failure = outcome.failures[0]
-
-    # The rotated mapping lives entirely inside the encoded kernels;
-    # every plain-execution label must have stayed clean.
-    assert failure.report.diverged_labels() == {"encoded"}
-
-    rows, rules, conjuncts = failure.shrunk.size()
-    assert rows <= 10, failure.shrunk.describe()
-    assert rules == 1, failure.shrunk.describe()
-    assert conjuncts <= 1, failure.shrunk.describe()
-
-    shrunk_report = run_case(failure.shrunk)
-    assert not shrunk_report.ok
-
-    assert failure.regression_path is not None
-    assert failure.regression_path.parent == tmp_path
-    text = failure.regression_path.read_text()
-    assert "run_case" in text and "READS_ROWS" in text
-
-    monkeypatch.delenv(FAULT_ENV)
-    clean_report = run_case(failure.shrunk)
-    assert clean_report.ok, clean_report.summary()
-
-
 def test_fault_flag_off_means_no_fault(monkeypatch) -> None:
     monkeypatch.setenv(FAULT_ENV, "0")
     outcome = run_fuzz(FuzzConfig(seed=SEED, iterations=5))

@@ -1,17 +1,16 @@
-"""Encoded columnar execution: representation pins and parity.
+"""One column representation in the executor, dictionaries on disk only.
 
-Four layers of coverage for the ``REPRO_ENCODE`` knob:
+``REPRO_ENCODE`` / ``Database(encode=...)`` choose the heap-page layout
+of a disk database and nothing else. Coverage here:
 
-- unit pins for :class:`DictColumn` / :class:`RLEColumn` /
-  ``encode_column`` (round-trips, the NULL slot, sorted-dictionary
-  bisects, float negative-zero distinctness, the append/extend
-  protocol);
-- the acceptance parity matrix — rows AND the full EXPLAIN ANALYZE
-  render byte-identical between ``encode=True`` and ``encode=False``
-  for every batch-size × storage combination;
-- the exact-NDV satellite: a warm dictionary turns the append-patch
-  ndv from a lower bound into an exact count, without losing the
-  in-place patch (no re-analyze);
+- the parity matrix — batch size × storage: every batch size returns the
+  scalar executor's rows, and a disk database returns the memory
+  database's rows AND EXPLAIN ANALYZE render byte for byte, whichever
+  layout its heap pages took;
+- the invariant that replaces the encode axis: every column of every
+  batch any physical operator yields is a plain ``list``;
+- the append-patch ndv staying the outside-``[min, max]`` lower bound,
+  patched in place (no re-analyze);
 - the ``storage stat`` CLI footprint report shape;
 - the per-storage ``encode`` override surviving a page's round trip
   through disk (a re-read page is topped up under the storage's flag,
@@ -26,89 +25,7 @@ import pytest
 from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.storage.__main__ import stat
 from repro.minidb.storage.page import KIND_HEAP, KIND_HEAP_DICT, decode_page
-from repro.minidb.vector import (
-    DictColumn,
-    RLEColumn,
-    encode_column,
-    forced_batch_size,
-    forced_encoding,
-)
-
-
-class TestDictColumn:
-    def test_round_trip_and_null_slot(self):
-        source = ["b", None, "a", "b", "a", None]
-        column = encode_column(source)
-        assert isinstance(column, DictColumn)
-        assert column.values[0] is None  # code 0 reserved for NULL
-        assert column.decode() == source
-        assert list(column) == source
-        assert [column[i] for i in range(len(source))] == source
-        assert column.distinct_count() == 2
-
-    def test_sorted_dictionary_bisect_compare(self):
-        column = encode_column(["c", "a", None, "b", "c"])
-        assert column.sorted
-        truth = column.map_compare("<=", lambda a, b: a <= b, "b")
-        # One slot per distinct value, not one per row.
-        assert truth.values == [None, True, True, False]
-        assert truth.codes is column.codes  # codes shared, never copied
-        assert truth.decode() == [False, True, None, True, False]
-
-    def test_negative_zero_stays_distinct(self):
-        # The FLOAT codec is bit-exact, so -0.0 == 0.0 must not collapse
-        # into one dictionary slot (decode would flip sign bits).
-        source = [0.0, -0.0, 0.0, -0.0]
-        column = encode_column(source)
-        assert isinstance(column, DictColumn)
-        assert [str(v) for v in column.decode()] == [str(v) for v in source]
-
-    def test_extend_from_appends_without_reencoding(self):
-        source = ["a", "c", "a"]
-        column = encode_column(source)
-        old_codes = list(column.codes)
-        source += ["b", "c", None]
-        column.extend_from(source, 3)
-        assert column.codes[:3] == old_codes  # history untouched
-        assert column.decode() == source
-        assert column.distinct_count() == 3
-        assert not column.sorted  # "b" arrived after "c"
-
-    def test_take_preserves_dictionary(self):
-        column = encode_column(["x", "y", None, "x"])
-        taken = column.take([3, 2, 0])
-        assert taken.decode() == ["x", None, "x"]
-        assert taken.values is column.values
-
-
-class TestRLEColumn:
-    def test_round_trip_and_runs(self):
-        source = ["a", "a", "a", None, None, "b"]
-        column = RLEColumn.from_values(source)
-        assert column.decode() == source
-        assert list(column.runs()) == [(0, 3, "a"), (3, 2, None),
-                                       (5, 1, "b")]
-
-    def test_encoder_picks_rle_for_clustered_data(self):
-        source = [f"L{i // 50}" for i in range(300)]
-        column = encode_column(source)
-        assert isinstance(column, RLEColumn)
-        assert column.decode() == source
-        assert len(list(column.runs())) == 6
-
-    def test_map_compare_once_per_run(self):
-        column = RLEColumn.from_values([5, 5, 5, 9, 9, None])
-        truth = column.map_compare("<", lambda a, b: a < b, 7)
-        assert truth.decode() == [True, True, True, False, False, None]
-
-    def test_extend_from_merges_trailing_run(self):
-        source = [1, 1, 2]
-        column = RLEColumn.from_values(source)
-        source = source + [2, 2, 3]
-        column.extend_from(source, 3)
-        assert column.decode() == source
-        assert list(column.runs()) == [(0, 2, 1), (2, 3, 2), (5, 1, 3)]
-
+from repro.minidb.vector import forced_batch_size
 
 READS_SCHEMA = TableSchema.of(
     ("id", SqlType.INTEGER), ("tag", SqlType.VARCHAR),
@@ -121,8 +38,8 @@ DIM_SCHEMA = TableSchema.of(
 def _reads_rows(count=300):
     rng = random.Random(7)
     return [(i,
-             f"t{rng.randrange(7)}",          # scattered -> dictionary
-             f"L{i // 50}",                   # clustered -> RLE
+             f"t{rng.randrange(7)}",          # scattered, 7 distinct
+             f"L{i // 50}",                   # clustered runs of 50
              None if rng.random() < 0.1 else rng.randrange(50))
             for i in range(count)]
 
@@ -142,12 +59,12 @@ PARITY_QUERIES = [
 ]
 
 
-def _build(encode, storage, path):
+def _build(storage, path=None, encode=None):
     if storage == "disk":
         db = Database(storage="disk", storage_path=str(path),
                       encode=encode)
     else:
-        db = Database(encode=encode)
+        db = Database(storage="memory")
     db.create_table("reads", READS_SCHEMA)
     db.load("reads", _reads_rows())
     db.create_table("dim", DIM_SCHEMA)
@@ -167,69 +84,90 @@ def _observe(db, batch_size):
 
 
 class TestEncodedParityMatrix:
-    """The acceptance matrix: encoding must be invisible everywhere.
+    """The acceptance matrix: batch size × storage.
 
-    For each batch × storage combination the encoded database must
-    produce byte-identical rows AND an identical EXPLAIN ANALYZE render
-    (operator labels and actual row counts) to the plain one.
+    Rows never depend on the batch size; rows and the EXPLAIN ANALYZE
+    render (operator labels and actual row counts) never depend on
+    where the table lives, nor on the layout its heap pages took.
     """
 
     @pytest.mark.parametrize("storage", ["memory", "disk"])
     def test_rows_and_explain_identical(self, tmp_path, storage):
-        encoded = _build(True, storage, tmp_path / "enc")
-        plain = _build(False, storage, tmp_path / "plain")
+        memory = _build("memory")
+        subjects = []
+        if storage == "disk":
+            subjects = [_build("disk", tmp_path / "dict", encode=True),
+                        _build("disk", tmp_path / "plain", encode=False)]
         try:
+            scalar_rows = [rows for rows, _ in _observe(memory, 0)]
             # Scalar vs batch EXPLAIN counters legitimately differ
-            # (early-out under Limit), so parity is asserted encoded
-            # vs plain *within* each batch size, never across sizes.
+            # (early-out under Limit), so the render is compared
+            # *within* each batch size, never across sizes.
             for batch_size in (0, 1, 7):
-                assert (_observe(encoded, batch_size)
-                        == _observe(plain, batch_size)), (
-                    f"encoding visible at batch size {batch_size}")
+                expected = _observe(memory, batch_size)
+                assert [rows for rows, _ in expected] == scalar_rows, (
+                    f"rows changed at batch size {batch_size}")
+                for db in subjects:
+                    assert _observe(db, batch_size) == expected, (
+                        f"{storage} visible at batch size {batch_size}")
         finally:
-            encoded.shutdown()
-            plain.shutdown()
+            for db in subjects:
+                db.shutdown()
+
+
+class TestBatchColumnsArePlainLists:
+    """``RowBatch.columns`` holds plain lists, at every operator.
+
+    The executor has one column representation; an operator that hands
+    out anything else (a lazily decoded view, a code array) would bring
+    back per-kernel type dispatch.
+    """
+
+    @pytest.mark.parametrize("storage", ["memory", "disk"])
+    @pytest.mark.parametrize("sql", PARITY_QUERIES,
+                             ids=["range-agg", "group", "join", "top-n"])
+    def test_every_operator_yields_lists(self, tmp_path, storage, sql):
+        db = _build(storage, tmp_path / "db")
+        try:
+            checked = 0
+            for node in db.plan(sql).walk():
+                for batch in node.batches(7):
+                    checked += 1
+                    assert [type(column) for column in batch.columns] \
+                        == [list] * len(node.schema), node.label()
+            assert checked, "no operator emitted a batch"
+        finally:
+            db.shutdown()
 
 
 class TestExactNdvFromDictionary:
-    """Satellite 1: the append patch reads exact ndv off a warm
-    dictionary instead of keeping the outside-range lower bound."""
+    """The append patch keeps ndv as the outside-range lower bound,
+    whether or not a query has scanned the table since it was loaded."""
 
     SCHEMA = TableSchema.of(("id", SqlType.INTEGER),
                             ("tag", SqlType.VARCHAR))
     ROWS = [(i, f"t{'abcde'[i % 5]}") for i in range(40)]
     #: In range (ta .. te), previously unseen: the lower-bound patch
-    #: cannot see it, the dictionary cannot miss it.
+    #: cannot see it.
     APPEND = [(40, "tcc"), (41, "ta")]
 
-    def _patched_ndv(self, encode):
-        # Memory storage pinned: disk scans stream pages around the
-        # columnar cache, so a query there would never warm the
-        # dictionary this test relies on.
-        with forced_encoding(encode):
-            db = Database(storage="memory", encode=encode)
-            db.create_table("t", self.SCHEMA)
-            db.load("t", self.ROWS)
-            db.analyze("t")
-            with forced_batch_size(64):
-                db.execute("select count(*) as n from t where tag >= 'ta'")
-            patches_before = db.stats.patches
-            db.append("t", self.APPEND)
-            assert db.stats.patches == patches_before + 1, (
-                "append must patch stats in place, not re-analyze")
-            return db.stats.get("t").column("tag").ndv
-
     def test_warm_dictionary_makes_append_ndv_exact(self):
-        # Plain columns: "tcc" falls inside [ta, te], so the patch can
-        # only keep the stale lower bound.
-        assert self._patched_ndv(encode=False) == 5
-        # A warm dictionary has deduplicated every value ever appended:
-        # the patch reports the exact distinct count.
-        assert self._patched_ndv(encode=True) == 6
+        db = Database(storage="memory")
+        db.create_table("t", self.SCHEMA)
+        db.load("t", self.ROWS)
+        db.analyze("t")
+        with forced_batch_size(64):
+            db.execute("select count(*) as n from t where tag >= 'ta'")
+        patches_before = db.stats.patches
+        db.append("t", self.APPEND)
+        assert db.stats.patches == patches_before + 1, (
+            "append must patch stats in place, not re-analyze")
+        # "tcc" falls inside [ta, te], so the patch keeps the bound.
+        assert db.stats.get("t").column("tag").ndv == 5
 
 
 class TestStorageStatFootprint:
-    """Satellite 2: the stat CLI reports encoded vs plain bytes."""
+    """The stat CLI reports stored vs row-major bytes per table."""
 
     def _stat_lines(self, path, encode):
         db = Database(storage="disk", storage_path=str(path),

@@ -10,12 +10,9 @@ from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.sqlparse import parse_expression
 from repro.minidb.vector import (
     DEFAULT_BATCH_SIZE,
-    DictColumn,
-    RLEColumn,
     RowBatch,
     batch_execution_enabled,
     configured_batch_size,
-    encode_column,
     forced_batch_size,
 )
 
@@ -85,18 +82,8 @@ def _resolver():
     return resolve
 
 
-def _encoded_batch() -> RowBatch:
-    """ROWS with dictionary-encoded a and b and a run-length s."""
-    a, b, s = (list(column) for column in zip(*ROWS))
-    batch = RowBatch([encode_column(a), encode_column(b),
-                      RLEColumn.from_values(s)], len(ROWS))
-    assert isinstance(batch.columns[0], DictColumn)
-    return batch
-
-
 class TestBatchExpressionParity:
-    """bind_batch must agree with bind, value for value, NULLs included,
-    over plain and over encoded input columns."""
+    """bind_batch must agree with bind, value for value, NULLs included."""
 
     EXPRESSIONS = [
         "a", "42", "a + b", "a - 1", "b * 2", "a / 2",
@@ -132,7 +119,6 @@ class TestBatchExpressionParity:
         batch_bound = expr.bind_batch(resolver)
         expected = [bound(row) for row in ROWS]
         assert batch_bound(RowBatch.from_rows(ROWS, 3)) == expected
-        assert list(batch_bound(_encoded_batch())) == expected
 
     @pytest.mark.parametrize("text", EXPRESSIONS)
     def test_matches_scalar_bind(self, text):

@@ -8,8 +8,10 @@ found by the benchmark pipeline, not by ``pytest``.
 
 from __future__ import annotations
 
+import warnings
 from collections import defaultdict
 
+from repro import knobs
 from repro.minidb.vector import encode_stats, materialize
 
 from tests.conftest import make_reads_db
@@ -40,3 +42,26 @@ def test_bench_modules_import_and_count_an_executed_plan():
     assert set(counts) == COUNTER_KEYS
     assert counts["exec.rows_emitted"] > 0
     assert counts["exec.rows_sorted"] == 15
+    # Stubs: the executor has no encoded columns to count or decode.
+    assert counts["exec.encoded_columns"] == 0
+    assert counts["exec.decode_fallbacks"] == 0
+
+
+def test_encode_stats_is_two_zeros_and_bytes_saved():
+    encoded_columns, decode_fallbacks, bytes_saved = encode_stats()
+    assert (encoded_columns, decode_fallbacks) == (0, 0)
+    assert isinstance(bytes_saved, int) and bytes_saved >= 0
+
+
+def test_waterfall_batch_leg_knob_stays_known(monkeypatch):
+    """The waterfall's ``batch`` leg sets ``REPRO_ENCODE=0``; the knob
+    still exists (it picks the heap-page layout on disk), so the leg
+    must not trip ``UnknownKnobWarning``."""
+    import bench.worker as worker
+
+    assert dict(worker.WATERFALL)["batch"] == {"REPRO_ENCODE": "0"}
+    monkeypatch.setenv("REPRO_ENCODE", "0")
+    monkeypatch.setattr(knobs, "_validated", False)  # restored afterwards
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert knobs.validate_environment(force=True) == []
