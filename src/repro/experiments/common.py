@@ -16,12 +16,12 @@ process, mirroring the paper's four pre-loaded databases db-10..db-40.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
 from repro.datagen import GeneratorConfig
 from repro.errors import RewriteError
+from repro.knobs import int_knob
 from repro.workloads import STANDARD_RULE_ORDER, Workbench
 
 __all__ = ["ExperimentSettings", "QueryTimings", "workbench_for",
@@ -40,7 +40,8 @@ class ExperimentSettings:
     over proportionally fewer rows. Override with REPRO_SCALE.
     """
 
-    scale: int = int(os.environ.get("REPRO_SCALE", "24"))
+    scale: int = field(
+        default_factory=lambda: int_knob("REPRO_SCALE", 24, 1))
     anomaly_percent: float = 10.0
     seed: int = 20060912
 

@@ -1,14 +1,16 @@
 """Registry of every ``REPRO_*`` environment knob the library reads.
 
 Knobs are plain environment variables scattered across subsystems
-(vectorization, storage, the server, the bench harness). A typo —
+(vectorization, storage, the server, the experiments CLI). A typo —
 ``REPRO_BATCHSIZE=0`` instead of ``REPRO_BATCH_SIZE=0`` — used to
 silently configure nothing; :func:`validate_environment` makes
 it fail loudly instead: any ``REPRO_``-prefixed variable not in
 :data:`KNOWN_KNOBS` triggers a one-shot :class:`UnknownKnobWarning`.
 
 The check runs automatically on the first ``Database`` construction and
-at server startup. Tests promote the warning to an error via pytest's
+at server startup. The same failure for a *value* — ``REPRO_BUFFER_PAGES=1k``
+— is caught by :func:`int_knob`, the one parser every integer knob goes
+through. Tests promote the warning to an error via pytest's
 ``filterwarnings``, so a typo'd knob in CI or a test environment is a
 hard failure, not a silently-default run.
 """
@@ -18,11 +20,13 @@ from __future__ import annotations
 import os
 import warnings
 
-__all__ = ["KNOWN_KNOBS", "UnknownKnobWarning", "validate_environment"]
+__all__ = ["KNOWN_KNOBS", "UnknownKnobWarning", "int_knob",
+           "validate_environment"]
 
 
 class UnknownKnobWarning(UserWarning):
-    """An environment variable looks like a repro knob but is not one."""
+    """An environment variable looks like a repro knob but is not one,
+    or is one whose value cannot be parsed."""
 
 
 #: Every recognised knob, with a one-line summary (kept in sync with the
@@ -42,8 +46,6 @@ KNOWN_KNOBS: dict[str, str] = {
     "REPRO_ZONE_PRUNE": "zone-map scan pruning (default on)",
     "REPRO_STORAGE_CRASH": "crash-injection fault point name",
     "REPRO_FUZZ_INJECT_BUG": "fuzz-oracle self-test fault name",
-    "REPRO_BENCH_SCALE": "benchmark dataset scale factor",
-    "REPRO_BENCH_SMOKE": "shrink benchmarks to CI smoke size",
     "REPRO_SERVE_WORKERS": "server executor workers (0 = threads only)",
     "REPRO_SERVE_INFLIGHT": "server max in-flight queries before shed",
     "REPRO_SERVE_SESSION_DEPTH": "per-session outstanding-request limit",
@@ -82,6 +84,29 @@ def validate_environment(*, force: bool = False) -> list[str]:
             + " — see repro.knobs.KNOWN_KNOBS for the recognised set",
             UnknownKnobWarning, stacklevel=2)
     return unknown
+
+
+def int_knob(name: str, default: int, minimum: int,
+             maximum: int | None = None) -> int:
+    """Integer knob *name*, clamped to ``[minimum, maximum]``.
+
+    Unset or blank yields *default*. A value that is not an integer
+    also yields *default*, after an :class:`UnknownKnobWarning` naming
+    the variable and the value. The environment is read on every call:
+    ``forced_batch_size`` and the fuzz oracle change it mid-process.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        warnings.warn(
+            f"{name}={raw!r} is not an integer; using the default "
+            f"{default}", UnknownKnobWarning, stacklevel=3)
+        return default
+    value = max(minimum, value)
+    return value if maximum is None else min(maximum, value)
 
 
 def _closest_knob(name: str) -> str | None:

@@ -35,6 +35,7 @@ import tempfile
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import StorageError
+from repro.knobs import int_knob
 from repro.minidb.storage import faults, wal as walmod
 from repro.minidb.storage.btree import (
     BTreeBackedIndex,
@@ -72,13 +73,7 @@ _WAL = "wal.log"
 
 
 def configured_checkpoint_bytes() -> int:
-    env = os.environ.get("REPRO_WAL_LIMIT")
-    if env is None:
-        return DEFAULT_CHECKPOINT_BYTES
-    try:
-        return max(1, int(env.strip()))
-    except ValueError:
-        return DEFAULT_CHECKPOINT_BYTES
+    return int_knob("REPRO_WAL_LIMIT", DEFAULT_CHECKPOINT_BYTES, 1)
 
 
 def encode_enabled() -> bool:

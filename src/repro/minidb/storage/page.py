@@ -31,11 +31,11 @@ page, and recovery never reads it.
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 
 from repro.errors import StorageCorruptionError, StorageError
+from repro.knobs import int_knob
 
 __all__ = [
     "DEFAULT_PAGE_SIZE",
@@ -73,13 +73,7 @@ _HEADER = struct.Struct(">2sBBHHI")
 
 def configured_page_size() -> int:
     """Page size from ``REPRO_PAGE_SIZE`` (default 4096, min 128)."""
-    env = os.environ.get("REPRO_PAGE_SIZE")
-    if env is None:
-        return DEFAULT_PAGE_SIZE
-    try:
-        return max(128, int(env.strip()))
-    except ValueError:
-        return DEFAULT_PAGE_SIZE
+    return int_knob("REPRO_PAGE_SIZE", DEFAULT_PAGE_SIZE, 128)
 
 
 def cell_capacity(page_size: int) -> int:

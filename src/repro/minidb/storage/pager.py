@@ -28,6 +28,7 @@ import os
 from typing import Any, Callable
 
 from repro.errors import StorageError
+from repro.knobs import int_knob
 from repro.minidb.storage import faults
 from repro.minidb.storage.page import decode_page, encode_page
 
@@ -37,30 +38,15 @@ __all__ = ["DEFAULT_BUFFER_PAGES", "Frame", "Pager",
 #: Default pool capacity: 256 pages (1 MiB at the default page size).
 DEFAULT_BUFFER_PAGES = 256
 
-#: Environment knob: pages to prefetch ahead of a sequential read run.
-READAHEAD_ENV = "REPRO_READAHEAD"
-
 
 def configured_buffer_pages() -> int:
     """Pool capacity from ``REPRO_BUFFER_PAGES`` (min 4)."""
-    env = os.environ.get("REPRO_BUFFER_PAGES")
-    if env is None:
-        return DEFAULT_BUFFER_PAGES
-    try:
-        return max(4, int(env.strip()))
-    except ValueError:
-        return DEFAULT_BUFFER_PAGES
+    return int_knob("REPRO_BUFFER_PAGES", DEFAULT_BUFFER_PAGES, 4)
 
 
 def configured_readahead() -> int:
     """Readahead window from ``REPRO_READAHEAD`` (0 = off, max 256)."""
-    env = os.environ.get(READAHEAD_ENV)
-    if env is None:
-        return 0
-    try:
-        return min(256, max(0, int(env.strip())))
-    except ValueError:
-        return 0
+    return int_knob("REPRO_READAHEAD", 0, 0, 256)
 
 
 class Frame:

@@ -34,6 +34,8 @@ import contextlib
 import os
 from typing import Any, Iterator, Sequence
 
+from repro.knobs import int_knob
+
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "RowBatch",
@@ -53,13 +55,7 @@ DEFAULT_BATCH_SIZE = 1024
 
 def configured_batch_size() -> int:
     """Batch size from ``REPRO_BATCH_SIZE``; 0 disables batch execution."""
-    env = os.environ.get("REPRO_BATCH_SIZE", "").strip()
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            return DEFAULT_BATCH_SIZE
-    return DEFAULT_BATCH_SIZE
+    return int_knob("REPRO_BATCH_SIZE", DEFAULT_BATCH_SIZE, 0)
 
 
 def batch_execution_enabled() -> bool:

@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
-import queue
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Sequence
 
+from repro.knobs import int_knob
 from repro.minidb.engine import Database, PreparedPlanCache
 from repro.rewrite.engine import DeferredCleansingEngine
 from repro.sqlts.registry import RuleRegistry
@@ -60,11 +59,7 @@ class QueryFailed(Exception):
 def configured_serve_workers() -> int:
     """``REPRO_SERVE_WORKERS``: process-executor worker count
     (0 or 1 selects the thread executor)."""
-    raw = os.environ.get("REPRO_SERVE_WORKERS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
+    return int_knob("REPRO_SERVE_WORKERS", 0, 0)
 
 
 def make_executor(database: Database, *,
@@ -285,6 +280,9 @@ class ProcessExecutor:
         self._next_worker = itertools.cycle(range(self.workers))
         self._write_lock = threading.Lock()
         self._closed = False
+        #: First "replica desync" report from a worker. Once set, the
+        #: pool no longer agrees with the parent and answers nothing.
+        self._desync: str | None = None
         self._collector = threading.Thread(
             target=self._collect, name="repro-serve-collect", daemon=True)
         self._collector.start()
@@ -293,7 +291,9 @@ class ProcessExecutor:
 
     def hello(self, session_id: str,
               rules: Sequence[str]) -> "Future[dict[str, Any]]":
-        future: Future = Future()
+        future = self._refusal()
+        if future.done():
+            return future
         try:
             with self._write_lock:
                 if rules:
@@ -312,7 +312,9 @@ class ProcessExecutor:
 
     def query(self, session_id: str, sql: str,
               cleansed: bool = False) -> "Future[dict[str, Any]]":
-        future: Future = Future()
+        future = self._refusal()
+        if future.done():
+            return future
         task_id = next(self._task_ids)
         with self._futures_lock:
             self._futures[task_id] = future
@@ -323,7 +325,9 @@ class ProcessExecutor:
 
     def append(self, table: str,
                rows: list[tuple]) -> "Future[dict[str, Any]]":
-        future: Future = Future()
+        future = self._refusal()
+        if future.done():
+            return future
         try:
             with self._write_lock:
                 appended = self.database.append(table, rows)
@@ -365,6 +369,13 @@ class ProcessExecutor:
 
     # -- internals --------------------------------------------------------
 
+    def _refusal(self) -> Future:
+        """A fresh future, already failed if a replica has desynced."""
+        future: Future = Future()
+        if self._desync is not None:
+            future.set_exception(QueryFailed(self._desync))
+        return future
+
     def _broadcast(self, task: tuple) -> None:
         for task_queue in self._queues:
             task_queue.put(task)
@@ -378,12 +389,19 @@ class ProcessExecutor:
             if task_id is None:
                 # A replica failed a broadcast task; the pool can no
                 # longer be trusted to agree with the parent.
+                if self._desync is None:
+                    self._desync = payload
                 continue
             with self._futures_lock:
                 future = self._futures.pop(task_id, None)
             if future is None:
                 continue
-            if ok:
+            if self._desync is not None:
+                # Queued behind the failed broadcast, or on a sibling
+                # replica whose state the parent can no longer vouch
+                # for: do not answer.
+                future.set_exception(QueryFailed(self._desync))
+            elif ok:
                 future.set_result(payload)
             else:
                 future.set_exception(QueryFailed(payload))

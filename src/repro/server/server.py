@@ -31,7 +31,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
-import os
 import threading
 from typing import Any, Iterator
 
@@ -48,16 +47,6 @@ DEFAULT_SESSION_DEPTH = 8
 
 #: Seconds a shed client should wait before retrying.
 RETRY_AFTER = 0.05
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
 
 
 class _SessionState:
@@ -92,11 +81,11 @@ class Server:
         self.executor = make_executor(database, workers=workers,
                                       pool_size=pool_size)
         self.max_inflight = (max_inflight if max_inflight is not None
-                             else _env_int("REPRO_SERVE_INFLIGHT",
-                                           DEFAULT_MAX_INFLIGHT))
+                             else knobs.int_knob("REPRO_SERVE_INFLIGHT",
+                                                 DEFAULT_MAX_INFLIGHT, 1))
         self.session_depth = (session_depth if session_depth is not None
-                              else _env_int("REPRO_SERVE_SESSION_DEPTH",
-                                            DEFAULT_SESSION_DEPTH))
+                              else knobs.int_knob("REPRO_SERVE_SESSION_DEPTH",
+                                                  DEFAULT_SESSION_DEPTH, 1))
         self.host: str | None = None
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None

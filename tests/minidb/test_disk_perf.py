@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.knobs import UnknownKnobWarning
 from repro.minidb.engine import Database
 from repro.minidb.schema import TableSchema
 from repro.minidb.storage.__main__ import main as storage_main, stat
@@ -278,8 +279,9 @@ class TestReadahead:
         with _open(tmp_path / "db") as db:
             assert db.storage.pager.readahead == 16
         monkeypatch.setenv("REPRO_READAHEAD", "junk")
-        with _open(tmp_path / "db2") as db:
-            assert db.storage.pager.readahead == 0
+        with pytest.warns(UnknownKnobWarning, match="REPRO_READAHEAD"):
+            with _open(tmp_path / "db2") as db:
+                assert db.storage.pager.readahead == 0
 
 
 class TestGroupCommit:
@@ -306,6 +308,17 @@ class TestGroupCommit:
             assert wal.commits > 30
             assert wal.syncs < wal.commits // 2
             assert wal.group_syncs > 0
+
+    def test_without_group_commit_every_commit_fsyncs(self, tmp_path):
+        with _open(tmp_path / "db") as db:
+            db.create_table("reads", SCHEMA)
+            db.load("reads", _rows(10))
+            for ordinal in range(8):
+                db.append("reads", _rows(5, 100 + ordinal * 5))
+            wal = db.storage.wal
+            assert not wal.group_enabled
+            assert wal.syncs >= wal.commits > 8
+            assert wal.group_syncs == 0
 
     def test_pending_commits_durable_across_clean_shutdown(self, tmp_path):
         path = tmp_path / "db"

@@ -6,6 +6,7 @@ operator-by-operator EXPLAIN ANALYZE diff), and the batch metrics.
 
 import pytest
 
+from repro.knobs import UnknownKnobWarning
 from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.sqlparse import parse_expression
 from repro.minidb.vector import (
@@ -47,23 +48,16 @@ class TestRowBatch:
         # source columns untouched
         assert batch.columns == [[1, 2, 3], ["a", "b", "c"]]
 
-    def test_configured_size_knob(self):
+    def test_configured_size_knob(self, monkeypatch):
         with forced_batch_size(0):
             assert configured_batch_size() == 0
             assert not batch_execution_enabled()
         with forced_batch_size(17):
             assert configured_batch_size() == 17
             assert batch_execution_enabled()
-        import os
-        saved = os.environ.get("REPRO_BATCH_SIZE")
-        os.environ["REPRO_BATCH_SIZE"] = "junk"
-        try:
+        monkeypatch.setenv("REPRO_BATCH_SIZE", "junk")
+        with pytest.warns(UnknownKnobWarning, match="REPRO_BATCH_SIZE"):
             assert configured_batch_size() == DEFAULT_BATCH_SIZE
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_BATCH_SIZE", None)
-            else:
-                os.environ["REPRO_BATCH_SIZE"] = saved
 
 
 SCHEMA = TableSchema.of(("a", SqlType.INTEGER), ("b", SqlType.INTEGER),
@@ -271,6 +265,15 @@ class TestBatchMetrics:
         assert metrics.selection_density == pytest.approx(6 / 12)
         assert any(label.startswith("SeqScan")
                    for label, _ in metrics.operator_rows)
+
+    def test_batch_size_one_emits_a_batch_per_row(self, db):
+        """The degenerate size pays one chunk per stored row and stays
+        correct (``test_all_batch_sizes_agree`` holds the rows)."""
+        with forced_batch_size(1):
+            db.plan_cache.clear()
+            _, metrics = db.execute_with_metrics(
+                "select k from t where v > 10")
+        assert metrics.batches >= metrics.filter_input_rows == 12
 
     def test_scalar_mode_reports_zero_batches(self, db):
         with forced_batch_size(0):

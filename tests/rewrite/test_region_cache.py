@@ -176,13 +176,13 @@ class TestRegionCacheHits:
         assert len(cached.region_cache) == 0
 
     def test_disabled_cache_has_no_region_cache(self):
-        db = Database()
-        db.create_table("r", SCHEMA)
-        registry = RuleRegistry()
-        registry.define(RULES["duplicate"])
-        engine = DeferredCleansingEngine(db, registry,
-                                         cache=CacheOptions(enabled=False))
-        assert engine.region_cache is None
+        db, _, plain = make_engines(ROWS, ("duplicate",))
+        disabled = DeferredCleansingEngine(
+            db, plain.registry, cache=CacheOptions(enabled=False))
+        assert disabled.region_cache is None
+        sql = q("rtime <= 300")
+        assert sorted(disabled.execute(sql).rows) == \
+            sorted(plain.execute(sql).rows)
 
 
 def _cache_db():

@@ -29,6 +29,21 @@ class TestSortSharing:
             sql, strategies={"expanded"})
         assert metrics.sort_operators == 1
 
+    def test_disabling_order_sharing_adds_sorts(self, bench):
+        from repro.minidb import PlannerOptions
+        from repro.minidb.engine import ExecutionMetrics
+
+        result = bench.engine.rewrite(bench.q1(0.10),
+                                      strategies={"expanded"})
+        sorts = {}
+        for sharing in (True, False):
+            plan = bench.database.plan(
+                result.chosen.logical,
+                PlannerOptions(order_sharing=sharing))
+            list(plan.rows())
+            sorts[sharing] = ExecutionMetrics.from_plan(plan).sort_operators
+        assert sorts[True] == 1 < sorts[False]
+
     def test_naive_also_shares_but_sorts_everything(self, bench):
         sql = bench.q1(0.10)
         _, expanded, _ = bench.engine.execute_with_metrics(
@@ -65,6 +80,35 @@ class TestRowReduction:
         scans = [node for node in result.physical.walk()
                  if node.label().startswith("SeqScan(caser)")]
         assert scans and scans[0].actual_rows == table_rows
+
+
+class TestJoinBack:
+    def test_ec_reduces_joined_back_rows(self, bench):
+        """§5.3's improved join-back pulls back only the rows passing
+        ec; the plain variant pulls back whole sequences."""
+        from repro.rewrite.strategies import joinback_subplan
+
+        result = bench.engine.rewrite(bench.q1(0.10),
+                                      strategies={"joinback"})
+        rules = bench.registry.rules_for("caser")
+
+        def rows_with(ec):
+            subplan = joinback_subplan(
+                bench.database, bench.registry, rules, "caser",
+                result.context.s_conjuncts, ec)
+            return len(bench.database.execute(subplan))
+
+        assert 0 < rows_with(result.analysis.ec_conjuncts) < rows_with(None)
+
+    def test_dimension_pushdown_candidates_are_ranked(self, bench):
+        """The enumeration covers push-none up to push-all dimensions
+        for both rewrites, and the cost minimum is the one chosen."""
+        result = bench.engine.rewrite(bench.q2(0.40))
+        labels = [candidate.label for candidate in result.candidates]
+        assert {"naive", "expanded", "expanded+1dims", "joinback",
+                "joinback+1dims"} <= set(labels)
+        best = min(result.candidates, key=lambda c: c.cost)
+        assert result.chosen.label == best.label
 
 
 class TestPersistedTemplates:

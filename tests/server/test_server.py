@@ -15,8 +15,9 @@ import time
 import pytest
 
 from repro.minidb import Database, SqlType, TableSchema
-from repro.server import (ProcessExecutor, ServerBusy, ServerClient,
-                          ServerError, ThreadExecutor, serve_loopback)
+from repro.server import (ProcessExecutor, QueryFailed, ServerBusy,
+                          ServerClient, ServerError, ThreadExecutor,
+                          serve_loopback)
 from repro.server import protocol
 
 READS = TableSchema.of(
@@ -341,3 +342,25 @@ class TestProcessExecutor:
                         "select count(*) as n from reads",
                         cleansed=True).scalar()
                     assert cleansed == 2
+
+    def test_failed_broadcast_stops_the_pool_answering(self):
+        """A replica that could not apply a replicated append no longer
+        agrees with the parent: nothing is answered after that."""
+        executor = ProcessExecutor(make_db(), 2)
+        try:
+            executor._broadcast(("append", "no_such_table", [(1,)]))
+            # Both queries sit behind the failed append in their
+            # replica's FIFO queue.
+            queued = [executor.query("s", "select count(*) as n from reads")
+                      for _ in range(2)]
+            for future in queued:
+                with pytest.raises(QueryFailed, match="replica desync"):
+                    future.result(timeout=30)
+            # The latch is set now: refused without reaching a replica.
+            for future in (executor.query("s", "select 1 as n from reads"),
+                           executor.append("reads", _rows(1, start=900)),
+                           executor.hello("s2", [])):
+                with pytest.raises(QueryFailed, match="replica desync"):
+                    future.result(timeout=0)
+        finally:
+            executor.shutdown()

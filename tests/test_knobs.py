@@ -7,7 +7,17 @@ import warnings
 import pytest
 
 from repro import knobs
+from repro.experiments import ExperimentSettings
 from repro.minidb import Database
+from repro.minidb.storage.backend import configured_checkpoint_bytes
+from repro.minidb.storage.page import configured_page_size
+from repro.minidb.storage.pager import (
+    configured_buffer_pages,
+    configured_readahead,
+)
+from repro.minidb.vector import configured_batch_size
+from repro.server.executor import configured_serve_workers
+from repro.server.server import Server
 
 
 @pytest.fixture
@@ -74,4 +84,56 @@ def test_registry_matches_readme():
               / "README.md").read_text(encoding="utf-8")
     missing = [name for name in knobs.KNOWN_KNOBS if name not in readme]
     assert not missing, f"knobs undocumented in README: {missing}"
-    assert len(knobs.KNOWN_KNOBS) == 18
+    assert len(knobs.KNOWN_KNOBS) == 16
+
+
+def _server_limits(field):
+    def read():
+        server = Server(Database(storage="memory"))
+        try:
+            return getattr(server, field)
+        finally:
+            server.executor.shutdown()
+    return read
+
+
+def _experiment_scale():
+    return ExperimentSettings().scale
+
+
+#: Every integer knob: (variable, reader, default, minimum, maximum).
+#: The readers keep their names because ``bench/`` and tests import
+#: them; the parsing is ``knobs.int_knob`` for all of them.
+INT_KNOBS = [
+    ("REPRO_SCALE", _experiment_scale, 24, 1, None),
+    ("REPRO_BATCH_SIZE", configured_batch_size, 1024, 0, None),
+    ("REPRO_PAGE_SIZE", configured_page_size, 4096, 128, None),
+    ("REPRO_WAL_LIMIT", configured_checkpoint_bytes, 1 << 20, 1, None),
+    ("REPRO_BUFFER_PAGES", configured_buffer_pages, 256, 4, None),
+    ("REPRO_READAHEAD", configured_readahead, 0, 0, 256),
+    ("REPRO_SERVE_WORKERS", configured_serve_workers, 0, 0, None),
+    ("REPRO_SERVE_INFLIGHT", _server_limits("max_inflight"), 8, 1, None),
+    ("REPRO_SERVE_SESSION_DEPTH", _server_limits("session_depth"),
+     8, 1, None),
+]
+
+
+@pytest.mark.parametrize("name, read, default, minimum, maximum",
+                         INT_KNOBS, ids=[row[0] for row in INT_KNOBS])
+def test_integer_knob_default_clamps_and_junk(monkeypatch, name, read,
+                                              default, minimum, maximum):
+    monkeypatch.delenv(name, raising=False)
+    assert read() == default
+    monkeypatch.setenv(name, " ")
+    assert read() == default  # blank is unset, silently
+    monkeypatch.setenv(name, str(minimum + 3))
+    assert read() == minimum + 3
+    monkeypatch.setenv(name, str(minimum - 5))
+    assert read() == minimum
+    monkeypatch.setenv(name, str(10 ** 9))
+    assert read() == (10 ** 9 if maximum is None else maximum)
+    # An unparsable value used to configure the default silently.
+    monkeypatch.setenv(name, "1k")
+    with pytest.warns(knobs.UnknownKnobWarning,
+                      match=f"{name}='1k' is not an integer"):
+        assert read() == default
