@@ -21,9 +21,9 @@ path and diffs canonicalized row bags against the naive strategy
 ``eager``                 materialize Φ_C(R) up front, query the copy
 ``plan-cache``            the eager query re-run through the prepared-
                           plan cache (hit must reproduce the miss)
-``vectorized``            naive re-run under batch execution with a
-                          small odd batch size (stressing chunk
-                          boundaries); metrics must show batches ran
+``reference``             the executor's naive plan at a small odd
+                          batch size (stressing chunk boundaries);
+                          metrics must show batches ran
 ``incremental``           load a prefix, warm the region cache, then
                           interleave ``Database.append`` chunks with
                           queries: after every append the cached
@@ -47,9 +47,13 @@ path and diffs canonicalized row bags against the naive strategy
                           execution path must all preserve the answer
 ========================  =============================================
 
-The baseline itself is computed with batch execution disabled
-(``REPRO_BATCH_SIZE=0``), so every comparison is simultaneously a
-strategy diff and a batch-vs-tuple-at-a-time executor diff.
+The baseline is not the executor's answer: it is the naive rewrite's
+logical plan evaluated by :mod:`repro.fuzz.reference`, tuple at a time,
+with nested-loop joins, ``sorted()`` and a per-row rescan of every
+window frame. That evaluator shares no operator or kernel code with the
+executor, so every comparison is simultaneously a strategy diff and an
+executor-vs-specification diff: a bug in a window kernel that every
+strategy shares (``REPRO_FUZZ_INJECT_BUG=window``) still diverges.
 
 Each label diffs as a bag (duplicates matter); any mismatch — or any
 unexpected exception — becomes a :class:`Divergence`. Errors never
@@ -66,8 +70,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import RewriteError
+from repro.fuzz import reference
 from repro.fuzz.cases import READS_COLUMNS, FuzzCase
 from repro.minidb.engine import Database
+from repro.minidb.result import ResultSet
 from repro.minidb.schema import Column, TableSchema
 from repro.minidb.types import SqlType
 from repro.minidb.vector import forced_batch_size
@@ -82,7 +88,7 @@ __all__ = ["ALL_LABELS", "Divergence", "OracleReport", "run_case",
 #: Every comparison the oracle can run, in execution order.
 ALL_LABELS = ("expanded", "joinback", "chosen", "cached-cold",
               "cached-warm", "cached-invalidated", "eager", "plan-cache",
-              "vectorized", "incremental", "disk", "served")
+              "reference", "incremental", "disk", "served")
 
 _READS_SCHEMA = TableSchema.of(
     ("epc", SqlType.VARCHAR),
@@ -191,11 +197,9 @@ def run_case(case: FuzzCase,
 
     db, registry = build_database(case)
     engine = DeferredCleansingEngine(db, registry)
-    # Genuine tuple-at-a-time interpreted reference: batch execution
-    # pinned off, whatever the ambient env says.
-    with forced_batch_size(0):
-        report.baseline = engine.execute(
-            sql, strategies={"naive"}).canonical()
+    # canonical() orders and compares rows only; names play no part.
+    report.baseline = ResultSet([], reference.cleansed(engine,
+                                                       sql)).canonical()
 
     def compare(label: str, execute: Callable[[], tuple[tuple, ...]],
                 ) -> None:
@@ -290,23 +294,23 @@ def run_case(case: FuzzCase,
 
         compare("plan-cache", plan_cache_hit)
 
-    def vectorized() -> tuple[tuple, ...]:
-        vector_db, vector_registry = build_database(case)
-        vector_engine = DeferredCleansingEngine(vector_db, vector_registry)
+    def executor_naive() -> tuple[tuple, ...]:
+        naive_db, naive_registry = build_database(case)
+        naive_engine = DeferredCleansingEngine(naive_db, naive_registry)
         # Batch size 7: small and odd, so chunk boundaries land mid-way
         # through partitions, join probes, and selection vectors.
         with forced_batch_size(7):
-            result, metrics, _ = vector_engine.execute_with_metrics(
+            result, metrics, _ = naive_engine.execute_with_metrics(
                 sql, strategies={"naive"})
         # An empty result can ride an empty index range that emits no
         # batches at all; only a non-empty result proves batches flowed.
         if result.rows and metrics.batches == 0:
             raise AssertionError(
-                "vectorized strategy executed zero batches — the batch "
-                "path did not run")
+                "reference strategy executed zero batches — the batch "
+                "size did not take effect")
         return result.canonical()
 
-    compare("vectorized", vectorized)
+    compare("reference", executor_naive)
 
     def incremental() -> tuple[tuple, ...]:
         # Streaming replay: load a prefix, warm the region cache, then
@@ -373,9 +377,8 @@ def run_case(case: FuzzCase,
                     disk_registry.define(text)
                 disk_engine = DeferredCleansingEngine(disk_db,
                                                       disk_registry)
-                with forced_batch_size(0):
-                    result = disk_engine.execute(
-                        sql, strategies={"naive"}).canonical()
+                result = disk_engine.execute(
+                    sql, strategies={"naive"}).canonical()
                 counters = disk_db.storage.counters
             finally:
                 disk_db.shutdown()

@@ -2,7 +2,7 @@
 
 Knobs are plain environment variables scattered across subsystems
 (vectorization, storage, the server, the experiments CLI). A typo —
-``REPRO_BATCHSIZE=0`` instead of ``REPRO_BATCH_SIZE=0`` — used to
+``REPRO_BATCHSIZE=64`` instead of ``REPRO_BATCH_SIZE=64`` — used to
 silently configure nothing; :func:`validate_environment` makes
 it fail loudly instead: any ``REPRO_``-prefixed variable not in
 :data:`KNOWN_KNOBS` triggers a one-shot :class:`UnknownKnobWarning`.
@@ -34,8 +34,7 @@ class UnknownKnobWarning(UserWarning):
 #: why it is data, not a comment).
 KNOWN_KNOBS: dict[str, str] = {
     "REPRO_SCALE": "experiments CLI dataset scale factor",
-    "REPRO_BATCH_SIZE": "vectorized batch size (0 = tuple-at-a-time)",
-    "REPRO_VECTOR_FALLBACK": "count batch-kernel scalar fallbacks",
+    "REPRO_BATCH_SIZE": "rows per columnar batch (>= 1, default 1024)",
     "REPRO_ENCODE": "dictionary heap-page layout on disk (default on)",
     "REPRO_STORAGE": "default storage mode: memory or disk",
     "REPRO_BUFFER_PAGES": "buffer-pool capacity in pages",

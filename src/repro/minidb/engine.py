@@ -58,10 +58,9 @@ class ExecutionMetrics:
     #: metrics (filled in by ``Database.execute_with_metrics``).
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    #: Columnar chunks emitted across all operators; 0 when the plan ran
-    #: tuple-at-a-time (``REPRO_BATCH_SIZE=0``). The fuzz oracle's
-    #: ``vectorized`` strategy asserts on this to prove the batch path
-    #: actually executed.
+    #: Columnar chunks emitted across all operators. The fuzz oracle's
+    #: ``reference`` label asserts on this to prove its small batch size
+    #: took effect; 0 only when no operator produced a row.
     batches: int = 0
     #: Rows filter predicates evaluated vs rows that survived, summed
     #: over every FilterOp — their ratio is the selection-vector density.

@@ -4,7 +4,9 @@ Expressions are immutable dataclass trees. They support:
 
 * three-valued evaluation against a row, via :meth:`Expr.bind`, which
   compiles the tree into a closure over column positions (resolved once,
-  evaluated per row);
+  evaluated per row) — the specification of scalar semantics;
+* the same semantics over a whole :class:`RowBatch`, via
+  :meth:`Expr.bind_batch` — what the executor runs;
 * structural equality and hashing (used by the rewrite engine to compare
   and deduplicate conjuncts);
 * traversal (:meth:`Expr.walk`), substitution (:meth:`Expr.substitute`)
@@ -27,7 +29,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import PlanningError, TypeMismatchError
 from repro.minidb.types import sql_and, sql_not, sql_or
-from repro.minidb.vector import RowBatch, vector_fallback_enabled
+from repro.minidb.vector import RowBatch
 
 __all__ = [
     "BatchBound",
@@ -107,15 +109,12 @@ class Expr:
         Returns a callable mapping a :class:`RowBatch` to a list of one
         value per row, with semantics identical to applying the
         :meth:`bind` closure row by row. Nodes with a vectorized kernel
-        override :meth:`_bind_batch_fast`; everything else (and every
-        node under ``REPRO_VECTOR_FALLBACK=1``) falls back to the
-        row-bound closure applied elementwise, which is what makes the
-        fallback a valid differential reference for the kernels.
+        override :meth:`_bind_batch_fast`; everything else applies the
+        row-bound closure elementwise.
         """
-        if not vector_fallback_enabled():
-            fast = self._bind_batch_fast(resolver)
-            if fast is not None:
-                return fast
+        fast = self._bind_batch_fast(resolver)
+        if fast is not None:
+            return fast
         bound = self.bind(resolver)
 
         def elementwise(batch: RowBatch) -> list:
@@ -124,7 +123,8 @@ class Expr:
         return elementwise
 
     def _bind_batch_fast(self, resolver: Resolver) -> BatchBound | None:
-        """Vectorized kernel for this node, or None to use the fallback."""
+        """Vectorized kernel for this node, or None to apply :meth:`bind`
+        elementwise."""
         return None
 
     def children(self) -> Sequence["Expr"]:

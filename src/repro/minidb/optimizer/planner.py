@@ -79,7 +79,6 @@ class PlannerOptions:
 
     use_indexes: bool = True
     order_sharing: bool = True
-    naive_windows: bool = False
     push_filters: bool = True
 
 
@@ -279,8 +278,7 @@ class Planner:
         if not residual:
             return access
         predicate = and_all(residual)
-        bound = predicate.bind(node.schema.resolver())
-        op = FilterOp(access, predicate, bound)
+        op = FilterOp(access, predicate)
         # Conditional selectivity: the index range already enforced part
         # of the predicate, so estimate the residual as
         # P(all conjuncts) / P(index range) rather than multiplying the
@@ -376,10 +374,10 @@ class Planner:
         if isinstance(node.child, LogicalScan):
             return self._lower_scan(node.child, conjuncts)
         child = self._lower(node.child)
-        # Bind against the *physical* child schema: join reordering may
-        # lay fields out differently from the logical child.
-        bound = node.predicate.bind(child.schema.resolver())
-        op = FilterOp(child, node.predicate, bound)
+        # FilterOp binds against the *physical* child schema: join
+        # reordering may lay fields out differently from the logical
+        # child.
+        op = FilterOp(child, node.predicate)
         selectivity = self._estimator.selectivity(node.predicate,
                                                   child.schema)
         op.estimated_rows = max(1.0, child.estimated_rows * selectivity)
@@ -392,15 +390,13 @@ class Planner:
 
     def _lower_project(self, node: LogicalProject) -> PhysicalNode:
         child = self._lower(node.child)
-        resolver = child.schema.resolver()
-        bound_items = [expr.bind(resolver) for expr, _ in node.items]
         passthrough: dict[int, int] = {}
         for out_position, (expr, _) in enumerate(node.items):
             if isinstance(expr, ColumnRef):
                 passthrough[out_position] = child.schema.resolve(
                     expr.qualifier, expr.name)
-        op = ProjectOp(child, node.schema, bound_items, passthrough,
-                       item_exprs=[expr for expr, _ in node.items])
+        op = ProjectOp(child, node.schema,
+                       [expr for expr, _ in node.items], passthrough)
         op.estimated_rows = child.estimated_rows
         op.estimated_cost = (child.estimated_cost
                              + self._cost.project(child.estimated_rows,
@@ -491,26 +487,14 @@ class Planner:
                          kind: str = "inner") -> PhysicalNode:
         schema = left.schema.concat(right.schema)
         if equi_pairs:
-            left_keys = [expr.bind(left.schema.resolver())
-                         for expr, _ in equi_pairs]
-            right_keys = [expr.bind(right.schema.resolver())
-                          for _, expr in equi_pairs]
-            residual_expr = and_all(residuals)
-            bound_residual = (residual_expr.bind(schema.resolver())
-                              if residual_expr is not None else None)
             op: PhysicalNode = HashJoinOp(
-                left, right, schema, left_keys, right_keys, kind,
-                bound_residual, residual_expr,
-                left_key_exprs=[expr for expr, _ in equi_pairs],
-                right_key_exprs=[expr for _, expr in equi_pairs])
+                left, right, schema, [expr for expr, _ in equi_pairs],
+                [expr for _, expr in equi_pairs], kind, and_all(residuals))
             cost = self._cost.hash_join(right.estimated_rows,
                                         left.estimated_rows, 0.0)
         else:
-            condition_expr = and_all(residuals)
-            bound = (condition_expr.bind(schema.resolver())
-                     if condition_expr is not None else None)
-            op = NestedLoopJoinOp(left, right, schema, bound,
-                                  condition_expr, kind)
+            op = NestedLoopJoinOp(left, right, schema, and_all(residuals),
+                                  kind)
             cost = self._cost.nested_loop_join(left.estimated_rows,
                                                right.estimated_rows)
         op.estimated_rows = self._estimate_join_rows(
@@ -565,8 +549,7 @@ class Planner:
             remaining.remove(candidate)
         if remaining_predicates:
             predicate = and_all(remaining_predicates)
-            bound = predicate.bind(current.schema.resolver())
-            filtered = FilterOp(current, predicate, bound)
+            filtered = FilterOp(current, predicate)
             selectivity = self._estimator.selectivity(predicate,
                                                       current.schema)
             filtered.estimated_rows = max(
@@ -602,8 +585,7 @@ class Planner:
     def _lower_semi_join(self, node: LogicalSemiJoin) -> PhysicalNode:
         left = self._lower(node.left)
         right = self._lower(node.right)
-        bound = node.left_expr.bind(left.schema.resolver())
-        op = SemiJoinOp(left, right, node.left_expr, bound, node.negated)
+        op = SemiJoinOp(left, right, node.left_expr, node.negated)
         fraction = 0.5
         if isinstance(node.left_expr, ColumnRef):
             ndv = self._column_ndv(node.left_expr, node.left.schema)
@@ -621,17 +603,10 @@ class Planner:
 
     def _lower_aggregate(self, node: LogicalAggregate) -> PhysicalNode:
         child = self._lower(node.child)
-        resolver = child.schema.resolver()
-        group_keys = [expr.bind(resolver) for expr, _ in node.group]
-        specs = []
-        for call, _ in node.aggregates:
-            argument = (call.argument.bind(resolver)
-                        if call.argument is not None else None)
-            specs.append((call.name, argument, call.distinct))
-        op = AggregateOp(child, node.schema, group_keys, specs,
-                         group_exprs=[expr for expr, _ in node.group],
-                         argument_exprs=[call.argument
-                                         for call, _ in node.aggregates])
+        specs = [(call.name, call.argument, call.distinct)
+                 for call, _ in node.aggregates]
+        op = AggregateOp(child, node.schema,
+                         [expr for expr, _ in node.group], specs)
         group_rows = 1.0
         for expr, _ in node.group:
             ndv = (self._column_ndv(expr, node.child.schema)
@@ -666,17 +641,10 @@ class Planner:
 
     def _lower_window(self, node: LogicalWindow) -> PhysicalNode:
         child = self._lower(node.child)
-        resolver = child.schema.resolver()
-        partition_keys = [expr.bind(resolver) for expr in node.partition_by]
-        order_keys = [(spec.expr.bind(resolver), spec.ascending)
-                      for spec in node.order_by]
-        specs = []
-        for call, _ in node.functions:
-            argument = (call.argument.bind(resolver)
-                        if call.argument is not None else None)
-            specs.append(WindowFuncSpec(call.name, argument, call.frame,
-                                        has_order=bool(node.order_by),
-                                        offset=call.offset))
+        specs = [WindowFuncSpec(call.name, call.argument, call.frame,
+                                has_order=bool(node.order_by),
+                                offset=call.offset)
+                 for call, _ in node.functions]
         required = self._required_window_ordering(node, child.schema)
         presorted = False
         if required is not None and self._options.order_sharing:
@@ -687,13 +655,9 @@ class Planner:
         for _, name in node.functions:
             position = node.schema.resolve(None, name)
             window_schema = window_schema.append(node.schema.fields[position])
-        op = WindowOp(child, window_schema, partition_keys, order_keys,
-                      specs, presorted=presorted, ordering=ordering_out,
-                      naive=self._options.naive_windows,
-                      partition_exprs=list(node.partition_by),
-                      order_exprs=[spec.expr for spec in node.order_by],
-                      argument_exprs=[call.argument
-                                      for call, _ in node.functions])
+        op = WindowOp(child, window_schema, list(node.partition_by),
+                      [(spec.expr, spec.ascending) for spec in node.order_by],
+                      specs, presorted=presorted, ordering=ordering_out)
         op.estimated_rows = child.estimated_rows
         op.estimated_cost = (child.estimated_cost
                              + self._cost.window(child.estimated_rows,
@@ -719,12 +683,9 @@ class Planner:
         if all_columns and self._options.order_sharing \
                 and child.ordering[:len(target)] == tuple(target):
             return child
-        resolver = schema.resolver()
-        keys = [(spec.expr.bind(resolver), spec.ascending)
-                for spec in node.keys]
         ordering = tuple(target) if all_columns else ()
-        op = SortOp(child, keys, ordering,
-                    key_exprs=[spec.expr for spec in node.keys])
+        op = SortOp(child, [(spec.expr, spec.ascending)
+                            for spec in node.keys], ordering)
         op.estimated_rows = child.estimated_rows
         op.estimated_cost = (child.estimated_cost
                              + self._cost.sort(child.estimated_rows))

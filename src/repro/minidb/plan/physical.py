@@ -1,18 +1,14 @@
 """Physical (executable) plan operators.
 
-Operators are pull-based and support two execution surfaces:
+Operators are pull-based. Each one implements ``batches()``, which
+yields :class:`RowBatch` columnar chunks and evaluates whole chunks
+through batch-compiled expressions (:meth:`Expr.bind_batch`) instead of
+calling a closure per row. ``rows()`` is a thin adapter that re-yields
+the rows of those batches.
 
-* ``batches()`` — the vectorized path: yields :class:`RowBatch` columnar
-  chunks. Hot operators (scan, filter, project, hash join, semi join,
-  sort, aggregate, distinct, union, limit) implement it natively,
-  evaluating whole chunks through batch-compiled expressions
-  (:meth:`Expr.bind_batch`) instead of calling a closure per row.
-* ``rows()`` — a thin tuple-at-a-time adapter kept for compatibility:
-  under batch execution it re-yields batch rows; with
-  ``REPRO_BATCH_SIZE=0`` it runs the original ``scalar_rows()``
-  implementations, which are retained verbatim as the reference
-  interpreter (and as the honest "before" side of the vectorization
-  benchmarks).
+The tuple-at-a-time reference that results are checked against is not
+here: it is ``repro.fuzz.reference``, an evaluator over the *logical*
+plan that shares no operator or kernel code with this module.
 
 Each operator carries:
 
@@ -27,13 +23,13 @@ Each operator carries:
   and query windows);
 * ``actual_rows`` / ``actual_batches`` — incremented during execution,
   for EXPLAIN-ANALYZE style inspection and for the benchmark harness's
-  work metrics. Both paths produce identical ``actual_rows`` totals.
+  work metrics. ``actual_rows`` does not depend on the batch size.
 """
 
 from __future__ import annotations
 
 from itertools import compress, islice
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import ExecutionError
 from repro.minidb.expressions import BatchBound, Expr, true_positions
@@ -43,13 +39,7 @@ from repro.minidb.storage.heap import DiskRowStore
 from repro.minidb.storage.zones import pruning_enabled
 from repro.minidb.table import Table
 from repro.minidb.types import sort_key_column
-from repro.minidb.vector import (
-    DEFAULT_BATCH_SIZE,
-    RowBatch,
-    batch_execution_enabled,
-    concat_columns,
-    configured_batch_size,
-)
+from repro.minidb.vector import RowBatch, concat_columns, configured_batch_size
 
 __all__ = [
     "PhysicalNode",
@@ -76,7 +66,18 @@ def _resolve_batch_size(size: int | None) -> int:
     """The effective chunk size for one ``batches()`` invocation."""
     if size is not None and size > 0:
         return size
-    return configured_batch_size() or DEFAULT_BATCH_SIZE
+    return configured_batch_size()
+
+
+def _transposed(rows: list[tuple]) -> RowBatch:
+    """A non-empty row list as a batch of fresh column lists."""
+    return RowBatch([list(column) for column in zip(*rows)], len(rows))
+
+
+def _bind_all(exprs: Sequence[Expr], schema: PlanSchema) -> list[BatchBound]:
+    """*exprs* compiled to batch kernels over rows of *schema*."""
+    resolver = schema.resolver()
+    return [expr.bind_batch(resolver) for expr in exprs]
 
 
 class PhysicalNode:
@@ -105,37 +106,21 @@ class PhysicalNode:
     def inputs(self) -> Sequence["PhysicalNode"]:
         return ()
 
-    def scalar_rows(self) -> Iterator[tuple]:
-        """Tuple-at-a-time implementation (the reference interpreter)."""
-        raise NotImplementedError
-
     def rows(self) -> Iterator[tuple]:
-        """Yield output tuples under the configured execution mode."""
-        if not batch_execution_enabled():
-            yield from self.scalar_rows()
-            return
+        """Yield output tuples: the rows of :meth:`batches`, in order."""
         for batch in self.batches():
             yield from batch.rows()
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
-        """Yield output as columnar chunks.
+        """Yield output as columnar chunks of about *size* rows
+        (``REPRO_BATCH_SIZE`` when None)."""
+        raise NotImplementedError
 
-        Operators without a native vectorized implementation chunk
-        their ``scalar_rows()`` stream, so a mixed plan still moves
-        batches end to end.
-        """
-        size = _resolve_batch_size(size)
-        width = len(self.schema)
-        chunk: list[tuple] = []
-        for row in self.scalar_rows():
-            chunk.append(row)
-            if len(chunk) >= size:
-                self.actual_batches += 1
-                yield RowBatch.from_rows(chunk, width)
-                chunk = []
-        if chunk:
-            self.actual_batches += 1
-            yield RowBatch.from_rows(chunk, width)
+    def _emit(self, batch: RowBatch) -> RowBatch:
+        """*batch*, counted into ``actual_rows`` / ``actual_batches``."""
+        self.actual_rows += batch.length
+        self.actual_batches += 1
+        return batch
 
     def label(self) -> str:
         return type(self).__name__
@@ -203,21 +188,12 @@ class SeqScan(PhysicalNode):
         self.visible_count: int | None = None
         self.visible_rows = None
 
-    def _source_rows(self):
-        """The row sequence this scan reads (live store or frozen)."""
-        if self.visible_rows is not None:
-            return self.visible_rows
-        return self.table.rows
-
     def _pruned_source(self):
         """Page runs surviving zone pruning, or None when inapplicable.
 
-        Both the scalar and the batch path route through this, so the
-        two execute identically (same pages skipped, same actual_rows)
-        and EXPLAIN ANALYZE parity between them is preserved. Detached
-        snapshots never use live pages: the frozen prefix is a plain
-        list, so pruning is skipped rather than consulting pages that
-        may already describe rewritten data.
+        Detached snapshots never use live pages: the frozen prefix is a
+        plain list, so pruning is skipped rather than consulting pages
+        that may already describe rewritten data.
         """
         if not self.prune or not pruning_enabled():
             return None
@@ -242,27 +218,6 @@ class SeqScan(PhysicalNode):
             if rows:
                 yield rows
 
-    def scalar_rows(self) -> Iterator[tuple]:
-        pages = self._pruned_source()
-        if pages is not None:
-            for selected in self._pruned_rows(pages):
-                for row in selected:
-                    self.actual_rows += 1
-                    yield row
-            return
-        rows = self._source_rows()
-        bound = self.visible_count
-        if bound is None:
-            source = rows
-        else:
-            # Never iterate the live store unbounded under a snapshot:
-            # list iterators observe concurrent appends, so the bound
-            # must be enforced even when it equals len(rows) right now.
-            source = islice(iter(rows), bound)
-        for row in source:
-            self.actual_rows += 1
-            yield row
-
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         size = _resolve_batch_size(size)
         pages = self._pruned_source()
@@ -275,9 +230,9 @@ class SeqScan(PhysicalNode):
                 pending.extend(selected)
                 while len(pending) >= size:
                     chunk, pending = pending[:size], pending[size:]
-                    yield self._row_chunk_batch(chunk)
+                    yield self._emit(_transposed(chunk))
             if pending:
-                yield self._row_chunk_batch(pending)
+                yield self._emit(_transposed(pending))
             return
         if self.visible_rows is not None:
             yield from self._frozen_batches(size)
@@ -287,9 +242,8 @@ class SeqScan(PhysicalNode):
         total = len(self.table.rows) if bound is None else bound
         for lo in range(0, total, size):
             hi = min(lo + size, total)
-            self.actual_rows += hi - lo
-            self.actual_batches += 1
-            yield RowBatch([column[lo:hi] for column in columns], hi - lo)
+            yield self._emit(RowBatch([column[lo:hi] for column in columns],
+                                      hi - lo))
 
     def _frozen_batches(self, size: int) -> Iterator[RowBatch]:
         """Batch path over a detached snapshot's frozen row prefix.
@@ -305,13 +259,7 @@ class SeqScan(PhysicalNode):
         for lo in range(0, total, size):
             chunk = rows[lo:min(lo + size, total)]
             if chunk:
-                yield self._row_chunk_batch(chunk)
-
-    def _row_chunk_batch(self, chunk: list[tuple]) -> RowBatch:
-        self.actual_rows += len(chunk)
-        self.actual_batches += 1
-        return RowBatch([list(column) for column in zip(*chunk)],
-                        len(chunk))
+                yield self._emit(_transposed(chunk))
 
     def label(self) -> str:
         return f"SeqScan({self.table.name})"
@@ -355,30 +303,12 @@ class IndexRangeScan(PhysicalNode):
         selected.sort(key=lambda row: row[key_position])
         return selected
 
-    def scalar_rows(self) -> Iterator[tuple]:
-        if self.visible_rows is not None:
-            for row in self._detached_rows():
-                self.actual_rows += 1
-                yield row
-            return
-        table_rows = self.table.rows
-        bound = self.visible_count
-        for position in self.index.scan(self.key_range):
-            if bound is not None and position >= bound:
-                continue
-            self.actual_rows += 1
-            yield table_rows[position]
-
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         size = _resolve_batch_size(size)
         if self.visible_rows is not None:
             rows = self._detached_rows()
             for lo in range(0, len(rows), size):
-                chunk = rows[lo:lo + size]
-                self.actual_rows += len(chunk)
-                self.actual_batches += 1
-                yield RowBatch([list(column) for column in zip(*chunk)],
-                               len(chunk))
+                yield self._emit(_transposed(rows[lo:lo + size]))
             return
         columns = self.table.columnar()
         bound = self.visible_count
@@ -388,14 +318,13 @@ class IndexRangeScan(PhysicalNode):
                 continue
             chunk.append(position)
             if len(chunk) >= size:
-                yield self._gather(columns, chunk)
+                yield self._emit(self._gather(columns, chunk))
                 chunk = []
         if chunk:
-            yield self._gather(columns, chunk)
+            yield self._emit(self._gather(columns, chunk))
 
-    def _gather(self, columns: list[list], positions: list[int]) -> RowBatch:
-        self.actual_rows += len(positions)
-        self.actual_batches += 1
+    @staticmethod
+    def _gather(columns: list[list], positions: list[int]) -> RowBatch:
         return RowBatch([[column[p] for p in positions]
                          for column in columns], len(positions))
 
@@ -405,22 +334,20 @@ class IndexRangeScan(PhysicalNode):
 
 
 class FilterOp(PhysicalNode):
-    """Keeps rows where the bound predicate evaluates to TRUE.
+    """Keeps rows where the predicate evaluates to TRUE.
 
-    The batch path evaluates the predicate over a whole chunk and keeps
-    the surviving positions (a selection vector); ``input_rows`` records
-    how many rows the predicate saw, so :class:`ExecutionMetrics` can
-    report selection-vector density.
+    Each chunk's predicate values become a selection vector of the
+    surviving positions; ``input_rows`` records how many rows the
+    predicate saw, so :class:`ExecutionMetrics` can report
+    selection-vector density.
     """
 
-    __slots__ = ('child', 'predicate', '_bound', '_batch_bound', 'input_rows')
+    __slots__ = ('child', 'predicate', '_batch_bound', 'input_rows')
 
-    def __init__(self, child: PhysicalNode, predicate: Expr,
-                 bound: Callable[[tuple], Any]) -> None:
+    def __init__(self, child: PhysicalNode, predicate: Expr) -> None:
         super().__init__()
         self.child = child
         self.predicate = predicate
-        self._bound = bound
         self._batch_bound: BatchBound = predicate.bind_batch(
             child.schema.resolver())
         self.input_rows = 0
@@ -429,13 +356,6 @@ class FilterOp(PhysicalNode):
 
     def inputs(self) -> Sequence[PhysicalNode]:
         return (self.child,)
-
-    def scalar_rows(self) -> Iterator[tuple]:
-        bound = self._bound
-        for row in self.child.rows():
-            if bound(row) is True:
-                self.actual_rows += 1
-                yield row
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         batch_bound = self._batch_bound
@@ -446,46 +366,35 @@ class FilterOp(PhysicalNode):
                 continue
             out = batch if len(selected) == batch.length \
                 else batch.take(selected)
-            self.actual_rows += out.length
-            self.actual_batches += 1
-            yield out
+            yield self._emit(out)
 
     def label(self) -> str:
         return f"Filter({self.predicate.to_sql()})"
 
 
 class ProjectOp(PhysicalNode):
-    """Computes the output row from bound expressions.
+    """Computes the output columns from the select-list expressions.
 
     ``passthrough`` maps output positions to input positions for items
     that are plain column references; it is used to translate the input's
-    ordering property through the projection, and lets the batch path
-    reuse the child's column lists without copying. ``item_exprs`` (the
-    unbound select-list expressions) enables batch compilation of the
-    computed items; without it the batch path evaluates the row-bound
-    closures elementwise.
+    ordering property through the projection, and lets those items reuse
+    the child's column lists without copying.
     """
 
-    __slots__ = ('child', '_bound_items', '_batch_items')
+    __slots__ = ('child', '_items')
 
     def __init__(self, child: PhysicalNode, schema: PlanSchema,
-                 bound_items: Sequence[Callable[[tuple], Any]],
-                 passthrough: dict[int, int],
-                 item_exprs: Sequence[Expr] | None = None) -> None:
+                 items: Sequence[Expr],
+                 passthrough: dict[int, int]) -> None:
         super().__init__()
         self.child = child
         self.schema = schema
-        self._bound_items = list(bound_items)
-        self._batch_items: list[tuple[str, Any]] | None = None
-        if item_exprs is not None:
-            resolver = child.schema.resolver()
-            items: list[tuple[str, Any]] = []
-            for out_position, expr in enumerate(item_exprs):
-                if out_position in passthrough:
-                    items.append(("col", passthrough[out_position]))
-                else:
-                    items.append(("expr", expr.bind_batch(resolver)))
-            self._batch_items = items
+        resolver = child.schema.resolver()
+        #: Per output column: ("col", input position) or ("expr", kernel).
+        self._items: list[tuple[str, Any]] = [
+            ("col", passthrough[position]) if position in passthrough
+            else ("expr", expr.bind_batch(resolver))
+            for position, expr in enumerate(items)]
         ordering: list[tuple[int, bool]] = []
         inverse = {inp: out for out, inp in passthrough.items()}
         for position, ascending in child.ordering:
@@ -497,112 +406,76 @@ class ProjectOp(PhysicalNode):
     def inputs(self) -> Sequence[PhysicalNode]:
         return (self.child,)
 
-    def scalar_rows(self) -> Iterator[tuple]:
-        bound_items = self._bound_items
-        for row in self.child.rows():
-            self.actual_rows += 1
-            yield tuple(item(row) for item in bound_items)
-
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
-        batch_items = self._batch_items
+        items = self._items
         for batch in self.child.batches(size):
-            if batch_items is None:
-                in_rows = batch.rows()
-                columns = [[item(row) for row in in_rows]
-                           for item in self._bound_items]
-            else:
-                columns = [batch.columns[payload] if kind == "col"
-                           else payload(batch)
-                           for kind, payload in batch_items]
-            self.actual_rows += batch.length
-            self.actual_batches += 1
-            yield RowBatch(columns, batch.length)
+            columns = [batch.columns[payload] if kind == "col"
+                       else payload(batch)
+                       for kind, payload in items]
+            yield self._emit(RowBatch(columns, batch.length))
 
     def label(self) -> str:
         return f"Project({', '.join(f.display() for f in self.schema)})"
 
 
+def _bind_condition(condition: Expr | None, schema: PlanSchema):
+    """A row closure for a join's non-equi *condition*, or None."""
+    return None if condition is None else condition.bind(schema.resolver())
+
+
+def _joined(pairs, condition, null_pad: tuple | None) -> list[tuple]:
+    """Joined rows for ``(left row, candidate right rows)`` *pairs*.
+
+    A candidate survives when *condition* (a row closure, or None for
+    none) is TRUE on the joined row; a left row without a survivor is
+    padded with *null_pad* when one is given (left join).
+    """
+    out: list[tuple] = []
+    for left_row, candidates in pairs:
+        matched = False
+        for right_row in candidates:
+            joined = left_row + right_row
+            if condition is not None and condition(joined) is not True:
+                continue
+            matched = True
+            out.append(joined)
+        if not matched and null_pad is not None:
+            out.append(left_row + null_pad)
+    return out
+
+
 class HashJoinOp(PhysicalNode):
     """Equi-join: builds a hash table on the right input.
 
-    ``residual`` (if any) is applied to joined rows for non-equi
+    ``residual_expr`` (if any) is applied to joined rows for non-equi
     conjuncts. Left join emits left rows with NULL padding when no match
-    survives the residual. The batch path extracts join-key columns per
-    chunk (a direct column reference for the common plain-column keys)
-    and probes row-wise over the materialized chunk rows.
+    survives the residual. Join-key columns are extracted per chunk (a
+    direct column reference for the common plain-column keys) and probed
+    row-wise over the materialized chunk rows.
     """
 
-    __slots__ = ('left', 'right', '_left_keys', '_right_keys', 'kind',
-                 '_residual', 'residual_expr', '_batch_left_keys',
-                 '_batch_right_keys')
+    __slots__ = ('left', 'right', 'kind', '_residual', 'residual_expr',
+                 '_left_keys', '_right_keys')
 
     def __init__(self, left: PhysicalNode, right: PhysicalNode,
                  schema: PlanSchema,
-                 left_keys: Sequence[Callable[[tuple], Any]],
-                 right_keys: Sequence[Callable[[tuple], Any]],
+                 left_keys: Sequence[Expr],
+                 right_keys: Sequence[Expr],
                  kind: str,
-                 residual: Callable[[tuple], Any] | None,
-                 residual_expr: Expr | None,
-                 left_key_exprs: Sequence[Expr] | None = None,
-                 right_key_exprs: Sequence[Expr] | None = None) -> None:
+                 residual_expr: Expr | None) -> None:
         super().__init__()
         self.left = left
         self.right = right
         self.schema = schema
-        self._left_keys = list(left_keys)
-        self._right_keys = list(right_keys)
         self.kind = kind
-        self._residual = residual
+        self._residual = _bind_condition(residual_expr, schema)
         self.residual_expr = residual_expr
-        self._batch_left_keys: list[BatchBound] | None = None
-        self._batch_right_keys: list[BatchBound] | None = None
-        if left_key_exprs is not None:
-            resolver = left.schema.resolver()
-            self._batch_left_keys = [expr.bind_batch(resolver)
-                                     for expr in left_key_exprs]
-        if right_key_exprs is not None:
-            resolver = right.schema.resolver()
-            self._batch_right_keys = [expr.bind_batch(resolver)
-                                      for expr in right_key_exprs]
+        self._left_keys = _bind_all(left_keys, left.schema)
+        self._right_keys = _bind_all(right_keys, right.schema)
         self.ordering = left.ordering  # probe side preserves its order
 
     def inputs(self) -> Sequence[PhysicalNode]:
         return (self.left, self.right)
-
-    def scalar_rows(self) -> Iterator[tuple]:
-        table: dict[tuple, list[tuple]] = {}
-        right_keys = self._right_keys
-        for row in self.right.rows():
-            key = tuple(key(row) for key in right_keys)
-            if any(part is None for part in key):
-                continue
-            table.setdefault(key, []).append(row)
-        left_keys = self._left_keys
-        residual = self._residual
-        null_pad = (None,) * len(self.right.schema)
-        for left_row in self.left.rows():
-            key = tuple(key(left_row) for key in left_keys)
-            matched = False
-            if not any(part is None for part in key):
-                for right_row in table.get(key, ()):
-                    joined = left_row + right_row
-                    if residual is not None and residual(joined) is not True:
-                        continue
-                    matched = True
-                    self.actual_rows += 1
-                    yield joined
-            if not matched and self.kind == "left":
-                self.actual_rows += 1
-                yield left_row + null_pad
-
-    @staticmethod
-    def _key_columns(batch: RowBatch,
-                     batch_keys: list[BatchBound] | None,
-                     row_keys: list[Callable[[tuple], Any]]) -> list[list]:
-        if batch_keys is not None:
-            return [key(batch) for key in batch_keys]
-        in_rows = batch.rows()
-        return [[key(row) for row in in_rows] for key in row_keys]
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         size = _resolve_batch_size(size)
@@ -611,9 +484,7 @@ class HashJoinOp(PhysicalNode):
         single = len(self._left_keys) == 1
         table: dict[Any, list[tuple]] = {}
         for right_batch in self.right.batches(size):
-            key_columns = self._key_columns(right_batch,
-                                            self._batch_right_keys,
-                                            self._right_keys)
+            key_columns = [key(right_batch) for key in self._right_keys]
             keys = key_columns[0] if single else zip(*key_columns)
             for key, right_row in zip(keys, right_batch.rows()):
                 if key is None or not single and None in key:
@@ -623,38 +494,22 @@ class HashJoinOp(PhysicalNode):
                     table[key] = [right_row]
                 else:
                     bucket.append(right_row)
-        residual = self._residual
-        null_pad = (None,) * len(self.right.schema)
-        pad_left = self.kind == "left"
+        null_pad = (None,) * len(self.right.schema) \
+            if self.kind == "left" else None
         width = len(self.schema)
         probe = table.get
         for left_batch in self.left.batches(size):
-            key_columns = self._key_columns(left_batch,
-                                            self._batch_left_keys,
-                                            self._left_keys)
+            key_columns = [key(left_batch) for key in self._left_keys]
             # A key with a NULL in it is never in the table, so such a
             # probe finds nothing.
             keys = key_columns[0] if single else zip(*key_columns)
             matches = [probe(key, ()) for key in keys]
-            out: list[tuple] = []
             pairs = zip(left_batch.rows(), matches)
-            if not pad_left:
+            if null_pad is None:
                 pairs = compress(pairs, matches)  # drop the unmatched
-            for left_row, candidates in pairs:
-                matched = False
-                for right_row in candidates:
-                    joined = left_row + right_row
-                    if residual is not None \
-                            and residual(joined) is not True:
-                        continue
-                    matched = True
-                    out.append(joined)
-                if not matched and pad_left:
-                    out.append(left_row + null_pad)
+            out = _joined(pairs, self._residual, null_pad)
             if out:
-                self.actual_rows += len(out)
-                self.actual_batches += 1
-                yield RowBatch.from_rows(out, width)
+                yield self._emit(RowBatch.from_rows(out, width))
 
     def label(self) -> str:
         return f"HashJoin[{self.kind}]"
@@ -667,14 +522,13 @@ class NestedLoopJoinOp(PhysicalNode):
 
     def __init__(self, left: PhysicalNode, right: PhysicalNode,
                  schema: PlanSchema,
-                 condition: Callable[[tuple], Any] | None,
                  condition_expr: Expr | None,
                  kind: str) -> None:
         super().__init__()
         self.left = left
         self.right = right
         self.schema = schema
-        self._condition = condition
+        self._condition = _bind_condition(condition_expr, schema)
         self.condition_expr = condition_expr
         self.kind = kind
         self.ordering = left.ordering
@@ -682,22 +536,19 @@ class NestedLoopJoinOp(PhysicalNode):
     def inputs(self) -> Sequence[PhysicalNode]:
         return (self.left, self.right)
 
-    def scalar_rows(self) -> Iterator[tuple]:
-        right_rows = list(self.right.rows())
-        condition = self._condition
-        null_pad = (None,) * len(self.right.schema)
-        for left_row in self.left.rows():
-            matched = False
-            for right_row in right_rows:
-                joined = left_row + right_row
-                if condition is not None and condition(joined) is not True:
-                    continue
-                matched = True
-                self.actual_rows += 1
-                yield joined
-            if not matched and self.kind == "left":
-                self.actual_rows += 1
-                yield left_row + null_pad
+    def batches(self, size: int | None = None) -> Iterator[RowBatch]:
+        size = _resolve_batch_size(size)
+        right_rows: list[tuple] = []
+        for right_batch in self.right.batches(size):
+            right_rows.extend(right_batch.rows())
+        null_pad = (None,) * len(self.right.schema) \
+            if self.kind == "left" else None
+        width = len(self.schema)
+        for left_batch in self.left.batches(size):
+            out = _joined(((row, right_rows) for row in left_batch.rows()),
+                          self._condition, null_pad)
+            if out:
+                yield self._emit(RowBatch.from_rows(out, width))
 
     def label(self) -> str:
         condition = (self.condition_expr.to_sql()
@@ -712,18 +563,14 @@ class SemiJoinOp(PhysicalNode):
     no row qualifies; left keys that are NULL never qualify.
     """
 
-    __slots__ = ('left', 'right', 'left_expr', '_bound_left', '_batch_left',
-                 'negated')
+    __slots__ = ('left', 'right', 'left_expr', '_batch_left', 'negated')
 
     def __init__(self, left: PhysicalNode, right: PhysicalNode,
-                 left_expr: Expr,
-                 bound_left: Callable[[tuple], Any],
-                 negated: bool) -> None:
+                 left_expr: Expr, negated: bool) -> None:
         super().__init__()
         self.left = left
         self.right = right
         self.left_expr = left_expr
-        self._bound_left = bound_left
         self._batch_left: BatchBound = left_expr.bind_batch(
             left.schema.resolver())
         self.negated = negated
@@ -732,27 +579,6 @@ class SemiJoinOp(PhysicalNode):
 
     def inputs(self) -> Sequence[PhysicalNode]:
         return (self.left, self.right)
-
-    def scalar_rows(self) -> Iterator[tuple]:
-        members: set = set()
-        saw_null = False
-        for row in self.right.rows():
-            value = row[0]
-            if value is None:
-                saw_null = True
-            else:
-                members.add(value)
-        if self.negated and saw_null:
-            return
-        bound_left = self._bound_left
-        negated = self.negated
-        for row in self.left.rows():
-            value = bound_left(row)
-            if value is None:
-                continue
-            if (value in members) != negated:
-                self.actual_rows += 1
-                yield row
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         members: set = set()
@@ -777,9 +603,7 @@ class SemiJoinOp(PhysicalNode):
                 continue
             out = batch if len(selected) == batch.length \
                 else batch.take(selected)
-            self.actual_rows += out.length
-            self.actual_batches += 1
-            yield out
+            yield self._emit(out)
 
     def label(self) -> str:
         keyword = "NOT IN" if self.negated else "IN"
@@ -791,28 +615,22 @@ class SortOp(PhysicalNode):
     descending keys, since a descending pass is the reverse of the
     ascending order).
 
-    Sort keys are computed exactly once per input row per key into
-    decorated arrays, then the row order is obtained by stable
+    Each key column is computed once over the whole input and decorated
+    with its sort keys, then the row order is obtained by stable
     multi-pass index sorts over those arrays — the key expressions are
-    never re-evaluated during comparisons. With ``key_exprs`` the batch
-    path extracts key columns through the vectorized expression
-    compiler.
+    never re-evaluated during comparisons.
     """
 
-    __slots__ = ('child', '_keys', '_batch_keys', 'sorted_rows')
+    __slots__ = ('child', '_keys', 'sorted_rows')
 
     def __init__(self, child: PhysicalNode,
-                 keys: Sequence[tuple[Callable[[tuple], Any], bool]],
-                 ordering: Ordering,
-                 key_exprs: Sequence[Expr] | None = None) -> None:
+                 keys: Sequence[tuple[Expr, bool]],
+                 ordering: Ordering) -> None:
         super().__init__()
         self.child = child
-        self._keys = list(keys)
-        self._batch_keys: list[BatchBound] | None = None
-        if key_exprs is not None:
-            resolver = child.schema.resolver()
-            self._batch_keys = [expr.bind_batch(resolver)
-                                for expr in key_exprs]
+        resolver = child.schema.resolver()
+        self._keys = [(expr.bind_batch(resolver), ascending)
+                      for expr, ascending in keys]
         self.schema = child.schema
         self.ordering = ordering
         self.sorted_rows = 0
@@ -820,44 +638,18 @@ class SortOp(PhysicalNode):
     def inputs(self) -> Sequence[PhysicalNode]:
         return (self.child,)
 
-    def _sorted_order(self, count: int,
-                      decorated: list[list]) -> list[int]:
-        """Row order from precomputed per-key sort-key arrays.
-
-        Stable multi-key sort: apply keys from last to first, exactly as
-        the historical per-pass row sorts did.
-        """
-        order = list(range(count))
-        for keyed, (_, ascending) in zip(reversed(decorated),
-                                         reversed(self._keys)):
-            order.sort(key=keyed.__getitem__, reverse=not ascending)
-        return order
-
     def _sorted_rows(self, buffered: list[tuple],
                      collected: list[RowBatch]) -> list[tuple]:
+        """*buffered* in key order: stable index sorts over the decorated
+        key columns, applied from the last key to the first."""
         if not buffered:
             return buffered
-        if self._batch_keys is not None:
-            big = concat_columns(collected, len(self.schema))
-            decorated = [sort_key_column(batch_key(big))
-                         for batch_key in self._batch_keys]
-        else:
-            decorated = [sort_key_column([key(row) for row in buffered])
-                         for key, _ in self._keys]
-        order = self._sorted_order(len(buffered), decorated)
+        big = concat_columns(collected, len(self.schema))
+        order = list(range(len(buffered)))
+        for key, ascending in reversed(self._keys):
+            keyed = sort_key_column(key(big))
+            order.sort(key=keyed.__getitem__, reverse=not ascending)
         return [buffered[i] for i in order]
-
-    def scalar_rows(self) -> Iterator[tuple]:
-        buffered = list(self.child.rows())
-        self.sorted_rows = len(buffered)
-        if buffered:
-            decorated = [sort_key_column([key(row) for row in buffered])
-                         for key, _ in self._keys]
-            order = self._sorted_order(len(buffered), decorated)
-            buffered = [buffered[i] for i in order]
-        for row in buffered:
-            self.actual_rows += 1
-            yield row
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         size = _resolve_batch_size(size)
@@ -871,9 +663,7 @@ class SortOp(PhysicalNode):
         width = len(self.schema)
         for lo in range(0, len(buffered), size):
             chunk = buffered[lo:lo + size]
-            self.actual_rows += len(chunk)
-            self.actual_batches += 1
-            yield RowBatch.from_rows(chunk, width)
+            yield self._emit(RowBatch.from_rows(chunk, width))
 
     def label(self) -> str:
         body = ", ".join(f"#{position}{'' if asc else ' DESC'}"
@@ -926,91 +716,40 @@ class _AggState:
 class AggregateOp(PhysicalNode):
     """Hash aggregation: group keys followed by aggregate results.
 
-    Aggregate specs are ``(name, bound_argument_or_None, distinct)``;
-    ``count(*)`` passes a None argument and counts every row. The batch
-    path extracts group-key and argument columns per chunk before the
-    row-wise accumulation loop.
+    Aggregates are ``(name, argument_or_None, distinct)``; ``count(*)``
+    passes a None argument and counts every row. Group-key and argument
+    columns are extracted per chunk before the row-wise accumulation
+    loop.
     """
 
-    __slots__ = ('child', '_group_keys', '_aggregate_specs',
-                 '_batch_group_keys', '_batch_arguments')
+    __slots__ = ('child', '_group_keys', '_aggregates')
 
     def __init__(self, child: PhysicalNode, schema: PlanSchema,
-                 group_keys: Sequence[Callable[[tuple], Any]],
-                 aggregate_specs: Sequence[
-                     tuple[str, Callable[[tuple], Any] | None, bool]],
-                 group_exprs: Sequence[Expr] | None = None,
-                 argument_exprs: Sequence[Expr | None] | None = None,
+                 group_keys: Sequence[Expr],
+                 aggregates: Sequence[tuple[str, Expr | None, bool]],
                  ) -> None:
         super().__init__()
         self.child = child
         self.schema = schema
-        self._group_keys = list(group_keys)
-        self._aggregate_specs = list(aggregate_specs)
-        self._batch_group_keys: list[BatchBound] | None = None
-        self._batch_arguments: list[BatchBound | None] | None = None
-        if group_exprs is not None:
-            resolver = child.schema.resolver()
-            self._batch_group_keys = [expr.bind_batch(resolver)
-                                      for expr in group_exprs]
-        if argument_exprs is not None:
-            resolver = child.schema.resolver()
-            self._batch_arguments = [
-                expr.bind_batch(resolver) if expr is not None else None
-                for expr in argument_exprs]
+        resolver = child.schema.resolver()
+        self._group_keys = _bind_all(group_keys, child.schema)
+        self._aggregates = [
+            (name, None if argument is None
+             else argument.bind_batch(resolver), distinct)
+            for name, argument, distinct in aggregates]
 
     def inputs(self) -> Sequence[PhysicalNode]:
         return (self.child,)
 
-    def scalar_rows(self) -> Iterator[tuple]:
-        groups: dict[tuple, list[_AggState]] = {}
-        group_keys = self._group_keys
-        specs = self._aggregate_specs
-        for row in self.child.rows():
-            key = tuple(key(row) for key in group_keys)
-            states = groups.get(key)
-            if states is None:
-                states = [_AggState(name, distinct)
-                          for name, _, distinct in specs]
-                groups[key] = states
-            for state, (name, argument, _) in zip(states, specs):
-                if argument is None:  # count(*)
-                    state.count += 1
-                else:
-                    state.add(argument(row))
-        if not groups and not group_keys:
-            # Global aggregate over an empty input yields one row.
-            states = [_AggState(name, distinct) for name, _, distinct in specs]
-            groups[()] = states
-        for key, states in groups.items():
-            self.actual_rows += 1
-            yield key + tuple(state.result() for state in states)
-
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         size = _resolve_batch_size(size)
         groups: dict[tuple, list[_AggState]] = {}
-        specs = self._aggregate_specs
+        specs = self._aggregates
         spec_count = len(specs)
         for batch in self.child.batches(size):
-            if self._batch_group_keys is not None:
-                key_columns = [key(batch)
-                               for key in self._batch_group_keys]
-            else:
-                in_rows = batch.rows()
-                key_columns = [[key(row) for row in in_rows]
-                               for key in self._group_keys]
-            argument_columns: list[list | None] = []
-            for index, (name, argument, _) in enumerate(specs):
-                if argument is None:
-                    argument_columns.append(None)
-                elif self._batch_arguments is not None \
-                        and self._batch_arguments[index] is not None:
-                    argument_columns.append(
-                        self._batch_arguments[index](batch))
-                else:
-                    in_rows = batch.rows()
-                    argument_columns.append(
-                        [argument(row) for row in in_rows])
+            key_columns = [key(batch) for key in self._group_keys]
+            argument_columns = [None if argument is None else argument(batch)
+                                for _, argument, _ in specs]
             for i in range(batch.length):
                 key = tuple(column[i] for column in key_columns)
                 states = groups.get(key)
@@ -1033,18 +772,14 @@ class AggregateOp(PhysicalNode):
         for key, states in groups.items():
             out.append(key + tuple(state.result() for state in states))
             if len(out) >= size:
-                self.actual_rows += len(out)
-                self.actual_batches += 1
-                yield RowBatch.from_rows(out, width)
+                yield self._emit(RowBatch.from_rows(out, width))
                 out = []
         if out:
-            self.actual_rows += len(out)
-            self.actual_batches += 1
-            yield RowBatch.from_rows(out, width)
+            yield self._emit(RowBatch.from_rows(out, width))
 
     def label(self) -> str:
         return (f"Aggregate(groups={len(self._group_keys)}, "
-                f"aggs={len(self._aggregate_specs)})")
+                f"aggs={len(self._aggregates)})")
 
 
 class DistinctOp(PhysicalNode):
@@ -1061,15 +796,6 @@ class DistinctOp(PhysicalNode):
     def inputs(self) -> Sequence[PhysicalNode]:
         return (self.child,)
 
-    def scalar_rows(self) -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        for row in self.child.rows():
-            if row in seen:
-                continue
-            seen.add(row)
-            self.actual_rows += 1
-            yield row
-
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         seen: set[tuple] = set()
         for batch in self.child.batches(size):
@@ -1082,9 +808,7 @@ class DistinctOp(PhysicalNode):
             if not keep:
                 continue
             out = batch if len(keep) == batch.length else batch.take(keep)
-            self.actual_rows += out.length
-            self.actual_batches += 1
-            yield out
+            yield self._emit(out)
 
     def label(self) -> str:
         return "Distinct"
@@ -1106,20 +830,10 @@ class UnionAllOp(PhysicalNode):
     def inputs(self) -> Sequence[PhysicalNode]:
         return (self.left, self.right)
 
-    def scalar_rows(self) -> Iterator[tuple]:
-        for row in self.left.rows():
-            self.actual_rows += 1
-            yield row
-        for row in self.right.rows():
-            self.actual_rows += 1
-            yield row
-
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         for side in (self.left, self.right):
             for batch in side.batches(size):
-                self.actual_rows += batch.length
-                self.actual_batches += 1
-                yield batch
+                yield self._emit(batch)
 
     def label(self) -> str:
         return "UnionAll"
@@ -1145,9 +859,6 @@ class PassThroughOp(PhysicalNode):
     def inputs(self) -> Sequence[PhysicalNode]:
         return (self.child,)
 
-    def scalar_rows(self) -> Iterator[tuple]:
-        return self.child.rows()
-
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         return self.child.batches(size)
 
@@ -1167,17 +878,6 @@ class LimitOp(PhysicalNode):
         self.schema = child.schema
         self.ordering = child.ordering
 
-    def scalar_rows(self) -> Iterator[tuple]:
-        if self.count <= 0:
-            return
-        emitted = 0
-        for row in self.child.rows():
-            self.actual_rows += 1
-            yield row
-            emitted += 1
-            if emitted >= self.count:
-                return
-
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         if self.count <= 0:
             return
@@ -1188,9 +888,7 @@ class LimitOp(PhysicalNode):
             out = batch if batch.length <= remaining \
                 else batch.head(remaining)
             remaining -= out.length
-            self.actual_rows += out.length
-            self.actual_batches += 1
-            yield out
+            yield self._emit(out)
             if remaining == 0:
                 return
 

@@ -33,26 +33,28 @@ those whole-input columns that takes the partition spans as an argument:
 4. emit ``input columns + computed columns`` as slices, cut at the first
    sequence end at or past the batch size.
 
-The tuple-at-a-time path (``scalar_rows``) buffers and sorts rows, then
-calls the same kernels. ``naive`` mode (``PlannerOptions(naive_windows=
-True)``) is the test reference and the ablation baseline: it takes the
-same ``(lo, hi)`` arrays — also for single-row frames — and re-aggregates
-every frame from scratch (:func:`_rescan`).
+The independent check on all of this is ``repro.fuzz.reference``, which
+evaluates every frame by rescanning the partition for each row.
+
+``REPRO_FUZZ_INJECT_BUG=window`` is this module's fuzz drill: it shifts
+the lower bound of every offset RANGE frame one row later, an off-by-one
+that every executor strategy shares and only that reference can see.
 """
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from itertools import accumulate, islice
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ExecutionError
-from repro.minidb.expressions import UNBOUNDED, BatchBound, Expr, WindowFrame
+from repro.minidb.expressions import UNBOUNDED, Expr, WindowFrame
 from repro.minidb.plan.logical import infer_type
-from repro.minidb.plan.physical import (Ordering, PhysicalNode,
+from repro.minidb.plan.physical import (Ordering, PhysicalNode, _bind_all,
                                         _resolve_batch_size)
 from repro.minidb.plan.planschema import PlanSchema
-from repro.minidb.types import sort_key, sort_key_column
+from repro.minidb.types import sort_key_column
 from repro.minidb.vector import RowBatch, concat_columns
 
 __all__ = ["WindowOp", "WindowFuncSpec"]
@@ -62,14 +64,22 @@ Bounds = tuple[list[int], list[int]]
 #: Contiguous ``(start, end)`` runs of equal partition keys.
 Spans = list[tuple[int, int]]
 
+#: The fuzz drill's environment variable; see the module docstring.
+FAULT_ENV = "REPRO_FUZZ_INJECT_BUG"
+
+
+def _fault_injected() -> bool:
+    return os.environ.get(FAULT_ENV, "") == "window"
+
 
 class WindowFuncSpec:
-    """One window function, bound and ready to execute."""
+    """One window function: its name, argument expression (None for
+    ``count(*)`` and ``row_number()``), frame and lag/lead offset."""
 
     __slots__ = ("name", "argument", "frame", "has_order", "count_star",
                  "offset")
 
-    def __init__(self, name: str, argument: Callable[[tuple], Any] | None,
+    def __init__(self, name: str, argument: Expr | None,
                  frame: WindowFrame | None, has_order: bool,
                  offset: int = 1) -> None:
         self.name = name
@@ -157,9 +167,9 @@ def _sweep_bounds(frame: WindowFrame | None, spans: Spans,
                   peers: list | None, ascending: bool) -> Bounds:
     """Inclusive ``(lo, hi)`` frame indices for every row of the input.
 
-    *peers* is the first order-key column as sorted (None without ORDER
-    BY). Only equality is asked of it unless the frame does value
-    arithmetic; then it is numeric, and negated first if it descends.
+    *peers* is the order-key column as sorted (None without ORDER BY).
+    Only equality is asked of it unless the frame does value arithmetic;
+    then it is one numeric key, negated first if it descends.
     An empty frame has ``lo > hi``. Within the input ``lo`` never
     decreases and never points before the row's own span, and ``hi``
     never decreases within a span — :func:`_aggregate` relies on both.
@@ -209,6 +219,7 @@ def _sweep_bounds(frame: WindowFrame | None, spans: Spans,
     # three runs: NULLs, values, NULLs.
     values = peers if ascending else [None if value is None else -value
                                       for value in peers]
+    drift = 1 if _fault_injected() else 0
     lo_append, hi_append = lo.append, hi.append
     for start, end in spans:
         first = start
@@ -229,7 +240,7 @@ def _sweep_bounds(frame: WindowFrame | None, spans: Spans,
                 bound = values[index] + first_offset
                 while reached < last and values[reached] < bound:
                     reached += 1
-                lo_append(reached)
+                lo_append(reached + drift)
         if last_offset == UNBOUNDED:
             hi += [end - 1] * (last - first)
         else:
@@ -297,7 +308,7 @@ def _aggregate(spec: WindowFuncSpec, arguments: list | None,
                for value in arguments):
         # A float running total cancels catastrophically when a large
         # value leaves the frame; add each frame up on its own.
-        return _rescan(spec, arguments, lo, hi)
+        return _frame_sums(name == "avg", arguments, lo, hi)
     totals = list(accumulate((value or 0 for value in arguments),
                              initial=0))
     if name == "sum":
@@ -310,87 +321,56 @@ def _aggregate(spec: WindowFuncSpec, arguments: list | None,
             else None for first, last in zip(lo, hi)]
 
 
-def _rescan(spec: WindowFuncSpec, arguments: list | None,
-            lo: list[int], hi: list[int]) -> list:
-    """Reference aggregation: every frame re-read from scratch."""
-    name = spec.name
-    results: list[Any] = []
+def _frame_sums(average: bool, arguments: list, lo: list[int],
+                hi: list[int]) -> list:
+    """``sum`` (or ``avg``) per frame, each frame added left to right."""
+    out: list = []
     for first, last in zip(lo, hi):
-        if first > last:
-            results.append(0 if name == "count" else None)
-            continue
-        if spec.count_star:
-            results.append(last - first + 1)
-            continue
+        # An empty frame's ``hi`` may be negative: never slice with it.
         window = [value for value in arguments[first:last + 1]
-                  if value is not None]
-        if name == "count":
-            results.append(len(window))
-        elif not window:
-            results.append(None)
-        elif name == "sum":
-            results.append(sum(window))
-        elif name == "avg":
-            results.append(sum(window) / len(window))
-        elif name == "min":
-            results.append(min(window))
+                  if value is not None] if last >= first else []
+        if not window:
+            out.append(None)
         else:
-            results.append(max(window))
-    return results
+            total = sum(window)
+            out.append(total / len(window) if average else total)
+    return out
 
 
 class WindowOp(PhysicalNode):
     """Physical window operator; see module docstring."""
 
-    __slots__ = ("child", "_partition_keys", "_order_keys", "functions",
-                 "presorted", "naive", "sorted_rows",
-                 "_batch_partition", "_batch_order", "_batch_arguments")
+    __slots__ = ("child", "_partition_keys", "_order_keys", "_arguments",
+                 "functions", "presorted", "sorted_rows")
 
     def __init__(self, child: PhysicalNode, schema: PlanSchema,
-                 partition_keys: Sequence[Callable[[tuple], Any]],
-                 order_keys: Sequence[tuple[Callable[[tuple], Any], bool]],
+                 partition_keys: Sequence[Expr],
+                 order_keys: Sequence[tuple[Expr, bool]],
                  functions: Sequence[WindowFuncSpec],
                  presorted: bool,
-                 ordering: Ordering,
-                 naive: bool = False,
-                 partition_exprs: Sequence[Expr] | None = None,
-                 order_exprs: Sequence[Expr] | None = None,
-                 argument_exprs: Sequence[Expr | None] | None = None,
-                 ) -> None:
+                 ordering: Ordering) -> None:
         super().__init__()
         self.child = child
         self.schema = schema
-        self._partition_keys = list(partition_keys)
-        self._order_keys = list(order_keys)
+        resolver = child.schema.resolver()
+        self._partition_keys = _bind_all(partition_keys, child.schema)
+        self._order_keys = [(expr.bind_batch(resolver), ascending)
+                            for expr, ascending in order_keys]
         self.functions = list(functions)
-        self._batch_partition: list[BatchBound] | None = None
-        self._batch_order: list[BatchBound] | None = None
-        self._batch_arguments: list[BatchBound | None] | None = None
-        if partition_exprs is not None or order_exprs is not None \
-                or argument_exprs is not None:
-            resolver = child.schema.resolver()
-            if partition_exprs is not None:
-                self._batch_partition = [expr.bind_batch(resolver)
-                                         for expr in partition_exprs]
-            if order_exprs is not None:
-                self._batch_order = [expr.bind_batch(resolver)
-                                     for expr in order_exprs]
-            if argument_exprs is not None:
-                self._batch_arguments = [
-                    expr.bind_batch(resolver) if expr is not None else None
-                    for expr in argument_exprs]
+        self._arguments = [None if spec.argument is None
+                           else spec.argument.bind_batch(resolver)
+                           for spec in self.functions]
         self.presorted = presorted
         self.ordering = ordering
-        self.naive = naive
         self.sorted_rows = 0
         for spec in self.functions:
             if spec.frame is None or spec.frame.mode != "range":
                 continue
-            if len(self._order_keys) != 1:
+            if len(order_keys) != 1:
                 raise ExecutionError(
                     "RANGE frames require exactly one ORDER BY key")
-            if _does_value_arithmetic(spec.frame) and order_exprs \
-                    and not infer_type(order_exprs[0],
+            if _does_value_arithmetic(spec.frame) \
+                    and not infer_type(order_keys[0][0],
                                        child.schema).is_numeric:
                 raise ExecutionError(
                     "RANGE frames with an offset require a numeric "
@@ -400,59 +380,15 @@ class WindowOp(PhysicalNode):
         return (self.child,)
 
     def label(self) -> str:
-        flags = []
-        if self.presorted:
-            flags.append("presorted")
-        if self.naive:
-            flags.append("naive")
-        suffix = f" [{', '.join(flags)}]" if flags else ""
+        suffix = " [presorted]" if self.presorted else ""
         return f"Window({len(self.functions)} fns){suffix}"
 
     # ------------------------------------------------------------------
 
-    def scalar_rows(self) -> Iterator[tuple]:
-        buffered = list(self.child.rows())
-        if not self.presorted:
-            self.sorted_rows = len(buffered)
-            for key, ascending in reversed(self._order_keys):
-                buffered.sort(key=lambda row: sort_key(key(row)),
-                              reverse=not ascending)
-            if self._partition_keys:
-                buffered.sort(key=lambda row: tuple(
-                    sort_key(key(row)) for key in self._partition_keys))
-        if not buffered:
-            return
-        spans = _partition_spans(
-            len(buffered), [[key(row) for row in buffered]
-                            for key in self._partition_keys])
-        order_column = [self._order_keys[0][0](row) for row in buffered] \
-            if self._order_keys else None
-        argument_columns = [
-            None if spec.argument is None
-            else [spec.argument(row) for row in buffered]
-            for spec in self.functions]
-        computed = self._window_columns(spans, order_column,
-                                        argument_columns)
-        for row, values in zip(buffered, zip(*computed)):
-            self.actual_rows += 1
-            yield row + values
-
-    # -- vectorized path ----------------------------------------------
-
-    def _eval_columns(self, big: RowBatch,
-                      batch_bounds: list[BatchBound] | None,
-                      row_bounds: Sequence[Callable[[tuple], Any]],
-                      ) -> list[list]:
-        if batch_bounds is not None:
-            return [bound(big) for bound in batch_bounds]
-        in_rows = big.rows()
-        return [[bound(row) for row in in_rows] for bound in row_bounds]
-
     def _sort_permutation(self, total: int, partition_columns: list,
                           order_columns: list) -> list[int]:
         """Stable multi-pass index sort over the key columns: order keys
-        last-to-first, then the composite partition key, matching the
-        scalar path's per-pass row sorts."""
+        last-to-first, then the composite partition key."""
         order = list(range(total))
         for column, (_, ascending) in zip(reversed(order_columns),
                                           reversed(self._order_keys)):
@@ -475,27 +411,21 @@ class WindowOp(PhysicalNode):
             return
         width_in = len(self.child.schema)
         big = concat_columns(collected, width_in)
-        partition_columns = self._eval_columns(
-            big, self._batch_partition, self._partition_keys)
-        order_columns = self._eval_columns(
-            big, self._batch_order, [key for key, _ in self._order_keys])
-        argument_columns: list[list | None] = []
-        for index, spec in enumerate(self.functions):
-            if spec.argument is None:
-                argument_columns.append(None)
-            elif self._batch_arguments is not None \
-                    and self._batch_arguments[index] is not None:
-                argument_columns.append(self._batch_arguments[index](big))
-            else:
-                argument_columns.append(
-                    [spec.argument(row) for row in big.rows()])
+        partition_columns = [key(big) for key in self._partition_keys]
+        order_columns = [key(big) for key, _ in self._order_keys]
+        argument_columns = [None if argument is None else argument(big)
+                            for argument in self._arguments]
         arrange = _arranger(None if self.presorted
                             else self._sort_permutation(
                                 total, partition_columns, order_columns))
         spans = _partition_spans(
             total, [arrange(column) for column in partition_columns])
+        # Peers share every ORDER BY key; a RANGE offset (allowed with
+        # one key only) does arithmetic on that key.
+        peers = [arrange(column) for column in order_columns]
         computed = self._window_columns(
-            spans, arrange(order_columns[0]) if order_columns else None,
+            spans, None if not peers
+            else peers[0] if len(peers) == 1 else list(zip(*peers)),
             [arrange(column) for column in argument_columns])
         out_columns = [arrange(column) for column in big.columns] + computed
         flushed = 0
@@ -503,21 +433,21 @@ class WindowOp(PhysicalNode):
             if end - flushed < size and end < total:
                 continue
             length = end - flushed
-            self.actual_rows += length
-            self.actual_batches += 1
-            yield RowBatch(out_columns if length == total
-                           else [column[flushed:end]
-                                 for column in out_columns], length)
+            yield self._emit(RowBatch(out_columns if length == total
+                                      else [column[flushed:end]
+                                            for column in out_columns],
+                                      length))
             flushed = end
 
     # ------------------------------------------------------------------
 
-    def _row_shift(self, spec: WindowFuncSpec) -> int | None:
+    @staticmethod
+    def _row_shift(spec: WindowFuncSpec) -> int | None:
         """``k`` when the function's value at row *i* is its argument at
         row ``i + k`` of the same sequence (or NULL), else None."""
         if spec.name in ("lag", "lead"):
             return -spec.offset if spec.name == "lag" else spec.offset
-        if self.naive or spec.name in ("avg", "row_number"):
+        if spec.name in ("avg", "row_number"):
             return None
         return _single_row_shift(spec.frame)
 
@@ -525,7 +455,8 @@ class WindowOp(PhysicalNode):
                         argument_columns: list) -> list[list]:
         """One computed column per function over the whole sorted input.
 
-        ``order_column`` is the first ORDER BY key as sorted, or None.
+        ``order_column`` is the ORDER BY key as sorted (a tuple per row
+        when there are several), or None.
         Frame bounds are swept once per distinct frame and shared.
         """
         bounds: dict[WindowFrame | None, Bounds] = {}
@@ -552,7 +483,6 @@ class WindowOp(PhysicalNode):
                         frame, spans,
                         order_column if spec.has_order else None,
                         not self._order_keys or self._order_keys[0][1])
-                evaluate = _rescan if self.naive else _aggregate
-                column = evaluate(spec, arguments, *bounds[frame])
+                column = _aggregate(spec, arguments, *bounds[frame])
             computed.append(column)
         return computed

@@ -1,26 +1,16 @@
-"""Columnar row batches for the vectorized execution path.
+"""Columnar row batches: the executor's only execution surface.
 
 The executor moves data between operators as :class:`RowBatch` chunks:
 a fixed-size block of rows stored column-wise as plain Python lists (no
-numpy — the engine stays dependency-free). Vectorized operators evaluate
-whole chunks with list comprehensions instead of calling a closure per
-row, which removes most of the Python function-call overhead that
-dominates tuple-at-a-time interpretation.
+numpy — the engine stays dependency-free). Operators evaluate whole
+chunks with list comprehensions instead of calling a closure per row,
+which removes most of the Python function-call overhead that dominates
+tuple-at-a-time interpretation.
 
-Execution mode is controlled by ``REPRO_BATCH_SIZE``:
-
-* unset → batches of :data:`DEFAULT_BATCH_SIZE` rows;
-* ``REPRO_BATCH_SIZE=<n>`` (n ≥ 1) → batches of ``n`` rows;
-* ``REPRO_BATCH_SIZE=0`` → batch execution disabled; every operator runs
-  its original tuple-at-a-time ``scalar_rows()`` implementation. This is
-  the "before" baseline for the vectorization benchmarks and the
-  reference side of the fuzz oracle's ``vectorized`` strategy.
-
-``REPRO_VECTOR_FALLBACK=1`` additionally forces every expression to the
-generic row-at-a-time batch kernel (the row-bound closure applied
-elementwise) instead of the specialized vectorized kernels, giving a
-second differential axis: specialized kernels vs the scalar evaluator
-over identical batch plumbing.
+``REPRO_BATCH_SIZE`` sets the rows per chunk: unset means
+:data:`DEFAULT_BATCH_SIZE`, ``<n>`` (n ≥ 1) means ``n``. A value below 1
+is not a mode: it warns (:class:`~repro.knobs.UnknownKnobWarning`) and
+runs the default.
 
 Invariant: batch columns are never mutated in place. Operators that
 drop or reorder rows build new column lists (:meth:`RowBatch.take`),
@@ -32,20 +22,19 @@ from __future__ import annotations
 
 import contextlib
 import os
+import warnings
 from typing import Any, Iterator, Sequence
 
-from repro.knobs import int_knob
+from repro.knobs import UnknownKnobWarning, int_knob
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "RowBatch",
-    "batch_execution_enabled",
     "concat_columns",
     "configured_batch_size",
     "encode_stats",
     "forced_batch_size",
     "materialize",
-    "vector_fallback_enabled",
 ]
 
 #: Rows per batch when ``REPRO_BATCH_SIZE`` is unset. Large enough to
@@ -54,23 +43,28 @@ DEFAULT_BATCH_SIZE = 1024
 
 
 def configured_batch_size() -> int:
-    """Batch size from ``REPRO_BATCH_SIZE``; 0 disables batch execution."""
-    return int_knob("REPRO_BATCH_SIZE", DEFAULT_BATCH_SIZE, 0)
-
-
-def batch_execution_enabled() -> bool:
-    """Whether operators should run their ``batches()`` path."""
-    return configured_batch_size() > 0
-
-
-def vector_fallback_enabled() -> bool:
-    """Whether expressions must use the generic elementwise kernel."""
-    return os.environ.get("REPRO_VECTOR_FALLBACK", "").strip() == "1"
+    """Rows per batch from ``REPRO_BATCH_SIZE`` (always ≥ 1)."""
+    size = int_knob("REPRO_BATCH_SIZE", DEFAULT_BATCH_SIZE, 0)
+    if size < 1:
+        warnings.warn(
+            f"REPRO_BATCH_SIZE must be at least 1; using the default "
+            f"{DEFAULT_BATCH_SIZE}", UnknownKnobWarning, stacklevel=2)
+        return DEFAULT_BATCH_SIZE
+    return size
 
 
 @contextlib.contextmanager
 def forced_batch_size(size: int) -> Iterator[None]:
-    """Pin ``REPRO_BATCH_SIZE`` for a block (0 = tuple-at-a-time)."""
+    """Pin ``REPRO_BATCH_SIZE`` to *size* (≥ 1) for a block.
+
+    ``size=0`` is a no-op stub: it leaves the environment untouched and
+    warns about nothing. The frozen benchmark's oracle still wraps its
+    reference queries in ``forced_batch_size(0)``; the stub goes when
+    that call does.
+    """
+    if size < 1:
+        yield
+        return
     saved = os.environ.get("REPRO_BATCH_SIZE")
     os.environ["REPRO_BATCH_SIZE"] = str(size)
     try:
@@ -150,20 +144,11 @@ class RowBatch:
         return RowBatch([[column[i] for i in indices]
                          for column in self.columns], len(indices))
 
-    def slice(self, lo: int, hi: int) -> "RowBatch":
-        """A new batch holding the contiguous rows ``[lo, hi)``."""
-        rows = self._rows[lo:hi] if self._rows is not None else None
-        return RowBatch([column[lo:hi] for column in self.columns],
-                        hi - lo, rows=rows)
-
     def head(self, count: int) -> "RowBatch":
         """A new batch holding the first *count* rows."""
         rows = self._rows[:count] if self._rows is not None else None
         return RowBatch([column[:count] for column in self.columns],
                         count, rows=rows)
-
-    def column(self, position: int) -> list:
-        return self.columns[position]
 
     def __len__(self) -> int:
         return self.length
@@ -173,14 +158,11 @@ class RowBatch:
 
 
 def materialize(plan: Any) -> list[tuple]:
-    """Drain a physical plan into a row list under the configured mode.
+    """Drain a physical plan into a row list.
 
     Equivalent to ``list(plan.rows())`` but avoids the per-row generator
-    hop when batch execution is enabled: batches are extended into the
-    output list wholesale.
+    hop: batches are extended into the output list wholesale.
     """
-    if not batch_execution_enabled():
-        return list(plan.rows())
     out: list[tuple] = []
     for batch in plan.batches():
         out.extend(batch.rows())

@@ -5,15 +5,18 @@ every derived context condition, collapsing ``ec = s OR cc`` to ``s``)
 is switched on via ``REPRO_FUZZ_INJECT_BUG``; the fuzzer must catch it
 within a bounded deterministic campaign, shrink the case to the
 acceptance bound (<=10 rows / 1 rule / <=1 conjunct), and write a
-regression file that passes once the fault is switched off again.
+regression file that passes once the fault is switched off again. The
+``storage`` and ``window`` drills do the same for a page-decode fault
+and for a frame-bound off-by-one in the window kernels.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.fuzz.oracle import run_case
+from repro.fuzz.oracle import build_database, run_case
 from repro.fuzz.runner import FuzzConfig, run_fuzz
+from repro.rewrite.engine import DeferredCleansingEngine
 from repro.rewrite.expanded import FAULT_ENV
 
 #: Seed 2 is known to surface the injected fault at iteration 4; the
@@ -106,6 +109,53 @@ def test_storage_fault_is_caught_and_shrunk(tmp_path,
 
     assert failure.regression_path is not None
     assert failure.regression_path.parent == tmp_path
+    text = failure.regression_path.read_text()
+    assert "run_case" in text and "READS_ROWS" in text
+
+    monkeypatch.delenv(FAULT_ENV)
+    clean_report = run_case(failure.shrunk)
+    assert clean_report.ok, clean_report.summary()
+
+
+#: Seed 2 also surfaces the window drill at iteration 4 (a ``*B`` rule
+#: whose RANGE look-ahead loses its first row); the case shrinks to the
+#: committed ``regressions/test_shrunk_seed2_iter4.py``.
+WINDOW_SEED = 2
+
+
+def test_window_fault_is_caught_only_by_the_reference(tmp_path,
+                                                      monkeypatch) -> None:
+    """``REPRO_FUZZ_INJECT_BUG=window`` starts every offset RANGE frame
+    of ``_sweep_bounds`` one row late. Every executor strategy runs
+    those kernels, so they all agree on the same wrong answer — the
+    blind spot of a baseline computed by the executor itself. The
+    reference evaluator shares no kernel, so its baseline catches it."""
+    monkeypatch.setenv(FAULT_ENV, "window")
+    outcome = run_fuzz(FuzzConfig(seed=WINDOW_SEED, iterations=ITERATIONS,
+                                  regression_dir=tmp_path))
+    assert not outcome.ok, (
+        "the fuzzer failed to catch the injected window bug within "
+        f"{ITERATIONS} iterations at seed {WINDOW_SEED}")
+    failure = outcome.failures[0]
+    assert "reference" in failure.report.diverged_labels()
+
+    # Executor against executor: naive, expanded and join-back agree
+    # with one another on the case as found, and all differ from the
+    # reference baseline.
+    case = failure.report.case
+    db, registry = build_database(case)
+    engine = DeferredCleansingEngine(db, registry)
+    sql = case.query.sql("caser")
+    answers = {strategy: engine.execute(sql, {strategy}).canonical()
+               for strategy in ("naive", "expanded", "joinback")}
+    assert len(set(answers.values())) == 1, answers
+    assert answers["naive"] != failure.report.baseline
+
+    rows, rules, conjuncts = failure.shrunk.size()
+    assert rows <= 10, failure.shrunk.describe()
+    assert rules == 1, failure.shrunk.describe()
+    assert conjuncts <= 1, failure.shrunk.describe()
+    assert not run_case(failure.shrunk).ok
     text = failure.regression_path.read_text()
     assert "run_case" in text and "READS_ROWS" in text
 

@@ -48,8 +48,8 @@ def test_every_label_reported() -> None:
 
 def test_label_restriction_limits_sweep() -> None:
     report = run_case(_case(["c.rtime >= 105"]),
-                      labels=["expanded", "vectorized"])
-    assert set(report.results) <= {"expanded", "vectorized"}
+                      labels=["expanded", "reference"])
+    assert set(report.results) == {"expanded", "reference"}
     assert report.ok
 
 

@@ -108,7 +108,7 @@ def test_shrink_case_preserves_failure(tmp_path) -> None:
         return any(row[1] in (2, 9) for row in candidate.reads_rows)
 
     case = _case()
-    shrunk = shrink_case(case, ["vectorized"], check=check)
+    shrunk = shrink_case(case, ["reference"], check=check)
     assert check(shrunk)
     assert len(shrunk.reads_rows) == 1
 

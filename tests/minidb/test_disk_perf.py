@@ -3,9 +3,12 @@ checkpoint compaction, and the storage stat CLI.
 
 The pruning pins compare a zone-pruned scan against the same scan with
 ``REPRO_ZONE_PRUNE=0``: rows must be byte-identical and the pruned run
-must fault at most half the pages. Measurements use the scalar row path
-(``REPRO_BATCH_SIZE=0``) with a small pool, because the batch path's
-columnar cache and a large pool would both hide page reads entirely.
+must fault at most half the pages. Every measurement runs on a freshly
+reopened database with a small pool whose statistics were gathered
+first, so the measured query's page traffic is its own: a zone-pruned
+scan reads surviving pages directly, and an unpruned scan builds the
+table's columnar cache from cold (once built, that cache and a large
+pool would both hide page reads entirely).
 """
 
 from __future__ import annotations
@@ -48,12 +51,11 @@ def _open(path, **kwargs) -> Database:
 def _measured_scan(path, sql: str, prune: str,
                    monkeypatch) -> tuple[list, int, int]:
     """(rows, pages_read, pages_pruned) for *sql* on a reopened db."""
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "0")
     monkeypatch.setenv("REPRO_ZONE_PRUNE", prune)
     with _open(path) as db:
         # Warm the statistics (which scan everything) before measuring,
         # so the measured delta is the target query's own page traffic.
-        db.execute("SELECT id FROM reads WHERE id = -1")
+        db.analyze()
         result, metrics = db.execute_with_metrics(sql)
         return result.rows, metrics.pages_read, metrics.pages_pruned
 
@@ -146,16 +148,17 @@ class TestZonePruning:
         assert len(pruned[0]) == 300
         assert pruned[2] > 0
 
-    def test_batch_and_scalar_paths_agree(self, tmp_path, monkeypatch):
+    def test_small_and_default_batch_sizes_agree(self, tmp_path,
+                                                 monkeypatch):
         path = tmp_path / "db"
         self._build(path)
         monkeypatch.setenv("REPRO_ZONE_PRUNE", "1")
         with _open(path) as db:
-            batched = db.explain_analyze(self.SQL)  # vectorized default
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "0")
+            default = db.explain_analyze(self.SQL)
+        monkeypatch.setenv("REPRO_BATCH_SIZE", "7")
         with _open(path) as db:
-            tuple_at_a_time = db.explain_analyze(self.SQL)
-        assert batched.text == tuple_at_a_time.text
+            small = db.explain_analyze(self.SQL)
+        assert small.text == default.text
 
     def test_explain_analyze_storage_section_is_opt_in(self, tmp_path):
         path = tmp_path / "db"
@@ -258,13 +261,14 @@ class TestReadahead:
         with _open(path) as db:
             db.create_table("reads", SCHEMA)
             db.load("reads", _rows(2000))
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "0")
+        # Statistics first; the count then builds the columnar cache
+        # from cold, one sequential pass over the heap pages.
         with _open(path) as plain_db:
-            plain_db.execute("SELECT id FROM reads WHERE id = -1")
+            plain_db.analyze()
             baseline, plain = plain_db.execute_with_metrics(
                 "SELECT COUNT(*) AS n FROM reads")
         with _open(path, readahead=8) as ra_db:
-            ra_db.execute("SELECT id FROM reads WHERE id = -1")
+            ra_db.analyze()
             result, metrics = ra_db.execute_with_metrics(
                 "SELECT COUNT(*) AS n FROM reads")
         assert result.rows == baseline.rows

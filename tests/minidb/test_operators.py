@@ -4,7 +4,8 @@ semi-join NOT IN behaviour, ordering propagation, and metrics counters.
 
 import pytest
 
-from repro.minidb import Database, PlannerOptions, SqlType, TableSchema
+from repro.fuzz import reference
+from repro.minidb import Database, SqlType, TableSchema
 
 
 @pytest.fixture
@@ -114,11 +115,11 @@ class TestActualRowCounters:
         assert plan.actual_rows == 8
 
 
-class TestNaiveWindowOption:
+class TestReferenceWindow:
     def test_results_identical(self, db):
+        """The sliding-frame kernels against the reference evaluator's
+        per-row rescan of the same frame."""
         sql = ("select k, count(*) over (order by k asc rows between "
                "1 preceding and current row) as c from a where "
                "k is not null")
-        fast = db.execute(sql).as_set()
-        slow = db.execute(sql, options=PlannerOptions(naive_windows=True))
-        assert fast == slow.as_set()
+        assert db.execute(sql).rows == reference.execute(db, sql)

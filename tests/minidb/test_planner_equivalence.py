@@ -1,14 +1,16 @@
 """Optimizer-equivalence property tests.
 
 Every planner feature (predicate pushdown, index access paths, order
-sharing, sliding windows) is an *optimization*: turning it off must
-never change query results. Random queries over random data are run
-with each toggle flipped and compared against the all-off baseline.
+sharing) is an *optimization*: turning it off must never change query
+results. Random queries over random data are run with each toggle
+flipped, and with all of them off, and compared against the reference
+evaluator's answer to the unoptimized logical plan.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fuzz import reference
 from repro.minidb import Database, PlannerOptions, SqlType, TableSchema
 
 SCHEMA = TableSchema.of(
@@ -48,15 +50,13 @@ QUERIES = st.sampled_from([
     "having count(*) > 1",
 ])
 
-BASELINE = PlannerOptions(use_indexes=False, order_sharing=False,
-                          naive_windows=True, push_filters=False)
-
 VARIATIONS = [
     PlannerOptions(),  # everything on
     PlannerOptions(use_indexes=False),
     PlannerOptions(order_sharing=False),
     PlannerOptions(push_filters=False),
-    PlannerOptions(naive_windows=True),
+    PlannerOptions(use_indexes=False, order_sharing=False,
+                   push_filters=False),  # everything off
 ]
 
 
@@ -74,8 +74,7 @@ def _database(rows):
 def test_optimizations_never_change_results(rows, template, t):
     db = _database(rows)
     sql = template.format(t=t)
-    baseline = sorted(db.execute(sql, options=BASELINE).rows,
-                      key=repr)
+    baseline = sorted(reference.execute(db, sql), key=repr)
     for options in VARIATIONS:
         got = sorted(db.execute(sql, options=options).rows, key=repr)
         assert got == baseline, options

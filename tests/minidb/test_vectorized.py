@@ -1,18 +1,20 @@
 """Vectorized execution tests: RowBatch mechanics, batch-compiled
 expression parity with the scalar evaluator, NULL-ordering pins for the
-decorated-key sort, scalar/batch plan equivalence (including an
-operator-by-operator EXPLAIN ANALYZE diff), and the batch metrics.
+decorated-key sort, executor/reference equivalence at every batch size
+(plus an operator-by-operator EXPLAIN ANALYZE diff across sizes), and
+the batch metrics.
 """
 
 import pytest
 
+from repro.fuzz import reference
 from repro.knobs import UnknownKnobWarning
 from repro.minidb import Database, SqlType, TableSchema
+from repro.minidb.result import ResultSet
 from repro.minidb.sqlparse import parse_expression
 from repro.minidb.vector import (
     DEFAULT_BATCH_SIZE,
     RowBatch,
-    batch_execution_enabled,
     configured_batch_size,
     forced_batch_size,
 )
@@ -49,14 +51,14 @@ class TestRowBatch:
         assert batch.columns == [[1, 2, 3], ["a", "b", "c"]]
 
     def test_configured_size_knob(self, monkeypatch):
-        with forced_batch_size(0):
-            assert configured_batch_size() == 0
-            assert not batch_execution_enabled()
         with forced_batch_size(17):
             assert configured_batch_size() == 17
-            assert batch_execution_enabled()
         monkeypatch.setenv("REPRO_BATCH_SIZE", "junk")
         with pytest.warns(UnknownKnobWarning, match="REPRO_BATCH_SIZE"):
+            assert configured_batch_size() == DEFAULT_BATCH_SIZE
+        # 0 is not a tuple-at-a-time mode: it warns and runs the default.
+        monkeypatch.setenv("REPRO_BATCH_SIZE", "0")
+        with pytest.warns(UnknownKnobWarning, match="at least 1"):
             assert configured_batch_size() == DEFAULT_BATCH_SIZE
 
 
@@ -105,8 +107,8 @@ class TestBatchExpressionParity:
         "case when a > 100 then 1 / 0 else s end",
     ]
 
-    @staticmethod
-    def _check(text):
+    @pytest.mark.parametrize("text", EXPRESSIONS)
+    def test_matches_scalar_bind(self, text):
         expr = parse_expression(text)
         resolver = _resolver()
         bound = expr.bind(resolver)
@@ -115,13 +117,17 @@ class TestBatchExpressionParity:
         assert batch_bound(RowBatch.from_rows(ROWS, 3)) == expected
 
     @pytest.mark.parametrize("text", EXPRESSIONS)
-    def test_matches_scalar_bind(self, text):
-        self._check(text)
-
-    @pytest.mark.parametrize("text", EXPRESSIONS)
-    def test_fallback_kernel_matches(self, text, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_FALLBACK", "1")
-        self._check(text)
+    def test_fallback_kernel_matches(self, text):
+        """The node's own vectorized kernel against its elementwise
+        ``bind`` closure — the closure ``bind_batch`` falls back to for
+        nodes without a kernel."""
+        expr = parse_expression(text)
+        resolver = _resolver()
+        kernel = expr._bind_batch_fast(resolver)
+        assert kernel is not None, f"{text} has no vectorized kernel"
+        bound = expr.bind(resolver)
+        batch = RowBatch.from_rows(ROWS, 3)
+        assert kernel(batch) == [bound(row) for row in batch.rows()]
 
     def test_kleene_three_valued_corners(self):
         resolver = _resolver()
@@ -176,67 +182,74 @@ EQUIVALENCE_QUERIES = [
 
 
 class TestScalarBatchEquivalence:
-    """Identical output rows, in identical order, at every batch size."""
+    """The tuple-at-a-time reference evaluator's row bag at every batch
+    size, and identical output rows, in identical order, across sizes."""
 
     @pytest.mark.parametrize("sql", EQUIVALENCE_QUERIES)
     def test_all_batch_sizes_agree(self, db, sql):
+        expected = ResultSet([], reference.execute(db, sql)).canonical()
         results = {}
-        for size in (0, 1, 3, 4096):
+        for size in (1, 3, 4096):
             with forced_batch_size(size):
                 db.plan_cache.clear()
-                results[size] = db.execute(sql).rows
-        scalar = results.pop(0)
-        for size, rows in results.items():
-            assert rows == scalar, f"batch size {size} diverged"
+                results[size] = db.execute(sql)
+            assert results[size].canonical() == expected, \
+                f"batch size {size} diverged from the reference"
+        first = results.pop(1).rows
+        for size, result in results.items():
+            assert result.rows == first, f"batch size {size} reordered"
 
     def test_explained_plan_diff_rows_match(self, db):
-        """Satellite: the same logical plan drained through rows() and
-        batches() reports identical per-operator actual row counts."""
+        """The same plan drained at batch size 7 and at the default size
+        reports identical per-operator actual row counts."""
         sql = ("select t.k, d.label, sum(t.v) over (partition by t.tag "
                "order by t.k) from t, d where t.tag = d.tag and t.v > 5 "
                "order by t.k")
-        with forced_batch_size(0):
+        with forced_batch_size(7):
             db.plan_cache.clear()
-            scalar = db.explain_analyze(sql)
-        with forced_batch_size(64):
-            db.plan_cache.clear()
-            batch = db.explain_analyze(sql)
-        scalar_counts = [(node.label(), node.actual_rows)
-                         for node in scalar.plan.walk()]
-        batch_counts = [(node.label(), node.actual_rows)
-                        for node in batch.plan.walk()]
-        assert scalar_counts == batch_counts
-        assert scalar.text == batch.text  # full EXPLAIN ANALYZE renders
+            small = db.explain_analyze(sql)
+        db.plan_cache.clear()
+        default = db.explain_analyze(sql)
+        small_counts = [(node.label(), node.actual_rows)
+                        for node in small.plan.walk()]
+        default_counts = [(node.label(), node.actual_rows)
+                          for node in default.plan.walk()]
+        assert small_counts == default_counts
+        assert small.text == default.text  # full EXPLAIN ANALYZE renders
+
+
+def _rows(db, sql, size):
+    """*sql*'s rows from the executor at batch size *size*, or from the
+    reference evaluator when *size* is 0."""
+    if size == 0:
+        return reference.execute(db, sql)
+    with forced_batch_size(size):
+        db.plan_cache.clear()
+        return db.execute(sql).rows
 
 
 class TestSortNullOrdering:
-    """Pin the sort contract the decorated-key rewrite must preserve:
-    NULLs first ascending, NULLs last descending, stable ties."""
+    """Pin the sort contract the decorated-key sort and the reference
+    evaluator's ``sorted()`` (size 0) must both keep: NULLs first
+    ascending, NULLs last descending, stable ties."""
 
     @pytest.mark.parametrize("size", [0, 3])
     def test_nulls_first_ascending(self, db, size):
-        with forced_batch_size(size):
-            db.plan_cache.clear()
-            values = [row[0] for row in
-                      db.execute("select v from t order by v").rows]
+        values = [row[0] for row in
+                  _rows(db, "select v from t order by v", size)]
         assert values == [None, None, None, 5, 10, 10, 15, 30, 30, 40,
                           50, 80]
 
     @pytest.mark.parametrize("size", [0, 3])
     def test_nulls_last_descending(self, db, size):
-        with forced_batch_size(size):
-            db.plan_cache.clear()
-            values = [row[0] for row in
-                      db.execute("select v from t order by v desc").rows]
+        values = [row[0] for row in
+                  _rows(db, "select v from t order by v desc", size)]
         assert values == [80, 50, 40, 30, 30, 15, 10, 10, 5, None, None,
                           None]
 
     @pytest.mark.parametrize("size", [0, 3])
     def test_multi_key_null_placement(self, db, size):
-        with forced_batch_size(size):
-            db.plan_cache.clear()
-            rows = db.execute(
-                "select tag, v from t order by tag, v desc").rows
+        rows = _rows(db, "select tag, v from t order by tag, v desc", size)
         # tag ascending: NULL tag first; within each tag v descending
         # with NULL v last.
         assert rows[0][0] is None
@@ -245,11 +258,9 @@ class TestSortNullOrdering:
 
     @pytest.mark.parametrize("size", [0, 3])
     def test_stable_on_ties(self, db, size):
-        with forced_batch_size(size):
-            db.plan_cache.clear()
-            rows = db.execute("select k, v from t where v = 30").rows
-            ordered = db.execute(
-                "select k, v from t where v = 30 order by v").rows
+        rows = _rows(db, "select k, v from t where v = 30", size)
+        ordered = _rows(db, "select k, v from t where v = 30 order by v",
+                        size)
         assert ordered == rows  # ties keep input order
 
 
@@ -274,14 +285,6 @@ class TestBatchMetrics:
             _, metrics = db.execute_with_metrics(
                 "select k from t where v > 10")
         assert metrics.batches >= metrics.filter_input_rows == 12
-
-    def test_scalar_mode_reports_zero_batches(self, db):
-        with forced_batch_size(0):
-            db.plan_cache.clear()
-            _, metrics = db.execute_with_metrics(
-                "select k from t where v > 10")
-        assert metrics.batches == 0
-        assert metrics.selection_density is None
 
     def test_prepared_plan_reuse_resets_batch_counters(self, db):
         with forced_batch_size(4):

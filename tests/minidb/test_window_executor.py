@@ -2,9 +2,9 @@
 
 The SQL/OLAP executor is the engine's most intricate component and the
 one all cleansing rules ride on, so it gets both example-based tests and
-property tests: the optimized sliding-frame evaluation must agree with
-the naive per-row rescan, and both must agree with an independent
-Python reference model.
+property tests: the whole-input frame kernels must agree with the
+reference evaluator (``repro.fuzz.reference``), which finds every frame
+by rescanning the partition per row.
 """
 
 import contextlib
@@ -14,7 +14,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
-from repro.minidb import Database, PlannerOptions, SqlType, TableSchema
+from repro.fuzz import reference
+from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.plan.window import WindowOp
 from repro.minidb.vector import forced_batch_size, materialize
 
@@ -30,9 +31,17 @@ def make_db(rows):
     return db
 
 
-def run(db, sql, naive=False):
-    options = PlannerOptions(naive_windows=naive)
-    return db.execute(sql, options=options)
+def run(db, sql):
+    return db.execute(sql)
+
+
+def rows_at(db, sql, size):
+    """*sql*'s rows from the executor at batch size *size*, or from the
+    reference evaluator when *size* is 0."""
+    if size == 0:
+        return reference.execute(db, sql)
+    with forced_batch_size(size):
+        return run(db, sql).rows
 
 
 class TestRowsFrames:
@@ -70,6 +79,19 @@ class TestRowsFrames:
             from w""")
         # Rows with t=2 are peers: both see the full peer group.
         assert rs.column("s") == [1, 6, 6, 10]
+
+    @pytest.mark.parametrize("size", [0, 1024])
+    def test_default_frame_peers_share_every_order_key(self, size):
+        """Rows are peers only when equal on all ORDER BY keys: (1, 1)
+        and (1, 2) tie on the first key but not on the second."""
+        db = Database()
+        db.create_table("m", TableSchema.of(("a", SqlType.INTEGER),
+                                            ("b", SqlType.INTEGER),
+                                            ("v", SqlType.INTEGER)))
+        db.load("m", [(1, 1, 10), (1, 2, 20), (2, 1, 30), (2, 1, 40)])
+        rows = rows_at(db, "select a, b, sum(v) over (order by a, b) as s "
+                           "from m", size)
+        assert rows == [(1, 1, 10), (1, 2, 30), (2, 1, 100), (2, 1, 100)]
 
     def test_no_order_means_whole_partition(self):
         db = make_db([("a", 1, 1), ("a", 9, 2)])
@@ -124,13 +146,12 @@ class TestFunctions:
     @pytest.mark.parametrize("size", [0, 1024])
     def test_two_partition_keys(self, size):
         db = make_db([("b", 1, 20), ("a", 1, 10), ("a", 2, 30), ("a", 1, 5)])
-        with forced_batch_size(size):
-            rs = run(db, """
-                select g, t, sum(v) over (partition by g, t) as s,
-                       row_number() over (partition by g, t) as rn
-                from w""")
-        assert rs.rows == [("a", 1, 15, 1), ("a", 1, 15, 2),
-                           ("a", 2, 30, 1), ("b", 1, 20, 1)]
+        rows = rows_at(db, """
+            select g, t, sum(v) over (partition by g, t) as s,
+                   row_number() over (partition by g, t) as rn
+            from w""", size)
+        assert rows == [("a", 1, 15, 1), ("a", 1, 15, 2),
+                        ("a", 2, 30, 1), ("b", 1, 20, 1)]
 
     def test_lag_and_lead(self):
         db = make_db([("a", 1, 10), ("a", 2, 20), ("a", 3, 30)])
@@ -187,10 +208,9 @@ class TestFloatSums:
                  [1e16, 4.0, 3.0])]:
             sql = (f"select sum(v) over (partition by g order by t "
                    f"{frame}) as s from f")
-            for size in (0, 1024):
-                with forced_batch_size(size):
-                    assert run(db, sql).column("s") == expected
-                    assert run(db, sql, naive=True).column("s") == expected
+            for size in (0, 1, 1024):
+                assert [row[0] for row in rows_at(db, sql, size)] \
+                    == expected
 
 
 class TestDescendingVarcharOrder:
@@ -199,15 +219,14 @@ class TestDescendingVarcharOrder:
     @pytest.mark.parametrize("size", [0, 1024])
     def test_row_number_rows_frame_and_default_frame(self, size):
         db = make_db(self.ROWS)
-        with forced_batch_size(size):
-            rs = run(db, """
-                select g, row_number() over (order by g desc) as rn,
-                       max(v) over (order by g desc
-                           rows between 1 preceding and 1 preceding) as p,
-                       count(*) over (order by g desc) as n
-                from w""")
-        assert rs.rows == [("c", 1, None, 1), ("b", 2, None, 2),
-                           ("a", 3, 30, 4), ("a", 4, 10, 4)]
+        rows = rows_at(db, """
+            select g, row_number() over (order by g desc) as rn,
+                   max(v) over (order by g desc
+                       rows between 1 preceding and 1 preceding) as p,
+                   count(*) over (order by g desc) as n
+            from w""", size)
+        assert rows == [("c", 1, None, 1), ("b", 2, None, 2),
+                        ("a", 3, 30, 4), ("a", 4, 10, 4)]
 
     def test_range_offset_needs_a_numeric_key(self):
         db = make_db(self.ROWS)
@@ -222,7 +241,7 @@ class TestDescendingVarcharOrder:
 
 
 # ----------------------------------------------------------------------
-# Property test: kernels == naive rescan == independent reference model.
+# Property test: kernels == the reference evaluator's per-row rescan.
 # ----------------------------------------------------------------------
 
 PROPERTY_SCHEMA = TableSchema.of(("g", SqlType.VARCHAR),
@@ -230,8 +249,9 @@ PROPERTY_SCHEMA = TableSchema.of(("g", SqlType.VARCHAR),
                                  ("v", SqlType.INTEGER),
                                  ("f", SqlType.DOUBLE))
 
-#: Dyadic floats, whose sums are exact in any order, plus two values big
-#: enough that a running total loses the small ones.
+#: Dyadic floats plus two values big enough that a running total loses
+#: the small ones. Both sides add a float frame left to right, so even
+#: those sums must agree exactly.
 FLOATS = [0.25, -1.5, 3.0, 1.0, 8.75, 1e16, -1e16]
 
 property_rows = st.lists(
@@ -271,59 +291,6 @@ def _frame_sql(frame):
             f"and {bound(end, 'unbounded following')}")
 
 
-def _in_frame(frame, keys, i, j):
-    """Is sorted row *j* in the frame of sorted row *i*?  ``keys`` are
-    the order keys normalized to ascend (negated under DESC)."""
-    if frame is None:  # up to and including the current row's peers
-        return j <= i or keys[j] == keys[i]
-    mode, start, end = frame
-    if mode == "rows":
-        return (start is None or start <= j - i) \
-            and (end is None or j - i <= end)
-    if keys[i] is None or keys[j] is None:
-        # NULL keys are peers of each other; anything else reaches them,
-        # or is reached from them, only through an UNBOUNDED side.
-        return (keys[i] is None and keys[j] is None) \
-            or (j < i and start is None) or (j > i and end is None)
-    return (start is None or keys[i] + start <= keys[j]) \
-        and (end is None or keys[j] <= keys[i] + end)
-
-
-def reference(rows, descending, functions):
-    """Independent O(n^2) model: the query's rows, in output order."""
-    # The engine's order: stable by t (NULLs first; reversed wholesale
-    # under DESC, which keeps ties in arrival order), then stable by g.
-    ordered = sorted(rows, key=lambda r: (r[1] is not None, r[1] or 0),
-                     reverse=descending)
-    ordered.sort(key=lambda r: r[0])
-    out = []
-    for group in sorted({row[0] for row in ordered}):
-        members = [row for row in ordered if row[0] == group]
-        keys = [None if row[1] is None
-                else -row[1] if descending else row[1] for row in members]
-        for i, row in enumerate(members):
-            computed = []
-            for func, column, frame in functions:
-                window = [other[2 if column == "v" else 3]
-                          for j, other in enumerate(members)
-                          if _in_frame(frame, keys, i, j)]
-                values = [value for value in window if value is not None]
-                if func == "count*":
-                    computed.append(len(window))
-                elif func == "count":
-                    computed.append(len(values))
-                elif not values:
-                    computed.append(None)
-                elif func == "sum":
-                    computed.append(sum(values))
-                elif func == "avg":
-                    computed.append(sum(values) / len(values))
-                else:
-                    computed.append((min if func == "min" else max)(values))
-            out.append(row + tuple(computed))
-    return out
-
-
 #: NULL keys sort to one end of the sequence; a frame reaches across
 #: that boundary only through an UNBOUNDED side.
 NULL_KEY_ROWS = [("a", None, 1, 1.0), ("a", 3, 4, 0.25), ("a", None, 2, 3.0),
@@ -345,7 +312,8 @@ def test_sliding_matches_naive_and_reference(rows, descending, frames,
                                              picks):
     """Several functions in one Window operator, some sharing a frame,
     over NULL keys and arguments, ties, floats and either direction: the
-    kernels, the naive rescan and the model agree at every batch size."""
+    kernels agree with the reference evaluator's naive per-row rescan,
+    row for row and in order, at every batch size."""
     functions = [(func, column, frames[which])
                  for func, column, which in picks]
     direction = "desc" if descending else "asc"
@@ -360,23 +328,11 @@ def test_sliding_matches_naive_and_reference(rows, descending, frames,
     db.load("w", rows)
     assert len([node for node in db.plan(sql).walk()
                 if isinstance(node, WindowOp)]) == 1
-    expected = reference(rows, descending, functions)
-    # Float sums are exact, hence comparable with the model, only while
-    # no value is large enough to absorb another.
-    exact = all(row[3] is None or abs(row[3]) < 1e6 for row in rows)
-    modelled = [4 + index for index, (func, column, _)
-                in enumerate(functions)
-                if exact or column == "v" or func not in ("sum", "avg")]
-    for size in (0, 1, 7, None):
+    expected = reference.execute(db, sql)
+    for size in (1, 7, None):
         with forced_batch_size(size) if size is not None \
                 else contextlib.nullcontext():
-            fast = run(db, sql).rows
-            slow = run(db, sql, naive=True).rows
-        assert fast == slow
-        assert [row[:4] for row in fast] == [row[:4] for row in expected]
-        for position in modelled:
-            assert [row[position] for row in fast] \
-                == [row[position] for row in expected]
+            assert run(db, sql).rows == expected
 
 
 class TestSharedBounds:

@@ -149,7 +149,8 @@ class TestFaultDrillsAreSeparable:
     """``REPRO_FUZZ_INJECT_BUG`` names one layer's drill at a time: only
     the expanded drill's own names may drop the context conditions."""
 
-    @pytest.mark.parametrize("name", ["encode", "storage", "no-such-drill"])
+    @pytest.mark.parametrize("name", ["encode", "storage", "window",
+                                      "no-such-drill"])
     def test_other_drills_leave_context_conditions(self, monkeypatch, name):
         clean = analyze_expanded([READER, DUPLICATE], s("rtime <= 1000"),
                                  READS_COLUMNS)

@@ -240,9 +240,13 @@ def test_patched_region_byte_identical_to_cold(monkeypatch, batch):
     Two engines over the same data history — one queries between appends
     (so its region is patched twice), one only queries at the end (cold
     full cleanse). The materialized regions and the final result rows
-    must be identical at either batch setting.
+    must be identical at the default batch size (``batch=0`` leaves the
+    knob unset) and at a small odd one.
     """
-    monkeypatch.setenv("REPRO_BATCH_SIZE", str(batch))
+    if batch:
+        monkeypatch.setenv("REPRO_BATCH_SIZE", str(batch))
+    else:
+        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
 
     prefix = base_rows(epcs=30, per_epc=10)
     chunks = [

@@ -8,11 +8,14 @@ found by the benchmark pipeline, not by ``pytest``.
 
 from __future__ import annotations
 
+import os
 import warnings
 from collections import defaultdict
 
 from repro import knobs
-from repro.minidb.vector import encode_stats, materialize
+from repro.minidb.vector import encode_stats, forced_batch_size, materialize
+from repro.rewrite.engine import DeferredCleansingEngine
+from repro.sqlts.registry import RuleRegistry
 
 from tests.conftest import make_reads_db
 
@@ -65,3 +68,39 @@ def test_waterfall_batch_leg_knob_stays_known(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert knobs.validate_environment(force=True) == []
+
+
+def test_forced_batch_size_zero_is_a_silent_no_op(monkeypatch):
+    """``bench/statements.py`` wraps every oracle query in
+    ``forced_batch_size(0)``; with no tuple-at-a-time mode left, the
+    call must change nothing and say nothing."""
+    for ambient in (None, "64"):
+        if ambient is None:
+            monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BATCH_SIZE", ambient)
+        before = dict(os.environ)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with forced_batch_size(0):
+                assert dict(os.environ) == before
+        assert dict(os.environ) == before
+
+
+def test_cleansed_query_oracle_is_the_naive_rewrite():
+    from bench.statements import CleansedQuery
+
+    db = make_reads_db([("e1", 10, "r1", "dock", "s"),
+                        ("e1", 12, "r1", "dock", "s"),
+                        ("e1", 400, "r2", "shelf", "s"),
+                        ("e2", 20, "r1", "dock", "s")])
+    registry = RuleRegistry(db)
+    registry.define("DEFINE dup ON r CLUSTER BY epc SEQUENCE BY rtime\n"
+                    "AS (A, B)\n"
+                    "WHERE b.rtime - a.rtime < 10 AND a.biz_loc = b.biz_loc\n"
+                    "ACTION DELETE B")
+    engine = DeferredCleansingEngine(db, registry)
+    sql = "select epc, rtime, biz_loc from r where rtime <= 300"
+    expected = engine.execute(sql, {"naive"}).canonical()
+    assert CleansedQuery("q", engine, sql).oracle() == expected
+    assert len(expected) == 2  # the duplicate read at t=12 is cleansed

@@ -53,7 +53,7 @@ def test_database_construction_validates(fresh_latch, monkeypatch):
 
 def test_known_knobs_stay_silent(fresh_latch, monkeypatch):
     monkeypatch.setenv("REPRO_ENCODE", "0")
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "0")
+    monkeypatch.setenv("REPRO_BATCH_SIZE", "7")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert knobs.validate_environment(force=True) == []
@@ -84,7 +84,7 @@ def test_registry_matches_readme():
               / "README.md").read_text(encoding="utf-8")
     missing = [name for name in knobs.KNOWN_KNOBS if name not in readme]
     assert not missing, f"knobs undocumented in README: {missing}"
-    assert len(knobs.KNOWN_KNOBS) == 16
+    assert len(knobs.KNOWN_KNOBS) == 15
 
 
 def _server_limits(field):
@@ -106,7 +106,7 @@ def _experiment_scale():
 #: them; the parsing is ``knobs.int_knob`` for all of them.
 INT_KNOBS = [
     ("REPRO_SCALE", _experiment_scale, 24, 1, None),
-    ("REPRO_BATCH_SIZE", configured_batch_size, 1024, 0, None),
+    ("REPRO_BATCH_SIZE", configured_batch_size, 1024, 1, None),
     ("REPRO_PAGE_SIZE", configured_page_size, 4096, 128, None),
     ("REPRO_WAL_LIMIT", configured_checkpoint_bytes, 1 << 20, 1, None),
     ("REPRO_BUFFER_PAGES", configured_buffer_pages, 256, 4, None),
@@ -116,6 +116,11 @@ INT_KNOBS = [
     ("REPRO_SERVE_SESSION_DEPTH", _server_limits("session_depth"),
      8, 1, None),
 ]
+
+#: Knobs for which a value below the minimum is a mistake rather than a
+#: request for the minimum: it warns and yields the default (a batch
+#: size of 0 names no execution mode).
+WARN_BELOW_MINIMUM = {"REPRO_BATCH_SIZE"}
 
 
 @pytest.mark.parametrize("name, read, default, minimum, maximum",
@@ -129,7 +134,11 @@ def test_integer_knob_default_clamps_and_junk(monkeypatch, name, read,
     monkeypatch.setenv(name, str(minimum + 3))
     assert read() == minimum + 3
     monkeypatch.setenv(name, str(minimum - 5))
-    assert read() == minimum
+    if name in WARN_BELOW_MINIMUM:
+        with pytest.warns(knobs.UnknownKnobWarning, match=name):
+            assert read() == default
+    else:
+        assert read() == minimum
     monkeypatch.setenv(name, str(10 ** 9))
     assert read() == (10 ** 9 if maximum is None else maximum)
     # An unparsable value used to configure the default silently.
