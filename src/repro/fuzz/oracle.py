@@ -32,11 +32,9 @@ path and diffs canonicalized row bags against the naive strategy
                           the same table state
 ``disk``                  naive re-run against ``storage=disk``: build
                           on disk, checkpoint, close, reopen with a
-                          4-page buffer pool, zone-map pruning forced
-                          on and a 2-page readahead window, then
-                          query — every row is re-decoded from its
-                          on-disk representation with the fast-path
-                          machinery live; counters must prove pages
+                          4-page buffer pool, then query — every row
+                          is re-decoded from its on-disk
+                          representation; counters must prove pages
                           faulted through the pool
 ``served``                the cleansed query executed over the wire: a
                           loopback ``repro.server`` session declares
@@ -62,7 +60,6 @@ abort the sweep: one broken path still reports the others.
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 from collections import Counter
@@ -355,22 +352,16 @@ def run_case(case: FuzzCase,
         # and close it, then reopen with a 4-page buffer pool — the
         # query faults every page back in and re-decodes each row from
         # its on-disk representation (nothing can be served from
-        # build-time cache frames). The reopened database runs with the
-        # fast disk path forced live: zone-map pruning on (any page the
-        # zone maps skip must not change the answer) and a 2-page
-        # readahead window (prefetched bytes must decode identically to
-        # demand reads). Must be byte-identical to the in-memory
-        # baseline.
+        # build-time cache frames). Must be byte-identical to the
+        # in-memory baseline.
         tmp = tempfile.mkdtemp(prefix="repro-fuzz-disk-")
-        saved_prune = os.environ.get("REPRO_ZONE_PRUNE")
-        os.environ["REPRO_ZONE_PRUNE"] = "1"
         try:
             build_db, _ = build_database(case, storage="disk",
                                          buffer_pages=4,
                                          storage_path=tmp)
             build_db.shutdown()  # checkpoint: pages + manifest durable
             disk_db = Database(storage="disk", storage_path=tmp,
-                               buffer_pages=4, readahead=2)
+                               buffer_pages=4)
             try:
                 disk_registry = RuleRegistry(disk_db)
                 for text in case.rules:
@@ -383,10 +374,6 @@ def run_case(case: FuzzCase,
             finally:
                 disk_db.shutdown()
         finally:
-            if saved_prune is None:
-                os.environ.pop("REPRO_ZONE_PRUNE", None)
-            else:
-                os.environ["REPRO_ZONE_PRUNE"] = saved_prune
             shutil.rmtree(tmp, ignore_errors=True)
         if case.reads_rows and counters["pages_read"] == 0:
             raise AssertionError(

@@ -40,9 +40,6 @@ KNOWN_KNOBS: dict[str, str] = {
     "REPRO_BUFFER_PAGES": "buffer-pool capacity in pages",
     "REPRO_PAGE_SIZE": "on-disk page size in bytes",
     "REPRO_WAL_LIMIT": "WAL bytes before an auto-checkpoint",
-    "REPRO_GROUP_COMMIT": "WAL group-commit window (0/off disables)",
-    "REPRO_READAHEAD": "buffer-pool readahead depth in pages",
-    "REPRO_ZONE_PRUNE": "zone-map scan pruning (default on)",
     "REPRO_STORAGE_CRASH": "crash-injection fault point name",
     "REPRO_FUZZ_INJECT_BUG": "fuzz-oracle self-test fault name",
     "REPRO_SERVE_WORKERS": "server executor workers (0 = threads only)",

@@ -79,16 +79,12 @@ class ExecutionMetrics:
     #: Disk-storage counters for the call that produced these metrics
     #: (filled in by ``execute_with_metrics``; all 0 in memory mode):
     #: pages faulted into the buffer pool, pages written back, pages
-    #: evicted from it, WAL bytes appended (non-zero only if the call
-    #: mutated tables), pages skipped by zone-map pruning, and
-    #: readahead activity (pages staged ahead / staged but never used).
+    #: evicted from it, and WAL bytes appended (non-zero only if the
+    #: call mutated tables).
     pages_read: int = 0
     pages_written: int = 0
     pages_evicted: int = 0
     wal_bytes: int = 0
-    pages_pruned: int = 0
-    pages_prefetched: int = 0
-    prefetch_wasted: int = 0
     #: Heap-page bytes avoided by the dictionary page codec for writes
     #: issued during the call (filled in by ``execute_with_metrics``).
     bytes_saved: int = 0
@@ -212,8 +208,6 @@ class Database:
                  storage_path: str | None = None,
                  buffer_pages: int | None = None,
                  page_size: int | None = None,
-                 group_commit: object | None = None,
-                 readahead: int | None = None,
                  encode: bool | None = None) -> None:
         # Attributes __del__/__exit__ touch are assigned before anything
         # that can raise, so shutdown() is safe after a failed __init__.
@@ -230,8 +224,6 @@ class Database:
             self.storage = DiskStorage(path=storage_path,
                                        buffer_pages=buffer_pages,
                                        page_size=page_size,
-                                       group_commit=group_commit,
-                                       readahead=readahead,
                                        encode=encode)
         self.catalog = Catalog(self.storage)
         if self.storage is not None:
@@ -432,9 +424,9 @@ class Database:
 
         With ``include_storage=True`` (and disk storage) the text gains
         a trailing section with the storage-counter deltas this
-        execution caused — pages read/written/evicted/pruned, readahead
-        activity, WAL bytes, pages decoded, and heap pages whose fill
-        accounting was rebuilt (0 for anything that only reads). Opt-in so the default text stays
+        execution caused — pages read/written/evicted, WAL bytes, pages
+        decoded, and heap pages whose fill accounting was rebuilt (0 for
+        anything that only reads). Opt-in so the default text stays
         byte-stable across storage modes and execution paths.
         """
         before = (self.storage.counters
@@ -446,9 +438,7 @@ class Database:
             after = self.storage.counters
             lines = [f"  {name}={after[name] - before[name]}"
                      for name in ("pages_read", "pages_written",
-                                  "pages_evicted", "pages_pruned",
-                                  "pages_prefetched", "prefetch_hits",
-                                  "prefetch_wasted", "wal_bytes",
+                                  "pages_evicted", "wal_bytes",
                                   "pages_decoded", "accounting_rebuilds")]
             text = "\n".join([text, "Storage:"] + lines)
         return Explained(plan=plan, text=text,
@@ -524,8 +514,7 @@ class Database:
         if storage_before is not None:
             storage_after = self.storage.counters
             for name in ("pages_read", "pages_written", "pages_evicted",
-                         "wal_bytes", "pages_pruned", "pages_prefetched",
-                         "prefetch_wasted"):
+                         "wal_bytes"):
                 setattr(metrics, name,
                         storage_after[name] - storage_before[name])
         return (ResultSet(columns, rows), metrics)

@@ -10,6 +10,7 @@ root-plan costs, exactly as the paper does with DB2's estimates.
 
 from __future__ import annotations
 
+from repro.errors import PlanningError
 from repro.minidb.expressions import (
     BinaryOp,
     ColumnRef,
@@ -50,7 +51,7 @@ class SelectivityEstimator:
             schema: PlanSchema) -> tuple[ColumnStats, int] | None:
         try:
             position = schema.resolve(ref.qualifier, ref.name)
-        except Exception:
+        except PlanningError:
             return None
         origin = schema.fields[position].origin
         if origin is None:

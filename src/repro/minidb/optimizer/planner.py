@@ -265,16 +265,6 @@ class Planner:
             access = SeqScan(table, node.schema)
             access.estimated_rows = base_rows
             access.estimated_cost = self._cost.seq_scan(base_rows)
-            # Zone-map pruning specs: every ``col op literal`` conjunct
-            # lets a disk-backed scan skip pages whose min/max disprove
-            # it. Attribute-only (no tree-shape change), so the plan
-            # cache stays valid; zones are consulted at execution time.
-            access.prune = [
-                (node.schema.resolve(ref.qualifier, ref.name), op, value)
-                for ref, op, value in
-                (self._parse_range_conjunct(c, node) or (None,) * 3
-                 for c in conjuncts)
-                if ref is not None]
         if not residual:
             return access
         predicate = and_all(residual)

@@ -35,8 +35,6 @@ from repro.errors import ExecutionError
 from repro.minidb.expressions import BatchBound, Expr, true_positions
 from repro.minidb.index import IndexRange, SortedIndex
 from repro.minidb.plan.planschema import PlanSchema
-from repro.minidb.storage.heap import DiskRowStore
-from repro.minidb.storage.zones import pruning_enabled
 from repro.minidb.table import Table
 from repro.minidb.types import sort_key_column
 from repro.minidb.vector import RowBatch, concat_columns, configured_batch_size
@@ -175,65 +173,17 @@ class SeqScan(PhysicalNode):
     after the snapshot was pinned. Both are None for live execution.
     """
 
-    __slots__ = ('table', 'prune', 'visible_count', 'visible_rows')
+    __slots__ = ('table', 'visible_count', 'visible_rows')
 
     def __init__(self, table: Table, schema: PlanSchema) -> None:
         super().__init__()
         self.table = table
         self.schema = schema
-        #: Zone-pruning conjuncts ``(column position, op, literal)``
-        #: attached by the planner; consulted only for disk-backed
-        #: tables, where page zone maps can disprove whole pages.
-        self.prune: list[tuple] = []
         self.visible_count: int | None = None
         self.visible_rows = None
 
-    def _pruned_source(self):
-        """Page runs surviving zone pruning, or None when inapplicable.
-
-        Detached snapshots never use live pages: the frozen prefix is a
-        plain list, so pruning is skipped rather than consulting pages
-        that may already describe rewritten data.
-        """
-        if not self.prune or not pruning_enabled():
-            return None
-        if self.visible_rows is not None:
-            return None
-        store = self.table.rows
-        if not isinstance(store, DiskRowStore):
-            return None
-        return store.pruned_pages(self.prune)
-
-    def _pruned_rows(self, pages) -> Iterator[list]:
-        """Per-page row runs from *pages*, snapshot-restricted."""
-        bound = self.visible_count
-        for start, rows in pages:
-            if bound is not None:
-                # Page start offsets are stable under append, so the
-                # snapshot bound clips each run positionally.
-                if start >= bound:
-                    continue
-                if start + len(rows) > bound:
-                    rows = rows[:bound - start]
-            if rows:
-                yield rows
-
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         size = _resolve_batch_size(size)
-        pages = self._pruned_source()
-        if pages is not None:
-            # Transpose surviving page runs directly instead of going
-            # through ``columnar()``: the column cache would fetch every
-            # page and defeat the pruning.
-            pending: list[tuple] = []
-            for selected in self._pruned_rows(pages):
-                pending.extend(selected)
-                while len(pending) >= size:
-                    chunk, pending = pending[:size], pending[size:]
-                    yield self._emit(_transposed(chunk))
-            if pending:
-                yield self._emit(_transposed(pending))
-            return
         if self.visible_rows is not None:
             yield from self._frozen_batches(size)
             return

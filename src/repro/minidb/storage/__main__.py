@@ -18,6 +18,7 @@ import json
 import os
 import sys
 
+from repro.errors import StorageError
 from repro.minidb.storage.page import (
     KIND_HEAP_DICT,
     SLOT_SIZE,
@@ -60,7 +61,7 @@ def _heap_footprint(pages_path: str, page_size: int,
             data = handle.read(page_size)
             try:
                 kind, cells = decode_page(data)
-            except Exception:
+            except StorageError:
                 continue
             stored += cells_size(cells)
             if kind == KIND_HEAP_DICT:
@@ -88,7 +89,6 @@ def stat(directory: str) -> str:
         manifest = json.load(handle)
     page_size = manifest["page_size"]
     free_pages = manifest.get("free_pages", [])
-    zones = manifest.get("zones", {})
     lines.append(f"checkpoint epoch: {manifest['epoch']}")
     lines.append(f"page size: {page_size} bytes")
     lines.append(f"next page id: {manifest['next_page_id']}")
@@ -97,14 +97,12 @@ def stat(directory: str) -> str:
     lines.append(f"free list: {len(free_pages)} pages")
     lines.append(f"wal.log: {wal_size} bytes"
                  + (" (recovery would replay)" if wal_size else ""))
-    live = 0
     pages_path = os.path.join(directory, "data.pages")
     for name, entry in sorted(manifest.get("tables", {}).items()):
         heap_pages = entry.get("heap_pages", [])
         heap = len(heap_pages)
         index_pages = sum(len(spec.get("pages", []))
                           for spec in entry.get("indexes", {}).values())
-        live += heap + index_pages
         rows = sum(count for _, count in heap_pages)
         lines.append(f"table {name}: {rows} rows, {heap} heap pages, "
                      f"{len(entry.get('indexes', {}))} indexes "
@@ -115,8 +113,6 @@ def stat(directory: str) -> str:
         lines.append(f"table {name} footprint: {stored} bytes stored "
                      f"({dict_pages} dict pages), {plain} bytes plain, "
                      f"ratio {ratio}")
-    coverage = f"{len(zones)}/{live}" if live else "0/0"
-    lines.append(f"zone maps: {coverage} live pages covered")
     return "\n".join(lines)
 
 

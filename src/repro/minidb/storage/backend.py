@@ -79,7 +79,7 @@ def configured_checkpoint_bytes() -> int:
 def encode_enabled() -> bool:
     """Whether ``REPRO_ENCODE`` (default on, ``0`` = off) lets heap
     pages take the dictionary layout."""
-    return os.environ.get("REPRO_ENCODE", "").strip() != "0"
+    return int_knob("REPRO_ENCODE", 1, 0, 1) != 0
 
 
 class DiskStorage:
@@ -95,8 +95,6 @@ class DiskStorage:
                  buffer_pages: int | None = None,
                  page_size: int | None = None, sync: bool = True,
                  checkpoint_bytes: int | None = None,
-                 group_commit: object | None = None,
-                 readahead: int | None = None,
                  encode: bool | None = None) -> None:
         # Assigned before anything that can raise, so close() on a
         # partially constructed instance (a failed __init__ reached via
@@ -115,9 +113,9 @@ class DiskStorage:
         #: never consults the environment.
         self.encode = encode_enabled() if encode is None else bool(encode)
         self._decode_fault = storage_fault_active()
-        #: Pages decoded into nodes (demand reads + consumed prefetches)
-        #: and decoded heap nodes whose fill accounting had to be
-        #: re-derived because they were written to again.
+        #: Pages decoded into nodes (one per page read) and decoded heap
+        #: nodes whose fill accounting had to be re-derived because they
+        #: were written to again.
         self.pages_decoded = 0
         self.accounting_rebuilds = 0
         self.checkpoint_bytes = (checkpoint_bytes
@@ -132,11 +130,9 @@ class DiskStorage:
         capacity = (buffer_pages if buffer_pages is not None
                     else configured_buffer_pages())
         self.pager = Pager(os.path.join(self.path, _DATA), self.page_size,
-                           capacity, self._decode_node,
-                           readahead=readahead)
+                           capacity, self._decode_node)
         self.wal = walmod.WriteAheadLog(os.path.join(self.path, _WAL),
-                                        sync=sync,
-                                        group_commit=group_commit)
+                                        sync=sync)
         self.epoch = 0
         self.manifest_epoch = 0
         self.next_page_id = 0
@@ -146,11 +142,6 @@ class DiskStorage:
         #: Referenced by the current manifest; reusable only after the
         #: *next* checkpoint stops referencing them.
         self._retired: list[int] = []
-        #: Per-page zone maps (heap min/max/null, B-tree leaf bounds),
-        #: maintained at write time, persisted in the manifest.
-        self.zones: dict[int, list] = {}
-        #: Pages skipped by zone-map pruning (scans + index range scans).
-        self.pages_pruned = 0
         self.checkpoints = 0
         #: Compaction work: checkpoint passes that moved pages, and the
         #: total number of page relocations.
@@ -184,7 +175,6 @@ class DiskStorage:
 
     def free_page(self, page_id: int) -> None:
         self.pager.discard(page_id)
-        self.zones.pop(page_id, None)
         if page_id in self.manifest_pages:
             self._retired.append(page_id)
         else:
@@ -315,9 +305,6 @@ class DiskStorage:
                 self.accounting_rebuilds += 1
             pager.discard(old_id)
             pager.adopt(new_id, node)
-            zone = self.zones.pop(old_id, None)
-            if zone is not None:
-                self.zones[new_id] = zone
         for table in self.catalog:
             store = table.rows
             if isinstance(store, DiskRowStore):
@@ -398,10 +385,6 @@ class DiskStorage:
                              else next_page_id),
             "free_pages": free,
             "tables": tables,
-            # Zone values are JSON-safe by construction (unsummarizable
-            # bounds are stored as null, see zones._summarizable).
-            "zones": {str(page_id): zone
-                      for page_id, zone in self.zones.items()},
         }
 
     def _write_manifest(self, manifest: dict) -> None:
@@ -460,9 +443,8 @@ class DiskStorage:
         self.next_page_id = manifest["next_page_id"]
         self._free_now = list(manifest["free_pages"])
         self._retired = []
-        self.zones = {int(page_id): zone
-                      for page_id, zone in
-                      manifest.get("zones", {}).items()}
+        # Older manifests may carry a ``zones`` map: it is ignored, and
+        # the next checkpoint's manifest omits it.
         live: set[int] = set()
         for name, entry in manifest["tables"].items():
             schema = TableSchema(
@@ -536,7 +518,7 @@ class DiskStorage:
         """
         self.dead = True
         self.pager.abandon()
-        self.wal.abandon()
+        self.wal.close()  # close() never fsyncs: the log stays as cut
 
     def close(self) -> None:
         """Checkpoint and release; deletes the directory if temp-owned.
@@ -571,14 +553,17 @@ class DiskStorage:
             "wal_bytes": self.wal.bytes_written,
             "wal_commits": self.wal.commits,
             "wal_syncs": self.wal.syncs,
-            "group_syncs": self.wal.group_syncs,
             "checkpoints": self.checkpoints,
-            "pages_pruned": self.pages_pruned,
-            "pages_prefetched": pager.pages_prefetched,
-            "prefetch_hits": pager.prefetch_hits,
-            "prefetch_wasted": pager.prefetch_wasted,
             "compactions": self.compactions,
             "pages_moved": self.pages_moved,
             "pages_decoded": self.pages_decoded,
             "accounting_rebuilds": self.accounting_rebuilds,
+            # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+            "pages_pruned": 0,
+            # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+            "prefetch_hits": 0,
+            # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+            "prefetch_wasted": 0,
+            # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+            "group_syncs": 0,
         }

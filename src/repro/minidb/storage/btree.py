@@ -45,7 +45,6 @@ from repro.minidb.storage.serde import (
     varint_length,
     write_varint,
 )
-from repro.minidb.storage.zones import leaf_zone, pruning_enabled
 
 __all__ = ["BTreeBackedIndex", "DiskBTree", "LeafNode", "InnerNode"]
 
@@ -249,17 +248,6 @@ class DiskBTree:
     def _capacity(self) -> int:
         return cell_capacity(self.storage.pager.page_size)
 
-    def _note_leaf(self, page_id: int, node: LeafNode) -> None:
-        """Record (or clear) the zone-map entry for a mutated leaf."""
-        zones = getattr(self.storage, "zones", None)
-        if zones is None:
-            return
-        zone = leaf_zone(node.keys)
-        if zone is None:
-            zones.pop(page_id, None)
-        else:
-            zones[page_id] = zone
-
     def _shadow(self, page_id: int, node: Any) -> tuple[int, Any]:
         """A mutable (id, node) for the page, cloning when shadowed."""
         if not self.storage.page_shadowed(page_id):
@@ -268,8 +256,6 @@ class DiskBTree:
         clone = node.clone()
         new_id = self._adopt(clone)
         self._free(page_id)
-        if isinstance(clone, LeafNode):
-            self._note_leaf(new_id, clone)
         return new_id, clone
 
     # -- mutation -------------------------------------------------------
@@ -283,7 +269,6 @@ class DiskBTree:
             root = LeafNode([key], [seq], [position],
                             [_encode_entry(key, seq, position)])
             self.root = self._adopt(root)
-            self._note_leaf(self.root, root)
             return
         self._insert_entry(key, seq, position)
 
@@ -320,7 +305,6 @@ class DiskBTree:
             # rightmost candidate leaf.
             node.insert(bisect.bisect_right(node.keys, key), key, seq,
                         position)
-            self._note_leaf(node_id, node)
             self._split_upward(node_id, node, path, pinned)
         finally:
             for page_id in pinned:
@@ -348,12 +332,9 @@ class DiskBTree:
                 right = node.split()
                 sep_key = right.keys[0]
                 sep_seq = right.seqs[0]
-                self._note_leaf(node_id, node)
             else:
                 right, sep_key, sep_seq = node.split()
             right_id = self._adopt(right)
-            if isinstance(right, LeafNode):
-                self._note_leaf(right_id, right)
             pager.pin(right_id)
             pinned.append(right_id)
             if path:
@@ -412,9 +393,7 @@ class DiskBTree:
             node = LeafNode([e[0] for e in leaf_entries],
                             [e[1] for e in leaf_entries],
                             [e[2] for e in leaf_entries], leaf_cells)
-            leaf_id = self._adopt(node)
-            self._note_leaf(leaf_id, node)
-            level.append((leaf_id, leaf_entries[0][0],
+            level.append((self._adopt(node), leaf_entries[0][0],
                           leaf_entries[0][1]))
             leaf_entries = []
             leaf_cells = []
@@ -498,15 +477,8 @@ class DiskBTree:
             while stack:
                 parent, next_idx = stack.pop()
                 if next_idx < len(parent.children):
-                    child_id = parent.children[next_idx]
-                    if high is not None and self._leaf_beyond(
-                            child_id, high, high_inclusive):
-                        # Entries ascend globally: once a leaf's zone
-                        # starts beyond the bound, every later leaf does
-                        # too — stop without fetching it.
-                        return
                     stack.append((parent, next_idx + 1))
-                    node = self._fetch(child_id)
+                    node = self._fetch(parent.children[next_idx])
                     while isinstance(node, InnerNode):
                         stack.append((node, 1))
                         node = self._fetch(node.children[0])
@@ -514,23 +486,6 @@ class DiskBTree:
             if node is None:
                 return
             start = 0
-
-    def _leaf_beyond(self, page_id: int, high: Any,
-                     inclusive: bool) -> bool:
-        """Whether *page_id*'s leaf zone proves it starts past *high*."""
-        if not pruning_enabled():
-            return False
-        zones = getattr(self.storage, "zones", None)
-        zone = None if zones is None else zones.get(page_id)
-        if not zone or zone[0] != "l":
-            return False
-        try:
-            beyond = zone[1] > high if inclusive else zone[1] >= high
-        except TypeError:
-            return False
-        if beyond:
-            self.storage.pages_pruned += 1
-        return beyond
 
     def scan(self, key_range: IndexRange) -> Iterator[int]:
         for _, _, position in self._iter_entries(key_range):

@@ -30,12 +30,6 @@ Fault-point catalog (see DESIGN.md §11 for the protocol each interrupts):
 ``checkpoint-after-manifest``         the new manifest is committed but
                                       the WAL was not truncated —
                                       replay must be idempotent
-``wal-group-pending``                 group commit: the COMMIT record is
-                                      written but its fsync is deferred
-                                      to a later coalesced sync
-``wal-group-sync``                    group commit: immediately after a
-                                      coalesced fsync covering one or
-                                      more pending commits
 ``compaction-move``                   checkpoint compaction: relocated
                                       page copies are flushed, but the
                                       manifest still references the old
@@ -66,8 +60,6 @@ ALL_POINTS = (
     "page-flush",
     "checkpoint-before-manifest",
     "checkpoint-after-manifest",
-    "wal-group-pending",
-    "wal-group-sync",
     "compaction-move",
 )
 

@@ -72,7 +72,6 @@ from repro.minidb.storage.serde import (
     varint_length,
     write_varint,
 )
-from repro.minidb.storage.zones import heap_zone, page_qualifies
 
 __all__ = ["DiskRowStore", "HeapPageNode", "bytes_saved"]
 
@@ -434,36 +433,7 @@ class DiskRowStore:
             page += 1
         return out
 
-    # -- zone-pruned scans ----------------------------------------------
-
-    def pruned_pages(self, specs) -> Iterator[tuple[int, list[tuple]]]:
-        """Yield ``(start_index, page_rows)`` for pages surviving *specs*.
-
-        *specs* are ``(column position, op, literal)`` conjuncts (see
-        :mod:`~repro.minidb.storage.zones`). Pages whose zone map proves
-        no row can satisfy every conjunct are skipped without being
-        fetched; pages without a zone always qualify. The caller's
-        filter still runs above, so skipping is purely an I/O saving.
-        """
-        storage = self.storage
-        zones = getattr(storage, "zones", None)
-        for position, page_id in enumerate(self.page_ids):
-            zone = None if zones is None else zones.get(page_id)
-            if zone is not None and not page_qualifies(zone, specs):
-                storage.pages_pruned += 1
-                continue
-            yield self._starts[position], storage.pager.fetch(page_id).rows
-
     # -- mutation -------------------------------------------------------
-
-    def _update_zone(self, page_id: int, node: HeapPageNode) -> None:
-        zones = getattr(self.storage, "zones", None)
-        if zones is None:
-            return
-        if node.rows:
-            zones[page_id] = heap_zone(node.rows, len(node.rows[0]))
-        else:
-            zones.pop(page_id, None)
 
     def append(self, row: tuple) -> None:
         self.extend([row])
@@ -506,7 +476,6 @@ class DiskRowStore:
                 added = len(node.rows) - self.page_counts[-1]
                 self.page_counts[-1] += added
                 self.total += added
-                self._update_zone(page_id, node)
         while cursor < len(rows):
             node = HeapPageNode([], encode=self.storage.encode)
             before = cursor
@@ -521,7 +490,6 @@ class DiskRowStore:
             self.page_counts.append(len(node.rows))
             self.total += len(node.rows)
             pager.adopt(page_id, node)
-            self._update_zone(page_id, node)
 
     @staticmethod
     def _fill(node: HeapPageNode, rows: list[tuple], cursor: int,

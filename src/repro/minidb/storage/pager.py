@@ -33,7 +33,7 @@ from repro.minidb.storage import faults
 from repro.minidb.storage.page import decode_page, encode_page
 
 __all__ = ["DEFAULT_BUFFER_PAGES", "Frame", "Pager",
-           "configured_buffer_pages", "configured_readahead"]
+           "configured_buffer_pages"]
 
 #: Default pool capacity: 256 pages (1 MiB at the default page size).
 DEFAULT_BUFFER_PAGES = 256
@@ -42,11 +42,6 @@ DEFAULT_BUFFER_PAGES = 256
 def configured_buffer_pages() -> int:
     """Pool capacity from ``REPRO_BUFFER_PAGES`` (min 4)."""
     return int_knob("REPRO_BUFFER_PAGES", DEFAULT_BUFFER_PAGES, 4)
-
-
-def configured_readahead() -> int:
-    """Readahead window from ``REPRO_READAHEAD`` (0 = off, max 256)."""
-    return int_knob("REPRO_READAHEAD", 0, 0, 256)
 
 
 class Frame:
@@ -69,9 +64,11 @@ class Pager:
     ``(kind, cells)`` for the reverse direction.
     """
 
+    # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    readahead = 0
+
     def __init__(self, path: str, page_size: int, capacity: int,
-                 decode_node: Callable[[int, list[bytes]], Any],
-                 readahead: int | None = None) -> None:
+                 decode_node: Callable[[int, list[bytes]], Any]) -> None:
         self.path = path
         self.page_size = page_size
         self.capacity = max(1, capacity)
@@ -81,14 +78,6 @@ class Pager:
         # Insertion order doubles as LRU order: re-inserting on access
         # moves a frame to the back; eviction scans from the front.
         self._frames: dict[int, Frame] = {}
-        #: Sequential readahead: raw page bytes prefetched in one batched
-        #: pread, decoded lazily on the demand fetch that consumes them.
-        #: Staged bytes never shadow writes — any write-path event on a
-        #: staged id (adopt / flush / discard) invalidates its entry.
-        self.readahead = (configured_readahead() if readahead is None
-                          else min(256, max(0, readahead)))
-        self._staged: dict[int, bytes] = {}
-        self._last_fetch = -2
         self.pages_read = 0
         self.pages_written = 0
         self.pages_evicted = 0
@@ -96,9 +85,6 @@ class Pager:
         self.misses = 0
         self.peak_resident = 0
         self.overflow_events = 0
-        self.pages_prefetched = 0
-        self.prefetch_hits = 0
-        self.prefetch_wasted = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -110,8 +96,6 @@ class Pager:
         """Flush nothing, close the descriptor (callers flush first)."""
         if self._fd is None:
             return
-        self.prefetch_wasted += len(self._staged)
-        self._staged.clear()
         if sync:
             os.fsync(self._fd)
         os.close(self._fd)
@@ -120,7 +104,6 @@ class Pager:
     def abandon(self) -> None:
         """Simulated power cut: drop every frame and close unsynced."""
         self._frames.clear()
-        self._staged.clear()
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
@@ -133,30 +116,13 @@ class Pager:
     # -- page access ----------------------------------------------------
 
     def fetch(self, page_id: int) -> Any:
-        """The decoded node for *page_id*, reading it if not resident.
-
-        Misses at ``last fetched id + 1`` are treated as a sequential
-        run: the demand read is followed by one batched ``pread`` of the
-        next ``readahead`` pages into a raw-bytes staging area. Staged
-        pages decode lazily when (and only when) a later fetch wants
-        them — ``pages_read`` keeps counting *demand* disk reads only,
-        so pruning assertions stay meaningful with readahead on.
-        """
+        """The decoded node for *page_id*, reading it if not resident."""
         frame = self._frames.get(page_id)
         if frame is not None:
             self.hits += 1
             self._touch(frame)
-            self._last_fetch = page_id
             return frame.node
         self.misses += 1
-        staged = self._staged.pop(page_id, None)
-        if staged is not None:
-            node = self._decode_node(*decode_page(staged))
-            self.prefetch_hits += 1
-            self._admit(Frame(page_id, node, dirty=False))
-            self._last_fetch = page_id
-            return node
-        sequential = page_id == self._last_fetch + 1
         fd = self._require_fd()
         data = os.pread(fd, self.page_size, page_id * self.page_size)
         if len(data) != self.page_size:
@@ -167,37 +133,12 @@ class Pager:
         node = self._decode_node(kind, cells)
         self.pages_read += 1
         self._admit(Frame(page_id, node, dirty=False))
-        if sequential and self.readahead:
-            self._stage_ahead(page_id)
-        self._last_fetch = page_id
         return node
-
-    def _stage_ahead(self, page_id: int) -> None:
-        """Batched pread of the next ``readahead`` pages into staging."""
-        fd = self._require_fd()
-        first = page_id + 1
-        span = min(self.readahead,
-                   max(0, (os.fstat(fd).st_size // self.page_size) - first))
-        if span <= 0:
-            return
-        blob = os.pread(fd, span * self.page_size, first * self.page_size)
-        for index in range(len(blob) // self.page_size):
-            staged_id = first + index
-            if staged_id in self._frames or staged_id in self._staged:
-                continue
-            offset = index * self.page_size
-            self._staged[staged_id] = blob[offset:offset + self.page_size]
-            self.pages_prefetched += 1
-
-    def _invalidate_staged(self, page_id: int) -> None:
-        if self._staged.pop(page_id, None) is not None:
-            self.prefetch_wasted += 1
 
     def adopt(self, page_id: int, node: Any) -> None:
         """Register a freshly created page as a resident dirty frame."""
         if page_id in self._frames:
             raise StorageError(f"page {page_id} already resident")
-        self._invalidate_staged(page_id)
         self._admit(Frame(page_id, node, dirty=True))
 
     def mark_dirty(self, page_id: int) -> None:
@@ -223,20 +164,16 @@ class Pager:
     def discard(self, page_id: int) -> None:
         """Drop a frame without flushing (the page was freed)."""
         self._frames.pop(page_id, None)
-        self._invalidate_staged(page_id)
 
     def truncate(self, page_count: int) -> None:
         """Shrink the data file to *page_count* pages (compaction tail).
 
-        Never grows the file; staged prefetches at or beyond the new end
-        are dropped.
+        Never grows the file.
         """
         fd = self._require_fd()
         target = page_count * self.page_size
         if os.fstat(fd).st_size > target:
             os.ftruncate(fd, target)
-        for staged_id in [pid for pid in self._staged if pid >= page_count]:
-            self._invalidate_staged(staged_id)
 
     @property
     def resident(self) -> int:
@@ -249,7 +186,6 @@ class Pager:
 
     def _write_frame(self, frame: Frame) -> None:
         fd = self._require_fd()
-        self._invalidate_staged(frame.page_id)
         data = encode_page(*self._node_image(frame.node), self.page_size)
         offset = frame.page_id * self.page_size
         if faults.torn_point("page-torn"):

@@ -20,18 +20,6 @@ record is intact (CRC-valid) and whose epoch is newer than the
 manifest's; a torn record or missing COMMIT discards the whole tail, so
 a crash mid-write can only lose the *uncommitted* transaction.
 
-**Group commit** (``REPRO_GROUP_COMMIT=<n>`` or ``<x>ms``) coalesces
-adjacent transaction fsyncs: COMMIT records are still written in order,
-but the fsync is deferred until *n* commits are pending (count form) or
-the configured window has elapsed since the last sync (time form), and
-always happens at checkpoint truncation and clean close. This trades
-the durability *horizon* — a crash can lose up to the pending suffix of
-committed-but-unsynced transactions — without changing the per-epoch
-semantics: the WAL is a strict prefix of commit records, so recovery
-still lands on an epoch-consistent prefix of the history, exactly as
-with per-commit fsync. The ``wal-group-pending`` and ``wal-group-sync``
-fault points crash-test both sides of the coalesced path.
-
 Truncation happens at checkpoint, after the new manifest is durable:
 everything in the log is then reflected in the data file and can go.
 """
@@ -40,7 +28,6 @@ from __future__ import annotations
 
 import os
 import struct
-import time
 import zlib
 from typing import Any, Iterator, Sequence
 
@@ -54,37 +41,7 @@ from repro.minidb.storage.serde import (
 )
 
 __all__ = ["OP_APPEND", "OP_COMMIT", "OP_CREATE_INDEX", "OP_CREATE_TABLE",
-           "OP_DROP_TABLE", "OP_REPLACE", "WalRecord", "WriteAheadLog",
-           "configured_group_commit", "parse_group_commit"]
-
-#: Environment knob selecting the group-commit policy.
-GROUP_COMMIT_ENV = "REPRO_GROUP_COMMIT"
-
-
-def parse_group_commit(spec: object) -> tuple[int, float]:
-    """``(count, window_seconds)`` from a group-commit spec.
-
-    ``None``/empty/invalid → ``(0, 0.0)`` (disabled: fsync per commit);
-    an integer ``n`` coalesces up to *n* commits per fsync; ``"<x>ms"``
-    fsyncs at most once per *x* milliseconds of commit activity.
-    """
-    if spec is None:
-        return 0, 0.0
-    if isinstance(spec, int) and not isinstance(spec, bool):
-        return max(0, spec), 0.0
-    text = str(spec).strip().lower()
-    if not text:
-        return 0, 0.0
-    try:
-        if text.endswith("ms"):
-            return 0, max(0.0, float(text[:-2]) / 1000.0)
-        return max(0, int(text)), 0.0
-    except ValueError:
-        return 0, 0.0
-
-
-def configured_group_commit() -> tuple[int, float]:
-    return parse_group_commit(os.environ.get(GROUP_COMMIT_ENV))
+           "OP_DROP_TABLE", "OP_REPLACE", "WalRecord", "WriteAheadLog"]
 
 OP_CREATE_TABLE = 1
 OP_DROP_TABLE = 2
@@ -208,8 +165,12 @@ def decode_record(payload: bytes) -> WalRecord:
 class WriteAheadLog:
     """Append-only log file with transactional commit framing."""
 
-    def __init__(self, path: str, sync: bool = True,
-                 group_commit: object | None = None) -> None:
+    # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    group_count = 0
+    # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    group_window = 0.0
+
+    def __init__(self, path: str, sync: bool = True) -> None:
         self.path = path
         self.sync = sync
         self._fd: int | None = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
@@ -217,41 +178,17 @@ class WriteAheadLog:
         #: Lifetime bytes appended (monotone, survives truncation).
         self.bytes_written = 0
         self.commits = 0
-        if group_commit is None:
-            self.group_count, self.group_window = configured_group_commit()
-        else:
-            self.group_count, self.group_window = parse_group_commit(
-                group_commit)
-        #: Commits whose fsync is still deferred (group commit only).
-        self.pending_commits = 0
-        self._last_sync = time.monotonic()
-        #: Lifetime fsyncs of the log file; with group commit on, the
-        #: benchmark proves coalescing by ``commits / syncs``.
+        #: Lifetime fsyncs of the log file (one per commit when ``sync``).
         self.syncs = 0
-        #: Fsyncs that covered two or more pending commits.
-        self.group_syncs = 0
 
     @property
     def size(self) -> int:
         return self._offset
 
-    @property
-    def group_enabled(self) -> bool:
-        return bool(self.group_count or self.group_window)
-
     def close(self) -> None:
         if self._fd is not None:
-            if self.sync and self.pending_commits:
-                self._fsync()
             os.close(self._fd)
             self._fd = None
-
-    def abandon(self) -> None:
-        """Simulated power cut: close without syncing pending commits."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-        self.pending_commits = 0
 
     def _require_fd(self) -> int:
         if self._fd is None:
@@ -268,49 +205,16 @@ class WriteAheadLog:
         self._offset += len(frame)
         self.bytes_written += len(frame)
 
-    def _fsync(self) -> None:
-        covered = self.pending_commits
-        os.fsync(self._require_fd())
-        self.syncs += 1
-        if covered >= 2:
-            self.group_syncs += 1
-        self.pending_commits = 0
-        self._last_sync = time.monotonic()
-
-    def sync_pending(self) -> None:
-        """Make every pending (written, unsynced) commit durable now."""
-        if self.sync and self.pending_commits:
-            self._fsync()
-            faults.crash_point("wal-group-sync")
-
     def commit(self, records: Sequence[bytes], epoch: int) -> None:
-        """Append *records* + a COMMIT marker and make them durable.
-
-        With group commit enabled durability of this commit may be
-        deferred: the COMMIT record is written immediately, but the
-        fsync waits until enough commits are pending (or the window has
-        elapsed), the log is truncated, or the WAL is closed.
-        """
+        """Append *records* + a COMMIT marker and make them durable."""
         for payload in records:
             self._write_record(payload)
         faults.crash_point("wal-before-commit")
         self._write_record(encode_commit(epoch))
         self.commits += 1
         if self.sync:
-            if self.group_enabled:
-                self.pending_commits += 1
-                faults.crash_point("wal-group-pending")
-                due = (self.group_count
-                       and self.pending_commits >= self.group_count)
-                if not due and self.group_window:
-                    due = (time.monotonic() - self._last_sync
-                           >= self.group_window)
-                if due:
-                    self._fsync()
-                    faults.crash_point("wal-group-sync")
-            else:
-                self.pending_commits += 1
-                self._fsync()
+            os.fsync(self._require_fd())
+            self.syncs += 1
         faults.crash_point("wal-after-commit")
 
     def truncate(self) -> None:
@@ -320,8 +224,6 @@ class WriteAheadLog:
         if self.sync:
             os.fsync(fd)
         self._offset = 0
-        self.pending_commits = 0
-        self._last_sync = time.monotonic()
 
     def committed_transactions(self) -> Iterator[tuple[int, list[WalRecord]]]:
         """Yield ``(epoch, ops)`` for every intact committed transaction.

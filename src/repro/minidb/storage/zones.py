@@ -1,142 +1,10 @@
-"""Per-page zone maps: min/max (+ null count) summaries for pruning.
-
-A zone map answers "could any row on this page satisfy ``col op
-literal``?" without fetching the page. The storage backend keeps one
-entry per live page in ``DiskStorage.zones``:
-
-* heap pages: ``["h", row_count, [[min, max, nulls], ...]]`` with one
-  ``[min, max, nulls]`` triple per table column, computed over the
-  page's non-NULL values;
-* B-tree leaves: ``["l", first_key, last_key]`` — leaves are sorted, so
-  the bounds are just the first and last key.
-
-Entries are plain JSON values (lists, scalars) on purpose: the
-checkpoint manifest persists them verbatim, so a reopened database
-prunes cold pages without reading them first. Values that would not
-survive the manifest's UTF-8 JSON round trip — NaN doubles, strings
-with lone surrogates — poison their column's bounds (``min = max =
-None``), which makes the column unprunable but never unsound. A page
-whose column is entirely NULL (``nulls == row_count``) is prunable
-against *any* comparison: SQL comparisons with NULL are never TRUE.
-
-Pruning consults zones only when they exist; a page without an entry
-always qualifies. ``REPRO_ZONE_PRUNE=0`` disables consultation entirely
-(maintenance is cheap and always on), which the pruning tests use to
-measure the unpruned baseline.
-"""
+"""Stub for the frozen ``bench/``: sequential scans prune no pages."""
 
 from __future__ import annotations
 
-import os
-from typing import Any, Sequence
-
-__all__ = ["heap_zone", "leaf_zone", "page_qualifies", "pruning_enabled"]
-
-#: Environment knob: "0"/"off"/"false" disables zone-map *consultation*.
-PRUNE_ENV = "REPRO_ZONE_PRUNE"
+__all__ = ["pruning_enabled"]
 
 
+# 0 stub: only bench/ reads it; the [benchmark] PR deletes it
 def pruning_enabled() -> bool:
-    return os.environ.get(PRUNE_ENV, "1").strip().lower() not in (
-        "0", "off", "false")
-
-
-def _summarizable(value: Any) -> bool:
-    """Whether *value* survives the manifest JSON round trip intact.
-
-    NaN breaks ordering (every comparison is False) and lone-surrogate
-    strings break the manifest's UTF-8 encode; either poisons the zone.
-    """
-    if isinstance(value, float) and value != value:
-        return False
-    if isinstance(value, str):
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            return False
-    return True
-
-
-def heap_zone(rows: Sequence[tuple], width: int) -> list:
-    """The zone entry for a heap page holding *rows* of *width* columns."""
-    nulls = [0] * width
-    mins: list[Any] = [None] * width
-    maxs: list[Any] = [None] * width
-    usable = [True] * width
-    for row in rows:
-        for position in range(width):
-            value = row[position]
-            if value is None:
-                nulls[position] += 1
-                continue
-            if not usable[position]:
-                continue
-            if not _summarizable(value):
-                usable[position] = False
-                continue
-            try:
-                if mins[position] is None or value < mins[position]:
-                    mins[position] = value
-                if maxs[position] is None or value > maxs[position]:
-                    maxs[position] = value
-            except TypeError:
-                usable[position] = False
-    columns = []
-    for position in range(width):
-        if usable[position]:
-            columns.append([mins[position], maxs[position],
-                            nulls[position]])
-        else:
-            columns.append([None, None, nulls[position]])
-    return ["h", len(rows), columns]
-
-
-def leaf_zone(keys: Sequence[Any]) -> list | None:
-    """The zone entry for a sorted B-tree leaf, or None if unsummarizable."""
-    if not keys:
-        return None
-    low, high = keys[0], keys[-1]
-    if not (_summarizable(low) and _summarizable(high)):
-        return None
-    return ["l", low, high]
-
-
-def _range_qualifies(low: Any, high: Any, op: str, value: Any) -> bool:
-    """Whether some point of ``[low, high]`` can satisfy ``point op value``."""
-    try:
-        if op == "=":
-            return low <= value <= high
-        if op == "<":
-            return low < value
-        if op == "<=":
-            return low <= value
-        if op == ">":
-            return high > value
-        # ">="
-        return high >= value
-    except TypeError:
-        return True  # incomparable literal: never prune on it
-
-
-def page_qualifies(zone: list | None,
-                   specs: Sequence[tuple[int, str, Any]]) -> bool:
-    """Whether a heap page described by *zone* can satisfy all *specs*.
-
-    *specs* are ``(column position, op, literal)`` conjuncts from the
-    planner; a page qualifies unless some conjunct provably holds for no
-    row on it. Missing or malformed zones always qualify.
-    """
-    if not zone or zone[0] != "h":
-        return True
-    count, columns = zone[1], zone[2]
-    for position, op, value in specs:
-        if position >= len(columns):
-            continue
-        low, high, nulls = columns[position]
-        if nulls >= count:
-            return False  # every value NULL: no comparison is ever TRUE
-        if low is None or high is None:
-            continue  # poisoned bounds: unknown, cannot prune
-        if not _range_qualifies(low, high, op, value):
-            return False
-    return True
+    return False

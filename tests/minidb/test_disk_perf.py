@@ -1,42 +1,33 @@
-"""Fast-disk-path tests: zone pruning, readahead, group commit,
-checkpoint compaction, and the storage stat CLI.
+"""Disk-path tests: sequential scans, commit durability, checkpoint
+compaction, reading directories written by older versions, and the
+storage stat CLI.
 
-The pruning pins compare a zone-pruned scan against the same scan with
-``REPRO_ZONE_PRUNE=0``: rows must be byte-identical and the pruned run
-must fault at most half the pages. Every measurement runs on a freshly
-reopened database with a small pool whose statistics were gathered
-first, so the measured query's page traffic is its own: a zone-pruned
-scan reads surviving pages directly, and an unpruned scan builds the
-table's columnar cache from cold (once built, that cache and a large
-pool would both hide page reads entirely).
+Every scan measurement runs on a freshly reopened database with a small
+pool whose statistics were gathered first, so the measured query's page
+traffic is its own: a sequential scan builds the table's columnar cache
+from cold, one pass over the heap pages (once built, that cache and a
+large pool would both hide page reads entirely).
 """
 
 from __future__ import annotations
 
+import json
 import os
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.knobs import UnknownKnobWarning
 from repro.minidb.engine import Database
 from repro.minidb.schema import TableSchema
 from repro.minidb.storage.__main__ import main as storage_main, stat
-from repro.minidb.storage.wal import parse_group_commit
-from repro.minidb.storage.zones import (
-    heap_zone,
-    page_qualifies,
-    leaf_zone,
-)
 from repro.minidb.types import SqlType
 
 SCHEMA = TableSchema.of(
     ("id", SqlType.INTEGER), ("epc", SqlType.VARCHAR),
     ("loc", SqlType.INTEGER), ("v", SqlType.DOUBLE))
 
-#: id-sorted rows: heap pages get disjoint id ranges, so a range
-#: predicate on id disqualifies most pages by zone map alone.
+
+#: id-sorted rows: heap pages get disjoint id ranges.
 def _rows(count: int, start: int = 0) -> list[tuple]:
     return [(i, f"epc{i % 13}", i % 7, i * 0.5)
             for i in range(start, start + count)]
@@ -48,111 +39,57 @@ def _open(path, **kwargs) -> Database:
     return Database(storage="disk", storage_path=str(path), **kwargs)
 
 
-def _measured_scan(path, sql: str, prune: str,
-                   monkeypatch) -> tuple[list, int, int]:
-    """(rows, pages_read, pages_pruned) for *sql* on a reopened db."""
-    monkeypatch.setenv("REPRO_ZONE_PRUNE", prune)
+def _measured_scan(path, sql: str) -> tuple[list, int]:
+    """(rows, pages_read) for *sql* on a reopened db."""
     with _open(path) as db:
         # Warm the statistics (which scan everything) before measuring,
         # so the measured delta is the target query's own page traffic.
         db.analyze()
         result, metrics = db.execute_with_metrics(sql)
-        return result.rows, metrics.pages_read, metrics.pages_pruned
+        return result.rows, metrics.pages_read
 
 
-class TestZoneMapUnit:
-    def test_heap_zone_bounds_and_nulls(self):
-        rows = [(1, "a", None), (5, "c", None), (3, "b", None)]
-        zone = heap_zone(rows, 3)
-        assert zone == ["h", 3, [[1, 5, 0], ["a", "c", 0], [None, None, 3]]]
-
-    def test_nan_and_surrogates_poison_bounds(self):
-        zone = heap_zone([(float("nan"),), (1.0,)], 1)
-        assert zone[2][0][:2] == [None, None]  # unprunable, still valid
-        assert page_qualifies(zone, [(0, "<", 0.0)])
-        zone = heap_zone([("\udc80",), ("a",)], 1)
-        assert zone[2][0][:2] == [None, None]
-
-    def test_qualification_ops(self):
-        zone = heap_zone([(10, 1.0), (20, 2.0)], 2)
-        assert page_qualifies(zone, [(0, "=", 15)])
-        assert not page_qualifies(zone, [(0, "=", 25)])
-        assert not page_qualifies(zone, [(0, "<", 10)])
-        assert page_qualifies(zone, [(0, "<=", 10)])
-        assert not page_qualifies(zone, [(0, ">", 20)])
-        assert page_qualifies(zone, [(0, ">=", 20)])
-
-    def test_all_null_column_disqualifies_any_comparison(self):
-        zone = heap_zone([(None,), (None,)], 1)
-        for op in ("=", "<", "<=", ">", ">="):
-            assert not page_qualifies(zone, [(0, op, 0)])
-
-    def test_mixed_type_page_is_unprunable(self):
-        zone = heap_zone([(1,), ("text",)], 1)
-        assert page_qualifies(zone, [(0, "=", 99)])
-
-    def test_leaf_zone(self):
-        assert leaf_zone([]) is None
-        assert leaf_zone([1, 2, 9]) == ["l", 1, 9]
-
-
-class TestZonePruning:
+class TestSequentialScan:
     SQL = "SELECT epc, v FROM reads WHERE id >= 900 AND id < 1000"
 
-    def _build(self, path):
+    def _build(self, path) -> int:
         with _open(path) as db:
             db.create_table("reads", SCHEMA)
             db.load("reads", _rows(2000))
+            return len(db.table("reads").rows.page_ids)
 
-    def test_selective_scan_reads_half_the_pages_or_less(
-            self, tmp_path, monkeypatch):
+    def test_cold_scan_reads_every_heap_page_once(self, tmp_path):
         path = tmp_path / "db"
-        self._build(path)
-        pruned, read_pruned, pages_pruned = _measured_scan(
-            path, self.SQL, "1", monkeypatch)
-        baseline, read_all, zero = _measured_scan(
-            path, self.SQL, "0", monkeypatch)
-        assert pruned == baseline  # byte-identical rows
-        assert len(pruned) == 100
-        assert pages_pruned > 0 and zero == 0
-        assert read_all > 0
-        assert read_pruned <= read_all // 2, \
-            f"pruned scan read {read_pruned}/{read_all} pages"
+        heap_pages = self._build(path)
+        rows, pages_read = _measured_scan(path, self.SQL)
+        assert rows == [(row[1], row[3]) for row in _rows(2000)[900:1000]]
+        assert pages_read == heap_pages
 
-    def test_pruning_correct_under_append_deltas(self, tmp_path,
-                                                 monkeypatch):
+    def test_range_scan_correct_under_append_deltas(self, tmp_path):
         path = tmp_path / "db"
         self._build(path)
         with _open(path) as db:
             for ordinal in range(4):  # streaming ingest: delta appends
                 db.append("reads", _rows(120, 2000 + ordinal * 120))
-        sql = "SELECT id FROM reads WHERE id >= 2100 AND id < 2300"
-        pruned = _measured_scan(path, sql, "1", monkeypatch)
-        baseline = _measured_scan(path, sql, "0", monkeypatch)
-        assert pruned[0] == baseline[0]
-        assert len(pruned[0]) == 200
-        assert pruned[2] > 0
+        rows, _ = _measured_scan(
+            path, "SELECT id FROM reads WHERE id >= 2100 AND id < 2300")
+        assert rows == [(i,) for i in range(2100, 2300)]
 
-    def test_pruning_correct_under_replace_splices(self, tmp_path,
-                                                   monkeypatch):
+    def test_range_scan_correct_under_replace_splices(self, tmp_path):
         path = tmp_path / "db"
         self._build(path)
         with _open(path) as db:
             rows = _rows(2000)
             spliced = rows[:500] + _rows(300, 5000) + rows[1500:]
             db.table("reads").replace_rows(spliced, coerced=False)
-        sql = "SELECT id, epc FROM reads WHERE id >= 5000"
-        pruned = _measured_scan(path, sql, "1", monkeypatch)
-        baseline = _measured_scan(path, sql, "0", monkeypatch)
-        assert pruned[0] == baseline[0]
-        assert len(pruned[0]) == 300
-        assert pruned[2] > 0
+        rows, _ = _measured_scan(
+            path, "SELECT id, epc FROM reads WHERE id >= 5000")
+        assert rows == [(row[0], row[1]) for row in _rows(300, 5000)]
 
     def test_small_and_default_batch_sizes_agree(self, tmp_path,
                                                  monkeypatch):
         path = tmp_path / "db"
         self._build(path)
-        monkeypatch.setenv("REPRO_ZONE_PRUNE", "1")
         with _open(path) as db:
             default = db.explain_analyze(self.SQL)
         monkeypatch.setenv("REPRO_BATCH_SIZE", "7")
@@ -168,7 +105,7 @@ class TestZonePruning:
             assert "Storage:" not in plain.text
             detailed = db.explain_analyze(self.SQL, include_storage=True)
             assert "Storage:" in detailed.text
-            assert "pages_pruned=" in detailed.text
+            assert "pages_read=" in detailed.text
             assert "wal_bytes=0" in detailed.text  # read-only query
 
 
@@ -213,14 +150,13 @@ class TestReadPathDoesNoWriteWork:
         path = tmp_path / "db"
         heap_pages = self._build(path)
         with _open(path, buffer_pages=heap_pages // 4) as db:
-            db.execute("SELECT id FROM reads WHERE id = -1")  # warm stats
+            db.analyze()  # warm stats; the scan below builds the columns
             calls = self._count_encoder_calls(monkeypatch)
             before = db.storage.counters
             scan = db.explain_analyze(self.SCAN, include_storage=True)
             probe = db.explain_analyze(self.PROBE, include_storage=True)
             after = db.storage.counters
             assert "SeqScan(reads)" in scan.text
-            assert "pages_pruned=0" not in scan.text
             assert "IndexRangeScan(reads.v" in probe.text
             for text in (scan.text, probe.text):
                 assert "accounting_rebuilds=0" in text
@@ -255,88 +191,15 @@ class TestReadPathDoesNoWriteWork:
             assert storage.counters["accounting_rebuilds"] == 1
 
 
-class TestReadahead:
-    def test_sequential_scan_prefetches(self, tmp_path, monkeypatch):
-        path = tmp_path / "db"
-        with _open(path) as db:
-            db.create_table("reads", SCHEMA)
-            db.load("reads", _rows(2000))
-        # Statistics first; the count then builds the columnar cache
-        # from cold, one sequential pass over the heap pages.
-        with _open(path) as plain_db:
-            plain_db.analyze()
-            baseline, plain = plain_db.execute_with_metrics(
-                "SELECT COUNT(*) AS n FROM reads")
-        with _open(path, readahead=8) as ra_db:
-            ra_db.analyze()
-            result, metrics = ra_db.execute_with_metrics(
-                "SELECT COUNT(*) AS n FROM reads")
-        assert result.rows == baseline.rows
-        assert metrics.pages_prefetched > 0
-        # Prefetch hits replace demand reads one-for-one.
-        assert metrics.pages_read < plain.pages_read
-        counters = ra_db.storage.counters
-        assert counters["prefetch_hits"] > 0
-
-    def test_readahead_env_knob(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_READAHEAD", "16")
-        with _open(tmp_path / "db") as db:
-            assert db.storage.pager.readahead == 16
-        monkeypatch.setenv("REPRO_READAHEAD", "junk")
-        with pytest.warns(UnknownKnobWarning, match="REPRO_READAHEAD"):
-            with _open(tmp_path / "db2") as db:
-                assert db.storage.pager.readahead == 0
-
-
-class TestGroupCommit:
-    @pytest.mark.parametrize("spec,expected", [
-        (None, (0, 0.0)),
-        ("", (0, 0.0)),
-        ("8", (8, 0.0)),
-        (8, (8, 0.0)),
-        ("25ms", (0, 0.025)),
-        ("junk", (0, 0.0)),
-        ("-3", (0, 0.0)),
-    ])
-    def test_parse_group_commit(self, spec, expected):
-        assert parse_group_commit(spec) == expected
-
-    def test_coalesces_fsyncs(self, tmp_path):
-        with _open(tmp_path / "db", group_commit="8") as db:
-            db.create_table("reads", SCHEMA)
-            db.load("reads", _rows(10))
-            for ordinal in range(32):
-                db.append("reads", _rows(5, 100 + ordinal * 5))
-            wal = db.storage.wal
-            assert wal.group_enabled
-            assert wal.commits > 30
-            assert wal.syncs < wal.commits // 2
-            assert wal.group_syncs > 0
-
-    def test_without_group_commit_every_commit_fsyncs(self, tmp_path):
+class TestCommitDurability:
+    def test_every_commit_fsyncs(self, tmp_path):
         with _open(tmp_path / "db") as db:
             db.create_table("reads", SCHEMA)
             db.load("reads", _rows(10))
             for ordinal in range(8):
                 db.append("reads", _rows(5, 100 + ordinal * 5))
             wal = db.storage.wal
-            assert not wal.group_enabled
-            assert wal.syncs >= wal.commits > 8
-            assert wal.group_syncs == 0
-
-    def test_pending_commits_durable_across_clean_shutdown(self, tmp_path):
-        path = tmp_path / "db"
-        with _open(path, group_commit="100") as db:
-            db.create_table("reads", SCHEMA)
-            db.load("reads", _rows(10))
-            db.append("reads", _rows(5, 100))
-        with _open(path) as db:
-            assert len(list(db.table("reads").scan())) == 15
-
-    def test_env_knob_configures_wal(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_GROUP_COMMIT", "4")
-        with _open(tmp_path / "db") as db:
-            assert db.storage.wal.group_count == 4
+            assert wal.syncs == wal.commits > 8
 
 
 class TestCompaction:
@@ -422,8 +285,51 @@ class TestCompaction:
             assert list(db.table("reads").scan()) == model
 
 
+class TestParentWrittenDirectory:
+    """Manifests written while zone maps existed carry a ``zones`` map
+    (``["h", ...]`` heap and ``["l", ...]`` leaf entries). It is ignored
+    on open, and the next checkpoint writes a manifest without it."""
+
+    SQL = ("SELECT id, epc FROM reads WHERE id >= 100 AND epc = 'epc5' "
+           "ORDER BY id")
+
+    @staticmethod
+    def _expected(count: int) -> list[tuple]:
+        return [(row[0], row[1]) for row in _rows(count)
+                if row[0] >= 100 and row[1] == "epc5"]
+
+    def test_zones_in_manifest_are_ignored_then_dropped(self, tmp_path):
+        path = tmp_path / "db"
+        with _open(path) as db:
+            db.create_table("reads", SCHEMA)
+            db.load("reads", _rows(600))
+            db.create_index("reads", "epc")
+        manifest_path = path / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        entry = manifest["tables"]["reads"]
+        # Bounds that would rule out every row if anything read them.
+        zones = {str(page_id): ["h", count, [[-2, -1, 0]] * len(SCHEMA)]
+                 for page_id, count in entry["heap_pages"]}
+        for spec in entry["indexes"].values():
+            zones.update({str(page_id): ["l", "zzz", "zzz"]
+                          for page_id in spec["pages"]})
+        manifest["zones"] = zones
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+        with _open(path) as db:
+            assert db.execute(self.SQL).rows == self._expected(600)
+            db.append("reads", _rows(100, 600))
+            assert db.execute(self.SQL).rows == self._expected(700)
+            db.checkpoint()
+            rewritten = json.loads(manifest_path.read_text(encoding="utf-8"))
+            assert "zones" not in rewritten
+            assert list(db.table("reads").scan()) == _rows(700)
+        with _open(path) as db:
+            assert db.execute(self.SQL).rows == self._expected(700)
+
+
 class TestStatCli:
-    def test_stat_reports_pages_and_zones(self, tmp_path, capsys):
+    def test_stat_reports_pages(self, tmp_path, capsys):
         path = tmp_path / "db"
         with _open(path) as db:
             db.create_table("reads", SCHEMA)
@@ -432,10 +338,34 @@ class TestStatCli:
         report = stat(str(path))
         assert "checkpoint epoch:" in report
         assert "table reads: 500 rows" in report
-        assert "zone maps:" in report
         assert "free list:" in report
         assert storage_main(["stat", str(path)]) == 0
         assert "table reads" in capsys.readouterr().out
+
+    def test_stat_skips_a_torn_heap_page(self, tmp_path):
+        path = tmp_path / "db"
+        with _open(path) as db:
+            db.create_table("reads", SCHEMA)
+            db.load("reads", _rows(500))
+
+        def stored_bytes(report: str) -> int:
+            [line] = [text for text in report.splitlines()
+                      if text.startswith("table reads footprint:")]
+            return int(line.split()[3])
+
+        whole = stat(str(path))
+        manifest = json.loads((path / "MANIFEST.json").read_text(
+            encoding="utf-8"))
+        page_size = manifest["page_size"]
+        page_id, _ = manifest["tables"]["reads"]["heap_pages"][0]
+        # Zero the page's second half, where its cells live: the CRC
+        # no longer matches, as after a torn write.
+        with open(path / "data.pages", "r+b") as handle:
+            handle.seek(page_id * page_size + page_size // 2)
+            handle.write(bytes(page_size // 2))
+        torn = stat(str(path))
+        assert "table reads: 500 rows" in torn
+        assert 0 < stored_bytes(torn) < stored_bytes(whole)
 
     def test_stat_on_fresh_directory(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

@@ -157,61 +157,6 @@ def test_crash_recovers_last_committed_epoch(tmp_path, monkeypatch,
         recovered.shutdown()
 
 
-#: Group-commit crash scenarios: ``(crash spec, batches, group spec)``.
-#: Both fault points fire *after* the COMMIT record was pwritten, and
-#: the simulated power cut preserves every written byte, so the
-#: in-flight batch always recovers — deferring the fsync must never
-#: change which epoch-consistent prefix recovery lands on.
-GROUP_MATRIX = [
-    ("wal-group-pending", 1, "4"),
-    ("wal-group-pending:3", 3, "4"),
-    ("wal-group-sync", 2, "2"),
-    ("wal-group-sync:2", 4, "2"),
-    ("wal-group-pending:2", 2, "50ms"),
-]
-
-
-@pytest.mark.parametrize("spec,batches,group", GROUP_MATRIX)
-def test_group_commit_crash_recovers_committed_prefix(tmp_path,
-                                                      monkeypatch, spec,
-                                                      batches, group):
-    point = spec.partition(":")[0]
-    assert point in faults.ALL_POINTS
-    path = str(tmp_path / "db")
-    initial = _batch(0)
-    db = _new(path)
-    db.create_table("reads", READS)
-    db.load("reads", initial)
-    db.create_index("reads", "epc")
-    db.shutdown()
-
-    db = Database(storage="disk", storage_path=path, buffer_pages=8,
-                  page_size=512, group_commit=group)
-    assert db.storage.wal.group_enabled
-    monkeypatch.setenv(faults.CRASH_ENV, spec)
-    applied: list[list[tuple]] = []
-    crashed: InjectedCrash | None = None
-    try:
-        for ordinal in range(batches):
-            attempted = _batch(ordinal + 1)
-            db.append("reads", attempted)
-            applied.append(attempted)
-    except InjectedCrash as crash:
-        applied.append(attempted)  # commit record hit disk before crash
-        crashed = crash
-    assert crashed is not None, f"{spec} never fired"
-    assert crashed.point == point
-    db.storage.simulate_crash()
-
-    monkeypatch.delenv(faults.CRASH_ENV)
-    faults.reset()
-    recovered = _new(path)
-    try:
-        _assert_recovered_equals(recovered, [initial, *applied])
-    finally:
-        recovered.shutdown()
-
-
 def test_compaction_move_crash_recovers(tmp_path, monkeypatch):
     """A crash mid-compaction must leave the old manifest + WAL intact.
 

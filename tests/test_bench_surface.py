@@ -1,9 +1,10 @@
 """The frozen benchmark's import surface, checked by tier-1.
 
 ``bench/`` may not change in a PR that touches ``src/``, so whatever it
-imports from ``src/`` and reads off ``ExecutionMetrics`` has to keep
-working. Without this test a deletion in ``src/`` that breaks it is
-found by the benchmark pipeline, not by ``pytest``.
+imports from ``src/`` and reads off ``ExecutionMetrics`` and a disk
+storage's settings and counters has to keep working. Without this test
+a deletion in ``src/`` that breaks it is found by the benchmark
+pipeline, not by ``pytest``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import warnings
 from collections import defaultdict
 
 from repro import knobs
+from repro.minidb import Database
 from repro.minidb.vector import encode_stats, forced_batch_size, materialize
 from repro.rewrite.engine import DeferredCleansingEngine
 from repro.sqlts.registry import RuleRegistry
 
-from tests.conftest import make_reads_db
+from tests.conftest import READS, make_reads_db
 
 #: Every key ``bench.statements._count_execution`` writes.
 COUNTER_KEYS = {
@@ -85,6 +87,40 @@ def test_forced_batch_size_zero_is_a_silent_no_op(monkeypatch):
             with forced_batch_size(0):
                 assert dict(os.environ) == before
         assert dict(os.environ) == before
+
+
+def test_disk_workload_policy_and_storage_counters(tmp_path):
+    """``DiskIngestQuery.policy`` and ``worker._storage_metrics`` read
+    the disk storage's settings and every counter they difference."""
+    from bench.worker import _storage_metrics
+    from bench.workloads import SELFTEST_PINS, DiskIngestQuery
+
+    workload = DiskIngestQuery(0, SELFTEST_PINS["disk_ingest_query"], 1)
+    workload.path = str(tmp_path / "db")
+    workload.database = Database(storage="disk",
+                                 storage_path=workload.path)
+    try:
+        database = workload.database
+        policy = workload.policy()
+        assert policy["group_commit_count"] == 0
+        assert policy["readahead_pages"] == 0
+        assert policy["zone_prune"] is False
+        assert policy["wal_fsync"] is True
+        database.create_table("caser", READS)
+        database.load("caser", [(f"e{i}", i, "r1", "loc", "step")
+                                for i in range(10)])
+        database.checkpoint()
+        before = database.storage.counters
+        database.append("caser", [("e0", 99, "r1", "loc", "step")])
+        metrics = _storage_metrics(workload, before,
+                                   database.storage.counters, 1, None)
+        for stub in ("pages_pruned", "prefetch_hits", "prefetch_wasted",
+                     "group_syncs"):
+            assert metrics[f"storage.{stub}"] == 0.0
+        assert metrics["storage.wal_syncs"] == 1.0
+        assert metrics["disk_bytes_per_row"] > 0
+    finally:
+        workload.teardown()
 
 
 def test_cleansed_query_oracle_is_the_naive_rewrite():

@@ -9,12 +9,12 @@ import pytest
 from repro import knobs
 from repro.experiments import ExperimentSettings
 from repro.minidb import Database
-from repro.minidb.storage.backend import configured_checkpoint_bytes
-from repro.minidb.storage.page import configured_page_size
-from repro.minidb.storage.pager import (
-    configured_buffer_pages,
-    configured_readahead,
+from repro.minidb.storage.backend import (
+    configured_checkpoint_bytes,
+    encode_enabled,
 )
+from repro.minidb.storage.page import configured_page_size
+from repro.minidb.storage.pager import configured_buffer_pages
 from repro.minidb.vector import configured_batch_size
 from repro.server.executor import configured_serve_workers
 from repro.server.server import Server
@@ -36,7 +36,10 @@ def test_typo_warns_with_suggestion(fresh_latch, monkeypatch):
 
 
 @pytest.mark.parametrize("name, value", [("REPRO_WORKERS", "2"),
-                                         ("REPRO_CODEGEN", "1")])
+                                         ("REPRO_CODEGEN", "1"),
+                                         ("REPRO_ZONE_PRUNE", "0"),
+                                         ("REPRO_READAHEAD", "8"),
+                                         ("REPRO_GROUP_COMMIT", "8")])
 def test_removed_knob_warns(fresh_latch, monkeypatch, name, value):
     """A knob whose layer was deleted must not silently configure
     nothing."""
@@ -84,7 +87,7 @@ def test_registry_matches_readme():
               / "README.md").read_text(encoding="utf-8")
     missing = [name for name in knobs.KNOWN_KNOBS if name not in readme]
     assert not missing, f"knobs undocumented in README: {missing}"
-    assert len(knobs.KNOWN_KNOBS) == 15
+    assert len(knobs.KNOWN_KNOBS) == 12
 
 
 def _server_limits(field):
@@ -110,7 +113,6 @@ INT_KNOBS = [
     ("REPRO_PAGE_SIZE", configured_page_size, 4096, 128, None),
     ("REPRO_WAL_LIMIT", configured_checkpoint_bytes, 1 << 20, 1, None),
     ("REPRO_BUFFER_PAGES", configured_buffer_pages, 256, 4, None),
-    ("REPRO_READAHEAD", configured_readahead, 0, 0, 256),
     ("REPRO_SERVE_WORKERS", configured_serve_workers, 0, 0, None),
     ("REPRO_SERVE_INFLIGHT", _server_limits("max_inflight"), 8, 1, None),
     ("REPRO_SERVE_SESSION_DEPTH", _server_limits("session_depth"),
@@ -146,3 +148,17 @@ def test_integer_knob_default_clamps_and_junk(monkeypatch, name, read,
     with pytest.warns(knobs.UnknownKnobWarning,
                       match=f"{name}='1k' is not an integer"):
         assert read() == default
+
+
+def test_encode_knob_junk_warns(monkeypatch):
+    """``REPRO_ENCODE`` parses like every integer knob: unset or ``1``
+    is on, ``0`` is off, and junk warns and keeps the default instead
+    of silently meaning on."""
+    for raw, expected in (("", True), ("1", True), ("0", False)):
+        monkeypatch.setenv("REPRO_ENCODE", raw)
+        assert encode_enabled() is expected
+    for junk in ("off", "false"):
+        monkeypatch.setenv("REPRO_ENCODE", junk)
+        with pytest.warns(knobs.UnknownKnobWarning,
+                          match=f"REPRO_ENCODE='{junk}' is not an integer"):
+            assert encode_enabled() is True
