@@ -186,6 +186,24 @@ class SortedIndex:
         for slot in range(start, stop):
             yield positions[slot]
 
+    def positions_of(self, keys: Iterable[Any]) -> list[int]:
+        """Row positions whose key equals one of *keys*, key by key.
+
+        *keys* must be distinct under ``==``. A key the indexed keys
+        cannot be ordered against (text probing a numeric index) matches
+        nothing, exactly as an equality test between them would.
+        """
+        index_keys, positions = self._data
+        out: list[int] = []
+        for key in keys:
+            try:
+                start = bisect.bisect_left(index_keys, key)
+                stop = bisect.bisect_right(index_keys, key, start)
+            except TypeError:
+                continue
+            out.extend(positions[start:stop])
+        return out
+
     def count(self, key_range: IndexRange) -> int:
         """Exact number of entries in *key_range* (no row access)."""
         keys, _ = self._data

@@ -614,6 +614,15 @@ class BTreeBackedIndex(SortedIndex):
     def scan(self, key_range: IndexRange) -> Iterator[int]:
         return self.tree.scan(key_range)
 
+    def positions_of(self, keys: Iterable[Any]) -> list[int]:
+        out: list[int] = []
+        for key in keys:
+            try:
+                out.extend(self.scan(IndexRange.equals(key)))
+            except TypeError:
+                continue
+        return out
+
     def count(self, key_range: IndexRange) -> int:
         return self.tree.count(key_range)
 
