@@ -21,6 +21,7 @@ combined:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.analysis.linear import normalize_comparison
 from repro.minidb.expressions import (
@@ -31,7 +32,7 @@ from repro.minidb.expressions import (
 )
 
 __all__ = ["Bound", "derive_context_conjuncts", "DifferenceClosure",
-           "ZERO_VAR"]
+           "EqualityClasses", "ZERO_VAR"]
 
 #: Virtual node representing the constant 0 in the constraint graph.
 _ZERO = ColumnRef("_zero_", "_const_")
@@ -160,11 +161,13 @@ def _as_number(value: float) -> int | float:
     return int(value) if value == int(value) else value
 
 
-class _EqualityClasses:
+class EqualityClasses:
     """Union-find over variables related by equality atoms."""
 
-    def __init__(self) -> None:
+    def __init__(self, atoms: Iterable[Expr] = ()) -> None:
         self._parent: dict[ColumnRef, ColumnRef] = {}
+        for atom in atoms:
+            self.add_atom(atom)
 
     def _find(self, ref: ColumnRef) -> ColumnRef:
         parent = self._parent.setdefault(ref, ref)
@@ -182,6 +185,10 @@ class _EqualityClasses:
                 and isinstance(atom.left, ColumnRef) \
                 and isinstance(atom.right, ColumnRef):
             self.union(atom.left, atom.right)
+
+    def same(self, left: ColumnRef, right: ColumnRef) -> bool:
+        """Whether the equality atoms make *left* equal *right*."""
+        return self._find(left) == self._find(right)
 
     def counterpart(self, ref: ColumnRef, target_qualifier: str,
                     candidates: set[ColumnRef]) -> ColumnRef | None:
@@ -229,10 +236,9 @@ def derive_context_conjuncts(
             emit(conjunct)
 
     # 2. Equality propagation of query conjuncts.
-    classes = _EqualityClasses()
+    classes = EqualityClasses(correlation)
     all_vars: set[ColumnRef] = set()
     for conjunct in correlation:
-        classes.add_atom(conjunct)
         all_vars.update(conjunct.referenced_columns())
     for conjunct in query_conjuncts:
         all_vars.update(conjunct.referenced_columns())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.errors import RuleValidationError
 from repro.minidb.expressions import Expr
@@ -84,6 +85,12 @@ class CleansingRule:
     action: Action
     #: Creation sequence number; rules apply in creation order (§4.4).
     created_at: int = 0
+    #: Query-independent facts the rewrite analysis derives from this
+    #: rule, filled in on first use by
+    #: :func:`repro.rewrite.positions.rule_facts`. A rule is not changed
+    #: after validation, so they never go stale.
+    analysis_facts: Any = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self) -> None:
         self.name = self.name.lower()
