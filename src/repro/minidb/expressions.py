@@ -156,7 +156,15 @@ class Expr:
 
     def referenced_columns(self) -> set["ColumnRef"]:
         """Every :class:`ColumnRef` appearing anywhere in the tree."""
-        return {node for node in self.walk() if isinstance(node, ColumnRef)}
+        found: set[ColumnRef] = set()
+        pending: list[Expr] = [self]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ColumnRef):
+                found.add(node)
+            else:
+                pending.extend(node.children())
+        return found
 
     def to_sql(self) -> str:
         """Render this expression as SQL text."""

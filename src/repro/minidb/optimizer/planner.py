@@ -67,6 +67,7 @@ from repro.minidb.plan.physical import (
     SortOp,
     UnionAllOp,
 )
+from repro.minidb.plan.planschema import PlanSchema
 from repro.minidb.plan.window import WindowFuncSpec, WindowOp
 
 __all__ = ["Planner", "PlannerOptions"]
@@ -451,14 +452,14 @@ class Planner:
         return max(rows, 1.0)
 
     def _split_join_predicate(self, predicate: Expr, left: PhysicalNode,
-                              right: PhysicalNode):
+                              right: PhysicalNode, combined: PlanSchema):
         """Classify one conjunct as an equi-pair or residual, if applicable.
 
+        *combined* is the pair's joined schema (left fields, then right).
         Returns ("equi", (left_expr, right_expr)) with sides oriented to
         (left, right); ("residual", predicate); or None when the conjunct
         does not resolve over the pair.
         """
-        combined = left.schema.concat(right.schema)
         if not self._schema_resolves(predicate, combined):
             return None
         if isinstance(predicate, BinaryOp) and predicate.op == "=":
@@ -505,11 +506,12 @@ class Planner:
         while remaining:
             best_choice = None
             for candidate in remaining:
+                combined = current.schema.concat(candidate.schema)
                 equi_pairs: list[tuple[Expr, Expr]] = []
                 residuals: list[Expr] = []
                 for predicate in remaining_predicates:
                     classified = self._split_join_predicate(
-                        predicate, current, candidate)
+                        predicate, current, candidate, combined)
                     if classified is None:
                         continue
                     kind, payload = classified
@@ -522,12 +524,13 @@ class Planner:
                                                 equi_pairs, len(residuals))
                 ranking = (not connected, rows, candidate.estimated_rows)
                 if best_choice is None or ranking < best_choice[0]:
-                    best_choice = (ranking, candidate, equi_pairs, residuals)
-            _, candidate, equi_pairs, residuals = best_choice
+                    best_choice = (ranking, candidate, equi_pairs, residuals,
+                                   combined)
+            _, candidate, equi_pairs, residuals, combined = best_choice
             remaining_predicates = [
                 predicate for predicate in remaining_predicates
-                if self._split_join_predicate(predicate, current,
-                                              candidate) is None]
+                if self._split_join_predicate(predicate, current, candidate,
+                                              combined) is None]
             # Orient the hash join so the smaller input is the build side.
             if candidate.estimated_rows <= current.estimated_rows:
                 current = self._build_hash_join(current, candidate,
@@ -554,10 +557,12 @@ class Planner:
     def _lower_single_join(self, node: LogicalJoin) -> PhysicalNode:
         left = self._lower(node.left)
         right = self._lower(node.right)
+        combined = left.schema.concat(right.schema)
         equi_pairs: list[tuple[Expr, Expr]] = []
         residuals: list[Expr] = []
         for predicate in split_conjuncts(node.condition):
-            classified = self._split_join_predicate(predicate, left, right)
+            classified = self._split_join_predicate(predicate, left, right,
+                                                    combined)
             if classified is None:
                 raise PlanningError(
                     f"join condition {predicate.to_sql()} does not resolve "

@@ -17,6 +17,9 @@ from repro.minidb.types import SqlType
 
 __all__ = ["Field", "PlanSchema"]
 
+#: Index entry of an unqualified name that more than one field carries.
+_AMBIGUOUS = -1
+
 
 @dataclass(frozen=True)
 class Field:
@@ -48,12 +51,18 @@ class Field:
 
 
 class PlanSchema:
-    """An ordered list of :class:`Field` with qualified-name resolution."""
+    """An ordered list of :class:`Field` with qualified-name resolution.
 
-    __slots__ = ("fields",)
+    A schema never changes after construction, so its name -> position
+    index is built once, on the first lookup.
+    """
+
+    __slots__ = ("fields", "_index")
 
     def __init__(self, fields: Iterable[Field]) -> None:
         self.fields: tuple[Field, ...] = tuple(fields)
+        self._index: tuple[dict[tuple[str, str], int],
+                           dict[str, int]] | None = None
 
     @classmethod
     def from_table(cls, schema: TableSchema, binding: str,
@@ -72,41 +81,52 @@ class PlanSchema:
     def __repr__(self) -> str:
         return f"PlanSchema({', '.join(f.display() for f in self.fields)})"
 
+    def _build_index(self) -> tuple[dict[tuple[str, str], int],
+                                    dict[str, int]]:
+        """``((qualifier, name) -> first position, name -> position or
+        _AMBIGUOUS)``, built once."""
+        qualified: dict[tuple[str, str], int] = {}
+        unqualified: dict[str, int] = {}
+        for position, field in enumerate(self.fields):
+            if field.qualifier is not None:
+                qualified.setdefault((field.qualifier, field.name), position)
+            unqualified[field.name] = (
+                _AMBIGUOUS if field.name in unqualified else position)
+        self._index = (qualified, unqualified)
+        return self._index
+
+    def _lookup(self, qualifier: str | None, name: str) -> int | None:
+        """The position of ``qualifier.name``, _AMBIGUOUS, or None."""
+        qualified, unqualified = self._index or self._build_index()
+        if qualifier is not None:
+            return qualified.get((qualifier.lower(), name.lower()))
+        return unqualified.get(name.lower())
+
     def resolve(self, qualifier: str | None, name: str) -> int:
         """Position of the field ``qualifier.name``.
 
         Unqualified lookups must match exactly one field name across the
         whole schema; ambiguity is a planning error, as in SQL.
         """
-        name = name.lower()
-        if qualifier is not None:
-            qualifier = qualifier.lower()
-            for position, field in enumerate(self.fields):
-                if field.qualifier == qualifier and field.name == name:
-                    return position
+        position = self._lookup(qualifier, name)
+        if position is None:
+            wanted = name.lower() if qualifier is None \
+                else f"{qualifier.lower()}.{name.lower()}"
             raise PlanningError(
-                f"no column {qualifier}.{name}; available: "
+                f"no column {wanted}; available: "
                 f"{', '.join(f.display() for f in self.fields)}")
-        matches = [position for position, field in enumerate(self.fields)
-                   if field.name == name]
-        if not matches:
+        if position == _AMBIGUOUS:
             raise PlanningError(
-                f"no column {name}; available: "
-                f"{', '.join(f.display() for f in self.fields)}")
-        if len(matches) > 1:
-            raise PlanningError(f"ambiguous column reference {name!r}")
-        return matches[0]
+                f"ambiguous column reference {name.lower()!r}")
+        return position
 
     def resolver(self):
         """An expression-binding resolver closure over this schema."""
         return self.resolve
 
     def has(self, qualifier: str | None, name: str) -> bool:
-        try:
-            self.resolve(qualifier, name)
-        except PlanningError:
-            return False
-        return True
+        position = self._lookup(qualifier, name)
+        return position is not None and position != _AMBIGUOUS
 
     def concat(self, other: "PlanSchema") -> "PlanSchema":
         return PlanSchema((*self.fields, *other.fields))
