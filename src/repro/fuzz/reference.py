@@ -111,10 +111,13 @@ def _join(node: LogicalJoin) -> list[tuple]:
 
 
 def _semi_join(node: LogicalSemiJoin) -> list[tuple]:
-    """``left_expr [NOT] IN (right)`` with SQL's NULL rules: a NULL
-    operand never qualifies, and a NULL member makes NOT IN unknown for
-    every row."""
+    """``left_expr [NOT] IN (right)`` with SQL's NULL rules: against no
+    members IN is FALSE and NOT IN is TRUE for every row, a NULL operand
+    included; otherwise a NULL operand never qualifies, and a NULL
+    member makes NOT IN unknown for every row."""
     members = [row[0] for row in evaluate(node.right)]
+    if not members:
+        return evaluate(node.left) if node.negated else []
     if node.negated and None in members:
         return []
     operand = _bind(node.left_expr, node.left.schema)

@@ -112,6 +112,55 @@ class TestJoins:
         assert rs.as_set() == {(4,), (5,)}
 
 
+class TestInSubqueryMatchesSqlite:
+    """IN / NOT IN against an empty subquery, NULL operand included: SQL
+    makes ``x NOT IN (empty)`` TRUE even when ``x`` is NULL. The stdlib's
+    SQLite is the independent engine; the fuzz reference must agree."""
+
+    ROWS = [(1, 1), (None, 2), (3, 3)]
+    STATEMENTS = (
+        "select b from t where a not in (select x from e where x > 100) "
+        "order by b",
+        "select b from t where not (a in (select x from e where x > 100)) "
+        "order by b",
+        "select b from t where a in (select x from e where x > 100) "
+        "order by b",
+    )
+
+    @pytest.fixture
+    def databases(self):
+        import sqlite3
+
+        database = Database()
+        database.create_table("t", TableSchema.of(
+            ("a", SqlType.INTEGER), ("b", SqlType.INTEGER)))
+        database.load("t", self.ROWS)
+        database.create_table("e", TableSchema.of(("x", SqlType.INTEGER)))
+        database.load("e", [(5,), (7,)])
+        lite = sqlite3.connect(":memory:")
+        lite.execute("create table t (a integer, b integer)")
+        lite.executemany("insert into t values (?, ?)", self.ROWS)
+        lite.execute("create table e (x integer)")
+        lite.executemany("insert into e values (?)", [(5,), (7,)])
+        yield database, lite
+        lite.close()
+        database.shutdown()
+
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_executor_and_reference_match_sqlite(self, databases, sql):
+        from repro.fuzz import reference
+
+        database, lite = databases
+        expected = lite.execute(sql).fetchall()
+        assert database.execute(sql).rows == expected
+        assert reference.execute(database, sql) == expected
+
+    def test_not_in_empty_keeps_the_null_row(self, databases):
+        database, _ = databases
+        assert database.execute(self.STATEMENTS[0]).rows == \
+            [(1,), (2,), (3,)]
+
+
 class TestCtesAndSetOps:
     def test_cte(self, db):
         rs = db.execute(
