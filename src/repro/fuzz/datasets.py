@@ -28,6 +28,13 @@ __all__ = ["DatasetProfile", "random_profile", "ANOMALY_MIXES"]
 #: clean, light, heavy, pathological).
 ANOMALY_MIXES = (0.0, 5.0, 20.0, 40.0)
 
+#: Locations no read visits, appended to the ``locs`` dimension so it is
+#: large next to the locations a case's reads touch (21 at most, below):
+#: 32 rows per touched location make a hash join that probes an
+#: unfiltered ``locs`` fetch its rows through the index (see
+#: ``HashJoinOp``), so the oracle checks that path too.
+UNVISITED_LOCATIONS = 32 * 21
+
 
 @dataclass
 class DatasetProfile:
@@ -62,7 +69,9 @@ class DatasetProfile:
             step_types=sorted({kind for _, kind in data.step_rows}),
             sites=sorted({site for _, site, _ in data.location_rows}),
             rtimes=rtimes,
-            locs_rows=[tuple(row) for row in data.location_rows],
+            locs_rows=[tuple(row) for row in data.location_rows]
+            + [(f"unvisited-{i:04d}", "unvisited site", f"unvisited {i}")
+               for i in range(UNVISITED_LOCATIONS)],
             steps_rows=[tuple(row) for row in data.step_rows],
             reader_x=data.reader_x,
             time_constants=sorted({
