@@ -235,7 +235,9 @@ class Snapshot:
 
         Counters are byte-identical to executing the same query on a
         database frozen at the pinned epochs (the snapshot-isolation
-        tests pin exactly this).
+        tests pin exactly this). The exception is a detached version: it
+        has no index, so a hash join scans it where the frozen database
+        would fetch only the matching rows (see ``HashJoinOp``).
         """
         from repro.minidb.engine import ExecutionMetrics
 
