@@ -247,8 +247,10 @@ class Database:
 
     def shutdown(self) -> None:
         """Cleanly close disk storage (checkpoint, truncate the WAL,
-        delete a temp-owned directory). The database is unusable
-        afterwards in disk mode; a no-op in memory mode.
+        delete a temp-owned directory) and drop what the tables derive
+        from their rows: column caches, index entries and the buffer
+        pool. The database is unusable afterwards in disk mode; a no-op
+        in memory mode.
 
         Idempotent, and safe to call on a partially constructed instance
         (``__exit__``/``__del__`` after a failed ``__init__``): every

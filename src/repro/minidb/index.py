@@ -7,6 +7,10 @@ and range lookups and answers the planner's "matching row count" probes
 exactly, which the cost model uses in place of histogram estimates when
 an index exists.
 
+It is the only index class, in both storage modes. An index is derived
+data: disk storage keeps no index pages and rebuilds every index from
+its table's heap when it opens a database directory.
+
 NULL keys are excluded from the index (as in most engines): a predicate
 match via an index never returns rows whose key is NULL, matching SQL
 comparison semantics.

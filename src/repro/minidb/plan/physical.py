@@ -36,7 +36,6 @@ from repro.errors import ExecutionError
 from repro.minidb.expressions import BatchBound, ColumnRef, Expr, true_positions
 from repro.minidb.index import IndexRange, SortedIndex
 from repro.minidb.plan.planschema import PlanSchema
-from repro.minidb.storage.btree import BTreeBackedIndex
 from repro.minidb.table import Table
 from repro.minidb.types import sort_key_column
 from repro.minidb.vector import RowBatch, concat_columns, configured_batch_size
@@ -438,9 +437,9 @@ class HashJoinOp(PhysicalNode):
     cleansed answer), the scan reads only the rows the index returns for
     those keys (:meth:`SeqScan.keyed_batches`). Rows the full scan would
     have probed in vain are never read, and the output is unchanged:
-    same rows, same order. Left joins (unmatched rows are emitted),
-    multi-key joins, detached snapshots and disk B-tree indexes (every
-    lookup pages through the buffer pool) keep the full scan.
+    same rows, same order, in either storage mode. Left joins (unmatched
+    rows are emitted), multi-key joins and detached snapshots keep the
+    full scan.
     """
 
     __slots__ = ('left', 'right', 'kind', '_residual', 'residual_expr',
@@ -480,7 +479,7 @@ class HashJoinOp(PhysicalNode):
         if self._probe_column is None or self.left.visible_rows is not None:
             return None
         index = self.left.table.index_on(self._probe_column)
-        if index is None or isinstance(index, BTreeBackedIndex):
+        if index is None:
             return None
         if len(table) * _ROWS_PER_PROBED_KEY > len(index):
             return None

@@ -6,14 +6,13 @@ Layout of the package (bottom-up):
 * :mod:`~repro.minidb.storage.page` — slotted-page format with CRC
 * :mod:`~repro.minidb.storage.pager` — buffer pool (LRU, pin counts)
 * :mod:`~repro.minidb.storage.wal` — logical redo log with commit frames
-* :mod:`~repro.minidb.storage.btree` — copy-on-write on-disk B-tree
 * :mod:`~repro.minidb.storage.heap` — a table's rows as a page chain
 * :mod:`~repro.minidb.storage.backend` — :class:`DiskStorage`: manifest,
   checkpointing, crash recovery
 * :mod:`~repro.minidb.storage.faults` — crash fault injection
 
 ``DiskStorage`` is intentionally *not* re-exported here: ``table.py``
-imports the heap/btree submodules, so pulling ``backend`` (which imports
+imports the heap submodule, so pulling ``backend`` (which imports
 ``table``) into the package root would create an import cycle. Import it
 from :mod:`repro.minidb.storage.backend` directly.
 """

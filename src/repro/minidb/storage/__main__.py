@@ -6,7 +6,9 @@ the database, so it is safe to point at a directory left behind by a
 crash. Reported numbers describe the last durable checkpoint; a
 non-empty WAL means recovery would replay on top of them.
 
-Per table, the report includes the heap *footprint*: bytes as stored
+Per table, the report names the indexed columns (indexes are rebuilt
+from the heap on open, so they own no pages) and includes the heap
+*footprint*: bytes as stored
 (dictionary-coded pages count at their compressed size) versus the bytes
 the same rows would occupy row-major, plus the resulting compression
 ratio — the observable effect of the ``REPRO_ENCODE`` knob.
@@ -101,12 +103,17 @@ def stat(directory: str) -> str:
     for name, entry in sorted(manifest.get("tables", {}).items()):
         heap_pages = entry.get("heap_pages", [])
         heap = len(heap_pages)
-        index_pages = sum(len(spec.get("pages", []))
-                          for spec in entry.get("indexes", {}).values())
+        indexes = entry.get("indexes", {}).values()
+        columns = ", ".join(spec["column"] for spec in indexes) or "none"
         rows = sum(count for _, count in heap_pages)
         lines.append(f"table {name}: {rows} rows, {heap} heap pages, "
-                     f"{len(entry.get('indexes', {}))} indexes "
-                     f"({index_pages} pages)")
+                     f"indexes on {columns}")
+        # Written by a version that kept indexes as on-disk B-trees: the
+        # next two checkpoints free those pages and compact over them.
+        btree_pages = sum(len(spec.get("pages", ())) for spec in indexes)
+        if btree_pages:
+            lines.append(f"table {name}: {btree_pages} B-tree pages of an "
+                         f"older version awaiting reclaim")
         stored, plain, dict_pages = _heap_footprint(
             pages_path, page_size, heap_pages)
         ratio = f"{stored / plain:.2f}" if plain else "1.00"

@@ -2,7 +2,7 @@
 
 One :class:`DiskStorage` owns a database directory::
 
-    data.pages     fixed-size slotted pages (heap rows, B-tree nodes)
+    data.pages     fixed-size slotted pages (heap rows)
     wal.log        logical redo log, truncated at each checkpoint
     MANIFEST.json  atomic checkpoint root (written via tmp + rename)
 
@@ -18,10 +18,14 @@ Durability protocol (see DESIGN.md §11):
    records the checkpoint epoch; replay skips committed transactions at
    or below it, making recovery idempotent.
 
+Indexes are derived data: the manifest records only each index's name
+and column, and an index is rebuilt from its table's heap when the table
+is attached.
+
 Recovery on open: load the manifest (if any), attach each table with its
-heap-page chain and B-tree indexes, then replay every intact committed
-WAL transaction with a newer epoch through the normal ``Table`` mutation
-paths (logging suppressed). The resulting state is exactly the last
+heap-page chain and rebuild its indexes, then replay every intact
+committed WAL transaction with a newer epoch through the normal
+``Table`` mutation paths (logging suppressed). The resulting state is exactly the last
 committed epoch — the crash-recovery test rig asserts this for a crash
 at every declared fault point.
 """
@@ -36,21 +40,14 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import StorageError
 from repro.knobs import int_knob
+from repro.minidb.index import SortedIndex
 from repro.minidb.storage import faults, wal as walmod
-from repro.minidb.storage.btree import (
-    BTreeBackedIndex,
-    DiskBTree,
-    InnerNode,
-    LeafNode,
-)
 from repro.minidb.storage.heap import (
     DiskRowStore,
     HeapPageNode,
     storage_fault_active,
 )
 from repro.minidb.storage.page import (
-    KIND_BTREE_INNER,
-    KIND_BTREE_LEAF,
     KIND_HEAP,
     KIND_HEAP_DICT,
     configured_page_size,
@@ -158,10 +155,6 @@ class DiskStorage:
                                            self._decode_fault)
         if kind == KIND_HEAP_DICT:
             return HeapPageNode.from_dict_cells(cells, self._decode_fault)
-        if kind == KIND_BTREE_LEAF:
-            return LeafNode.from_cells(cells)
-        if kind == KIND_BTREE_INNER:
-            return InnerNode.from_cells(cells)
         raise StorageError(f"unknown page kind {kind}")
 
     # -- page allocation ------------------------------------------------
@@ -293,7 +286,7 @@ class DiskStorage:
         return moves, sorted(free_set), next_after
 
     def _apply_moves(self, moves: list[tuple[int, int]]) -> None:
-        """Relocate pages per *moves* and rewrite every reference."""
+        """Relocate heap pages per *moves* and rewrite their page ids."""
         assert self.catalog is not None
         mapping = dict(moves)
         pager = self.pager
@@ -301,7 +294,7 @@ class DiskStorage:
             node = pager.fetch(old_id)
             # The move rewrites the page from its node; a heap node
             # decoded for reading has to recover its layout choice.
-            if isinstance(node, HeapPageNode) and node.ensure_accounting():
+            if node.ensure_accounting():
                 self.accounting_rebuilds += 1
             pager.discard(old_id)
             pager.adopt(new_id, node)
@@ -310,34 +303,6 @@ class DiskStorage:
             if isinstance(store, DiskRowStore):
                 store.page_ids = [mapping.get(page_id, page_id)
                                   for page_id in store.page_ids]
-            for index in table.indexes.values():
-                if isinstance(index, BTreeBackedIndex):
-                    self._remap_tree(index.tree, mapping)
-
-    def _remap_tree(self, tree: DiskBTree,
-                    mapping: dict[int, int]) -> None:
-        tree.pages = {mapping.get(page_id, page_id)
-                      for page_id in tree.pages}
-        if tree.root is None:
-            return
-        tree.root = mapping.get(tree.root, tree.root)
-        self._remap_children(tree.root, mapping)
-
-    def _remap_children(self, page_id: int,
-                        mapping: dict[int, int]) -> None:
-        node = self.pager.fetch(page_id)
-        if not isinstance(node, InnerNode):
-            return
-        changed = False
-        for slot, child in enumerate(node.children):
-            new_id = mapping.get(child, child)
-            if new_id != child:
-                node.set_child(slot, new_id)
-                changed = True
-        if changed:
-            self.pager.mark_dirty(page_id)
-        for child in node.children:
-            self._remap_children(child, mapping)
 
     def _live_pages(self) -> Iterator[int]:
         assert self.catalog is not None
@@ -345,9 +310,6 @@ class DiskStorage:
             store = table.rows
             if isinstance(store, DiskRowStore):
                 yield from store.page_ids
-            for index in table.indexes.values():
-                if isinstance(index, BTreeBackedIndex):
-                    yield from index.tree.pages
 
     def _build_manifest(self, free: list[int] | None = None,
                         next_page_id: int | None = None) -> dict:
@@ -358,23 +320,12 @@ class DiskStorage:
             if not isinstance(store, DiskRowStore):
                 raise StorageError(
                     f"table {table.name!r} is not disk-backed")
-            indexes: dict = {}
-            for name, index in table.indexes.items():
-                if not isinstance(index, BTreeBackedIndex):
-                    continue
-                tree = index.tree
-                indexes[name] = {
-                    "column": index.column,
-                    "root": tree.root,
-                    "count": tree.entry_count,
-                    "seq": tree.next_seq,
-                    "pages": sorted(tree.pages),
-                }
             tables[table.name] = {
                 "schema": [[column.name, column.sql_type.value]
                            for column in table.schema],
                 "heap_pages": store.manifest_pages(),
-                "indexes": indexes,
+                "indexes": {name: {"column": index.column}
+                            for name, index in table.indexes.items()},
             }
         if free is None:
             free = sorted({*self._free_now, *self._retired})
@@ -457,13 +408,13 @@ class DiskStorage:
                  for page_id, count in entry["heap_pages"]])
             live.update(table.rows.page_ids)
             for index_name, spec in entry["indexes"].items():
-                tree = DiskBTree(self, root=spec["root"],
-                                 entry_count=spec["count"],
-                                 next_seq=spec["seq"],
-                                 pages=spec["pages"])
-                table.indexes[index_name] = BTreeBackedIndex(
-                    index_name, spec["column"], tree)
-                live.update(tree.pages)
+                table.indexes[index_name] = SortedIndex(index_name,
+                                                        spec["column"])
+                # An older manifest also names its on-disk B-tree's
+                # pages. Nothing reads them any more: the next checkpoint
+                # frees them, the one after compacts over them.
+                self._retired.extend(spec.get("pages", ()))
+            table.rebuild_indexes(table.indexes.values())
             catalog.attach(table)
         self.manifest_pages = live
 
@@ -523,6 +474,10 @@ class DiskStorage:
     def close(self) -> None:
         """Checkpoint and release; deletes the directory if temp-owned.
 
+        Every table's derived data (column cache, index entries) is
+        dropped too: the database is unusable afterwards, and whatever
+        still references it must not keep a copy of its tables alive.
+
         Safe on any state: a partially constructed instance (pager or
         WAL never created), a never-opened one (no catalog attached —
         checkpointing is skipped, nothing to persist), a crashed one,
@@ -535,6 +490,8 @@ class DiskStorage:
         pager.close(sync=self.sync)
         if wal is not None:
             wal.close()
+        for table in self.catalog or ():
+            table.release_derived()
         if self.owns_dir:
             shutil.rmtree(self.path, ignore_errors=True)
 

@@ -1,4 +1,4 @@
-"""The slotted-page format shared by heap and B-tree pages.
+"""The slotted-page format of heap pages.
 
 Every page is a fixed-size byte block:
 
@@ -7,7 +7,7 @@ Every page is a fixed-size byte block:
     offset  size  field
     ------  ----  -----------------------------------------------------
          0     2  magic  b"MP"
-         2     1  kind   (heap / btree-leaf / btree-inner)
+         2     1  kind   (row-major or column-major heap)
          3     1  reserved (zero)
          4     2  cell count
          6     2  cell_start (lowest byte offset used by cell data)
@@ -16,11 +16,10 @@ Every page is a fixed-size byte block:
          ...      free space
     cell_start    cell data, growing *down* from the end of the page
 
-Cells are opaque byte strings; the heap stores one serialized row per
-cell, B-tree nodes store one entry (or child pointer) per cell. Pages
-are always rewritten wholesale from their decoded in-memory form (the
-engine copies-on-write instead of patching bytes in place), so the codec
-only needs encode-all / decode-all.
+Cells are opaque byte strings; a row-major heap page stores one
+serialized row per cell. Pages are always rewritten wholesale from their
+decoded in-memory form (the engine copies-on-write instead of patching
+bytes in place), so the codec only needs encode-all / decode-all.
 
 The CRC turns a torn write into a detected
 :class:`~repro.errors.StorageCorruptionError` instead of silently
@@ -40,8 +39,6 @@ from repro.knobs import int_knob
 __all__ = [
     "DEFAULT_PAGE_SIZE",
     "HEADER_SIZE",
-    "KIND_BTREE_INNER",
-    "KIND_BTREE_LEAF",
     "KIND_HEAP",
     "KIND_HEAP_DICT",
     "SLOT_SIZE",
@@ -60,8 +57,10 @@ HEADER_SIZE = 12
 SLOT_SIZE = 4
 
 KIND_HEAP = 1
-KIND_BTREE_LEAF = 2
-KIND_BTREE_INNER = 3
+# Kinds 2 and 3 were on-disk B-tree leaf and inner nodes. Indexes are
+# rebuilt from the heap on open, so nothing writes or reads such pages
+# any more; the numbers stay reserved and are never reused.
+
 #: Column-major heap page: header cell (row/column counts + per-column
 #: layout flags) followed by one cell per column, each either a
 #: dictionary (distinct values + per-row codes) or plain tagged values.

@@ -4,14 +4,14 @@ The pool is the memory-bounded regime the paper ran its experiments in
 (DB2 with a 160 MB bufferpool over ~1 GB of case reads): at most
 ``REPRO_BUFFER_PAGES`` pages are resident at once, whatever the table
 size. Each resident page is a :class:`Frame` holding the *decoded* node
-object (heap rows or B-tree node); encoding back to the slotted byte
+object (a heap page's rows); encoding back to the slotted byte
 format happens only when a dirty frame is flushed.
 
 Eviction is LRU over unpinned frames. Pin counts protect frames across
-multi-step structural operations (a B-tree split holds its whole root-to-
-leaf path pinned); if every frame is pinned the pool admits a temporary
-overflow frame rather than deadlocking, and counts the event so tests
-can assert it never happens in practice.
+multi-step operations (an append pins the tail page it is filling); if
+every frame is pinned the pool admits a temporary overflow frame rather
+than deadlocking, and counts the event so tests can assert it never
+happens in practice.
 
 Writes go through ``os.pwrite`` on a raw file descriptor — no user-space
 buffering, so the bytes the crash-recovery rig sees on "power cut" are
@@ -93,13 +93,15 @@ class Pager:
         return self._fd is None
 
     def close(self, sync: bool = True) -> None:
-        """Flush nothing, close the descriptor (callers flush first)."""
+        """Flush nothing, drop every frame and close the descriptor
+        (callers flush first)."""
         if self._fd is None:
             return
         if sync:
             os.fsync(self._fd)
         os.close(self._fd)
         self._fd = None
+        self._frames.clear()
 
     def abandon(self) -> None:
         """Simulated power cut: drop every frame and close unsynced."""

@@ -14,7 +14,6 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from repro.errors import CatalogError, SchemaError
 from repro.minidb.index import SortedIndex
 from repro.minidb.schema import TableSchema
-from repro.minidb.storage.btree import BTreeBackedIndex, DiskBTree
 from repro.minidb.storage.heap import DiskRowStore
 from repro.minidb.types import coerce_value
 
@@ -255,11 +254,17 @@ class Table:
         self._detach_pinned()
         if isinstance(self.rows, DiskRowStore):
             self.rows.free_all()
+
+    def release_derived(self) -> None:
+        """Drop the column cache and every index's entries.
+
+        Both are derived from the rows. Disk storage calls this when it
+        closes, so a shut-down database that something still references
+        holds no copy of its tables.
+        """
+        self._invalidate_columnar()
         for index in self.indexes.values():
-            if isinstance(index, BTreeBackedIndex):
-                for page_id in list(index.tree.pages):
-                    index.tree.pages.discard(page_id)
-                    self.storage.free_page(page_id)
+            index.build(())
 
     # ------------------------------------------------------------------
     # Loading
@@ -323,8 +328,7 @@ class Table:
             # One extend call = one WAL transaction on a disk table.
             self.rows.extend(fresh)
             self._log_append(start, len(fresh))
-        for index in self.indexes.values():
-            self._rebuild_index(index)
+        self.rebuild_indexes(self.indexes.values())
         self._mutation_complete()
         return len(fresh)
 
@@ -358,8 +362,7 @@ class Table:
             self.rows = new_rows
         self._rebase_deltas()
         self._invalidate_columnar()
-        for index in self.indexes.values():
-            self._rebuild_index(index)
+        self.rebuild_indexes(self.indexes.values())
         self._mutation_complete()
         return len(new_rows)
 
@@ -376,21 +379,28 @@ class Table:
             raise CatalogError(f"index {index_name!r} already exists")
         if self.storage is not None:
             self.storage.log_create_index(self.name, column, index_name)
-            index: SortedIndex = BTreeBackedIndex(
-                index_name, column, DiskBTree(self.storage))
-        else:
-            index = SortedIndex(index_name, column)
-        self._rebuild_index(index)
+        index = SortedIndex(index_name, column)
+        self.rebuild_indexes([index])
         self.indexes[index_name] = index
         self.schema_epoch += 1
         self._mutation_complete()
         return index
 
-    def _rebuild_index(self, index: SortedIndex) -> None:
-        key_position = self.schema.position_of(index.column)
-        index.build(
-            (row[key_position], position)
-            for position, row in enumerate(self.rows))
+    def rebuild_indexes(self, indexes: Iterable[SortedIndex]) -> None:
+        """Build *indexes* from the rows, reading the rows once.
+
+        Indexes are derived data in both storage modes: disk storage
+        persists only each index's name and column, and rebuilds every
+        index of a table this way when it attaches the table.
+        """
+        indexes = list(indexes)
+        if not indexes:
+            return
+        rows = self.rows if isinstance(self.rows, list) else list(self.rows)
+        for index in indexes:
+            key_position = self.schema.position_of(index.column)
+            index.build((row[key_position], position)
+                        for position, row in enumerate(rows))
 
     def index_on(self, column: str) -> SortedIndex | None:
         """The first index whose key is *column*, or None."""

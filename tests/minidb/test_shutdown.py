@@ -23,6 +23,24 @@ def test_shutdown_is_idempotent_disk(tmp_path):
     db.shutdown()  # second close must not touch the dead pager
 
 
+def test_shutdown_releases_derived_data_disk(tmp_path):
+    """A shut-down disk database holds no column cache and no index
+    entries, however long something keeps the object alive."""
+    db = Database(storage="disk", storage_path=str(tmp_path / "d"))
+    db.create_table("t", TableSchema.of(("k", SqlType.INTEGER),
+                                        ("v", SqlType.INTEGER)))
+    db.load("t", [(i, i % 3) for i in range(50)])
+    db.create_index("t", "k")
+    db.create_index("t", "v")
+    assert db.execute("select count(*) as n from t where k < 10").rows \
+        == [(10,)]
+    [table] = db.catalog
+    assert table._columns is not None
+    db.shutdown()
+    assert table._columns is None
+    assert [len(index) for index in table.indexes.values()] == [0, 0]
+
+
 def test_context_manager_shuts_down(tmp_path):
     with Database(storage="disk",
                   storage_path=str(tmp_path / "d")) as db:

@@ -1,4 +1,4 @@
-"""Storage engine unit + property tests: serde, pages, pool, B-tree.
+"""Storage engine unit + property tests: serde, pages, pool, heap.
 
 Property tests use Hypothesis over the actual minidb value domain —
 NULL, booleans, arbitrary-precision integers (INTEGER / TIMESTAMP /
@@ -20,10 +20,8 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageCorruptionError, StorageError
 from repro.minidb.engine import Database
-from repro.minidb.index import IndexRange, SortedIndex
 from repro.minidb.schema import TableSchema
 from repro.minidb.storage.backend import DiskStorage
-from repro.minidb.storage.btree import BTreeBackedIndex
 from repro.minidb.storage.heap import DiskRowStore
 from repro.minidb.storage.page import (
     KIND_HEAP,
@@ -175,157 +173,6 @@ class TestBufferPoolBound:
             store[len(rows)]
 
 
-class TestDiskIndexParity:
-    """BTreeBackedIndex must reproduce SortedIndex behaviour exactly."""
-
-    RANGES = [
-        IndexRange(),
-        IndexRange(low="epc3"),
-        IndexRange(high="epc7", high_inclusive=False),
-        IndexRange(low="epc1", high="epc9"),
-        IndexRange(low="epc4", high="epc4"),
-        IndexRange(low="epc2", low_inclusive=False, high="epc8",
-                   high_inclusive=False),
-    ]
-
-    def _pair(self, disk_db, count=700):
-        _load_reads(disk_db, count)
-        table = disk_db.table("reads")
-        disk_index = table.create_index("epc")
-        assert isinstance(disk_index, BTreeBackedIndex)
-        memory_index = SortedIndex("m", "epc")
-        key = table.schema.position_of("epc")
-        memory_index.build((row[key], position)
-                           for position, row in enumerate(table.rows))
-        return table, disk_index, memory_index
-
-    def test_scan_and_count_parity(self, disk_db):
-        _, disk_index, memory_index = self._pair(disk_db)
-        assert len(disk_index) == len(memory_index)
-        assert disk_index.min_key() == memory_index.min_key()
-        assert disk_index.max_key() == memory_index.max_key()
-        for key_range in self.RANGES:
-            assert list(disk_index.scan(key_range)) == \
-                list(memory_index.scan(key_range))
-            assert disk_index.count(key_range) == \
-                memory_index.count(key_range)
-
-    def test_parity_survives_inserts_and_appends(self, disk_db):
-        table, disk_index, memory_index = self._pair(disk_db, 200)
-        key = table.schema.position_of("epc")
-        start = len(table.rows)
-        fresh = [(start + i, f"epc{i % 13}", 0, 0.0, True, i)
-                 for i in range(150)]
-        table.append_rows(fresh)  # insert_many path
-        memory_index.insert_many(
-            (row[key], start + offset)
-            for offset, row in enumerate(
-                table._coerce_row(r) for r in fresh))
-        table.insert((start + 150, "epc5", 0, 0.0, False, 1))
-        memory_index.insert("epc5", start + 150)
-        for key_range in self.RANGES:
-            assert list(disk_index.scan(key_range)) == \
-                list(memory_index.scan(key_range))
-        disk_index.tree.check_invariants()
-
-
-class _TreeHarness:
-    """A standalone DiskStorage + tree pair for property tests."""
-
-    def __init__(self, tmp_path, page_size=256, buffer_pages=8):
-        self.storage = DiskStorage(path=str(tmp_path),
-                                   page_size=page_size,
-                                   buffer_pages=buffer_pages, sync=False)
-        from repro.minidb.storage.btree import DiskBTree
-
-        self.tree = DiskBTree(self.storage)
-
-    def close(self):
-        self.storage.simulate_crash()  # skip checkpoint: no catalog
-
-
-class TestBTreeProperties:
-    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 10_000)),
-                    max_size=300))
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_inserts_match_model(self, tmp_path_factory, pairs):
-        harness = _TreeHarness(tmp_path_factory.mktemp("tree"))
-        try:
-            model = SortedIndex("m", "k")
-            for key, position in pairs:
-                harness.tree.insert(key, position)
-                model.insert(key, position)
-            harness.tree.check_invariants()  # sorted, balanced, sized
-            everything = IndexRange()
-            assert list(harness.tree.scan(everything)) == \
-                list(model.scan(everything))
-            assert len(harness.tree) == len(model)
-            lo, hi = -17, 23
-            window = IndexRange(low=lo, high=hi, high_inclusive=False)
-            assert list(harness.tree.scan(window)) == \
-                list(model.scan(window))
-            assert harness.tree.count(window) == model.count(window)
-        finally:
-            harness.close()
-
-    @given(st.lists(st.tuples(st.text(max_size=8), st.integers(0, 10_000)),
-                    max_size=200))
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_bulk_build_matches_sorted_insert_order(self, tmp_path_factory,
-                                                    pairs):
-        harness = _TreeHarness(tmp_path_factory.mktemp("tree"))
-        try:
-            harness.tree.build(pairs)
-            harness.tree.check_invariants()
-            model = SortedIndex("m", "k")
-            model.build(pairs)
-            assert list(harness.tree.scan(IndexRange())) == \
-                list(model.scan(IndexRange()))
-        finally:
-            harness.close()
-
-    def test_duplicate_keys_keep_insertion_order(self, tmp_path):
-        harness = _TreeHarness(tmp_path)
-        try:
-            for position in range(500):
-                harness.tree.insert("same", position)
-            harness.tree.check_invariants()
-            assert list(harness.tree.scan(IndexRange.equals("same"))) == \
-                list(range(500))
-        finally:
-            harness.close()
-
-
-    def test_inner_node_size_stays_exact_under_mutation(self):
-        # nbytes is maintained incrementally (child ids change under
-        # copy-on-write and compaction, and a varint can change length);
-        # it must always equal what the node encodes to, or a resident
-        # node would split at a different point than a re-read one.
-        from repro.minidb.storage.btree import InnerNode
-        from repro.minidb.storage.page import cells_size
-
-        def exact(node):
-            return node.nbytes == cells_size(node.encode_cells()[1])
-
-        node = InnerNode(list(range(1, 12)),
-                         [f"k{i:02d}" for i in range(10)], list(range(10)))
-        assert exact(node)
-        node.set_child(0, 300)          # one varint byte -> two
-        node.set_child(5, 70_000)       # -> three
-        assert exact(node)
-        node.set_child(5, 6)            # and back
-        node.insert_separator(3, 20_000, "k03x", 99)
-        assert exact(node)
-        right, key, seq = node.split()
-        assert exact(node) and exact(right)
-        assert (key, seq) not in zip(node.sep_keys, node.sep_seqs)
-        assert len(node.children) == len(node.sep_keys) + 1
-        assert len(right.children) == len(right.sep_keys) + 1
-        assert exact(node.clone())
-
-
 class TestHeapProperties:
     @given(st.lists(st.tuples(st.integers(), st.text(max_size=20),
                               st.floats(allow_nan=False)),
@@ -351,9 +198,9 @@ class TestHeapProperties:
 
 
 class TestPlacementIdentity:
-    """Where rows and index entries land may depend on the rows, the
-    batch boundaries and the checkpoints — never on whether the pages
-    they passed through stayed resident. A decoded page knows only its
+    """Where rows land may depend on the rows, the batch boundaries and
+    the checkpoints — never on whether the pages they passed through
+    stayed resident. A decoded page knows only its
     stored size; these properties pin that a writer continuing from it
     makes exactly the choices a writer that never let go would."""
 
@@ -405,11 +252,8 @@ class TestPlacementIdentity:
                 if gap == "evict":
                     assert len(list(db.table("t").scan())) > 0
         table = db.table("t")
-        tree = table.index_on("loc").tree
-        tree.check_invariants()
-        layout = (table.rows.manifest_pages(), tree.root,
-                  sorted(tree.pages))
-        live = [page_id for page_id, _ in layout[0]] + layout[2]
+        layout = table.rows.manifest_pages()
+        live = [page_id for page_id, _ in layout]
         scanned = list(table.scan())
         db.shutdown()
         with open(path / "data.pages", "rb") as pages:
@@ -467,7 +311,7 @@ class TestPlacementIdentity:
             tmp_path, [rows[:4], rows[4:]], ["reopen"], [False, True],
             pool=4)
         assert scanned == rows
-        (page_id, count), *_ = layout[0]
+        (page_id, count), *_ = layout
         assert count > 4
         assert decode_page(images[page_id])[0] == KIND_HEAP_DICT
 
