@@ -63,7 +63,7 @@ def main() -> None:
         print(f"  {conjunct.to_sql()}")
 
     # 4. The rewrite is also available as portable SQL text (the form
-    #    the paper's engine hands to the DBMS).
+    #    the paper's engine hands to the DBMS): the chosen plan, printed.
     from repro.rewrite import rewritten_sql
     print("\nrewritten SQL (expanded strategy):")
     print(rewritten_sql(db, registry, query, "expanded"))

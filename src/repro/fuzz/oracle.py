@@ -13,6 +13,10 @@ path and diffs canonicalized row bags against the naive strategy
                           analysis is infeasible, as the paper allows)
 ``joinback``              Q_j (always applicable)
 ``chosen``                the engine's cost-based pick
+``printed``               every candidate the engine costs, as SQL
+                          text: its logical plan printed by
+                          ``plan_sql``, re-parsed and executed (the
+                          first candidate that differs is reported)
 ``cached-cold``           region cache enabled, first execution
                           (materializes the region)
 ``cached-warm``           second execution served from the region
@@ -70,6 +74,7 @@ from repro.errors import RewriteError
 from repro.fuzz import reference
 from repro.fuzz.cases import READS_COLUMNS, FuzzCase
 from repro.minidb.engine import Database
+from repro.minidb.plan.printer import plan_sql
 from repro.minidb.result import ResultSet
 from repro.minidb.schema import Column, TableSchema
 from repro.minidb.types import SqlType
@@ -83,7 +88,7 @@ __all__ = ["ALL_LABELS", "Divergence", "OracleReport", "run_case",
            "build_database"]
 
 #: Every comparison the oracle can run, in execution order.
-ALL_LABELS = ("expanded", "joinback", "chosen", "cached-cold",
+ALL_LABELS = ("expanded", "joinback", "chosen", "printed", "cached-cold",
               "cached-warm", "cached-invalidated", "eager", "plan-cache",
               "reference", "incremental", "disk", "served")
 
@@ -229,6 +234,18 @@ def run_case(case: FuzzCase,
     compare("joinback", lambda: engine.execute(
         sql, strategies={"joinback"}).canonical())
     compare("chosen", lambda: engine.execute(sql).canonical())
+
+    def printed() -> tuple[tuple, ...]:
+        got = report.baseline
+        for candidate in engine.rewrite(sql).candidates:
+            if candidate.logical is None:
+                continue
+            got = db.execute(plan_sql(candidate.logical)).canonical()
+            if got != report.baseline:
+                break
+        return got
+
+    compare("printed", printed)
 
     if wanted & {"cached-cold", "cached-warm", "cached-invalidated"}:
         cached_db, cached_registry = build_database(case)

@@ -49,6 +49,8 @@ from repro.rewrite.expanded import (
     ExpandedAnalysis,
     analyze_expanded,
     key_propagates,
+    modified_columns,
+    stable_conjuncts,
 )
 from repro.rewrite.strategies import (
     expanded_subplan,
@@ -199,15 +201,9 @@ class DeferredCleansingEngine:
                     if analysis.feasible else context.s_original)
             # Conjuncts (and dimension joins) over MODIFY-ed columns must
             # not restrict the relevant-sequence list: membership can
-            # change under modification. Dropping them only widens the
-            # sequence set, which stays correct.
-            modified = set()
-            for compiled in rules:
-                modified.update(compiled.rule.action.assignments)
-            stable_s = [
-                conjunct for conjunct in context.s_conjuncts
-                if not ({ref.name for ref in conjunct.referenced_columns()}
-                        & modified)]
+            # change under modification.
+            modified = modified_columns(rule_list)
+            stable_s = stable_conjuncts(context.s_conjuncts, modified)
             stable_dims = [dimension for dimension in context.dimensions
                            if dimension.fact_key not in modified]
             for count in range(len(stable_dims) + 1):
@@ -220,8 +216,9 @@ class DeferredCleansingEngine:
                     label, "joinback", context, subplan, kept_s=kept))
         if not candidates:
             raise RewriteError(
-                "no rewrite strategy produced a candidate (did the "
-                "strategy restriction exclude every feasible one?)")
+                f"no candidate for strategies {sorted(allowed)}: naive and "
+                "joinback are excluded, and the expanded rewrite is "
+                "excluded or infeasible for this query")
         chosen = min(candidates, key=lambda candidate: candidate.cost)
         return RewriteResult(strategy=chosen.strategy, chosen=chosen,
                              candidates=candidates, analysis=analysis,
@@ -310,9 +307,7 @@ class DeferredCleansingEngine:
         table = self.database.table(table_name)
         rule_key = tuple(compiled.name for compiled in rules)
         cluster_key, _ = validate_rule_keys(rules)
-        modified: set[str] = set()
-        for compiled in rules:
-            modified.update(compiled.rule.action.assignments)
+        modified = modified_columns([compiled.rule for compiled in rules])
         label = "cached"
         entry = cache.lookup(table, rule_key, analysis.ec_conjuncts,
                              patcher=self._region_patcher(table_name, rules))
@@ -327,12 +322,8 @@ class DeferredCleansingEngine:
             if entry is None:
                 return None
             label = "cached-cold"
-        stable = [
-            conjunct for conjunct in context.s_conjuncts
-            if not ({ref.name for ref in conjunct.referenced_columns()}
-                    & modified)
-            and not any(isinstance(node, InSubquery)
-                        for node in conjunct.walk())]
+        stable = stable_conjuncts(context.s_conjuncts, modified,
+                                  subqueries=False)
         region: LogicalNode = LogicalScan(entry.table)
         predicate = and_all(stable)
         if predicate is not None:

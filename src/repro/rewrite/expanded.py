@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.analysis.linear import normalize_comparison
 from repro.minidb.expressions import (
@@ -40,7 +41,8 @@ from repro.rewrite.transitivity import derive_context_conjuncts
 from repro.sqlts.model import CleansingRule
 
 __all__ = ["RuleContextAnalysis", "ExpandedAnalysis", "analyze_expanded",
-           "key_propagates", "FAULT_ENV"]
+           "key_propagates", "modified_columns", "stable_conjuncts",
+           "FAULT_ENV"]
 
 #: Test-only fault injection: when this environment variable is set to
 #: ``1`` or ``expanded``, :func:`analyze_expanded` deliberately
@@ -235,12 +237,8 @@ def analyze_expanded(rules: list[CleansingRule],
     # before) modification. They are excluded from context derivation
     # and from the expanded condition's s-disjunct (a sound weakening),
     # and always re-applied in the residual.
-    modified_columns: set[str] = set()
-    for rule in rules:
-        modified_columns.update(rule.action.assignments)
-    s_stable = [conjunct for conjunct in s_conjuncts
-                if not ({ref.name for ref in conjunct.referenced_columns()}
-                        & modified_columns)]
+    modified = modified_columns(rules)
+    s_stable = stable_conjuncts(s_conjuncts, modified)
     per_rule = [analyze_rule(rule, s_stable, allowed_columns)
                 for rule in rules]
     if any(not analysis.feasible for analysis in per_rule):
@@ -295,7 +293,7 @@ def analyze_expanded(rules: list[CleansingRule],
         touched = {ref.name for ref in conjunct.referenced_columns()}
         covered_everywhere = context_conjunct_lists and all(
             conjunct in conjuncts for conjuncts in context_conjunct_lists)
-        if covered_everywhere and not (touched & modified_columns):
+        if covered_everywhere and not (touched & modified):
             continue
         residual.append(conjunct)
     return ExpandedAnalysis(feasible=True, per_rule=per_rule, cc=cc, ec=ec,
@@ -316,6 +314,28 @@ def key_propagates(rules: list[CleansingRule], column: str) -> bool:
     if any(column in rule.action.assignments for rule in rules):
         return False
     return all(rule_facts(rule).propagates(column) for rule in rules)
+
+
+def modified_columns(rules: Sequence[CleansingRule]) -> set[str]:
+    """Every column some rule's MODIFY action assigns."""
+    return {column for rule in rules for column in rule.action.assignments}
+
+
+def stable_conjuncts(conjuncts: Sequence[Expr], modified: set[str],
+                     subqueries: bool = True) -> list[Expr]:
+    """The *conjuncts* over no column in *modified*, in order.
+
+    A row may satisfy a conjunct over a MODIFY-ed column only after (or
+    only before) modification, so only stable conjuncts may restrict
+    rows ahead of the rules; dropping the others only widens the input,
+    which stays correct. ``subqueries=False`` also drops conjuncts that
+    hold an IN subquery, for callers that re-apply the rest as a plain
+    filter.
+    """
+    return [conjunct for conjunct in conjuncts
+            if not ({ref.name for ref in conjunct.referenced_columns()}
+                    & modified)
+            and (subqueries or not _contains_subquery(conjunct))]
 
 
 def _contains_subquery(conjunct: Expr) -> bool:

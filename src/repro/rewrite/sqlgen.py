@@ -1,216 +1,38 @@
-"""Rewritten-query SQL emission (architecture step 5).
+"""Rewritten-query SQL (architecture step 5).
 
-The paper's rewrite engine hands the DBMS a *SQL statement*. The plan
-transformer path (:mod:`repro.rewrite.strategies`) is what the engine
-executes internally, but this module emits the equivalent rewritten SQL
-text — the user query with the reads table replaced by a derived table
-composing σ_ec / the join-back semi-join with the persisted rule
-templates — so the rewrite is portable to any SQL/OLAP-capable DBMS.
-
-View-input rules (the missing rule's derived FROM table) compose by
-substituting the cleansed-so-far derived table for the reads table
-inside the view text.
-
-The emitted SQL round-trips through minidb itself: the test suite
-executes it and compares against the plan-transform result.
+The paper's rewrite engine hands the DBMS a SQL statement. Here that
+statement is the plan the engine chose, printed by
+:func:`repro.minidb.plan.printer.plan_sql`: every candidate the engine
+can pick, dimension pushdowns and the naive-only plan included, has its
+text, and executing the text returns the engine's rows.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.errors import RewriteError
 from repro.minidb.engine import Database
-from repro.minidb.expressions import Expr, and_all
+from repro.minidb.plan.printer import plan_sql
 from repro.minidb.sqlparse import parse_select
-from repro.minidb.sqlparse.ast import (
-    DerivedTable,
-    JoinRef,
-    SelectStmt,
-    TableName,
-    TableRef,
-)
-from repro.rewrite.context import extract_context
-from repro.rewrite.expanded import analyze_expanded
-from repro.sqlts.compiler import CompiledRule
+from repro.minidb.sqlparse.ast import SelectStmt
+from repro.rewrite.engine import DeferredCleansingEngine
 from repro.sqlts.registry import RuleRegistry
 
-__all__ = ["rewritten_sql", "cleansed_table_sql"]
-
-
-def _substitute_table(statement: SelectStmt, name: str,
-                      replacement: SelectStmt) -> None:
-    """Replace every FROM reference to *name* with a derived table
-    (in place), keeping the original binding."""
-
-    def rewrite_ref(ref: TableRef) -> TableRef:
-        if isinstance(ref, TableName) and ref.name == name:
-            return DerivedTable(replacement, ref.binding)
-        if isinstance(ref, JoinRef):
-            ref.left = rewrite_ref(ref.left)
-            ref.right = rewrite_ref(ref.right)
-        if isinstance(ref, DerivedTable):
-            visit(ref.select)
-        return ref
-
-    def visit(select: SelectStmt) -> None:
-        for cte in select.ctes:
-            visit(cte.select)
-        select.from_refs = [rewrite_ref(ref) for ref in select.from_refs]
-        if select.set_op is not None:
-            visit(select.set_op.right)
-
-    visit(statement)
-
-
-def cleansed_table_sql(database: Database, registry: RuleRegistry,
-                       rules: Sequence[CompiledRule], table_name: str,
-                       base_where: Expr | None,
-                       sequence_subquery: str | None = None) -> str:
-    """SQL text of the cleansed reads table.
-
-    ``base_where`` is the expanded condition pushed into R (None for the
-    naive form); ``sequence_subquery`` adds the join-back restriction
-    ``ckey IN (<subquery>)``. The rule chain is composed from each
-    rule's SQL/OLAP template; view-input rules get the view text with
-    the cleansed-so-far derived table substituted for R.
-    """
-    table_name = table_name.lower()
-    columns = list(database.table(table_name).schema.names)
-    clauses = []
-    if base_where is not None:
-        clauses.append(base_where.to_sql())
-    if sequence_subquery is not None:
-        ckey, = {compiled.rule.cluster_key for compiled in rules}
-        clauses.append(f"{ckey} IN ({sequence_subquery})")
-    current = f"SELECT {', '.join(columns)} FROM {table_name}"
-    if clauses:
-        current += " WHERE " + " AND ".join(clauses)
-    current_columns = list(columns)
-    for compiled in rules:
-        rule = compiled.rule
-        if rule.from_table != rule.on_table:
-            view_sql = registry.view_sql(rule.from_table)
-            if view_sql is None:
-                raise RewriteError(
-                    f"rule {compiled.name!r} reads from unregistered view "
-                    f"{rule.from_table!r}")
-            view_statement = parse_select(view_sql)
-            _substitute_table(view_statement, rule.on_table,
-                              parse_select(current))
-            if sequence_subquery is not None:
-                ckey = rule.cluster_key
-                wrapped = (f"SELECT * FROM ({view_statement.to_sql()}) "
-                           f"_view_{compiled.name} "
-                           f"WHERE {ckey} IN ({sequence_subquery})")
-            else:
-                wrapped = view_statement.to_sql()
-            # The view widens the schema (e.g. is_pallet).
-            view_plan_columns = _view_columns(database, registry, rule)
-            current = compiled.sql_template(view_plan_columns) \
-                .format(input=f"({wrapped})")
-            current_columns = list(view_plan_columns)
-            for created in compiled.assignments:
-                if created not in current_columns:
-                    current_columns.append(created)
-        else:
-            current = compiled.sql_template(current_columns) \
-                .format(input=f"({current})")
-            for created in compiled.assignments:
-                if created not in current_columns:
-                    current_columns.append(created)
-    return (f"SELECT {', '.join(columns)} "
-            f"FROM ({current}) _cleansed_{table_name}")
-
-
-def _view_columns(database: Database, registry: RuleRegistry,
-                  rule) -> list[str]:
-    """Output column names of a rule-input view."""
-    from repro.minidb.plan.builder import build_plan
-
-    view = registry.view(rule.from_table)
-    plan = build_plan(view, database.catalog)
-    return [field.name for field in plan.schema]
+__all__ = ["rewritten_sql"]
 
 
 def rewritten_sql(database: Database, registry: RuleRegistry,
                   query: str | SelectStmt,
                   strategy: str = "expanded") -> str:
-    """The full rewritten SQL for *query* under *strategy*.
+    """The SQL text of the engine's cheapest *strategy* rewrite of *query*.
 
     Strategies: "naive", "expanded" (raises when infeasible), or
-    "joinback". The emitted text is self-contained SQL the host DBMS can
-    run directly; executing it in minidb matches the plan-based engine.
+    "joinback". A query over no rule-governed table is its own text.
     """
-    statement = parse_select(query) if isinstance(query, str) else \
-        parse_select(query.to_sql())
-    dirty = sorted(registry.tables_with_rules() & _tables_of(statement))
-    if not dirty:
-        return statement.to_sql()
-    if len(dirty) > 1:
-        raise RewriteError("SQL emission supports one rule-governed table "
-                           "per query")
-    table_name = dirty[0]
-    context = extract_context(statement, table_name, database)
-    rules = registry.rules_for(table_name)
-    reads_columns = set(database.table(table_name).schema.names)
-    analysis = analyze_expanded([compiled.rule for compiled in rules],
-                                context.s_conjuncts, reads_columns)
-    if strategy == "naive":
-        cleansed = cleansed_table_sql(database, registry, rules,
-                                      table_name, base_where=None)
-    elif strategy == "expanded":
-        if not analysis.feasible:
-            raise RewriteError(
-                "the expanded rewrite is infeasible for this query/rule "
-                "combination; use 'joinback'")
-        cleansed = cleansed_table_sql(
-            database, registry, rules, table_name,
-            base_where=and_all(analysis.ec_conjuncts))
-    elif strategy == "joinback":
-        ckey, = {compiled.rule.cluster_key for compiled in rules}
-        # Conjuncts over MODIFY-ed columns cannot restrict the sequence
-        # list (membership may change under modification).
-        modified: set[str] = set()
-        for compiled in rules:
-            modified.update(compiled.rule.action.assignments)
-        stable = [conjunct for conjunct in context.s_conjuncts
-                  if not ({ref.name for ref in
-                           conjunct.referenced_columns()} & modified)]
-        seq_where = and_all(stable)
-        subquery = f"SELECT DISTINCT {ckey} FROM {table_name}"
-        if seq_where is not None:
-            subquery += f" WHERE {seq_where.to_sql()}"
-        base_where = and_all(analysis.ec_conjuncts) \
-            if analysis.feasible else None
-        cleansed = cleansed_table_sql(database, registry, rules,
-                                      table_name, base_where=base_where,
-                                      sequence_subquery=subquery)
-    else:
+    if strategy not in ("naive", "expanded", "joinback"):
         raise RewriteError(f"unknown strategy {strategy!r}")
-    _substitute_table(statement, table_name, parse_select(cleansed))
-    return statement.to_sql()
-
-
-def _tables_of(statement: SelectStmt) -> set[str]:
-    names: set[str] = set()
-
-    def walk_ref(ref: TableRef) -> None:
-        if isinstance(ref, TableName):
-            names.add(ref.name)
-        elif isinstance(ref, DerivedTable):
-            visit(ref.select)
-        elif isinstance(ref, JoinRef):
-            walk_ref(ref.left)
-            walk_ref(ref.right)
-
-    def visit(select: SelectStmt) -> None:
-        for cte in select.ctes:
-            visit(cte.select)
-        for ref in select.from_refs:
-            walk_ref(ref)
-        if select.set_op is not None:
-            visit(select.set_op.right)
-
-    visit(statement)
-    return names
+    statement = parse_select(query) if isinstance(query, str) else query
+    engine = DeferredCleansingEngine(database, registry)
+    chosen = engine.rewrite(statement, {strategy}).chosen
+    if chosen.logical is None:
+        return statement.to_sql()
+    return plan_sql(chosen.logical)

@@ -28,6 +28,7 @@ from repro.minidb.plan.logical import (
     LogicalSemiJoin,
 )
 from repro.rewrite.context import DimensionJoin
+from repro.rewrite.expanded import stable_conjuncts
 from repro.sqlts.compiler import CompiledRule
 from repro.sqlts.registry import RuleRegistry
 
@@ -88,21 +89,6 @@ def _filter_conjuncts(database: Database, plan: LogicalNode,
     return plan
 
 
-def _safe_guards(guards: Sequence[Expr],
-                 modified_columns: set[str]) -> list[Expr]:
-    """Guard conjuncts that survive earlier rules' MODIFY actions and
-    contain no subqueries (they are re-applied over derived inputs)."""
-    safe = []
-    for guard in guards:
-        if any(isinstance(node, InSubquery) for node in guard.walk()):
-            continue
-        touched = {ref.name for ref in guard.referenced_columns()}
-        if touched & modified_columns:
-            continue
-        safe.append(guard)
-    return safe
-
-
 def _chain_rules(database: Database, registry: RuleRegistry,
                  rules: Sequence[CompiledRule],
                  stream: LogicalNode,
@@ -130,7 +116,7 @@ def _chain_rules(database: Database, registry: RuleRegistry,
                     "nor a registered rule-input view")
             view_plan = build_plan(view, database.catalog,
                                    table_plans={rule.on_table: stream})
-            safe = _safe_guards(guards, modified)
+            safe = stable_conjuncts(guards, modified, subqueries=False)
             guarded: LogicalNode = view_plan
             predicate = and_all(safe)
             if predicate is not None:

@@ -18,9 +18,10 @@ A rule compiles into:
   as CASE projections (MODIFY, creating flag columns on the fly with a
   0 default when absent from the input).
 
-The compiled form is exposed both as a logical-plan transformer
-(:meth:`CompiledRule.apply`, the paper's Φ_C) and as a SQL text template
-with an ``{input}`` placeholder (persisted in the rules table).
+The compiled form is a logical-plan transformer
+(:meth:`CompiledRule.apply`, the paper's Φ_C); its SQL text template,
+with an ``{input}`` placeholder and persisted in the rules table, is
+that plan printed (:mod:`repro.minidb.plan.printer`).
 """
 
 from __future__ import annotations
@@ -46,11 +47,19 @@ from repro.minidb.plan.logical import (
     LogicalFilter,
     LogicalNode,
     LogicalProject,
+    LogicalScan,
     LogicalWindow,
 )
+from repro.minidb.plan.printer import plan_sql
+from repro.minidb.schema import TableSchema
+from repro.minidb.table import Table
+from repro.minidb.types import SqlType
 from repro.sqlts.model import ActionKind, CleansingRule, PatternRef
 
 __all__ = ["CompiledRule", "compile_rule"]
+
+#: The table name a rule template's input slot prints as.
+_SLOT = "{input}"
 
 
 def _strict_upper(bound: float) -> int:
@@ -190,40 +199,20 @@ class CompiledRule:
     # ------------------------------------------------------------------
 
     def sql_template(self, input_columns: list[str]) -> str:
-        """SQL text with an ``{input}`` placeholder for the input relation.
+        """SQL text of Φ_C with one ``{input}`` slot for its input.
 
-        The generated text round-trips through the minidb parser; the
-        rules table persists it (system architecture step 2).
+        The printed :meth:`apply` over a placeholder scan of the slot,
+        which carries *input_columns* and any other column the rule
+        reads. The rules table persists it (system architecture step 2).
         """
-        inner_items = ["_in.*"]
-        inner_items.extend(f"{function.to_sql()} AS {name}"
-                           for name, function in self.window_columns)
-        inner = (f"SELECT {', '.join(inner_items)} "
-                 f"FROM {{input}} _in")
-        kind = self.rule.action.kind
-        outer_items: list[str] = []
-        for name in input_columns:
-            if kind is ActionKind.MODIFY and name in self.assignments:
-                case = Case(((self.condition, self.assignments[name]),),
-                            ColumnRef(name))
-                outer_items.append(f"{case.to_sql()} AS {name}")
-            else:
-                outer_items.append(name)
-        if kind is ActionKind.MODIFY:
-            for name, value in self.assignments.items():
-                if name in input_columns:
-                    continue
-                case = Case(((self.condition, value),),
-                            self._created_default(value))
-                outer_items.append(f"{case.to_sql()} AS {name}")
-        sql = (f"SELECT {', '.join(outer_items)} "
-               f"FROM ({inner}) _cl_{self.name}")
-        if kind is ActionKind.KEEP:
-            sql += f" WHERE {self.condition.to_sql()}"
-        elif kind is ActionKind.DELETE:
-            keep = Case(((self.condition, Literal(False)),), Literal(True))
-            sql += f" WHERE {keep.to_sql()}"
-        return sql
+        columns = dict.fromkeys([*input_columns,
+                                 *sorted(self.required_columns())])
+        slot = Table(_SLOT, TableSchema.of(
+            *[(name, SqlType.VARCHAR) for name in columns]))
+        text = plan_sql(self.apply(LogicalScan(slot)))
+        # Literal braces must survive str.format; the slot must not.
+        return text.replace("{", "{{").replace("}", "}}") \
+            .replace("{" + _SLOT + "}", _SLOT)
 
     def describe(self) -> str:
         lines = [self.rule.describe()]

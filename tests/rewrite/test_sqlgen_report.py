@@ -92,18 +92,47 @@ class TestRewrittenSql:
 
     def test_join_query_emission(self, setup):
         db, registry = setup
-        from repro.minidb import SqlType, TableSchema
-        db.create_table("locs", TableSchema.of(
-            ("gln", SqlType.VARCHAR), ("site", SqlType.VARCHAR)))
-        db.load("locs", [("l1", "sA"), ("l2", "sA"), ("la", "sB"),
-                         ("lb", "sB"), ("lc", "sC"), ("ld", "sC"),
-                         ("le", "sC")])
+        _add_locs(db)
         engine = DeferredCleansingEngine(db, registry)
         query = ("select r.epc, locs.site from r, locs "
                  "where r.biz_loc = locs.gln and r.rtime <= 400")
         sql = rewritten_sql(db, registry, query, "joinback")
         assert db.execute(sql).as_set() == \
             engine.execute(query, strategies={"joinback"}).as_set()
+
+    @pytest.mark.parametrize("strategy", ["naive", "joinback"])
+    def test_rule_table_inside_in_subquery_is_cleansed(self, setup,
+                                                       strategy):
+        db, registry = setup
+        _add_locs(db)
+        engine = DeferredCleansingEngine(db, registry)
+        query = "select gln from locs where gln in (select biz_loc from r)"
+        sql = rewritten_sql(db, registry, query, strategy)
+        # Uncleansed, the query answers l2 and lc too.
+        expected = {("l1",), ("la",), ("lb",), ("ld",), ("le",)}
+        assert engine.execute(query).as_set() == expected
+        assert db.execute(sql).as_set() == expected
+
+    def test_two_rule_governed_tables_print_naive_only_plan(self, setup):
+        db, registry = setup
+        db.create_table("r2", db.table("r").schema)
+        db.load("r2", ROWS)
+        registry.define(DUPLICATE.replace("dup ON r", "dup2 ON r2"))
+        engine = DeferredCleansingEngine(db, registry)
+        query = ("select r.epc, r2.rtime from r, r2 "
+                 "where r.epc = r2.epc and r.rtime = r2.rtime")
+        assert engine.rewrite(query).strategy == "naive"
+        sql = rewritten_sql(db, registry, query)
+        assert db.execute(sql).as_set() == engine.execute(query).as_set()
+
+
+def _add_locs(db):
+    from repro.minidb import SqlType, TableSchema
+    db.create_table("locs", TableSchema.of(
+        ("gln", SqlType.VARCHAR), ("site", SqlType.VARCHAR)))
+    db.load("locs", [("l1", "sA"), ("l2", "sA"), ("la", "sB"),
+                     ("lb", "sB"), ("lc", "sC"), ("ld", "sC"),
+                     ("le", "sC")])
 
 
 class TestCleansingReport:

@@ -239,9 +239,16 @@ class TestCompilerErrors:
             compiled.apply(LogicalScan(db.table("r")))
 
 
+BRACED = """
+DEFINE braced ON r CLUSTER BY epc SEQUENCE BY rtime
+AS (A) WHERE A.biz_loc = 'keepme'
+ACTION MODIFY A.biz_loc = '{kept}'
+"""
+
+
 class TestSqlTemplate:
     @pytest.mark.parametrize("rule_text", [DUPLICATE, READER, REPLACING,
-                                           CYCLE, KEEP])
+                                           CYCLE, KEEP, BRACED])
     def test_template_agrees_with_plan_transform(self, reads_db, rule_text):
         rows = [
             ("e1", 0, "r0", "loc2", "s"),
