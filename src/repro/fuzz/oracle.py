@@ -35,11 +35,10 @@ path and diffs canonicalized row bags against the naive strategy
                           fit) must agree with a fresh naive run over
                           the same table state
 ``disk``                  naive re-run against ``storage=disk``: build
-                          on disk, checkpoint, close, reopen with a
-                          4-page buffer pool, then query — every row
-                          is re-decoded from its on-disk
-                          representation; counters must prove pages
-                          faulted through the pool
+                          on disk, checkpoint, close, reopen, then
+                          query — every row is re-decoded from its
+                          column segments; counters must prove
+                          segments were decoded
 ``served``                the cleansed query executed over the wire: a
                           loopback ``repro.server`` session declares
                           the case's rules in HELLO and runs the query
@@ -146,19 +145,17 @@ class OracleReport:
 def build_database(case: FuzzCase,
                    reads_rows: Sequence[tuple] | None = None,
                    storage: str | None = None,
-                   buffer_pages: int | None = None,
                    storage_path: str | None = None,
                    ) -> tuple[Database, RuleRegistry]:
     """A fresh database + registry holding exactly the case's data.
 
     *reads_rows* overrides the reads-table contents (the ``incremental``
     label loads a prefix and streams the rest in via appends).
-    *storage*/*buffer_pages*/*storage_path* select the storage backend
-    (the ``disk`` label pins ``storage="disk"`` with a tiny pool;
-    everything else follows the ambient ``REPRO_STORAGE`` default).
+    *storage*/*storage_path* select the storage backend (the ``disk``
+    label pins ``storage="disk"``; everything else follows the ambient
+    ``REPRO_STORAGE`` default).
     """
-    db = Database(storage=storage, buffer_pages=buffer_pages,
-                  storage_path=storage_path)
+    db = Database(storage=storage, storage_path=storage_path)
     db.create_table("caser", _READS_SCHEMA)
     db.load("caser",
             case.reads_rows if reads_rows is None else reads_rows)
@@ -365,20 +362,17 @@ def run_case(case: FuzzCase,
     compare("incremental", incremental)
 
     def disk() -> tuple[tuple, ...]:
-        # Out-of-core replay: build the database on disk, checkpoint
-        # and close it, then reopen with a 4-page buffer pool — the
-        # query faults every page back in and re-decodes each row from
-        # its on-disk representation (nothing can be served from
-        # build-time cache frames). Must be byte-identical to the
+        # Durable replay: build the database on disk, checkpoint and
+        # close it, then reopen — every row the query reads was
+        # re-decoded from its column segment (nothing survives from the
+        # build-time row lists). Must be byte-identical to the
         # in-memory baseline.
         tmp = tempfile.mkdtemp(prefix="repro-fuzz-disk-")
         try:
             build_db, _ = build_database(case, storage="disk",
-                                         buffer_pages=4,
                                          storage_path=tmp)
-            build_db.shutdown()  # checkpoint: pages + manifest durable
-            disk_db = Database(storage="disk", storage_path=tmp,
-                               buffer_pages=4)
+            build_db.shutdown()  # checkpoint: segments + manifest durable
+            disk_db = Database(storage="disk", storage_path=tmp)
             try:
                 disk_registry = RuleRegistry(disk_db)
                 for text in case.rules:
@@ -392,10 +386,10 @@ def run_case(case: FuzzCase,
                 disk_db.shutdown()
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-        if case.reads_rows and counters["pages_read"] == 0:
+        if case.reads_rows and counters["segments_decoded"] == 0:
             raise AssertionError(
-                "disk strategy never faulted a page through the buffer "
-                "pool — the storage path did not run")
+                "disk strategy never decoded a segment — the storage "
+                "path did not run")
         return result
 
     compare("disk", disk)

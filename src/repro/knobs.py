@@ -8,7 +8,7 @@ it fail loudly instead: any ``REPRO_``-prefixed variable not in
 :data:`KNOWN_KNOBS` triggers a one-shot :class:`UnknownKnobWarning`.
 
 The check runs automatically on the first ``Database`` construction and
-at server startup. The same failure for a *value* — ``REPRO_BUFFER_PAGES=1k``
+at server startup. The same failure for a *value* — ``REPRO_WAL_LIMIT=1k``
 — is caught by :func:`int_knob`, the one parser every integer knob goes
 through. Tests promote the warning to an error via pytest's
 ``filterwarnings``, so a typo'd knob in CI or a test environment is a
@@ -35,10 +35,8 @@ class UnknownKnobWarning(UserWarning):
 KNOWN_KNOBS: dict[str, str] = {
     "REPRO_SCALE": "experiments CLI dataset scale factor",
     "REPRO_BATCH_SIZE": "rows per columnar batch (>= 1, default 1024)",
-    "REPRO_ENCODE": "dictionary heap-page layout on disk (default on)",
+    "REPRO_ENCODE": "dictionary segment columns on disk (default on)",
     "REPRO_STORAGE": "default storage mode: memory or disk",
-    "REPRO_BUFFER_PAGES": "buffer-pool capacity in pages",
-    "REPRO_PAGE_SIZE": "on-disk page size in bytes",
     "REPRO_WAL_LIMIT": "WAL bytes before an auto-checkpoint",
     "REPRO_STORAGE_CRASH": "crash-injection fault point name",
     "REPRO_FUZZ_INJECT_BUG": "fuzz-oracle self-test fault name",

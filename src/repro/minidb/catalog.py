@@ -46,10 +46,8 @@ class Catalog:
         key = name.lower()
         if key not in self._tables:
             raise CatalogError(f"no table named {name!r}")
-        table = self._tables[key]
         if self.storage is not None:
             self.storage.log_drop_table(key)
-            table.release_storage()
         del self._tables[key]
         self.version += 1
 

@@ -24,7 +24,6 @@ from repro.minidb.plan.builder import build_plan
 from repro.minidb.plan.logical import LogicalNode
 from repro.minidb.plan.physical import FilterOp, PhysicalNode, SortOp
 from repro.minidb.plan.window import WindowOp
-from repro.minidb.storage.heap import bytes_saved
 from repro.minidb.vector import materialize
 from repro.minidb.result import ResultSet
 from repro.minidb.schema import Column, TableSchema
@@ -76,18 +75,6 @@ class ExecutionMetrics:
     delta_epochs_applied: int = 0
     sequences_recleaned: int = 0
     cache_patches: int = 0
-    #: Disk-storage counters for the call that produced these metrics
-    #: (filled in by ``execute_with_metrics``; all 0 in memory mode):
-    #: pages faulted into the buffer pool, pages written back, pages
-    #: evicted from it, and WAL bytes appended (non-zero only if the
-    #: call mutated tables).
-    pages_read: int = 0
-    pages_written: int = 0
-    pages_evicted: int = 0
-    wal_bytes: int = 0
-    #: Heap-page bytes avoided by the dictionary page codec for writes
-    #: issued during the call (filled in by ``execute_with_metrics``).
-    bytes_saved: int = 0
     # 0 stub: only bench/statements.py reads it; the [benchmark] PR deletes it
     fused_pipelines: int = 0
     # 0 stub: only bench/statements.py reads it; the [benchmark] PR deletes it
@@ -190,25 +177,27 @@ class PreparedPlanCache:
 class Database:
     """A relational database with a SQL/OLAP query engine.
 
-    Row storage is pluggable: ``storage="memory"`` (the default) keeps
-    rows in Python lists; ``storage="disk"`` stores them in slotted
-    pages behind a bounded buffer pool, with a write-ahead log and
-    checkpointing for crash recovery (see ``repro.minidb.storage``).
+    Rows live in Python lists in both storage modes. ``storage="memory"``
+    (the default) keeps nothing else; ``storage="disk"`` makes them
+    durable: every mutation is logged to a write-ahead log before the
+    list changes, and a checkpoint appends the new rows to ``data.pages``
+    as column segments (see ``repro.minidb.storage``).
     ``REPRO_STORAGE`` sets the default mode; *storage_path* names the
     database directory (a throwaway temp dir when omitted), and reopening
     an existing directory runs recovery — the catalog comes back with
     the exact state of the last committed write. *encode* overrides
-    ``REPRO_ENCODE`` — whether heap pages may take the dictionary layout
-    on disk; it has no effect in memory mode.
+    ``REPRO_ENCODE`` — whether segment columns may take the dictionary
+    layout on disk; it has no effect in memory mode.
     """
 
     def __init__(self, options: PlannerOptions | None = None,
                  plan_cache_size: int = 256, *,
                  storage: str | None = None,
                  storage_path: str | None = None,
+                 # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
                  buffer_pages: int | None = None,
-                 page_size: int | None = None,
                  encode: bool | None = None) -> None:
+        del buffer_pages  # accepted and ignored
         # Attributes __del__/__exit__ touch are assigned before anything
         # that can raise, so shutdown() is safe after a failed __init__.
         self.storage = None
@@ -221,10 +210,7 @@ class Database:
         if mode == "disk":
             from repro.minidb.storage.backend import DiskStorage
 
-            self.storage = DiskStorage(path=storage_path,
-                                       buffer_pages=buffer_pages,
-                                       page_size=page_size,
-                                       encode=encode)
+            self.storage = DiskStorage(path=storage_path, encode=encode)
         self.catalog = Catalog(self.storage)
         if self.storage is not None:
             self.storage.open(self.catalog)
@@ -248,9 +234,8 @@ class Database:
     def shutdown(self) -> None:
         """Cleanly close disk storage (checkpoint, truncate the WAL,
         delete a temp-owned directory) and drop what the tables derive
-        from their rows: column caches, index entries and the buffer
-        pool. The database is unusable afterwards in disk mode; a no-op
-        in memory mode.
+        from their rows: column caches and index entries. The database
+        is unusable afterwards in disk mode; a no-op in memory mode.
 
         Idempotent, and safe to call on a partially constructed instance
         (``__exit__``/``__del__`` after a failed ``__init__``): every
@@ -419,30 +404,12 @@ class Database:
                          estimated_rows=plan.estimated_rows)
 
     def explain_analyze(self, query: str | SelectStmt | LogicalNode,
-                        options: PlannerOptions | None = None, *,
-                        include_storage: bool = False) -> Explained:
+                        options: PlannerOptions | None = None) -> Explained:
         """Execute *query* and return the plan annotated with actual row
-        counts (EXPLAIN ANALYZE).
-
-        With ``include_storage=True`` (and disk storage) the text gains
-        a trailing section with the storage-counter deltas this
-        execution caused — pages read/written/evicted, WAL bytes, pages
-        decoded, and heap pages whose fill accounting was rebuilt (0 for
-        anything that only reads). Opt-in so the default text stays
-        byte-stable across storage modes and execution paths.
-        """
-        before = (self.storage.counters
-                  if include_storage and self.storage is not None else None)
+        counts (EXPLAIN ANALYZE)."""
         plan = self.plan(query, options)
         materialize(plan)
         text = plan.explain(analyze=True)
-        if before is not None:
-            after = self.storage.counters
-            lines = [f"  {name}={after[name] - before[name]}"
-                     for name in ("pages_read", "pages_written",
-                                  "pages_evicted", "wal_bytes",
-                                  "pages_decoded", "accounting_rebuilds")]
-            text = "\n".join([text, "Storage:"] + lines)
         return Explained(plan=plan, text=text,
                          estimated_cost=plan.estimated_cost,
                          estimated_rows=plan.estimated_rows)
@@ -503,20 +470,10 @@ class Database:
         """Run *query* and also report per-operator work counters."""
         hits_before = self.plan_cache.hits
         misses_before = self.plan_cache.misses
-        saved_before = bytes_saved()
-        storage_before = (self.storage.counters
-                          if self.storage is not None else None)
         plan = self.plan(query, options)
         rows = materialize(plan)
         columns = [out.name for out in plan.schema]
         metrics = ExecutionMetrics.from_plan(plan)
         metrics.plan_cache_hits = self.plan_cache.hits - hits_before
         metrics.plan_cache_misses = self.plan_cache.misses - misses_before
-        metrics.bytes_saved = bytes_saved() - saved_before
-        if storage_before is not None:
-            storage_after = self.storage.counters
-            for name in ("pages_read", "pages_written", "pages_evicted",
-                         "wal_bytes"):
-                setattr(metrics, name,
-                        storage_after[name] - storage_before[name])
         return (ResultSet(columns, rows), metrics)

@@ -89,18 +89,21 @@ class TableStats:
 
 
 def analyze_table(table: Table) -> TableStats:
-    """Compute fresh :class:`TableStats` for *table*."""
-    stats = TableStats(row_count=len(table))
-    for column in table.schema:
-        values = []
-        null_count = 0
-        position = table.schema.position_of(column.name)
-        for row in table.rows:
-            value = row[position]
-            if value is None:
-                null_count += 1
-            else:
-                values.append(value)
+    """Compute fresh :class:`TableStats` for *table*.
+
+    Reads the table's column cache, so a cold table's rows are read
+    once, by the cache build, whatever the number of columns and of
+    (key, order) span pairs.
+    """
+    columns = table.columnar()
+    row_count = len(columns[0]) if columns else len(table)
+    # Bound every column by one count: a concurrent append may extend
+    # the shared column lists while they are read.
+    columns = [column[:row_count] for column in columns]
+    stats = TableStats(row_count=row_count)
+    for column, column_values in zip(table.schema, columns):
+        values = [value for value in column_values if value is not None]
+        null_count = row_count - len(values)
         if not values:
             stats.columns[column.name] = ColumnStats(
                 ndv=0, null_count=null_count, min_value=None, max_value=None)
@@ -120,16 +123,18 @@ def analyze_table(table: Table) -> TableStats:
             min_value=min(distinct),
             max_value=max(distinct),
             histogram=histogram)
-    _analyze_span_fractions(table, stats)
+    _analyze_span_fractions(table, columns, stats)
     return stats
 
 
-def _analyze_span_fractions(table: Table, stats: TableStats) -> None:
+def _analyze_span_fractions(table: Table, columns: list[list],
+                            stats: TableStats) -> None:
     """Per-group span statistics for plausible (key, order) pairs.
 
     A key column must look like a grouping key (more than one value,
     average group size of at least ~3 rows); an order column must be a
-    numeric/timestamp column with a non-degenerate range.
+    numeric/timestamp column with a non-degenerate range. *columns* is
+    the table's contents, one list per column.
     """
     key_candidates = []
     order_candidates = []
@@ -146,13 +151,11 @@ def _analyze_span_fractions(table: Table, stats: TableStats) -> None:
             if span and span > 0:
                 order_candidates.append((column.name, span))
     for key_name in key_candidates:
-        key_position = table.schema.position_of(key_name)
+        keys = columns[table.schema.position_of(key_name)]
         for order_name, global_span in order_candidates:
-            order_position = table.schema.position_of(order_name)
+            values = columns[table.schema.position_of(order_name)]
             extents: dict = {}
-            for row in table.rows:
-                key = row[key_position]
-                value = row[order_position]
+            for key, value in zip(keys, values):
                 if key is None or value is None:
                     continue
                 extent = extents.get(key)

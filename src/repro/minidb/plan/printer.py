@@ -8,8 +8,9 @@ children's text. Every child becomes a derived table under a fresh alias
 (``c0 .. cn``), so duplicate or differently qualified field names never
 clash; expressions are rebound onto those names through the child's
 :class:`PlanSchema`. :func:`plan_sql` renames the root's columns back to
-the plan's field names. Built and executed, the text returns the plan's
-own rows: the same bag, in the same order below a root ``ORDER BY``.
+the plan's field names, and carries a root ``ORDER BY`` itself. Built
+and executed, the text returns the plan's own rows: the same bag, in
+the same order below a root ``ORDER BY``.
 """
 
 from __future__ import annotations
@@ -40,11 +41,31 @@ __all__ = ["plan_sql"]
 
 
 def plan_sql(plan: LogicalNode) -> str:
-    """SQL text computing *plan*, its columns named as the plan's."""
-    source, alias = _Printer().derived(plan)
-    items = ", ".join(f"{alias}.c{position} AS {field.name}"
-                      for position, field in enumerate(plan.schema))
-    return f"SELECT {items} FROM {source}"
+    """SQL text computing *plan*, its columns named as the plan's.
+
+    A root ``LogicalSort`` (or a ``LogicalLimit`` above one) is printed
+    as the outermost SELECT's ``ORDER BY`` (and ``LIMIT``): SQL promises
+    no row order outside the SELECT that sorts.
+    """
+    sort = limit = None
+    body = plan
+    if isinstance(body, LogicalLimit) and isinstance(body.child,
+                                                     LogicalSort):
+        limit, body = body, body.child
+    if isinstance(body, LogicalSort):
+        sort, body = body, body.child
+    source, alias = _Printer().derived(body)
+    columns = _columns(alias, len(body.schema))
+    items = ", ".join(f"{column.to_sql()} AS {field.name}"
+                      for column, field in zip(columns, plan.schema))
+    text = f"SELECT {items} FROM {source}"
+    if sort is not None:
+        text += " ORDER BY " + ", ".join(
+            SortSpec(_bind(spec.expr, body.schema, columns),
+                     spec.ascending).to_sql() for spec in sort.keys)
+    if limit is not None:
+        text += f" LIMIT {limit.count}"
+    return text
 
 
 def _columns(alias: str | None, count: int) -> list[ColumnRef]:

@@ -1,34 +1,15 @@
-"""Page-based persistent storage for minidb (``storage=disk``).
+"""Durable storage for minidb (``storage=disk``).
 
-Layout of the package (bottom-up):
-
-* :mod:`~repro.minidb.storage.serde` — tagged typed-value / row codec
-* :mod:`~repro.minidb.storage.page` — slotted-page format with CRC
-* :mod:`~repro.minidb.storage.pager` — buffer pool (LRU, pin counts)
-* :mod:`~repro.minidb.storage.wal` — logical redo log with commit frames
-* :mod:`~repro.minidb.storage.heap` — a table's rows as a page chain
-* :mod:`~repro.minidb.storage.backend` — :class:`DiskStorage`: manifest,
-  checkpointing, crash recovery
-* :mod:`~repro.minidb.storage.faults` — crash fault injection
-
-``DiskStorage`` is intentionally *not* re-exported here: ``table.py``
-imports the heap submodule, so pulling ``backend`` (which imports
-``table``) into the package root would create an import cycle. Import it
-from :mod:`repro.minidb.storage.backend` directly.
+A disk table keeps its rows in a plain list, like a memory table; this
+package makes them durable: ``serde`` (typed-value codec), ``wal``
+(logical redo log), ``segment`` (immutable column segments, the
+checkpointed image), ``legacy`` (read-only decoder of the older page
+format), ``backend`` (:class:`DiskStorage`: manifest, checkpoints,
+image rewrites, recovery) and ``faults`` (crash injection). Import
+``DiskStorage`` from :mod:`repro.minidb.storage.backend`: it builds
+``Table`` objects, so only opening a disk database imports it.
 """
 
 from repro.minidb.storage.faults import CRASH_ENV, InjectedCrash
-from repro.minidb.storage.page import DEFAULT_PAGE_SIZE, configured_page_size
-from repro.minidb.storage.pager import (
-    DEFAULT_BUFFER_PAGES,
-    configured_buffer_pages,
-)
 
-__all__ = [
-    "CRASH_ENV",
-    "DEFAULT_BUFFER_PAGES",
-    "DEFAULT_PAGE_SIZE",
-    "InjectedCrash",
-    "configured_buffer_pages",
-    "configured_page_size",
-]
+__all__ = ["CRASH_ENV", "InjectedCrash"]

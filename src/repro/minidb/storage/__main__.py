@@ -1,17 +1,14 @@
 """Storage inspection CLI: ``python -m repro.minidb.storage stat <dir>``.
 
-Reads the database directory's files directly — MANIFEST.json, the page
-file, and the WAL — without opening (and therefore without recovering)
-the database, so it is safe to point at a directory left behind by a
-crash. Reported numbers describe the last durable checkpoint; a
-non-empty WAL means recovery would replay on top of them.
-
-Per table, the report names the indexed columns (indexes are rebuilt
-from the heap on open, so they own no pages) and includes the heap
-*footprint*: bytes as stored
-(dictionary-coded pages count at their compressed size) versus the bytes
-the same rows would occupy row-major, plus the resulting compression
-ratio — the observable effect of the ``REPRO_ENCODE`` knob.
+Reads MANIFEST.json, the data file and the WAL without opening (and so
+without recovering) the database, so it is safe on a directory left
+behind by a crash; a non-empty WAL means recovery would replay on top
+of what it reports. Per table: rows, segments, their *live* bytes, the
+indexed columns (rebuilt on open, they own no bytes), and the footprint
+— bytes stored versus the bytes the same segments take with every
+column plain, the effect of ``REPRO_ENCODE``. *Dead* bytes are the rest
+of the data file (an uncommitted tail), reclaimed by the next open. A
+segment that fails its checksum is skipped.
 """
 
 from __future__ import annotations
@@ -21,105 +18,77 @@ import os
 import sys
 
 from repro.errors import StorageError
-from repro.minidb.storage.page import (
-    KIND_HEAP_DICT,
-    SLOT_SIZE,
-    cells_size,
-    decode_page,
+from repro.minidb.storage.segment import (
+    FILE_HEADER_SIZE,
+    decode_segment,
+    encode_segment,
+    read_generation,
+    segment_shape,
 )
-from repro.minidb.storage.serde import encode_row
 
 _USAGE = "usage: python -m repro.minidb.storage stat <database-dir>"
 
 
-def _file_size(path: str) -> int:
-    try:
-        return os.path.getsize(path)
-    except OSError:
-        return 0
+def _size(path: str) -> int:
+    return os.path.getsize(path) if os.path.exists(path) else 0
 
 
-def _heap_footprint(pages_path: str, page_size: int,
-                    heap_pages: list) -> tuple[int, int, int]:
-    """``(stored_bytes, plain_bytes, dict_pages)`` for one table's heap.
-
-    ``stored`` is what the cells occupy on disk today; ``plain`` is what
-    the same rows would occupy in the row-major ``KIND_HEAP`` layout.
-    Unreadable pages (torn tail after a crash) are skipped — the report
-    must stay safe on a directory the engine never recovered.
-    """
-    from repro.minidb.storage.heap import HeapPageNode
-
-    stored = 0
-    plain = 0
-    dict_pages = 0
-    try:
-        handle = open(pages_path, "rb")
-    except OSError:
-        return 0, 0, 0
-    with handle:
-        for page_id, _count in heap_pages:
-            handle.seek(page_id * page_size)
-            data = handle.read(page_size)
-            try:
-                kind, cells = decode_page(data)
-            except StorageError:
-                continue
-            stored += cells_size(cells)
-            if kind == KIND_HEAP_DICT:
-                dict_pages += 1
-                rows = HeapPageNode.from_dict_cells(cells).rows
-                plain += sum(len(encode_row(row)) + SLOT_SIZE
-                             for row in rows)
-            else:
-                plain += cells_size(cells)
-    return stored, plain, dict_pages
+def _table_lines(handle, name: str, entry: dict) -> list[str]:
+    rows = stored = plain = dict_columns = 0
+    for offset, length in entry["segments"]:
+        handle.seek(offset)
+        data = handle.read(length)
+        try:
+            count, dicts = segment_shape(data)
+            plain += len(encode_segment(decode_segment(data), False))
+        except StorageError:
+            continue
+        rows, stored = rows + count, stored + length
+        dict_columns += dicts
+    columns = ", ".join(spec["column"] for spec in entry["indexes"].values())
+    ratio = f"{stored / plain:.2f}" if plain else "1.00"
+    return [f"table {name}: {rows} rows, {len(entry['segments'])} segments, "
+            f"{stored} bytes live, indexes on {columns or 'none'}",
+            f"table {name} footprint: {stored} bytes stored ({dict_columns} "
+            f"dict columns), {plain} bytes plain, ratio {ratio}"]
 
 
 def stat(directory: str) -> str:
     """Human-readable storage report for *directory*."""
     manifest_path = os.path.join(directory, "MANIFEST.json")
+    data_path = os.path.join(directory, "data.pages")
+    wal_size = _size(os.path.join(directory, "wal.log"))
+    wal_line = (f"wal.log: {wal_size} bytes"
+                + (" (recovery would replay)" if wal_size else ""))
     lines = [f"database directory: {directory}"]
-    data_size = _file_size(os.path.join(directory, "data.pages"))
-    wal_size = _file_size(os.path.join(directory, "wal.log"))
     if not os.path.exists(manifest_path):
-        lines.append("no MANIFEST.json (fresh or never checkpointed)")
-        lines.append(f"data.pages: {data_size} bytes")
-        lines.append(f"wal.log: {wal_size} bytes")
-        return "\n".join(lines)
+        return "\n".join(lines + [
+            "no MANIFEST.json (fresh or never checkpointed)",
+            f"data.pages: {_size(data_path)} bytes", wal_line])
     with open(manifest_path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    page_size = manifest["page_size"]
-    free_pages = manifest.get("free_pages", [])
+    tables = sorted(manifest["tables"].items())
     lines.append(f"checkpoint epoch: {manifest['epoch']}")
-    lines.append(f"page size: {page_size} bytes")
-    lines.append(f"next page id: {manifest['next_page_id']}")
-    lines.append(f"data.pages: {data_size} bytes "
-                 f"({data_size // page_size if page_size else 0} pages)")
-    lines.append(f"free list: {len(free_pages)} pages")
-    lines.append(f"wal.log: {wal_size} bytes"
-                 + (" (recovery would replay)" if wal_size else ""))
-    pages_path = os.path.join(directory, "data.pages")
-    for name, entry in sorted(manifest.get("tables", {}).items()):
-        heap_pages = entry.get("heap_pages", [])
-        heap = len(heap_pages)
-        indexes = entry.get("indexes", {}).values()
-        columns = ", ".join(spec["column"] for spec in indexes) or "none"
-        rows = sum(count for _, count in heap_pages)
-        lines.append(f"table {name}: {rows} rows, {heap} heap pages, "
-                     f"indexes on {columns}")
-        # Written by a version that kept indexes as on-disk B-trees: the
-        # next two checkpoints free those pages and compact over them.
-        btree_pages = sum(len(spec.get("pages", ())) for spec in indexes)
-        if btree_pages:
-            lines.append(f"table {name}: {btree_pages} B-tree pages of an "
-                         f"older version awaiting reclaim")
-        stored, plain, dict_pages = _heap_footprint(
-            pages_path, page_size, heap_pages)
-        ratio = f"{stored / plain:.2f}" if plain else "1.00"
-        lines.append(f"table {name} footprint: {stored} bytes stored "
-                     f"({dict_pages} dict pages), {plain} bytes plain, "
-                     f"ratio {ratio}")
+    if "page_size" in manifest:
+        lines += [f"data.pages: {_size(data_path)} bytes", wal_line,
+                  "page format of an older version: the first checkpoint "
+                  "rewrites it as segments"]
+        for name, entry in tables:
+            pages = entry["heap_pages"]
+            lines.append(f"table {name}: {sum(n for _, n in pages)} rows, "
+                         f"{len(pages)} heap pages")
+        return "\n".join(lines)
+    if read_generation(data_path) != manifest["generation"]:
+        data_path += ".tmp"  # a rewritten image not yet renamed in place
+    live = sum(length for _, entry in tables
+               for _, length in entry["segments"])
+    dead = max(0, _size(data_path) - FILE_HEADER_SIZE - live)
+    lines += [f"image generation: {manifest['generation']}",
+              f"data.pages: {_size(data_path)} bytes, {live} live, "
+              f"{dead} dead", wal_line]
+    with open(data_path, "rb") as handle:
+        for name, entry in tables:
+            lines += _table_lines(handle, name, entry)
     return "\n".join(lines)
 
 

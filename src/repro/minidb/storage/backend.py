@@ -1,33 +1,24 @@
-"""The disk storage backend: pages + WAL + manifest, with recovery.
+"""The disk storage backend: rows in memory, a WAL, column segments.
 
 One :class:`DiskStorage` owns a database directory::
 
-    data.pages     fixed-size slotted pages (heap rows)
+    data.pages     file header + immutable column segments (segment.py)
     wal.log        logical redo log, truncated at each checkpoint
     MANIFEST.json  atomic checkpoint root (written via tmp + rename)
 
-Durability protocol (see DESIGN.md §11):
-
-1. Every mutation batch is logged to the WAL and fsync'd *before* any
-   page changes — commit means the COMMIT record is on disk.
-2. Pages referenced by the current manifest are never overwritten:
-   mutations copy-on-write onto freshly allocated page ids, so a torn
-   page write can only hit a page recovery will never read.
-3. A checkpoint flushes dirty pages, fsyncs the data file, atomically
-   replaces the manifest, and only then truncates the WAL. The manifest
-   records the checkpoint epoch; replay skips committed transactions at
-   or below it, making recovery idempotent.
-
-Indexes are derived data: the manifest records only each index's name
-and column, and an index is rebuilt from its table's heap when the table
-is attached.
-
-Recovery on open: load the manifest (if any), attach each table with its
-heap-page chain and rebuild its indexes, then replay every intact
-committed WAL transaction with a newer epoch through the normal
-``Table`` mutation paths (logging suppressed). The resulting state is exactly the last
-committed epoch — the crash-recovery test rig asserts this for a crash
-at every declared fault point.
+A disk table keeps its rows in a plain list, like a memory table; every
+mutation is in the WAL before the list changes. A checkpoint appends
+each table's new rows as one segment, fsyncs, replaces the manifest
+(per table its ``[offset, length]`` segments; the committed length,
+generation and epoch) and then truncates the WAL. After a
+``replace_rows``, a DROP, or at :data:`MAX_SEGMENTS` segments in a
+table, it rewrites the live image into the next generation instead:
+the only way space is reclaimed. On open, recovery finishes a rename
+the manifest already names, cuts ``data.pages`` to the committed
+length, decodes the segments, rebuilds indexes, and replays the WAL. A
+directory in the older page format opens through
+:mod:`~repro.minidb.storage.legacy`; its first checkpoint rewrites it.
+See DESIGN.md §11.
 """
 
 from __future__ import annotations
@@ -36,37 +27,50 @@ import json
 import os
 import shutil
 import tempfile
-from typing import TYPE_CHECKING, Iterator
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
-from repro.errors import StorageError
+from repro.errors import StorageCorruptionError, StorageError
 from repro.knobs import int_knob
 from repro.minidb.index import SortedIndex
-from repro.minidb.storage import faults, wal as walmod
-from repro.minidb.storage.heap import (
-    DiskRowStore,
-    HeapPageNode,
+from repro.minidb.schema import Column, TableSchema
+from repro.minidb.storage import faults, legacy, wal as walmod
+from repro.minidb.storage.segment import (
+    FILE_HEADER_SIZE,
+    decode_segment,
+    encode_segment,
+    file_header,
+    read_generation,
     storage_fault_active,
 )
-from repro.minidb.storage.page import (
-    KIND_HEAP,
-    KIND_HEAP_DICT,
-    configured_page_size,
-)
-from repro.minidb.storage.pager import Pager, configured_buffer_pages
+from repro.minidb.table import Table
+from repro.minidb.types import SqlType
 
 if TYPE_CHECKING:
     from repro.minidb.catalog import Catalog
 
-__all__ = ["DEFAULT_CHECKPOINT_BYTES", "DiskStorage",
+__all__ = ["DEFAULT_CHECKPOINT_BYTES", "DiskStorage", "MAX_SEGMENTS",
            "configured_checkpoint_bytes", "encode_enabled"]
 
 #: WAL size that triggers an automatic checkpoint at the end of the
 #: mutation that crossed it (``REPRO_WAL_LIMIT`` overrides).
 DEFAULT_CHECKPOINT_BYTES = 1 << 20
 
-_MANIFEST = "MANIFEST.json"
-_DATA = "data.pages"
-_WAL = "wal.log"
+#: Segments a table may have before a checkpoint rewrites the image.
+MAX_SEGMENTS = 8
+
+#: Counter keys only ``bench/`` reads, always 0.
+_BENCH_ONLY_COUNTERS = (
+    "pages_read",  # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    "pages_written",  # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    "pages_evicted",  # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    "buffer_hits",  # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    "buffer_misses",  # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    "pages_pruned",  # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    "prefetch_hits",  # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    "prefetch_wasted",  # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    "group_syncs",  # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+)
 
 
 def configured_checkpoint_bytes() -> int:
@@ -74,273 +78,195 @@ def configured_checkpoint_bytes() -> int:
 
 
 def encode_enabled() -> bool:
-    """Whether ``REPRO_ENCODE`` (default on, ``0`` = off) lets heap
-    pages take the dictionary layout."""
+    """Whether ``REPRO_ENCODE`` (default on, ``0`` = off) lets segment
+    columns take the dictionary layout."""
     return int_knob("REPRO_ENCODE", 1, 0, 1) != 0
 
 
-class DiskStorage:
-    """Page-based persistent storage for one database.
+def _schema(pairs) -> TableSchema:
+    return TableSchema(Column(name, SqlType(type_value))
+                       for name, type_value in pairs)
 
-    With ``path=None`` the storage owns a temporary directory that is
-    deleted on a clean :meth:`close` — the ephemeral mode the fuzz
-    oracle's ``disk`` label uses. A named path persists across opens and
-    is what the recovery tests reopen after a simulated crash.
+
+def _fsync_dir(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+class DiskStorage:
+    """Durable storage for one database: a WAL plus column segments.
+
+    With ``path=None`` the storage owns a temporary directory, deleted
+    on a clean :meth:`close`; a named path persists across opens.
     """
 
-    def __init__(self, path: str | None = None,
-                 buffer_pages: int | None = None,
-                 page_size: int | None = None, sync: bool = True,
+    # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    pager = SimpleNamespace(readahead=0)
+    # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
+    page_size = 4096
+
+    def __init__(self, path: str | None = None, sync: bool = True,
                  checkpoint_bytes: int | None = None,
                  encode: bool | None = None) -> None:
-        # Assigned before anything that can raise, so close() on a
-        # partially constructed instance (a failed __init__ reached via
-        # Database.__exit__/__del__) has a consistent base state.
-        self.pager = None
+        # Assigned before anything that can raise: close() must work on
+        # a partially constructed instance.
         self.wal = None
         self.catalog: "Catalog | None" = None
         self.dead = False
+        self.closed = False
         self.owns_dir = path is None
         self.path = path or tempfile.mkdtemp(prefix="minidb-")
         os.makedirs(self.path, exist_ok=True)
+        self.data_path = os.path.join(self.path, "data.pages")
         self.sync = sync
-        #: Whether pages filled by this storage may take the dictionary
-        #: layout: the *encode* override, else REPRO_ENCODE. Resolved
-        #: here, like the decode fault below, so that decoding a page
-        #: never consults the environment.
+        #: The *encode* override, else REPRO_ENCODE; resolved here, like
+        #: the decode fault, so decoding never reads the environment.
         self.encode = encode_enabled() if encode is None else bool(encode)
         self._decode_fault = storage_fault_active()
-        #: Pages decoded into nodes (one per page read) and decoded heap
-        #: nodes whose fill accounting had to be re-derived because they
-        #: were written to again.
-        self.pages_decoded = 0
-        self.accounting_rebuilds = 0
         self.checkpoint_bytes = (checkpoint_bytes
                                  if checkpoint_bytes is not None
                                  else configured_checkpoint_bytes())
-        manifest = self._read_manifest()
-        if manifest is not None:
-            # The file format is fixed at creation time; an existing
-            # manifest overrides any configured page size.
-            page_size = manifest["page_size"]
-        self.page_size = page_size or configured_page_size()
-        capacity = (buffer_pages if buffer_pages is not None
-                    else configured_buffer_pages())
-        self.pager = Pager(os.path.join(self.path, _DATA), self.page_size,
-                           capacity, self._decode_node)
-        self.wal = walmod.WriteAheadLog(os.path.join(self.path, _WAL),
+        self.wal = walmod.WriteAheadLog(os.path.join(self.path, "wal.log"),
                                         sync=sync)
         self.epoch = 0
         self.manifest_epoch = 0
-        self.next_page_id = 0
-        self.manifest_pages: set[int] = set()
-        #: Reusable now: never referenced by the current manifest.
-        self._free_now: list[int] = []
-        #: Referenced by the current manifest; reusable only after the
-        #: *next* checkpoint stops referencing them.
-        self._retired: list[int] = []
-        self.checkpoints = 0
-        #: Compaction work: checkpoint passes that moved pages, and the
-        #: total number of page relocations.
-        self.compactions = 0
-        self.pages_moved = 0
+        #: The image generation and committed length of ``data.pages``.
+        self.generation = 0
+        self.data_length = FILE_HEADER_SIZE
+        #: Per table: its ``[offset, length]`` segments, and how many of
+        #: its rows they hold.
+        self._segments: dict[str, list[list[int]]] = {}
+        self._saved: dict[str, int] = {}
+        #: Set when the next checkpoint must rewrite the image.
+        self._rewrite_due = False
         self.replaying = False
-        self._manifest_cache = manifest
-
-    def _decode_node(self, kind: int, cells: list[bytes]):
-        """The pager's decode callback: a page's cells to its node."""
-        self.pages_decoded += 1
-        if kind == KIND_HEAP:
-            return HeapPageNode.from_cells(cells, self.encode,
-                                           self._decode_fault)
-        if kind == KIND_HEAP_DICT:
-            return HeapPageNode.from_dict_cells(cells, self._decode_fault)
-        raise StorageError(f"unknown page kind {kind}")
-
-    # -- page allocation ------------------------------------------------
-
-    def allocate_page(self) -> int:
-        if self._free_now:
-            return self._free_now.pop()
-        page_id = self.next_page_id
-        self.next_page_id += 1
-        return page_id
-
-    def free_page(self, page_id: int) -> None:
-        self.pager.discard(page_id)
-        if page_id in self.manifest_pages:
-            self._retired.append(page_id)
-        else:
-            self._free_now.append(page_id)
-
-    def page_shadowed(self, page_id: int) -> bool:
-        """Whether the current manifest references *page_id* (→ COW)."""
-        return page_id in self.manifest_pages
+        self.checkpoints = 0
+        #: Image rewrites: the checkpoints that reclaimed space.
+        self.compactions = 0
+        self.segments_written = 0
+        self.segments_decoded = 0
 
     # -- WAL logging (called from Table/Catalog mutation paths) ---------
 
-    def _commit(self, payloads: list[bytes]) -> None:
+    def _commit(self, payload: bytes) -> None:
         if self.replaying or self.dead:
             return
         self.epoch += 1
-        self.wal.commit(payloads, self.epoch)
+        self.wal.commit(payload, self.epoch)
 
     def log_create_table(self, name: str, schema) -> None:
-        self._commit([walmod.encode_create_table(
+        self._commit(walmod.encode_create_table(
             name, [(column.name, column.sql_type.value)
-                   for column in schema])])
+                   for column in schema]))
 
     def log_drop_table(self, name: str) -> None:
-        self._commit([walmod.encode_drop_table(name)])
+        self._saved.pop(name, None)
+        if self._segments.pop(name, None):
+            self._rewrite_due = True
+        self._commit(walmod.encode_drop_table(name))
 
     def log_create_index(self, table: str, column: str,
                          index_name: str) -> None:
-        self._commit([walmod.encode_create_index(table, column,
-                                                 index_name)])
+        self._commit(walmod.encode_create_index(table, column, index_name))
 
     def log_append(self, table: str, rows: list[tuple]) -> None:
-        self._commit([walmod.encode_rows_op(walmod.OP_APPEND, table,
-                                            rows)])
+        self._commit(walmod.encode_rows_op(walmod.OP_APPEND, table, rows))
 
     def log_replace(self, table: str, rows: list[tuple]) -> None:
-        self._commit([walmod.encode_rows_op(walmod.OP_REPLACE, table,
-                                            rows)])
+        if self._segments.get(table):
+            self._rewrite_due = True
+        self._commit(walmod.encode_rows_op(walmod.OP_REPLACE, table, rows))
 
     def mutation_complete(self) -> None:
-        """End-of-mutation hook: checkpoint once the WAL is large enough.
-
-        Only ever called *after* a table finished updating both rows and
-        indexes, so a checkpoint can never capture a half-applied batch.
-        """
-        if self.replaying or self.dead:
-            return
-        if self.wal.size >= self.checkpoint_bytes:
+        """Checkpoint once the WAL is large enough; called only after a
+        table's rows and indexes are both updated."""
+        if not (self.replaying or self.dead) \
+                and self.wal.size >= self.checkpoint_bytes:
             self.checkpoint()
 
     # -- checkpoint -----------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Make the current state the durable baseline, truncate the WAL.
-
-        A checkpoint also runs the online compaction pass: tail pages are
-        relocated into free slots so the trailing run of free pages can
-        be truncated off ``data.pages``. Move targets come only from
-        ``_free_now`` — retired pages are still referenced by the current
-        manifest (WAL replay may read them), so they become candidates
-        one checkpoint later. The relocated copies land on pages no
-        recovery path reads, which keeps a crash at ``compaction-move``
-        exactly as recoverable as one at ``checkpoint-before-manifest``.
-        """
-        if self.dead or self.catalog is None \
-                or self.pager is None or self.pager.closed:
+        """Append each table's new rows as a segment — or, when due,
+        write every table's rows as a new image — then the manifest,
+        then truncate the WAL."""
+        if self.dead or self.closed or self.catalog is None:
             return
-        self.pager.flush_all(sync=self.sync)
-        faults.crash_point("checkpoint-before-manifest")
-        moves, free_after, next_after = self._plan_compaction()
-        if moves:
-            self._apply_moves(moves)
-            self.pager.flush_all(sync=self.sync)
-            faults.crash_point("compaction-move")
+        rewrite = self._rewrite_due or any(
+            len(self._segments.get(table.name, ())) >= MAX_SEGMENTS
+            and len(table.rows) > self._saved[table.name]
+            for table in self.catalog)
+        if rewrite:
+            generation, target = self.generation + 1, self.data_path + ".tmp"
+            segments, saved = {}, {}
+            offset = FILE_HEADER_SIZE
+        else:
+            generation, target = self.generation, self.data_path
+            segments = {name: list(spans)
+                        for name, spans in self._segments.items()}
+            saved = dict(self._saved)
+            offset = self.data_length
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT
+                     | (os.O_TRUNC if rewrite else 0), 0o644)
+        try:
+            if rewrite:
+                os.pwrite(fd, file_header(generation), 0)
+            for table in self.catalog:
+                start = saved.get(table.name, 0)
+                saved[table.name] = len(table.rows)
+                if len(table.rows) <= start:
+                    continue
+                segment = encode_segment(table.rows[start:], self.encode)
+                if faults.torn_point("segment-torn"):
+                    os.pwrite(fd, segment[:len(segment) // 2], offset)
+                    raise faults.InjectedCrash("segment-torn")
+                os.pwrite(fd, segment, offset)
+                self.segments_written += 1
+                segments.setdefault(table.name, []).append(
+                    [offset, len(segment)])
+                offset += len(segment)
+            if self.sync:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+        if rewrite:
+            faults.crash_point("rewrite-before-manifest")
+            self._write_manifest(generation, offset, segments)
+            faults.crash_point("rewrite-after-manifest")
+            os.replace(target, self.data_path)
+            if self.sync:
+                _fsync_dir(self.path)
             self.compactions += 1
-            self.pages_moved += len(moves)
-        manifest = self._build_manifest(free_after, next_after)
-        self._write_manifest(manifest)
+        else:
+            faults.crash_point("checkpoint-before-manifest")
+            self._write_manifest(generation, offset, segments)
         faults.crash_point("checkpoint-after-manifest")
         self.wal.truncate()
-        if next_after < self.next_page_id:
-            self.pager.truncate(next_after)
-        self.next_page_id = next_after
+        self._segments, self._saved = segments, saved
+        self.generation, self.data_length = generation, offset
+        self._rewrite_due = False
         self.manifest_epoch = self.epoch
-        self.manifest_pages = set(self._live_pages())
-        self._free_now = free_after
-        self._retired = []
         self.checkpoints += 1
 
-    def _plan_compaction(self) -> tuple[list[tuple[int, int]],
-                                        list[int], int]:
-        """``(moves, free_after, next_after)`` for this checkpoint.
-
-        Pairs the highest live page ids with the lowest ``_free_now``
-        holes (only while the hole is below the mover), then trims the
-        trailing run of free ids off the end of the address space.
-        ``free_after`` is the post-move free list (consumed holes out,
-        vacated originals and retirees in, tail trimmed); ``next_after``
-        is the new page count for ``data.pages``.
-        """
-        free_set = {*self._free_now, *self._retired}
-        targets = sorted(self._free_now)
-        movers = sorted(self._live_pages(), reverse=True)
-        moves: list[tuple[int, int]] = []
-        cursor = 0
-        for mover in movers:
-            if cursor >= len(targets) or targets[cursor] >= mover:
-                break
-            moves.append((mover, targets[cursor]))
-            free_set.discard(targets[cursor])
-            free_set.add(mover)
-            cursor += 1
-        next_after = self.next_page_id
-        while next_after > 0 and (next_after - 1) in free_set:
-            free_set.discard(next_after - 1)
-            next_after -= 1
-        return moves, sorted(free_set), next_after
-
-    def _apply_moves(self, moves: list[tuple[int, int]]) -> None:
-        """Relocate heap pages per *moves* and rewrite their page ids."""
+    def _write_manifest(self, generation: int, data_length: int,
+                        segments: dict[str, list[list[int]]]) -> None:
         assert self.catalog is not None
-        mapping = dict(moves)
-        pager = self.pager
-        for old_id, new_id in moves:
-            node = pager.fetch(old_id)
-            # The move rewrites the page from its node; a heap node
-            # decoded for reading has to recover its layout choice.
-            if node.ensure_accounting():
-                self.accounting_rebuilds += 1
-            pager.discard(old_id)
-            pager.adopt(new_id, node)
-        for table in self.catalog:
-            store = table.rows
-            if isinstance(store, DiskRowStore):
-                store.page_ids = [mapping.get(page_id, page_id)
-                                  for page_id in store.page_ids]
-
-    def _live_pages(self) -> Iterator[int]:
-        assert self.catalog is not None
-        for table in self.catalog:
-            store = table.rows
-            if isinstance(store, DiskRowStore):
-                yield from store.page_ids
-
-    def _build_manifest(self, free: list[int] | None = None,
-                        next_page_id: int | None = None) -> dict:
-        assert self.catalog is not None
-        tables: dict = {}
-        for table in self.catalog:
-            store = table.rows
-            if not isinstance(store, DiskRowStore):
-                raise StorageError(
-                    f"table {table.name!r} is not disk-backed")
-            tables[table.name] = {
+        manifest = {
+            "epoch": self.epoch,
+            "generation": generation,
+            "data_length": data_length,
+            "tables": {table.name: {
                 "schema": [[column.name, column.sql_type.value]
                            for column in table.schema],
-                "heap_pages": store.manifest_pages(),
+                "segments": segments.get(table.name, []),
                 "indexes": {name: {"column": index.column}
                             for name, index in table.indexes.items()},
-            }
-        if free is None:
-            free = sorted({*self._free_now, *self._retired})
-        return {
-            "epoch": self.epoch,
-            "page_size": self.page_size,
-            "next_page_id": (self.next_page_id if next_page_id is None
-                             else next_page_id),
-            "free_pages": free,
-            "tables": tables,
+            } for table in self.catalog},
         }
-
-    def _write_manifest(self, manifest: dict) -> None:
-        final = os.path.join(self.path, _MANIFEST)
-        tmp = final + ".tmp"
+        tmp = os.path.join(self.path, "MANIFEST.json.tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         try:
             os.write(fd, json.dumps(manifest).encode("utf-8"))
@@ -348,78 +274,34 @@ class DiskStorage:
                 os.fsync(fd)
         finally:
             os.close(fd)
-        os.replace(tmp, final)
+        os.replace(tmp, os.path.join(self.path, "MANIFEST.json"))
         if self.sync:
-            dir_fd = os.open(self.path, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-
-    def _read_manifest(self) -> dict | None:
-        final = os.path.join(self.path, _MANIFEST)
-        if not os.path.exists(final):
-            return None
-        with open(final, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            _fsync_dir(self.path)
 
     # -- open / recovery ------------------------------------------------
 
     def open(self, catalog: "Catalog") -> int:
-        """Attach checkpoint state and replay the WAL into *catalog*.
-
-        Returns the number of replayed transactions (0 on a fresh or
-        cleanly closed database).
-        """
+        """Attach checkpoint state and replay the WAL into *catalog*;
+        returns the number of replayed transactions."""
         self.catalog = catalog
-        manifest = self._manifest_cache
-        self._manifest_cache = None
-        if manifest is not None:
-            self._attach_manifest(manifest, catalog)
-        replayed = self._replay_wal()
-        if replayed:
-            # Fold the replayed tail into a fresh checkpoint so a second
-            # crash cannot have to replay on top of replay.
-            self.checkpoint()
-        return replayed
-
-    def _attach_manifest(self, manifest: dict,
-                         catalog: "Catalog") -> None:
-        from repro.minidb.schema import Column, TableSchema
-        from repro.minidb.table import Table
-        from repro.minidb.types import SqlType
-
-        self.epoch = manifest["epoch"]
-        self.manifest_epoch = manifest["epoch"]
-        self.next_page_id = manifest["next_page_id"]
-        self._free_now = list(manifest["free_pages"])
-        self._retired = []
-        # Older manifests may carry a ``zones`` map: it is ignored, and
-        # the next checkpoint's manifest omits it.
-        live: set[int] = set()
-        for name, entry in manifest["tables"].items():
-            schema = TableSchema(
-                Column(column, SqlType(type_value))
-                for column, type_value in entry["schema"])
-            table = Table(name, schema, storage=self)
-            table.rows = DiskRowStore(
-                self, name,
-                [(page_id, count)
-                 for page_id, count in entry["heap_pages"]])
-            live.update(table.rows.page_ids)
-            for index_name, spec in entry["indexes"].items():
-                table.indexes[index_name] = SortedIndex(index_name,
-                                                        spec["column"])
-                # An older manifest also names its on-disk B-tree's
-                # pages. Nothing reads them any more: the next checkpoint
-                # frees them, the one after compacts over them.
-                self._retired.extend(spec.get("pages", ()))
-            table.rebuild_indexes(table.indexes.values())
-            catalog.attach(table)
-        self.manifest_pages = live
-
-    def _replay_wal(self) -> int:
-        assert self.catalog is not None
+        try:
+            with open(os.path.join(self.path, "MANIFEST.json"), "r",
+                      encoding="utf-8") as handle:
+                manifest = json.load(handle)
+        except FileNotFoundError:
+            # Nothing durable yet: whatever a crashed first checkpoint
+            # left in the data file is garbage.
+            with open(self.data_path, "wb") as handle:
+                handle.write(file_header(self.generation))
+        else:
+            self.epoch = self.manifest_epoch = manifest["epoch"]
+            if "page_size" in manifest:
+                tables = legacy.read_tables(self.data_path, manifest)
+                self._rewrite_due = True
+            else:
+                tables = self._read_segments(manifest)
+            for name, entry in manifest["tables"].items():
+                self._attach(name, entry, tables[name])
         replayed = 0
         self.replaying = True
         try:
@@ -432,18 +314,56 @@ class DiskStorage:
                 replayed += 1
         finally:
             self.replaying = False
+        if replayed:
+            # Fold the replayed tail into a fresh checkpoint so a second
+            # crash cannot have to replay on top of replay.
+            self.checkpoint()
         return replayed
 
-    def _apply(self, record: walmod.WalRecord) -> None:
-        from repro.minidb.schema import Column, TableSchema
-        from repro.minidb.types import SqlType
+    def _read_segments(self, manifest: dict) -> dict[str, list[tuple]]:
+        """Every table's rows from the image the manifest names."""
+        self.generation = manifest["generation"]
+        self.data_length = manifest["data_length"]
+        tmp = self.data_path + ".tmp"
+        if read_generation(self.data_path) != self.generation:
+            # Crashed between the manifest naming a rewritten image and
+            # the rename that puts it in place: finish the rename.
+            if read_generation(tmp) != self.generation:
+                raise StorageCorruptionError(
+                    f"no data file of generation {self.generation}")
+            os.replace(tmp, self.data_path)
+        elif os.path.exists(tmp):
+            os.remove(tmp)  # a rewrite that never reached its manifest
+        tables = {}
+        with open(self.data_path, "r+b") as handle:
+            handle.truncate(self.data_length)
+            for name, entry in manifest["tables"].items():
+                rows: list[tuple] = []
+                for offset, length in entry["segments"]:
+                    handle.seek(offset)
+                    rows.extend(decode_segment(handle.read(length),
+                                               self._decode_fault))
+                    self.segments_decoded += 1
+                tables[name] = rows
+                self._segments[name] = entry["segments"]
+                self._saved[name] = len(rows)
+        return tables
 
+    def _attach(self, name: str, entry: dict, rows: list[tuple]) -> None:
+        assert self.catalog is not None
+        table = Table(name, _schema(entry["schema"]), storage=self)
+        table.rows = rows
+        for index_name, spec in entry["indexes"].items():
+            table.indexes[index_name] = SortedIndex(index_name,
+                                                    spec["column"])
+        table.rebuild_indexes(table.indexes.values())
+        self.catalog.attach(table)
+
+    def _apply(self, record: walmod.WalRecord) -> None:
         catalog = self.catalog
         assert catalog is not None
         if record.op == walmod.OP_CREATE_TABLE:
-            catalog.create_table(record.table, TableSchema(
-                Column(column, SqlType(type_value))
-                for column, type_value in record.schema_pairs))
+            catalog.create_table(record.table, _schema(record.schema_pairs))
         elif record.op == walmod.OP_DROP_TABLE:
             catalog.drop_table(record.table)
         elif record.op == walmod.OP_CREATE_INDEX:
@@ -460,67 +380,38 @@ class DiskStorage:
     # -- lifecycle ------------------------------------------------------
 
     def simulate_crash(self) -> None:
-        """Abandon all state exactly as a power cut would leave it.
-
-        The files keep whatever the protocol managed to write; nothing
-        is flushed, synced, or checkpointed on the way out — marking the
-        storage dead stops ``Database.__del__`` from tidying up and
-        accidentally "un-crashing" the scenario.
-        """
+        """Abandon the files as a power cut would leave them: a dead
+        storage never checkpoints, not even from ``Database.__del__``."""
         self.dead = True
-        self.pager.abandon()
         self.wal.close()  # close() never fsyncs: the log stays as cut
 
     def close(self) -> None:
-        """Checkpoint and release; deletes the directory if temp-owned.
-
-        Every table's derived data (column cache, index entries) is
-        dropped too: the database is unusable afterwards, and whatever
-        still references it must not keep a copy of its tables alive.
-
-        Safe on any state: a partially constructed instance (pager or
-        WAL never created), a never-opened one (no catalog attached —
-        checkpointing is skipped, nothing to persist), a crashed one,
-        and repeated calls are all no-ops for the missing pieces.
-        """
-        pager, wal = self.pager, self.wal
-        if self.dead or pager is None or pager.closed:
+        """Checkpoint, release every table's rows, column cache and
+        index entries (all durable or derivable now: a closed database
+        that something still references must not hold its tables), and
+        delete a temp-owned directory. Safe on a partially constructed,
+        never-opened or crashed instance, and twice."""
+        if self.dead or self.closed or self.wal is None:
             return
         self.checkpoint()
-        pager.close(sync=self.sync)
-        if wal is not None:
-            wal.close()
+        self.closed = True
+        self.wal.close()
         for table in self.catalog or ():
             table.release_derived()
+            table.rows = []
         if self.owns_dir:
             shutil.rmtree(self.path, ignore_errors=True)
 
     @property
     def counters(self) -> dict[str, int]:
-        """Storage work counters (pool, WAL, checkpoints) for metrics."""
-        pager = self.pager
+        """Storage work counters (WAL, checkpoints, segments)."""
         return {
-            "pages_read": pager.pages_read,
-            "pages_written": pager.pages_written,
-            "pages_evicted": pager.pages_evicted,
-            "buffer_hits": pager.hits,
-            "buffer_misses": pager.misses,
-            "peak_resident": pager.peak_resident,
-            "overflow_events": pager.overflow_events,
             "wal_bytes": self.wal.bytes_written,
             "wal_commits": self.wal.commits,
             "wal_syncs": self.wal.syncs,
             "checkpoints": self.checkpoints,
             "compactions": self.compactions,
-            "pages_moved": self.pages_moved,
-            "pages_decoded": self.pages_decoded,
-            "accounting_rebuilds": self.accounting_rebuilds,
-            # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
-            "pages_pruned": 0,
-            # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
-            "prefetch_hits": 0,
-            # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
-            "prefetch_wasted": 0,
-            # 0 stub: only bench/ reads it; the [benchmark] PR deletes it
-            "group_syncs": 0,
+            "segments_written": self.segments_written,
+            "segments_decoded": self.segments_decoded,
+            **dict.fromkeys(_BENCH_ONLY_COUNTERS, 0),
         }

@@ -1,44 +1,31 @@
 """Crash fault injection for the storage engine.
 
-The crash-recovery test rig works by *killing writes at named fault
-points*: setting ``REPRO_STORAGE_CRASH=<point>`` (or ``<point>:<n>`` to
-crash on the n-th hit) makes the storage layer raise
-:class:`InjectedCrash` the moment execution reaches that point. The
-exception derives from ``BaseException`` so no ``except Exception``
-handler on the way out can accidentally "survive" the power cut; tests
-catch it explicitly, abandon the database object without closing it, and
-reopen the files to exercise recovery.
+Setting ``REPRO_STORAGE_CRASH=<point>`` (or ``<point>:<n>`` to crash on
+the n-th hit) makes the storage layer raise :class:`InjectedCrash` the
+moment execution reaches that named point. Tests catch it, abandon the
+database without closing it, and reopen the files to exercise recovery.
 
 Fault-point catalog (see DESIGN.md §11 for the protocol each interrupts):
 
-====================================  ==================================
-``wal-record-torn``                   half of a WAL op record is written,
-                                      then the crash fires (torn record;
-                                      the CRC must reject the tail)
-``wal-before-commit``                 op records are durable but the
-                                      commit record was never written
-``wal-after-commit``                  the commit record is fsync'd but
-                                      no page was touched yet — recovery
-                                      must redo the batch
-``page-torn``                         half of a data page is written,
-                                      then the crash fires (torn page;
-                                      only COW pages are ever at risk)
-``page-flush``                        immediately after one full page
-                                      write (pages beyond it unwritten)
-``checkpoint-before-manifest``        dirty pages flushed, but the old
-                                      manifest is still current
-``checkpoint-after-manifest``         the new manifest is committed but
-                                      the WAL was not truncated —
-                                      replay must be idempotent
-``compaction-move``                   checkpoint compaction: relocated
-                                      page copies are flushed, but the
-                                      manifest still references the old
-                                      page ids (originals untouched)
-====================================  ==================================
+==============================  ==========================================
+``wal-record-torn``             half a WAL op record is written (the CRC
+                                must reject the torn tail)
+``wal-before-commit``           op records durable, no COMMIT record
+``wal-after-commit``            COMMIT fsync'd, rows not yet applied in
+                                memory — recovery must redo the batch
+``segment-torn``                half a segment is written: a torn append
+                                past the committed length, or a torn image
+``checkpoint-before-manifest``  new segments fsync'd, old manifest current
+``rewrite-before-manifest``     a new image fsync'd beside the old file,
+                                old manifest current
+``rewrite-after-manifest``      the manifest names the new image, not yet
+                                renamed in place — open rolls forward
+``checkpoint-after-manifest``   manifest (and image) in place, WAL not
+                                truncated — replay must be idempotent
+==============================  ==========================================
 
-The hit counters live in module state so a single test can arm a point
-and step through successive hits deterministically; :func:`reset` clears
-them (the recovery-test fixture calls it around every case).
+Hit counters live in module state; :func:`reset` clears them between
+scenarios.
 """
 
 from __future__ import annotations
@@ -56,21 +43,17 @@ ALL_POINTS = (
     "wal-record-torn",
     "wal-before-commit",
     "wal-after-commit",
-    "page-torn",
-    "page-flush",
+    "segment-torn",
     "checkpoint-before-manifest",
+    "rewrite-before-manifest",
+    "rewrite-after-manifest",
     "checkpoint-after-manifest",
-    "compaction-move",
 )
 
 
 class InjectedCrash(BaseException):
-    """The simulated power cut.
-
-    A ``BaseException`` on purpose: generic ``except Exception`` cleanup
-    along the unwind path must not swallow it, exactly as a real crash
-    would not run that cleanup.
-    """
+    """The simulated power cut: a ``BaseException``, so no ``except
+    Exception`` cleanup on the way out can survive it."""
 
     def __init__(self, point: str) -> None:
         super().__init__(f"injected crash at storage fault point {point!r}")
@@ -104,12 +87,6 @@ def crash_point(name: str) -> None:
 
 
 def torn_point(name: str) -> bool:
-    """Whether a *torn-write* fault point is armed right now.
-
-    Unlike :func:`crash_point` this does not raise: the caller must
-    perform the partial write itself and then raise
-    :class:`InjectedCrash` — the pattern for ``wal-record-torn`` and
-    ``page-torn``, where the interesting state is the half-written
-    bytes, not the missing write.
-    """
+    """Whether a torn-write point is armed: the caller writes half its
+    bytes, then raises :class:`InjectedCrash` itself."""
     return _armed(name)

@@ -1,9 +1,8 @@
 """Typed-value serialization for the on-disk storage engine.
 
-Every stored value is encoded self-describing — a one-byte tag followed
-by a tag-specific payload — so WAL records and page cells decode without
-consulting the table schema. The encoding round-trips every Python value
-minidb stores (see ``repro.minidb.types``) *exactly*:
+Every stored value is self-describing — a one-byte tag, then a payload —
+so WAL records and segment cells decode without the table schema. The
+encoding round-trips every value minidb stores *exactly*:
 
 =========  =============================================================
 tag        payload
@@ -17,10 +16,8 @@ FLOAT      8 bytes, big-endian IEEE-754 double (bit-exact, NaN included)
 STR        LEB128 byte length + UTF-8 (surrogatepass, so any str)
 =========  =============================================================
 
-Rows are a LEB128 column count followed by the encoded values. The
-format is deliberately byte-oriented and position-independent: a decoder
-is handed ``(buffer, offset)`` and returns ``(value, next_offset)``, so
-page cells and WAL payloads compose without copying.
+Rows are a LEB128 column count followed by the encoded values. A
+decoder takes ``(buffer, offset)`` and returns ``(value, next_offset)``.
 """
 
 from __future__ import annotations
@@ -35,9 +32,7 @@ __all__ = [
     "decode_value",
     "encode_row",
     "encode_value",
-    "encoded_length",
     "read_varint",
-    "varint_length",
     "write_varint",
 ]
 
@@ -139,22 +134,6 @@ def decode_value(buffer: bytes, offset: int) -> tuple[Any, int]:
             raise StorageError("truncated string payload")
         return buffer[offset:end].decode("utf-8", "surrogatepass"), end
     raise StorageError(f"unknown value tag {tag}")
-
-
-def encoded_length(value: Any) -> int:
-    """Byte length :func:`encode_value` would produce for *value*."""
-    scratch = bytearray()
-    encode_value(scratch, value)
-    return len(scratch)
-
-
-def varint_length(value: int) -> int:
-    """Byte length :func:`write_varint` would produce for *value*."""
-    length = 1
-    while value >= 0x80:
-        value >>= 7
-        length += 1
-    return length
 
 
 def encode_row(row: Sequence[Any]) -> bytes:

@@ -3,7 +3,8 @@
 A :class:`Table` owns a list of row tuples in insertion order plus any
 number of single-column :class:`SortedIndex` objects. Rows are validated
 and coerced against the schema at insert time so downstream operators
-never re-check types.
+never re-check types. A disk table is the same list; its storage logs
+every mutation to the WAL before the list changes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from repro.errors import CatalogError, SchemaError
 from repro.minidb.index import SortedIndex
 from repro.minidb.schema import TableSchema
-from repro.minidb.storage.heap import DiskRowStore
 from repro.minidb.types import coerce_value
 
 __all__ = ["Table", "TableVersion"]
@@ -94,15 +94,11 @@ class Table:
                  storage=None) -> None:
         self.name = name.lower()
         self.schema = schema
-        #: Disk-backed tables swap the row list for a page-backed view
-        #: with the same sequence interface; *storage* is the owning
-        #: :class:`~repro.minidb.storage.backend.DiskStorage` (or None).
+        #: The owning :class:`~repro.minidb.storage.backend.DiskStorage`
+        #: of a disk table (or None): every mutation is logged to it
+        #: before the row list changes.
         self.storage = storage
-        if storage is not None:
-            self.rows: list[tuple] | DiskRowStore = DiskRowStore(
-                storage, self.name)
-        else:
-            self.rows = []
+        self.rows: list[tuple] = []
         self.indexes: dict[str, SortedIndex] = {}
         self.schema_epoch = 0
         self.data_epoch = 0
@@ -197,25 +193,13 @@ class Table:
     def _detach_pinned(self) -> None:
         """Freeze live pinned versions before a position-breaking rewrite.
 
-        Memory mode retains the superseded row-list object itself (zero
-        copy — ``replace_rows`` swaps in a brand-new list, so the old one
-        is never mutated again). Disk mode must materialize rows out of
-        the heap pages before ``DiskRowStore.replace`` frees them; the
-        longest prefix is copied once and shared.
+        Retains the superseded row-list object itself (zero copy —
+        ``replace_rows`` swaps in a brand-new list, so the old one is
+        never mutated again).
         """
-        live = [version for version in self._pinned.values()
-                if version.frozen_rows is None]
-        if not live:
-            return
-        if isinstance(self.rows, DiskRowStore):
-            longest = max(version.row_count for version in live)
-            prefix = self.rows[0:longest]
-            for version in live:
-                version.frozen_rows = prefix
-        else:
-            rows = self.rows
-            for version in live:
-                version.frozen_rows = rows
+        for version in self._pinned.values():
+            if version.frozen_rows is None:
+                version.frozen_rows = self.rows
 
     def delta_since(self, data_epoch: int) -> list[tuple[int, int]] | None:
         """Row ranges appended after *data_epoch*, or None if unknowable.
@@ -238,6 +222,12 @@ class Table:
     # Storage hooks
     # ------------------------------------------------------------------
 
+    def _extend(self, rows: list[tuple]) -> None:
+        """Append coerced *rows*: one WAL transaction on a disk table."""
+        if self.storage is not None:
+            self.storage.log_append(self.name, rows)
+        self.rows.extend(rows)
+
     def _mutation_complete(self) -> None:
         """Tell disk storage a mutation fully applied (rows + indexes).
 
@@ -248,19 +238,12 @@ class Table:
         if self.storage is not None:
             self.storage.mutation_complete()
 
-    def release_storage(self) -> None:
-        """Free every page this table owns (called on DROP TABLE)."""
-        # Pinned snapshot readers survive the drop on frozen copies.
-        self._detach_pinned()
-        if isinstance(self.rows, DiskRowStore):
-            self.rows.free_all()
-
     def release_derived(self) -> None:
         """Drop the column cache and every index's entries.
 
-        Both are derived from the rows. Disk storage calls this when it
-        closes, so a shut-down database that something still references
-        holds no copy of its tables.
+        Both are derived from the rows. Disk storage calls this, and
+        empties the row list, when it closes: a shut-down database that
+        something still references holds no copy of its tables.
         """
         self._invalidate_columnar()
         for index in self.indexes.values():
@@ -285,7 +268,7 @@ class Table:
             values = [values.get(name) for name in self.schema.names]
         row = self._coerce_row(values)
         position = len(self.rows)
-        self.rows.append(row)
+        self._extend([row])
         self._log_append(position, 1)
         for index in self.indexes.values():
             key_position = self.schema.position_of(index.column)
@@ -306,7 +289,7 @@ class Table:
         if not fresh:
             return 0
         start = len(self.rows)
-        self.rows.extend(fresh)
+        self._extend(fresh)
         self._log_append(start, len(fresh))
         for index in self.indexes.values():
             key_position = self.schema.position_of(index.column)
@@ -325,8 +308,7 @@ class Table:
         fresh = [coerce(values) for values in rows]
         start = len(self.rows)
         if fresh:
-            # One extend call = one WAL transaction on a disk table.
-            self.rows.extend(fresh)
+            self._extend(fresh)
             self._log_append(start, len(fresh))
         self.rebuild_indexes(self.indexes.values())
         self._mutation_complete()
@@ -356,10 +338,9 @@ class Table:
         # Rewrites break position stability; pinned snapshot versions
         # must be frozen onto copies before the store is touched.
         self._detach_pinned()
-        if isinstance(self.rows, DiskRowStore):
-            self.rows.replace(new_rows)
-        else:
-            self.rows = new_rows
+        if self.storage is not None:
+            self.storage.log_replace(self.name, new_rows)
+        self.rows = new_rows
         self._rebase_deltas()
         self._invalidate_columnar()
         self.rebuild_indexes(self.indexes.values())
@@ -387,20 +368,16 @@ class Table:
         return index
 
     def rebuild_indexes(self, indexes: Iterable[SortedIndex]) -> None:
-        """Build *indexes* from the rows, reading the rows once.
+        """Build *indexes* from the rows.
 
         Indexes are derived data in both storage modes: disk storage
         persists only each index's name and column, and rebuilds every
         index of a table this way when it attaches the table.
         """
-        indexes = list(indexes)
-        if not indexes:
-            return
-        rows = self.rows if isinstance(self.rows, list) else list(self.rows)
         for index in indexes:
             key_position = self.schema.position_of(index.column)
             index.build((row[key_position], position)
-                        for position, row in enumerate(rows))
+                        for position, row in enumerate(self.rows))
 
     def index_on(self, column: str) -> SortedIndex | None:
         """The first index whose key is *column*, or None."""

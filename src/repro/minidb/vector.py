@@ -76,18 +76,10 @@ def forced_batch_size(size: int) -> Iterator[None]:
             os.environ["REPRO_BATCH_SIZE"] = saved
 
 
+# 0 stub: only bench/ reads it; the [benchmark] PR deletes it
 def encode_stats() -> tuple[int, int, int]:
-    """``(0, 0, bytes_saved)``: stub kept for the frozen benchmark.
-
-    ``bench/statements.py`` is the only reader; the two zeros stand where
-    the counters of the deleted executor-side encoded columns
-    (DictColumn / RLEColumn served, decode_fallbacks) used to be. The
-    follow-up ``[benchmark]`` PR that drops ``exec.encoded_columns`` and
-    ``exec.decode_fallbacks`` deletes it.
-    """
-    from repro.minidb.storage.heap import bytes_saved
-
-    return (0, 0, bytes_saved())
+    """Always ``(0, 0, 0)``."""
+    return (0, 0, 0)
 
 
 def concat_columns(batches: "list[RowBatch]", width: int) -> "RowBatch":

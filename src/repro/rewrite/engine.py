@@ -41,7 +41,6 @@ from repro.minidb.plan.physical import PhysicalNode
 from repro.minidb.result import ResultSet
 from repro.minidb.sqlparse import parse_select
 from repro.minidb.sqlparse.ast import SelectStmt, TableName
-from repro.minidb.storage.heap import bytes_saved
 from repro.minidb.vector import materialize
 from repro.rewrite.cache import CacheOptions, CleansingRegionCache, RegionEntry
 from repro.rewrite.context import QueryContext, extract_context
@@ -238,7 +237,6 @@ class DeferredCleansingEngine:
             self, query: str | SelectStmt,
             strategies: set[str] | None = None,
     ) -> tuple[ResultSet, ExecutionMetrics, RewriteResult]:
-        saved_before = bytes_saved()
         cache = self.region_cache
         patches = cache.patches if cache is not None else 0
         recleaned = cache.sequences_recleaned if cache is not None else 0
@@ -247,7 +245,6 @@ class DeferredCleansingEngine:
         plan = result.physical
         rows = materialize(plan)
         metrics = ExecutionMetrics.from_plan(plan)
-        metrics.bytes_saved = bytes_saved() - saved_before
         if cache is not None:
             metrics.cache_patches = cache.patches - patches
             metrics.sequences_recleaned = \

@@ -28,10 +28,6 @@ returning :class:`concurrent.futures.Future`):
     clients without any cross-process locking. This is the backend that
     actually scales QPS with cores: each worker is a separate
     interpreter, so query execution escapes the GIL.
-
-Disk storage always uses :class:`ThreadExecutor` in fully-exclusive
-mode (the buffer pool and pager are not thread-safe, and a forked
-worker cannot share a pager file descriptor safely).
 """
 
 from __future__ import annotations
@@ -67,9 +63,9 @@ def make_executor(database: Database, *,
                   pool_size: int = 4) -> "ThreadExecutor | ProcessExecutor":
     """The right backend for *database* and the configured worker count.
 
-    Process workers require memory storage (a forked pager would fight
-    the parent over the same file); disk databases silently fall back
-    to the thread executor, which runs them fully exclusive.
+    Process workers require memory storage (forked workers would share
+    the parent's write-ahead log); disk databases silently fall back to
+    the thread executor.
     """
     count = configured_serve_workers() if workers is None else workers
     if count >= 2 and database.storage is None:
@@ -109,9 +105,6 @@ class ThreadExecutor:
         #: plain dict), session setup, and cleansed-query execution.
         self._write_lock = threading.Lock()
         self._sessions: dict[str, _Session] = {}
-        #: Disk storage is single-threaded end to end, which forces
-        #: queries to run exclusive instead of snapshot-pinned.
-        self._exclusive_reads = database.storage is not None
 
     @property
     def workers(self) -> int:
@@ -172,9 +165,6 @@ class ThreadExecutor:
                 # patch region caches — a mutation, so fully exclusive.
                 with self._write_lock:
                     return _wire_result(session.engine.execute(sql))
-            if self._exclusive_reads:
-                with self._write_lock:
-                    return _wire_result(self.database.execute(sql))
             with self._write_lock:
                 snapshot = self.database.snapshot(
                     plan_cache=session.plan_cache)

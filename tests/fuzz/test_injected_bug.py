@@ -6,7 +6,7 @@ is switched on via ``REPRO_FUZZ_INJECT_BUG``; the fuzzer must catch it
 within a bounded deterministic campaign, shrink the case to the
 acceptance bound (<=10 rows / 1 rule / <=1 conjunct), and write a
 regression file that passes once the fault is switched off again. The
-``storage`` and ``window`` drills do the same for a page-decode fault
+``storage`` and ``window`` drills do the same for a segment-decode fault
 and for a frame-bound off-by-one in the window kernels.
 """
 
@@ -69,8 +69,8 @@ def test_injected_bug_is_caught_and_shrunk(injected_fault, tmp_path,
 
 
 #: Seed 3 surfaces the storage decode fault at iteration 0: any case
-#: with at least one read row decodes a heap page after the disk
-#: label's reopen, and the perturbed trailing row diverges the bag.
+#: with at least one read row decodes a segment after the disk label's
+#: reopen, and the perturbed trailing row diverges the bag.
 STORAGE_SEED = 3
 STORAGE_ITERATIONS = 15
 
@@ -78,13 +78,13 @@ STORAGE_ITERATIONS = 15
 def test_storage_fault_is_caught_and_shrunk(tmp_path,
                                             monkeypatch) -> None:
     """``REPRO_FUZZ_INJECT_BUG=storage`` perturbs the last row of every
-    heap page on decode — corruption below the buffer pool that only
-    manifests once a page is re-read from disk. Only the ``disk`` label
-    runs that path, so it alone must catch it, and the shrunk case must
-    become a runnable regression."""
+    segment on decode — corruption that only manifests once rows are
+    re-read from disk. Only the ``disk`` label runs that path, so it
+    alone must catch it, and the shrunk case must become a runnable
+    regression."""
     monkeypatch.setenv(FAULT_ENV, "storage")
     # Pin the ambient backend to memory: under a disk-mode CI leg every
-    # label would otherwise decode corrupted pages, including the
+    # label would otherwise decode corrupted segments, including the
     # baseline, and the diff would no longer isolate the storage path.
     monkeypatch.setenv("REPRO_STORAGE", "memory")
     outcome = run_fuzz(FuzzConfig(seed=STORAGE_SEED,
@@ -95,7 +95,7 @@ def test_storage_fault_is_caught_and_shrunk(tmp_path,
         f"{STORAGE_ITERATIONS} iterations at seed {STORAGE_SEED}")
     failure = outcome.failures[0]
 
-    # The decode fault lives below the buffer pool; every in-memory
+    # The decode fault lives in the storage layer; every in-memory
     # label must have stayed clean.
     assert failure.report.diverged_labels() == {"disk"}
 

@@ -1,13 +1,6 @@
-"""Disk-path tests: sequential scans, commit durability, checkpoint
-compaction, reading directories written by older versions, and the
-storage stat CLI.
-
-Every scan measurement runs on a freshly reopened database with a small
-pool whose statistics were gathered first, so the measured query's page
-traffic is its own: a sequential scan builds the table's columnar cache
-from cold, one pass over the heap pages (once built, that cache and a
-large pool would both hide page reads entirely).
-"""
+"""Disk-path tests: scans over reopened tables, commit durability,
+checkpoint segments and image rewrites, reading directories written in
+the older page format, and the storage stat CLI."""
 
 from __future__ import annotations
 
@@ -23,7 +16,13 @@ from repro.minidb.engine import Database
 from repro.minidb.index import IndexRange
 from repro.minidb.schema import TableSchema
 from repro.minidb.storage.__main__ import main as storage_main, stat
-from repro.minidb.storage.page import KIND_HEAP, KIND_HEAP_DICT, decode_page
+from repro.minidb.storage.backend import MAX_SEGMENTS
+from repro.minidb.storage.legacy import (
+    KIND_HEAP,
+    KIND_HEAP_DICT,
+    decode_page,
+)
+from repro.minidb.storage.segment import read_generation
 from repro.minidb.types import SqlType
 
 SCHEMA = TableSchema.of(
@@ -31,16 +30,19 @@ SCHEMA = TableSchema.of(
     ("loc", SqlType.INTEGER), ("v", SqlType.DOUBLE))
 
 
-#: id-sorted rows: heap pages get disjoint id ranges.
+#: id-sorted rows.
 def _rows(count: int, start: int = 0) -> list[tuple]:
     return [(i, f"epc{i % 13}", i % 7, i * 0.5)
             for i in range(start, start + count)]
 
 
 def _open(path, **kwargs) -> Database:
-    kwargs.setdefault("buffer_pages", 8)
-    kwargs.setdefault("page_size", 512)
     return Database(storage="disk", storage_path=str(path), **kwargs)
+
+
+def _manifest(path) -> dict:
+    return json.loads((Path(path) / "MANIFEST.json").read_text(
+        encoding="utf-8"))
 
 
 def _assert_index_matches_memory(db: Database, rows: list[tuple],
@@ -56,31 +58,19 @@ def _assert_index_matches_memory(db: Database, rows: list[tuple],
             == list(mirror.table("reads").index_on(column).scan(everything))
 
 
-def _measured_scan(path, sql: str) -> tuple[list, int]:
-    """(rows, pages_read) for *sql* on a reopened db."""
+def _reopened_rows(path, sql: str) -> list:
+    """*sql*'s rows on a freshly reopened database."""
     with _open(path) as db:
-        # Warm the statistics (which scan everything) before measuring,
-        # so the measured delta is the target query's own page traffic.
-        db.analyze()
-        result, metrics = db.execute_with_metrics(sql)
-        return result.rows, metrics.pages_read
+        return db.execute(sql).rows
 
 
 class TestSequentialScan:
     SQL = "SELECT epc, v FROM reads WHERE id >= 900 AND id < 1000"
 
-    def _build(self, path) -> int:
+    def _build(self, path) -> None:
         with _open(path) as db:
             db.create_table("reads", SCHEMA)
             db.load("reads", _rows(2000))
-            return len(db.table("reads").rows.page_ids)
-
-    def test_cold_scan_reads_every_heap_page_once(self, tmp_path):
-        path = tmp_path / "db"
-        heap_pages = self._build(path)
-        rows, pages_read = _measured_scan(path, self.SQL)
-        assert rows == [(row[1], row[3]) for row in _rows(2000)[900:1000]]
-        assert pages_read == heap_pages
 
     def test_range_scan_correct_under_append_deltas(self, tmp_path):
         path = tmp_path / "db"
@@ -88,7 +78,7 @@ class TestSequentialScan:
         with _open(path) as db:
             for ordinal in range(4):  # streaming ingest: delta appends
                 db.append("reads", _rows(120, 2000 + ordinal * 120))
-        rows, _ = _measured_scan(
+        rows = _reopened_rows(
             path, "SELECT id FROM reads WHERE id >= 2100 AND id < 2300")
         assert rows == [(i,) for i in range(2100, 2300)]
 
@@ -99,7 +89,7 @@ class TestSequentialScan:
             rows = _rows(2000)
             spliced = rows[:500] + _rows(300, 5000) + rows[1500:]
             db.table("reads").replace_rows(spliced, coerced=False)
-        rows, _ = _measured_scan(
+        rows = _reopened_rows(
             path, "SELECT id, epc FROM reads WHERE id >= 5000")
         assert rows == [(row[0], row[1]) for row in _rows(300, 5000)]
 
@@ -114,101 +104,6 @@ class TestSequentialScan:
             small = db.explain_analyze(self.SQL)
         assert small.text == default.text
 
-    def test_explain_analyze_storage_section_is_opt_in(self, tmp_path):
-        path = tmp_path / "db"
-        self._build(path)
-        with _open(path) as db:
-            plain = db.explain_analyze(self.SQL)
-            assert "Storage:" not in plain.text
-            detailed = db.explain_analyze(self.SQL, include_storage=True)
-            assert "Storage:" in detailed.text
-            assert "pages_read=" in detailed.text
-            assert "wal_bytes=0" in detailed.text  # read-only query
-
-
-class TestReadPathDoesNoWriteWork:
-    """Faulting a page in to read it must not re-serialize what is on
-    it: sizes come off the stored page, and the fill accounting a
-    writer needs is only rebuilt when the page is written to again."""
-
-    SCAN = "SELECT epc, v FROM reads WHERE id >= 900 AND id < 1000"
-    PROBE = "SELECT id, epc FROM reads WHERE v >= 100 AND v < 150"
-
-    def _build(self, path) -> int:
-        with _open(path, buffer_pages=64) as db:
-            db.create_table("reads", SCHEMA)
-            db.load("reads", _rows(2000))
-            db.create_index("reads", "v")
-            return len(db.table("reads").rows.page_ids)
-
-    @staticmethod
-    def _count_encoder_calls(monkeypatch) -> dict[str, int]:
-        """Wrap every binding of the value and row encoders."""
-        from repro.minidb.storage import heap, serde
-
-        calls: dict[str, int] = {}
-
-        def counting(name, function):
-            def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return function(*args, **kwargs)
-            return wrapper
-
-        for module in (serde, heap):
-            for name in ("encode_value", "encode_row"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(
-                        module, name,
-                        counting(name, getattr(module, name)))
-        return calls
-
-    def test_scans_encode_nothing(self, tmp_path, monkeypatch):
-        path = tmp_path / "db"
-        heap_pages = self._build(path)
-        with _open(path, buffer_pages=heap_pages // 4) as db:
-            db.analyze()  # warm stats; the scan below builds the columns
-            calls = self._count_encoder_calls(monkeypatch)
-            before = db.storage.counters
-            scan = db.explain_analyze(self.SCAN, include_storage=True)
-            probe = db.explain_analyze(self.PROBE, include_storage=True)
-            after = db.storage.counters
-            assert "SeqScan(reads)" in scan.text
-            assert "IndexRangeScan(reads.v" in probe.text
-            for text in (scan.text, probe.text):
-                assert "accounting_rebuilds=0" in text
-            # The scan builds the column cache from every heap page, the
-            # pool turning over under it; the probe reads that cache.
-            assert "pages_decoded=0" not in scan.text
-            assert "pages_decoded=0" in probe.text
-            decoded = after["pages_decoded"] - before["pages_decoded"]
-            assert decoded == after["pages_read"] - before["pages_read"]
-            assert decoded == heap_pages
-            assert after["accounting_rebuilds"] == 0
-            assert calls == {}, f"read path encoded: {calls}"
-
-    def test_decoded_node_has_no_fill_state_until_topped_up(
-            self, tmp_path):
-        path = tmp_path / "db"
-        heap_pages = self._build(path)
-        # A pool that holds the table: the tail stays resident between
-        # the two appends below.
-        with _open(path, buffer_pages=2 * heap_pages) as db:
-            store = db.table("reads").rows
-            storage = db.storage
-            for page_id in store.page_ids:
-                node = storage.pager.fetch(page_id)
-                assert node._cols is None and node._plain_bytes is None
-            assert storage.counters["accounting_rebuilds"] == 0
-            db.append("reads", _rows(3, 2000))
-            # Only the tail page was written to; one rebuild, not one
-            # per page (the append cloned it off the manifest's copy).
-            assert storage.counters["accounting_rebuilds"] == 1
-            tail = storage.pager.fetch(store.page_ids[-1])
-            assert tail._plain_bytes is not None
-            assert [row[0] for row in tail.rows[-3:]] == [2000, 2001, 2002]
-            db.append("reads", _rows(3, 2003))
-            assert storage.counters["accounting_rebuilds"] == 1
-
 
 class TestCommitDurability:
     def test_every_commit_fsyncs(self, tmp_path):
@@ -221,7 +116,55 @@ class TestCommitDurability:
             assert wal.syncs == wal.commits > 8
 
 
+class TestCheckpointSegments:
+    def test_append_to_four_indexes_writes_one_segment(self, tmp_path):
+        """Indexes own no bytes: after a checkpoint, a 32-row append to
+        a table with four indexes makes the next checkpoint append one
+        segment holding just those rows, and rewrite nothing."""
+        path = tmp_path / "db"
+        with _open(path) as db:
+            db.create_table("reads", SCHEMA)
+            db.load("reads", _rows(2000))
+            for column in SCHEMA.names:
+                db.create_index("reads", column)
+            db.checkpoint()
+            size = os.path.getsize(path / "data.pages")
+            before = db.storage.counters
+            db.append("reads", _rows(32, 2000))
+            db.checkpoint()
+            after = db.storage.counters
+            assert after["segments_written"] - \
+                before["segments_written"] == 1
+            assert after["compactions"] == before["compactions"]
+            grown = os.path.getsize(path / "data.pages") - size
+            assert 0 < grown < size // 20
+            assert len(_manifest(path)["tables"]["reads"]["segments"]) == 2
+        with _open(path) as db:
+            assert db.table("reads").rows == _rows(2032)
+            _assert_index_matches_memory(db, _rows(2032), "v")
+
+    def test_checkpoint_without_new_rows_writes_no_segment(self,
+                                                           tmp_path):
+        path = tmp_path / "db"
+        with _open(path) as db:
+            db.create_table("reads", SCHEMA)
+            db.load("reads", _rows(100))
+            db.checkpoint()
+            size = os.path.getsize(path / "data.pages")
+            written = db.storage.counters["segments_written"]
+            db.create_index("reads", "epc")
+            db.checkpoint()
+            assert db.storage.counters["segments_written"] == written
+            assert os.path.getsize(path / "data.pages") == size
+            assert "idx_reads_epc" in \
+                _manifest(path)["tables"]["reads"]["indexes"]
+
+
 class TestCompaction:
+    """Space comes back by rewriting the live image into a new file:
+    after a ``replace_rows``, a DROP, or once a table has
+    ``MAX_SEGMENTS`` segments."""
+
     def test_file_shrinks_after_bulk_replace(self, tmp_path):
         path = tmp_path / "db"
         data = str(path / "data.pages")
@@ -230,16 +173,16 @@ class TestCompaction:
             db.load("reads", _rows(2000))
             db.checkpoint()
             full_size = os.path.getsize(data)
+            generation = read_generation(data)
             db.table("reads").replace_rows(_rows(100), coerced=False)
-            db.checkpoint()  # retires the old pages, then frees them
-            db.checkpoint()  # relocates tail pages and truncates
+            db.checkpoint()
             shrunk = os.path.getsize(data)
             assert shrunk < full_size // 2, \
                 f"data.pages {full_size} -> {shrunk}"
-            assert db.storage.counters["compactions"] >= 1
-            assert db.storage.counters["pages_moved"] >= 1
+            assert read_generation(data) == generation + 1
+            assert db.storage.counters["compactions"] == 1
             assert list(db.table("reads").scan()) == _rows(100)
-        with _open(path) as db:  # relocation survives reopen
+        with _open(path) as db:  # the rewritten image survives reopen
             assert list(db.table("reads").scan()) == _rows(100)
 
     def test_compaction_remaps_indexes(self, tmp_path):
@@ -252,7 +195,6 @@ class TestCompaction:
             keep = [row for row in _rows(1500) if row[0] % 5 == 0]
             db.table("reads").replace_rows(keep, coerced=False)
             db.checkpoint()
-            db.checkpoint()
             _assert_index_matches_memory(db, keep)
             result = db.execute(
                 "SELECT COUNT(*) AS n FROM reads WHERE epc = 'epc5'")
@@ -262,101 +204,147 @@ class TestCompaction:
             _assert_index_matches_memory(db, keep)
             assert list(db.table("reads").scan()) == keep
 
+    def test_segment_limit_rewrites_the_image(self, tmp_path):
+        path = tmp_path / "db"
+        with _open(path) as db:
+            db.create_table("reads", SCHEMA)
+            for ordinal in range(MAX_SEGMENTS):
+                db.append("reads", _rows(10, ordinal * 10))
+                db.checkpoint()
+            segments = _manifest(path)["tables"]["reads"]["segments"]
+            assert len(segments) == MAX_SEGMENTS
+            assert db.storage.counters["compactions"] == 0
+            db.append("reads", _rows(10, MAX_SEGMENTS * 10))
+            db.checkpoint()
+            segments = _manifest(path)["tables"]["reads"]["segments"]
+            assert len(segments) == 1
+            assert db.storage.counters["compactions"] == 1
+        with _open(path) as db:
+            assert db.table("reads").rows == _rows(10 * MAX_SEGMENTS + 10)
+
+    def test_drop_reclaims_the_dropped_segments(self, tmp_path):
+        path = tmp_path / "db"
+        data = path / "data.pages"
+        with _open(path) as db:
+            db.create_table("reads", SCHEMA)
+            db.load("reads", _rows(100))
+            db.create_table("bulk", SCHEMA)
+            db.load("bulk", _rows(3000))
+            db.checkpoint()
+            full_size = os.path.getsize(data)
+            db.drop_table("bulk")
+            db.checkpoint()
+            assert os.path.getsize(data) < full_size // 10
+            assert set(_manifest(path)["tables"]) == {"reads"}
+        with _open(path) as db:
+            assert "bulk" not in db.catalog
+            assert db.table("reads").rows == _rows(100)
+
     @given(st.lists(st.tuples(st.sampled_from(["append", "replace",
-                                               "checkpoint"]),
+                                               "checkpoint", "reopen"]),
                               st.integers(1, 120)),
-                    min_size=1, max_size=8))
+                    min_size=1, max_size=12))
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_compaction_preserves_rows_and_invariants(
             self, tmp_path_factory, ops):
         path = tmp_path_factory.mktemp("compact") / "db"
+        db = _open(path)
+        db.create_table("reads", SCHEMA)
+        db.create_index("reads", "epc")
+        model: list[tuple] = []
+        serial = 0
+        for op, size in ops:
+            if op == "append":
+                batch = _rows(size, serial)
+                serial += size
+                db.append("reads", batch)
+                model.extend(batch)
+            elif op == "replace":
+                model = model[::2] + _rows(size % 30, serial)
+                serial += size % 30
+                db.table("reads").replace_rows(model, coerced=False)
+            elif op == "checkpoint":
+                db.checkpoint()
+            else:
+                db.shutdown()
+                db = _open(path)
+        db.checkpoint()
+        assert list(db.table("reads").scan()) == model
+        _assert_index_matches_memory(db, model)
+        storage = db.storage
+        # A quiesced checkpoint leaves exactly the committed image: no
+        # tail past it, no rewrite file beside it, and every byte in it
+        # a live segment of the one table.
+        assert os.path.getsize(storage.data_path) == storage.data_length
+        assert not os.path.exists(storage.data_path + ".tmp")
+        segments = _manifest(path)["tables"]["reads"]["segments"]
+        assert len(segments) <= MAX_SEGMENTS
+        assert "0 dead" in stat(str(path))
+        db.shutdown()
         with _open(path) as db:
-            db.create_table("reads", SCHEMA)
-            db.create_index("reads", "epc")
-            model: list[tuple] = []
-            serial = 0
-            for op, size in ops:
-                if op == "append":
-                    batch = _rows(size, serial)
-                    serial += size
-                    db.append("reads", batch)
-                    model.extend(batch)
-                elif op == "replace":
-                    model = model[::2] + _rows(size % 30, serial)
-                    serial += size % 30
-                    db.table("reads").replace_rows(model, coerced=False)
-                else:
-                    db.checkpoint()
-            db.checkpoint()
-            db.checkpoint()  # second pass moves freed tails
-            assert list(db.table("reads").scan()) == model
-            _assert_index_matches_memory(db, model)
-            storage = db.storage
-            # After two quiesced checkpoints the file has no free tail.
-            data_pages = os.path.getsize(
-                os.path.join(storage.path, "data.pages")) \
-                // storage.page_size
-            assert data_pages == storage.next_page_id
-            assert storage.next_page_id - 1 not in set(storage._free_now)
-        with _open(path) as db:
             assert list(db.table("reads").scan()) == model
 
 
-class TestAppendWritesOnlyHeapPages:
-    def test_append_to_four_indexes(self, tmp_path):
-        """Indexes own no pages: after a checkpoint, a 32-row append to a
-        table with four indexes and the next checkpoint write the tail
-        heap page (a copy-on-write clone) and at most one fresh one."""
-        with _open(tmp_path / "db", buffer_pages=64,
-                   page_size=4096) as db:
-            db.create_table("reads", SCHEMA)
-            db.load("reads", _rows(2000))
-            for column in SCHEMA.names:
-                db.create_index("reads", column)
-            db.checkpoint()
-            before = db.storage.counters["pages_written"]
-            db.append("reads", _rows(32, 2000))
-            db.checkpoint()
-            assert db.storage.counters["pages_written"] - before <= 2
-
-
-#: Written once by the last version that kept indexes as on-disk
-#: B-trees (commit 7ed9f0f): page size 512, ``reads`` created, indexed
-#: on ``epc``, then three 200-row appends of ``_rows`` with a checkpoint
-#: after each, so the B-tree's pages sit among and after the heap pages.
-PARENT_DIR = Path(__file__).parent / "data" / "btree_db"
-
-
-class TestParentWrittenDirectory:
-    """A manifest written by an older version can carry index specs with
-    the B-tree's ``root``/``count``/``seq``/``pages`` and a ``zones`` map
-    (``["h", ...]`` heap and ``["l", ...]`` leaf entries). Both are
-    ignored on open, the next checkpoint writes a manifest without them,
-    and the checkpoint after that has compacted the B-tree pages away."""
+class _ParentDirectory:
+    """Shared helpers for directories written in the older page format."""
 
     SQL = ("SELECT id, epc FROM reads WHERE id >= 100 AND epc = 'epc5' "
            "ORDER BY id")
+    SOURCE: Path
 
     @staticmethod
     def _expected(count: int) -> list[tuple]:
         return [(row[0], row[1]) for row in _rows(count)
                 if row[0] >= 100 and row[1] == "epc5"]
 
-    @staticmethod
-    def _copy(tmp_path) -> Path:
+    def _copy(self, tmp_path) -> Path:
         path = tmp_path / "db"
-        shutil.copytree(PARENT_DIR, path)
+        shutil.copytree(self.SOURCE, path)
         return path
 
     @staticmethod
-    def _manifest(path) -> dict:
-        return json.loads((path / "MANIFEST.json").read_text(
-            encoding="utf-8"))
+    def _page_kinds(path) -> set[int]:
+        manifest = _manifest(path)
+        page_size = manifest["page_size"]
+        image = (path / "data.pages").read_bytes()
+        return {decode_page(image[page * page_size:
+                                  (page + 1) * page_size])[0]
+                for page, _ in manifest["tables"]["reads"]["heap_pages"]}
+
+    @staticmethod
+    def _is_segment_format(path) -> bool:
+        return ("page_size" not in _manifest(path)
+                and read_generation(str(path / "data.pages")) is not None)
+
+
+#: Written once by the last version that kept indexes as on-disk
+#: B-trees (commit 7ed9f0f): page size 512, ``reads`` created, indexed
+#: on ``epc``, then three 200-row appends of ``_rows`` with a checkpoint
+#: after each, so the B-tree's pages sit among and after the heap pages.
+BTREE_DIR = Path(__file__).parent / "data" / "btree_db"
+
+#: Written once by the last version with the slotted-page heap (commit
+#: 69a953d): page size 512, ``reads`` created and indexed on ``epc``,
+#: 300 ``_rows`` loaded with ``encode=False`` (row-major pages) and a
+#: shutdown, then a reopen with ``encode=True``, 300 more appended
+#: (dictionary pages) and a checkpoint, then 100 and 50 more appended
+#: and the process abandoned: a committed WAL tail of 150 rows.
+PAGES_DIR = Path(__file__).parent / "data" / "pages_db"
+
+
+class TestParentWrittenDirectory(_ParentDirectory):
+    """A manifest written by an older version can carry index specs with
+    the B-tree's ``root``/``count``/``seq``/``pages`` and a ``zones`` map
+    (``["h", ...]`` heap and ``["l", ...]`` leaf entries). Both are
+    ignored on open, and the first checkpoint rewrites the directory as
+    column segments with a manifest that has neither."""
+
+    SOURCE = BTREE_DIR
 
     def test_opens_and_answers_like_memory(self, tmp_path):
         path = self._copy(tmp_path)
-        [spec] = self._manifest(path)["tables"]["reads"]["indexes"].values()
+        [spec] = _manifest(path)["tables"]["reads"]["indexes"].values()
         assert {"root", "count", "seq", "pages"} <= spec.keys()
         with _open(path) as db:
             assert db.execute(self.SQL).rows == self._expected(600)
@@ -371,33 +359,18 @@ class TestParentWrittenDirectory:
     def test_next_checkpoint_drops_the_btree_fields(self, tmp_path):
         path = self._copy(tmp_path)
         with _open(path) as db:
+            assert not self._is_segment_format(path)  # opening writes nothing
             db.checkpoint()
-            entry = self._manifest(path)["tables"]["reads"]
+            assert self._is_segment_format(path)
+            entry = _manifest(path)["tables"]["reads"]
             assert entry["indexes"] == {"idx_reads_epc": {"column": "epc"}}
-
-    def test_second_checkpoint_leaves_heap_pages_only(self, tmp_path):
-        path = self._copy(tmp_path)
-        data = path / "data.pages"
         with _open(path) as db:
-            heap_pages = len(db.table("reads").rows.page_ids)
-            db.checkpoint()
-            # The trailing B-tree pages are trimmed at once; those among
-            # the heap pages are free holes until the next pass moves
-            # heap pages into them.
-            assert os.path.getsize(data) // 512 > heap_pages
-            db.checkpoint()
-            assert os.path.getsize(data) // 512 == heap_pages
-            assert sorted(db.table("reads").rows.page_ids) == \
-                list(range(heap_pages))
             assert list(db.table("reads").scan()) == _rows(600)
-        image = data.read_bytes()
-        kinds = {decode_page(image[start:start + 512])[0]
-                 for start in range(0, len(image), 512)}
-        assert kinds <= {KIND_HEAP, KIND_HEAP_DICT}
+            assert db.execute(self.SQL).rows == self._expected(600)
 
     def test_zones_in_manifest_are_ignored_then_dropped(self, tmp_path):
         path = self._copy(tmp_path)
-        manifest = self._manifest(path)
+        manifest = _manifest(path)
         entry = manifest["tables"]["reads"]
         # Bounds that would rule out every row if anything read them.
         zones = {str(page_id): ["h", count, [[-2, -1, 0]] * len(SCHEMA)]
@@ -414,42 +387,102 @@ class TestParentWrittenDirectory:
             db.append("reads", _rows(100, 600))
             assert db.execute(self.SQL).rows == self._expected(700)
             db.checkpoint()
-            assert "zones" not in self._manifest(path)
+            assert "zones" not in _manifest(path)
             assert list(db.table("reads").scan()) == _rows(700)
         with _open(path) as db:
             assert db.execute(self.SQL).rows == self._expected(700)
 
 
+class TestPageFormatDirectory(_ParentDirectory):
+    """The fixture holds both page layouts, an index and a WAL tail.
+    Opening it replays the tail, and the checkpoint that folds the
+    replay in is its first: that one rewrites it as segments."""
+
+    SOURCE = PAGES_DIR
+
+    def test_fixture_holds_both_layouts_and_a_wal_tail(self, tmp_path):
+        path = self._copy(tmp_path)
+        assert self._page_kinds(path) == {KIND_HEAP, KIND_HEAP_DICT}
+        assert os.path.getsize(path / "wal.log") > 0
+        assert "page format of an older version" in stat(str(path))
+
+    def test_opens_and_answers_like_memory(self, tmp_path):
+        path = self._copy(tmp_path)
+        with _open(path) as db:
+            assert db.storage.checkpoints == 1  # the replay fold
+            assert self._is_segment_format(path)
+            assert os.path.getsize(path / "wal.log") == 0
+            assert db.table("reads").rows == _rows(750)
+            assert db.execute(self.SQL).rows == self._expected(750)
+            _assert_index_matches_memory(db, _rows(750))
+            db.append("reads", _rows(50, 750))
+        with _open(path) as db:
+            assert db.storage.checkpoints == 0
+            assert db.table("reads").rows == _rows(800)
+            _assert_index_matches_memory(db, _rows(800))
+
+    def test_without_the_tail_it_migrates_at_its_first_checkpoint(
+            self, tmp_path):
+        path = self._copy(tmp_path)
+        (path / "wal.log").write_bytes(b"")
+        with _open(path) as db:
+            assert db.table("reads").rows == _rows(600)
+            _assert_index_matches_memory(db, _rows(600))
+            assert not self._is_segment_format(path)
+        # shutdown checkpointed: now, and only now, it is segments
+        assert self._is_segment_format(path)
+        with _open(path) as db:
+            assert db.table("reads").rows == _rows(600)
+
+
 class TestStatCli:
-    def test_stat_reports_pages(self, tmp_path, capsys):
+    def test_stat_reports_segments(self, tmp_path, capsys):
         path = tmp_path / "db"
         with _open(path) as db:
             db.create_table("reads", SCHEMA)
             db.load("reads", _rows(500))
             db.create_index("reads", "epc")
+            db.checkpoint()
+            db.append("reads", _rows(20, 500))
         report = stat(str(path))
         assert "checkpoint epoch:" in report
-        assert "table reads: 500 rows" in report
+        assert "image generation: 0" in report
+        assert "table reads: 520 rows, 2 segments" in report
         assert "indexes on epc" in report
-        assert "B-tree" not in report
-        assert "free list:" in report
+        assert " 0 dead" in report
         assert storage_main(["stat", str(path)]) == 0
         assert "table reads" in capsys.readouterr().out
 
-    def test_stat_reports_btree_pages_awaiting_reclaim(self, tmp_path):
+    def test_stat_reports_a_page_format_directory(self, tmp_path):
         path = tmp_path / "db"
-        shutil.copytree(PARENT_DIR, path)
-        line = "table reads: 26 B-tree pages of an older version"
-        assert line in stat(str(path))
+        shutil.copytree(BTREE_DIR, path)
+        report = stat(str(path))
+        assert "table reads: 600 rows, 23 heap pages" in report
         with _open(path) as db:
             db.checkpoint()
-        assert line not in stat(str(path))
+        report = stat(str(path))
+        assert "table reads: 600 rows, 1 segments" in report
+        assert "image generation: 1" in report
 
-    def test_stat_skips_a_torn_heap_page(self, tmp_path):
+    def test_stat_counts_an_uncommitted_tail_as_dead(self, tmp_path):
         path = tmp_path / "db"
         with _open(path) as db:
             db.create_table("reads", SCHEMA)
             db.load("reads", _rows(500))
+        with open(path / "data.pages", "ab") as handle:
+            handle.write(bytes(123))
+        assert " 123 dead" in stat(str(path))
+        with _open(path) as db:  # open cuts the file back
+            assert db.table("reads").rows == _rows(500)
+        assert " 0 dead" in stat(str(path))
+
+    def test_stat_skips_a_torn_segment(self, tmp_path):
+        path = tmp_path / "db"
+        with _open(path) as db:
+            db.create_table("reads", SCHEMA)
+            db.load("reads", _rows(500))
+            db.checkpoint()
+            db.append("reads", _rows(100, 500))
 
         def stored_bytes(report: str) -> int:
             [line] = [text for text in report.splitlines()
@@ -457,17 +490,12 @@ class TestStatCli:
             return int(line.split()[3])
 
         whole = stat(str(path))
-        manifest = json.loads((path / "MANIFEST.json").read_text(
-            encoding="utf-8"))
-        page_size = manifest["page_size"]
-        page_id, _ = manifest["tables"]["reads"]["heap_pages"][0]
-        # Zero the page's second half, where its cells live: the CRC
-        # no longer matches, as after a torn write.
+        [offset, length], _ = _manifest(path)["tables"]["reads"]["segments"]
         with open(path / "data.pages", "r+b") as handle:
-            handle.seek(page_id * page_size + page_size // 2)
-            handle.write(bytes(page_size // 2))
+            handle.seek(offset + length // 2)
+            handle.write(bytes(8))
         torn = stat(str(path))
-        assert "table reads: 500 rows" in torn
+        assert "table reads: 100 rows, 2 segments" in torn
         assert 0 < stored_bytes(torn) < stored_bytes(whole)
 
     def test_stat_on_fresh_directory(self, tmp_path, capsys):
@@ -487,7 +515,7 @@ class TestContextManager:
             db.create_table("reads", SCHEMA)
             db.load("reads", _rows(50))
             storage = db.storage
-        assert storage.pager.closed  # shutdown ran: checkpointed + closed
+        assert storage.closed  # shutdown ran: checkpointed + closed
         assert os.path.getsize(str(path / "wal.log")) == 0
         with _open(path) as db:
             assert len(list(db.table("reads").scan())) == 50

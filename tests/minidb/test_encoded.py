@@ -1,20 +1,20 @@
 """One column representation in the executor, dictionaries on disk only.
 
-``REPRO_ENCODE`` / ``Database(encode=...)`` choose the heap-page layout
-of a disk database and nothing else. Coverage here:
+``REPRO_ENCODE`` / ``Database(encode=...)`` choose the layout of a disk
+database's segment columns and nothing else. Coverage here:
 
 - the parity matrix — batch size × storage: every batch size returns the
   reference evaluator's rows, and a disk database returns the memory
   database's rows AND EXPLAIN ANALYZE render byte for byte, whichever
-  layout its heap pages took;
+  layout its segment columns took;
 - the invariant that replaces the encode axis: every column of every
   batch any physical operator yields is a plain ``list``;
 - the append-patch ndv staying the outside-``[min, max]`` lower bound,
   patched in place (no re-analyze);
 - the ``storage stat`` CLI footprint report shape;
-- the per-storage ``encode`` override surviving a page's round trip
-  through disk (a re-read page is topped up under the storage's flag,
-  not the ambient knob's).
+- the per-storage ``encode`` override beating the ambient knob across
+  a reopen (segments appended after the reopen take the storage's
+  flag).
 """
 
 import json
@@ -25,7 +25,7 @@ import pytest
 from repro.fuzz import reference
 from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.storage.__main__ import stat
-from repro.minidb.storage.page import KIND_HEAP, KIND_HEAP_DICT, decode_page
+from repro.minidb.storage.segment import segment_shape
 from repro.minidb.vector import forced_batch_size
 
 READS_SCHEMA = TableSchema.of(
@@ -89,7 +89,7 @@ class TestEncodedParityMatrix:
 
     Rows never depend on the batch size; rows and the EXPLAIN ANALYZE
     render (operator labels and actual row counts) never depend on
-    where the table lives, nor on the layout its heap pages took.
+    where the table lives, nor on the layout its segment columns took.
     """
 
     @pytest.mark.parametrize("storage", ["memory", "disk"])
@@ -184,44 +184,43 @@ class TestStorageStatFootprint:
     def _footprint(self, lines):
         [line] = [text for text in lines
                   if text.startswith("table reads footprint:")]
-        # "table reads footprint: S bytes stored (D dict pages),
+        # "table reads footprint: S bytes stored (D dict columns),
         #  P bytes plain, ratio R"
         words = line.split()
-        stored, dict_pages = int(words[3]), int(words[6].lstrip("("))
+        stored, dict_columns = int(words[3]), int(words[6].lstrip("("))
         plain, ratio = int(words[9]), float(words[-1])
         assert "bytes stored" in line and "bytes plain" in line
-        assert "dict pages)" in line and "ratio" in line
-        return stored, plain, dict_pages, ratio
+        assert "dict columns)" in line and "ratio" in line
+        return stored, plain, dict_columns, ratio
 
     def test_encoded_directory_reports_compression(self, tmp_path):
         lines = self._stat_lines(tmp_path / "enc", encode=True)
-        stored, plain, dict_pages, ratio = self._footprint(lines)
-        assert dict_pages > 0
+        stored, plain, dict_columns, ratio = self._footprint(lines)
+        assert dict_columns > 0
         assert stored < plain
         assert ratio == round(stored / plain, 2)
 
     def test_plain_directory_reports_unity(self, tmp_path):
         lines = self._stat_lines(tmp_path / "plain", encode=False)
-        stored, plain, dict_pages, ratio = self._footprint(lines)
-        assert dict_pages == 0
+        stored, plain, dict_columns, ratio = self._footprint(lines)
+        assert dict_columns == 0
         assert stored == plain
         assert ratio == 1.0
 
 
 class TestStorageEncodeOverrideSurvivesReread:
     """``Database(storage="disk", encode=False)`` must keep writing
-    row-major pages after the pages it tops up came back from disk."""
+    plain columns in the segments it appends after a reopen."""
 
-    def _heap_page_kinds(self, path):
+    def _dict_columns(self, path):
         with open(path / "MANIFEST.json", encoding="utf-8") as handle:
             manifest = json.load(handle)
-        page_size = manifest["page_size"]
-        kinds = []
-        with open(path / "data.pages", "rb") as pages:
-            for page_id, _count in manifest["tables"]["reads"]["heap_pages"]:
-                pages.seek(page_id * page_size)
-                kinds.append(decode_page(pages.read(page_size))[0])
-        return kinds
+        counts = []
+        with open(path / "data.pages", "rb") as data:
+            for offset, length in manifest["tables"]["reads"]["segments"]:
+                data.seek(offset)
+                counts.append(segment_shape(data.read(length))[1])
+        return counts
 
     def _run(self, path, encode):
         rows = _reads_rows(100)
@@ -230,21 +229,23 @@ class TestStorageEncodeOverrideSurvivesReread:
         db.create_table("reads", READS_SCHEMA)
         db.load("reads", rows[:50])
         db.shutdown()
-        first = self._heap_page_kinds(path)
         db = Database(storage="disk", storage_path=str(path),
                       encode=encode)
-        db.append("reads", rows[50:])  # tops up the re-read tail page
+        db.append("reads", rows[50:])  # a second segment after reopen
         assert list(db.table("reads").scan()) == rows
         db.shutdown()
-        return first, self._heap_page_kinds(path)
+        return self._dict_columns(path)
 
-    @pytest.mark.parametrize("encode,knob,kind", [
-        (False, "1", KIND_HEAP),      # the knob says yes, the storage no
-        (True, "0", KIND_HEAP_DICT),  # and the other way round
+    @pytest.mark.parametrize("encode,knob", [
+        (False, "1"),  # the knob says yes, the storage no
+        (True, "0"),   # and the other way round
     ])
     def test_override_beats_knob_across_reopen(self, tmp_path, monkeypatch,
-                                               encode, knob, kind):
+                                               encode, knob):
         monkeypatch.setenv("REPRO_ENCODE", knob)
-        first, second = self._run(tmp_path / "db", encode)
-        assert set(first) == {kind}
-        assert set(second) == {kind}
+        counts = self._run(tmp_path / "db", encode)
+        assert len(counts) == 2
+        if encode:
+            assert all(count > 0 for count in counts)
+        else:
+            assert counts == [0, 0]

@@ -4,7 +4,7 @@ Every scenario follows the same protocol:
 
 1. Build a disk database, checkpoint it (``shutdown``), and reopen.
 2. Arm one fault point via ``REPRO_STORAGE_CRASH=<point>[:n]`` and apply
-   append batches until the simulated power cut
+   append batches, then a checkpoint, until the simulated power cut
    (:class:`InjectedCrash`) fires.
 3. Abandon the database exactly as the crash left the files
    (``simulate_crash`` — nothing is flushed or closed cleanly).
@@ -14,14 +14,18 @@ Every scenario follows the same protocol:
    identical to a memory-backend mirror fed the committed batches.
 
 Which side of the line the in-flight batch lands on is determined by
-the fault point: the WAL commit record is fsync'd *before* pages are
-touched, so a crash during page application (``page-torn``,
-``page-flush``) or after the commit record (``wal-after-commit``) must
-recover the batch, while a crash before the commit record
-(``wal-record-torn``, ``wal-before-commit``) must lose it.
+the fault point: the WAL commit record is fsync'd *before* the rows
+change in memory, so a crash after the commit record
+(``wal-after-commit``) must recover the batch, while a crash before it
+(``wal-record-torn``, ``wal-before-commit``) must lose it. The other
+points fire inside the checkpoint, after every batch committed: a torn
+segment append, crashes before and after the manifest, and the same on
+an image rewrite (forced by a ``replace_rows`` before the appends).
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -37,8 +41,6 @@ READS = TableSchema.of(
     ("loc", SqlType.INTEGER), ("v", SqlType.DOUBLE),
     ("ok", SqlType.BOOLEAN), ("rtime", SqlType.TIMESTAMP))
 
-#: 150 rows ≈ 14 pages at page_size=512 — comfortably above the 8-page
-#: pool, so every batch forces dirty evictions (page fault points fire).
 BATCH_ROWS = 150
 
 QUERY = ("SELECT epc, COUNT(*) AS n, SUM(loc) AS total, MIN(id) AS lo "
@@ -46,26 +48,31 @@ QUERY = ("SELECT epc, COUNT(*) AS n, SUM(loc) AS total, MIN(id) AS lo "
 
 #: Fault points where the in-flight batch's COMMIT record is already
 #: durable when the crash fires, so recovery must redo the batch.
-COMMITS_CURRENT = ("wal-after-commit", "page-torn", "page-flush")
+COMMITS_CURRENT = ("wal-after-commit",)
 
-#: (crash spec, append batch count) matrix. ``:n`` arms the n-th hit so
-#: later batches crash too; checkpoint points fire at the explicit
-#: checkpoint after all appends succeeded.
+#: (crash spec, append batch count, image rewrite) matrix. ``:n`` arms
+#: the n-th hit so later batches crash too; the other points fire at the
+#: explicit checkpoint after all appends succeeded, which rewrites the
+#: image when the scenario replaced the table's rows first.
 MATRIX = [
-    ("wal-record-torn", 1),
-    ("wal-record-torn:3", 3),
-    ("wal-before-commit", 1),
-    ("wal-before-commit:2", 3),
-    ("wal-after-commit", 1),
-    ("wal-after-commit:3", 3),
-    ("page-torn", 1),
-    ("page-torn:9", 3),
-    ("page-flush", 1),
-    ("page-flush:11", 3),
-    ("checkpoint-before-manifest", 1),
-    ("checkpoint-before-manifest", 3),
-    ("checkpoint-after-manifest", 1),
-    ("checkpoint-after-manifest", 3),
+    ("wal-record-torn", 1, False),
+    ("wal-record-torn:3", 3, False),
+    ("wal-before-commit", 1, False),
+    ("wal-before-commit:2", 3, False),
+    ("wal-after-commit", 1, False),
+    ("wal-after-commit:3", 3, False),
+    ("segment-torn", 1, False),
+    ("segment-torn", 3, False),
+    ("segment-torn", 3, True),
+    ("checkpoint-before-manifest", 1, False),
+    ("checkpoint-before-manifest", 3, False),
+    ("rewrite-before-manifest", 1, True),
+    ("rewrite-before-manifest", 3, True),
+    ("rewrite-after-manifest", 1, True),
+    ("rewrite-after-manifest", 3, True),
+    ("checkpoint-after-manifest", 1, False),
+    ("checkpoint-after-manifest", 3, False),
+    ("checkpoint-after-manifest", 3, True),
 ]
 
 
@@ -77,8 +84,7 @@ def _batch(ordinal: int) -> list[tuple]:
 
 
 def _new(path: str) -> Database:
-    return Database(storage="disk", storage_path=path,
-                    buffer_pages=8, page_size=512)
+    return Database(storage="disk", storage_path=path)
 
 
 def _mirror(batches: list[list[tuple]]) -> Database:
@@ -112,9 +118,17 @@ def _assert_recovered_equals(recovered: Database,
         list(memory_index.scan(everything))
 
 
-@pytest.mark.parametrize("spec,batches", MATRIX)
+def test_matrix_covers_every_fault_point():
+    assert {spec.partition(":")[0] for spec, _, _ in MATRIX} == \
+        set(faults.ALL_POINTS)
+
+
+@pytest.mark.parametrize(
+    "spec,batches,rewrite", MATRIX,
+    ids=[f"{spec}-{batches}" + ("-rewrite" if rewrite else "")
+         for spec, batches, rewrite in MATRIX])
 def test_crash_recovers_last_committed_epoch(tmp_path, monkeypatch,
-                                             spec, batches):
+                                             spec, batches, rewrite):
     point = spec.partition(":")[0]
     assert point in faults.ALL_POINTS
     path = str(tmp_path / "db")
@@ -123,9 +137,12 @@ def test_crash_recovers_last_committed_epoch(tmp_path, monkeypatch,
     db.create_table("reads", READS)
     db.load("reads", initial)
     db.create_index("reads", "epc")
-    db.shutdown()  # checkpoint: the manifest now references every page
+    db.shutdown()  # checkpoint: the manifest now names a segment
 
     db = _new(path)
+    if rewrite:
+        initial = initial[::2]
+        db.table("reads").replace_rows(initial, coerced=False)
     monkeypatch.setenv(faults.CRASH_ENV, spec)
     applied: list[list[tuple]] = []
     attempted: list[tuple] | None = None
@@ -136,7 +153,7 @@ def test_crash_recovers_last_committed_epoch(tmp_path, monkeypatch,
             db.append("reads", attempted)
             applied.append(attempted)
             attempted = None
-        db.checkpoint()  # the checkpoint-* fault points fire here
+        db.checkpoint()  # the checkpoint-time fault points fire here
     except InjectedCrash as crash:
         crashed = crash
     assert crashed is not None, f"{spec} never fired"
@@ -152,35 +169,36 @@ def test_crash_recovers_last_committed_epoch(tmp_path, monkeypatch,
     recovered = _new(path)
     try:
         _assert_recovered_equals(recovered, committed)
+        # The recovered directory keeps working: one more batch, a
+        # checkpoint on top of whatever the crash left, and a reopen.
+        committed.append(_batch(batches + 1))
+        recovered.append("reads", committed[-1])
     finally:
         recovered.shutdown()
+    reopened = _new(path)
+    try:
+        _assert_recovered_equals(reopened, committed)
+    finally:
+        reopened.shutdown()
 
 
-def test_compaction_move_crash_recovers(tmp_path, monkeypatch):
-    """A crash mid-compaction must leave the old manifest + WAL intact.
-
-    Move targets come only from pages freed before the current manifest
-    was written, so the relocated copies land on pages neither the old
-    manifest nor WAL replay reads: recovery after ``compaction-move``
-    behaves exactly like one after ``checkpoint-before-manifest``.
-    """
+def test_drop_rewrite_crash_recovers(tmp_path, monkeypatch):
+    """Dropping a checkpointed table makes the next checkpoint rewrite
+    the image; a crash after that manifest, before the new file is
+    renamed in place, recovers by finishing the rename."""
     path = str(tmp_path / "db")
     initial = _batch(0)
     db = _new(path)
     db.create_table("reads", READS)
     db.load("reads", initial)
     db.create_index("reads", "epc")
+    db.create_table("scratch", TableSchema.of(("x", SqlType.INTEGER)))
+    db.load("scratch", [(1,), (2,)])
     db.shutdown()
 
     db = _new(path)
-    replacement = [row for row in initial if row[0] % 3 == 0]
-    db.table("reads").replace_rows(replacement, coerced=False)
-    db.checkpoint()  # retired pages become free: compaction candidates
-    # Small enough to leave free holes below the live tail pages, so
-    # the next checkpoint actually plans moves.
-    appended = _batch(1)[:20]
-    db.append("reads", appended)  # committed before the crash below
-    monkeypatch.setenv(faults.CRASH_ENV, "compaction-move")
+    db.drop_table("scratch")
+    monkeypatch.setenv(faults.CRASH_ENV, "rewrite-after-manifest")
     with pytest.raises(InjectedCrash):
         db.checkpoint()
     db.storage.simulate_crash()
@@ -189,9 +207,12 @@ def test_compaction_move_crash_recovers(tmp_path, monkeypatch):
     faults.reset()
     recovered = _new(path)
     try:
-        _assert_recovered_equals(recovered, [replacement + appended])
+        assert "scratch" not in recovered.catalog
+        _assert_recovered_equals(recovered, [initial])
     finally:
         recovered.shutdown()
+    assert sorted(os.listdir(path)) == ["MANIFEST.json", "data.pages",
+                                        "wal.log"]
 
 
 def test_ddl_and_drops_replay_from_wal(tmp_path, monkeypatch):

@@ -20,11 +20,11 @@ def test_shutdown_is_idempotent_disk(tmp_path):
     db.create_table("t", TableSchema.of(("k", SqlType.INTEGER)))
     db.load("t", [(1,), (2,)])
     db.shutdown()
-    db.shutdown()  # second close must not touch the dead pager
+    db.shutdown()  # second close must not touch the closed WAL
 
 
 def test_shutdown_releases_derived_data_disk(tmp_path):
-    """A shut-down disk database holds no column cache and no index
+    """A shut-down disk database holds no rows, column cache or index
     entries, however long something keeps the object alive."""
     db = Database(storage="disk", storage_path=str(tmp_path / "d"))
     db.create_table("t", TableSchema.of(("k", SqlType.INTEGER),
@@ -38,6 +38,7 @@ def test_shutdown_releases_derived_data_disk(tmp_path):
     assert table._columns is not None
     db.shutdown()
     assert table._columns is None
+    assert table.rows == []
     assert [len(index) for index in table.indexes.values()] == [0, 0]
 
 
@@ -66,20 +67,20 @@ def test_failed_init_leaves_shutdown_safe():
 
 def test_disk_storage_close_tolerates_partial_construction(monkeypatch,
                                                            tmp_path):
-    """If the pager constructor raises, close() still works."""
+    """If the WAL cannot be opened, close() still works."""
     import repro.minidb.storage.backend as backend
 
-    def broken_pager(*args, **kwargs):
-        raise RuntimeError("pager construction failed")
+    def broken_wal(*args, **kwargs):
+        raise RuntimeError("WAL construction failed")
 
-    monkeypatch.setattr(backend, "Pager", broken_pager)
+    monkeypatch.setattr(backend.walmod, "WriteAheadLog", broken_wal)
     with pytest.raises(RuntimeError):
         DiskStorage(path=str(tmp_path / "d"))
-    # A storage object frozen before its pager existed closes cleanly.
+    # A storage object frozen before its WAL existed closes cleanly.
     bare = DiskStorage.__new__(DiskStorage)
-    bare.pager = None
     bare.wal = None
     bare.catalog = None
     bare.dead = False
+    bare.closed = False
     bare.close()
     bare.checkpoint()

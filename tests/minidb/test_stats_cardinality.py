@@ -78,6 +78,34 @@ class TestTableStats:
         span = database.stats.get("s").span_fraction("epc", "rtime")
         assert span == pytest.approx(9 / 1909, rel=0.2)
 
+    def test_analyze_reads_the_rows_once(self, db):
+        """Every column and every (key, order) span pair comes from one
+        pass over the rows: the cold column cache's build."""
+        table = db.table("t")
+
+        class CountingRows(list):
+            passes = 0
+
+            def __iter__(self):
+                CountingRows.passes += 1
+                return super().__iter__()
+
+            def __getitem__(self, item):
+                CountingRows.passes += 1
+                return super().__getitem__(item)
+
+        expected = analyze_table(table)
+        table.rows = CountingRows(table.rows)
+        table._invalidate_columnar()
+        stats = analyze_table(table)
+        assert CountingRows.passes == 1
+        assert stats.span_fractions == expected.span_fractions
+        assert stats.span_fraction("g", "k") is not None
+        assert stats == expected
+        analyze_table(table)  # warm: the cache answers, no row is read
+        assert CountingRows.passes == 1
+
+
 
 class TestSelectivity:
     def estimator(self, db):

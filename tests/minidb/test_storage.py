@@ -1,4 +1,4 @@
-"""Storage engine unit + property tests: serde, pages, pool, heap.
+"""Storage engine unit + property tests: serde, column segments.
 
 Property tests use Hypothesis over the actual minidb value domain —
 NULL, booleans, arbitrary-precision integers (INTEGER / TIMESTAMP /
@@ -15,21 +15,16 @@ import random
 import struct
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StorageCorruptionError, StorageError
+from repro.errors import StorageCorruptionError
 from repro.minidb.engine import Database
 from repro.minidb.schema import TableSchema
-from repro.minidb.storage.backend import DiskStorage
-from repro.minidb.storage.heap import DiskRowStore
-from repro.minidb.storage.page import (
-    KIND_HEAP,
-    KIND_HEAP_DICT,
-    SLOT_SIZE,
-    cell_capacity,
-    decode_page,
-    encode_page,
+from repro.minidb.storage.segment import (
+    decode_segment,
+    encode_segment,
+    segment_shape,
 )
 from repro.minidb.storage.serde import (
     decode_row,
@@ -96,32 +91,62 @@ class TestSerde:
         assert not isinstance(decoded[1], bool)
 
 
-class TestPageCodec:
-    @given(st.lists(st.binary(max_size=40), max_size=20))
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip(self, cells):
-        page = encode_page(KIND_HEAP, cells, 2048)
-        assert len(page) == 2048
-        kind, decoded = decode_page(page)
-        assert kind == KIND_HEAP
-        assert decoded == cells
+class TestSegmentCodec:
+    rows = st.lists(st.tuples(sql_values, sql_values, sql_values),
+                    max_size=60)
 
-    def test_torn_page_detected(self):
-        page = encode_page(KIND_HEAP, [b"hello", b"world"], 512)
-        torn = page[:256] + bytes(256)
+    @staticmethod
+    def _same(got, want) -> bool:
+        if isinstance(want, float):
+            return isinstance(got, float) and _bits(got) == _bits(want)
+        return got == want and type(got) is type(want)
+
+    @given(rows, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, rows, encode):
+        decoded = decode_segment(encode_segment(rows, encode))
+        assert len(decoded) == len(rows)
+        for got_row, want_row in zip(decoded, rows):
+            assert all(self._same(got, want)
+                       for got, want in zip(got_row, want_row))
+
+    def test_low_cardinality_column_takes_the_dictionary(self):
+        rows = [(i, f"dock-{i % 3}") for i in range(200)]
+        encoded = encode_segment(rows, True)
+        plain = encode_segment(rows, False)
+        assert segment_shape(encoded) == (200, 1)
+        assert segment_shape(plain) == (200, 0)
+        assert len(encoded) < len(plain)
+        assert decode_segment(encoded) == decode_segment(plain) == rows
+
+    @pytest.mark.parametrize("ndv", [0x80, 0x81, 300])
+    def test_one_byte_and_varint_codes(self, ndv):
+        rows = [(f"v{i % ndv}",) for i in range(4 * ndv)]
+        encoded = encode_segment(rows, True)
+        assert segment_shape(encoded) == (len(rows), 1)
+        assert decode_segment(encoded) == rows
+
+    def test_dictionary_keeps_equal_values_of_other_types_apart(self):
+        rows = [(True,), (1,), (1.0,), (0.0,), (-0.0,)] * 40
+        decoded = decode_segment(encode_segment(rows, True))
+        assert [type(row[0]) for row in decoded] == \
+            [type(row[0]) for row in rows]
+        assert [_bits(row[0]) for row in decoded[3:5]] == \
+            [_bits(0.0), _bits(-0.0)]
+
+    def test_torn_segment_detected(self):
+        segment = encode_segment([(i, "x") for i in range(50)], True)
         with pytest.raises(StorageCorruptionError):
-            decode_page(torn)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(StorageError):
-            encode_page(KIND_HEAP, [bytes(600)], 512)
+            decode_segment(segment[:len(segment) // 2])
+        flipped = bytearray(segment)
+        flipped[-1] ^= 0xFF
+        with pytest.raises(StorageCorruptionError):
+            decode_segment(bytes(flipped))
 
 
 @pytest.fixture()
 def disk_db(tmp_path):
-    db = Database(storage="disk",
-                  storage_path=str(tmp_path / "db"),
-                  buffer_pages=8, page_size=512)
+    db = Database(storage="disk", storage_path=str(tmp_path / "db"))
     yield db
     db.shutdown()
 
@@ -135,192 +160,22 @@ def _load_reads(db, count, start=0):
     return rows
 
 
-class TestBufferPoolBound:
-    def test_peak_resident_never_exceeds_pool(self, disk_db):
-        """Scanning a table ~10x the pool size stays within the bound."""
-        rows = _load_reads(disk_db, 2000)
-        store = disk_db.table("reads").rows
-        assert isinstance(store, DiskRowStore)
-        pages = len(store.page_ids)
-        assert pages >= 10 * 8, f"only {pages} pages; grow the dataset"
-        pager = disk_db.storage.pager
-        for _ in range(3):
-            assert list(disk_db.table("reads").scan()) == rows
-        assert pager.peak_resident <= 8
-        assert pager.overflow_events == 0
-        assert pager.pages_read >= pages  # every page faulted at least once
-        assert pager.pages_evicted >= pager.pages_read - 8
-
-    def test_execution_metrics_expose_storage_counters(self, disk_db):
-        _load_reads(disk_db, 2000)
-        _, metrics = disk_db.execute_with_metrics(
-            "SELECT COUNT(*) AS n, SUM(loc) AS s FROM reads")
-        assert metrics.pages_read > 0
-        assert metrics.pages_evicted > 0
-        assert metrics.wal_bytes == 0  # read-only query writes no WAL
+class TestRowsAreAList:
+    def test_disk_table_rows_are_the_memory_list(self, disk_db):
+        rows = _load_reads(disk_db, 500)
+        table = disk_db.table("reads")
+        assert type(table.rows) is list and table.rows == rows
         before = disk_db.storage.counters["wal_bytes"]
         disk_db.append("reads", [(9_999, "epcx", 1, 0.5, True, 2)])
         assert disk_db.storage.counters["wal_bytes"] > before
-
-    def test_strided_and_negative_indexing(self, disk_db):
-        rows = _load_reads(disk_db, 500)
-        store = disk_db.table("reads").rows
-        assert store[::7] == rows[::7]  # cache.py samples with step slices
-        assert store[-1] == rows[-1]
-        assert store[37:245] == rows[37:245]
-        assert store[245:37] == []
-        with pytest.raises(IndexError):
-            store[len(rows)]
-
-
-class TestHeapProperties:
-    @given(st.lists(st.tuples(st.integers(), st.text(max_size=20),
-                              st.floats(allow_nan=False)),
-                    max_size=120))
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_store_is_list_equivalent(self, tmp_path_factory, rows):
-        storage = DiskStorage(path=str(tmp_path_factory.mktemp("heap")),
-                              page_size=256, buffer_pages=4, sync=False)
-        try:
-            store = DiskRowStore(storage, "t")
-            half = len(rows) // 2
-            store.extend(rows[:half])
-            store.extend(rows[half:])
-            assert list(store) == rows
-            assert store == rows
-            for i in range(0, len(rows), 7):
-                assert store[i] == rows[i]
-            store.replace(rows[::-1])
-            assert list(store) == rows[::-1]
-        finally:
-            storage.simulate_crash()
-
-
-class TestPlacementIdentity:
-    """Where rows land may depend on the rows, the batch boundaries and
-    the checkpoints — never on whether the pages they passed through
-    stayed resident. A decoded page knows only its
-    stored size; these properties pin that a writer continuing from it
-    makes exactly the choices a writer that never let go would."""
-
-    SCHEMA = TableSchema.of(
-        ("id", SqlType.INTEGER), ("tag", SqlType.VARCHAR),
-        ("loc", SqlType.INTEGER))
-    #: Low-cardinality tags, a narrow loc range and the occasional long
-    #: string: pages flip between the row-major and dictionary layouts.
-    rows = st.lists(
-        st.tuples(st.integers(-5, 400),
-                  st.one_of(st.sampled_from(["a", "b", "dock-7"]),
-                            st.text(max_size=24)),
-                  st.one_of(st.none(), st.integers(0, 6))),
-        min_size=1, max_size=160)
-
-    @staticmethod
-    def _batches(rows, cuts):
-        edges = sorted({min(cut, len(rows)) for cut in cuts} | {len(rows)})
-        return [rows[lo:hi] for lo, hi in zip([0] + edges, edges) if hi > lo]
-
-    def _play(self, path, batches, gaps, encodes, pool, eager=False):
-        """Append *batches*, separated by *gaps*; returns the live pages.
-
-        A gap is ``"checkpoint"``, ``"evict"`` (checkpoint, then churn
-        the pool with a full scan) or ``"reopen"`` (shutdown, open again
-        under the next flag of *encodes*). *eager* re-derives every heap
-        page's fill accounting right after a reopen — decoding as it
-        used to be, the reference for an encode flip.
-        """
-        encodes = iter(encodes)
-        kwargs = dict(storage="disk", storage_path=str(path),
-                      page_size=256, buffer_pages=pool)
-        db = Database(encode=next(encodes), **kwargs)
-        db.create_table("t", self.SCHEMA)
-        db.create_index("t", "loc")
-        for batch, gap in zip(batches, gaps + ["shutdown"]):
-            db.append("t", batch)
-            if gap == "shutdown":
-                break
-            if gap == "reopen":
-                db.shutdown()
-                db = Database(encode=next(encodes), **kwargs)
-                if eager:
-                    store = db.table("t").rows
-                    for page_id in store.page_ids:
-                        db.storage.pager.fetch(page_id).ensure_accounting()
-            else:
-                db.checkpoint()
-                if gap == "evict":
-                    assert len(list(db.table("t").scan())) > 0
-        table = db.table("t")
-        layout = table.rows.manifest_pages()
-        live = [page_id for page_id, _ in layout]
-        scanned = list(table.scan())
-        db.shutdown()
-        with open(path / "data.pages", "rb") as pages:
-            images = {}
-            for page_id in live:
-                pages.seek(page_id * 256)
-                images[page_id] = pages.read(256)
-        return layout, images, scanned
-
-    @given(rows, st.lists(st.integers(0, 160), max_size=3), st.booleans(),
-           st.lists(st.sampled_from(["evict", "reopen"]), min_size=3,
-                    max_size=3))
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_eviction_and_reopen_do_not_move_rows(
-            self, tmp_path_factory, rows, cuts, encode, gaps):
-        batches = self._batches(rows, cuts)
-        gaps = gaps[:len(batches) - 1]
-        root = tmp_path_factory.mktemp("placement")
-        resident = self._play(root / "resident", batches,
-                              ["checkpoint"] * len(gaps),
-                              [encode], pool=4096)
-        disturbed = self._play(root / "disturbed", batches, gaps,
-                               [encode] * len(batches), pool=4)
-        assert disturbed[2] == resident[2] == rows
-        assert disturbed[0] == resident[0]
-        assert disturbed[1] == resident[1]
-
-    @given(rows, st.integers(0, 160), st.booleans())
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_encode_flip_on_reopen_matches_eager_decode(
-            self, tmp_path_factory, rows, cut, first):
-        batches = self._batches(rows, [cut])
-        gaps = ["reopen"] * (len(batches) - 1)
-        root = tmp_path_factory.mktemp("flip")
-        flags = [first, not first]
-        eager = self._play(root / "eager", batches, gaps, flags,
-                           pool=4096, eager=True)
-        lazy = self._play(root / "lazy", batches, gaps, flags, pool=4)
-        assert lazy == eager
-
-    def test_full_row_major_tail_gains_room_when_encoding_turns_on(
-            self, tmp_path):
-        # Four of these rows fill a 256-byte page row-major to the last
-        # byte; dictionary-coded, each further copy costs three code
-        # bytes. Written with encoding off and topped up after a reopen
-        # with it on, the tail must take the rows the dictionary layout
-        # has room for — a node that trusted its stored (row-major) size
-        # would call the page full and start a new one.
-        row = (7, "x" * 50, 3)
-        assert 4 * (len(encode_row(row)) + SLOT_SIZE) == cell_capacity(256)
-        rows = [row] * 40
-        layout, images, scanned = self._play(
-            tmp_path, [rows[:4], rows[4:]], ["reopen"], [False, True],
-            pool=4)
-        assert scanned == rows
-        (page_id, count), *_ = layout
-        assert count > 4
-        assert decode_page(images[page_id])[0] == KIND_HEAP_DICT
+        assert len(table.rows) == 501
 
 
 class TestDictionaryLayoutShrinksDataFile:
     """The rent ``REPRO_ENCODE`` pays: a smaller ``data.pages``.
 
-    Deterministic — layout choices and page fills depend only on the
-    rows — so the bar is exact arithmetic, not a timing.
+    Deterministic — layout choices depend only on the rows — so the bar
+    is exact arithmetic, not a timing.
     """
 
     SCHEMA = TableSchema.of(
@@ -352,28 +207,12 @@ class TestDictionaryLayoutShrinksDataFile:
 class TestKnobs:
     def test_env_knobs_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORAGE", "disk")
-        monkeypatch.setenv("REPRO_BUFFER_PAGES", "5")
-        monkeypatch.setenv("REPRO_PAGE_SIZE", "1024")
         db = Database(storage_path=str(tmp_path / "db"))
         try:
             assert db.storage is not None
-            assert db.storage.pager.capacity == 5
-            assert db.storage.page_size == 1024
+            assert db.storage.path == str(tmp_path / "db")
         finally:
             db.shutdown()
-
-    def test_existing_manifest_pins_page_size(self, tmp_path):
-        path = str(tmp_path / "db")
-        db = Database(storage="disk", storage_path=path, page_size=512)
-        _load_reads(db, 20)
-        db.shutdown()
-        # Reopen with a different configured size: manifest wins.
-        db2 = Database(storage="disk", storage_path=path, page_size=4096)
-        try:
-            assert db2.storage.page_size == 512
-            assert len(db2.table("reads").rows) == 20
-        finally:
-            db2.shutdown()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

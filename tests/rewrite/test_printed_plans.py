@@ -3,12 +3,15 @@ through SQL text.
 
 Each candidate the rewrite engine costs, printed by ``plan_sql``,
 re-parsed and executed, must return the bag of rows of its own physical
-plan; below an ORDER BY, the chosen candidate must keep its row order.
-The statements and data are ``test_golden_plans``'s.
+plan; below an ORDER BY, the chosen candidate must keep its row order,
+under minidb and under ``sqlite3``. The statements and data are
+``test_golden_plans``'s.
 """
 
 from __future__ import annotations
 
+import re
+import sqlite3
 from collections import Counter
 
 import pytest
@@ -59,3 +62,29 @@ def test_printed_candidates_return_their_plans_rows(paper, name):
         assert Counter(got) == Counter(expected), candidate.label
         if ordered and candidate is result.chosen:
             assert got == expected, candidate.label
+
+
+def test_printed_order_by_is_the_outermost_clause(paper):
+    """The chosen ordered trace, printed, ends in its ``ORDER BY``, and
+    an engine this repo did not write returns its rows in that order."""
+    database, statements, engine_for = paper
+    rules, sql = statements[ORDERED]
+    plan = engine_for(rules).rewrite(sql).chosen.logical
+    text = plan_sql(plan)
+    assert re.search(r"\) _t\d+ ORDER BY _t\d+\.c0 DESC, _t\d+\.c1 ASC$",
+                     text), text[-200:]
+    connection = sqlite3.connect(":memory:")
+    try:
+        for table in database.catalog:
+            connection.execute(f"CREATE TABLE {table.name} "
+                               f"({', '.join(table.schema.names)})")
+            slots = ", ".join("?" * len(table.schema))
+            connection.executemany(
+                f"INSERT INTO {table.name} VALUES ({slots})", table.rows)
+        got = connection.execute(text).fetchall()
+    finally:
+        connection.close()
+    expected = database.execute(text).rows
+    assert len(got) > 1
+    assert Counter(got) == Counter(expected)
+    assert got == sorted(got, key=lambda row: (-row[0], row[1]))

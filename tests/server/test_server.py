@@ -9,6 +9,7 @@ label and the serving benchmark use.
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 
@@ -140,12 +141,7 @@ class TestRoundTrip:
                 assert reply["ok"] is False
                 assert reply["error"] == "bad_request"
 
-    def test_session_plan_cache_reuse(self, monkeypatch):
-        # The per-session snapshot path (and its plan cache) is only
-        # taken when the executor is not in exclusive-read mode, so pin
-        # the ambient storage knob rather than inherit the CI matrix
-        # (disk storage forces exclusive).
-        monkeypatch.setenv("REPRO_STORAGE", "memory")
+    def test_session_plan_cache_reuse(self):
         db = make_db()
         sql = "select biz_loc, count(*) as n from reads group by biz_loc"
         with serve_loopback(db) as handle:
@@ -217,6 +213,56 @@ class TestConcurrency:
             stop.set()
             thread.join(timeout=30)
         assert bad == []
+
+    def test_disk_reads_race_appends_and_checkpoints(self, tmp_path,
+                                                     monkeypatch):
+        """Disk reads run on snapshots outside the write lock, like
+        memory reads: four readers racing appends and the checkpoints a
+        tiny WAL limit forces never see a torn append, and the directory
+        reopens to every committed row."""
+        monkeypatch.setenv("REPRO_WAL_LIMIT", "1000")
+        path = str(tmp_path / "db")
+        db = Database(storage="disk", storage_path=path)
+        db.create_table("reads", READS)
+        db.load("reads", _rows(10))
+        stop = threading.Event()
+        bad: list[int] = []
+
+        def reader(handle) -> None:
+            with ServerClient(*handle.address) as client:
+                client.hello()
+                while not stop.is_set():
+                    count = client.query_with_retry(
+                        "select count(*) as n from reads").scalar()
+                    if (count - 10) % 7 != 0:  # appends land in 7s
+                        bad.append(count)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with serve_loopback(db) as handle:
+                threads = [threading.Thread(target=reader, args=(handle,))
+                           for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                with ServerClient(*handle.address) as client:
+                    client.hello()
+                    for batch in range(30):
+                        client.append_with_retry(
+                            "reads", _rows(7, start=100 + 10 * batch))
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert bad == []
+        assert db.storage.checkpoints > 3
+        db.shutdown()
+        with Database(storage="disk", storage_path=path) as reopened:
+            assert reopened.table("reads").rows == \
+                _rows(10) + [row for batch in range(30)
+                             for row in _rows(7, start=100 + 10 * batch)]
 
 
 class TestBackpressure:

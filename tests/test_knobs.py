@@ -13,8 +13,6 @@ from repro.minidb.storage.backend import (
     configured_checkpoint_bytes,
     encode_enabled,
 )
-from repro.minidb.storage.page import configured_page_size
-from repro.minidb.storage.pager import configured_buffer_pages
 from repro.minidb.vector import configured_batch_size
 from repro.server.executor import configured_serve_workers
 from repro.server.server import Server
@@ -39,7 +37,9 @@ def test_typo_warns_with_suggestion(fresh_latch, monkeypatch):
                                          ("REPRO_CODEGEN", "1"),
                                          ("REPRO_ZONE_PRUNE", "0"),
                                          ("REPRO_READAHEAD", "8"),
-                                         ("REPRO_GROUP_COMMIT", "8")])
+                                         ("REPRO_GROUP_COMMIT", "8"),
+                                         ("REPRO_BUFFER_PAGES", "64"),
+                                         ("REPRO_PAGE_SIZE", "512")])
 def test_removed_knob_warns(fresh_latch, monkeypatch, name, value):
     """A knob whose layer was deleted must not silently configure
     nothing."""
@@ -87,7 +87,7 @@ def test_registry_matches_readme():
               / "README.md").read_text(encoding="utf-8")
     missing = [name for name in knobs.KNOWN_KNOBS if name not in readme]
     assert not missing, f"knobs undocumented in README: {missing}"
-    assert len(knobs.KNOWN_KNOBS) == 12
+    assert len(knobs.KNOWN_KNOBS) == 10
 
 
 def _server_limits(field):
@@ -110,9 +110,7 @@ def _experiment_scale():
 INT_KNOBS = [
     ("REPRO_SCALE", _experiment_scale, 24, 1, None),
     ("REPRO_BATCH_SIZE", configured_batch_size, 1024, 1, None),
-    ("REPRO_PAGE_SIZE", configured_page_size, 4096, 128, None),
     ("REPRO_WAL_LIMIT", configured_checkpoint_bytes, 1 << 20, 1, None),
-    ("REPRO_BUFFER_PAGES", configured_buffer_pages, 256, 4, None),
     ("REPRO_SERVE_WORKERS", configured_serve_workers, 0, 0, None),
     ("REPRO_SERVE_INFLIGHT", _server_limits("max_inflight"), 8, 1, None),
     ("REPRO_SERVE_SESSION_DEPTH", _server_limits("session_depth"),
