@@ -75,6 +75,10 @@ class ExecutionMetrics:
     delta_epochs_applied: int = 0
     sequences_recleaned: int = 0
     cache_patches: int = 0
+    #: WAL bytes appended during the call that produced these metrics
+    #: (filled in by ``execute_with_metrics``; non-zero only in disk mode
+    #: and only if the call mutated tables).
+    wal_bytes: int = 0
     # 0 stub: only bench/statements.py reads it; the [benchmark] PR deletes it
     fused_pipelines: int = 0
     # 0 stub: only bench/statements.py reads it; the [benchmark] PR deletes it
@@ -404,12 +408,28 @@ class Database:
                          estimated_rows=plan.estimated_rows)
 
     def explain_analyze(self, query: str | SelectStmt | LogicalNode,
-                        options: PlannerOptions | None = None) -> Explained:
+                        options: PlannerOptions | None = None, *,
+                        include_storage: bool = False) -> Explained:
         """Execute *query* and return the plan annotated with actual row
-        counts (EXPLAIN ANALYZE)."""
+        counts (EXPLAIN ANALYZE).
+
+        With ``include_storage=True`` (and disk storage) the text gains
+        a trailing section with the storage-counter deltas this
+        execution caused — WAL bytes and commits, checkpoints and
+        segments written (0 for anything that only reads). Opt-in so the
+        default text stays byte-stable across storage modes.
+        """
+        before = (self.storage.counters
+                  if include_storage and self.storage is not None else None)
         plan = self.plan(query, options)
         materialize(plan)
         text = plan.explain(analyze=True)
+        if before is not None:
+            after = self.storage.counters
+            lines = [f"  {name}={after[name] - before[name]}"
+                     for name in ("wal_bytes", "wal_commits", "checkpoints",
+                                  "segments_written")]
+            text = "\n".join([text, "Storage:"] + lines)
         return Explained(plan=plan, text=text,
                          estimated_cost=plan.estimated_cost,
                          estimated_rows=plan.estimated_rows)
@@ -470,10 +490,14 @@ class Database:
         """Run *query* and also report per-operator work counters."""
         hits_before = self.plan_cache.hits
         misses_before = self.plan_cache.misses
+        wal_before = (self.storage.wal.bytes_written
+                      if self.storage is not None else 0)
         plan = self.plan(query, options)
         rows = materialize(plan)
         columns = [out.name for out in plan.schema]
         metrics = ExecutionMetrics.from_plan(plan)
         metrics.plan_cache_hits = self.plan_cache.hits - hits_before
         metrics.plan_cache_misses = self.plan_cache.misses - misses_before
+        if self.storage is not None:
+            metrics.wal_bytes = self.storage.wal.bytes_written - wal_before
         return (ResultSet(columns, rows), metrics)

@@ -97,9 +97,6 @@ def analyze_table(table: Table) -> TableStats:
     """
     columns = table.columnar()
     row_count = len(columns[0]) if columns else len(table)
-    # Bound every column by one count: a concurrent append may extend
-    # the shared column lists while they are read.
-    columns = [column[:row_count] for column in columns]
     stats = TableStats(row_count=row_count)
     for column, column_values in zip(table.schema, columns):
         values = [value for value in column_values if value is not None]

@@ -7,8 +7,10 @@ of what it reports. Per table: rows, segments, their *live* bytes, the
 indexed columns (rebuilt on open, they own no bytes), and the footprint
 — bytes stored versus the bytes the same segments take with every
 column plain, the effect of ``REPRO_ENCODE``. *Dead* bytes are the rest
-of the data file (an uncommitted tail), reclaimed by the next open. A
-segment that fails its checksum is skipped.
+of the data file: segments of dropped or replaced tables and segments
+merged into newer ones (a checkpoint rewrites the image once they
+outweigh the live bytes), plus any uncommitted tail, which the next open
+cuts off. A segment that fails its checksum is skipped.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def _size(path: str) -> int:
 
 def _table_lines(handle, name: str, entry: dict) -> list[str]:
     rows = stored = plain = dict_columns = 0
-    for offset, length in entry["segments"]:
+    for offset, length, _ in entry["segments"]:
         handle.seek(offset)
         data = handle.read(length)
         try:
@@ -81,7 +83,7 @@ def stat(directory: str) -> str:
     if read_generation(data_path) != manifest["generation"]:
         data_path += ".tmp"  # a rewritten image not yet renamed in place
     live = sum(length for _, entry in tables
-               for _, length in entry["segments"])
+               for _, length, _ in entry["segments"])
     dead = max(0, _size(data_path) - FILE_HEADER_SIZE - live)
     lines += [f"image generation: {manifest['generation']}",
               f"data.pages: {_size(data_path)} bytes, {live} live, "

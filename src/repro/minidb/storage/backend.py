@@ -9,11 +9,14 @@ One :class:`DiskStorage` owns a database directory::
 A disk table keeps its rows in a plain list, like a memory table; every
 mutation is in the WAL before the list changes. A checkpoint appends
 each table's new rows as one segment, fsyncs, replaces the manifest
-(per table its ``[offset, length]`` segments; the committed length,
-generation and epoch) and then truncates the WAL. After a
-``replace_rows``, a DROP, or at :data:`MAX_SEGMENTS` segments in a
-table, it rewrites the live image into the next generation instead:
-the only way space is reclaimed. On open, recovery finishes a rename
+(per table its ``[offset, length, rows]`` segments; the committed
+length, generation and epoch) and then truncates the WAL. Reclaim is
+per table: a ``replace_rows`` or DROP makes the table's segments dead
+(a replaced table gets a fresh base segment), and a new segment absorbs
+the table's trailing segments that hold no more rows than it does — or
+any past :data:`MAX_SEGMENTS` — so a row is re-encoded O(log n) times.
+Only once dead bytes exceed live ones does a checkpoint rewrite the
+live image into the next generation. On open, recovery finishes a rename
 the manifest already names, cuts ``data.pages`` to the committed
 length, decodes the segments, rebuilds indexes, and replays the WAL. A
 directory in the older page format opens through
@@ -56,7 +59,8 @@ __all__ = ["DEFAULT_CHECKPOINT_BYTES", "DiskStorage", "MAX_SEGMENTS",
 #: mutation that crossed it (``REPRO_WAL_LIMIT`` overrides).
 DEFAULT_CHECKPOINT_BYTES = 1 << 20
 
-#: Segments a table may have before a checkpoint rewrites the image.
+#: Segments a table may have: a checkpoint merges its newest ones
+#: into the segment it appends so the table keeps at most this many.
 MAX_SEGMENTS = 8
 
 #: Counter keys only ``bench/`` reads, always 0.
@@ -136,11 +140,11 @@ class DiskStorage:
         #: The image generation and committed length of ``data.pages``.
         self.generation = 0
         self.data_length = FILE_HEADER_SIZE
-        #: Per table: its ``[offset, length]`` segments, and how many of
-        #: its rows they hold.
+        #: Per table: its ``[offset, length, rows]`` segments, holding
+        #: its first ``sum(rows)`` rows.
         self._segments: dict[str, list[list[int]]] = {}
-        self._saved: dict[str, int] = {}
-        #: Set when the next checkpoint must rewrite the image.
+        #: Set when the next checkpoint must rewrite the image: the data
+        #: file is in the older page format.
         self._rewrite_due = False
         self.replaying = False
         self.checkpoints = 0
@@ -155,7 +159,7 @@ class DiskStorage:
         if self.replaying or self.dead:
             return
         self.epoch += 1
-        self.wal.commit(payload, self.epoch)
+        self.wal.commit([payload], self.epoch)
 
     def log_create_table(self, name: str, schema) -> None:
         self._commit(walmod.encode_create_table(
@@ -163,9 +167,7 @@ class DiskStorage:
                    for column in schema]))
 
     def log_drop_table(self, name: str) -> None:
-        self._saved.pop(name, None)
-        if self._segments.pop(name, None):
-            self._rewrite_due = True
+        self._segments.pop(name, None)  # dead bytes from here on
         self._commit(walmod.encode_drop_table(name))
 
     def log_create_index(self, table: str, column: str,
@@ -176,8 +178,9 @@ class DiskStorage:
         self._commit(walmod.encode_rows_op(walmod.OP_APPEND, table, rows))
 
     def log_replace(self, table: str, rows: list[tuple]) -> None:
-        if self._segments.get(table):
-            self._rewrite_due = True
+        # The old segments are dead; the next checkpoint writes a fresh
+        # base segment with every row.
+        self._segments.pop(table, None)
         self._commit(walmod.encode_rows_op(walmod.OP_REPLACE, table, rows))
 
     def mutation_complete(self) -> None:
@@ -190,43 +193,52 @@ class DiskStorage:
     # -- checkpoint -----------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Append each table's new rows as a segment — or, when due,
-        write every table's rows as a new image — then the manifest,
-        then truncate the WAL."""
+        """Append each table's new rows as a segment — first copying the
+        live segments into a new image once dead bytes exceed live ones
+        — then the manifest, then truncate the WAL."""
         if self.dead or self.closed or self.catalog is None:
             return
-        rewrite = self._rewrite_due or any(
-            len(self._segments.get(table.name, ())) >= MAX_SEGMENTS
-            and len(table.rows) > self._saved[table.name]
-            for table in self.catalog)
+        live = sum(span[1] for spans in self._segments.values()
+                   for span in spans)
+        dead = self.data_length - FILE_HEADER_SIZE - live
+        rewrite = self._rewrite_due or dead > live
         if rewrite:
             generation, target = self.generation + 1, self.data_path + ".tmp"
-            segments, saved = {}, {}
-            offset = FILE_HEADER_SIZE
         else:
             generation, target = self.generation, self.data_path
-            segments = {name: list(spans)
-                        for name, spans in self._segments.items()}
-            saved = dict(self._saved)
-            offset = self.data_length
+        segments = {name: [list(span) for span in spans]
+                    for name, spans in self._segments.items()}
+        offset = self.data_length
         fd = os.open(target, os.O_WRONLY | os.O_CREAT
                      | (os.O_TRUNC if rewrite else 0), 0o644)
         try:
             if rewrite:
                 os.pwrite(fd, file_header(generation), 0)
+                offset = FILE_HEADER_SIZE
+                with open(self.data_path, "rb") as image:
+                    for spans in segments.values():
+                        for span in spans:  # copied as they are
+                            image.seek(span[0])
+                            os.pwrite(fd, image.read(span[1]), offset)
+                            span[0] = offset
+                            offset += span[1]
             for table in self.catalog:
-                start = saved.get(table.name, 0)
-                saved[table.name] = len(table.rows)
+                spans = segments.setdefault(table.name, [])
+                start = sum(span[2] for span in spans)
                 if len(table.rows) <= start:
                     continue
+                # Absorb trailing segments no larger than the new one,
+                # and any past the cap: segment sizes stay geometric.
+                while spans and (spans[-1][2] <= len(table.rows) - start
+                                 or len(spans) >= MAX_SEGMENTS):
+                    start -= spans.pop()[2]
                 segment = encode_segment(table.rows[start:], self.encode)
                 if faults.torn_point("segment-torn"):
                     os.pwrite(fd, segment[:len(segment) // 2], offset)
                     raise faults.InjectedCrash("segment-torn")
                 os.pwrite(fd, segment, offset)
                 self.segments_written += 1
-                segments.setdefault(table.name, []).append(
-                    [offset, len(segment)])
+                spans.append([offset, len(segment), len(table.rows) - start])
                 offset += len(segment)
             if self.sync:
                 os.fsync(fd)
@@ -245,7 +257,7 @@ class DiskStorage:
             self._write_manifest(generation, offset, segments)
         faults.crash_point("checkpoint-after-manifest")
         self.wal.truncate()
-        self._segments, self._saved = segments, saved
+        self._segments = segments
         self.generation, self.data_length = generation, offset
         self._rewrite_due = False
         self.manifest_epoch = self.epoch
@@ -339,14 +351,13 @@ class DiskStorage:
             handle.truncate(self.data_length)
             for name, entry in manifest["tables"].items():
                 rows: list[tuple] = []
-                for offset, length in entry["segments"]:
+                for offset, length, _ in entry["segments"]:
                     handle.seek(offset)
                     rows.extend(decode_segment(handle.read(length),
                                                self._decode_fault))
                     self.segments_decoded += 1
                 tables[name] = rows
                 self._segments[name] = entry["segments"]
-                self._saved[name] = len(rows)
         return tables
 
     def _attach(self, name: str, entry: dict, rows: list[tuple]) -> None:

@@ -1,9 +1,13 @@
 """Crash fault injection for the storage engine.
 
-Setting ``REPRO_STORAGE_CRASH=<point>`` (or ``<point>:<n>`` to crash on
-the n-th hit) makes the storage layer raise :class:`InjectedCrash` the
-moment execution reaches that named point. Tests catch it, abandon the
-database without closing it, and reopen the files to exercise recovery.
+The crash-recovery test rig works by *killing writes at named fault
+points*: setting ``REPRO_STORAGE_CRASH=<point>`` (or ``<point>:<n>`` to
+crash on the n-th hit) makes the storage layer raise
+:class:`InjectedCrash` the moment execution reaches that point. The
+exception derives from ``BaseException`` so no ``except Exception``
+handler on the way out can accidentally "survive" the power cut; tests
+catch it explicitly, abandon the database object without closing it, and
+reopen the files to exercise recovery.
 
 Fault-point catalog (see DESIGN.md §11 for the protocol each interrupts):
 
@@ -24,8 +28,9 @@ Fault-point catalog (see DESIGN.md §11 for the protocol each interrupts):
                                 truncated — replay must be idempotent
 ==============================  ==========================================
 
-Hit counters live in module state; :func:`reset` clears them between
-scenarios.
+The hit counters live in module state so a single test can arm a point
+and step through successive hits deterministically; :func:`reset` clears
+them (the recovery-test fixture calls it around every case).
 """
 
 from __future__ import annotations
@@ -52,8 +57,12 @@ ALL_POINTS = (
 
 
 class InjectedCrash(BaseException):
-    """The simulated power cut: a ``BaseException``, so no ``except
-    Exception`` cleanup on the way out can survive it."""
+    """The simulated power cut.
+
+    A ``BaseException`` on purpose: generic ``except Exception`` cleanup
+    along the unwind path must not swallow it, exactly as a real crash
+    would not run that cleanup.
+    """
 
     def __init__(self, point: str) -> None:
         super().__init__(f"injected crash at storage fault point {point!r}")
@@ -87,6 +96,12 @@ def crash_point(name: str) -> None:
 
 
 def torn_point(name: str) -> bool:
-    """Whether a torn-write point is armed: the caller writes half its
-    bytes, then raises :class:`InjectedCrash` itself."""
+    """Whether a *torn-write* fault point is armed right now.
+
+    Unlike :func:`crash_point` this does not raise: the caller must
+    perform the partial write itself and then raise
+    :class:`InjectedCrash` — the pattern for ``wal-record-torn`` and
+    ``segment-torn``, where the interesting state is the half-written
+    bytes, not the missing write.
+    """
     return _armed(name)

@@ -134,7 +134,8 @@ def segment_shape(data: bytes) -> tuple[int, int]:
 
 
 def decode_cell(cell: bytes, layout: int, nrows: int) -> list[Any]:
-    """The *nrows* values of one column cell."""
+    """The *nrows* values of one column cell: exactly that many, or a
+    :class:`StorageError` (a short cell must not drop rows)."""
     at = 0
     if layout == _DICT:
         ndv, at = read_varint(cell, 0)
@@ -144,7 +145,10 @@ def decode_cell(cell: bytes, layout: int, nrows: int) -> list[Any]:
             values.append(value)
         if ndv <= 0x80:
             # Every code is one byte: the rest of the cell as it stands.
-            return [values[code] for code in cell[at:at + nrows]]
+            codes = cell[at:at + nrows]
+            if len(codes) != nrows:
+                raise StorageCorruptionError("truncated code vector")
+            return [values[code] for code in codes]
         out = []
         for _ in range(nrows):
             code, at = read_varint(cell, at)

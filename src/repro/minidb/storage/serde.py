@@ -1,8 +1,9 @@
 """Typed-value serialization for the on-disk storage engine.
 
-Every stored value is self-describing — a one-byte tag, then a payload —
-so WAL records and segment cells decode without the table schema. The
-encoding round-trips every value minidb stores *exactly*:
+Every stored value is encoded self-describing — a one-byte tag followed
+by a tag-specific payload — so WAL records and segment cells decode
+without consulting the table schema. The encoding round-trips every
+Python value minidb stores (see ``repro.minidb.types``) *exactly*:
 
 =========  =============================================================
 tag        payload
@@ -16,8 +17,10 @@ FLOAT      8 bytes, big-endian IEEE-754 double (bit-exact, NaN included)
 STR        LEB128 byte length + UTF-8 (surrogatepass, so any str)
 =========  =============================================================
 
-Rows are a LEB128 column count followed by the encoded values. A
-decoder takes ``(buffer, offset)`` and returns ``(value, next_offset)``.
+Rows are a LEB128 column count followed by the encoded values. The
+format is deliberately byte-oriented and position-independent: a decoder
+is handed ``(buffer, offset)`` and returns ``(value, next_offset)``, so
+segment cells and WAL payloads compose without copying.
 """
 
 from __future__ import annotations

@@ -1,15 +1,27 @@
 """The write-ahead log: logical redo records with commit markers.
 
-Each catalog/table mutation is one transaction, durable *before* the
-in-memory rows change: an op record (the logical operation and its
-rows, in :mod:`serde` encoding) and a COMMIT record carrying the epoch,
-then one ``fsync``. Each record is framed as ``u32 payload length | u32
-CRC-32(payload) | payload``, the payload's first byte naming the op.
-Recovery replays the transactions whose COMMIT record is intact and
-whose epoch is newer than the manifest's; a torn record or a missing
-COMMIT discards the tail, so a crash can only lose the uncommitted
-transaction. A checkpoint truncates the log once its manifest is
-durable.
+The WAL makes each catalog/table mutation atomic and durable *before*
+any row list changes. Records are logical (the operation and its rows),
+not physical images — combined with append-only segments this keeps
+recovery simple: the data file always holds the state of the last
+checkpoint, and replaying the committed WAL suffix on top of it
+reproduces the last committed epoch exactly.
+
+Framing, per record::
+
+    u32 payload length | u32 CRC-32(payload) | payload
+
+The payload's first byte is the operation kind; the rest uses the same
+varint/typed-value serde as segments. Each transaction is a run of op
+records terminated by a COMMIT record carrying the epoch; ``fsync``
+happens once per transaction, immediately after the COMMIT record
+(commit = durable). Recovery replays only transactions whose COMMIT
+record is intact (CRC-valid) and whose epoch is newer than the
+manifest's; a torn record or missing COMMIT discards the whole tail, so
+a crash mid-write can only lose the *uncommitted* transaction.
+
+Truncation happens at checkpoint, after the new manifest is durable:
+everything in the log is then reflected in the data file and can go.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import StorageError
 from repro.minidb.storage import faults
@@ -41,29 +53,28 @@ OP_COMMIT = 6
 _FRAME = struct.Struct(">II")
 
 
-class WalRecord(NamedTuple):
+class WalRecord:
     """One decoded logical operation."""
 
-    op: int
-    table: str = ""
-    rows: Sequence = ()
-    schema_pairs: Sequence = ()
-    column: str = ""
-    index_name: str | None = None
-    epoch: int = 0
+    __slots__ = ("op", "table", "rows", "schema_pairs", "column",
+                 "index_name", "epoch")
+
+    def __init__(self, op: int, table: str = "", rows: list | None = None,
+                 schema_pairs: list | None = None, column: str = "",
+                 index_name: str | None = None, epoch: int = 0) -> None:
+        self.op = op
+        self.table = table
+        self.rows = rows or []
+        self.schema_pairs = schema_pairs or []
+        self.column = column
+        self.index_name = index_name
+        self.epoch = epoch
 
 
-def _record(op: int, *texts: str) -> bytearray:
-    """An op byte followed by varint-length UTF-8 *texts*."""
-    return _put_texts(bytearray([op]), texts)
-
-
-def _put_texts(out: bytearray, texts) -> bytearray:
-    for text in texts:
-        data = text.encode("utf-8")
-        write_varint(out, len(data))
-        out.extend(data)
-    return out
+def _encode_str(out: bytearray, text: str) -> None:
+    data = text.encode("utf-8")
+    write_varint(out, len(data))
+    out.extend(data)
 
 
 def _decode_str(buffer: bytes, offset: int) -> tuple[str, int]:
@@ -74,23 +85,33 @@ def _decode_str(buffer: bytes, offset: int) -> tuple[str, int]:
 
 def encode_create_table(name: str,
                         schema_pairs: Sequence[tuple[str, str]]) -> bytes:
-    out = _record(OP_CREATE_TABLE, name)
+    out = bytearray([OP_CREATE_TABLE])
+    _encode_str(out, name)
     write_varint(out, len(schema_pairs))
-    return bytes(_put_texts(out, (text for pair in schema_pairs
-                                  for text in pair)))
+    for column, type_value in schema_pairs:
+        _encode_str(out, column)
+        _encode_str(out, type_value)
+    return bytes(out)
 
 
 def encode_drop_table(name: str) -> bytes:
-    return bytes(_record(OP_DROP_TABLE, name))
+    out = bytearray([OP_DROP_TABLE])
+    _encode_str(out, name)
+    return bytes(out)
 
 
 def encode_create_index(table: str, column: str, index_name: str) -> bytes:
-    return bytes(_record(OP_CREATE_INDEX, table, column, index_name))
+    out = bytearray([OP_CREATE_INDEX])
+    _encode_str(out, table)
+    _encode_str(out, column)
+    _encode_str(out, index_name)
+    return bytes(out)
 
 
 def encode_rows_op(op: int, table: str,
                    rows: Sequence[Sequence[Any]]) -> bytes:
-    out = _record(op, table)
+    out = bytearray([op])
+    _encode_str(out, table)
     write_varint(out, len(rows))
     for row in rows:
         cell = encode_row(row)
@@ -100,7 +121,7 @@ def encode_rows_op(op: int, table: str,
 
 
 def encode_commit(epoch: int) -> bytes:
-    out = _record(OP_COMMIT)
+    out = bytearray([OP_COMMIT])
     write_varint(out, epoch)
     return bytes(out)
 
@@ -184,9 +205,10 @@ class WriteAheadLog:
         self._offset += len(frame)
         self.bytes_written += len(frame)
 
-    def commit(self, payload: bytes, epoch: int) -> None:
-        """Append one op record + a COMMIT marker and make them durable."""
-        self._write_record(payload)
+    def commit(self, records: Sequence[bytes], epoch: int) -> None:
+        """Append *records* + a COMMIT marker and make them durable."""
+        for payload in records:
+            self._write_record(payload)
         faults.crash_point("wal-before-commit")
         self._write_record(encode_commit(epoch))
         self.commits += 1

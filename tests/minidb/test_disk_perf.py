@@ -22,7 +22,7 @@ from repro.minidb.storage.legacy import (
     KIND_HEAP_DICT,
     decode_page,
 )
-from repro.minidb.storage.segment import read_generation
+from repro.minidb.storage.segment import FILE_HEADER_SIZE, read_generation
 from repro.minidb.types import SqlType
 
 SCHEMA = TableSchema.of(
@@ -104,6 +104,17 @@ class TestSequentialScan:
             small = db.explain_analyze(self.SQL)
         assert small.text == default.text
 
+    def test_explain_analyze_storage_section_is_opt_in(self, tmp_path):
+        path = tmp_path / "db"
+        self._build(path)
+        with _open(path) as db:
+            plain = db.explain_analyze(self.SQL)
+            assert "Storage:" not in plain.text
+            detailed = db.explain_analyze(self.SQL, include_storage=True)
+            assert "Storage:" in detailed.text
+            assert "segments_written=0" in detailed.text
+            assert "wal_bytes=0" in detailed.text  # read-only query
+
 
 class TestCommitDurability:
     def test_every_commit_fsyncs(self, tmp_path):
@@ -161,9 +172,10 @@ class TestCheckpointSegments:
 
 
 class TestCompaction:
-    """Space comes back by rewriting the live image into a new file:
-    after a ``replace_rows``, a DROP, or once a table has
-    ``MAX_SEGMENTS`` segments."""
+    """Reclaim is per table: a replaced table gets a fresh base segment,
+    a dropped one's segments go dead, and a growing table's segments
+    merge geometrically. The image is rewritten into a new file only
+    once dead bytes exceed live ones."""
 
     def test_file_shrinks_after_bulk_replace(self, tmp_path):
         path = tmp_path / "db"
@@ -204,27 +216,83 @@ class TestCompaction:
             _assert_index_matches_memory(db, keep)
             assert list(db.table("reads").scan()) == keep
 
-    def test_segment_limit_rewrites_the_image(self, tmp_path):
+    def test_equal_batches_merge_like_a_binary_counter(self, tmp_path):
+        """Each checkpoint's segment absorbs the trailing ones no larger
+        than it, so after n equal batches the table has popcount(n)
+        segments and another table's segment is never rewritten."""
         path = tmp_path / "db"
+        with _open(path) as db:
+            db.create_table("static", SCHEMA)
+            db.load("static", _rows(3000))
+            db.create_table("reads", SCHEMA)
+            db.checkpoint()
+            [static] = _manifest(path)["tables"]["static"]["segments"]
+            for ordinal in range(1, 17):
+                db.append("reads", _rows(10, (ordinal - 1) * 10))
+                db.checkpoint()
+                tables = _manifest(path)["tables"]
+                counts = [rows for _, _, rows in tables["reads"]["segments"]]
+                assert len(counts) == bin(ordinal).count("1")
+                assert counts == sorted(counts, reverse=True)
+                assert tables["static"]["segments"] == [static]
+            assert db.storage.counters["compactions"] == 0
+        with _open(path) as db:
+            assert db.table("reads").rows == _rows(160)
+            assert db.table("static").rows == _rows(3000)
+
+    def test_segment_count_is_capped(self, tmp_path):
+        """Shrinking batches never absorb a larger segment; the cap
+        merges them anyway."""
+        path = tmp_path / "db"
+        serial = 0
         with _open(path) as db:
             db.create_table("reads", SCHEMA)
-            for ordinal in range(MAX_SEGMENTS):
-                db.append("reads", _rows(10, ordinal * 10))
+            for size in range(100, 100 - 3 * MAX_SEGMENTS, -1):
+                db.append("reads", _rows(size, serial))
+                serial += size
                 db.checkpoint()
-            segments = _manifest(path)["tables"]["reads"]["segments"]
-            assert len(segments) == MAX_SEGMENTS
-            assert db.storage.counters["compactions"] == 0
-            db.append("reads", _rows(10, MAX_SEGMENTS * 10))
-            db.checkpoint()
-            segments = _manifest(path)["tables"]["reads"]["segments"]
-            assert len(segments) == 1
-            assert db.storage.counters["compactions"] == 1
+                segments = _manifest(path)["tables"]["reads"]["segments"]
+                assert len(segments) <= MAX_SEGMENTS
         with _open(path) as db:
-            assert db.table("reads").rows == _rows(10 * MAX_SEGMENTS + 10)
+            assert db.table("reads").rows == _rows(serial)
+
+    def test_replace_gives_only_that_table_a_fresh_segment(self,
+                                                           tmp_path):
+        path = tmp_path / "db"
+        data = str(path / "data.pages")
+        with _open(path) as db:
+            db.create_table("static", SCHEMA)
+            db.load("static", _rows(3000))
+            db.create_table("reads", SCHEMA)
+            db.load("reads", _rows(200))
+            db.checkpoint()
+            static = _manifest(path)["tables"]["static"]["segments"]
+            generation = read_generation(data)
+            db.table("reads").replace_rows(_rows(50, 900), coerced=False)
+            db.checkpoint()
+            tables = _manifest(path)["tables"]
+            assert tables["static"]["segments"] == static
+            [[offset, _, rows]] = tables["reads"]["segments"]
+            assert rows == 50 and offset > static[0][0]
+            assert read_generation(data) == generation
+            assert db.storage.counters["compactions"] == 0
+        with _open(path) as db:
+            assert db.table("reads").rows == _rows(50, 900)
+            assert db.table("static").rows == _rows(3000)
 
     def test_drop_reclaims_the_dropped_segments(self, tmp_path):
+        """Dropping the table that holds most bytes rewrites the image;
+        the rewrite copies the live segments byte for byte."""
         path = tmp_path / "db"
         data = path / "data.pages"
+
+        def reads_segment() -> bytes:
+            [[offset, length, _]] = \
+                _manifest(path)["tables"]["reads"]["segments"]
+            with open(data, "rb") as handle:
+                handle.seek(offset)
+                return handle.read(length)
+
         with _open(path) as db:
             db.create_table("reads", SCHEMA)
             db.load("reads", _rows(100))
@@ -232,10 +300,13 @@ class TestCompaction:
             db.load("bulk", _rows(3000))
             db.checkpoint()
             full_size = os.path.getsize(data)
+            kept = reads_segment()
             db.drop_table("bulk")
             db.checkpoint()
+            assert db.storage.counters["compactions"] == 1
             assert os.path.getsize(data) < full_size // 10
             assert set(_manifest(path)["tables"]) == {"reads"}
+            assert reads_segment() == kept
         with _open(path) as db:
             assert "bulk" not in db.catalog
             assert db.table("reads").rows == _rows(100)
@@ -274,13 +345,17 @@ class TestCompaction:
         _assert_index_matches_memory(db, model)
         storage = db.storage
         # A quiesced checkpoint leaves exactly the committed image: no
-        # tail past it, no rewrite file beside it, and every byte in it
-        # a live segment of the one table.
+        # tail past it, no rewrite file beside it; and an idle one finds
+        # at most as many dead bytes as live ones, or rewrites the image.
+        db.checkpoint()
         assert os.path.getsize(storage.data_path) == storage.data_length
         assert not os.path.exists(storage.data_path + ".tmp")
         segments = _manifest(path)["tables"]["reads"]["segments"]
         assert len(segments) <= MAX_SEGMENTS
-        assert "0 dead" in stat(str(path))
+        live = sum(length for _, length, _ in segments)
+        dead = storage.data_length - FILE_HEADER_SIZE - live
+        assert 0 <= dead <= live
+        assert f"{live} live, {dead} dead" in stat(str(path))
         db.shutdown()
         with _open(path) as db:
             assert list(db.table("reads").scan()) == model
@@ -490,7 +565,7 @@ class TestStatCli:
             return int(line.split()[3])
 
         whole = stat(str(path))
-        [offset, length], _ = _manifest(path)["tables"]["reads"]["segments"]
+        [offset, length, _], _ = _manifest(path)["tables"]["reads"]["segments"]
         with open(path / "data.pages", "r+b") as handle:
             handle.seek(offset + length // 2)
             handle.write(bytes(8))

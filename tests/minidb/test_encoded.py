@@ -217,7 +217,8 @@ class TestStorageEncodeOverrideSurvivesReread:
             manifest = json.load(handle)
         counts = []
         with open(path / "data.pages", "rb") as data:
-            for offset, length in manifest["tables"]["reads"]["segments"]:
+            for offset, length, _ in \
+                    manifest["tables"]["reads"]["segments"]:
                 data.seek(offset)
                 counts.append(segment_shape(data.read(length))[1])
         return counts
@@ -227,11 +228,13 @@ class TestStorageEncodeOverrideSurvivesReread:
         db = Database(storage="disk", storage_path=str(path),
                       encode=encode)
         db.create_table("reads", READS_SCHEMA)
-        db.load("reads", rows[:50])
+        db.load("reads", rows[:60])
         db.shutdown()
         db = Database(storage="disk", storage_path=str(path),
                       encode=encode)
-        db.append("reads", rows[50:])  # a second segment after reopen
+        # A second segment after reopen (40 rows: too few to absorb the
+        # first one).
+        db.append("reads", rows[60:])
         assert list(db.table("reads").scan()) == rows
         db.shutdown()
         return self._dict_columns(path)

@@ -183,9 +183,10 @@ def test_crash_recovers_last_committed_epoch(tmp_path, monkeypatch,
 
 
 def test_drop_rewrite_crash_recovers(tmp_path, monkeypatch):
-    """Dropping a checkpointed table makes the next checkpoint rewrite
-    the image; a crash after that manifest, before the new file is
-    renamed in place, recovers by finishing the rename."""
+    """Dropping the checkpointed table that holds most of the bytes
+    makes the next checkpoint rewrite the image; a crash after that
+    manifest, before the new file is renamed in place, recovers by
+    finishing the rename."""
     path = str(tmp_path / "db")
     initial = _batch(0)
     db = _new(path)
@@ -193,7 +194,7 @@ def test_drop_rewrite_crash_recovers(tmp_path, monkeypatch):
     db.load("reads", initial)
     db.create_index("reads", "epc")
     db.create_table("scratch", TableSchema.of(("x", SqlType.INTEGER)))
-    db.load("scratch", [(1,), (2,)])
+    db.load("scratch", [(i,) for i in range(5000)])
     db.shutdown()
 
     db = _new(path)

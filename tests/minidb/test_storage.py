@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import random
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro.errors import StorageCorruptionError
 from repro.minidb.engine import Database
 from repro.minidb.schema import TableSchema
+from repro.minidb.storage.legacy import KIND_HEAP_DICT, heap_rows
 from repro.minidb.storage.segment import (
     decode_segment,
     encode_segment,
@@ -143,6 +145,22 @@ class TestSegmentCodec:
         with pytest.raises(StorageCorruptionError):
             decode_segment(bytes(flipped))
 
+    @pytest.mark.parametrize("codes", [b"\x00\x00", b""])
+    def test_short_code_vector_detected(self, codes):
+        """A CRC-valid segment whose dictionary column holds fewer codes
+        than its row count must fail, not decode to fewer rows."""
+        payload = bytearray([3, 1, 1])  # 3 rows, 1 column, dictionary
+        cell = bytearray([1])  # one distinct value
+        encode_value(cell, "dock")
+        cell += codes
+        payload += bytes([len(cell)]) + cell
+        segment = struct.pack(">2sII", b"SG", len(payload),
+                              zlib.crc32(payload)) + payload
+        with pytest.raises(StorageCorruptionError):
+            decode_segment(bytes(segment))
+        with pytest.raises(StorageCorruptionError):
+            heap_rows(KIND_HEAP_DICT, [bytes([3, 1, 1]), bytes(cell)])
+
 
 @pytest.fixture()
 def disk_db(tmp_path):
@@ -169,6 +187,18 @@ class TestRowsAreAList:
         disk_db.append("reads", [(9_999, "epcx", 1, 0.5, True, 2)])
         assert disk_db.storage.counters["wal_bytes"] > before
         assert len(table.rows) == 501
+
+    def test_execution_metrics_expose_storage_counters(self, disk_db):
+        _load_reads(disk_db, 2000)
+        before = disk_db.storage.counters
+        _, metrics = disk_db.execute_with_metrics(
+            "SELECT COUNT(*) AS n, SUM(loc) AS s FROM reads")
+        after = disk_db.storage.counters
+        assert metrics.wal_bytes == 0  # read-only query writes no WAL
+        for name in ("wal_bytes", "wal_commits"):
+            assert after[name] == before[name], name
+        disk_db.append("reads", [(9_999, "epcx", 1, 0.5, True, 2)])
+        assert disk_db.storage.counters["wal_bytes"] > after["wal_bytes"]
 
 
 class TestDictionaryLayoutShrinksDataFile:
