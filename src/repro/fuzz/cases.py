@@ -61,16 +61,26 @@ class DimensionSpec:
 
 @dataclass
 class QuerySpec:
-    """A fuzzed user query: selection conjuncts plus dimension joins."""
+    """A fuzzed user query: selection conjuncts plus dimension joins,
+    optionally grouped by one reads column."""
 
     #: SQL conjuncts over the fact alias (``c.rtime <= 1000``, ...).
     conjuncts: list[str] = field(default_factory=list)
     dimensions: list[DimensionSpec] = field(default_factory=list)
+    #: A reads column to GROUP BY, or None for a plain selection.
+    group_by: str | None = None
 
     def sql(self, table: str = "caser") -> str:
-        """Render to a SELECT over *table* (all reads columns)."""
-        select = ", ".join(f"{FACT_ALIAS}.{column}"
-                           for column in READS_COLUMNS)
+        """Render to a SELECT over *table*: all reads columns, or with
+        ``group_by`` that column and one of each aggregate."""
+        if self.group_by is None:
+            select = ", ".join(f"{FACT_ALIAS}.{column}"
+                               for column in READS_COLUMNS)
+        else:
+            select = (f"{FACT_ALIAS}.{self.group_by}, count(*), "
+                      f"count(distinct {FACT_ALIAS}.reader), "
+                      + ", ".join(f"{name}({FACT_ALIAS}.rtime)"
+                                  for name in ("min", "max", "sum", "avg")))
         from_refs = [f"{table} {FACT_ALIAS}"]
         where: list[str] = list(self.conjuncts)
         for dimension in self.dimensions:
@@ -79,6 +89,8 @@ class QuerySpec:
         text = f"select {select} from {', '.join(from_refs)}"
         if where:
             text += " where " + " and ".join(where)
+        if self.group_by is not None:
+            text += f" group by {FACT_ALIAS}.{self.group_by}"
         return text
 
 
@@ -112,6 +124,8 @@ class FuzzCase:
 
     def describe(self) -> str:
         rows, rules, conjuncts = self.size()
+        grouped = ("" if self.query.group_by is None
+                   else f", group by {self.query.group_by}")
         return (f"case(seed={self.seed}, iter={self.iteration}: "
                 f"{rows} rows, {rules} rules, {conjuncts} conjuncts, "
-                f"{len(self.query.dimensions)} dims)")
+                f"{len(self.query.dimensions)} dims{grouped})")

@@ -7,7 +7,10 @@ on ``biz_loc`` with a site predicate, ``steps`` on ``biz_step`` with a
 step-type predicate, exactly q2's edges). The projection keeps every
 reads column so the oracle's row diff is maximally discriminating:
 a MODIFY divergence on any column shows up even when the predicates
-never mention it.
+never mention it. About a third of the queries instead end in GROUP BY
+one reads column, with count(*), count(distinct reader) and
+min/max/sum/avg of rtime, as the paper's q1/q2 do (Fig. 6), so every
+strategy's grouped answer is compared too.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ __all__ = ["random_query"]
 _LOCS_SCHEMA = (("gln", "varchar"), ("site", "varchar"),
                 ("loc_desc", "varchar"))
 _STEPS_SCHEMA = (("biz_step", "varchar"), ("type", "varchar"))
+#: Reads columns a fuzzed query may GROUP BY.
+_GROUP_KEYS = ("epc", "reader", "biz_loc", "biz_step")
 
 
 def _random_conjuncts(rng: random.Random,
@@ -62,7 +67,8 @@ def _steps_dimension(rng: random.Random,
 
 def random_query(rng: random.Random,
                  profile: DatasetProfile) -> QuerySpec:
-    """A random selection with 0..2 dimension joins."""
+    """A random selection with 0..2 dimension joins, grouped by one
+    reads column about a third of the time."""
     dimensions: list[DimensionSpec] = []
     roll = rng.random()
     if roll < 0.25:
@@ -72,5 +78,9 @@ def random_query(rng: random.Random,
     elif roll < 0.5:
         dimensions.append(_locs_dimension(rng, profile))
         dimensions.append(_steps_dimension(rng, profile))
-    return QuerySpec(conjuncts=_random_conjuncts(rng, profile),
-                     dimensions=dimensions)
+    conjuncts = _random_conjuncts(rng, profile)
+    # Drawn last, so every earlier draw of a case is what it was before
+    # grouped queries existed.
+    group_by = rng.choice(_GROUP_KEYS) if rng.random() < 1 / 3 else None
+    return QuerySpec(conjuncts=conjuncts, dimensions=dimensions,
+                     group_by=group_by)

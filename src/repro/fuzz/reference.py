@@ -129,6 +129,16 @@ def _semi_join(node: LogicalSemiJoin) -> list[tuple]:
     return out
 
 
+def _left_fold_sum(values: list) -> Any:
+    """*values* (non-empty) added left to right from the first one.
+    Not builtin ``sum()``: it starts at 0, so ``[-0.0]`` sums to 0.0,
+    and on Python 3.12 it compensates float rounding."""
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return total
+
+
 def _aggregate_values(name: str, values: list) -> Any:
     """*name* over the non-NULL *values* of a group or frame."""
     if name == "count":
@@ -136,9 +146,9 @@ def _aggregate_values(name: str, values: list) -> Any:
     if not values:
         return None
     if name == "sum":
-        return sum(values)
+        return _left_fold_sum(values)
     if name == "avg":
-        return sum(values) / len(values)
+        return _left_fold_sum(values) / len(values)
     return min(values) if name == "min" else max(values)
 
 

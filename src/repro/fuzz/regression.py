@@ -40,6 +40,7 @@ QUERY = QuerySpec(
     conjuncts={conjuncts_literal},
     dimensions=[
 {dimensions_literal}    ],
+    group_by={group_by!r},
 )
 
 
@@ -101,6 +102,7 @@ def write_regression(case: FuzzCase, report: OracleReport,
         rules_literal=rules_literal,
         conjuncts_literal=repr(case.query.conjuncts),
         dimensions_literal=dimensions_literal,
+        group_by=case.query.group_by,
         test_name=test_name,
     ))
     return path

@@ -11,6 +11,9 @@ shrinker minimizes along every axis while preserving the failure:
    chains, so surviving rules keep their relative order);
 3. **query conjuncts** and **dimension joins** — greedy drop likewise;
 
+each round first tries dropping the query's GROUP BY, which turns the
+diff back into one over whole reads rows;
+
 then loops the passes to a fixpoint (dropping a rule can unlock further
 row removal). The failure predicate re-runs the differential oracle
 restricted to the originally diverged labels, so each probe costs only
@@ -105,6 +108,11 @@ def shrink_case(case: FuzzCase, diverged_labels: Sequence[str],
     current = case
     for _ in range(max_rounds):
         before = current.size()
+
+        if current.query.group_by is not None:
+            plain = current.with_query(replace(current.query, group_by=None))
+            if still_fails(plain):
+                current = plain
 
         rows = ddmin(current.reads_rows,
                      lambda rows: still_fails(current.with_rows(rows)))

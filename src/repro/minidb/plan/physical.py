@@ -29,8 +29,8 @@ Each operator carries:
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, islice
-from typing import Any, Iterable, Iterator, Sequence
+from itertools import compress, islice, repeat
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ExecutionError
 from repro.minidb.expressions import BatchBound, ColumnRef, Expr, true_positions
@@ -693,55 +693,141 @@ class SortOp(PhysicalNode):
         return f"Sort({body})"
 
 
-class _AggState:
-    """Accumulator for one aggregate call within one group."""
+# -- aggregation kernels ------------------------------------------------
+#
+# Each kernel folds one batch into flat per-group lists indexed by dense
+# group id, skipping NULL arguments. SUM/AVG are a left fold in input
+# order from the first non-NULL value: never builtin ``sum()``, which
+# starts at 0 (turning a lone -0.0 into 0.0) and, on Python 3.12,
+# compensates float rounding. MIN/MAX replace the running extreme only
+# on a strict ``<`` / ``>``, so neither an equal value (1.0 after 1) nor
+# a NaN displaces it, and a leading NaN is never displaced.
 
-    __slots__ = ("name", "distinct", "count", "total", "extreme", "seen")
 
-    def __init__(self, name: str, distinct: bool) -> None:
+def _count_rows(ids: list[int], counts: list[int]) -> None:
+    for group in ids:
+        counts[group] += 1
+
+
+def _count_values(ids: Iterable[int], values: list,
+                  counts: list[int]) -> None:
+    for group, value in zip(ids, values):
+        if value is not None:
+            counts[group] += 1
+
+
+def _fold_sums(ids: Iterable[int], values: list, totals: list) -> None:
+    for group, value in zip(ids, values):
+        if value is not None:
+            total = totals[group]
+            totals[group] = value if total is None else total + value
+
+
+def _fold_averages(ids: Iterable[int], values: list, totals: list,
+                   counts: list[int]) -> None:
+    for group, value in zip(ids, values):
+        if value is not None:
+            total = totals[group]
+            totals[group] = value if total is None else total + value
+            counts[group] += 1
+
+
+def _fold_minima(ids: Iterable[int], values: list, extremes: list) -> None:
+    for group, value in zip(ids, values):
+        if value is not None:
+            extreme = extremes[group]
+            if extreme is None or value < extreme:
+                extremes[group] = value
+
+
+def _fold_maxima(ids: Iterable[int], values: list, extremes: list) -> None:
+    for group, value in zip(ids, values):
+        if value is not None:
+            extreme = extremes[group]
+            if extreme is None or value > extreme:
+                extremes[group] = value
+
+
+#: Aggregate name -> (kernel, the initial per-group value of each of
+#: its state lists). ``count(*)`` keeps count's list but folds it with
+#: ``_count_rows``.
+_KERNELS: dict[str, tuple[Callable[..., None], tuple]] = {
+    "count": (_count_values, (0,)),
+    "sum": (_fold_sums, (None,)),
+    "avg": (_fold_averages, (None, 0)),
+    "min": (_fold_minima, (None,)),
+    "max": (_fold_maxima, (None,)),
+}
+
+
+def _first_seen(ids: Iterable[int], values: list,
+                seen: set[tuple]) -> tuple[list[int], list]:
+    """The batch's non-NULL ``(group id, value)`` pairs missing from
+    *seen*, as ``(ids, values)``; each is added to *seen*."""
+    fresh_ids: list[int] = []
+    fresh_values: list = []
+    for pair in zip(ids, values):
+        if pair[1] is not None and pair not in seen:
+            seen.add(pair)
+            fresh_ids.append(pair[0])
+            fresh_values.append(pair[1])
+    return fresh_ids, fresh_values
+
+
+class _Aggregate:
+    """One aggregate call's flat per-group state lists."""
+
+    __slots__ = ("name", "argument", "kernel", "fills", "state", "seen")
+
+    def __init__(self, name: str, argument: BatchBound | None,
+                 distinct: bool) -> None:
         self.name = name
-        self.distinct = distinct
-        self.count = 0
-        self.total: Any = None
-        self.extreme: Any = None
-        self.seen: set | None = set() if distinct else None
+        self.argument = argument
+        self.kernel, self.fills = _KERNELS[name]
+        self.state: list[list] = [[] for _ in self.fills]
+        self.seen: set[tuple] | None = set() if distinct else None
 
-    def add(self, value: Any) -> None:
-        if value is None:
+    def grow(self, groups: int) -> None:
+        """Extend every state list to *groups* entries."""
+        missing = groups - len(self.state[0])
+        if missing:
+            for column, fill in zip(self.state, self.fills):
+                column.extend([fill] * missing)
+
+    def add(self, ids: list[int] | None, batch: RowBatch) -> None:
+        """Fold *batch* in. *ids* holds each row's group id, or is None
+        without group keys (every row is in group 0)."""
+        if self.argument is None:  # count(*)
+            if ids is None:
+                self.state[0][0] += batch.length
+            else:
+                _count_rows(ids, self.state[0])
             return
+        values = self.argument(batch)
+        groups: Iterable[int] = repeat(0) if ids is None else ids
         if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.add(value)
-        self.count += 1
-        if self.name in ("sum", "avg"):
-            self.total = value if self.total is None else self.total + value
-        elif self.name == "min":
-            if self.extreme is None or value < self.extreme:
-                self.extreme = value
-        elif self.name == "max":
-            if self.extreme is None or value > self.extreme:
-                self.extreme = value
+            groups, values = _first_seen(groups, values, self.seen)
+        self.kernel(groups, values, *self.state)
 
-    def result(self) -> Any:
-        if self.name == "count":
-            return self.count
-        if self.name == "sum":
-            return self.total
-        if self.name == "avg":
-            if self.count == 0:
-                return None
-            return self.total / self.count
-        return self.extreme
+    def result(self) -> list:
+        if self.name != "avg":
+            return self.state[0]
+        totals, counts = self.state
+        return [None if count == 0 else total / count
+                for total, count in zip(totals, counts)]
 
 
 class AggregateOp(PhysicalNode):
     """Hash aggregation: group keys followed by aggregate results.
 
     Aggregates are ``(name, argument_or_None, distinct)``; ``count(*)``
-    passes a None argument and counts every row. Group-key and argument
-    columns are extracted per chunk before the row-wise accumulation
-    loop.
+    passes a None argument and counts every row. Each input batch is
+    handled whole: its key columns are evaluated once and mapped to
+    dense group ids in one pass over one dict (the bare value for one
+    key, a ``zip`` tuple for several), then each aggregate runs one
+    kernel loop over ``zip(ids, argument column)`` into flat per-group
+    lists. DISTINCT keeps one set of ``(group id, value)`` pairs per
+    aggregate. Groups are emitted in first-occurrence order.
     """
 
     __slots__ = ('child', '_group_keys', '_aggregates')
@@ -765,39 +851,35 @@ class AggregateOp(PhysicalNode):
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         size = _resolve_batch_size(size)
-        groups: dict[tuple, list[_AggState]] = {}
-        specs = self._aggregates
-        spec_count = len(specs)
+        keys = self._group_keys
+        # Group key -> dense group id, in first-occurrence order; the
+        # dict keeps the first of equal keys (1 before 1.0). Without
+        # keys there is one group, even over no rows.
+        slots: dict[Any, int] = {} if keys else {(): 0}
+        slot = slots.setdefault
+        aggregates = [_Aggregate(name, argument, distinct)
+                      for name, argument, distinct in self._aggregates]
+        ids: list[int] | None = None
         for batch in self.child.batches(size):
-            key_columns = [key(batch) for key in self._group_keys]
-            argument_columns = [None if argument is None else argument(batch)
-                                for _, argument, _ in specs]
-            for i in range(batch.length):
-                key = tuple(column[i] for column in key_columns)
-                states = groups.get(key)
-                if states is None:
-                    states = [_AggState(name, distinct)
-                              for name, _, distinct in specs]
-                    groups[key] = states
-                for s in range(spec_count):
-                    column = argument_columns[s]
-                    if column is None:  # count(*)
-                        states[s].count += 1
-                    else:
-                        states[s].add(column[i])
-        if not groups and not self._group_keys:
-            states = [_AggState(name, distinct)
-                      for name, _, distinct in specs]
-            groups[()] = states
-        out: list[tuple] = []
-        width = len(self.schema)
-        for key, states in groups.items():
-            out.append(key + tuple(state.result() for state in states))
-            if len(out) >= size:
-                yield self._emit(RowBatch.from_rows(out, width))
-                out = []
-        if out:
-            yield self._emit(RowBatch.from_rows(out, width))
+            if len(keys) == 1:
+                ids = [slot(value, len(slots)) for value in keys[0](batch)]
+            elif keys:
+                ids = [slot(key, len(slots))
+                       for key in zip(*[key(batch) for key in keys])]
+            for aggregate in aggregates:
+                aggregate.grow(len(slots))
+                aggregate.add(ids, batch)
+        total = len(slots)
+        # Key columns; without keys, zip over the one () key gives none.
+        columns = [list(slots)] if len(keys) == 1 \
+            else [list(column) for column in zip(*slots)]
+        for aggregate in aggregates:
+            aggregate.grow(total)
+            columns.append(aggregate.result())
+        for lo in range(0, total, size):
+            yield self._emit(RowBatch(
+                [column[lo:lo + size] for column in columns],
+                min(size, total - lo)))
 
     def label(self) -> str:
         return (f"Aggregate(groups={len(self._group_keys)}, "

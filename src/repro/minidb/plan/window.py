@@ -29,7 +29,8 @@ those whole-input columns that takes the partition spans as an argument:
      land there. :func:`_aggregate` consumes the arrays: a monotonic
      deque of indices for ``min``/``max``, prefix counters for ``count``
      and for ``sum``/``avg`` over integers (where running totals are
-     exact); float sums add each frame left to right;
+     exact); float sums fold each frame left to right from its first
+     non-NULL value, as ``AggregateOp`` folds a group;
 4. emit ``input columns + computed columns`` as slices, cut at the first
    sequence end at or past the batch size.
 
@@ -45,7 +46,9 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from functools import reduce
 from itertools import accumulate, islice
+from operator import add
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ExecutionError
@@ -323,7 +326,10 @@ def _aggregate(spec: WindowFuncSpec, arguments: list | None,
 
 def _frame_sums(average: bool, arguments: list, lo: list[int],
                 hi: list[int]) -> list:
-    """``sum`` (or ``avg``) per frame, each frame added left to right."""
+    """``sum`` (or ``avg``) per frame, each frame added left to right
+    from its first non-NULL value, as ``AggregateOp`` folds a group.
+    Builtin ``sum()`` would start at 0 (turning a lone -0.0 into 0.0)
+    and, on Python 3.12, compensate float rounding."""
     out: list = []
     for first, last in zip(lo, hi):
         # An empty frame's ``hi`` may be negative: never slice with it.
@@ -332,7 +338,7 @@ def _frame_sums(average: bool, arguments: list, lo: list[int],
         if not window:
             out.append(None)
         else:
-            total = sum(window)
+            total = reduce(add, window)
             out.append(total / len(window) if average else total)
     return out
 

@@ -98,3 +98,29 @@ def test_divergence_reported_with_row_diff() -> None:
 def test_runs_without_selection(conjuncts: list[str]) -> None:
     report = run_case(_case(conjuncts))
     assert report.ok, report.summary()
+
+
+def test_grouped_case() -> None:
+    case = _case([])
+    case = case.with_query(QuerySpec(group_by="biz_loc"))
+    assert case.query.sql().endswith(" from caser c group by c.biz_loc")
+    report = run_case(case)
+    assert report.ok, report.summary()
+    # The duplicate at t=105 is cleansed before it is grouped.
+    assert report.baseline == (("L1", 2, 1, 100, 150, 250, 125.0),
+                               ("L2", 1, 1, 300, 300, 300, 300.0))
+
+
+def test_regression_file_keeps_group_by(tmp_path) -> None:
+    import importlib.util
+
+    from repro.fuzz.regression import write_regression
+
+    case = _case(["c.rtime >= 100"])
+    case = case.with_query(QuerySpec(conjuncts=["c.rtime >= 100"],
+                                     group_by="epc"))
+    path = write_regression(case, run_case(case), tmp_path)
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.QUERY == case.query

@@ -119,3 +119,32 @@ def test_with_helpers_do_not_mutate() -> None:
     case.with_rules([])
     case.with_query(replace(case.query, conjuncts=[]))
     assert case.size() == (12, 3, 3)
+
+
+def test_shrink_case_drops_group_by_first() -> None:
+    # The failure does not need the GROUP BY: it goes before any other
+    # probe, so every later probe diffs whole reads rows.
+    probes: list[str | None] = []
+
+    def check(candidate: FuzzCase) -> bool:
+        probes.append(candidate.query.group_by)
+        return any(row[1] == 4 for row in candidate.reads_rows)
+
+    case = _case()
+    case = case.with_query(replace(case.query, group_by="reader"))
+    shrunk = shrink_case(case, ["chosen"], check=check)
+    assert probes[0] is None
+    assert shrunk.query.group_by is None
+    assert shrunk.size() == (1, 1, 0)
+
+
+def test_shrink_case_keeps_a_needed_group_by() -> None:
+    def check(candidate: FuzzCase) -> bool:
+        return candidate.query.group_by == "epc" \
+            and bool(candidate.reads_rows)
+
+    case = _case()
+    case = case.with_query(replace(case.query, group_by="epc"))
+    shrunk = shrink_case(case, ["chosen"], check=check)
+    assert shrunk.query.group_by == "epc"
+    assert shrunk.size() == (1, 1, 0)
