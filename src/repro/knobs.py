@@ -40,7 +40,6 @@ KNOWN_KNOBS: dict[str, str] = {
     "REPRO_WAL_LIMIT": "WAL bytes before an auto-checkpoint",
     "REPRO_STORAGE_CRASH": "crash-injection fault point name",
     "REPRO_FUZZ_INJECT_BUG": "fuzz-oracle self-test fault name",
-    "REPRO_SERVE_WORKERS": "server executor workers (0 = threads only)",
     "REPRO_SERVE_INFLIGHT": "server max in-flight queries before shed",
     "REPRO_SERVE_SESSION_DEPTH": "per-session outstanding-request limit",
 }

@@ -46,9 +46,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7683,
                         help="listening port (default 7683; 0 = ephemeral)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process-executor workers "
-                             "(default: REPRO_SERVE_WORKERS)")
     parser.add_argument("--empty", action="store_true",
                         help="serve an empty database instead of the "
                              "demo reads table")
@@ -56,8 +53,7 @@ def main(argv: list[str] | None = None) -> int:
 
     database = Database() if arguments.empty else build_demo_database()
     handle = serve_in_thread(database, host=arguments.host,
-                             port=arguments.port,
-                             workers=arguments.workers)
+                             port=arguments.port)
     print(f"serving on {handle.host}:{handle.port} "
           f"(ctrl-C to drain and exit)")
     try:

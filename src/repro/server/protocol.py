@@ -31,7 +31,7 @@ from typing import Any
 __all__ = [
     "MAX_FRAME_BYTES", "ERROR_CODES", "ProtocolError",
     "encode_frame", "decode_payload", "rows_from_wire",
-    "read_frame", "write_frame", "recv_frame", "send_frame",
+    "read_payload", "write_frame", "recv_frame", "send_frame",
 ]
 
 _HEADER = struct.Struct(">I")
@@ -42,7 +42,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Stable error codes a response's ``error`` field may carry.
 ERROR_CODES = frozenset({
-    "bad_request",      # malformed frame / missing or unknown fields
+    "bad_request",      # undecodable payload, missing or mistyped fields
     "overloaded",       # admission control shed the request (retry_after)
     "session_busy",     # per-session queue depth exceeded (retry_after)
     "query_error",      # the engine raised while planning/executing
@@ -92,8 +92,14 @@ def rows_from_wire(rows: Any) -> list[tuple]:
 # Async (asyncio stream) half — used by the server.
 # ----------------------------------------------------------------------
 
-async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
-    """The next message from *reader*, or None on clean EOF."""
+async def read_payload(reader: asyncio.StreamReader) -> bytes | None:
+    """The next frame's payload bytes from *reader*, or None on clean EOF.
+
+    Raises :class:`ProtocolError` only when the framing itself is lost
+    (a truncated or oversized frame). The payload is left for
+    :func:`decode_payload`, so the server can answer a well-framed but
+    undecodable message and keep the connection.
+    """
     try:
         header = await reader.readexactly(_HEADER.size)
     except asyncio.IncompleteReadError as error:
@@ -109,7 +115,7 @@ async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
         payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:
         raise ProtocolError("connection closed mid-frame") from error
-    return decode_payload(payload)
+    return payload
 
 
 async def write_frame(writer: asyncio.StreamWriter,

@@ -1,13 +1,14 @@
 """The asyncio serving front end.
 
-One :class:`Server` owns a listening socket, an execution backend
-(:mod:`repro.server.executor`), and the admission-control state. Each
-accepted connection becomes a *session*: a reader coroutine parses
-frames off the socket and a worker coroutine executes them strictly in
-arrival order (responses still carry the request ``id``, so pipelined
-clients overlap network latency even though execution is sequential —
-this is also what makes the per-session prepared-plan cache safe:
-a session's plans are never armed by two executions at once).
+One :class:`Server` owns a listening socket, a
+:class:`~repro.server.executor.ThreadExecutor`, and the
+admission-control state. Each accepted connection becomes a
+*session*: a reader coroutine parses frames off the socket and a
+worker coroutine executes them strictly in arrival order (responses
+still carry the request ``id``, so pipelined clients overlap network
+latency even though execution is sequential — this is also what makes
+the per-session prepared-plan cache safe: a session's plans are never
+armed by two executions at once).
 
 Admission control has two gates, both shedding instead of queueing
 without bound:
@@ -37,7 +38,7 @@ from typing import Any, Iterator
 from repro import knobs
 from repro.minidb.engine import Database
 from repro.server import protocol
-from repro.server.executor import QueryFailed, make_executor
+from repro.server.executor import QueryFailed, ThreadExecutor
 
 __all__ = ["Server", "ServerHandle", "serve_in_thread", "serve_loopback",
            "DEFAULT_MAX_INFLIGHT", "DEFAULT_SESSION_DEPTH"]
@@ -70,16 +71,13 @@ class Server:
 
     def __init__(self, database: Database, host: str = "127.0.0.1",
                  port: int = 0, *,
-                 workers: int | None = None,
                  max_inflight: int | None = None,
-                 session_depth: int | None = None,
-                 pool_size: int = 4) -> None:
+                 session_depth: int | None = None) -> None:
         knobs.validate_environment()
         self.database = database
         self._host_arg = host
         self._port_arg = port
-        self.executor = make_executor(database, workers=workers,
-                                      pool_size=pool_size)
+        self.executor = ThreadExecutor(database)
         self.max_inflight = (max_inflight if max_inflight is not None
                              else knobs.int_knob("REPRO_SERVE_INFLIGHT",
                                                  DEFAULT_MAX_INFLIGHT, 1))
@@ -145,11 +143,18 @@ class Server:
         try:
             while True:
                 try:
-                    message = await protocol.read_frame(reader)
+                    payload = await protocol.read_payload(reader)
                 except protocol.ProtocolError:
+                    break  # the framing is lost: nothing more to read
+                if payload is None:
                     break
-                if message is None:
-                    break
+                try:
+                    message = protocol.decode_payload(payload)
+                except protocol.ProtocolError as error:
+                    await self._respond(state, {
+                        "id": None, "ok": False, "error": "bad_request",
+                        "message": str(error)})
+                    continue
                 if self._draining:
                     await self._respond(state, {
                         "id": message.get("id"), "ok": False,
@@ -224,9 +229,13 @@ class Server:
                     return {"id": request_id, "ok": False,
                             "error": "bad_request",
                             "message": "query needs a sql string"}
-                future = self.executor.query(
-                    state.session_id, sql,
-                    cleansed=bool(message.get("cleansed", False)))
+                cleansed = message.get("cleansed", False)
+                if not isinstance(cleansed, bool):
+                    return {"id": request_id, "ok": False,
+                            "error": "bad_request",
+                            "message": "cleansed must be true or false"}
+                future = self.executor.query(state.session_id, sql,
+                                             cleansed=cleansed)
                 payload = await asyncio.wrap_future(future)
             else:  # append
                 table = message.get("table")

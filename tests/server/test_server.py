@@ -16,9 +16,8 @@ import time
 import pytest
 
 from repro.minidb import Database, SqlType, TableSchema
-from repro.server import (ProcessExecutor, QueryFailed, ServerBusy,
-                          ServerClient, ServerError, ThreadExecutor,
-                          serve_loopback)
+from repro.server import (ServerBusy, ServerClient, ServerError,
+                          ThreadExecutor, serve_loopback)
 from repro.server import protocol
 
 READS = TableSchema.of(
@@ -140,6 +139,63 @@ class TestRoundTrip:
                 reply = protocol.recv_frame(client._sock)
                 assert reply["ok"] is False
                 assert reply["error"] == "bad_request"
+
+    @pytest.mark.parametrize("payload", [b"{not json", b"[1,2]",
+                                         b"\xff\xfe"])
+    def test_undecodable_payload_is_a_bad_request(self, payload):
+        """A payload behind a correct length prefix that does not decode
+        is answered, and the session keeps serving."""
+        db = make_db()
+        with serve_loopback(db) as handle:
+            sock = socket.create_connection(handle.address, timeout=10)
+            with sock:
+                sock.sendall(len(payload).to_bytes(4, "big") + payload)
+                reply = protocol.recv_frame(sock)
+                assert reply is not None
+                assert reply["id"] is None
+                assert reply["ok"] is False
+                assert reply["error"] == "bad_request"
+                protocol.send_frame(sock, {
+                    "id": 1, "op": "query",
+                    "sql": "select count(*) as n from reads"})
+                reply = protocol.recv_frame(sock)
+                assert reply["id"] == 1 and reply["ok"] is True
+                assert reply["rows"] == [[20]]
+
+    @pytest.mark.parametrize("frame", [
+        (protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"{}",
+        (100).to_bytes(4, "big") + b"{}"], ids=["oversized", "truncated"])
+    def test_lost_framing_closes_the_connection(self, frame):
+        db = make_db()
+        with serve_loopback(db) as handle:
+            sock = socket.create_connection(handle.address, timeout=10)
+            with sock:
+                sock.sendall(frame)
+                sock.shutdown(socket.SHUT_WR)
+                assert protocol.recv_frame(sock) is None
+
+    @pytest.mark.parametrize("rules", [[], [DUP_RULE]],
+                             ids=["no-rules", "rules"])
+    def test_cleansed_must_be_a_boolean(self, rules):
+        rows = [("c1", 0, "r0", "dock", "s"),
+                ("c1", 100, "r0", "dock", "s"),     # duplicate
+                ("c2", 50, "r0", "dock", "s")]
+        db = make_db(rows)
+        sql = "select count(*) as n from reads"
+        with serve_loopback(db) as handle:
+            with ServerClient(*handle.address) as client:
+                client.hello(rules=rules)
+                for junk in ("false", "true", 0, 1, None):
+                    with pytest.raises(ServerError) as excinfo:
+                        client._call({"op": "query", "sql": sql,
+                                      "cleansed": junk})
+                    assert excinfo.value.code == "bad_request"
+                # Absent means false: the dirty count.
+                reply = client._call({"op": "query", "sql": sql})
+                assert reply["rows"] == [[3]]
+                assert client.query(sql, cleansed=False).scalar() == 3
+                if rules:
+                    assert client.query(sql, cleansed=True).scalar() == 2
 
     def test_session_plan_cache_reuse(self):
         db = make_db()
@@ -351,62 +407,3 @@ class TestBackpressure:
         # And the listener is gone afterwards.
         with pytest.raises(OSError):
             socket.create_connection(handle.address, timeout=2)
-
-
-class TestProcessExecutor:
-    # Fork replicas require the in-memory backend, so both tests pin
-    # the storage knob rather than inherit the CI disk matrix.
-    @pytest.fixture(autouse=True)
-    def _memory_storage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE", "memory")
-
-    def test_round_robin_read_your_writes(self):
-        db = make_db()
-        with serve_loopback(db, workers=2) as handle:
-            assert isinstance(handle.server.executor, ProcessExecutor)
-            with ServerClient(*handle.address) as client:
-                client.hello()
-                client.append("reads", _rows(3, start=500))
-                # Hit both replicas: every one must see the append.
-                for _ in range(4):
-                    count = client.query(
-                        "select count(*) as n from reads").scalar()
-                    assert count == 23
-        # The parent database applied the append too.
-        assert db.execute("select count(*) as n from reads").scalar() == 23
-
-    def test_cleansed_queries_on_replicas(self):
-        rows = [("c1", 0, "r0", "dock", "s"),
-                ("c1", 100, "r0", "dock", "s"),
-                ("c2", 50, "r0", "dock", "s")]
-        db = make_db(rows)
-        with serve_loopback(db, workers=2) as handle:
-            with ServerClient(*handle.address) as client:
-                client.hello(rules=[DUP_RULE])
-                for _ in range(2):  # both replicas hold the session rules
-                    cleansed = client.query(
-                        "select count(*) as n from reads",
-                        cleansed=True).scalar()
-                    assert cleansed == 2
-
-    def test_failed_broadcast_stops_the_pool_answering(self):
-        """A replica that could not apply a replicated append no longer
-        agrees with the parent: nothing is answered after that."""
-        executor = ProcessExecutor(make_db(), 2)
-        try:
-            executor._broadcast(("append", "no_such_table", [(1,)]))
-            # Both queries sit behind the failed append in their
-            # replica's FIFO queue.
-            queued = [executor.query("s", "select count(*) as n from reads")
-                      for _ in range(2)]
-            for future in queued:
-                with pytest.raises(QueryFailed, match="replica desync"):
-                    future.result(timeout=30)
-            # The latch is set now: refused without reaching a replica.
-            for future in (executor.query("s", "select 1 as n from reads"),
-                           executor.append("reads", _rows(1, start=900)),
-                           executor.hello("s2", [])):
-                with pytest.raises(QueryFailed, match="replica desync"):
-                    future.result(timeout=0)
-        finally:
-            executor.shutdown()

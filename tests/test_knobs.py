@@ -14,7 +14,6 @@ from repro.minidb.storage.backend import (
     encode_enabled,
 )
 from repro.minidb.vector import configured_batch_size
-from repro.server.executor import configured_serve_workers
 from repro.server.server import Server
 
 
@@ -39,7 +38,8 @@ def test_typo_warns_with_suggestion(fresh_latch, monkeypatch):
                                          ("REPRO_READAHEAD", "8"),
                                          ("REPRO_GROUP_COMMIT", "8"),
                                          ("REPRO_BUFFER_PAGES", "64"),
-                                         ("REPRO_PAGE_SIZE", "512")])
+                                         ("REPRO_PAGE_SIZE", "512"),
+                                         ("REPRO_SERVE_WORKERS", "2")])
 def test_removed_knob_warns(fresh_latch, monkeypatch, name, value):
     """A knob whose layer was deleted must not silently configure
     nothing."""
@@ -74,8 +74,7 @@ def test_warning_is_one_shot(fresh_latch, monkeypatch):
 
 
 def test_every_server_knob_is_registered():
-    for name in ("REPRO_SERVE_WORKERS", "REPRO_SERVE_INFLIGHT",
-                 "REPRO_SERVE_SESSION_DEPTH"):
+    for name in ("REPRO_SERVE_INFLIGHT", "REPRO_SERVE_SESSION_DEPTH"):
         assert name in knobs.KNOWN_KNOBS
 
 
@@ -87,7 +86,7 @@ def test_registry_matches_readme():
               / "README.md").read_text(encoding="utf-8")
     missing = [name for name in knobs.KNOWN_KNOBS if name not in readme]
     assert not missing, f"knobs undocumented in README: {missing}"
-    assert len(knobs.KNOWN_KNOBS) == 10
+    assert len(knobs.KNOWN_KNOBS) == 9
 
 
 def _server_limits(field):
@@ -111,7 +110,6 @@ INT_KNOBS = [
     ("REPRO_SCALE", _experiment_scale, 24, 1, None),
     ("REPRO_BATCH_SIZE", configured_batch_size, 1024, 1, None),
     ("REPRO_WAL_LIMIT", configured_checkpoint_bytes, 1 << 20, 1, None),
-    ("REPRO_SERVE_WORKERS", configured_serve_workers, 0, 0, None),
     ("REPRO_SERVE_INFLIGHT", _server_limits("max_inflight"), 8, 1, None),
     ("REPRO_SERVE_SESSION_DEPTH", _server_limits("session_depth"),
      8, 1, None),
