@@ -13,19 +13,40 @@ operator:
   (:func:`in_frame`), then aggregated from scratch — quadratic, which is
   fine at the sizes the fuzzer and the property tests use.
 
-Scalar semantics come from :meth:`Expr.bind`, the specification the
-executor's batch kernels are tested against. Nothing here imports the
-physical operators, the window kernels, the batch machinery or the
-optimizer, so a bug in any of them cannot reach both sides of a
-comparison (a test pins the imports).
+Expressions are interpreted here too, one row at a time, by
+:func:`scalar` — a stateless visitor over the node classes written from
+SQL's definitions (Kleene logic as an order on truth values, ``IN`` as
+an OR of equalities, LIKE as a pattern walk), not from the executor's
+kernels. Nothing here imports the physical operators, the window
+kernels, the batch machinery or the optimizer, and from
+``minidb.expressions`` only node classes and constants, so a bug in any
+of them cannot reach both sides of a comparison (a test pins the
+imports).
 """
 
 from __future__ import annotations
 
+import operator
+from fractions import Fraction
 from typing import Any, Callable
 
-from repro.errors import PlanningError
-from repro.minidb.expressions import UNBOUNDED, Expr, WindowFrame
+from repro.errors import PlanningError, TypeMismatchError
+from repro.minidb.expressions import (
+    UNBOUNDED,
+    AggregateCall,
+    BinaryOp,
+    Case,
+    ColumnRef,
+    Expr,
+    FuncCall,
+    InList,
+    InSubquery,
+    IsNull,
+    Literal,
+    UnaryOp,
+    WindowFrame,
+    WindowFunction,
+)
 from repro.minidb.plan.builder import build_plan
 from repro.minidb.plan.logical import (
     LogicalAggregate,
@@ -46,7 +67,7 @@ from repro.minidb.plan.planschema import PlanSchema
 from repro.minidb.sqlparse import parse_select
 from repro.minidb.types import sort_key
 
-__all__ = ["cleansed", "evaluate", "execute", "in_frame"]
+__all__ = ["cleansed", "evaluate", "execute", "in_frame", "scalar"]
 
 
 def execute(database, sql: str) -> list[tuple]:
@@ -73,8 +94,199 @@ def evaluate(node: LogicalNode) -> list[tuple]:
     return evaluator(node)
 
 
-def _bind(expr: Expr, schema: PlanSchema) -> Callable[[tuple], Any]:
-    return expr.bind(schema.resolver())
+# ----------------------------------------------------------------------
+# Expressions
+# ----------------------------------------------------------------------
+
+
+def scalar(expr: Expr, schema: PlanSchema) -> Callable[[tuple], Any]:
+    """*expr* as a function of one row of *schema*. Column positions are
+    resolved once; each call interprets the tree afresh."""
+    positions = {ref: schema.resolve(ref.qualifier, ref.name)
+                 for ref in expr.referenced_columns()}
+    return lambda row: _value(expr, row, positions)
+
+
+def _value(expr: Expr, row: tuple, positions: dict) -> Any:
+    """The value of *expr* on *row* (NULL is None)."""
+    try:
+        visit = _VISITORS[type(expr)]
+    except KeyError:
+        raise PlanningError(
+            f"the reference cannot evaluate {expr.to_sql()}") from None
+    return visit(expr, row, positions)
+
+
+#: SQL's truth values in Kleene order: AND is the lesser of its
+#: operands, OR the greater, NOT the mirror image.
+_TRUTH_ORDER = {False: 0, None: 1, True: 2}
+_TRUTH_VALUES = (False, None, True)
+
+
+def _and(*values: bool | None) -> bool | None:
+    return _TRUTH_VALUES[min(_TRUTH_ORDER[value] for value in values)]
+
+
+def _or(*values: bool | None) -> bool | None:
+    return _TRUTH_VALUES[max(_TRUTH_ORDER[value] for value in values)]
+
+
+def _not(value: bool | None) -> bool | None:
+    return _TRUTH_VALUES[2 - _TRUTH_ORDER[value]]
+
+
+def _equals(left: Any, right: Any) -> bool | None:
+    return None if left is None or right is None else left == right
+
+
+def _binary(expr: BinaryOp, row: tuple, positions: dict) -> Any:
+    # Both operands are evaluated on every row: SQL promises no
+    # short circuit, and a raising operand raises either way.
+    left = _value(expr.left, row, positions)
+    right = _value(expr.right, row, positions)
+    if expr.op == "and":
+        return _and(left, right)
+    if expr.op == "or":
+        return _or(left, right)
+    return _strict(expr.op, left, right)
+
+
+def _unary(expr: UnaryOp, row: tuple, positions: dict) -> Any:
+    value = _value(expr.operand, row, positions)
+    if expr.op == "not":
+        return _not(value)
+    return None if value is None else -value
+
+
+def _is_null(expr: IsNull, row: tuple, positions: dict) -> bool:
+    return (_value(expr.operand, row, positions) is None) != expr.negated
+
+
+def _case(expr: Case, row: tuple, positions: dict) -> Any:
+    """The result of the first WHEN that is TRUE; the conditions after
+    it and every other result are never evaluated."""
+    for condition, result in expr.whens:
+        if _value(condition, row, positions) is True:
+            return _value(result, row, positions)
+    if expr.else_result is None:
+        return None
+    return _value(expr.else_result, row, positions)
+
+
+def _in_list(expr: InList, row: tuple, positions: dict) -> bool | None:
+    """``x IN (a, b)`` is ``x = a OR x = b``; NOT IN is its negation."""
+    operand = _value(expr.operand, row, positions)
+    found = _or(*[_equals(operand, _value(item, row, positions))
+                  for item in expr.items])
+    return _not(found) if expr.negated else found
+
+
+def _like(text: str, pattern: str) -> bool:
+    """Does *pattern* match all of *text*? ``%`` matches any run of
+    characters (the empty one too), ``_`` exactly one, anything else
+    itself. Walks the pattern keeping every text offset reachable."""
+    reachable = {0}
+    for symbol in pattern:
+        if symbol == "%":
+            reachable = set(range(min(reachable), len(text) + 1)) \
+                if reachable else set()
+        else:
+            reachable = {offset + 1 for offset in reachable
+                         if offset < len(text)
+                         and (symbol == "_" or text[offset] == symbol)}
+    return len(text) in reachable
+
+
+def _substr(text: str, start: int, count: int | None = None) -> str:
+    """The characters at 1-based positions ``first .. first + count - 1``
+    where *first* is *start* raised to 1 (all from *first* on without a
+    count, none for a count below 1)."""
+    first = max(start, 1)
+    return "".join(char for position, char in enumerate(text, 1)
+                   if position >= first
+                   and (count is None or position < first + count))
+
+
+def _divide(left: Any, right: Any) -> Any:
+    """This engine's ``/``: an exact quotient of two integers is an
+    integer, every other quotient is real."""
+    if right == 0:
+        raise TypeMismatchError("division by zero")
+    if isinstance(left, int) and isinstance(right, int):
+        exact = Fraction(left, right)
+        if exact.denominator == 1:
+            return exact.numerator
+    return left / right
+
+
+#: Operators and functions that are NULL on any NULL operand.
+_STRICT: dict[str, Callable[..., Any]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "abs": abs,
+    "length": len,
+    "lower": str.lower,
+    "upper": str.upper,
+    "substr": _substr,
+    "like": _like,
+    "least": lambda *values: min(values),
+    "greatest": lambda *values: max(values),
+}
+
+
+def _strict(name: str, *values: Any) -> Any:
+    if name not in _STRICT:
+        raise PlanningError(f"unknown scalar function {name!r}")
+    if any(value is None for value in values):
+        return None
+    return _STRICT[name](*values)
+
+
+def _function(expr: FuncCall, row: tuple, positions: dict) -> Any:
+    if expr.name == "coalesce":  # arguments after the first non-NULL
+        for arg in expr.args:  # one are never evaluated
+            value = _value(arg, row, positions)
+            if value is not None:
+                return value
+        return None
+    args = [_value(arg, row, positions) for arg in expr.args]
+    if expr.name == "nullif":  # CASE WHEN a = b THEN NULL ELSE a END
+        return None if _equals(*args) is True else args[0]
+    return _strict(expr.name, *args)
+
+
+def _unplanned(expr: Expr, row: tuple, positions: dict) -> Any:
+    raise PlanningError(
+        f"{expr.to_sql()} is evaluated by its own plan node, not as a "
+        "scalar expression")
+
+
+_VISITORS: dict[type, Callable[[Any, tuple, dict], Any]] = {
+    ColumnRef: lambda expr, row, positions: row[positions[expr]],
+    Literal: lambda expr, row, positions: expr.value,
+    BinaryOp: _binary,
+    UnaryOp: _unary,
+    IsNull: _is_null,
+    Case: _case,
+    InList: _in_list,
+    FuncCall: _function,
+    InSubquery: _unplanned,
+    AggregateCall: _unplanned,
+    WindowFunction: _unplanned,
+}
+
+
+# ----------------------------------------------------------------------
+# Plan nodes
+# ----------------------------------------------------------------------
 
 
 def _scan(node: LogicalScan) -> list[tuple]:
@@ -82,19 +294,19 @@ def _scan(node: LogicalScan) -> list[tuple]:
 
 
 def _filter(node: LogicalFilter) -> list[tuple]:
-    predicate = _bind(node.predicate, node.child.schema)
+    predicate = scalar(node.predicate, node.child.schema)
     return [row for row in evaluate(node.child) if predicate(row) is True]
 
 
 def _project(node: LogicalProject) -> list[tuple]:
-    items = [_bind(expr, node.child.schema) for expr, _ in node.items]
+    items = [scalar(expr, node.child.schema) for expr, _ in node.items]
     return [tuple(item(row) for item in items)
             for row in evaluate(node.child)]
 
 
 def _join(node: LogicalJoin) -> list[tuple]:
     condition = None if node.condition is None \
-        else _bind(node.condition, node.schema)
+        else scalar(node.condition, node.schema)
     right_rows = evaluate(node.right)
     null_pad = (None,) * len(node.right.schema)
     out: list[tuple] = []
@@ -120,7 +332,7 @@ def _semi_join(node: LogicalSemiJoin) -> list[tuple]:
         return evaluate(node.left) if node.negated else []
     if node.negated and None in members:
         return []
-    operand = _bind(node.left_expr, node.left.schema)
+    operand = scalar(node.left_expr, node.left.schema)
     out = []
     for row in evaluate(node.left):
         value = operand(row)
@@ -153,14 +365,14 @@ def _aggregate_values(name: str, values: list) -> Any:
 
 
 def _aggregate(node: LogicalAggregate) -> list[tuple]:
-    keys = [_bind(expr, node.child.schema) for expr, _ in node.group]
+    keys = [scalar(expr, node.child.schema) for expr, _ in node.group]
     groups: dict[tuple, list[tuple]] = {}
     for row in evaluate(node.child):
         groups.setdefault(tuple(key(row) for key in keys), []).append(row)
     if not groups and not keys:
         groups[()] = []  # a global aggregate over no rows is one row
     calls = [(call, None if call.argument is None
-              else _bind(call.argument, node.child.schema))
+              else scalar(call.argument, node.child.schema))
              for call, _ in node.aggregates]
     out = []
     for key, rows in groups.items():
@@ -189,7 +401,7 @@ def _sorted(rows: list[tuple],
 
 
 def _sort(node: LogicalSort) -> list[tuple]:
-    keys = [(_bind(spec.expr, node.child.schema), spec.ascending)
+    keys = [(scalar(spec.expr, node.child.schema), spec.ascending)
             for spec in node.keys]
     return _sorted(evaluate(node.child), keys)
 
@@ -227,15 +439,15 @@ def in_frame(frame: WindowFrame | None, peers: list[tuple] | None,
 
 def _window(node: LogicalWindow) -> list[tuple]:
     schema = node.child.schema
-    partition = [_bind(expr, schema) for expr in node.partition_by]
-    order = [(_bind(spec.expr, schema), spec.ascending)
+    partition = [scalar(expr, schema) for expr in node.partition_by]
+    order = [(scalar(spec.expr, schema), spec.ascending)
              for spec in node.order_by]
     rows = _sorted(evaluate(node.child), order)
     rows = sorted(rows, key=lambda row: tuple(sort_key(key(row))
                                               for key in partition))
     descending = bool(order) and not order[0][1]
     calls = [(call, None if call.argument is None
-              else _bind(call.argument, schema))
+              else scalar(call.argument, schema))
              for call, _ in node.functions]
     out: list[tuple] = []
     start = 0

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro import knobs
+from repro.errors import PlanningError, SchemaError
 from repro.minidb.catalog import Catalog
+from repro.minidb.expressions import Expr
 from repro.minidb.optimizer.cost import CostModel
 from repro.minidb.optimizer.planner import Planner, PlannerOptions
 from repro.minidb.optimizer.stats import StatsRepository
@@ -24,7 +26,7 @@ from repro.minidb.plan.builder import build_plan
 from repro.minidb.plan.logical import LogicalNode
 from repro.minidb.plan.physical import FilterOp, PhysicalNode, SortOp
 from repro.minidb.plan.window import WindowOp
-from repro.minidb.vector import materialize
+from repro.minidb.vector import RowBatch, materialize
 from repro.minidb.result import ResultSet
 from repro.minidb.schema import Column, TableSchema
 from repro.minidb.sqlparse import parse_select, parse_sql
@@ -38,6 +40,17 @@ from repro.minidb.sqlparse.ast import (
 from repro.minidb.table import Table
 
 __all__ = ["Database", "Explained", "ExecutionMetrics", "PreparedPlanCache"]
+
+
+def _no_columns(qualifier: str | None, name: str) -> int:
+    """The resolver of INSERT ... VALUES: there is no row to read."""
+    raise PlanningError(
+        f"INSERT ... VALUES cannot reference column {name!r}")
+
+
+def _insert_value(expr: Expr) -> Any:
+    """*expr*'s value, evaluated over one row of no columns."""
+    return expr.bind_batch(_no_columns)(RowBatch([], 1))[0]
 
 
 @dataclass
@@ -468,19 +481,19 @@ class Database:
         if isinstance(statement, InsertStmt):
             table = self.catalog.table(statement.table)
             names = statement.columns or list(table.schema.names)
-            inserted = 0
+            # Every row is evaluated before the first is inserted, so a
+            # statement with a bad row inserts nothing.
+            rows = []
             for row in statement.rows:
                 if len(row) != len(names):
-                    from repro.errors import SchemaError
                     raise SchemaError(
                         f"INSERT expects {len(names)} values, got {len(row)}")
-                values = {
-                    name: expr.bind(lambda q, n: 0)(())
-                    for name, expr in zip(names, row)}
+                rows.append({name: _insert_value(expr)
+                             for name, expr in zip(names, row)})
+            for values in rows:
                 table.insert(values)
-                inserted += 1
             self.stats.analyze(table)
-            return ResultSet(["rows_inserted"], [(inserted,)])
+            return ResultSet(["rows_inserted"], [(len(rows),)])
         raise AssertionError(f"unhandled statement {statement!r}")
 
     def execute_with_metrics(

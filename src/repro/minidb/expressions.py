@@ -1,17 +1,20 @@
-"""Scalar expression AST and evaluator for minidb.
+"""Scalar expression AST and batch evaluator for minidb.
 
 Expressions are immutable dataclass trees. They support:
 
-* three-valued evaluation against a row, via :meth:`Expr.bind`, which
-  compiles the tree into a closure over column positions (resolved once,
-  evaluated per row) — the specification of scalar semantics;
-* the same semantics over a whole :class:`RowBatch`, via
-  :meth:`Expr.bind_batch` — what the executor runs;
+* three-valued evaluation over a whole :class:`RowBatch`, via
+  :meth:`Expr.bind_batch`, which compiles the tree into one kernel per
+  node over column positions (resolved once, evaluated per batch) — the
+  engine's only expression evaluator;
 * structural equality and hashing (used by the rewrite engine to compare
   and deduplicate conjuncts);
 * traversal (:meth:`Expr.walk`), substitution (:meth:`Expr.substitute`)
   and column-reference collection (:meth:`Expr.referenced_columns`);
 * rendering back to SQL text (:meth:`Expr.to_sql`).
+
+The kernels are checked against an interpreter that shares none of
+their code: ``repro.fuzz.reference`` evaluates the same node classes
+one row at a time from SQL's definitions.
 
 Aggregate calls (:class:`AggregateCall`) and window functions
 (:class:`WindowFunction`) are represented as expression nodes so they can
@@ -22,13 +25,13 @@ references onto computed columns.
 
 from __future__ import annotations
 
+import functools
 import operator as _operator
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import PlanningError, TypeMismatchError
-from repro.minidb.types import sql_and, sql_not, sql_or
 from repro.minidb.vector import RowBatch
 
 __all__ = [
@@ -58,8 +61,6 @@ __all__ = [
 
 #: A resolver maps a (qualifier, column-name) pair to a row position.
 Resolver = Callable[[str | None, str], int]
-#: A bound expression evaluates a row tuple to a value.
-Bound = Callable[[tuple], Any]
 #: A batch-bound expression evaluates a whole RowBatch to a value list.
 BatchBound = Callable[[RowBatch], list]
 
@@ -77,8 +78,8 @@ _COMPARE_FN = {
     ">": _operator.gt,
     ">=": _operator.ge,
 }
-#: NULL-propagating arithmetic kernels; "/" keeps the scalar `_arith`
-#: path for its division-by-zero and integer-division semantics.
+#: NULL-propagating arithmetic kernels; "/" goes through `_divide` for
+#: its division-by-zero and integer-division semantics.
 _ARITH_FN = {
     "+": _operator.add,
     "-": _operator.sub,
@@ -99,33 +100,17 @@ class Expr:
 
     __slots__ = ()
 
-    def bind(self, resolver: Resolver) -> Bound:
-        """Compile this expression into a closure evaluating one row."""
-        raise NotImplementedError
-
     def bind_batch(self, resolver: Resolver) -> BatchBound:
-        """Compile this expression into a whole-batch evaluator.
+        """Compile this expression into a whole-batch kernel.
 
         Returns a callable mapping a :class:`RowBatch` to a list of one
-        value per row, with semantics identical to applying the
-        :meth:`bind` closure row by row. Nodes with a vectorized kernel
-        override :meth:`_bind_batch_fast`; everything else applies the
-        row-bound closure elementwise.
+        value per row (NULL is ``None``; predicates yield ``True``,
+        ``False`` or ``None``). The list may be one of the batch's own
+        columns, so callers must not mutate it. A kernel never mutates
+        its batch, and a row's value never depends on the other rows of
+        its batch.
         """
-        fast = self._bind_batch_fast(resolver)
-        if fast is not None:
-            return fast
-        bound = self.bind(resolver)
-
-        def elementwise(batch: RowBatch) -> list:
-            return [bound(row) for row in batch.rows()]
-
-        return elementwise
-
-    def _bind_batch_fast(self, resolver: Resolver) -> BatchBound | None:
-        """Vectorized kernel for this node, or None to apply :meth:`bind`
-        elementwise."""
-        return None
+        raise NotImplementedError(type(self).__name__)
 
     def children(self) -> Sequence["Expr"]:
         """Direct sub-expressions, for traversal."""
@@ -186,11 +171,7 @@ class ColumnRef(Expr):
         if self.qualifier is not None:
             object.__setattr__(self, "qualifier", self.qualifier.lower())
 
-    def bind(self, resolver: Resolver) -> Bound:
-        position = resolver(self.qualifier, self.name)
-        return lambda row: row[position]
-
-    def _bind_batch_fast(self, resolver: Resolver) -> BatchBound:
+    def bind_batch(self, resolver: Resolver) -> BatchBound:
         position = resolver(self.qualifier, self.name)
         return lambda batch: batch.columns[position]
 
@@ -210,11 +191,7 @@ class Literal(Expr):
 
     value: Any
 
-    def bind(self, resolver: Resolver) -> Bound:
-        value = self.value
-        return lambda row: value
-
-    def _bind_batch_fast(self, resolver: Resolver) -> BatchBound:
+    def bind_batch(self, resolver: Resolver) -> BatchBound:
         value = self.value
         return lambda batch: [value] * batch.length
 
@@ -229,41 +206,15 @@ class Literal(Expr):
         return repr(self.value)
 
 
-def _arith(op: str, left: Any, right: Any) -> Any:
-    if left is None or right is None:
-        return None
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise TypeMismatchError("division by zero")
-        result = left / right
-        if isinstance(left, int) and isinstance(right, int):
-            return left // right if left % right == 0 else result
-        return result
-    raise AssertionError(op)
-
-
-def _compare(op: str, left: Any, right: Any) -> bool | None:
-    if left is None or right is None:
-        return None
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise AssertionError(op)
+def _divide(left: Any, right: Any) -> Any:
+    """``left / right`` for non-NULL operands: an exact quotient of two
+    integers stays an integer, anything else is a float."""
+    if right == 0:
+        raise TypeMismatchError("division by zero")
+    if isinstance(left, int) and isinstance(right, int) \
+            and left % right == 0:
+        return left // right
+    return left / right
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,19 +239,7 @@ class BinaryOp(Expr):
     def _rebuild(self, children: tuple[Expr, ...]) -> Expr:
         return BinaryOp(self.op, children[0], children[1])
 
-    def bind(self, resolver: Resolver) -> Bound:
-        op = self.op
-        left = self.left.bind(resolver)
-        right = self.right.bind(resolver)
-        if op == "and":
-            return lambda row: sql_and(left(row), right(row))
-        if op == "or":
-            return lambda row: sql_or(left(row), right(row))
-        if op in _COMPARISON_OPS:
-            return lambda row: _compare(op, left(row), right(row))
-        return lambda row: _arith(op, left(row), right(row))
-
-    def _bind_batch_fast(self, resolver: Resolver) -> BatchBound:
+    def bind_batch(self, resolver: Resolver) -> BatchBound:
         op = self.op
         left = self.left.bind_batch(resolver)
         right = self.right.bind_batch(resolver)
@@ -319,22 +258,21 @@ class BinaryOp(Expr):
                         for a, b in zip(left(batch), right(batch))]
             return kleene_or
         if op == "/":
-            return lambda batch: [_arith("/", a, b)
+            return lambda batch: [None if a is None or b is None
+                                  else _divide(a, b)
                                   for a, b in zip(left(batch), right(batch))]
         fn = _COMPARE_FN[op] if op in _COMPARISON_OPS else _ARITH_FN[op]
         # Hoist literal operands out of the comprehension: column-vs-
         # constant is by far the most common shape in rewrite output
-        # (``rtime <= t``, ``reader = 'rdr-3'``).
-        if isinstance(self.right, Literal):
+        # (``rtime <= t``, ``reader = 'rdr-3'``). A NULL literal takes
+        # the general path, so the other operand is still evaluated
+        # (and still raises where it would).
+        if isinstance(self.right, Literal) and self.right.value is not None:
             constant = self.right.value
-            if constant is None:
-                return lambda batch: [None] * batch.length
             return lambda batch: [None if v is None else fn(v, constant)
                                   for v in left(batch)]
-        if isinstance(self.left, Literal):
+        if isinstance(self.left, Literal) and self.left.value is not None:
             constant = self.left.value
-            if constant is None:
-                return lambda batch: [None] * batch.length
             return lambda batch: [None if v is None else fn(constant, v)
                                   for v in right(batch)]
         return lambda batch: [None if a is None or b is None else fn(a, b)
@@ -364,18 +302,7 @@ class UnaryOp(Expr):
     def _rebuild(self, children: tuple[Expr, ...]) -> Expr:
         return UnaryOp(self.op, children[0])
 
-    def bind(self, resolver: Resolver) -> Bound:
-        operand = self.operand.bind(resolver)
-        if self.op == "not":
-            return lambda row: sql_not(operand(row))
-
-        def negate(row: tuple) -> Any:
-            value = operand(row)
-            return None if value is None else -value
-
-        return negate
-
-    def _bind_batch_fast(self, resolver: Resolver) -> BatchBound:
+    def bind_batch(self, resolver: Resolver) -> BatchBound:
         operand = self.operand.bind_batch(resolver)
         if self.op == "not":
             return lambda batch: [None if v is None else not v
@@ -402,13 +329,7 @@ class IsNull(Expr):
     def _rebuild(self, children: tuple[Expr, ...]) -> Expr:
         return IsNull(children[0], self.negated)
 
-    def bind(self, resolver: Resolver) -> Bound:
-        operand = self.operand.bind(resolver)
-        if self.negated:
-            return lambda row: operand(row) is not None
-        return lambda row: operand(row) is None
-
-    def _bind_batch_fast(self, resolver: Resolver) -> BatchBound:
+    def bind_batch(self, resolver: Resolver) -> BatchBound:
         operand = self.operand.bind_batch(resolver)
         if self.negated:
             return lambda batch: [v is not None for v in operand(batch)]
@@ -442,29 +363,13 @@ class Case(Expr):
         else_result = children[-1] if self.else_result is not None else None
         return Case(whens, else_result)
 
-    def bind(self, resolver: Resolver) -> Bound:
-        bound_whens = [(c.bind(resolver), r.bind(resolver))
-                       for c, r in self.whens]
-        bound_else = (self.else_result.bind(resolver)
-                      if self.else_result is not None else None)
-
-        def evaluate(row: tuple) -> Any:
-            for condition, result in bound_whens:
-                if condition(row) is True:
-                    return result(row)
-            if bound_else is not None:
-                return bound_else(row)
-            return None
-
-        return evaluate
-
-    def _bind_batch_fast(self, resolver: Resolver) -> BatchBound:
+    def bind_batch(self, resolver: Resolver) -> BatchBound:
         """Selection-vector kernel.
 
         Each WHEN condition sees only the rows no earlier arm took, and
         each THEN / ELSE only the rows that select it, so an arm that
         would raise on a row it never receives (``CASE WHEN b = 0 THEN 0
-        ELSE a / b END``) stays as silent as in the row evaluator.
+        ELSE a / b END``) stays silent.
         Literal arms are stored straight into the output.
         """
         def arm(result: Expr) -> tuple[bool, Any]:
@@ -527,7 +432,11 @@ class Case(Expr):
 
 @dataclass(frozen=True, slots=True)
 class InList(Expr):
-    """``operand [NOT] IN (v1, v2, ...)`` with literal items."""
+    """``operand [NOT] IN (v1, v2, ...)``.
+
+    The items are usually literals (one set probe per row); any other
+    item is evaluated per row like the operand.
+    """
 
     operand: Expr
     items: tuple[Expr, ...]
@@ -539,36 +448,24 @@ class InList(Expr):
     def _rebuild(self, children: tuple[Expr, ...]) -> Expr:
         return InList(children[0], tuple(children[1:]), self.negated)
 
-    def bind(self, resolver: Resolver) -> Bound:
-        operand = self.operand.bind(resolver)
-        bound_items = [item.bind(resolver) for item in self.items]
-        negated = self.negated
-
-        def evaluate(row: tuple) -> bool | None:
-            value = operand(row)
-            if value is None:
-                return None
-            saw_null = False
-            for item in bound_items:
-                candidate = item(row)
-                if candidate is None:
-                    saw_null = True
-                elif candidate == value:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
-
-        return evaluate
-
-    def _bind_batch_fast(self, resolver: Resolver) -> BatchBound | None:
-        if not all(isinstance(item, Literal) for item in self.items):
-            return None
+    def bind_batch(self, resolver: Resolver) -> BatchBound:
         operand = self.operand.bind_batch(resolver)
+        hit, miss = not self.negated, self.negated
+        if not all(isinstance(item, Literal) for item in self.items):
+            items = [item.bind_batch(resolver) for item in self.items]
+
+            def evaluate_items(batch: RowBatch) -> list:
+                rows = zip(*[item(batch) for item in items])
+                return [None if v is None
+                        else hit if any(c == v for c in candidates)
+                        else None if None in candidates
+                        else miss
+                        for v, candidates in zip(operand(batch), rows)]
+
+            return evaluate_items
         values = [item.value for item in self.items]
         has_null_item = any(value is None for value in values)
         members = {value for value in values if value is not None}
-        hit, miss = not self.negated, self.negated
 
         def evaluate(batch: RowBatch) -> list:
             return [None if v is None
@@ -610,7 +507,7 @@ class InSubquery(Expr):
         return hash(("insubquery", self.operand, id(self.subquery),
                      self.negated))
 
-    def bind(self, resolver: Resolver) -> Bound:
+    def bind_batch(self, resolver: Resolver) -> BatchBound:
         raise PlanningError(
             "IN (SELECT ...) must be planned as a semi-join; it cannot be "
             "evaluated as a scalar expression")
@@ -621,86 +518,106 @@ class InSubquery(Expr):
         return f"({self.operand.to_sql()} {keyword} ({subquery_sql}))"
 
 
-def _like_matcher(pattern: str) -> Callable[[str], bool]:
-    regex_parts = ["^"]
-    for char in pattern:
-        if char == "%":
-            regex_parts.append(".*")
-        elif char == "_":
-            regex_parts.append(".")
-        else:
-            regex_parts.append(re.escape(char))
-    regex_parts.append("$")
-    compiled = re.compile("".join(regex_parts), re.DOTALL)
-    return lambda text: compiled.match(text) is not None
+@functools.lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> re.Pattern:
+    """A LIKE *pattern* (``%`` any run, ``_`` any one character) as a
+    regex, to be matched against the whole text."""
+    parts = [".*" if char == "%" else "." if char == "_" else re.escape(char)
+             for char in pattern]
+    return re.compile("".join(parts), re.DOTALL)
 
 
-def _scalar_function(name: str, args: list[Bound]) -> Bound:
-    if name == "coalesce":
-        def coalesce(row: tuple) -> Any:
-            for arg in args:
-                value = arg(row)
-                if value is not None:
-                    return value
-            return None
-        return coalesce
-    if name == "abs":
-        arg = args[0]
-        return lambda row: None if arg(row) is None else abs(arg(row))
-    if name == "length":
-        arg = args[0]
-        return lambda row: None if arg(row) is None else len(arg(row))
-    if name == "lower":
-        arg = args[0]
-        return lambda row: None if arg(row) is None else arg(row).lower()
-    if name == "upper":
-        arg = args[0]
-        return lambda row: None if arg(row) is None else arg(row).upper()
-    if name == "substr":
-        def substr(row: tuple) -> Any:
-            text = args[0](row)
-            start = args[1](row)
-            if text is None or start is None:
-                return None
-            begin = max(start - 1, 0)
-            if len(args) > 2:
-                count = args[2](row)
-                if count is None:
-                    return None
-                return text[begin:begin + count]
-            return text[begin:]
-        return substr
-    if name == "like":
-        def like(row: tuple) -> bool | None:
-            text = args[0](row)
-            pattern = args[1](row)
-            if text is None or pattern is None:
-                return None
-            return _like_matcher(pattern)(text)
-        return like
-    if name == "nullif":
-        def nullif(row: tuple) -> Any:
-            first = args[0](row)
-            second = args[1](row)
-            if first is not None and first == second:
-                return None
-            return first
-        return nullif
-    if name == "least":
-        def least(row: tuple) -> Any:
-            values = [arg(row) for arg in args]
-            if any(value is None for value in values):
-                return None
-            return min(values)
-        return least
-    if name == "greatest":
-        def greatest(row: tuple) -> Any:
-            values = [arg(row) for arg in args]
-            if any(value is None for value in values):
-                return None
-            return max(values)
-        return greatest
-    raise PlanningError(f"unknown scalar function {name!r}")
+def _like(text: str, pattern: str) -> bool:
+    return _like_regex(pattern).fullmatch(text) is not None
+
+
+def _null_propagating(fn: Callable[..., Any]) -> Callable:
+    """A kernel builder applying *fn* to each row's arguments, or NULL
+    when any of them is NULL."""
+    def build(args: list[BatchBound]) -> BatchBound:
+        if len(args) == 1:
+            (arg,) = args
+            return lambda batch: [None if v is None else fn(v)
+                                  for v in arg(batch)]
+
+        def evaluate(batch: RowBatch) -> list:
+            return [None if None in values else fn(*values)
+                    for values in zip(*[arg(batch) for arg in args])]
+
+        return evaluate
+
+    return build
+
+
+def _coalesce(args: list[BatchBound]) -> BatchBound:
+    """The first non-NULL argument. Each argument sees only the rows
+    every earlier one left NULL, so ``coalesce(a, 1 / 0)`` raises only
+    where ``a`` is NULL."""
+    first, rest = args[0], args[1:]
+
+    def evaluate(batch: RowBatch) -> list:
+        out = first(batch)
+        pending = [i for i, value in enumerate(out) if value is None]
+        if not pending or not rest:
+            return out
+        out = list(out)  # the first argument may be a batch's own column
+        for arg in rest:
+            values = arg(batch.take(pending))
+            for target, value in zip(pending, values):
+                out[target] = value
+            pending = [target for target, value in zip(pending, values)
+                       if value is None]
+            if not pending:
+                break
+        return out
+
+    return evaluate
+
+
+def _nullif(args: list[BatchBound]) -> BatchBound:
+    first, second = args
+    return lambda batch: [None if a is not None and a == b else a
+                          for a, b in zip(first(batch), second(batch))]
+
+
+def _substring(text: str, start: int, count: int | None = None) -> str:
+    """SUBSTR: up to *count* characters (the rest of *text* without a
+    count, none for a negative one) from the 1-based *start*; a *start*
+    below 1 counts from 1."""
+    begin = max(start - 1, 0)
+    if count is None:
+        return text[begin:]
+    return text[begin:begin + max(count, 0)]
+
+
+#: Scalar-function kernel builders, by name: each maps the argument
+#: kernels to the call's kernel.
+_FUNCTIONS: dict[str, Callable[[list[BatchBound]], BatchBound]] = {
+    "coalesce": _coalesce,
+    "abs": _null_propagating(abs),
+    "length": _null_propagating(len),
+    "lower": _null_propagating(str.lower),
+    "upper": _null_propagating(str.upper),
+    "substr": _null_propagating(_substring),
+    "like": _null_propagating(_like),
+    "nullif": _nullif,
+    "least": _null_propagating(lambda *values: min(values)),
+    "greatest": _null_propagating(lambda *values: max(values)),
+}
+
+#: Accepted argument counts: (fewest, most; None for no limit).
+_ARITY = {
+    "coalesce": (1, None),
+    "abs": (1, 1),
+    "length": (1, 1),
+    "lower": (1, 1),
+    "upper": (1, 1),
+    "substr": (2, 3),
+    "like": (2, 2),
+    "nullif": (2, 2),
+    "least": (1, None),
+    "greatest": (1, None),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -719,9 +636,17 @@ class FuncCall(Expr):
     def _rebuild(self, children: tuple[Expr, ...]) -> Expr:
         return FuncCall(self.name, tuple(children))
 
-    def bind(self, resolver: Resolver) -> Bound:
-        return _scalar_function(self.name,
-                                [arg.bind(resolver) for arg in self.args])
+    def bind_batch(self, resolver: Resolver) -> BatchBound:
+        if self.name not in _FUNCTIONS:
+            raise PlanningError(f"unknown scalar function {self.name!r}")
+        fewest, most = _ARITY[self.name]
+        if len(self.args) < fewest or most is not None \
+                and len(self.args) > most:
+            raise PlanningError(
+                f"wrong number of arguments to {self.name}(): "
+                f"{len(self.args)}")
+        return _FUNCTIONS[self.name](
+            [arg.bind_batch(resolver) for arg in self.args])
 
     def to_sql(self) -> str:
         body = ", ".join(arg.to_sql() for arg in self.args)
@@ -753,7 +678,7 @@ class AggregateCall(Expr):
         argument = children[0] if children else None
         return AggregateCall(self.name, argument, self.distinct)
 
-    def bind(self, resolver: Resolver) -> Bound:
+    def bind_batch(self, resolver: Resolver) -> BatchBound:
         raise PlanningError(
             f"aggregate {self.name}() must be evaluated by an Aggregate plan "
             "node, not as a scalar expression")
@@ -867,7 +792,7 @@ class WindowFunction(Expr):
         return WindowFunction(self.name, argument, partition, order,
                               self.frame, self.offset)
 
-    def bind(self, resolver: Resolver) -> Bound:
+    def bind_batch(self, resolver: Resolver) -> BatchBound:
         raise PlanningError(
             f"window function {self.name}() OVER (...) must be evaluated by "
             "a Window plan node, not as a scalar expression")

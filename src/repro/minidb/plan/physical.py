@@ -396,29 +396,38 @@ class ProjectOp(PhysicalNode):
         return f"Project({', '.join(f.display() for f in self.schema)})"
 
 
-def _bind_condition(condition: Expr | None, schema: PlanSchema):
-    """A row closure for a join's non-equi *condition*, or None."""
-    return None if condition is None else condition.bind(schema.resolver())
+def _bind_condition(condition: Expr | None,
+                    schema: PlanSchema) -> BatchBound | None:
+    """The batch kernel of a join's non-equi *condition*, or None."""
+    return None if condition is None \
+        else condition.bind_batch(schema.resolver())
 
 
-def _joined(pairs, condition, null_pad: tuple | None) -> list[tuple]:
+def _joined(pairs, condition: BatchBound | None, null_pad: tuple | None,
+            width: int) -> list[tuple]:
     """Joined rows for ``(left row, candidate right rows)`` *pairs*.
 
-    A candidate survives when *condition* (a row closure, or None for
-    none) is TRUE on the joined row; a left row without a survivor is
-    padded with *null_pad* when one is given (left join).
+    A candidate survives when *condition* (a batch kernel, or None for
+    none) is TRUE on the joined row; the kernel runs once, over every
+    candidate joined row of *pairs*. A left row without a survivor is
+    padded with *null_pad* when one is given (left join). Rows come out
+    left row major, each left row's survivors in candidate order.
     """
+    pad = () if null_pad is None else (null_pad,)
+    if condition is None:
+        return [left_row + right_row for left_row, candidates in pairs
+                for right_row in (candidates or pad)]
+    pairs = list(pairs)
+    joined = [left_row + right_row for left_row, candidates in pairs
+              for right_row in candidates]
+    verdicts = condition(RowBatch.from_rows(joined, width))
     out: list[tuple] = []
+    end = 0
     for left_row, candidates in pairs:
-        matched = False
-        for right_row in candidates:
-            joined = left_row + right_row
-            if condition is not None and condition(joined) is not True:
-                continue
-            matched = True
-            out.append(joined)
-        if not matched and null_pad is not None:
-            out.append(left_row + null_pad)
+        start, end = end, end + len(candidates)
+        survivors = [joined[i] for i in range(start, end)
+                     if verdicts[i] is True]
+        out.extend(survivors or [left_row + right_row for right_row in pad])
     return out
 
 
@@ -426,7 +435,8 @@ class HashJoinOp(PhysicalNode):
     """Equi-join: builds a hash table on the right input.
 
     ``residual_expr`` (if any) is applied to joined rows for non-equi
-    conjuncts. Left join emits left rows with NULL padding when no match
+    conjuncts, as one kernel call over a probe batch's candidate joined
+    rows. Left join emits left rows with NULL padding when no match
     survives the residual. Join-key columns are extracted per chunk (a
     direct column reference for the common plain-column keys) and probed
     row-wise over the materialized chunk rows.
@@ -522,7 +532,7 @@ class HashJoinOp(PhysicalNode):
             pairs = zip(left_batch.rows(), matches)
             if null_pad is None:
                 pairs = compress(pairs, matches)  # drop the unmatched
-            out = _joined(pairs, self._residual, null_pad)
+            out = _joined(pairs, self._residual, null_pad, width)
             if out:
                 yield self._emit(RowBatch.from_rows(out, width))
 
@@ -559,9 +569,17 @@ class NestedLoopJoinOp(PhysicalNode):
         null_pad = (None,) * len(self.right.schema) \
             if self.kind == "left" else None
         width = len(self.schema)
+        # Left rows per condition evaluation, so that one kernel call
+        # sees about a batch of candidate pairs, not a batch times the
+        # whole right input.
+        step = max(1, size // max(len(right_rows), 1))
         for left_batch in self.left.batches(size):
-            out = _joined(((row, right_rows) for row in left_batch.rows()),
-                          self._condition, null_pad)
+            rows = left_batch.rows()
+            out: list[tuple] = []
+            for begin in range(0, len(rows), step):
+                out.extend(_joined(
+                    ((row, right_rows) for row in rows[begin:begin + step]),
+                    self._condition, null_pad, width))
             if out:
                 yield self._emit(RowBatch.from_rows(out, width))
 

@@ -1,4 +1,4 @@
-"""SQL value types and three-valued logic for the minidb engine.
+"""SQL value types for the minidb engine.
 
 minidb stores every value as a plain Python object:
 
@@ -16,8 +16,8 @@ NULL           ``None``                    any type may be NULL
 
 Timestamps are integers so that ``rtime - prev_rtime`` is exact and
 cheap; :func:`format_timestamp` renders them for display. SQL NULL is
-Python ``None`` everywhere, with Kleene three-valued logic provided by
-:func:`sql_and`, :func:`sql_or` and :func:`sql_not`.
+Python ``None`` everywhere; the expression kernels
+(``minidb.expressions``) implement Kleene three-valued logic over it.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ __all__ = [
     "DAY",
     "coerce_value",
     "is_comparable",
-    "sql_and",
-    "sql_or",
-    "sql_not",
     "compare_values",
     "sort_key",
     "sort_key_column",
@@ -125,31 +122,6 @@ def is_comparable(left: SqlType, right: SqlType) -> bool:
     if left is right:
         return True
     return left.is_numeric and right.is_numeric
-
-
-def sql_and(left: bool | None, right: bool | None) -> bool | None:
-    """Kleene three-valued AND."""
-    if left is False or right is False:
-        return False
-    if left is None or right is None:
-        return None
-    return True
-
-
-def sql_or(left: bool | None, right: bool | None) -> bool | None:
-    """Kleene three-valued OR."""
-    if left is True or right is True:
-        return True
-    if left is None or right is None:
-        return None
-    return False
-
-
-def sql_not(value: bool | None) -> bool | None:
-    """Kleene three-valued NOT."""
-    if value is None:
-        return None
-    return not value
 
 
 def compare_values(left: Any, right: Any) -> int | None:

@@ -217,7 +217,6 @@ class CacheOptions:
     experiment harness byte-identical to the uncached engine.
     """
 
-    enabled: bool = True
     #: Byte budget across all materialized regions (LRU-evicted beyond).
     max_bytes: int = 64 << 20
     #: Hard cap on the number of cached regions.

@@ -103,8 +103,7 @@ class DeferredCleansingEngine:
         #: Cleansed-region cache; None (the default) leaves rewrite
         #: behavior byte-identical to the uncached engine.
         self.region_cache = (CleansingRegionCache(database, cache)
-                             if cache is not None and cache.enabled
-                             else None)
+                             if cache is not None else None)
 
     # ------------------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 ``repro.fuzz.reference`` is the tuple-at-a-time answer every executor
 comparison is made against, so three things are pinned here: it shares
-no code with what it checks (an AST test over its imports), it gets the
-SQL corner cases right on its own (hand-computed examples), and the
+no code with what it checks (an AST test over its imports, and a drill
+that breaks one engine kernel and expects the two to disagree), it gets
+the SQL corner cases right on its own (hand-computed examples), and the
 executor agrees with it over random data at several batch sizes (a
 property test the nightly job runs at 2000 examples).
 """
@@ -18,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.fuzz import reference
-from repro.minidb import Database, SqlType, TableSchema
+from repro.minidb import Database, SqlType, TableSchema, expressions
 from repro.minidb.result import ResultSet
 from repro.minidb.vector import forced_batch_size
 from repro.rewrite.engine import DeferredCleansingEngine
@@ -32,17 +33,63 @@ FORBIDDEN = ("repro.minidb.plan.physical", "repro.minidb.plan.window",
 def test_reference_imports_nothing_it_checks():
     source = Path(reference.__file__).read_text(encoding="utf-8")
     imported = set()
+    #: Names imported from the expressions module, and imports of the
+    #: module object itself (which would reach every kernel).
+    from_expressions, whole_module = [], []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
+            names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
-            imported.update(f"{node.module}.{alias.name}"
-                            for alias in node.names)
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            if node.module == expressions.__name__:
+                from_expressions += [alias.name for alias in node.names]
+        else:
+            continue
+        imported.update(names)
+        whole_module += [name for name in names
+                         if name == expressions.__name__]
     leaks = sorted(name for name in imported
                    for forbidden in FORBIDDEN
                    if name == forbidden or name.startswith(forbidden + "."))
     assert not leaks, f"reference.py imports executor code: {leaks}"
+    # From the expressions module only the node classes it interprets
+    # and constants: never a kernel, a helper or the module itself.
+    assert from_expressions, "the reference interprets the node classes"
+    assert not whole_module, "reference.py imports the expressions module"
+    kernels = sorted(name for name in from_expressions
+                     if not _node_or_constant(name))
+    assert not kernels, f"reference.py imports expression code: {kernels}"
+
+
+def _node_or_constant(name: str) -> bool:
+    value = getattr(expressions, name)
+    if isinstance(value, type):
+        return issubclass(value, expressions.Expr) \
+            or value in (expressions.WindowFrame, expressions.SortSpec)
+    return name.isupper() and isinstance(value, (str, int, float))
+
+
+def test_broken_kernel_is_seen_only_by_the_reference(monkeypatch):
+    """Break the engine's NULLIF kernel so it returns its first argument
+    on equality: the executor's answer moves and the reference's does
+    not."""
+    db = Database()
+    db.create_table("t", TableSchema.of(("a", SqlType.INTEGER),
+                                        ("b", SqlType.INTEGER)))
+    db.load("t", [(1, 1), (2, 3), (None, 4), (5, 5)])
+    sql = "select nullif(a, b) from t"
+    expected = [(None,), (2,), (None,), (None,)]
+    assert reference.execute(db, sql) == expected
+    assert db.execute(sql).rows == expected
+
+    def first_argument(args):
+        return args[0]
+
+    monkeypatch.setitem(expressions._FUNCTIONS, "nullif", first_argument)
+    db.plan_cache.clear()
+    assert db.execute(sql).rows == [(1,), (2,), (None,), (5,)]
+    assert reference.execute(db, sql) == expected
 
 
 @pytest.fixture
@@ -139,6 +186,8 @@ QUERIES = [
     "select f.g, f.v, d.w from f, d where f.g = d.g and f.t <= {c}",
     "select f.t, d.w from f, d where f.v < d.w",
     "select f.g, f.t, d.w from f left join d on f.g = d.g and d.w > {c}",
+    "select f.g, f.v, d.w from f left join d on f.g = d.g and f.v < d.w",
+    "select f.t, d.w from f left join d on f.v + d.w > {c}",
     "select g, t from f where g in (select g from d where w >= 0)",
     "select g, t from f where g not in (select g from d)",
     "select g, count(*) as n, sum(v) as s, min(t) as lo, "

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.errors import CatalogError, SchemaError, SqlSyntaxError
+from repro.errors import (
+    CatalogError,
+    PlanningError,
+    SchemaError,
+    SqlSyntaxError,
+)
 from repro.minidb import Database, SqlType
 from repro.minidb.sqlparse import parse_sql
 from repro.minidb.sqlparse.ast import (
@@ -89,6 +94,18 @@ class TestExecution:
         db.run("create table t (a integer, b varchar)")
         with pytest.raises(SchemaError):
             db.run("insert into t values (1)")
+
+    def test_insert_values_cannot_reference_columns(self):
+        db = Database()
+        db.run("create table t (a integer, b integer)")
+        with pytest.raises(PlanningError, match="column 'a'"):
+            db.run("insert into t values (a, 1)")
+        # A bad row anywhere in the statement inserts nothing.
+        with pytest.raises(PlanningError, match="column 'b'"):
+            db.run("insert into t values (1, 2), (3, b + 1)")
+        assert db.run("select a from t").rows == []
+        db.run("insert into t values (abs(-4), coalesce(null, 5))")
+        assert db.run("select a, b from t").rows == [(4, 5)]
 
     def test_duplicate_table_rejected(self):
         db = Database()

@@ -16,12 +16,7 @@ from repro.minidb.types import (
     days,
     parse_timestamp,
     sort_key,
-    sql_and,
-    sql_not,
-    sql_or,
 )
-
-TRUTH = (True, False, None)
 
 
 class TestCoercion:
@@ -68,30 +63,6 @@ class TestComparability:
 
     def test_string_vs_number(self):
         assert not is_comparable(SqlType.VARCHAR, SqlType.INTEGER)
-
-
-class TestThreeValuedLogic:
-    @given(st.sampled_from(TRUTH), st.sampled_from(TRUTH))
-    def test_and_matches_kleene_table(self, a, b):
-        if a is False or b is False:
-            assert sql_and(a, b) is False
-        elif a is None or b is None:
-            assert sql_and(a, b) is None
-        else:
-            assert sql_and(a, b) is True
-
-    @given(st.sampled_from(TRUTH), st.sampled_from(TRUTH))
-    def test_de_morgan(self, a, b):
-        assert sql_not(sql_and(a, b)) == sql_or(sql_not(a), sql_not(b))
-        assert sql_not(sql_or(a, b)) == sql_and(sql_not(a), sql_not(b))
-
-    @given(st.sampled_from(TRUTH), st.sampled_from(TRUTH))
-    def test_commutativity(self, a, b):
-        assert sql_and(a, b) == sql_and(b, a)
-        assert sql_or(a, b) == sql_or(b, a)
-
-    def test_not_of_null(self):
-        assert sql_not(None) is None
 
 
 class TestComparison:

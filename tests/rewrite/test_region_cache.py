@@ -177,8 +177,7 @@ class TestRegionCacheHits:
 
     def test_disabled_cache_has_no_region_cache(self):
         db, _, plain = make_engines(ROWS, ("duplicate",))
-        disabled = DeferredCleansingEngine(
-            db, plain.registry, cache=CacheOptions(enabled=False))
+        disabled = DeferredCleansingEngine(db, plain.registry, cache=None)
         assert disabled.region_cache is None
         sql = q("rtime <= 300")
         assert sorted(disabled.execute(sql).rows) == \

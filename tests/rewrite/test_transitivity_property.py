@@ -20,26 +20,30 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fuzz import reference
+from repro.minidb.expressions import ColumnRef
+from repro.minidb.plan.planschema import Field, PlanSchema
 from repro.minidb.sqlparse import parse_expression
+from repro.minidb.types import SqlType
 from repro.rewrite.transitivity import derive_context_conjuncts
 
-COLUMNS = ("epc", "rtime", "biz_loc", "reader")
+COLUMNS = (("epc", SqlType.VARCHAR), ("rtime", SqlType.INTEGER),
+           ("biz_loc", SqlType.VARCHAR), ("reader", SqlType.VARCHAR))
 
-#: Row layout for bound evaluation: X's columns then T's columns.
-_INDEX = {("x", name): position for position, name in enumerate(COLUMNS)}
-_INDEX.update({("t", name): position + len(COLUMNS)
-               for position, name in enumerate(COLUMNS)})
-
-
-def _resolver(qualifier: str | None, name: str) -> int:
-    # Derived conjuncts refer only to the context reference; treat
-    # unqualified references as context-side.
-    return _INDEX[(qualifier or "x", name)]
+#: Row layout for evaluation: X's columns then T's columns.
+_SCHEMA = PlanSchema([Field(name, sql_type, qualifier)
+                      for qualifier in ("x", "t")
+                      for name, sql_type in COLUMNS])
 
 
 def _holds(conjunct_sql: str, row: tuple) -> bool:
-    value = parse_expression(conjunct_sql).bind(_resolver)(row)
-    return value is True
+    expr = parse_expression(conjunct_sql)
+    # Derived conjuncts refer only to the context reference; treat
+    # unqualified references as context-side.
+    expr = expr.substitute({ref: ColumnRef(ref.name, "x")
+                            for ref in expr.referenced_columns()
+                            if ref.qualifier is None})
+    return reference.scalar(expr, _SCHEMA)(row) is True
 
 
 ROW = st.tuples(
