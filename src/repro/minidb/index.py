@@ -19,7 +19,7 @@ comparison semantics.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = ["SortedIndex", "IndexRange"]
 
@@ -108,13 +108,20 @@ class SortedIndex:
     def __len__(self) -> int:
         return len(self._data[0])
 
-    def build(self, keyed_positions: Iterable[tuple[Any, int]]) -> None:
-        """(Re)build the index from ``(key, position)`` pairs."""
-        pairs = sorted(
-            (pair for pair in keyed_positions if pair[0] is not None),
-            key=lambda pair: pair[0])
-        self._data = ([key for key, _ in pairs],
-                      [position for _, position in pairs])
+    def build(self, column: Sequence[Any]) -> None:
+        """(Re)build the index from a key column: ``column[p]`` is the
+        key of the row at position ``p``.
+
+        One stable sort of the positions by their keys: NULL keys are
+        skipped, and equal keys keep position order.
+        """
+        if None in column:
+            positions = [position for position, key in enumerate(column)
+                         if key is not None]
+        else:
+            positions = list(range(len(column)))
+        positions.sort(key=column.__getitem__)
+        self._data = (list(map(column.__getitem__, positions)), positions)
 
     def insert(self, key: Any, position: int) -> None:
         """Insert one entry, keeping the index sorted (in place)."""
@@ -190,23 +197,39 @@ class SortedIndex:
         for slot in range(start, stop):
             yield positions[slot]
 
-    def positions_of(self, keys: Iterable[Any]) -> list[int]:
-        """Row positions whose key equals one of *keys*, key by key.
+    @staticmethod
+    def _slots_of(index_keys: list[Any],
+                  keys: Iterable[Any]) -> Iterator[tuple[int, int]]:
+        """The ``[start, stop)`` entry slots equal to each of *keys*.
 
-        *keys* must be distinct under ``==``. A key the indexed keys
-        cannot be ordered against (text probing a numeric index) matches
-        nothing, exactly as an equality test between them would.
+        A key the indexed keys cannot be ordered against (text probing a
+        numeric index) matches nothing, exactly as an equality test
+        between them would.
         """
-        index_keys, positions = self._data
-        out: list[int] = []
         for key in keys:
             try:
                 start = bisect.bisect_left(index_keys, key)
                 stop = bisect.bisect_right(index_keys, key, start)
             except TypeError:
                 continue
+            yield start, stop
+
+    def positions_of(self, keys: Iterable[Any]) -> list[int]:
+        """Row positions whose key equals one of *keys*, key by key.
+
+        *keys* must be distinct under ``==`` and hold no NaN (NaN is
+        unordered, so bisecting for it would return arbitrary slots).
+        """
+        index_keys, positions = self._data
+        out: list[int] = []
+        for start, stop in self._slots_of(index_keys, keys):
             out.extend(positions[start:stop])
         return out
+
+    def count_of(self, keys: Iterable[Any]) -> int:
+        """Exact number of entries :meth:`positions_of` would return."""
+        return sum(stop - start
+                   for start, stop in self._slots_of(self._data[0], keys))
 
     def count(self, key_range: IndexRange) -> int:
         """Exact number of entries in *key_range* (no row access)."""

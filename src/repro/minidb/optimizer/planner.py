@@ -5,8 +5,9 @@ The planner performs the optimizations the reproduction depends on:
 * **predicate pushdown** (see ``optimizer.rules``), with the window
   barrier that motivates the paper's rewrite engine;
 * **access-path selection** — single-column range predicates over
-  indexed columns become index range scans, with exact matching-row
-  counts probed from the index (standing in for DB2's index statistics);
+  indexed columns become index range scans, and a literal ``IN`` list
+  on an indexed column a keyed scan, with exact matching-row counts
+  probed from the index (standing in for DB2's index statistics);
 * **greedy join ordering** over inner-join groups, hash joins for
   equi-predicates with the smaller side as build input;
 * **sort avoidance / order sharing** — Window and Sort operators are
@@ -27,6 +28,8 @@ from repro.minidb.expressions import (
     BinaryOp,
     ColumnRef,
     Expr,
+    InList,
+    Literal,
     and_all,
 )
 from repro.minidb.index import IndexRange
@@ -256,10 +259,12 @@ class Planner:
         if self._options.use_indexes and conjuncts:
             choice = self._choose_index(node, conjuncts)
             if choice is not None:
-                index, key_range, used = choice
-                access = IndexRangeScan(table, node.schema, index, key_range)
-                matching = float(index.count(key_range))
-                access.estimated_rows = matching
+                index, probe, used, matching = choice
+                if isinstance(probe, IndexRange):
+                    access = IndexRangeScan(table, node.schema, index, probe)
+                else:
+                    access = SeqScan(table, node.schema, index, probe)
+                access.estimated_rows = float(matching)
                 access.estimated_cost = self._cost.index_scan(matching)
                 residual = [c for c in conjuncts if c not in used]
         if access is None:
@@ -289,16 +294,28 @@ class Planner:
     def _choose_index(self, node: LogicalScan, conjuncts: list[Expr]):
         """Pick the most selective usable index, or None.
 
-        Returns (index, key_range, conjuncts-consumed).
+        Returns (index, probe, conjuncts-consumed, matching entries). The
+        probe is an :class:`IndexRange` for range and equality conjuncts,
+        or a tuple of keys for a literal ``col IN (...)``; an IN list is
+        never consumed, so it stays a filter over the keyed scan.
         """
+        best = None
         by_column: dict[str, list[tuple[Expr, str, object]]] = {}
         for conjunct in conjuncts:
+            keyed = self._parse_in_list(conjunct, node)
+            if keyed is not None:
+                column, keys = keyed
+                index = node.table.index_on(column)
+                if index is not None:
+                    matching = index.count_of(keys)
+                    if best is None or matching < best[3]:
+                        best = (index, keys, [], matching)
+                continue
             parsed = self._parse_range_conjunct(conjunct, node)
             if parsed is None:
                 continue
             ref, op, value = parsed
             by_column.setdefault(ref.name, []).append((conjunct, op, value))
-        best = None
         for column, entries in by_column.items():
             index = node.table.index_on(column)
             if index is None:
@@ -329,16 +346,36 @@ class Planner:
                 best = (index, key_range, used, matching)
         if best is None:
             return None
-        index, key_range, used, matching = best
         # An index scan that matches nearly everything is slower than a
         # sequential scan; fall back in that case. The comparison uses
         # the statistics row count (like every other estimate), not the
         # live list length — under pinned snapshot statistics the live
         # table may already be longer, and the plan choice must be
         # reproducible from the pinned state alone.
-        if matching > 0.8 * max(self._table_rows(node), 1.0):
+        if best[3] > 0.8 * max(self._table_rows(node), 1.0):
             return None
-        return index, key_range, used
+        return best
+
+    def _parse_in_list(self, conjunct: Expr, node: LogicalScan):
+        """Decompose ``col IN (literal, ...)`` into (column, keys) or None.
+
+        The keys are the distinct non-NULL items under ``==`` (so ``1``
+        and ``1.0`` are one key), in first-seen order. ``NOT IN`` and a
+        NaN item (unordered, so no index slot holds it) return None.
+        """
+        if not isinstance(conjunct, InList) or conjunct.negated:
+            return None
+        operand = conjunct.operand
+        if not isinstance(operand, ColumnRef) \
+                or not node.schema.has(operand.qualifier, operand.name):
+            return None
+        if not all(isinstance(item, Literal) for item in conjunct.items):
+            return None
+        values = [item.value for item in conjunct.items]
+        if any(value != value for value in values):
+            return None
+        keys = dict.fromkeys(value for value in values if value is not None)
+        return operand.name, tuple(keys)
 
     def _parse_range_conjunct(self, conjunct: Expr, node: LogicalScan):
         """Decompose ``col op literal`` (either side) or return None."""

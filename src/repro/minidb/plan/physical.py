@@ -185,21 +185,35 @@ class SeqScan(PhysicalNode):
     ``visible_rows`` additionally redirects the scan to a frozen row
     prefix when the live store was rewritten (``replace_rows``/drop)
     after the snapshot was pinned. Both are None for live execution.
+
+    A *keyed* scan (``index`` and ``keys`` set, planned for a literal
+    ``col IN (...)``) reads only the rows whose *index* key equals one
+    of *keys*, still in insertion order (:meth:`keyed_batches`). The
+    planner keeps the IN list as a filter above it, so a detached
+    snapshot, which has no index, falls back to the full frozen scan
+    and the filter answers alike.
     """
 
-    __slots__ = ('table', 'visible_count', 'visible_rows')
+    __slots__ = ('table', 'visible_count', 'visible_rows', 'index', 'keys')
 
-    def __init__(self, table: Table, schema: PlanSchema) -> None:
+    def __init__(self, table: Table, schema: PlanSchema,
+                 index: SortedIndex | None = None,
+                 keys: Sequence[Any] | None = None) -> None:
         super().__init__()
         self.table = table
         self.schema = schema
         self.visible_count: int | None = None
         self.visible_rows = None
+        self.index = index
+        self.keys = keys
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         size = _resolve_batch_size(size)
         if self.visible_rows is not None:
             yield from self._frozen_batches(size)
+            return
+        if self.keys is not None:
+            yield from self.keyed_batches(self.index, self.keys, size)
             return
         columns = self.table.columnar()
         bound = self.visible_count
@@ -245,7 +259,10 @@ class SeqScan(PhysicalNode):
                 yield self._emit(_transposed(chunk))
 
     def label(self) -> str:
-        return f"SeqScan({self.table.name})"
+        if self.keys is None:
+            return f"SeqScan({self.table.name})"
+        return (f"SeqScan({self.table.name} keyed {self.index.column} "
+                f"IN {len(self.keys)} keys)")
 
 
 class IndexRangeScan(PhysicalNode):

@@ -375,9 +375,7 @@ class Table:
         index of a table this way when it attaches the table.
         """
         for index in indexes:
-            key_position = self.schema.position_of(index.column)
-            index.build((row[key_position], position)
-                        for position, row in enumerate(self.rows))
+            index.build(self.columnar()[self.schema.position_of(index.column)])
 
     def index_on(self, column: str) -> SortedIndex | None:
         """The first index whose key is *column*, or None."""

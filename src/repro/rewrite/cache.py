@@ -46,7 +46,7 @@ with LRU eviction.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import itertools
 import sys
 from collections import OrderedDict
@@ -221,12 +221,10 @@ class CacheOptions:
     max_bytes: int = 64 << 20
     #: Hard cap on the number of cached regions.
     max_entries: int = 16
-    #: Patch-vs-invalidate thresholds: an append dirtying more than
-    #: ``max_patch_keys`` cluster-key values, or more than
-    #: ``max_patch_fraction`` of the region's sequences, falls back to
-    #: full invalidation (re-cleansing most of the region through the
-    #: OR-of-equalities patch path would cost more than a rebuild).
-    max_patch_keys: int = 64
+    #: Patch-vs-invalidate threshold: an append dirtying more than this
+    #: fraction of the region's sequences falls back to full
+    #: invalidation (re-cleansing most of the region would cost about
+    #: as much as a rebuild).
     max_patch_fraction: float = 0.5
 
 
@@ -259,6 +257,11 @@ class RegionEntry:
     #: ``source_table.data_epoch`` at materialization time, the cursor
     #: into the table's delta log.
     source_data_epoch: int = 0
+    #: The run index: cluster-key value -> ``(start, end)`` slice of the
+    #: region's rows holding that sequence, in row (= key sort) order.
+    #: None when the region cannot be patched (no usable cluster key, a
+    #: MODIFY-ed key, or rows not laid out as sorted contiguous runs).
+    runs: dict[object, tuple[int, int]] | None = None
 
 
 def _bound_column(conjuncts: Sequence[Expr]) -> str | None:
@@ -276,6 +279,73 @@ def _bound_column(conjuncts: Sequence[Expr]) -> str | None:
         if ref is not None:
             return ref.name
     return None
+
+
+def _sorted_runs(rows: list[tuple], position: int) -> dict | None:
+    """Key -> ``(start, end)`` slice of each run of equal keys at
+    *position*, in row order; None unless the rows are sorted by that
+    key (rules without window columns emit unsorted regions, which
+    cannot be spliced)."""
+    runs: dict = {}
+    previous = None
+    start = 0
+    for end in range(1, len(rows) + 1):
+        if end < len(rows) and rows[end][position] == rows[start][position]:
+            continue
+        key = rows[start][position]
+        ordered = sort_key(key)
+        if key in runs or previous is not None and ordered < previous:
+            return None
+        runs[key] = (start, end)
+        previous = ordered
+        start = end
+    return runs
+
+
+def _splice(rows: list[tuple], runs: dict, dirty_keys: list,
+            fresh_rows: list[tuple], position: int) \
+        -> tuple[list[tuple], dict]:
+    """*rows* with each dirty key's run replaced by its run in
+    *fresh_rows*, and the run index of the result.
+
+    *dirty_keys* are in sort order and *fresh_rows* are sorted runs of
+    dirty keys. A dirty key without a run in *rows* is inserted where
+    it sorts; one without fresh rows leaves the region. Untouched runs
+    keep their rows and shift by the rows gained or lost before them.
+    """
+    fresh = _sorted_runs(fresh_rows, position)
+    pieces: list[list[tuple]] = []
+    new_runs: dict = {}
+    untouched = iter(runs.items())
+    pending = next(untouched, None)
+    cursor = shift = 0
+    for key in dirty_keys:
+        if key in runs:
+            start, end = runs[key]
+        else:
+            start = end = bisect.bisect_left(
+                rows, sort_key(key), lo=cursor,
+                key=lambda row: sort_key(row[position]))
+        while pending is not None and pending[1][0] < start:
+            other, (low, high) = pending
+            new_runs[other] = (low + shift, high + shift)
+            pending = next(untouched, None)
+        if start != end:  # *pending* is this key's own stale run
+            pending = next(untouched, None)
+        pieces.append(rows[cursor:start])
+        if key in fresh:
+            low, high = fresh[key]
+            pieces.append(fresh_rows[low:high])
+            new_runs[key] = (start + shift, start + shift + high - low)
+            shift += high - low
+        shift -= end - start
+        cursor = end
+    pieces.append(rows[cursor:])
+    while pending is not None:
+        other, (low, high) = pending
+        new_runs[other] = (low + shift, high + shift)
+        pending = next(untouched, None)
+    return list(itertools.chain.from_iterable(pieces)), new_runs
 
 
 def _estimate_bytes(rows: list[tuple]) -> int:
@@ -358,8 +428,7 @@ class CleansingRegionCache:
             if not self._is_stale(entry):
                 continue
             if keep_patchable and not self._is_orphaned(entry) \
-                    and entry.cluster_key is not None \
-                    and not entry.cluster_key_modified \
+                    and entry.runs is not None \
                     and entry.source_table.delta_since(
                         entry.source_data_epoch) is not None:
                 continue
@@ -369,52 +438,33 @@ class CleansingRegionCache:
     # Patch-vs-invalidate
     # ------------------------------------------------------------------
 
-    def _patch_plan(self, entry: RegionEntry) \
-            -> tuple[int, list[object]] | None:
-        """Decide whether *entry* can be patched back to freshness.
+    def _dirty_keys(self, entry: RegionEntry) -> tuple[int, list] | None:
+        """``(delta_epochs, dirty keys in sort order)`` when *entry* can
+        be patched back to freshness, else None (invalidate).
 
-        Returns ``(delta_epochs, dirty_values)`` when every mutation
-        since materialization was an append, the appended rows carry
-        usable cluster keys, the dirty-sequence count is under the
-        thresholds, and the cached region is laid out as sorted
-        contiguous cluster-key runs (the splice invariant). None means
-        the entry must be invalidated instead.
+        Patchable means: the region has a run index, every mutation
+        since materialization was an append, no appended row has a NULL
+        cluster key (an IN list can never re-select a NULL sequence),
+        and the dirty keys are at most ``max_patch_fraction`` of the
+        region's sequences after the append. Reads only the appended
+        rows.
         """
-        if entry.cluster_key is None or entry.cluster_key_modified:
+        runs = entry.runs
+        if runs is None:
             return None
         table = entry.source_table
-        if entry.cluster_key not in table.schema.names:
-            return None
         delta = table.delta_since(entry.source_data_epoch)
         if delta is None:
             return None
         key_position = table.schema.position_of(entry.cluster_key)
         dirty: set = set()
         for start, count in delta:
-            for row in table.rows[start:start + count]:
-                value = row[key_position]
-                if value is None:
-                    # An equality predicate can never re-select a NULL
-                    # sequence; the patch would silently lose those rows.
-                    return None
-                dirty.add(value)
-        options = self.options
-        if len(dirty) > options.max_patch_keys:
+            dirty.update(row[key_position]
+                         for row in table.rows[start:start + count])
+        if None in dirty:
             return None
-        region_position = entry.table.schema.position_of(entry.cluster_key)
-        region_keys: set = set()
-        previous = None
-        for row in entry.table.rows:
-            value = row[region_position]
-            key = sort_key(value)
-            if previous is not None and key < previous:
-                # Rules without window columns emit unsorted regions;
-                # run-splicing needs sorted contiguous runs.
-                return None
-            region_keys.add(value)
-            previous = key
-        total = len(region_keys | dirty)
-        if total and len(dirty) / total > options.max_patch_fraction:
+        total = len(runs) + sum(1 for key in dirty if key not in runs)
+        if total and len(dirty) / total > self.options.max_patch_fraction:
             return None
         return len(delta), sorted(dirty, key=sort_key)
 
@@ -425,30 +475,32 @@ class CleansingRegionCache:
         cluster key), so for every non-dirty key the cached run equals
         its full-recompute run, and the patcher's output — the expanded
         subplan restricted to the dirty keys, under the entry's own ec —
-        equals the full recompute's runs for the dirty keys. Both inputs
-        arrive sorted by the cluster key's sort order with disjoint key
-        sets, so a single ordered merge reproduces the full recompute
-        byte-for-byte.
+        equals the full recompute's runs for the dirty keys. The region
+        is sorted contiguous runs in key order, so replacing each dirty
+        run by its fresh rows (an empty run when the rules now delete
+        the whole sequence) and inserting a new key's rows at its sorted
+        place reproduces the full recompute byte for byte.
+
+        Cost: the appended rows, the patcher's read of the dirty
+        sequences, one list splice and a walk of the run index.
         """
-        plan = self._patch_plan(entry)
+        plan = self._dirty_keys(entry)
         if plan is None:
             return False
-        epochs, dirty_values = plan
+        epochs, dirty_keys = plan
         table = entry.source_table
-        if dirty_values:
-            dirty = set(dirty_values)
-            position = entry.table.schema.position_of(entry.cluster_key)
-            fresh_rows = patcher(entry, dirty_values)
+        if dirty_keys:
+            region = entry.table
+            position = region.schema.position_of(entry.cluster_key)
+            fresh_rows = patcher(entry, dirty_keys)
             fresh_rows.sort(key=lambda row: sort_key(row[position]))
-            kept_rows = [row for row in entry.table.rows
-                         if row[position] not in dirty]
-            merged = list(heapq.merge(
-                kept_rows, fresh_rows,
-                key=lambda row: sort_key(row[position])))
-            entry.table.replace_rows(merged, coerced=True)
-            self.database.stats.rebase(entry.table)
-            entry.nbytes = _estimate_bytes(entry.table.rows)
-            self.sequences_recleaned += len(dirty_values)
+            rows, runs = _splice(region.rows, entry.runs, dirty_keys,
+                                 fresh_rows, position)
+            region.replace_rows(rows, coerced=True)
+            entry.runs = runs
+            self.database.stats.rebase(region)
+            entry.nbytes = _estimate_bytes(rows)
+            self.sequences_recleaned += len(dirty_keys)
         entry.source_version = table.version
         entry.source_data_epoch = table.data_epoch
         self.patches += 1
@@ -513,13 +565,18 @@ class CleansingRegionCache:
         bound = _bound_column(ec_conjuncts)
         if bound is not None and bound in schema.names:
             cached.create_index(bound)
+        runs = None
+        if cluster_key is not None and not cluster_key_modified \
+                and cluster_key in schema.names:
+            runs = _sorted_runs(cached.rows,
+                                schema.position_of(cluster_key))
         entry = RegionEntry(
             source_table=table, source_version=table.version,
             rule_key=rule_key, ec_conjuncts=list(ec_conjuncts),
             table=cached, nbytes=nbytes,
             cluster_key=cluster_key,
             cluster_key_modified=cluster_key_modified,
-            source_data_epoch=table.data_epoch)
+            source_data_epoch=table.data_epoch, runs=runs)
         self._entries[name] = entry
         self.stores += 1
         while len(self._entries) > self.options.max_entries \

@@ -22,13 +22,12 @@ from typing import Sequence
 from repro.errors import RewriteError
 from repro.minidb.engine import Database, ExecutionMetrics
 from repro.minidb.expressions import (
-    BinaryOp,
     ColumnRef,
     Expr,
+    InList,
     InSubquery,
     Literal,
     and_all,
-    or_all,
 )
 from repro.minidb.plan.logical import (
     LogicalFilter,
@@ -334,16 +333,17 @@ class DeferredCleansingEngine:
 
         The patcher recomputes the expanded subplan under the *entry's
         own* ec (not the current probe's, which may be narrower) with an
-        extra OR-of-equalities restriction to the dirty cluster keys —
-        the predicate is constant per sequence, so pushing it with the
-        ec guards is sound.
+        extra ``cluster_key IN (dirty keys)`` restriction — the predicate
+        is constant per sequence, so pushing it with the ec guards is
+        sound. On an indexed cluster key the planner answers it with a
+        keyed scan, so the patch reads only the dirty sequences' rows.
         """
 
         def patch(entry: RegionEntry,
                   dirty_values: Sequence[object]) -> list[tuple]:
-            predicate = or_all([
-                BinaryOp("=", ColumnRef(entry.cluster_key), Literal(value))
-                for value in dirty_values])
+            predicate = InList(ColumnRef(entry.cluster_key),
+                               tuple(Literal(value)
+                                     for value in dirty_values))
             subplan = expanded_subplan(
                 self.database, self.registry, rules, table_name,
                 list(entry.ec_conjuncts) + [predicate])

@@ -115,9 +115,9 @@ class TestIncrementalIndex:
         base = [(rng.randint(0, 50), pos) for pos in range(200)]
         fresh = [(rng.randint(0, 50), 200 + pos) for pos in range(60)]
         one_by_one = SortedIndex("a", "k")
-        one_by_one.build(base)
+        one_by_one.build([key for key, _ in base])
         batched = SortedIndex("b", "k")
-        batched.build(base)
+        batched.build([key for key, _ in base])
         for key, position in fresh:
             one_by_one.insert(key, position)
         batched.insert_many(fresh)
@@ -125,7 +125,7 @@ class TestIncrementalIndex:
 
     def test_insert_many_skips_nulls_and_handles_empty(self):
         index = SortedIndex("a", "k")
-        index.build([(1, 0), (3, 1)])
+        index.build([1, 3])
         index.insert_many([])
         index.insert_many([(None, 2), (2, 3)])
         assert self.entries(index) == [(1, 0), (2, 3), (3, 1)]

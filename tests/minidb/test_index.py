@@ -8,7 +8,7 @@ from repro.minidb.index import IndexRange, SortedIndex
 
 def build(keys):
     index = SortedIndex("idx", "k")
-    index.build((key, position) for position, key in enumerate(keys))
+    index.build(list(keys))
     return index
 
 
@@ -80,3 +80,31 @@ def test_scan_agrees_with_linear_filter(keys, low, high, low_inc, high_inc):
             expected.add(position)
     assert set(index.scan(key_range)) == expected
     assert index.count(key_range) == len(expected)
+
+
+def tuple_sort_build(keys):
+    """The former build: sort ``(key, position)`` pairs by key."""
+    pairs = sorted(((key, position) for position, key in enumerate(keys)
+                    if key is not None), key=lambda pair: pair[0])
+    return [key for key, _ in pairs], [position for _, position in pairs]
+
+
+@given(st.lists(st.one_of(st.none(), st.integers(-3, 3),
+                          st.sampled_from([-1.0, 0.0, 1.0, 2.5])),
+                max_size=60))
+def test_build_matches_tuple_sort(keys):
+    # Ties (1 and 1.0 included) keep position order, NULLs are skipped.
+    index = build(keys)
+    assert (index._keys, index._positions) == tuple_sort_build(keys)
+
+
+class TestKeyLookup:
+    def test_positions_of_matches_each_key_in_turn(self):
+        index = build([5, 3, 5, None, 1, 5.0])
+        assert index.positions_of([5, 1]) == [0, 2, 5, 4]
+        assert index.count_of([5, 1]) == 4
+
+    def test_unorderable_key_matches_nothing(self):
+        index = build([1, 2, 3])
+        assert index.positions_of(["2", 2]) == [1]
+        assert index.count_of(["2"]) == 0

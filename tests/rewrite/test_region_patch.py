@@ -10,12 +10,15 @@ byte-identical to a cold full recompute, at both batch settings.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.sqlparse import parse_expression
 from repro.minidb.table import _DELTA_LOG_LIMIT
 from repro.minidb.types import sort_key
-from repro.rewrite import DeferredCleansingEngine
+from repro.minidb.plan.physical import IndexRangeScan, SeqScan
+from repro.rewrite import DeferredCleansingEngine, engine as engine_module
 from repro.rewrite.cache import CacheOptions, CleansingRegionCache
 from repro.sqlts import RuleRegistry
 
@@ -39,6 +42,15 @@ RULES = {
         DEFINE retag ON r CLUSTER BY epc SEQUENCE BY rtime
         AS (A, B) WHERE A.biz_loc = B.biz_loc AND B.rtime - A.rtime < 40
         ACTION MODIFY B.epc = 'retagged'""",
+    # With "kill": a read followed by a 'kill' read, then the 'kill'
+    # read itself, are deleted, so one append can erase a sequence.
+    "precede": """
+        DEFINE precede ON r CLUSTER BY epc SEQUENCE BY rtime
+        AS (A, B) WHERE B.reader = 'kill' AND B.rtime - A.rtime < 30
+        ACTION DELETE A""",
+    "kill": """
+        DEFINE kill ON r CLUSTER BY epc SEQUENCE BY rtime
+        AS (A) WHERE A.reader = 'kill' ACTION DELETE A""",
 }
 
 
@@ -49,11 +61,13 @@ def base_rows(epcs=12, per_epc=8):
             for e in range(epcs) for t in range(per_epc)]
 
 
-def make_engines(rows, rule_names=("reader", "duplicate"), **cache_kwargs):
+def make_engines(rows, rule_names=("reader", "duplicate"),
+                 indexes=("rtime",), **cache_kwargs):
     db = Database()
     db.create_table("r", SCHEMA)
     db.load("r", rows)
-    db.create_index("r", "rtime")
+    for column in indexes:
+        db.create_index("r", column)
     registry = RuleRegistry()
     for name in rule_names:
         registry.define(RULES[name])
@@ -111,13 +125,26 @@ class TestPatchDecision:
         assert cached.region_cache.invalidations == 1
 
     def test_too_many_dirty_keys_invalidates(self):
-        db, cached, plain = make_engines(base_rows(), max_patch_keys=2)
+        # 3 new keys beside 12 cached sequences dirty 3 / 15 = 0.2 of
+        # the patched region: over a 0.15 fraction, so invalidate.
+        db, cached, plain = make_engines(base_rows(),
+                                         max_patch_fraction=0.15)
         cached.execute(SQL)
         db.append("r", [(f"n{i}", 60 + i, "r0", "l1") for i in range(3)])
         assert sorted(cached.execute(SQL).rows) == \
             sorted(plain.execute(SQL).rows)
         assert cached.region_cache.patches == 0
         assert cached.region_cache.invalidations == 1
+
+    def test_dirty_fraction_at_the_bound_patches(self):
+        db, cached, plain = make_engines(base_rows(),
+                                         max_patch_fraction=0.2)
+        cached.execute(SQL)
+        db.append("r", [(f"n{i}", 60 + i, "r0", "l1") for i in range(3)])
+        assert sorted(cached.execute(SQL).rows) == \
+            sorted(plain.execute(SQL).rows)
+        assert cached.region_cache.patches == 1
+        assert cached.region_cache.invalidations == 0
 
     def test_truncated_delta_history_invalidates(self):
         db, cached, plain = make_engines(base_rows())
@@ -273,3 +300,108 @@ def test_patched_region_byte_identical_to_cold(monkeypatch, batch):
 
     assert patched_region == cold_region
     assert patched_rows == cold_rows
+
+
+def patched_and_cold(prefix, chunks, sql=SQL, **engine_kwargs):
+    """Two cached engines over the same final rows: one whose region was
+    patched once per chunk, and one that cleansed it cold. Hold the
+    engines while reading their regions: they keep their databases
+    open (a disk database releases its rows when collected)."""
+    db_inc, incremental, _ = make_engines(prefix, **engine_kwargs)
+    incremental.execute(sql)
+    for chunk in chunks:
+        db_inc.append("r", chunk)
+        incremental.execute(sql)
+    db_cold, cold, _ = make_engines(prefix, **engine_kwargs)
+    for chunk in chunks:
+        db_cold.append("r", chunk)
+    cold.execute(sql)
+    return incremental, cold
+
+
+def assert_patched_is_cold(prefix, chunks, **engine_kwargs):
+    """The patched region has the cold region's rows, in its order, and
+    the run index a fresh store builds. Returns the patched engine."""
+    incremental, cold = patched_and_cold(prefix, chunks, **engine_kwargs)
+    patched, fresh = only_entry(incremental), only_entry(cold)
+    assert incremental.region_cache.patches == len(chunks)
+    assert incremental.region_cache.stores == 1
+    assert patched.table.rows == fresh.table.rows
+    assert list(patched.runs.items()) == list(fresh.runs.items())
+    return incremental
+
+
+class TestSplice:
+    def test_dirty_first_and_last_runs(self):
+        incremental = assert_patched_is_cold(base_rows(), [
+            [("e00", 55, "r0", "l1"), ("e11", 120, "rx", "l2")]])
+        keys = list(only_entry(incremental).runs)
+        assert keys[0] == "e00" and keys[-1] == "e11"
+
+    def test_new_keys_before_and_after_every_run(self):
+        incremental = assert_patched_is_cold(base_rows(), [
+            [("a00", 55, "r0", "l1"), ("z99", 60, "r1", "l2")],
+            [("a00", 70, "r2", "l1")]])
+        keys = list(only_entry(incremental).runs)
+        assert keys[0] == "a00" and keys[-1] == "z99"
+
+    def test_sequence_the_rules_now_delete_leaves_the_index(self):
+        prefix = base_rows() + [("solo", 100, "r0", "l1")]
+        warm, _ = patched_and_cold(prefix, [],
+                                   rule_names=("precede", "kill"))
+        assert "solo" in only_entry(warm).runs
+        incremental = assert_patched_is_cold(
+            prefix, [[("solo", 110, "kill", "l1")]],
+            rule_names=("precede", "kill"))
+        patched = only_entry(incremental)
+        assert "solo" not in patched.runs
+        assert patched.table.rows
+        assert all(row[0] != "solo" for row in patched.table.rows)
+
+    def test_patch_reads_only_the_dirty_sequences(self, monkeypatch):
+        # 2 000 source rows, a 20-row delta over 5 sequences: the patch
+        # reads those sequences through the keyed scan on epc, nothing
+        # else of the source.
+        prefix = [(f"e{e:03d}", e + t * 25, f"r{t % 3}", "l1")
+                  for e in range(200) for t in range(10)]
+        sql = "select epc, rtime, reader, biz_loc from r where rtime <= 900"
+        db, cached, plain = make_engines(prefix, indexes=("rtime", "epc"))
+        cached.execute(sql)
+        delta = [(f"e{e:03d}", 40 * e + t, "r1", "l2")
+                 for e in (0, 3, 50, 51, 199) for t in range(4)]
+        assert len(db.table("r").rows) >= 100 * len(delta)
+        db.append("r", delta)
+        expected = sorted(plain.execute(sql).rows)
+        plans = []
+
+        def recording(plan):
+            plans.append(plan)
+            return materialize(plan)
+
+        materialize = engine_module.materialize
+        monkeypatch.setattr(engine_module, "materialize", recording)
+        assert sorted(cached.execute(sql).rows) == expected
+        assert cached.region_cache.patches == 1
+        source = db.table("r")
+        read = sum(node.actual_rows for plan in plans
+                   for node in plan.walk()
+                   if isinstance(node, (SeqScan, IndexRangeScan))
+                   and node.table is source)
+        dirty = {row[0] for row in delta}
+        assert read == sum(1 for row in source.rows if row[0] in dirty)
+
+
+STREAM_EPCS = ("a0", "e00", "e03", "e07", "e11", "m5", "z9")
+
+
+@given(st.lists(
+    st.lists(st.tuples(st.sampled_from(STREAM_EPCS),
+                       st.integers(0, 400),
+                       st.sampled_from(("r0", "r1", "rx")),
+                       st.sampled_from(("l1", "l2", "la"))),
+             min_size=1, max_size=5),
+    min_size=1, max_size=4))
+def test_patched_region_equals_cold_over_append_streams(chunks):
+    # Fraction 1.0: every append patches, whatever share it dirties.
+    assert_patched_is_cold(base_rows(), chunks, indexes=("rtime", "epc"),
+                           max_patch_fraction=1.0)
