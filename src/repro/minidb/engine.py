@@ -275,10 +275,9 @@ class Database:
 
         The returned :class:`~repro.minidb.snapshot.Snapshot` sees
         exactly the current (schema_epoch, data_epoch, stats) per table:
-        concurrent :meth:`append` calls land invisibly, and a
-        ``replace_rows``/``drop_table`` detaches the pinned versions
-        onto frozen copies. Use it as a context manager (or call
-        ``release()``) so pinned epochs can retire. *plan_cache* lets a
+        concurrent :meth:`append` calls land invisibly. Use it as a
+        context manager (or call ``release()``) so pinned epochs can
+        retire. *plan_cache* lets a
         serving session reuse prepared plans across its snapshots.
         """
         from repro.minidb.snapshot import Snapshot

@@ -43,28 +43,6 @@ class IndexRange:
     def equals(cls, key: Any) -> "IndexRange":
         return cls(low=key, high=key)
 
-    def contains(self, key: Any) -> bool:
-        """Whether *key* falls inside the range (NULL never matches).
-
-        Mirrors the index semantics exactly: NULL keys are excluded from
-        indexes, so a range probe can never return them. Used by the
-        detached-snapshot fallback, which filters frozen rows directly
-        instead of consulting a (live, too-new) index.
-        """
-        if key is None:
-            return False
-        if self.low is not None:
-            if key < self.low:
-                return False
-            if key == self.low and not self.low_inclusive:
-                return False
-        if self.high is not None:
-            if key > self.high:
-                return False
-            if key == self.high and not self.high_inclusive:
-                return False
-        return True
-
     def __repr__(self) -> str:
         left = "[" if self.low_inclusive else "("
         right = "]" if self.high_inclusive else ")"

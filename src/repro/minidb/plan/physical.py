@@ -29,7 +29,7 @@ Each operator carries:
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ExecutionError
@@ -73,11 +73,6 @@ def _resolve_batch_size(size: int | None) -> int:
     if size is not None and size > 0:
         return size
     return configured_batch_size()
-
-
-def _transposed(rows: list[tuple]) -> RowBatch:
-    """A non-empty row list as a batch of fresh column lists."""
-    return RowBatch([list(column) for column in zip(*rows)], len(rows))
 
 
 def _gather(columns: list[list], positions: list[int]) -> RowBatch:
@@ -178,23 +173,18 @@ class PhysicalNode:
 class SeqScan(PhysicalNode):
     """Full scan of a stored table in insertion order.
 
-    ``visible_count``/``visible_rows`` pin the scan to an MVCC
-    snapshot (see ``minidb.snapshot``). With ``visible_count`` set the
-    scan reads only positions below the bound — appends only extend
-    the row store, so the bounded prefix is exactly the pinned epoch.
-    ``visible_rows`` additionally redirects the scan to a frozen row
-    prefix when the live store was rewritten (``replace_rows``/drop)
-    after the snapshot was pinned. Both are None for live execution.
+    ``visible_count`` pins the scan to an MVCC snapshot (see
+    ``minidb.snapshot``): the scan reads only positions below the bound
+    — catalog tables only grow, so the bounded prefix is exactly the
+    pinned epoch. It is None for live execution.
 
     A *keyed* scan (``index`` and ``keys`` set, planned for a literal
     ``col IN (...)``) reads only the rows whose *index* key equals one
     of *keys*, still in insertion order (:meth:`keyed_batches`). The
-    planner keeps the IN list as a filter above it, so a detached
-    snapshot, which has no index, falls back to the full frozen scan
-    and the filter answers alike.
+    planner keeps the IN list as a filter above it.
     """
 
-    __slots__ = ('table', 'visible_count', 'visible_rows', 'index', 'keys')
+    __slots__ = ('table', 'visible_count', 'index', 'keys')
 
     def __init__(self, table: Table, schema: PlanSchema,
                  index: SortedIndex | None = None,
@@ -203,15 +193,11 @@ class SeqScan(PhysicalNode):
         self.table = table
         self.schema = schema
         self.visible_count: int | None = None
-        self.visible_rows = None
         self.index = index
         self.keys = keys
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         size = _resolve_batch_size(size)
-        if self.visible_rows is not None:
-            yield from self._frozen_batches(size)
-            return
         if self.keys is not None:
             yield from self.keyed_batches(self.index, self.keys, size)
             return
@@ -231,8 +217,7 @@ class SeqScan(PhysicalNode):
         Reads the same column cache as the full scan, at the positions
         the index returns, so a hash join probing only these rows emits
         exactly what it would after a full scan. Positions at or past the
-        snapshot bound are skipped; a detached snapshot has no index and
-        must use :meth:`batches`.
+        snapshot bound are skipped.
         """
         columns = self.table.columnar()
         bound = self.visible_count
@@ -241,22 +226,6 @@ class SeqScan(PhysicalNode):
         del positions[bisect_left(positions, total):]
         for lo in range(0, len(positions), size):
             yield self._emit(_gather(columns, positions[lo:lo + size]))
-
-    def _frozen_batches(self, size: int) -> Iterator[RowBatch]:
-        """Batch path over a detached snapshot's frozen row prefix.
-
-        The frozen prefix is a plain row list from a retired epoch, so
-        the columnar cache (which reflects the live store) cannot be
-        used; rows are transposed per chunk instead.
-        """
-        rows = self.visible_rows
-        total = len(rows)
-        if self.visible_count is not None:
-            total = min(total, self.visible_count)
-        for lo in range(0, total, size):
-            chunk = rows[lo:min(lo + size, total)]
-            if chunk:
-                yield self._emit(_transposed(chunk))
 
     def label(self) -> str:
         if self.keys is None:
@@ -268,20 +237,14 @@ class SeqScan(PhysicalNode):
 class IndexRangeScan(PhysicalNode):
     """Range scan through a sorted index; output is ordered by the key.
 
-    ``visible_count``/``visible_rows`` pin the scan to an MVCC
-    snapshot, mirroring :class:`SeqScan`. With only ``visible_count``
-    set, index entries at positions past the bound (appended after the
-    pin) are skipped — the index yields in key order, so later
-    positions are interleaved and must be filtered, not truncated.
-    With ``visible_rows`` set (the store was rewritten after the pin)
-    the live index no longer describes the frozen prefix, so the scan
-    filters and sorts the frozen rows directly, reproducing the index's
-    output order exactly: equal keys come out in position order both
-    ways (``bisect_right`` insertion and a stable sort agree).
+    ``visible_count`` pins the scan to an MVCC snapshot, mirroring
+    :class:`SeqScan`: index entries at positions past the bound
+    (appended after the pin) are skipped — the index yields in key
+    order, so later positions are interleaved and must be filtered, not
+    truncated.
     """
 
-    __slots__ = ('table', 'index', 'key_range', 'visible_count',
-                 'visible_rows')
+    __slots__ = ('table', 'index', 'key_range', 'visible_count')
 
     def __init__(self, table: Table, schema: PlanSchema,
                  index: SortedIndex, key_range: IndexRange) -> None:
@@ -293,23 +256,9 @@ class IndexRangeScan(PhysicalNode):
         key_position = table.schema.position_of(index.column)
         self.ordering = ((key_position, True),)
         self.visible_count: int | None = None
-        self.visible_rows = None
-
-    def _detached_rows(self) -> list[tuple]:
-        key_position = self.table.schema.position_of(self.index.column)
-        source = islice(iter(self.visible_rows), self.visible_count)
-        selected = [row for row in source
-                    if self.key_range.contains(row[key_position])]
-        selected.sort(key=lambda row: row[key_position])
-        return selected
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         size = _resolve_batch_size(size)
-        if self.visible_rows is not None:
-            rows = self._detached_rows()
-            for lo in range(0, len(rows), size):
-                yield self._emit(_transposed(rows[lo:lo + size]))
-            return
         columns = self.table.columnar()
         bound = self.visible_count
         chunk: list[int] = []
@@ -465,8 +414,7 @@ class HashJoinOp(PhysicalNode):
     those keys (:meth:`SeqScan.keyed_batches`). Rows the full scan would
     have probed in vain are never read, and the output is unchanged:
     same rows, same order, in either storage mode. Left joins (unmatched
-    rows are emitted), multi-key joins and detached snapshots keep the
-    full scan.
+    rows are emitted) and multi-key joins keep the full scan.
     """
 
     __slots__ = ('left', 'right', 'kind', '_residual', 'residual_expr',
@@ -503,7 +451,7 @@ class HashJoinOp(PhysicalNode):
 
     def _probe_index(self, table: dict) -> SortedIndex | None:
         """The index to fetch the probe side through, or None to scan."""
-        if self._probe_column is None or self.left.visible_rows is not None:
+        if self._probe_column is None:
             return None
         index = self.left.table.index_on(self._probe_column)
         if index is None:

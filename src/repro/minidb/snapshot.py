@@ -4,22 +4,23 @@ A :class:`Snapshot` pins, per table, the ``(schema_epoch, data_epoch,
 row_count)`` triple current at creation time (``Table.pin_version``) plus
 a deep copy of the table's statistics. Queries executed through the
 snapshot see exactly the pinned state — concurrent ``append()`` calls
-extend the live stores without becoming visible, and a concurrent
-``replace_rows``/``DROP TABLE`` detaches the pinned versions onto frozen
-row copies first — while ingest never waits for readers.
+extend the live stores without becoming visible — while ingest never
+waits for readers.
 
 How it works
 ============
 
-Appends only ever *extend* a table's row sequence, so a pinned version
-is normally just a bound: scans read positions below ``row_count`` and
-skip everything newer. Plans are the ordinary costed physical plans (the
-planner runs against the live catalog with the *pinned* statistics, so
-plan shapes are reproducible from the pinned state alone); right before
-execution the snapshot *arms* every base scan with its table's bound
-(``visible_count``) and, for detached versions, the frozen row prefix
-(``visible_rows``), then disarms in a ``finally`` so the plan object
-stays reusable for live execution.
+Catalog tables only grow: appends *extend* a table's row sequence, and
+nothing rewrites a pinned table (``Table.replace_rows`` refuses one).
+So a pinned version is just a bound: scans read positions below
+``row_count`` and skip everything newer. A dropped table leaves the
+catalog, but its row list stays with the pinned version and still
+holds the pinned prefix. Plans are the ordinary costed physical plans
+(the planner runs against the live catalog with the *pinned*
+statistics, so plan shapes are reproducible from the pinned state
+alone); right before execution the snapshot *arms* every base scan with
+its table's bound (``visible_count``), then disarms in a ``finally`` so
+the plan object stays reusable for live execution.
 
 Prepared-plan reuse uses the same fingerprint discipline as
 :class:`~repro.minidb.engine.PreparedPlanCache`: table *data* epochs are
@@ -82,8 +83,7 @@ class Snapshot:
     """A consistent read view over every table of one database.
 
     Create via :meth:`Database.snapshot`; use as a context manager (or
-    call :meth:`release` explicitly) so the pinned versions retire and
-    any frozen row copies are freed.
+    call :meth:`release` explicitly) so the pinned versions retire.
     """
 
     def __init__(self, database: "Database", *,
@@ -202,7 +202,6 @@ class Snapshot:
             if isinstance(node, (SeqScan, IndexRangeScan)):
                 version = self._version_of(node.table.name)
                 node.visible_count = version.row_count
-                node.visible_rows = version.frozen_rows
                 armed.append(node)
         return armed
 
@@ -210,7 +209,6 @@ class Snapshot:
     def _disarm(armed: list[Any]) -> None:
         for node in armed:
             node.visible_count = None
-            node.visible_rows = None
 
     def _materialize(self, plan: PhysicalNode) -> list[tuple]:
         armed = self._arm(plan)
@@ -235,9 +233,7 @@ class Snapshot:
 
         Counters are byte-identical to executing the same query on a
         database frozen at the pinned epochs (the snapshot-isolation
-        tests pin exactly this). The exception is a detached version: it
-        has no index, so a hash join scans it where the frozen database
-        would fetch only the matching rows (see ``HashJoinOp``).
+        tests pin exactly this).
         """
         from repro.minidb.engine import ExecutionMetrics
 

@@ -7,10 +7,11 @@ of what it reports. Per table: rows, segments, their *live* bytes, the
 indexed columns (rebuilt on open, they own no bytes), and the footprint
 — bytes stored versus the bytes the same segments take with every
 column plain, the effect of ``REPRO_ENCODE``. *Dead* bytes are the rest
-of the data file: segments of dropped or replaced tables and segments
-merged into newer ones (a checkpoint rewrites the image once they
-outweigh the live bytes), plus any uncommitted tail, which the next open
-cuts off. A segment that fails its checksum is skipped.
+of the data file: segments of dropped tables and segments merged into
+newer ones (a checkpoint rewrites the image once they outweigh the live
+bytes), plus any uncommitted tail, which the next open cuts off. A
+segment that fails its checksum is skipped. A directory in the older
+page format is refused, as opening it would be.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 import sys
 
 from repro.errors import StorageError
+from repro.minidb.storage.backend import refuse_page_format
 from repro.minidb.storage.segment import (
     FILE_HEADER_SIZE,
     decode_segment,
@@ -69,17 +71,9 @@ def stat(directory: str) -> str:
             f"data.pages: {_size(data_path)} bytes", wal_line])
     with open(manifest_path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
+    refuse_page_format(manifest)
     tables = sorted(manifest["tables"].items())
     lines.append(f"checkpoint epoch: {manifest['epoch']}")
-    if "page_size" in manifest:
-        lines += [f"data.pages: {_size(data_path)} bytes", wal_line,
-                  "page format of an older version: the first checkpoint "
-                  "rewrites it as segments"]
-        for name, entry in tables:
-            pages = entry["heap_pages"]
-            lines.append(f"table {name}: {sum(n for _, n in pages)} rows, "
-                         f"{len(pages)} heap pages")
-        return "\n".join(lines)
     if read_generation(data_path) != manifest["generation"]:
         data_path += ".tmp"  # a rewritten image not yet renamed in place
     live = sum(length for _, entry in tables
@@ -101,7 +95,11 @@ def main(argv: list[str]) -> int:
     if not os.path.isdir(argv[1]):
         print(f"not a directory: {argv[1]}", file=sys.stderr)
         return 2
-    print(stat(argv[1]))
+    try:
+        print(stat(argv[1]))
+    except StorageError as error:
+        print(error, file=sys.stderr)
+        return 1
     return 0
 
 

@@ -7,21 +7,20 @@ One :class:`DiskStorage` owns a database directory::
     MANIFEST.json  atomic checkpoint root (written via tmp + rename)
 
 A disk table keeps its rows in a plain list, like a memory table; every
-mutation is in the WAL before the list changes. A checkpoint appends
-each table's new rows as one segment, fsyncs, replaces the manifest
-(per table its ``[offset, length, rows]`` segments; the committed
-length, generation and epoch) and then truncates the WAL. Reclaim is
-per table: a ``replace_rows`` or DROP makes the table's segments dead
-(a replaced table gets a fresh base segment), and a new segment absorbs
-the table's trailing segments that hold no more rows than it does — or
-any past :data:`MAX_SEGMENTS` — so a row is re-encoded O(log n) times.
-Only once dead bytes exceed live ones does a checkpoint rewrite the
-live image into the next generation. On open, recovery finishes a rename
-the manifest already names, cuts ``data.pages`` to the committed
-length, decodes the segments, rebuilds indexes, and replays the WAL. A
-directory in the older page format opens through
-:mod:`~repro.minidb.storage.legacy`; its first checkpoint rewrites it.
-See DESIGN.md §11.
+mutation is in the WAL before the list changes. Tables only grow: the
+mutations are CREATE TABLE, CREATE INDEX, DROP TABLE and appends. A
+checkpoint appends each table's new rows as one segment, fsyncs,
+replaces the manifest (per table its ``[offset, length, rows]``
+segments; the committed length, generation and epoch) and then
+truncates the WAL. Dead bytes come from two places: a DROP makes the
+table's segments dead, and a new segment absorbs the table's trailing
+segments that hold no more rows than it does — or any past
+:data:`MAX_SEGMENTS` — so a row is re-encoded O(log n) times. Only once
+dead bytes exceed live ones does a checkpoint rewrite the live image
+into the next generation. On open, recovery finishes a rename the
+manifest already names, cuts ``data.pages`` to the committed length,
+decodes the segments, rebuilds indexes, and replays the WAL. A
+directory in the older page format is refused. See DESIGN.md §11.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from repro.errors import StorageCorruptionError, StorageError
 from repro.knobs import int_knob
 from repro.minidb.index import SortedIndex
 from repro.minidb.schema import Column, TableSchema
-from repro.minidb.storage import faults, legacy, wal as walmod
+from repro.minidb.storage import faults, wal as walmod
 from repro.minidb.storage.segment import (
     FILE_HEADER_SIZE,
     decode_segment,
@@ -53,7 +52,8 @@ if TYPE_CHECKING:
     from repro.minidb.catalog import Catalog
 
 __all__ = ["DEFAULT_CHECKPOINT_BYTES", "DiskStorage", "MAX_SEGMENTS",
-           "configured_checkpoint_bytes", "encode_enabled"]
+           "configured_checkpoint_bytes", "encode_enabled",
+           "refuse_page_format"]
 
 #: WAL size that triggers an automatic checkpoint at the end of the
 #: mutation that crossed it (``REPRO_WAL_LIMIT`` overrides).
@@ -90,6 +90,19 @@ def encode_enabled() -> bool:
 def _schema(pairs) -> TableSchema:
     return TableSchema(Column(name, SqlType(type_value))
                        for name, type_value in pairs)
+
+
+def refuse_page_format(manifest: dict) -> None:
+    """Raise :class:`StorageError` for a manifest of the older page
+    format (slotted heap pages, named by ``page_size``/``heap_pages``),
+    which this version no longer reads."""
+    if "page_size" in manifest or any(
+            "heap_pages" in entry
+            for entry in manifest.get("tables", {}).values()):
+        raise StorageError(
+            "database directory is in the page format of an older "
+            "version (page_size/heap_pages in MANIFEST.json); this "
+            "version reads only column segments")
 
 
 def _fsync_dir(path: str) -> None:
@@ -143,9 +156,6 @@ class DiskStorage:
         #: Per table: its ``[offset, length, rows]`` segments, holding
         #: its first ``sum(rows)`` rows.
         self._segments: dict[str, list[list[int]]] = {}
-        #: Set when the next checkpoint must rewrite the image: the data
-        #: file is in the older page format.
-        self._rewrite_due = False
         self.replaying = False
         self.checkpoints = 0
         #: Image rewrites: the checkpoints that reclaimed space.
@@ -175,13 +185,7 @@ class DiskStorage:
         self._commit(walmod.encode_create_index(table, column, index_name))
 
     def log_append(self, table: str, rows: list[tuple]) -> None:
-        self._commit(walmod.encode_rows_op(walmod.OP_APPEND, table, rows))
-
-    def log_replace(self, table: str, rows: list[tuple]) -> None:
-        # The old segments are dead; the next checkpoint writes a fresh
-        # base segment with every row.
-        self._segments.pop(table, None)
-        self._commit(walmod.encode_rows_op(walmod.OP_REPLACE, table, rows))
+        self._commit(walmod.encode_append(table, rows))
 
     def mutation_complete(self) -> None:
         """Checkpoint once the WAL is large enough; called only after a
@@ -201,7 +205,7 @@ class DiskStorage:
         live = sum(span[1] for spans in self._segments.values()
                    for span in spans)
         dead = self.data_length - FILE_HEADER_SIZE - live
-        rewrite = self._rewrite_due or dead > live
+        rewrite = dead > live
         if rewrite:
             generation, target = self.generation + 1, self.data_path + ".tmp"
         else:
@@ -259,7 +263,6 @@ class DiskStorage:
         self.wal.truncate()
         self._segments = segments
         self.generation, self.data_length = generation, offset
-        self._rewrite_due = False
         self.manifest_epoch = self.epoch
         self.checkpoints += 1
 
@@ -294,7 +297,19 @@ class DiskStorage:
 
     def open(self, catalog: "Catalog") -> int:
         """Attach checkpoint state and replay the WAL into *catalog*;
-        returns the number of replayed transactions."""
+        returns the number of replayed transactions.
+
+        If opening fails, the storage is abandoned as a crash would
+        leave it: a directory this version refuses or cannot read is
+        never overwritten by a checkpoint of what little was loaded.
+        """
+        try:
+            return self._recover(catalog)
+        except BaseException:
+            self.simulate_crash()
+            raise
+
+    def _recover(self, catalog: "Catalog") -> int:
         self.catalog = catalog
         try:
             with open(os.path.join(self.path, "MANIFEST.json"), "r",
@@ -306,12 +321,9 @@ class DiskStorage:
             with open(self.data_path, "wb") as handle:
                 handle.write(file_header(self.generation))
         else:
+            refuse_page_format(manifest)
             self.epoch = self.manifest_epoch = manifest["epoch"]
-            if "page_size" in manifest:
-                tables = legacy.read_tables(self.data_path, manifest)
-                self._rewrite_due = True
-            else:
-                tables = self._read_segments(manifest)
+            tables = self._read_segments(manifest)
             for name, entry in manifest["tables"].items():
                 self._attach(name, entry, tables[name])
         replayed = 0
@@ -382,9 +394,6 @@ class DiskStorage:
                 record.column, record.index_name)
         elif record.op == walmod.OP_APPEND:
             catalog.table(record.table).append_rows(record.rows)
-        elif record.op == walmod.OP_REPLACE:
-            catalog.table(record.table).replace_rows(record.rows,
-                                                     coerced=True)
         else:
             raise StorageError(f"unreplayable WAL op {record.op}")
 

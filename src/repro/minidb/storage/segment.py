@@ -38,9 +38,9 @@ from repro.minidb.storage.serde import (
     write_varint,
 )
 
-__all__ = ["FILE_HEADER_SIZE", "decode_cell", "decode_segment",
-           "encode_segment", "file_header", "read_generation",
-           "segment_shape", "storage_fault_active"]
+__all__ = ["FILE_HEADER_SIZE", "decode_segment", "encode_segment",
+           "file_header", "read_generation", "segment_shape",
+           "storage_fault_active"]
 
 _FILE_HEADER = struct.Struct(">4sI")
 FILE_HEADER_SIZE = _FILE_HEADER.size
@@ -133,7 +133,7 @@ def segment_shape(data: bytes) -> tuple[int, int]:
     return nrows, dict_columns
 
 
-def decode_cell(cell: bytes, layout: int, nrows: int) -> list[Any]:
+def _decode_cell(cell: bytes, layout: int, nrows: int) -> list[Any]:
     """The *nrows* values of one column cell: exactly that many, or a
     :class:`StorageError` (a short cell must not drop rows)."""
     at = 0
@@ -170,7 +170,7 @@ def decode_segment(data: bytes, fault: bool = False) -> list[tuple]:
     for _ in range(ncols):
         layout = payload[at]
         length, at = read_varint(payload, at + 1)
-        columns.append(decode_cell(payload[at:at + length], layout, nrows))
+        columns.append(_decode_cell(payload[at:at + length], layout, nrows))
         at += length
     rows = list(zip(*columns))
     if rows and fault:

@@ -41,13 +41,14 @@ from repro.minidb.storage.serde import (
 )
 
 __all__ = ["OP_APPEND", "OP_COMMIT", "OP_CREATE_INDEX", "OP_CREATE_TABLE",
-           "OP_DROP_TABLE", "OP_REPLACE", "WalRecord", "WriteAheadLog"]
+           "OP_DROP_TABLE", "WalRecord", "WriteAheadLog"]
 
 OP_CREATE_TABLE = 1
 OP_DROP_TABLE = 2
 OP_CREATE_INDEX = 3
 OP_APPEND = 4
-OP_REPLACE = 5
+# 5 was a whole-table rewrite; tables only grow now, and a log that
+# holds one is refused as an unknown op.
 OP_COMMIT = 6
 
 _FRAME = struct.Struct(">II")
@@ -108,9 +109,8 @@ def encode_create_index(table: str, column: str, index_name: str) -> bytes:
     return bytes(out)
 
 
-def encode_rows_op(op: int, table: str,
-                   rows: Sequence[Sequence[Any]]) -> bytes:
-    out = bytearray([op])
+def encode_append(table: str, rows: Sequence[Sequence[Any]]) -> bytes:
+    out = bytearray([OP_APPEND])
     _encode_str(out, table)
     write_varint(out, len(rows))
     for row in rows:
@@ -150,7 +150,7 @@ def decode_record(payload: bytes) -> WalRecord:
         index_name, _ = _decode_str(payload, offset)
         return WalRecord(op, table=table, column=column,
                          index_name=index_name)
-    if op in (OP_APPEND, OP_REPLACE):
+    if op == OP_APPEND:
         table, offset = _decode_str(payload, offset)
         count, offset = read_varint(payload, offset)
         rows = []
@@ -230,6 +230,11 @@ class WriteAheadLog:
 
         Scanning stops at the first torn, truncated, or CRC-invalid
         record; a trailing op run without a COMMIT marker is discarded.
+        An intact record that does not decode — such as an op this
+        version does not know — raises :class:`StorageError`: it is not
+        a torn tail, and stopping there would silently drop every
+        transaction committed after it. (An empty payload, as in a
+        zero-filled tail, still ends the scan.)
         """
         fd = self._require_fd()
         data = os.pread(fd, os.fstat(fd).st_size, 0)
@@ -246,7 +251,7 @@ class WriteAheadLog:
                 break  # corrupt record: discard from here on
             try:
                 record = decode_record(payload)
-            except (StorageError, IndexError):
+            except IndexError:
                 break
             offset = end
             if record.op == OP_COMMIT:

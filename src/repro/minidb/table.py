@@ -12,12 +12,12 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.errors import CatalogError, SchemaError
+from repro.errors import CatalogError, SchemaError, TableRewriteError
 from repro.minidb.index import SortedIndex
 from repro.minidb.schema import TableSchema
 from repro.minidb.types import coerce_value
 
-__all__ = ["Table", "TableVersion"]
+__all__ = ["Table", "TableVersion", "private_table"]
 
 # Bounded delta history: once more appends than this have happened since
 # the oldest un-truncated epoch, the log's floor rises and older readers
@@ -27,23 +27,18 @@ _DELTA_LOG_LIMIT = 256
 
 
 class TableVersion:
-    """A refcounted, immutable view of one table at one data epoch.
+    """A refcounted view of one table at one data epoch.
 
-    MVCC for an append-mostly store: appends only ever *extend* the row
-    sequence, so a version is usually just a bound — ``row_count`` rows
-    of the live store, read by position. Positions below the bound are
-    stable across any number of concurrent appends, which is what lets
-    readers run without blocking ingest.
-
-    A whole-table rewrite (``replace_rows``) breaks position stability;
-    before applying one, the table *detaches* every live version by
-    materializing its row prefix into ``frozen_rows``. Readers switch to
-    the frozen copy transparently; the copy is released when the last
-    pin drains (``Table.release_version``).
+    MVCC for an append-only store: appends only ever *extend* the row
+    sequence, so a version is just a bound — ``row_count`` rows of the
+    live store, read by position. Positions below the bound are stable
+    across any number of concurrent appends, which is what lets readers
+    run without blocking ingest. Nothing rewrites a table that can be
+    pinned: ``replace_rows`` refuses a pinned table.
     """
 
     __slots__ = ("table", "schema_epoch", "data_epoch", "row_count",
-                 "refcount", "frozen_rows")
+                 "refcount")
 
     def __init__(self, table: "Table", schema_epoch: int, data_epoch: int,
                  row_count: int) -> None:
@@ -52,23 +47,11 @@ class TableVersion:
         self.data_epoch = data_epoch
         self.row_count = row_count
         self.refcount = 0
-        #: Materialized row prefix, set only when the version had to be
-        #: detached from the live store (see ``Table._detach_pinned``).
-        #: May hold more than ``row_count`` rows (memory mode retains
-        #: the superseded list object wholesale); readers always bound
-        #: by ``row_count``.
-        self.frozen_rows: Sequence[tuple] | None = None
-
-    @property
-    def detached(self) -> bool:
-        """True when this version no longer reads the live row store."""
-        return self.frozen_rows is not None
 
     def __repr__(self) -> str:
-        state = "detached" if self.detached else "live"
         return (f"TableVersion({self.table.name!r}, "
                 f"epoch={self.data_epoch}, rows={self.row_count}, "
-                f"refs={self.refcount}, {state})")
+                f"refs={self.refcount})")
 
 
 class Table:
@@ -79,7 +62,7 @@ class Table:
 
     * ``schema_epoch`` — bumped by structural changes (index creation).
     * ``data_epoch``   — bumped by every row mutation (insert, bulk load,
-      append, replace).
+      append, and ``replace_rows`` on a private table).
 
     ``version`` (their sum) preserves the original contract: consumers
     that memoize anything derived from the table — statistics, prepared
@@ -163,9 +146,8 @@ class Table:
         """Pin the current data epoch as an immutable read view.
 
         Cheap: no rows are copied. Concurrent appends extend the store
-        past the pinned ``row_count`` without disturbing it; a
-        ``replace_rows`` rewrite detaches the version onto a frozen copy
-        first. Must be balanced by :meth:`release_version`.
+        past the pinned ``row_count`` without disturbing it. Must be
+        balanced by :meth:`release_version`.
         """
         version = self._pinned.get(self.data_epoch)
         if version is None:
@@ -183,23 +165,10 @@ class Table:
         current = self._pinned.get(version.data_epoch)
         if current is version:
             del self._pinned[version.data_epoch]
-        # Retire: release any frozen copy a rewrite forced us to keep.
-        version.frozen_rows = None
 
     def pinned_versions(self) -> list[TableVersion]:
         """Currently pinned versions (observability / tests)."""
         return list(self._pinned.values())
-
-    def _detach_pinned(self) -> None:
-        """Freeze live pinned versions before a position-breaking rewrite.
-
-        Retains the superseded row-list object itself (zero copy —
-        ``replace_rows`` swaps in a brand-new list, so the old one is
-        never mutated again).
-        """
-        for version in self._pinned.values():
-            if version.frozen_rows is None:
-                version.frozen_rows = self.rows
 
     def delta_since(self, data_epoch: int) -> list[tuple[int, int]] | None:
         """Row ranges appended after *data_epoch*, or None if unknowable.
@@ -316,12 +285,17 @@ class Table:
 
     def replace_rows(self, rows: Iterable[Sequence[Any]], *,
                      coerced: bool = False) -> int:
-        """Atomically swap the table contents for *rows*.
+        """Swap the contents of a private table for *rows*.
+
+        Catalog tables only grow; this rewrites derived state that no
+        one else can see — a cached cleansed region, a fixpoint scratch
+        table. A table with a storage backend (its WAL has no record for
+        a rewrite) or with pinned snapshot versions (they read rows by
+        position) is refused with :class:`TableRewriteError`.
 
         One call performs the whole consistency dance — coerce, swap,
         bump the data epoch, rebuild every index, drop the columnar cache
-        and rebase the delta log — so callers iterating toward a fixpoint
-        (or otherwise rewriting a table in place) cannot end up with rows
+        and rebase the delta log — so callers cannot end up with rows
         that disagree with the indexes or with version-keyed caches.
         Returns the new row count.
 
@@ -330,21 +304,22 @@ class Table:
         this table or materialized by a plan over coerced tables). The
         fast path for splice-style rewrites that shuffle existing rows.
         """
+        if self.storage is not None:
+            raise TableRewriteError(
+                f"table {self.name!r} is durable: only private tables "
+                f"are rewritten")
+        if self._pinned:
+            raise TableRewriteError(
+                f"table {self.name!r} has pinned snapshot versions")
         if coerced:
             new_rows = rows if isinstance(rows, list) else list(rows)
         else:
             coerce = self._coerce_row
             new_rows = [coerce(values) for values in rows]
-        # Rewrites break position stability; pinned snapshot versions
-        # must be frozen onto copies before the store is touched.
-        self._detach_pinned()
-        if self.storage is not None:
-            self.storage.log_replace(self.name, new_rows)
         self.rows = new_rows
         self._rebase_deltas()
         self._invalidate_columnar()
         self.rebuild_indexes(self.indexes.values())
-        self._mutation_complete()
         return len(new_rows)
 
     # ------------------------------------------------------------------
@@ -443,3 +418,14 @@ class Table:
         position = self.schema.position_of(name)
         for row in self.rows:
             yield row[position]
+
+
+def private_table(label: str, schema: TableSchema) -> Table:
+    """A storage-less table that no catalog holds, for derived state.
+
+    It is named ``"<label>"`` with the double quotes: a quoted SQL
+    identifier cannot contain one, so no statement can name the table,
+    and the name can key ``Database.stats`` beside catalog tables
+    without colliding with one.
+    """
+    return Table(f'"{label}"', schema)

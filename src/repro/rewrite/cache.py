@@ -40,8 +40,14 @@ cluster-key values (those appearing in appended rows) are re-cleansed
 through the caller-supplied ``patcher`` and spliced over the stale
 sequences, which is sound because Φ_C windows never cross cluster-key
 partitions — untouched sequences cleanse to exactly their cached rows.
-Materialized regions live as catalog temp tables under a byte budget
-with LRU eviction.
+
+A region is derived state, so it is private: a storage-less
+:class:`~repro.minidb.table.Table` that is never in the catalog, so it
+is never logged, checkpointed, pinned by a snapshot or visible to SQL.
+Its statistics are the one thing it shares with the database — the
+planner costs a scan of it through ``database.stats``, which is keyed by
+name (see :func:`~repro.minidb.table.private_table`). Regions live
+under a byte budget with LRU eviction.
 """
 
 from __future__ import annotations
@@ -54,11 +60,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.analysis.linear import LinearForm, normalize_comparison
-from repro.errors import CatalogError
 from repro.minidb.engine import Database
 from repro.minidb.expressions import BinaryOp, Expr, Literal
 from repro.minidb.schema import Column, TableSchema
-from repro.minidb.table import Table
+from repro.minidb.table import Table, private_table
 from repro.minidb.types import sort_key
 from repro.rewrite.transitivity import DifferenceClosure, ZERO_VAR
 
@@ -69,8 +74,8 @@ __all__ = ["CacheOptions", "CleansingRegionCache", "RegionEntry",
 #: entry's own ec and returns the resulting rows (region column order).
 Patcher = Callable[["RegionEntry", Sequence[object]], list[tuple]]
 
-#: Global sequence for temp-table names; engines sharing one database
-#: must never collide.
+#: Global sequence for region names; engines sharing one database must
+#: never collide in its statistics repository.
 _SEQUENCE = itertools.count(1)
 
 #: Recursion cap for OR-fact case splits (ec conjunctions are tiny; the
@@ -234,16 +239,11 @@ class RegionEntry:
 
     #: The reads table the region was cleansed from.
     source_table: Table
-    #: ``source_table.version`` at materialization time (observability;
-    #: staleness is decided on ``source_data_epoch`` alone, so schema-only
-    #: changes such as CREATE INDEX never invalidate a cleansed region —
-    #: cleansing depends on row data, not on access paths).
-    source_version: int
     #: Ordered names of the rules applied (registry creation order).
     rule_key: tuple[str, ...]
     #: Top-level conjuncts of the ec the region was materialized under.
     ec_conjuncts: list[Expr]
-    #: Catalog temp table holding the cleansed rows.
+    #: Private (never cataloged, storage-less) table of the cleansed rows.
     table: Table
     #: Estimated in-memory footprint of the rows.
     nbytes: int
@@ -255,7 +255,10 @@ class RegionEntry:
     #: located by source-key and the entry must invalidate, not patch.
     cluster_key_modified: bool = False
     #: ``source_table.data_epoch`` at materialization time, the cursor
-    #: into the table's delta log.
+    #: into the table's delta log. Staleness is decided on it alone, so
+    #: schema-only changes such as CREATE INDEX never invalidate a
+    #: cleansed region — cleansing depends on row data, not on access
+    #: paths.
     source_data_epoch: int = 0
     #: The run index: cluster-key value -> ``(start, end)`` slice of the
     #: region's rows holding that sequence, in row (= key sort) order.
@@ -367,8 +370,8 @@ class CleansingRegionCache:
     table replaced in the catalog), then — among entries for the same
     table and rule list — returns the smallest region whose ec is
     implied by the probe's ec. ``store`` materializes rows into a fresh
-    ``__region_cache_<n>`` catalog table and evicts least-recently-used
-    regions beyond the byte/entry budget.
+    private table, analyzed into ``database.stats``, and evicts
+    least-recently-used regions beyond the byte/entry budget.
     """
 
     def __init__(self, database: Database,
@@ -412,11 +415,8 @@ class CleansingRegionCache:
         return self._is_orphaned(entry)
 
     def _drop(self, name: str, *, evicted: bool) -> None:
-        self._entries.pop(name, None)
-        try:
-            self.database.drop_table(name)
-        except CatalogError:
-            pass
+        del self._entries[name]
+        self.database.stats.invalidate(name)
         if evicted:
             self.evictions += 1
         else:
@@ -501,7 +501,6 @@ class CleansingRegionCache:
             self.database.stats.rebase(region)
             entry.nbytes = _estimate_bytes(rows)
             self.sequences_recleaned += len(dirty_keys)
-        entry.source_version = table.version
         entry.source_data_epoch = table.data_epoch
         self.patches += 1
         self.delta_epochs_applied += epochs
@@ -557,22 +556,23 @@ class CleansingRegionCache:
         nbytes = _estimate_bytes(rows)
         if nbytes > self.options.max_bytes:
             return None
-        name = f"__region_cache_{next(_SEQUENCE)}"
         schema = TableSchema(Column(column.name, column.sql_type)
                              for column in table.schema)
-        cached = self.database.create_table(name, schema)
+        cached = private_table(f"region {next(_SEQUENCE)}", schema)
+        name = cached.name
         cached.bulk_load(rows)
         bound = _bound_column(ec_conjuncts)
         if bound is not None and bound in schema.names:
             cached.create_index(bound)
+        self.database.stats.analyze(cached)
         runs = None
         if cluster_key is not None and not cluster_key_modified \
                 and cluster_key in schema.names:
             runs = _sorted_runs(cached.rows,
                                 schema.position_of(cluster_key))
         entry = RegionEntry(
-            source_table=table, source_version=table.version,
-            rule_key=rule_key, ec_conjuncts=list(ec_conjuncts),
+            source_table=table, rule_key=rule_key,
+            ec_conjuncts=list(ec_conjuncts),
             table=cached, nbytes=nbytes,
             cluster_key=cluster_key,
             cluster_key_modified=cluster_key_modified,

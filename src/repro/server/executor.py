@@ -8,12 +8,14 @@ the last returning :class:`concurrent.futures.Future`) is what the
 server and the tests drive.
 
 The executor is a bounded thread pool over one shared
-:class:`~repro.minidb.engine.Database`. Mutations (appends, session
-setup, cleansed queries — the rewrite engine creates scratch tables
-and region caches) serialize under a single write lock; plain
-read-only queries pin an MVCC snapshot *under* the lock (pin and
-release touch the shared version registry) but execute *outside* it,
-so readers overlap each other and ingest. Each session owns a
+:class:`~repro.minidb.engine.Database`. Appends, session setup and
+cleansed queries serialize under a single write lock; plain read-only
+queries pin an MVCC snapshot *under* the lock (pin and release touch
+the shared version registry) but execute *outside* it, so readers
+overlap each other and ingest. The served engine creates no tables: a
+cleansed query plans and runs against the live catalog and analyzes
+missing statistics into the shared repository, so it stays under the
+lock until nothing it touches is shown to be mutated. Each session owns a
 :class:`~repro.minidb.engine.PreparedPlanCache`, so a session's
 repeated query texts replan zero times across snapshots.
 """
@@ -123,8 +125,9 @@ class ThreadExecutor:
                     raise QueryFailed(
                         "QueryFailed: cleansed query on a session that "
                         "declared no rules in HELLO")
-                # The rewrite engine materializes scratch tables and may
-                # patch region caches — a mutation, so fully exclusive.
+                # The engine adds no tables, but planning analyzes
+                # missing statistics into the shared repository and
+                # reads tables live, unbounded by a snapshot: exclusive.
                 with self._write_lock:
                     return _wire_result(session.engine.execute(sql))
             with self._write_lock:

@@ -6,7 +6,9 @@ One application of the cycle rule collapses each read flanked by two
 equal-location neighbours; nested or long cycles like ``[X Y Z Y X]``
 need repeated application until no row changes. This module evaluates a
 rule (or rule list) to fixpoint by materializing intermediate results
-into temporary tables, with a configurable iteration bound.
+into a private scratch table, with a configurable iteration bound. The
+scratch table is never in the catalog and has no storage, so a disk
+database logs nothing for it.
 
 Fixpoint evaluation is an *eager-style* tool: it cannot be folded into
 the single-pass deferred rewrites (each iteration changes the sequence
@@ -21,6 +23,7 @@ from repro.errors import RuleError
 from repro.minidb.engine import Database
 from repro.minidb.plan.logical import LogicalScan
 from repro.minidb.result import ResultSet
+from repro.minidb.table import private_table
 from repro.sqlts.compiler import CompiledRule
 
 __all__ = ["apply_to_fixpoint", "FixpointResult"]
@@ -49,12 +52,9 @@ def apply_to_fixpoint(database: Database, rules: list[CompiledRule],
     if not rules:
         raise RuleError("fixpoint evaluation needs at least one rule")
     source = database.table(table_name)
-    scratch_name = f"_fixpoint_{table_name}"
-    if scratch_name in database.catalog:
-        database.drop_table(scratch_name)
-    scratch = database.create_table(scratch_name, source.schema)
+    scratch = private_table(f"fixpoint {source.name}", source.schema)
     scratch.bulk_load(source.rows)
-    database.analyze(scratch_name)
+    database.stats.analyze(scratch)
     try:
         previous = list(scratch.rows)
         iterations = 0
@@ -71,8 +71,8 @@ def apply_to_fixpoint(database: Database, rules: list[CompiledRule],
                 converged = True
                 break
             scratch.replace_rows(current)
-            database.analyze(scratch_name)
+            database.stats.analyze(scratch)
             previous = current
         return FixpointResult(previous, columns, iterations, converged)
     finally:
-        database.drop_table(scratch_name)
+        database.stats.invalidate(scratch.name)

@@ -197,9 +197,8 @@ class TestStatsPatch:
 
     def test_rebase_restamps_after_in_place_splice(self):
         db = Database()
-        db.create_table("r", SCHEMA)
-        db.load("r", ROWS)
-        table = db.table("r")
+        table = make_table()  # private: only those are spliced
+        db.stats.analyze(table)
         stats_version = db.stats.version
         table.replace_rows(table.rows[:5], coerced=True)
         assert db.stats.rebase(table)

@@ -1,27 +1,23 @@
 """Disk-path tests: scans over reopened tables, commit durability,
-checkpoint segments and image rewrites, reading directories written in
+checkpoint segments and image rewrites, refusing directories written in
 the older page format, and the storage stat CLI."""
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import StorageError
 from repro.minidb.engine import Database
 from repro.minidb.index import IndexRange
 from repro.minidb.schema import TableSchema
 from repro.minidb.storage.__main__ import main as storage_main, stat
 from repro.minidb.storage.backend import MAX_SEGMENTS
-from repro.minidb.storage.legacy import (
-    KIND_HEAP,
-    KIND_HEAP_DICT,
-    decode_page,
-)
 from repro.minidb.storage.segment import FILE_HEADER_SIZE, read_generation
 from repro.minidb.types import SqlType
 
@@ -58,6 +54,16 @@ def _assert_index_matches_memory(db: Database, rows: list[tuple],
             == list(mirror.table("reads").index_on(column).scan(everything))
 
 
+def _reload(db: Database, rows: list[tuple], *indexed: str) -> None:
+    """Give ``reads`` new contents the only way a catalog table can
+    lose rows: DROP it, then create and load it again."""
+    db.drop_table("reads")
+    db.create_table("reads", SCHEMA)
+    for column in indexed:
+        db.create_index("reads", column)
+    db.load("reads", rows)
+
+
 def _reopened_rows(path, sql: str) -> list:
     """*sql*'s rows on a freshly reopened database."""
     with _open(path) as db:
@@ -88,7 +94,7 @@ class TestSequentialScan:
         with _open(path) as db:
             rows = _rows(2000)
             spliced = rows[:500] + _rows(300, 5000) + rows[1500:]
-            db.table("reads").replace_rows(spliced, coerced=False)
+            _reload(db, spliced)
         rows = _reopened_rows(
             path, "SELECT id, epc FROM reads WHERE id >= 5000")
         assert rows == [(row[0], row[1]) for row in _rows(300, 5000)]
@@ -172,10 +178,10 @@ class TestCheckpointSegments:
 
 
 class TestCompaction:
-    """Reclaim is per table: a replaced table gets a fresh base segment,
-    a dropped one's segments go dead, and a growing table's segments
-    merge geometrically. The image is rewritten into a new file only
-    once dead bytes exceed live ones."""
+    """Reclaim is per table: a dropped table's segments go dead (so a
+    table dropped and loaded again gets a fresh base segment), and a
+    growing table's segments merge geometrically. The image is
+    rewritten into a new file only once dead bytes exceed live ones."""
 
     def test_file_shrinks_after_bulk_replace(self, tmp_path):
         path = tmp_path / "db"
@@ -186,7 +192,7 @@ class TestCompaction:
             db.checkpoint()
             full_size = os.path.getsize(data)
             generation = read_generation(data)
-            db.table("reads").replace_rows(_rows(100), coerced=False)
+            _reload(db, _rows(100))
             db.checkpoint()
             shrunk = os.path.getsize(data)
             assert shrunk < full_size // 2, \
@@ -205,7 +211,7 @@ class TestCompaction:
             db.create_index("reads", "epc")
             db.checkpoint()
             keep = [row for row in _rows(1500) if row[0] % 5 == 0]
-            db.table("reads").replace_rows(keep, coerced=False)
+            _reload(db, keep, "epc")
             db.checkpoint()
             _assert_index_matches_memory(db, keep)
             result = db.execute(
@@ -268,7 +274,7 @@ class TestCompaction:
             db.checkpoint()
             static = _manifest(path)["tables"]["static"]["segments"]
             generation = read_generation(data)
-            db.table("reads").replace_rows(_rows(50, 900), coerced=False)
+            _reload(db, _rows(50, 900))
             db.checkpoint()
             tables = _manifest(path)["tables"]
             assert tables["static"]["segments"] == static
@@ -311,7 +317,7 @@ class TestCompaction:
             assert "bulk" not in db.catalog
             assert db.table("reads").rows == _rows(100)
 
-    @given(st.lists(st.tuples(st.sampled_from(["append", "replace",
+    @given(st.lists(st.tuples(st.sampled_from(["append", "reload",
                                                "checkpoint", "reopen"]),
                               st.integers(1, 120)),
                     min_size=1, max_size=12))
@@ -331,10 +337,10 @@ class TestCompaction:
                 serial += size
                 db.append("reads", batch)
                 model.extend(batch)
-            elif op == "replace":
+            elif op == "reload":
                 model = model[::2] + _rows(size % 30, serial)
                 serial += size % 30
-                db.table("reads").replace_rows(model, coerced=False)
+                _reload(db, model, "epc")
             elif op == "checkpoint":
                 db.checkpoint()
             else:
@@ -361,153 +367,34 @@ class TestCompaction:
             assert list(db.table("reads").scan()) == model
 
 
-class _ParentDirectory:
-    """Shared helpers for directories written in the older page format."""
-
-    SQL = ("SELECT id, epc FROM reads WHERE id >= 100 AND epc = 'epc5' "
-           "ORDER BY id")
-    SOURCE: Path
-
-    @staticmethod
-    def _expected(count: int) -> list[tuple]:
-        return [(row[0], row[1]) for row in _rows(count)
-                if row[0] >= 100 and row[1] == "epc5"]
-
-    def _copy(self, tmp_path) -> Path:
-        path = tmp_path / "db"
-        shutil.copytree(self.SOURCE, path)
-        return path
+class TestOlderPageFormat:
+    """Older versions stored each table as slotted heap pages, named in
+    the manifest by ``page_size`` and per table ``heap_pages``. This
+    version reads only column segments and refuses such a directory,
+    naming the format, before it touches a file."""
 
     @staticmethod
-    def _page_kinds(path) -> set[int]:
-        manifest = _manifest(path)
-        page_size = manifest["page_size"]
-        image = (path / "data.pages").read_bytes()
-        return {decode_page(image[page * page_size:
-                                  (page + 1) * page_size])[0]
-                for page, _ in manifest["tables"]["reads"]["heap_pages"]}
-
-    @staticmethod
-    def _is_segment_format(path) -> bool:
-        return ("page_size" not in _manifest(path)
-                and read_generation(str(path / "data.pages")) is not None)
-
-
-#: Written once by the last version that kept indexes as on-disk
-#: B-trees (commit 7ed9f0f): page size 512, ``reads`` created, indexed
-#: on ``epc``, then three 200-row appends of ``_rows`` with a checkpoint
-#: after each, so the B-tree's pages sit among and after the heap pages.
-BTREE_DIR = Path(__file__).parent / "data" / "btree_db"
-
-#: Written once by the last version with the slotted-page heap (commit
-#: 69a953d): page size 512, ``reads`` created and indexed on ``epc``,
-#: 300 ``_rows`` loaded with ``encode=False`` (row-major pages) and a
-#: shutdown, then a reopen with ``encode=True``, 300 more appended
-#: (dictionary pages) and a checkpoint, then 100 and 50 more appended
-#: and the process abandoned: a committed WAL tail of 150 rows.
-PAGES_DIR = Path(__file__).parent / "data" / "pages_db"
-
-
-class TestParentWrittenDirectory(_ParentDirectory):
-    """A manifest written by an older version can carry index specs with
-    the B-tree's ``root``/``count``/``seq``/``pages`` and a ``zones`` map
-    (``["h", ...]`` heap and ``["l", ...]`` leaf entries). Both are
-    ignored on open, and the first checkpoint rewrites the directory as
-    column segments with a manifest that has neither."""
-
-    SOURCE = BTREE_DIR
-
-    def test_opens_and_answers_like_memory(self, tmp_path):
-        path = self._copy(tmp_path)
-        [spec] = _manifest(path)["tables"]["reads"]["indexes"].values()
-        assert {"root", "count", "seq", "pages"} <= spec.keys()
-        with _open(path) as db:
-            assert db.execute(self.SQL).rows == self._expected(600)
-            _assert_index_matches_memory(db, _rows(600))
-            db.append("reads", _rows(100, 600))
-            assert db.execute(self.SQL).rows == self._expected(700)
-            _assert_index_matches_memory(db, _rows(700))
-        with _open(path) as db:
-            assert list(db.table("reads").scan()) == _rows(700)
-            _assert_index_matches_memory(db, _rows(700))
-
-    def test_next_checkpoint_drops_the_btree_fields(self, tmp_path):
-        path = self._copy(tmp_path)
-        with _open(path) as db:
-            assert not self._is_segment_format(path)  # opening writes nothing
-            db.checkpoint()
-            assert self._is_segment_format(path)
-            entry = _manifest(path)["tables"]["reads"]
-            assert entry["indexes"] == {"idx_reads_epc": {"column": "epc"}}
-        with _open(path) as db:
-            assert list(db.table("reads").scan()) == _rows(600)
-            assert db.execute(self.SQL).rows == self._expected(600)
-
-    def test_zones_in_manifest_are_ignored_then_dropped(self, tmp_path):
-        path = self._copy(tmp_path)
-        manifest = _manifest(path)
-        entry = manifest["tables"]["reads"]
-        # Bounds that would rule out every row if anything read them.
-        zones = {str(page_id): ["h", count, [[-2, -1, 0]] * len(SCHEMA)]
-                 for page_id, count in entry["heap_pages"]}
-        for spec in entry["indexes"].values():
-            zones.update({str(page_id): ["l", "zzz", "zzz"]
-                          for page_id in spec["pages"]})
-        manifest["zones"] = zones
+    def _write(path) -> Path:
+        path.mkdir()
+        manifest = {"epoch": 3, "page_size": 512, "tables": {"reads": {
+            "schema": [[column.name, column.sql_type.value]
+                       for column in SCHEMA],
+            "heap_pages": [[0, 40], [1, 40]],
+            "indexes": {"idx_reads_epc": {"column": "epc"}}}}}
         (path / "MANIFEST.json").write_text(json.dumps(manifest),
                                             encoding="utf-8")
-
-        with _open(path) as db:
-            assert db.execute(self.SQL).rows == self._expected(600)
-            db.append("reads", _rows(100, 600))
-            assert db.execute(self.SQL).rows == self._expected(700)
-            db.checkpoint()
-            assert "zones" not in _manifest(path)
-            assert list(db.table("reads").scan()) == _rows(700)
-        with _open(path) as db:
-            assert db.execute(self.SQL).rows == self._expected(700)
-
-
-class TestPageFormatDirectory(_ParentDirectory):
-    """The fixture holds both page layouts, an index and a WAL tail.
-    Opening it replays the tail, and the checkpoint that folds the
-    replay in is its first: that one rewrites it as segments."""
-
-    SOURCE = PAGES_DIR
-
-    def test_fixture_holds_both_layouts_and_a_wal_tail(self, tmp_path):
-        path = self._copy(tmp_path)
-        assert self._page_kinds(path) == {KIND_HEAP, KIND_HEAP_DICT}
-        assert os.path.getsize(path / "wal.log") > 0
-        assert "page format of an older version" in stat(str(path))
-
-    def test_opens_and_answers_like_memory(self, tmp_path):
-        path = self._copy(tmp_path)
-        with _open(path) as db:
-            assert db.storage.checkpoints == 1  # the replay fold
-            assert self._is_segment_format(path)
-            assert os.path.getsize(path / "wal.log") == 0
-            assert db.table("reads").rows == _rows(750)
-            assert db.execute(self.SQL).rows == self._expected(750)
-            _assert_index_matches_memory(db, _rows(750))
-            db.append("reads", _rows(50, 750))
-        with _open(path) as db:
-            assert db.storage.checkpoints == 0
-            assert db.table("reads").rows == _rows(800)
-            _assert_index_matches_memory(db, _rows(800))
-
-    def test_without_the_tail_it_migrates_at_its_first_checkpoint(
-            self, tmp_path):
-        path = self._copy(tmp_path)
+        (path / "data.pages").write_bytes(bytes(1024))
         (path / "wal.log").write_bytes(b"")
-        with _open(path) as db:
-            assert db.table("reads").rows == _rows(600)
-            _assert_index_matches_memory(db, _rows(600))
-            assert not self._is_segment_format(path)
-        # shutdown checkpointed: now, and only now, it is segments
-        assert self._is_segment_format(path)
-        with _open(path) as db:
-            assert db.table("reads").rows == _rows(600)
+        return path
+
+    def test_open_refuses_and_names_the_format(self, tmp_path):
+        path = self._write(tmp_path / "db")
+        before = {name: (path / name).read_bytes()
+                  for name in os.listdir(path)}
+        with pytest.raises(StorageError, match="page format"):
+            _open(path)
+        assert {name: (path / name).read_bytes()
+                for name in os.listdir(path)} == before
 
 
 class TestStatCli:
@@ -528,16 +415,12 @@ class TestStatCli:
         assert storage_main(["stat", str(path)]) == 0
         assert "table reads" in capsys.readouterr().out
 
-    def test_stat_reports_a_page_format_directory(self, tmp_path):
-        path = tmp_path / "db"
-        shutil.copytree(BTREE_DIR, path)
-        report = stat(str(path))
-        assert "table reads: 600 rows, 23 heap pages" in report
-        with _open(path) as db:
-            db.checkpoint()
-        report = stat(str(path))
-        assert "table reads: 600 rows, 1 segments" in report
-        assert "image generation: 1" in report
+    def test_stat_reports_a_page_format_directory(self, tmp_path, capsys):
+        path = TestOlderPageFormat._write(tmp_path / "db")
+        with pytest.raises(StorageError, match="page format"):
+            stat(str(path))
+        assert storage_main(["stat", str(path)]) == 1
+        assert "page format" in capsys.readouterr().err
 
     def test_stat_counts_an_uncommitted_tail_as_dead(self, tmp_path):
         path = tmp_path / "db"

@@ -145,15 +145,6 @@ class TestKeepsTheScan:
         _, read = _run(plan)
         assert read == DIM_ROWS
 
-    def test_detached_snapshot(self):
-        db = _database([(7, 1)])
-        with db.snapshot() as snap:
-            db.table("d").replace_rows([(7, "new", 0)])
-            plan = snap.plan(JOIN)
-            rows, read = _run(plan, lambda _: snap.execute(JOIN).rows)
-            assert read == DIM_ROWS
-            assert rows == [(1, "l7"), (1, "l327")]
-
     def test_too_many_keys_for_the_table(self):
         db = _database([(k, k) for k in range(0, 320, 10)])  # 32 keys
         plan = db.plan(JOIN)

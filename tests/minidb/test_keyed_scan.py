@@ -108,14 +108,3 @@ class TestSnapshots:
             db.append("t", [(3, 0.5, "late"), (7, 0.5, "late")])
             assert _keyed_scans(snapshot.plan(sql))
             assert snapshot.execute(sql).rows == expected
-
-    def test_snapshot_detached_by_replace_rows_scans_frozen_rows(self):
-        db = _database()
-        sql = "select k, v from t where k in (3, 7)"
-        expected = db.execute(sql, NO_INDEX).rows
-        with db.snapshot() as snapshot:
-            table = db.table("t")
-            table.replace_rows([(3, 1.0, "new"), (9, 1.0, "new")])
-            assert _keyed_scans(snapshot.plan(sql))
-            assert snapshot.execute(sql).rows == expected
-        assert db.execute(sql).rows == [(3, "new")]

@@ -20,20 +20,26 @@ change in memory, so a crash after the commit record
 (``wal-record-torn``, ``wal-before-commit``) must lose it. The other
 points fire inside the checkpoint, after every batch committed: a torn
 segment append, crashes before and after the manifest, and the same on
-an image rewrite (forced by a ``replace_rows`` before the appends).
+an image rewrite (forced by dropping a checkpointed table that holds
+most of the bytes before the appends).
 """
 
 from __future__ import annotations
 
+import json
 import os
+import struct
+import zlib
 
 import pytest
 
+from repro.errors import StorageError
 from repro.minidb.engine import Database
 from repro.minidb.index import IndexRange
 from repro.minidb.schema import TableSchema
 from repro.minidb.storage import faults
 from repro.minidb.storage.faults import InjectedCrash
+from repro.minidb.storage.wal import encode_commit
 from repro.minidb.types import SqlType
 
 READS = TableSchema.of(
@@ -53,7 +59,7 @@ COMMITS_CURRENT = ("wal-after-commit",)
 #: (crash spec, append batch count, image rewrite) matrix. ``:n`` arms
 #: the n-th hit so later batches crash too; the other points fire at the
 #: explicit checkpoint after all appends succeeded, which rewrites the
-#: image when the scenario replaced the table's rows first.
+#: image when the scenario dropped the bulky ``scratch`` table first.
 MATRIX = [
     ("wal-record-torn", 1, False),
     ("wal-record-torn:3", 3, False),
@@ -74,6 +80,12 @@ MATRIX = [
     ("checkpoint-after-manifest", 3, False),
     ("checkpoint-after-manifest", 3, True),
 ]
+
+
+#: A table that outweighs ``reads``: dropping it makes the next
+#: checkpoint rewrite the image.
+SCRATCH = TableSchema.of(("x", SqlType.INTEGER))
+SCRATCH_ROWS = [(i,) for i in range(5000)]
 
 
 def _batch(ordinal: int) -> list[tuple]:
@@ -137,12 +149,14 @@ def test_crash_recovers_last_committed_epoch(tmp_path, monkeypatch,
     db.create_table("reads", READS)
     db.load("reads", initial)
     db.create_index("reads", "epc")
-    db.shutdown()  # checkpoint: the manifest now names a segment
+    if rewrite:
+        db.create_table("scratch", SCRATCH)
+        db.load("scratch", SCRATCH_ROWS)
+    db.shutdown()  # checkpoint: the manifest now names the segments
 
     db = _new(path)
     if rewrite:
-        initial = initial[::2]
-        db.table("reads").replace_rows(initial, coerced=False)
+        db.drop_table("scratch")  # its segment's dead bytes outweigh live
     monkeypatch.setenv(faults.CRASH_ENV, spec)
     applied: list[list[tuple]] = []
     attempted: list[tuple] | None = None
@@ -168,6 +182,7 @@ def test_crash_recovers_last_committed_epoch(tmp_path, monkeypatch,
     faults.reset()
     recovered = _new(path)
     try:
+        assert recovered.catalog.table_names() == ["reads"]
         _assert_recovered_equals(recovered, committed)
         # The recovered directory keeps working: one more batch, a
         # checkpoint on top of whatever the crash left, and a reopen.
@@ -193,8 +208,8 @@ def test_drop_rewrite_crash_recovers(tmp_path, monkeypatch):
     db.create_table("reads", READS)
     db.load("reads", initial)
     db.create_index("reads", "epc")
-    db.create_table("scratch", TableSchema.of(("x", SqlType.INTEGER)))
-    db.load("scratch", [(i,) for i in range(5000)])
+    db.create_table("scratch", SCRATCH)
+    db.load("scratch", SCRATCH_ROWS)
     db.shutdown()
 
     db = _new(path)
@@ -244,31 +259,26 @@ def test_ddl_and_drops_replay_from_wal(tmp_path, monkeypatch):
         recovered.shutdown()
 
 
-def test_replace_rows_recovers(tmp_path, monkeypatch):
-    """A whole-table rewrite is one atomic WAL transaction too."""
-    path = str(tmp_path / "db")
-    initial = _batch(0)
-    replacement = [row for row in initial if row[2] != 3]
-    db = _new(path)
+def test_whole_table_rewrite_record_is_refused(tmp_path):
+    """Op 5 was the REPLACE record of versions that rewrote tables in
+    place. A committed one is refused, not read as a torn tail: skipping
+    it would silently drop every transaction committed after it."""
+    path = tmp_path / "db"
+    db = _new(str(path))
     db.create_table("reads", READS)
-    db.load("reads", initial)
-    db.create_index("reads", "epc")
+    db.load("reads", _batch(0))
     db.shutdown()
-
-    db = _new(path)
-    db.table("reads").replace_rows(replacement, coerced=False)
-    monkeypatch.setenv(faults.CRASH_ENV, "wal-before-commit")
-    with pytest.raises(InjectedCrash):
-        db.append("reads", _batch(1))  # lost: commit record never wrote
-    db.storage.simulate_crash()
-
-    monkeypatch.delenv(faults.CRASH_ENV)
-    faults.reset()
-    recovered = _new(path)
-    try:
-        _assert_recovered_equals(recovered, [replacement])
-    finally:
-        recovered.shutdown()
+    epoch = json.loads((path / "MANIFEST.json").read_text())["epoch"]
+    with open(path / "wal.log", "ab") as log:
+        for payload in (bytes([5]) + bytes([5]) + b"reads" + bytes([0]),
+                        encode_commit(epoch + 1)):
+            log.write(struct.pack(">II", len(payload), zlib.crc32(payload))
+                      + payload)
+    before = {name: (path / name).read_bytes() for name in os.listdir(path)}
+    with pytest.raises(StorageError, match="unknown WAL op 5"):
+        _new(str(path))
+    assert {name: (path / name).read_bytes()
+            for name in os.listdir(path)} == before
 
 
 def test_crash_during_recovery_checkpoint_is_survivable(tmp_path,

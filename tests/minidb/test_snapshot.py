@@ -89,22 +89,9 @@ def test_snapshot_counters_match_frozen_replica(storage):
         frozen.shutdown()
 
 
-def test_snapshot_survives_replace_rows():
-    """A splice detaches pinned versions onto frozen copies."""
-    db = _build("memory", _rows(20))
-    with db.snapshot() as snapshot:
-        expected = snapshot.execute(QUERIES[1]).rows
-        db.table("r").replace_rows(_rows(5, start=100))
-        db.analyze("r")
-        assert snapshot.execute(QUERIES[1]).rows == expected
-        # The live table really did change underneath.
-        live_count = db.execute("select count(*) as n from r").scalar()
-        assert live_count == 5
-        assert snapshot.row_count("r") == 20
-
-
 def test_snapshot_survives_drop_table():
-    """DROP TABLE detaches; an already-planned query keeps answering."""
+    """A dropped table's row list stays with the pinned version, so an
+    already-planned query keeps answering."""
     db = _build("memory", _rows(20))
     with db.snapshot() as snapshot:
         expected = snapshot.execute(QUERIES[0]).rows  # plan now cached

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.errors import StorageCorruptionError
 from repro.minidb.engine import Database
 from repro.minidb.schema import TableSchema
-from repro.minidb.storage.legacy import KIND_HEAP_DICT, heap_rows
 from repro.minidb.storage.segment import (
     decode_segment,
     encode_segment,
@@ -158,8 +157,6 @@ class TestSegmentCodec:
                               zlib.crc32(payload)) + payload
         with pytest.raises(StorageCorruptionError):
             decode_segment(bytes(segment))
-        with pytest.raises(StorageCorruptionError):
-            heap_rows(KIND_HEAP_DICT, [bytes([3, 1, 1]), bytes(cell)])
 
 
 @pytest.fixture()

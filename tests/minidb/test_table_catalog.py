@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.errors import CatalogError, SchemaError, TypeMismatchError
+from repro.errors import (
+    CatalogError,
+    SchemaError,
+    TableRewriteError,
+    TypeMismatchError,
+)
 from repro.minidb.catalog import Catalog
+from repro.minidb.engine import Database
 from repro.minidb.schema import TableSchema
 from repro.minidb.table import Table
 from repro.minidb.types import SqlType
@@ -139,6 +145,28 @@ class TestReplaceRows:
             table.replace_rows([("only-one",)])
         # The failed swap must leave the old contents intact.
         assert table.rows == [("e1", 1)]
+
+    def test_refuses_a_durable_or_pinned_table(self, tmp_path):
+        """Only private tables are rewritten: a disk table's WAL has no
+        record for it, and pinned versions read rows by position."""
+        with Database(storage="disk",
+                      storage_path=str(tmp_path / "db")) as db:
+            db.create_table("r", SCHEMA)
+            db.load("r", [("e1", 1)])
+            wal_bytes = db.storage.wal.bytes_written
+            with pytest.raises(TableRewriteError, match="durable"):
+                db.table("r").replace_rows([("e9", 9)])
+            assert db.table("r").rows == [("e1", 1)]
+            assert db.storage.wal.bytes_written == wal_bytes
+        with Database(storage="memory") as db:
+            db.create_table("r", SCHEMA)
+            db.load("r", [("e1", 1)])
+            table = db.table("r")
+            with db.snapshot():
+                with pytest.raises(TableRewriteError, match="pinned"):
+                    table.replace_rows([("e9", 9)])
+                assert table.rows == [("e1", 1)]
+            assert table.replace_rows([("e9", 9)]) == 1  # pins drained
 
 
 class TestColumnarCache:

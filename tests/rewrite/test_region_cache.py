@@ -199,18 +199,21 @@ class TestEviction:
         cache = CleansingRegionCache(db, CacheOptions(max_entries=2))
         rows = [tuple(r) for r in ROWS]
         # Distinct rule keys so the entries can never subsume each other.
-        for key in ("a", "b", "c"):
+        evicted, _, kept = [
             cache.store(table, (key,),
                         (parse_expression("rtime <= 300"),), rows)
+            for key in ("a", "b", "c")]
         assert len(cache) == 2
         assert cache.evictions == 1
-        # The oldest entry ("a") was evicted; its temp table is gone too.
+        # The oldest entry ("a") was evicted; its statistics went too.
         assert cache.lookup(table, ("a",),
                             (parse_expression("rtime <= 300"),)) is None
         assert cache.lookup(table, ("c",),
                             (parse_expression("rtime <= 100"),)) is not None
-        assert sum(name.startswith("__region_cache_")
-                   for name in db.catalog.table_names()) == 2
+        assert db.stats.get(evicted.table.name) is None
+        assert db.stats.get(kept.table.name).row_count == len(rows)
+        # No region is ever in the catalog.
+        assert db.catalog.table_names() == ["r"]
 
     def test_byte_budget_rejects_oversized_region(self):
         db = _cache_db()
@@ -276,14 +279,16 @@ class TestInvalidationRaces:
         table = db.catalog.table("r")
         cache = CleansingRegionCache(db)
         ec = (parse_expression("rtime <= 300"),)
-        cache.store(table, ("duplicate",), ec, [tuple(r) for r in ROWS])
+        entry = cache.store(table, ("duplicate",), ec,
+                            [tuple(r) for r in ROWS])
         table.insert({"epc": "e9", "rtime": 401, "reader": "r0",
                       "biz_loc": "l1"})
         assert cache.lookup(table, ("duplicate",), ec) is None
         assert cache.invalidations == 1
-        # The stale region's temp table is gone from the catalog too.
-        assert not any(name.startswith("__region_cache_")
-                       for name in db.catalog.table_names())
+        # No region is ever in the catalog; the stale one's statistics
+        # are gone.
+        assert db.catalog.table_names() == ["r"]
+        assert db.stats.get(entry.table.name) is None
 
     def test_bump_between_two_warm_hits(self):
         db, cached, plain = make_engines(ROWS, ("reader", "duplicate"))

@@ -62,8 +62,8 @@ def base_rows(epcs=12, per_epc=8):
 
 
 def make_engines(rows, rule_names=("reader", "duplicate"),
-                 indexes=("rtime",), **cache_kwargs):
-    db = Database()
+                 indexes=("rtime",), database=None, **cache_kwargs):
+    db = database if database is not None else Database()
     db.create_table("r", SCHEMA)
     db.load("r", rows)
     for column in indexes:
@@ -188,6 +188,57 @@ class TestPatchDecision:
         assert metrics.sequences_recleaned == 0
         assert cached.region_cache.invalidations == 0
         assert cached.region_cache.stores == 1  # never re-materialized
+
+
+class TestRegionsArePrivate:
+    """A region is derived state: on a disk database it is never
+    logged, checkpointed or cataloged."""
+
+    @staticmethod
+    def _disk_engines(path):
+        return make_engines(base_rows(), indexes=("rtime", "epc"),
+                            database=Database(storage="disk",
+                                              storage_path=path))
+
+    def test_store_and_patch_log_only_the_append(self, tmp_path):
+        db, cached, plain = self._disk_engines(str(tmp_path / "db"))
+        try:
+            wal, cache = db.storage.wal, cached.region_cache
+            catalog_version = db.catalog.version
+            before = wal.bytes_written
+            cached.execute(SQL)  # cold store
+            assert cache.stores == 1
+            assert wal.bytes_written == before
+            db.append("r", [("e03", 60, "r1", "l1")])
+            appended = wal.bytes_written
+            assert appended > before
+            assert sorted(cached.execute(SQL).rows) == \
+                sorted(plain.execute(SQL).rows)
+            assert (cache.patches, cache.hits) == (1, 1)
+            assert wal.bytes_written == appended
+            assert db.catalog.table_names() == ["r"]
+            assert db.catalog.version == catalog_version
+        finally:
+            db.shutdown()
+
+    def test_reopened_directory_holds_only_user_tables(self, tmp_path):
+        path = str(tmp_path / "db")
+        db, cached, _ = self._disk_engines(path)
+        cached.execute(SQL)
+        db.append("r", [("e03", 60, "r1", "l1")])
+        cached.execute(SQL)
+        db.shutdown()
+        with Database(storage="disk", storage_path=path) as reopened:
+            assert reopened.catalog.table_names() == ["r"]
+            registry = RuleRegistry()
+            for name in ("reader", "duplicate"):
+                registry.define(RULES[name])
+            fresh = DeferredCleansingEngine(reopened, registry,
+                                            cache=CacheOptions())
+            plain = DeferredCleansingEngine(reopened, registry)
+            assert sorted(fresh.execute(SQL).rows) == \
+                sorted(plain.execute(SQL).rows)
+            assert fresh.region_cache.stores == 1
 
 
 class TestDirectCacheLookup:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import RuleError
+from repro.minidb import Database
 from repro.sqlts import compile_rule, parse_rule
 from repro.sqlts.fixpoint import apply_to_fixpoint
-from tests.conftest import make_reads_db
+from tests.conftest import READS, make_reads_db
 
 CYCLE = compile_rule(parse_rule("""
     DEFINE cyc ON r CLUSTER BY epc SEQUENCE BY rtime
@@ -62,7 +63,7 @@ class TestArbitraryCycles:
         db = db_with_locations(["X", "Y", "X"])
         apply_to_fixpoint(db, [CYCLE], "r")
         assert len(db.table("r")) == 3
-        assert "_fixpoint_r" not in db.catalog
+        assert db.catalog.table_names() == ["r"]
 
     def test_iteration_bound(self):
         db = db_with_locations(["X", "Y"] * 8)
@@ -85,3 +86,20 @@ class TestArbitraryCycles:
         result = apply_to_fixpoint(db, [relabel], "r")
         assert result.converged
         assert locations(result) == ["Y", "Y", "Y", "Y"]
+
+
+def test_disk_database_logs_nothing_and_keeps_its_catalog(tmp_path):
+    """The scratch table is private: iterating to fixpoint on a disk
+    database writes no WAL byte and adds no table, even transiently."""
+    with Database(storage="disk", storage_path=str(tmp_path / "db")) as db:
+        db.create_table("r", READS)
+        db.load("r", [("e1", i * 100, "rd", loc, "s")
+                      for i, loc in enumerate(["X", "Y", "Z", "Y", "X"])])
+        wal_bytes = db.storage.wal.bytes_written
+        catalog_version = db.catalog.version
+        result = apply_to_fixpoint(db, [CYCLE, DUPLICATE], "r")
+        assert result.converged and result.iterations > 2
+        assert locations(result) == ["X"]
+        assert db.storage.wal.bytes_written == wal_bytes
+        assert db.catalog.version == catalog_version
+        assert db.catalog.table_names() == ["r"]
