@@ -4,14 +4,17 @@ Intercepts user queries, determines whether any referenced table has
 cleansing rules, enumerates the correct candidate rewrites —
 
 * naive (cleanse all of R),
-* expanded rewrites pushing 0..m derivable dimension restrictions before
-  cleansing (when the Figure 4 analysis is feasible),
+* one expanded rewrite (when the Figure 4 analysis is feasible); its
+  dimension joins run after cleansing,
 * join-back rewrites pushing 0..n dimension semi-joins into the
-  relevant-sequence subquery (always applicable),
+  relevant-sequence subquery (always applicable; none is pushed when a
+  rule reads a view),
 
 — compiles every candidate through the minidb planner, and executes the
-one with the cheapest cost estimate, exactly mirroring the paper's
-m+1 / n+1 statement-selection heuristic on DB2.
+one with the cheapest cost estimate, mirroring the paper's n+1
+statement-selection heuristic on DB2. The paper's m+1 expanded
+candidates are cut to one: pushing dimensions below the expanded
+rewrite never paid (EXPERIMENTS.md, "Known deviations", 5).
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from repro.rewrite.context import QueryContext, extract_context
 from repro.rewrite.expanded import (
     ExpandedAnalysis,
     analyze_expanded,
-    key_propagates,
     modified_columns,
     stable_conjuncts,
 )
@@ -179,36 +181,32 @@ class DeferredCleansingEngine:
                 "naive", "naive", context, subplan,
                 kept_s=context.s_original))
         if analysis.feasible and "expanded" in allowed:
-            # Dimensions whose IN-restriction is derivable on every
-            # context reference of every rule (§5.2 join-query support).
-            pushable = [dimension for dimension in context.dimensions
-                        if key_propagates(rule_list, dimension.fact_key)]
-            kept = self._residual_originals(context, analysis)
-            for count in range(len(pushable) + 1):
-                label = "expanded" if count == 0 \
-                    else f"expanded+{count}dims"
-                subplan = expanded_subplan(
-                    self.database, self.registry, rules, table_name,
-                    analysis.ec_conjuncts, pushable[:count])
-                candidates.append(self._cost_candidate(
-                    label, "expanded", context, subplan, kept_s=kept))
+            subplan = expanded_subplan(self.database, self.registry, rules,
+                                       table_name, analysis.ec_conjuncts)
+            candidates.append(self._cost_candidate(
+                "expanded", "expanded", context, subplan,
+                kept_s=self._residual_originals(context, analysis)))
         if "joinback" in allowed:
             ec = analysis.ec_conjuncts if analysis.feasible else None
             kept = (self._residual_originals(context, analysis)
                     if analysis.feasible else context.s_original)
             # Conjuncts (and dimension joins) over MODIFY-ed columns must
             # not restrict the relevant-sequence list: membership can
-            # change under modification.
+            # change under modification. A rule reading a view may add
+            # rows to a sequence, so no dimension restricts the list then.
             modified = modified_columns(rule_list)
             stable_s = stable_conjuncts(context.s_conjuncts, modified)
-            stable_dims = [dimension for dimension in context.dimensions
-                           if dimension.fact_key not in modified]
-            for count in range(len(stable_dims) + 1):
+            view_input = any(rule.from_table != rule.on_table
+                             for rule in rule_list)
+            pushes = [] if view_input else [
+                dimension.in_conjunct() for dimension in context.dimensions
+                if dimension.fact_key not in modified]
+            for count in range(len(pushes) + 1):
                 label = "joinback" if count == 0 \
                     else f"joinback+{count}dims"
                 subplan = joinback_subplan(
                     self.database, self.registry, rules, table_name,
-                    stable_s, ec, stable_dims[:count])
+                    stable_s + pushes[:count], ec)
                 candidates.append(self._cost_candidate(
                     label, "joinback", context, subplan, kept_s=kept))
         if not candidates:

@@ -41,7 +41,7 @@ from repro.rewrite.transitivity import derive_context_conjuncts
 from repro.sqlts.model import CleansingRule
 
 __all__ = ["RuleContextAnalysis", "ExpandedAnalysis", "analyze_expanded",
-           "key_propagates", "modified_columns", "stable_conjuncts",
+           "modified_columns", "stable_conjuncts",
            "FAULT_ENV"]
 
 #: Test-only fault injection: when this environment variable is set to
@@ -298,22 +298,6 @@ def analyze_expanded(rules: list[CleansingRule],
         residual.append(conjunct)
     return ExpandedAnalysis(feasible=True, per_rule=per_rule, cc=cc, ec=ec,
                             ec_conjuncts=ec_conjuncts, residual=residual)
-
-
-def key_propagates(rules: list[CleansingRule], column: str) -> bool:
-    """Whether a query conjunct over *column* alone is replayed on every
-    context reference of every rule, whatever its literals.
-
-    That holds exactly when no rule modifies *column* (conjuncts over
-    modified columns are kept out of the derivation) and every rule's
-    correlation equalities carry the target's *column* to each of its
-    context references (:meth:`RuleFacts.propagates`). The rewrite
-    engine pushes a dimension's ``K IN (SELECT ...)`` below cleansing on
-    this verdict (§5.2), so it depends on the rules alone.
-    """
-    if any(column in rule.action.assignments for rule in rules):
-        return False
-    return all(rule_facts(rule).propagates(column) for rule in rules)
 
 
 def modified_columns(rules: Sequence[CleansingRule]) -> set[str]:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from repro.analysis.conjunction import atoms_of, find_conjoined_group
 from repro.analysis.linear import normalize_comparison
 from repro.minidb.expressions import BinaryOp, ColumnRef, Expr
-from repro.rewrite.transitivity import EqualityClasses
 from repro.sqlts.model import CleansingRule, PatternRef
 
 __all__ = ["correlation_conjuncts", "is_position_preserving", "RuleFacts",
@@ -146,16 +145,6 @@ class RuleFacts:
 
     #: Context-reference name -> :func:`correlation_conjuncts`.
     correlations: dict[str, list[Expr] | None]
-    #: Context-reference name -> columns ``c`` for which the correlation
-    #: equalities imply ``X.c = T.c``.
-    equal_columns: dict[str, frozenset[str]]
-
-    def propagates(self, column: str) -> bool:
-        """Whether a query conjunct over the target's *column* alone is
-        replayed on every context reference (step 2 of
-        :func:`~repro.rewrite.transitivity.derive_context_conjuncts`)."""
-        return all(column in columns
-                   for columns in self.equal_columns.values())
 
 
 def rule_facts(rule: CleansingRule) -> RuleFacts:
@@ -168,17 +157,5 @@ def rule_facts(rule: CleansingRule) -> RuleFacts:
 
 
 def _derive_facts(rule: CleansingRule) -> RuleFacts:
-    target = rule.target.name
-    correlations: dict[str, list[Expr] | None] = {}
-    equal_columns: dict[str, frozenset[str]] = {}
-    for ref in rule.context_references:
-        conjuncts = correlation_conjuncts(rule, ref)
-        correlations[ref.name] = conjuncts
-        classes = EqualityClasses(conjuncts or ())
-        equal_columns[ref.name] = frozenset(
-            column.name
-            for conjunct in conjuncts or ()
-            for column in conjunct.referenced_columns()
-            if column.qualifier == target
-            and classes.same(column, ColumnRef(column.name, ref.name)))
-    return RuleFacts(correlations, equal_columns)
+    return RuleFacts({ref.name: correlation_conjuncts(rule, ref)
+                      for ref in rule.context_references})

@@ -27,7 +27,6 @@ from repro.minidb.plan.logical import (
     LogicalScan,
     LogicalSemiJoin,
 )
-from repro.rewrite.context import DimensionJoin
 from repro.rewrite.expanded import stable_conjuncts
 from repro.sqlts.compiler import CompiledRule
 from repro.sqlts.registry import RuleRegistry
@@ -62,14 +61,6 @@ def _reads_columns(database: Database, table_name: str) -> list[str]:
 def _project_to_reads(plan: LogicalNode, columns: list[str]) -> LogicalNode:
     return LogicalProject(plan, [(ColumnRef(name), name)
                                  for name in columns])
-
-
-def _dim_semi_join(database: Database, plan: LogicalNode,
-                   dimension: DimensionJoin) -> LogicalNode:
-    """Attach ``R.K IN (SELECT Kd FROM D WHERE S_d)`` as a semi-join."""
-    conjunct = dimension.in_conjunct()
-    subplan = build_plan(conjunct.subquery, database.catalog)
-    return LogicalSemiJoin(plan, subplan, conjunct.operand)
 
 
 def _filter_conjuncts(database: Database, plan: LogicalNode,
@@ -145,10 +136,8 @@ def naive_subplan(database: Database, registry: RuleRegistry,
 def expanded_subplan(database: Database, registry: RuleRegistry,
                      rules: Sequence[CompiledRule],
                      table_name: str,
-                     ec_conjuncts: Sequence[Expr],
-                     pushed_dimensions: Sequence[DimensionJoin] = (),
-                     ) -> LogicalNode:
-    """Q_e: σ_s'(Φ_Cn(...Φ_C1(σ_ec(R)))) with optional pushed dimensions.
+                     ec_conjuncts: Sequence[Expr]) -> LogicalNode:
+    """Q_e: σ_s'(Φ_Cn(...Φ_C1(σ_ec(R)))).
 
     The residual σ_s' lives in the rewritten outer statement; this
     subplan covers σ_ec and the rule chain.
@@ -158,8 +147,6 @@ def expanded_subplan(database: Database, registry: RuleRegistry,
     predicate = and_all(list(ec_conjuncts))
     if predicate is not None:
         base = LogicalFilter(base, predicate)
-    for dimension in pushed_dimensions:
-        base = _dim_semi_join(database, base, dimension)
     stream = _chain_rules(database, registry, rules, base,
                           guards=list(ec_conjuncts), seqlist_builder=None,
                           cluster_key=ckey)
@@ -170,11 +157,11 @@ def joinback_subplan(database: Database, registry: RuleRegistry,
                      rules: Sequence[CompiledRule],
                      table_name: str,
                      s_conjuncts: Sequence[Expr],
-                     ec_conjuncts: Sequence[Expr] | None,
-                     pushed_dimensions: Sequence[DimensionJoin] = (),
-                     ) -> LogicalNode:
-    """Q_j: σ_s'(Φ_C(σ_ec(R) ⋉_ckey Π_ckey(σ_s(R) [⋉ dims]))).
+                     ec_conjuncts: Sequence[Expr] | None) -> LogicalNode:
+    """Q_j: σ_s'(Φ_C(σ_ec(R) ⋉_ckey Π_ckey(σ_s(R)))).
 
+    ``s_conjuncts`` restrict the relevant-sequence list; a pushed
+    dimension is one more of them, its ``K IN (SELECT ...)`` conjunct.
     ``ec_conjuncts`` of None means the plain join-back (no expanded
     condition available); otherwise the improved variant filters the
     joined-back rows by ec first (§5.3).
@@ -185,8 +172,6 @@ def joinback_subplan(database: Database, registry: RuleRegistry,
     def seqlist() -> LogicalNode:
         inner: LogicalNode = LogicalScan(table)
         inner = _filter_conjuncts(database, inner, s_conjuncts)
-        for dimension in pushed_dimensions:
-            inner = _dim_semi_join(database, inner, dimension)
         return LogicalDistinct(
             LogicalProject(inner, [(ColumnRef(ckey), ckey)]))
 

@@ -131,28 +131,25 @@ GOLDEN: dict[str, tuple] = {
     }, '4d86b240370ac308', 'e1ce7efa4238bb5c'),
     'q2_10': ('expanded', {
         'expanded': '1081.172538678931',
-        'expanded+1dims': '1252.2234584414557',
         'joinback': '1304.9985158542977',
         'joinback+1dims': '1690.9985158542975',
         'joinback+2dims': '1982.6985158542975',
         'naive': '22588.22069434164',
-    }, '143d7bd5726e6d51', '36960712673d34ed'),
+    }, 'fde3bbe4e1bea8c4', '36960712673d34ed'),
     'q2_40': ('joinback', {
         'expanded': '6385.673037474067',
-        'expanded+1dims': '6931.819102440442',
         'joinback': '5698.244386088256',
         'joinback+1dims': '6551.444386088256',
         'joinback+2dims': '7310.344386088255',
         'naive': '22881.153304295345',
-    }, '85d5604aa09fd214', 'ea5b6ba68ad1555a'),
+    }, 'e3806f0f831438cb', 'ea5b6ba68ad1555a'),
     'q2p_10': ('expanded', {
         'expanded': '1249.1725386789312',
-        'expanded+1dims': '1420.223458441456',
         'joinback': '1472.9985158542977',
         'joinback+1dims': '1454.3985158542982',
         'joinback+2dims': '1605.698515854298',
         'naive': '22764.94914341571',
-    }, '6cecc7b1d7637f8e', 'c6690d0cf6c0bb38'),
+    }, 'c9126d1f3e8eb639', 'c6690d0cf6c0bb38'),
     'trace_first': ('naive', {
         'expanded': '3369.7299470070225',
         'joinback': '3389.6936730492657',
