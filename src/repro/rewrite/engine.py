@@ -14,7 +14,10 @@ cleansing rules, enumerates the correct candidate rewrites —
 one with the cheapest cost estimate, mirroring the paper's n+1
 statement-selection heuristic on DB2. The paper's m+1 expanded
 candidates are cut to one: pushing dimensions below the expanded
-rewrite never paid (EXPERIMENTS.md, "Known deviations", 5).
+rewrite never paid (EXPERIMENTS.md, "Known deviations", 5). A query
+that restricts the reads table only by its cluster key compiles naive
+alone, because the planner pushes such a predicate below cleansing and
+no other candidate can then win (``_naive_forced``; deviation 6).
 """
 
 from __future__ import annotations
@@ -45,7 +48,11 @@ from repro.minidb.sqlparse import parse_select
 from repro.minidb.sqlparse.ast import SelectStmt, TableName
 from repro.minidb.vector import materialize
 from repro.rewrite.cache import CacheOptions, CleansingRegionCache, RegionEntry
-from repro.rewrite.context import QueryContext, extract_context
+from repro.rewrite.context import (
+    DimensionJoin,
+    QueryContext,
+    extract_context,
+)
 from repro.rewrite.expanded import (
     ExpandedAnalysis,
     analyze_expanded,
@@ -58,6 +65,7 @@ from repro.rewrite.strategies import (
     naive_subplan,
     validate_rule_keys,
 )
+from repro.sqlts.model import CleansingRule
 from repro.sqlts.registry import RuleRegistry
 
 __all__ = ["DeferredCleansingEngine", "RewriteResult", "Candidate"]
@@ -92,6 +100,49 @@ class RewriteResult:
     def costs(self) -> dict[str, float]:
         return {candidate.label: candidate.cost
                 for candidate in self.candidates}
+
+
+def _pushable_dimensions(context: QueryContext,
+                         rules: Sequence[CleansingRule],
+                         ) -> list[DimensionJoin]:
+    """The dimensions join-back may push into its sequence list.
+
+    A dimension joined on a MODIFY-ed column must not restrict the list:
+    membership can change under modification. A rule reading a view may
+    add rows to a sequence, so no dimension restricts the list then.
+    """
+    if any(rule.from_table != rule.on_table for rule in rules):
+        return []
+    modified = modified_columns(rules)
+    return [dimension for dimension in context.dimensions
+            if dimension.fact_key not in modified]
+
+
+def _naive_forced(context: QueryContext,
+                  rules: Sequence[CleansingRule]) -> bool:
+    """Whether naive wins the candidate race, so that none is run.
+
+    It does when every s-conjunct restricts only the cluster key (an
+    empty s included). The planner pushes such a conjunct below the OLAP
+    functions, which drops whole partitions only (§5.1), so Q_n already
+    cleanses just the sequences the query touches. ec = s OR cc keeps
+    all of those sequences too (``analyze_expanded`` absorbs every
+    context condition that contains s, so ec is then s itself), and Q_e
+    and Q_j only add their filters and sequence lists. Two things could still let them win: a MODIFY
+    of the key, and a pushed dimension predicate that shortens a
+    ``joinback+Ndims`` sequence list. An IN subquery plans as a
+    semi-join, which is not pushed below the OLAP functions.
+    """
+    cluster_key = rules[0].cluster_key
+    if cluster_key in modified_columns(rules):
+        return False
+    for conjunct in context.s_conjuncts:
+        columns = {ref.name for ref in conjunct.referenced_columns()}
+        if columns != {cluster_key} or any(
+                isinstance(node, InSubquery) for node in conjunct.walk()):
+            return False
+    return not any(dimension.local_conjuncts for dimension
+                   in _pushable_dimensions(context, rules))
 
 
 class DeferredCleansingEngine:
@@ -163,16 +214,24 @@ class DeferredCleansingEngine:
         rules = self.registry.rules_for(table_name)
         rule_list = [compiled.rule for compiled in rules]
         reads_columns = set(self.database.table(table_name).schema.names)
-        analysis = analyze_expanded(rule_list, context.s_conjuncts,
-                                    reads_columns)
-        if self.region_cache is not None and analysis.feasible \
-                and "expanded" in allowed:
+        # A region cache is consulted first, so a hit is never bypassed.
+        consult_cache = self.region_cache is not None \
+            and "expanded" in allowed
+        forced = "naive" in allowed and _naive_forced(context, rule_list)
+        analysis = (analyze_expanded(rule_list, context.s_conjuncts,
+                                     reads_columns)
+                    if consult_cache or not forced else None)
+        if consult_cache and analysis.feasible:
             candidate = self._region_candidate(table_name, rules, context,
                                                analysis)
             if candidate is not None:
                 return RewriteResult(strategy="cached", chosen=candidate,
                                      candidates=[candidate],
                                      analysis=analysis, context=context)
+        if forced:
+            result = self._naive_only(statement, [table_name])
+            result.context = context
+            return result
         candidates: list[Candidate] = []
         if "naive" in allowed:
             subplan = naive_subplan(self.database, self.registry, rules,
@@ -190,17 +249,13 @@ class DeferredCleansingEngine:
             ec = analysis.ec_conjuncts if analysis.feasible else None
             kept = (self._residual_originals(context, analysis)
                     if analysis.feasible else context.s_original)
-            # Conjuncts (and dimension joins) over MODIFY-ed columns must
-            # not restrict the relevant-sequence list: membership can
-            # change under modification. A rule reading a view may add
-            # rows to a sequence, so no dimension restricts the list then.
-            modified = modified_columns(rule_list)
-            stable_s = stable_conjuncts(context.s_conjuncts, modified)
-            view_input = any(rule.from_table != rule.on_table
-                             for rule in rule_list)
-            pushes = [] if view_input else [
-                dimension.in_conjunct() for dimension in context.dimensions
-                if dimension.fact_key not in modified]
+            # Conjuncts over MODIFY-ed columns must not restrict the
+            # relevant-sequence list: membership can change under
+            # modification.
+            stable_s = stable_conjuncts(context.s_conjuncts,
+                                        modified_columns(rule_list))
+            pushes = [dimension.in_conjunct() for dimension
+                      in _pushable_dimensions(context, rule_list)]
             for count in range(len(pushes) + 1):
                 label = "joinback" if count == 0 \
                     else f"joinback+{count}dims"

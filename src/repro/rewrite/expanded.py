@@ -267,19 +267,27 @@ def analyze_expanded(rules: list[CleansingRule],
     # subqueries cannot appear under OR in the engine's dialect.
     s_plain = [conjunct for conjunct in s_stable
                if not _contains_subquery(conjunct)]
-    disjunct_lists = [s_plain] + context_conjunct_lists
-    factored = _factored_bound_conjuncts(disjunct_lists)
+    # Absorption, s OR (s AND x) = s: a context condition that holds
+    # every conjunct of s adds no row to ec. A cluster-key s is carried
+    # into every context condition, so ec is then s itself, and the
+    # planner reads it through the same index as naive's pushed s.
+    widening = [(disjunct, conjuncts) for disjunct, conjuncts
+                in zip(context_disjuncts, context_conjunct_lists)
+                if not (s_plain and all(conjunct in conjuncts
+                                        for conjunct in s_plain))]
+    factored = _factored_bound_conjuncts(
+        [s_plain] + [conjuncts for _, conjuncts in widening])
     s_disjunct = and_all(s_plain) or Literal(True)
     unique_disjuncts: list[Expr] = []
-    for disjunct in [s_disjunct] + context_disjuncts:
+    for disjunct in [s_disjunct] + [disjunct for disjunct, _ in widening]:
         if disjunct not in unique_disjuncts:
             unique_disjuncts.append(disjunct)
     or_part = or_all(unique_disjuncts)
     ec_conjuncts = list(factored)
-    if context_disjuncts:
+    if widening:
         ec_conjuncts.append(or_part)
     else:
-        # No context data needed at all: ec degenerates to s.
+        # No context condition widens s: ec degenerates to s.
         ec_conjuncts = list(s_plain)
     deduped: list[Expr] = []
     for conjunct in ec_conjuncts:

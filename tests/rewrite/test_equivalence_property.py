@@ -9,6 +9,7 @@ join-back rewrites must return exactly the rows of the naive rewrite
 (cleanse everything, then query).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,3 +142,33 @@ def test_join_query_strategies_agree(rows, t):
         got = sorted(engine.execute(sql, strategies={strategy}).rows)
         assert got == baseline, strategy
     assert sorted(engine.execute(sql).rows) == baseline
+
+
+# Bug A (ROADMAP item 1): the expanded condition is derived from s alone,
+# so it drops a row that an earlier rule needs. With ``duplicate`` then
+# ``reader``, the reproducer's naive answer is the row at t=0 and every
+# other path answers nothing; the mirror case is the other way round.
+# Strict, so the fix must delete the marker. Cluster-key lookups are
+# planned naive alone; ``rtime <= 0`` is not one, so the race runs here.
+BUG_A_SQL = "select epc, rtime, reader, biz_loc from r where rtime <= 0"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Bug A: the expanded condition "
+                   "ignores the rows an earlier rule needs")
+@pytest.mark.parametrize("rows", [
+    [("e3", 0, "r0", "l2"), ("e3", 1, "r0", "l1"), ("e3", 2, "rx", "l1")],
+    [("e3", 0, "r0", "l1"), ("e3", 1, "r0", "l2"), ("e3", 2, "rx", "l1")],
+], ids=["reproducer", "mirror"])
+def test_bug_a_every_strategy_agrees_with_naive(rows):
+    db = Database()
+    db.create_table("r", SCHEMA)
+    db.load("r", rows)
+    db.create_index("r", "rtime")
+    registry = RuleRegistry()
+    registry.define(RULES["duplicate"])
+    registry.define(RULES["reader"])
+    engine = DeferredCleansingEngine(db, registry)
+    naive = sorted(engine.execute(BUG_A_SQL, strategies={"naive"}).rows)
+    for strategies in ({"expanded"}, {"joinback"}, None):
+        assert sorted(engine.execute(BUG_A_SQL, strategies).rows) == naive

@@ -130,38 +130,32 @@ GOLDEN: dict[str, tuple] = {
         'naive': '20134.680445499045',
     }, '4d86b240370ac308', 'e1ce7efa4238bb5c'),
     'q2_10': ('expanded', {
-        'expanded': '1081.172538678931',
-        'joinback': '1304.9985158542977',
-        'joinback+1dims': '1690.9985158542975',
-        'joinback+2dims': '1982.6985158542975',
+        'expanded': '1079.9681425892577',
+        'joinback': '1304.7688254265863',
+        'joinback+1dims': '1690.7688254265863',
+        'joinback+2dims': '1982.4688254265864',
         'naive': '22588.22069434164',
-    }, 'fde3bbe4e1bea8c4', '36960712673d34ed'),
+    }, '701c3af57b4051a8', '36960712673d34ed'),
     'q2_40': ('joinback', {
-        'expanded': '6385.673037474067',
-        'joinback': '5698.244386088256',
-        'joinback+1dims': '6551.444386088256',
-        'joinback+2dims': '7310.344386088255',
+        'expanded': '6376.107806663206',
+        'joinback': '5693.743638205727',
+        'joinback+1dims': '6546.943638205727',
+        'joinback+2dims': '7305.843638205727',
         'naive': '22881.153304295345',
-    }, 'e3806f0f831438cb', 'ea5b6ba68ad1555a'),
+    }, 'f6e522a7f3a6607e', 'ea5b6ba68ad1555a'),
     'q2p_10': ('expanded', {
-        'expanded': '1249.1725386789312',
-        'joinback': '1472.9985158542977',
-        'joinback+1dims': '1454.3985158542982',
-        'joinback+2dims': '1605.698515854298',
+        'expanded': '1247.9681425892577',
+        'joinback': '1472.7688254265863',
+        'joinback+1dims': '1454.1688254265864',
+        'joinback+2dims': '1605.4688254265861',
         'naive': '22764.94914341571',
-    }, 'c9126d1f3e8eb639', 'c6690d0cf6c0bb38'),
+    }, 'a91d98965c199b94', 'c6690d0cf6c0bb38'),
     'trace_first': ('naive', {
-        'expanded': '3369.7299470070225',
-        'joinback': '3389.6936730492657',
-        'joinback+1dims': '3645.293673049265',
         'naive': '875.2',
-    }, '7a6bda2dcd28df24', '03cf8e13222b19dd'),
+    }, '05c4b6773ce0afbd', '03cf8e13222b19dd'),
     'trace_middle': ('naive', {
-        'expanded': '3369.7299470070225',
-        'joinback': '3389.6936730492657',
-        'joinback+1dims': '3645.293673049265',
         'naive': '875.2',
-    }, '1a3bccd89132f269', '7895733a55e481b3'),
+    }, '94d794fe0fe338fa', '7895733a55e481b3'),
 }
 
 
