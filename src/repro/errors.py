@@ -56,11 +56,6 @@ class ExecutionError(MiniDbError):
     """A runtime failure while executing a physical plan."""
 
 
-class TableRewriteError(MiniDbError):
-    """A whole-table rewrite was asked of a table others can see: one
-    with a storage backend or with pinned snapshot versions."""
-
-
 class SnapshotError(MiniDbError):
     """An MVCC snapshot was used after release or outside its scope."""
 

@@ -20,8 +20,9 @@ path and diffs canonicalized row bags against the naive strategy
 ``cached-cold``           region cache enabled, first execution
                           (materializes the region)
 ``cached-warm``           second execution served from the region
-``cached-invalidated``    third execution after a table-version bump
-                          (must not serve the stale region)
+``cached-invalidated``    third execution after a one-row insert makes
+                          the region stale (patched or dropped, it
+                          must answer the new table state)
 ``eager``                 materialize Φ_C(R) up front, query the copy
 ``plan-cache``            the eager query re-run through the prepared-
                           plan cache (hit must reproduce the miss)
@@ -254,11 +255,11 @@ def run_case(case: FuzzCase,
             sql).canonical())
 
         if "cached-invalidated" in wanted and case.reads_rows:
-            # Race the warm path against a table-version bump: mutate
-            # the source table after the region was cached, then query
-            # again. The stale region must be dropped, so the cached
-            # engine must agree with a fresh naive run over the *new*
-            # table state (not the original baseline).
+            # Make the cached region stale: insert one row into the
+            # source table after the region was cached, then query
+            # again. Whether the cache patches the region or drops it,
+            # the cached engine must agree with a fresh naive run over
+            # the *new* table state (not the original baseline).
             try:
                 probe = dict(zip(READS_COLUMNS, case.reads_rows[0]))
                 probe["rtime"] = probe["rtime"] + 1

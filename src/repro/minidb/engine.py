@@ -82,10 +82,9 @@ class ExecutionMetrics:
     operator_rows: list[tuple[str, int]] = field(default_factory=list)
     #: Incremental-cleansing counters for the call that produced these
     #: metrics (filled in by the rewrite engine's
-    #: ``execute_with_metrics``): delta epochs consumed from table delta
-    #: logs, cluster-key sequences re-cleansed by region-cache patches,
-    #: and region-cache entries patched in place instead of discarded.
-    delta_epochs_applied: int = 0
+    #: ``execute_with_metrics``): cluster-key sequences re-cleansed by
+    #: region-cache patches, and region-cache entries patched in place
+    #: instead of discarded.
     sequences_recleaned: int = 0
     cache_patches: int = 0
     #: WAL bytes appended during the call that produced these metrics
@@ -274,11 +273,11 @@ class Database:
         """Pin a consistent MVCC read view over every table.
 
         The returned :class:`~repro.minidb.snapshot.Snapshot` sees
-        exactly the current (schema_epoch, data_epoch, stats) per table:
+        exactly the current (schema_epoch, row count, stats) per table:
         concurrent :meth:`append` calls land invisibly. Use it as a
-        context manager (or call ``release()``) so pinned epochs can
-        retire. *plan_cache* lets a
-        serving session reuse prepared plans across its snapshots.
+        context manager (or call ``release()``) to end it. *plan_cache*
+        lets a serving session reuse prepared plans across its
+        snapshots.
         """
         from repro.minidb.snapshot import Snapshot
 
@@ -315,12 +314,14 @@ class Database:
         """Streaming ingest: append rows, patching warm state in place.
 
         The incremental counterpart to :meth:`load`: rows land as one
-        delta epoch (``Table.append_rows``), indexes are merged rather
+        data epoch (``Table.append_rows``), indexes are merged rather
         than rebuilt, the columnar cache extends lazily, and statistics
         are patched in place when a fresh analysis exists — keeping
-        prepared plans and (via the delta log) materialized cleansing
-        regions warm. Falls back to a full analyze when the cached stats
-        were already stale. Returns the number of rows appended.
+        prepared plans warm. Materialized cleansing regions stay
+        patchable: the rows past a region's remembered row count are
+        exactly the ones appended since. Falls back to a full analyze
+        when the cached stats were already stale. Returns the number of
+        rows appended.
         """
         table = self.catalog.table(name)
         buffered = list(rows)

@@ -1,8 +1,8 @@
 """MVCC snapshots: consistent read views over a live :class:`Database`.
 
-A :class:`Snapshot` pins, per table, the ``(schema_epoch, data_epoch,
-row_count)`` triple current at creation time (``Table.pin_version``) plus
-a deep copy of the table's statistics. Queries executed through the
+A :class:`Snapshot` pins, per table, the ``(schema_epoch, row_count)``
+pair current at creation time (a :class:`~repro.minidb.table.TableVersion`)
+plus a deep copy of the table's statistics. Queries executed through the
 snapshot see exactly the pinned state — concurrent ``append()`` calls
 extend the live stores without becoming visible — while ingest never
 waits for readers.
@@ -11,19 +11,20 @@ How it works
 ============
 
 Catalog tables only grow: appends *extend* a table's row sequence, and
-nothing rewrites a pinned table (``Table.replace_rows`` refuses one).
-So a pinned version is just a bound: scans read positions below
-``row_count`` and skip everything newer. A dropped table leaves the
-catalog, but its row list stays with the pinned version and still
-holds the pinned prefix. Plans are the ordinary costed physical plans
-(the planner runs against the live catalog with the *pinned*
-statistics, so plan shapes are reproducible from the pinned state
-alone); right before execution the snapshot *arms* every base scan with
-its table's bound (``visible_count``), then disarms in a ``finally`` so
-the plan object stays reusable for live execution.
+only private tables, which no snapshot pins, can be rewritten. So a
+pinned version is just a bound: scans read positions below
+``row_count`` and skip everything newer. A pin is a value that no table
+registers, so releasing a snapshot touches no shared state. A dropped
+table leaves the catalog, but its row list stays with the pinned
+version and still holds the pinned prefix. Plans are the ordinary
+costed physical plans (the planner runs against the live catalog with
+the *pinned* statistics, so plan shapes are reproducible from the
+pinned state alone); right before execution the snapshot *arms* every
+base scan with its table's bound (``visible_count``), then disarms in a
+``finally`` so the plan object stays reusable for live execution.
 
 Prepared-plan reuse uses the same fingerprint discipline as
-:class:`~repro.minidb.engine.PreparedPlanCache`: table *data* epochs are
+:class:`~repro.minidb.engine.PreparedPlanCache`: table row counts are
 deliberately excluded (bounds are armed per execution, so one plan shape
 serves any number of successive snapshots), while schema epochs, the
 stats version, and every plan-shape knob participate. The cache is
@@ -83,7 +84,8 @@ class Snapshot:
     """A consistent read view over every table of one database.
 
     Create via :meth:`Database.snapshot`; use as a context manager (or
-    call :meth:`release` explicitly) so the pinned versions retire.
+    call :meth:`release` explicitly) to end it: a released snapshot
+    refuses queries.
     """
 
     def __init__(self, database: "Database", *,
@@ -93,7 +95,8 @@ class Snapshot:
         database._ensure_stats()
         self._db = database
         self.versions: dict[str, TableVersion] = {
-            table.name: table.pin_version()
+            table.name: TableVersion(table, table.schema_epoch,
+                                     len(table.rows))
             for table in database.catalog}
         self.stats = PinnedStats(database.stats.version, {
             name: copy.deepcopy(database.stats.get(name))
@@ -111,24 +114,14 @@ class Snapshot:
     # ------------------------------------------------------------------
 
     def release(self) -> None:
-        """Drop every table pin; idempotent."""
-        if self._released:
-            return
+        """End the snapshot; idempotent."""
         self._released = True
-        for version in self.versions.values():
-            version.table.release_version(version)
 
     def __enter__(self) -> "Snapshot":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.release()
-
-    def __del__(self) -> None:
-        try:
-            self.release()
-        except Exception:  # noqa: BLE001 — interpreter may be tearing down
-            pass
 
     @property
     def released(self) -> bool:

@@ -10,67 +10,50 @@ every mutation to the WAL before the list changes.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
-from repro.errors import CatalogError, SchemaError, TableRewriteError
+from repro.errors import CatalogError, SchemaError
 from repro.minidb.index import SortedIndex
 from repro.minidb.schema import TableSchema
 from repro.minidb.types import coerce_value
 
-__all__ = ["Table", "TableVersion", "private_table"]
-
-# Bounded delta history: once more appends than this have happened since
-# the oldest un-truncated epoch, the log's floor rises and older readers
-# fall back to full invalidation. 256 epochs comfortably covers any
-# realistic trickle between two queries while bounding memory to a few KB.
-_DELTA_LOG_LIMIT = 256
+__all__ = ["PrivateTable", "Table", "TableVersion", "private_table"]
 
 
-class TableVersion:
-    """A refcounted view of one table at one data epoch.
+class TableVersion(NamedTuple):
+    """One catalog table as a snapshot pinned it.
 
-    MVCC for an append-only store: appends only ever *extend* the row
-    sequence, so a version is just a bound — ``row_count`` rows of the
-    live store, read by position. Positions below the bound are stable
-    across any number of concurrent appends, which is what lets readers
-    run without blocking ingest. Nothing rewrites a table that can be
-    pinned: ``replace_rows`` refuses a pinned table.
+    Catalog tables only grow, so a pin is a bound: the first
+    ``row_count`` rows of the live store, read by position. Positions
+    below the bound are stable across any number of concurrent appends,
+    which is what lets readers run without blocking ingest. A pin is a
+    plain value: nothing registers it and nothing has to retire it.
     """
 
-    __slots__ = ("table", "schema_epoch", "data_epoch", "row_count",
-                 "refcount")
-
-    def __init__(self, table: "Table", schema_epoch: int, data_epoch: int,
-                 row_count: int) -> None:
-        self.table = table
-        self.schema_epoch = schema_epoch
-        self.data_epoch = data_epoch
-        self.row_count = row_count
-        self.refcount = 0
-
-    def __repr__(self) -> str:
-        return (f"TableVersion({self.table.name!r}, "
-                f"epoch={self.data_epoch}, rows={self.row_count}, "
-                f"refs={self.refcount})")
+    table: "Table"
+    schema_epoch: int
+    row_count: int
 
 
 class Table:
     """A named, schema-validated collection of row tuples.
 
-    Staleness is tracked by two monotone epoch counters instead of one
-    opaque version:
+    A catalog table only grows: every mutation (insert, bulk load,
+    append) extends ``rows``, so its row count is its whole history —
+    the rows that arrived since a reader looked are ``rows[seen:]``,
+    and a snapshot pins a table by its count (:class:`TableVersion`).
+    Only a :class:`PrivateTable` can be rewritten.
+
+    Staleness of derived state is tracked by two monotone epoch
+    counters:
 
     * ``schema_epoch`` — bumped by structural changes (index creation).
-    * ``data_epoch``   — bumped by every row mutation (insert, bulk load,
-      append, and ``replace_rows`` on a private table).
+    * ``data_epoch``   — bumped by every row mutation, including
+      ``PrivateTable.replace_rows``, which can keep the row count.
 
-    ``version`` (their sum) preserves the original contract: consumers
-    that memoize anything derived from the table — statistics, prepared
-    plans, materialized cleansing regions — record the version they saw
-    and treat a mismatch as staleness. Append-aware consumers can do
-    better: each append-only mutation is recorded in a bounded delta log,
-    and :meth:`delta_since` tells them exactly which row ranges arrived
-    after the epoch they captured, so they can patch instead of rebuild.
+    ``version`` (their sum) is what consumers that memoize anything
+    derived from the table — statistics, prepared plans — record and
+    compare.
     """
 
     def __init__(self, name: str, schema: TableSchema,
@@ -85,17 +68,8 @@ class Table:
         self.indexes: dict[str, SortedIndex] = {}
         self.schema_epoch = 0
         self.data_epoch = 0
-        # Delta log: (data_epoch, start, count) per append-only mutation.
-        # _delta_floor is the oldest epoch delta_since() can still answer
-        # for; anything older must be treated as a full rewrite.
-        self._delta_log: list[tuple[int, int, int]] = []
-        self._delta_floor = 0
         self._columns: list[list] | None = None
         self._columns_rows = 0
-        # Pinned snapshot versions by data epoch. Pinning the same epoch
-        # twice shares one TableVersion (refcounted); the registry only
-        # holds versions with live pins.
-        self._pinned: dict[int, TableVersion] = {}
         # Guards the columnar cache's lazy build/extension: two readers
         # (or a reader racing ingest) must not extend the same column
         # lists concurrently.
@@ -105,8 +79,7 @@ class Table:
     def version(self) -> int:
         """Combined staleness counter (schema + data epochs).
 
-        Strictly monotone because both addends are; kept as a property so
-        every pre-delta consumer keeps working unchanged.
+        Strictly monotone because both addends are.
         """
         return self.schema_epoch + self.data_epoch
 
@@ -115,77 +88,6 @@ class Table:
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, rows={len(self.rows)})"
-
-    # ------------------------------------------------------------------
-    # Delta log
-    # ------------------------------------------------------------------
-
-    def _log_append(self, start: int, count: int) -> None:
-        self.data_epoch += 1
-        self._delta_log.append((self.data_epoch, start, count))
-        if len(self._delta_log) > _DELTA_LOG_LIMIT:
-            dropped_epoch, _, _ = self._delta_log.pop(0)
-            self._delta_floor = dropped_epoch
-
-    def _rebase_deltas(self) -> None:
-        """Forget append history after a non-append rewrite.
-
-        ``replace_rows`` invalidates every row position, so pre-existing
-        delta ranges are meaningless; only epochs captured from this
-        point on can be patched.
-        """
-        self.data_epoch += 1
-        self._delta_log.clear()
-        self._delta_floor = self.data_epoch
-
-    # ------------------------------------------------------------------
-    # MVCC snapshot versions
-    # ------------------------------------------------------------------
-
-    def pin_version(self) -> TableVersion:
-        """Pin the current data epoch as an immutable read view.
-
-        Cheap: no rows are copied. Concurrent appends extend the store
-        past the pinned ``row_count`` without disturbing it. Must be
-        balanced by :meth:`release_version`.
-        """
-        version = self._pinned.get(self.data_epoch)
-        if version is None:
-            version = TableVersion(self, self.schema_epoch,
-                                   self.data_epoch, len(self.rows))
-            self._pinned[self.data_epoch] = version
-        version.refcount += 1
-        return version
-
-    def release_version(self, version: TableVersion) -> None:
-        """Drop one pin; the version retires when its refcount drains."""
-        version.refcount -= 1
-        if version.refcount > 0:
-            return
-        current = self._pinned.get(version.data_epoch)
-        if current is version:
-            del self._pinned[version.data_epoch]
-
-    def pinned_versions(self) -> list[TableVersion]:
-        """Currently pinned versions (observability / tests)."""
-        return list(self._pinned.values())
-
-    def delta_since(self, data_epoch: int) -> list[tuple[int, int]] | None:
-        """Row ranges appended after *data_epoch*, or None if unknowable.
-
-        Returns ``[]`` when the caller is already current, a list of
-        ``(start, count)`` ranges (epoch order) when every intervening
-        mutation was an append, and ``None`` when history has been
-        truncated or rewritten — the caller must fall back to a full
-        rebuild in that case.
-        """
-        if data_epoch >= self.data_epoch:
-            return []
-        if data_epoch < self._delta_floor:
-            return None
-        return [(start, count)
-                for epoch, start, count in self._delta_log
-                if epoch > data_epoch]
 
     # ------------------------------------------------------------------
     # Storage hooks
@@ -238,20 +140,18 @@ class Table:
         row = self._coerce_row(values)
         position = len(self.rows)
         self._extend([row])
-        self._log_append(position, 1)
+        self.data_epoch += 1
         for index in self.indexes.values():
             key_position = self.schema.position_of(index.column)
             index.insert(row[key_position], position)
         self._mutation_complete()
 
     def append_rows(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Append many rows as one delta epoch; indexes patched in place.
+        """Append many rows as one data epoch; indexes patched in place.
 
         The streaming ingestion primitive: unlike :meth:`bulk_load` it
-        never rebuilds indexes (entries for the new rows are merged in),
-        and the whole batch lands as a single entry in the delta log so
-        append-aware caches can re-derive exactly what changed. Returns
-        the number of rows appended.
+        never rebuilds indexes (entries for the new rows are merged in).
+        Returns the number of rows appended.
         """
         coerce = self._coerce_row
         fresh = [coerce(values) for values in rows]
@@ -259,7 +159,7 @@ class Table:
             return 0
         start = len(self.rows)
         self._extend(fresh)
-        self._log_append(start, len(fresh))
+        self.data_epoch += 1
         for index in self.indexes.values():
             key_position = self.schema.position_of(index.column)
             index.insert_many(
@@ -275,52 +175,12 @@ class Table:
         """
         coerce = self._coerce_row
         fresh = [coerce(values) for values in rows]
-        start = len(self.rows)
         if fresh:
             self._extend(fresh)
-            self._log_append(start, len(fresh))
+            self.data_epoch += 1
         self.rebuild_indexes(self.indexes.values())
         self._mutation_complete()
         return len(fresh)
-
-    def replace_rows(self, rows: Iterable[Sequence[Any]], *,
-                     coerced: bool = False) -> int:
-        """Swap the contents of a private table for *rows*.
-
-        Catalog tables only grow; this rewrites derived state that no
-        one else can see — a cached cleansed region, a fixpoint scratch
-        table. A table with a storage backend (its WAL has no record for
-        a rewrite) or with pinned snapshot versions (they read rows by
-        position) is refused with :class:`TableRewriteError`.
-
-        One call performs the whole consistency dance — coerce, swap,
-        bump the data epoch, rebuild every index, drop the columnar cache
-        and rebase the delta log — so callers cannot end up with rows
-        that disagree with the indexes or with version-keyed caches.
-        Returns the new row count.
-
-        ``coerced=True`` skips per-value coercion: the caller asserts
-        every row is already a schema-coerced tuple (it was read from
-        this table or materialized by a plan over coerced tables). The
-        fast path for splice-style rewrites that shuffle existing rows.
-        """
-        if self.storage is not None:
-            raise TableRewriteError(
-                f"table {self.name!r} is durable: only private tables "
-                f"are rewritten")
-        if self._pinned:
-            raise TableRewriteError(
-                f"table {self.name!r} has pinned snapshot versions")
-        if coerced:
-            new_rows = rows if isinstance(rows, list) else list(rows)
-        else:
-            coerce = self._coerce_row
-            new_rows = [coerce(values) for values in rows]
-        self.rows = new_rows
-        self._rebase_deltas()
-        self._invalidate_columnar()
-        self.rebuild_indexes(self.indexes.values())
-        return len(new_rows)
 
     # ------------------------------------------------------------------
     # Indexing
@@ -364,16 +224,12 @@ class Table:
     # Access
     # ------------------------------------------------------------------
 
-    def scan(self) -> Iterator[tuple]:
-        """Yield all rows in insertion order."""
-        return iter(self.rows)
-
     def _invalidate_columnar(self) -> None:
         """Drop the cached transpose after a non-append rewrite.
 
-        ``replace_rows`` calls this eagerly so a stale copy (one full
-        duplicate of the table) is never retained until the next
-        ``columnar()`` call — under fixpoint/update workloads those
+        ``PrivateTable.replace_rows`` calls this eagerly so a stale copy
+        (one full duplicate of the table) is never retained until the
+        next ``columnar()`` call — under fixpoint/update workloads those
         copies used to accumulate for the lifetime of each superseded
         version. Appends do NOT invalidate: the cache records how many
         rows it has transposed and extends itself lazily.
@@ -385,8 +241,8 @@ class Table:
         """The table contents as one list per column (insertion order).
 
         The transpose is cached; appends extend it in place (only the
-        tail rows are transposed), and only full rewrites
-        (``replace_rows``) evict it. Callers must not mutate the returned
+        tail rows are transposed), and only full rewrites of a private
+        table (``replace_rows``) evict it. Callers must not mutate the returned
         lists (batch columns are shared, never written in place).
 
         Build/extension happens under a lock: concurrent snapshot
@@ -413,19 +269,48 @@ class Table:
             self._columns_rows = len(self.rows)
         return self._columns
 
-    def column_values(self, name: str) -> Iterator[Any]:
-        """Yield the values of one column across all rows."""
-        position = self.schema.position_of(name)
-        for row in self.rows:
-            yield row[position]
+
+class PrivateTable(Table):
+    """A storage-less table that no catalog holds: derived state.
+
+    A cached cleansed region or a fixpoint scratch table. No snapshot
+    pins it and no WAL logs it, so unlike a catalog table it can be
+    rewritten in place.
+    """
+
+    def replace_rows(self, rows: Iterable[Sequence[Any]], *,
+                     coerced: bool = False) -> int:
+        """Swap the table's contents for *rows*.
+
+        One call performs the whole consistency dance — coerce, swap,
+        bump the data epoch, rebuild every index, drop the columnar
+        cache — so callers cannot end up with rows that disagree with
+        the indexes or with version-keyed caches. Returns the new row
+        count.
+
+        ``coerced=True`` skips per-value coercion: the caller asserts
+        every row is already a schema-coerced tuple (it was read from
+        this table or materialized by a plan over coerced tables). The
+        fast path for splice-style rewrites that shuffle existing rows.
+        """
+        if coerced:
+            new_rows = rows if isinstance(rows, list) else list(rows)
+        else:
+            coerce = self._coerce_row
+            new_rows = [coerce(values) for values in rows]
+        self.rows = new_rows
+        self.data_epoch += 1
+        self._invalidate_columnar()
+        self.rebuild_indexes(self.indexes.values())
+        return len(new_rows)
 
 
-def private_table(label: str, schema: TableSchema) -> Table:
-    """A storage-less table that no catalog holds, for derived state.
+def private_table(label: str, schema: TableSchema) -> PrivateTable:
+    """A :class:`PrivateTable` for derived state.
 
     It is named ``"<label>"`` with the double quotes: a quoted SQL
     identifier cannot contain one, so no statement can name the table,
     and the name can key ``Database.stats`` beside catalog tables
     without colliding with one.
     """
-    return Table(f'"{label}"', schema)
+    return PrivateTable(f'"{label}"', schema)

@@ -33,17 +33,18 @@ handling (a goal OR needs one entailed disjunct; a fact OR is
 case-split, every branch must entail the goal).
 
 Entries are keyed on the ordered rule list and the source table (object
-identity + version counter). A version bump used to drop the entry
-unconditionally; with the table delta log, an entry whose source only
-*appended* rows since materialization is instead **patched**: the dirty
+identity + the row count it had when the region was cleansed). A
+catalog table only grows, so the rows appended since are
+``rows[source_rows:]``, and a stale entry is **patched**: the dirty
 cluster-key values (those appearing in appended rows) are re-cleansed
 through the caller-supplied ``patcher`` and spliced over the stale
 sequences, which is sound because Φ_C windows never cross cluster-key
 partitions — untouched sequences cleanse to exactly their cached rows.
 
-A region is derived state, so it is private: a storage-less
-:class:`~repro.minidb.table.Table` that is never in the catalog, so it
-is never logged, checkpointed, pinned by a snapshot or visible to SQL.
+A region is derived state, so it is private: a
+:class:`~repro.minidb.table.PrivateTable` that is never in the catalog,
+so it is never logged, checkpointed, pinned by a snapshot or visible to
+SQL.
 Its statistics are the one thing it shares with the database — the
 planner costs a scan of it through ``database.stats``, which is keyed by
 name (see :func:`~repro.minidb.table.private_table`). Regions live
@@ -63,7 +64,7 @@ from repro.analysis.linear import LinearForm, normalize_comparison
 from repro.minidb.engine import Database
 from repro.minidb.expressions import BinaryOp, Expr, Literal
 from repro.minidb.schema import Column, TableSchema
-from repro.minidb.table import Table, private_table
+from repro.minidb.table import PrivateTable, Table, private_table
 from repro.minidb.types import sort_key
 from repro.rewrite.transitivity import DifferenceClosure, ZERO_VAR
 
@@ -244,26 +245,22 @@ class RegionEntry:
     #: Top-level conjuncts of the ec the region was materialized under.
     ec_conjuncts: list[Expr]
     #: Private (never cataloged, storage-less) table of the cleansed rows.
-    table: Table
+    table: PrivateTable
     #: Estimated in-memory footprint of the rows.
     nbytes: int
     #: CLUSTER BY column of the rules (patch granularity); None disables
     #: patching for this entry.
     cluster_key: str | None = None
-    #: True when some rule MODIFYs the cluster key itself — cached rows
-    #: can then carry rewritten key values, so stale sequences cannot be
-    #: located by source-key and the entry must invalidate, not patch.
-    cluster_key_modified: bool = False
-    #: ``source_table.data_epoch`` at materialization time, the cursor
-    #: into the table's delta log. Staleness is decided on it alone, so
-    #: schema-only changes such as CREATE INDEX never invalidate a
-    #: cleansed region — cleansing depends on row data, not on access
-    #: paths.
-    source_data_epoch: int = 0
+    #: ``len(source_table.rows)`` when the region was cleansed or last
+    #: patched: the cursor past which the source's rows are new.
+    #: Staleness is decided on it alone, so schema-only changes such as
+    #: CREATE INDEX never invalidate a cleansed region — cleansing
+    #: depends on row data, not on access paths.
+    source_rows: int = 0
     #: The run index: cluster-key value -> ``(start, end)`` slice of the
     #: region's rows holding that sequence, in row (= key sort) order.
-    #: None when the region cannot be patched (no usable cluster key, a
-    #: MODIFY-ed key, or rows not laid out as sorted contiguous runs).
+    #: None when the region cannot be patched (no usable cluster key or
+    #: rows not laid out as sorted contiguous runs).
     runs: dict[object, tuple[int, int]] | None = None
 
 
@@ -366,12 +363,13 @@ def _estimate_bytes(rows: list[tuple]) -> int:
 class CleansingRegionCache:
     """LRU cache of materialized ``Φ_C(σ_ec(R))`` regions.
 
-    ``lookup`` first drops stale entries (source-table version bumped or
-    table replaced in the catalog), then — among entries for the same
-    table and rule list — returns the smallest region whose ec is
-    implied by the probe's ec. ``store`` materializes rows into a fresh
-    private table, analyzed into ``database.stats``, and evicts
-    least-recently-used regions beyond the byte/entry budget.
+    ``lookup`` first drops stale entries it cannot patch (source table
+    replaced in the catalog, or no run index), then — among entries for
+    the same table and rule list — returns the smallest region whose ec
+    is implied by the probe's ec, patching it first if rows arrived.
+    ``store`` materializes rows into a fresh private table, analyzed
+    into ``database.stats``, and evicts least-recently-used regions
+    beyond the byte/entry budget.
     """
 
     def __init__(self, database: Database,
@@ -384,12 +382,10 @@ class CleansingRegionCache:
         self.stores = 0
         self.evictions = 0
         self.invalidations = 0
-        #: Incremental-maintenance counters: entries patched in place,
-        #: cluster-key sequences re-cleansed by those patches, and delta
-        #: epochs consumed from source-table delta logs.
+        #: Incremental-maintenance counters: entries patched in place
+        #: and cluster-key sequences re-cleansed by those patches.
         self.patches = 0
         self.sequences_recleaned = 0
-        self.delta_epochs_applied = 0
 
     # ------------------------------------------------------------------
 
@@ -407,10 +403,10 @@ class CleansingRegionCache:
             or catalog.table(name) is not entry.source_table
 
     def _is_stale(self, entry: RegionEntry) -> bool:
-        # Epoch-pinned: only *data* epochs matter. A schema-only change
-        # (CREATE INDEX bumps schema_epoch, hence version) cannot alter
-        # what Φ_C(σ_ec(R)) evaluates to, so the region stays servable.
-        if entry.source_table.data_epoch != entry.source_data_epoch:
+        # Only the row count matters. A schema-only change (CREATE
+        # INDEX) cannot alter what Φ_C(σ_ec(R)) evaluates to, so the
+        # region stays servable.
+        if len(entry.source_table.rows) != entry.source_rows:
             return True
         return self._is_orphaned(entry)
 
@@ -422,15 +418,13 @@ class CleansingRegionCache:
         else:
             self.invalidations += 1
 
-    def _prune_stale(self, *, keep_patchable: bool) -> None:
+    def _prune_stale(self) -> None:
         for name in list(self._entries):
             entry = self._entries[name]
             if not self._is_stale(entry):
                 continue
-            if keep_patchable and not self._is_orphaned(entry) \
-                    and entry.runs is not None \
-                    and entry.source_table.delta_since(
-                        entry.source_data_epoch) is not None:
+            if not self._is_orphaned(entry) and entry.runs is not None \
+                    and len(entry.source_table.rows) > entry.source_rows:
                 continue
             self._drop(name, evicted=False)
 
@@ -439,34 +433,29 @@ class CleansingRegionCache:
     # ------------------------------------------------------------------
 
     def _dirty_keys(self, entry: RegionEntry) -> tuple[int, list] | None:
-        """``(delta_epochs, dirty keys in sort order)`` when *entry* can
-        be patched back to freshness, else None (invalidate).
+        """``(row count, dirty keys in sort order)`` when *entry* can be
+        patched back to freshness, else None (invalidate).
 
-        Patchable means: the region has a run index, every mutation
-        since materialization was an append, no appended row has a NULL
-        cluster key (an IN list can never re-select a NULL sequence),
-        and the dirty keys are at most ``max_patch_fraction`` of the
-        region's sequences after the append. Reads only the appended
-        rows.
+        Patchable means: the region has a run index, no appended row
+        has a NULL cluster key (an IN list can never re-select a NULL
+        sequence), and the dirty keys are at most
+        ``max_patch_fraction`` of the region's sequences after the
+        append. Reads only the appended rows.
         """
         runs = entry.runs
         if runs is None:
             return None
         table = entry.source_table
-        delta = table.delta_since(entry.source_data_epoch)
-        if delta is None:
-            return None
+        end = len(table.rows)
         key_position = table.schema.position_of(entry.cluster_key)
-        dirty: set = set()
-        for start, count in delta:
-            dirty.update(row[key_position]
-                         for row in table.rows[start:start + count])
+        dirty = {row[key_position]
+                 for row in table.rows[entry.source_rows:end]}
         if None in dirty:
             return None
         total = len(runs) + sum(1 for key in dirty if key not in runs)
         if total and len(dirty) / total > self.options.max_patch_fraction:
             return None
-        return len(delta), sorted(dirty, key=sort_key)
+        return end, sorted(dirty, key=sort_key)
 
     def _patch(self, entry: RegionEntry, patcher: Patcher) -> bool:
         """Re-cleanse *entry*'s dirty sequences and splice them in.
@@ -487,8 +476,7 @@ class CleansingRegionCache:
         plan = self._dirty_keys(entry)
         if plan is None:
             return False
-        epochs, dirty_keys = plan
-        table = entry.source_table
+        end, dirty_keys = plan
         if dirty_keys:
             region = entry.table
             position = region.schema.position_of(entry.cluster_key)
@@ -501,25 +489,22 @@ class CleansingRegionCache:
             self.database.stats.rebase(region)
             entry.nbytes = _estimate_bytes(rows)
             self.sequences_recleaned += len(dirty_keys)
-        entry.source_data_epoch = table.data_epoch
+        entry.source_rows = end
         self.patches += 1
-        self.delta_epochs_applied += epochs
         return True
 
     # ------------------------------------------------------------------
 
     def lookup(self, table: Table, rule_key: tuple[str, ...],
                ec_conjuncts: Sequence[Expr], *,
-               patcher: Patcher | None = None) -> RegionEntry | None:
+               patcher: Patcher) -> RegionEntry | None:
         """The smallest region subsuming *ec_conjuncts*, or None.
 
-        Fresh subsuming entries win outright. When *patcher* is given,
-        stale-but-patchable entries are considered next (smallest
-        first): the first one that patches successfully is served; ones
-        that decline are invalidated. Without a patcher the original
-        drop-on-stale behavior is preserved.
+        Fresh subsuming entries win outright. Stale ones are considered
+        next (smallest first): the first that *patcher* brings back to
+        freshness is served; ones that decline are invalidated.
         """
-        self._prune_stale(keep_patchable=patcher is not None)
+        self._prune_stale()
         fresh: tuple[str, RegionEntry] | None = None
         stale: list[tuple[str, RegionEntry]] = []
         for name, entry in self._entries.items():
@@ -536,22 +521,19 @@ class CleansingRegionCache:
             self._entries.move_to_end(fresh[0])
             self.hits += 1
             return fresh[1]
-        if patcher is not None:
-            for name, entry in sorted(stale,
-                                      key=lambda pair: pair[1].nbytes):
-                if self._patch(entry, patcher):
-                    self._entries.move_to_end(name)
-                    self.hits += 1
-                    return entry
-                self._drop(name, evicted=False)
+        for name, entry in sorted(stale, key=lambda pair: pair[1].nbytes):
+            if self._patch(entry, patcher):
+                self._entries.move_to_end(name)
+                self.hits += 1
+                return entry
+            self._drop(name, evicted=False)
         self.misses += 1
         return None
 
     def store(self, table: Table, rule_key: tuple[str, ...],
               ec_conjuncts: Sequence[Expr],
               rows: list[tuple], *,
-              cluster_key: str | None = None,
-              cluster_key_modified: bool = False) -> RegionEntry | None:
+              cluster_key: str | None = None) -> RegionEntry | None:
         """Materialize *rows* as a cached region; None if over budget."""
         nbytes = _estimate_bytes(rows)
         if nbytes > self.options.max_bytes:
@@ -566,17 +548,15 @@ class CleansingRegionCache:
             cached.create_index(bound)
         self.database.stats.analyze(cached)
         runs = None
-        if cluster_key is not None and not cluster_key_modified \
-                and cluster_key in schema.names:
+        if cluster_key is not None and cluster_key in schema.names:
             runs = _sorted_runs(cached.rows,
                                 schema.position_of(cluster_key))
         entry = RegionEntry(
             source_table=table, rule_key=rule_key,
             ec_conjuncts=list(ec_conjuncts),
             table=cached, nbytes=nbytes,
-            cluster_key=cluster_key,
-            cluster_key_modified=cluster_key_modified,
-            source_data_epoch=table.data_epoch, runs=runs)
+            cluster_key=cluster_key, source_rows=len(table.rows),
+            runs=runs)
         self._entries[name] = entry
         self.stores += 1
         while len(self._entries) > self.options.max_entries \

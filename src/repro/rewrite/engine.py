@@ -291,7 +291,6 @@ class DeferredCleansingEngine:
         cache = self.region_cache
         patches = cache.patches if cache is not None else 0
         recleaned = cache.sequences_recleaned if cache is not None else 0
-        epochs = cache.delta_epochs_applied if cache is not None else 0
         result = self.rewrite(query, strategies)
         plan = result.physical
         rows = materialize(plan)
@@ -300,8 +299,6 @@ class DeferredCleansingEngine:
             metrics.cache_patches = cache.patches - patches
             metrics.sequences_recleaned = \
                 cache.sequences_recleaned - recleaned
-            metrics.delta_epochs_applied = \
-                cache.delta_epochs_applied - epochs
         return (ResultSet([f.name for f in plan.schema], rows), metrics,
                 result)
 
@@ -346,10 +343,10 @@ class DeferredCleansingEngine:
         served the same way; None means the region did not fit the
         cache budget and the normal candidate race should run.
 
-        A region whose source table has only *appended* rows since
-        materialization is patched rather than re-materialized: the
-        lookup hands the cache a patcher that re-cleanses just the dirty
-        cluster-key sequences (see ``CleansingRegionCache._patch``).
+        A region whose source table has grown since materialization is
+        patched rather than re-materialized: the lookup hands the cache
+        a patcher that re-cleanses just the dirty cluster-key sequences
+        (see ``CleansingRegionCache._patch``).
         """
         cache = self.region_cache
         table = self.database.table(table_name)
@@ -363,10 +360,12 @@ class DeferredCleansingEngine:
             subplan = expanded_subplan(self.database, self.registry, rules,
                                        table_name, analysis.ec_conjuncts)
             rows = materialize(self.database.plan(subplan))
+            # A MODIFY-ed cluster key leaves cached rows that cannot be
+            # found by their source key: such a region is never patched.
             entry = cache.store(
                 table, rule_key, analysis.ec_conjuncts, rows,
-                cluster_key=cluster_key,
-                cluster_key_modified=cluster_key in modified)
+                cluster_key=None if cluster_key in modified
+                else cluster_key)
             if entry is None:
                 return None
             label = "cached-cold"

@@ -10,12 +10,13 @@ server and the tests drive.
 The executor is a bounded thread pool over one shared
 :class:`~repro.minidb.engine.Database`. Appends, session setup and
 cleansed queries serialize under a single write lock; plain read-only
-queries pin an MVCC snapshot *under* the lock (pin and release touch
-the shared version registry) but execute *outside* it, so readers
-overlap each other and ingest. The served engine creates no tables: a
-cleansed query plans and runs against the live catalog and analyzes
-missing statistics into the shared repository, so it stays under the
-lock until nothing it touches is shown to be mutated. Each session owns a
+queries pin an MVCC snapshot *under* the lock (the pin deep-copies
+statistics that appends patch in place) but execute and release it
+*outside*, so readers overlap each other and ingest. The served engine
+creates no tables: a cleansed query plans and runs against the live
+catalog and analyzes missing statistics into the shared repository, so
+it stays under the lock until nothing it touches is shown to be
+mutated. Each session owns a
 :class:`~repro.minidb.engine.PreparedPlanCache`, so a session's
 repeated query texts replan zero times across snapshots.
 """
@@ -69,8 +70,8 @@ class ThreadExecutor:
             max_workers=POOL_SIZE,
             thread_name_prefix="repro-serve")
         #: Serializes every mutation of shared engine state: appends,
-        #: snapshot pin/release (the per-table version registry is a
-        #: plain dict), session setup, and cleansed-query execution.
+        #: snapshot pins (they copy statistics appends patch in place),
+        #: session setup, and cleansed-query execution.
         self._write_lock = threading.Lock()
         self._sessions: dict[str, _Session] = {}
 
@@ -136,8 +137,7 @@ class ThreadExecutor:
             try:
                 return _wire_result(snapshot.execute(sql))
             finally:
-                with self._write_lock:
-                    snapshot.release()
+                snapshot.release()
         except QueryFailed:
             raise
         except Exception as error:  # noqa: BLE001 — crosses the wire

@@ -4,6 +4,7 @@ engine — the unit every experiment and example builds on.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.datagen.config import GeneratorConfig
@@ -67,15 +68,22 @@ class Workbench:
         t1 = timestamp_for_fraction_below(self.case_rtimes(), selectivity)
         return q1_sql(t1)
 
-    def default_site(self) -> str:
-        """The paper's 'distribution center 2' when it exists, else the
-        last configured DC (small test topologies have fewer than 3)."""
-        ordinal = min(2, self.config.distribution_centers - 1)
-        return f"distribution center {ordinal}"
+    def busiest_site(self, since: int) -> str:
+        """The site with the most case reads at or after *since*.
+
+        q2's default site: with the paper's 'distribution center 2', q2
+        answers no rows at most selectivities at the default scale, and
+        an empty answer times and compares nothing. Ties go to the first
+        name, so the choice does not depend on row order.
+        """
+        site_of = {gln: site for gln, site, _ in self.data.location_rows}
+        counts = Counter(site_of[row[3]] for row in self.data.case_reads
+                         if row[1] >= since)
+        return min(counts, key=lambda site: (-counts[site], site))
 
     def q2(self, selectivity: float, site: str | None = None) -> str:
         t2 = timestamp_for_fraction_above(self.case_rtimes(), selectivity)
-        return q2_sql(t2, site or self.default_site())
+        return q2_sql(t2, site or self.busiest_site(t2))
 
     def q2_prime(self, selectivity: float,
                  step_type: str = "type_03") -> str:

@@ -1,17 +1,18 @@
-"""The append delta layer: epochs, delta log, incremental structures.
+"""The append layer: epochs and incremental structures.
 
-``Table.version`` is split into schema/data epochs and every append-only
-mutation lands in a bounded delta log; ``SortedIndex.insert_many``,
-the lazily-extending columnar cache, ``StatsRepository.apply_append``,
-and ``Database.append`` ride that log so a trickle of new reads patches
-warm state instead of rebuilding it. These tests pin each layer.
+``Table.version`` is split into schema/data epochs, and a catalog table
+only grows, so the rows past a reader's remembered count are exactly
+what arrived since. ``SortedIndex.insert_many``, the lazily-extending
+columnar cache, ``StatsRepository.apply_append`` and
+``Database.append`` use that so a trickle of new reads patches warm
+state instead of rebuilding it. These tests pin each layer.
 """
 
 import random
 
 from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.index import IndexRange, SortedIndex
-from repro.minidb.table import Table, _DELTA_LOG_LIMIT
+from repro.minidb.table import Table, private_table
 
 SCHEMA = TableSchema.of(("epc", SqlType.VARCHAR),
                         ("rtime", SqlType.TIMESTAMP),
@@ -22,6 +23,12 @@ ROWS = [(f"e{i % 5}", i * 10, i) for i in range(20)]
 
 def make_table(rows=ROWS):
     table = Table("r", SCHEMA)
+    table.bulk_load(rows)
+    return table
+
+
+def make_private_table(rows=ROWS):
+    table = private_table("r", SCHEMA)
     table.bulk_load(rows)
     return table
 
@@ -40,70 +47,28 @@ class TestEpochs:
         assert table.version == before + 1
         assert table.schema_epoch == 1  # appends never move the schema
 
-    def test_replace_rows_bumps_data_epoch(self):
+    def test_empty_append_is_a_no_op(self):
         table = make_table()
+        epoch = table.data_epoch
+        assert table.append_rows([]) == 0
+        assert table.data_epoch == epoch
+
+    def test_replace_rows_bumps_data_epoch(self):
+        table = make_private_table()
         before = table.data_epoch
         table.replace_rows(ROWS[:5])
         assert table.data_epoch == before + 1
 
     def test_replace_rows_trusted_skips_coercion(self):
-        table = make_table()
+        table = make_private_table()
         table.create_index("rtime")
         rows = [table.rows[3], table.rows[1]]
         epoch = table.data_epoch
         table.replace_rows(rows, coerced=True)
         assert table.rows == rows  # stored as-is, no per-value coercion
         assert table.data_epoch == epoch + 1
-        assert table.delta_since(epoch) is None  # history rebased
         index = table.index_on("rtime")
         assert sorted(index._positions) == [0, 1]  # indexes still rebuilt
-
-
-class TestDeltaLog:
-    def test_delta_since_current_epoch_is_empty(self):
-        table = make_table()
-        assert table.delta_since(table.data_epoch) == []
-
-    def test_append_ranges_accumulate_in_epoch_order(self):
-        table = make_table()
-        epoch = table.data_epoch
-        table.append_rows([("e9", 500, 1), ("e9", 510, 2)])
-        table.insert(("e8", 600, 3))
-        assert table.delta_since(epoch) == [(20, 2), (22, 1)]
-        # A later captor sees only the later range.
-        assert table.delta_since(epoch + 1) == [(22, 1)]
-
-    def test_bulk_load_is_logged_as_append(self):
-        table = make_table()
-        epoch = table.data_epoch
-        table.bulk_load([("e9", 500, 1)])
-        assert table.delta_since(epoch) == [(20, 1)]
-
-    def test_replace_rows_rebases_history(self):
-        table = make_table()
-        epoch = table.data_epoch
-        table.replace_rows(ROWS[:5])
-        assert table.delta_since(epoch) is None
-        # A captor from after the rebase can still be answered.
-        rebased = table.data_epoch
-        table.append_rows([("e9", 500, 1)])
-        assert table.delta_since(rebased) == [(5, 1)]
-
-    def test_log_truncation_raises_floor(self):
-        table = make_table()
-        epoch = table.data_epoch
-        for i in range(_DELTA_LOG_LIMIT + 1):
-            table.insert(("e9", 1000 + i, i))
-        assert table.delta_since(epoch) is None  # truncated past captor
-        assert len(table.delta_since(table.data_epoch
-                                     - _DELTA_LOG_LIMIT)) \
-            == _DELTA_LOG_LIMIT
-
-    def test_empty_append_is_a_no_op(self):
-        table = make_table()
-        epoch = table.data_epoch
-        assert table.append_rows([]) == 0
-        assert table.data_epoch == epoch
 
 
 class TestIncrementalIndex:
@@ -197,12 +162,12 @@ class TestStatsPatch:
 
     def test_rebase_restamps_after_in_place_splice(self):
         db = Database()
-        table = make_table()  # private: only those are spliced
+        table = make_private_table()  # only private tables are spliced
         db.stats.analyze(table)
         stats_version = db.stats.version
         table.replace_rows(table.rows[:5], coerced=True)
         assert db.stats.rebase(table)
-        stats = db.stats.get("r")  # fresh again: no eviction, no analyze
+        stats = db.stats.get(table.name)  # fresh: no eviction, no analyze
         assert stats is not None and stats.row_count == 5
         assert db.stats.version == stats_version  # plans stay warm
 

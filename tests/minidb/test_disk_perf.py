@@ -199,9 +199,9 @@ class TestCompaction:
                 f"data.pages {full_size} -> {shrunk}"
             assert read_generation(data) == generation + 1
             assert db.storage.counters["compactions"] == 1
-            assert list(db.table("reads").scan()) == _rows(100)
+            assert db.table("reads").rows == _rows(100)
         with _open(path) as db:  # the rewritten image survives reopen
-            assert list(db.table("reads").scan()) == _rows(100)
+            assert db.table("reads").rows == _rows(100)
 
     def test_compaction_remaps_indexes(self, tmp_path):
         path = tmp_path / "db"
@@ -220,7 +220,7 @@ class TestCompaction:
             assert result.rows == [(expected,)]
         with _open(path) as db:
             _assert_index_matches_memory(db, keep)
-            assert list(db.table("reads").scan()) == keep
+            assert db.table("reads").rows == keep
 
     def test_equal_batches_merge_like_a_binary_counter(self, tmp_path):
         """Each checkpoint's segment absorbs the trailing ones no larger
@@ -347,7 +347,7 @@ class TestCompaction:
                 db.shutdown()
                 db = _open(path)
         db.checkpoint()
-        assert list(db.table("reads").scan()) == model
+        assert db.table("reads").rows == model
         _assert_index_matches_memory(db, model)
         storage = db.storage
         # A quiesced checkpoint leaves exactly the committed image: no
@@ -364,7 +364,7 @@ class TestCompaction:
         assert f"{live} live, {dead} dead" in stat(str(path))
         db.shutdown()
         with _open(path) as db:
-            assert list(db.table("reads").scan()) == model
+            assert db.table("reads").rows == model
 
 
 class TestOlderPageFormat:
@@ -476,7 +476,7 @@ class TestContextManager:
         assert storage.closed  # shutdown ran: checkpointed + closed
         assert os.path.getsize(str(path / "wal.log")) == 0
         with _open(path) as db:
-            assert len(list(db.table("reads").scan())) == 50
+            assert len(db.table("reads").rows) == 50
 
     def test_memory_mode_context_manager(self):
         with Database() as db:

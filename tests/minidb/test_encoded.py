@@ -235,7 +235,7 @@ class TestStorageEncodeOverrideSurvivesReread:
         # A second segment after reopen (40 rows: too few to absorb the
         # first one).
         db.append("reads", rows[60:])
-        assert list(db.table("reads").scan()) == rows
+        assert db.table("reads").rows == rows
         db.shutdown()
         return self._dict_columns(path)
 

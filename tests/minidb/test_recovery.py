@@ -121,7 +121,7 @@ def _assert_recovered_equals(recovered: Database,
                              committed: list[list[tuple]]) -> None:
     mirror = _mirror(committed)
     expected_rows = [row for batch in committed for row in batch]
-    assert list(recovered.table("reads").scan()) == expected_rows
+    assert recovered.table("reads").rows == expected_rows
     assert recovered.execute(QUERY).rows == mirror.execute(QUERY).rows
     disk_index = recovered.table("reads").index_on("epc")
     memory_index = mirror.table("reads").index_on("epc")

@@ -1,4 +1,4 @@
-"""MVCC snapshots: isolation, detach, refcounts, plan reuse.
+"""MVCC snapshots: isolation, detach, release, plan reuse.
 
 The core contract (ISSUE §tentpole, satellite 3): a reader that pinned
 a snapshot sees *exactly* its epoch while ``append()`` lands twice
@@ -99,18 +99,20 @@ def test_snapshot_survives_drop_table():
         assert snapshot.execute(QUERIES[0]).rows == expected
 
 
-def test_snapshot_refcounts_share_and_drain():
+def test_snapshot_pins_are_values_released_alone():
+    """A pin is the table's row count: two snapshots of one state pin
+    equal values, and releasing one leaves the other answering."""
     db = _build("memory", _rows(10))
-    table = db.table("r")
     first = db.snapshot()
-    second = db.snapshot()  # same epoch -> shares the pinned version
-    assert first.versions["r"] is second.versions["r"]
+    second = db.snapshot()
+    assert first.versions["r"] == second.versions["r"]
+    assert first.versions["r"].row_count == 10
     first.release()
-    assert table.pinned_versions()
+    assert second.execute(QUERIES[0]).rows == db.execute(QUERIES[0]).rows
     second.release()
-    assert not table.pinned_versions()
     # release is idempotent.
     second.release()
+    assert second.released
 
 
 def test_snapshot_rejects_tables_created_after_pin():

@@ -225,7 +225,7 @@ class TestDictionaryLayoutShrinksDataFile:
                           encode=encode)
             db.create_table("reads", self.SCHEMA)
             db.load("reads", rows)
-            assert list(db.table("reads").scan()) == rows
+            assert db.table("reads").rows == rows
             db.shutdown()
             sizes[encode] = os.path.getsize(path / "data.pages")
         assert sizes[True] <= 0.7 * sizes[False], sizes

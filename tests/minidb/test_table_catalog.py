@@ -2,16 +2,11 @@
 
 import pytest
 
-from repro.errors import (
-    CatalogError,
-    SchemaError,
-    TableRewriteError,
-    TypeMismatchError,
-)
+from repro.errors import CatalogError, SchemaError, TypeMismatchError
 from repro.minidb.catalog import Catalog
 from repro.minidb.engine import Database
 from repro.minidb.schema import TableSchema
-from repro.minidb.table import Table
+from repro.minidb.table import Table, private_table
 from repro.minidb.types import SqlType
 
 SCHEMA = TableSchema.of(("epc", SqlType.VARCHAR),
@@ -75,11 +70,6 @@ class TestTable:
     def test_index_on_returns_none_when_absent(self):
         assert Table("r", SCHEMA).index_on("rtime") is None
 
-    def test_column_values(self):
-        table = Table("r", SCHEMA)
-        table.bulk_load([("e1", 1), ("e2", 2)])
-        assert list(table.column_values("rtime")) == [1, 2]
-
 
 class TestCatalog:
     def test_create_and_fetch(self):
@@ -117,20 +107,20 @@ class TestCatalog:
 
 class TestReplaceRows:
     def test_swaps_rows_and_returns_count(self):
-        table = Table("r", SCHEMA)
+        table = private_table("r", SCHEMA)
         table.bulk_load([("e1", 1), ("e2", 2), ("e3", 3)])
         assert table.replace_rows([("e9", 9)]) == 1
         assert table.rows == [("e9", 9)]
 
     def test_bumps_version_once(self):
-        table = Table("r", SCHEMA)
+        table = private_table("r", SCHEMA)
         table.bulk_load([("e1", 1)])
         before = table.version
         table.replace_rows([("e2", 2), ("e3", 3)])
         assert table.version == before + 1
 
     def test_rebuilds_indexes(self):
-        table = Table("r", SCHEMA)
+        table = private_table("r", SCHEMA)
         table.create_index("rtime")
         table.bulk_load([("e1", 7), ("e2", 3)])
         table.replace_rows([("e3", 5), ("e4", 1)])
@@ -139,34 +129,23 @@ class TestReplaceRows:
         assert list(index.scan(IndexRange())) == [1, 0]
 
     def test_coerces_and_validates(self):
-        table = Table("r", SCHEMA)
+        table = private_table("r", SCHEMA)
         table.bulk_load([("e1", 1)])
         with pytest.raises(SchemaError):
             table.replace_rows([("only-one",)])
         # The failed swap must leave the old contents intact.
         assert table.rows == [("e1", 1)]
 
-    def test_refuses_a_durable_or_pinned_table(self, tmp_path):
-        """Only private tables are rewritten: a disk table's WAL has no
-        record for it, and pinned versions read rows by position."""
+    def test_only_private_tables_can_be_rewritten(self, tmp_path):
+        """A catalog table only grows: neither a memory nor a disk
+        database hands out a table with a rewrite method."""
+        assert not hasattr(Table, "replace_rows")
         with Database(storage="disk",
-                      storage_path=str(tmp_path / "db")) as db:
-            db.create_table("r", SCHEMA)
-            db.load("r", [("e1", 1)])
-            wal_bytes = db.storage.wal.bytes_written
-            with pytest.raises(TableRewriteError, match="durable"):
-                db.table("r").replace_rows([("e9", 9)])
-            assert db.table("r").rows == [("e1", 1)]
-            assert db.storage.wal.bytes_written == wal_bytes
-        with Database(storage="memory") as db:
-            db.create_table("r", SCHEMA)
-            db.load("r", [("e1", 1)])
-            table = db.table("r")
-            with db.snapshot():
-                with pytest.raises(TableRewriteError, match="pinned"):
-                    table.replace_rows([("e9", 9)])
-                assert table.rows == [("e1", 1)]
-            assert table.replace_rows([("e9", 9)]) == 1  # pins drained
+                      storage_path=str(tmp_path / "db")) as disk, \
+                Database(storage="memory") as memory:
+            for db in (disk, memory):
+                table = db.create_table("r", SCHEMA)
+                assert not hasattr(table, "replace_rows")
 
 
 class TestColumnarCache:
@@ -188,7 +167,7 @@ class TestColumnarCache:
         assert first == [["e1", "e2"], [1, 2]]
 
     def test_bulk_load_extends_and_replace_evicts(self):
-        table = Table("r", SCHEMA)
+        table = private_table("r", SCHEMA)
         table.bulk_load([("e1", 1)])
         first = table.columnar()
         table.bulk_load([("e2", 2)])

@@ -159,8 +159,9 @@ class TestRegionCacheHits:
 
         db.run("insert into r values ('e9', 155, 'rx', 'la')")
 
-        # The appended row dirties one new sequence; the delta log lets
-        # the cache re-cleanse just that sequence and splice it in.
+        # The appended row dirties one new sequence; the rows past the
+        # region's row count let the cache re-cleanse just that sequence
+        # and splice it in.
         assert sorted(cached.execute(sql).rows) == \
             sorted(plain.execute(sql).rows)
         assert cache.invalidations == 0
@@ -182,6 +183,10 @@ class TestRegionCacheHits:
         sql = q("rtime <= 300")
         assert sorted(disabled.execute(sql).rows) == \
             sorted(plain.execute(sql).rows)
+
+
+def _no_patch(entry, dirty_values):
+    raise AssertionError("no region here can be patched")
 
 
 def _cache_db():
@@ -207,9 +212,11 @@ class TestEviction:
         assert cache.evictions == 1
         # The oldest entry ("a") was evicted; its statistics went too.
         assert cache.lookup(table, ("a",),
-                            (parse_expression("rtime <= 300"),)) is None
+                            (parse_expression("rtime <= 300"),),
+                            patcher=_no_patch) is None
         assert cache.lookup(table, ("c",),
-                            (parse_expression("rtime <= 100"),)) is not None
+                            (parse_expression("rtime <= 100"),),
+                            patcher=_no_patch) is not None
         assert db.stats.get(evicted.table.name) is None
         assert db.stats.get(kept.table.name).row_count == len(rows)
         # No region is ever in the catalog.
@@ -266,12 +273,12 @@ def test_insert_invalidation_property(rows, extra, t):
 
 
 class TestInvalidationRaces:
-    """Version bumps landing at every awkward point of the warm path.
+    """Appends landing at every awkward point of the warm path.
 
-    The cache records ``source_table.version`` at store time and prunes
-    on every lookup; these tests pin the equivalence guarantee when the
-    bump races the store/lookup/hit sequence rather than arriving
-    between well-separated queries.
+    The cache records the source table's row count at store time and
+    prunes on every lookup; these tests pin the equivalence guarantee
+    when the append races the store/lookup/hit sequence rather than
+    arriving between well-separated queries.
     """
 
     def test_bump_between_store_and_lookup(self):
@@ -283,7 +290,9 @@ class TestInvalidationRaces:
                             [tuple(r) for r in ROWS])
         table.insert({"epc": "e9", "rtime": 401, "reader": "r0",
                       "biz_loc": "l1"})
-        assert cache.lookup(table, ("duplicate",), ec) is None
+        # Stored without a cluster key: no run index, so never patched.
+        assert cache.lookup(table, ("duplicate",), ec,
+                            patcher=_no_patch) is None
         assert cache.invalidations == 1
         # No region is ever in the catalog; the stale one's statistics
         # are gone.
@@ -343,8 +352,8 @@ class TestInvalidationRaces:
         db, cached, plain = make_engines(ROWS, ("duplicate",))
         sql = q("rtime <= 300")
         cached.execute(sql)
-        # bulk loads land in the delta log too, so a post-load query
-        # patches rather than re-cleansing the whole region.
+        # a bulk load grows the table like an append, so a post-load
+        # query patches rather than re-cleansing the whole region.
         db.load("r", [("e9", 42, "r0", "l1")])
         assert sorted(cached.execute(sql).rows) == \
             sorted(plain.execute(sql).rows)
@@ -366,13 +375,14 @@ class TestInvalidationRaces:
         db.create_index("r", "rtime")
         replacement = db.catalog.table("r")
         assert replacement.version == table.version
-        assert cache.lookup(replacement, ("duplicate",), ec) is None
+        assert cache.lookup(replacement, ("duplicate",), ec,
+                            patcher=_no_patch) is None
         assert cache.invalidations == 1
 
     def test_bump_through_second_engine_sharing_db(self):
         # A different engine (no cache) mutating the shared database
         # must still be seen by the cached engine's regions — the append
-        # lands in the shared table's delta log, so it patches.
+        # grows the shared table, so it patches.
         db, cached, plain = make_engines(ROWS, ("reader", "duplicate"))
         sql = q("rtime <= 300")
         cached.execute(sql)

@@ -1,12 +1,13 @@
 """Region-cache patching: decisions, splice identity, determinism.
 
-An append to the reads table no longer discards warm cleansing regions:
-the cache consults the table's delta log and re-cleanses only the dirty
-cluster-key sequences, splicing them over the cached clean ones. These
-tests pin the patch-vs-invalidate decision tree (NULL cluster keys,
-MODIFY-ed cluster keys, threshold overruns, truncated history) and the
-headline guarantee: the patched region and query results are
-byte-identical to a cold full recompute, at both batch settings.
+An append to the reads table does not discard warm cleansing regions:
+the cache reads the rows past the region's remembered row count and
+re-cleanses only the dirty cluster-key sequences, splicing them over the
+cached clean ones. These tests pin the patch-vs-invalidate decision tree
+(NULL cluster keys, MODIFY-ed cluster keys, threshold overruns, long
+append histories) and the headline guarantee: the patched region and
+query results are byte-identical to a cold full recompute, at both
+batch settings.
 """
 
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.sqlparse import parse_expression
-from repro.minidb.table import _DELTA_LOG_LIMIT
 from repro.minidb.types import sort_key
 from repro.minidb.plan.physical import IndexRangeScan, SeqScan
 from repro.rewrite import DeferredCleansingEngine, engine as engine_module
@@ -95,7 +95,6 @@ class TestPatchDecision:
         assert sorted(result.rows) == sorted(plain.execute(SQL).rows)
         assert metrics.cache_patches == 1
         assert metrics.sequences_recleaned == 2  # exactly the dirty ones
-        assert metrics.delta_epochs_applied == 1
         assert cached.region_cache.invalidations == 0
 
     def test_null_cluster_key_append_invalidates(self):
@@ -117,7 +116,7 @@ class TestPatchDecision:
         db, cached, plain = make_engines(base_rows(),
                                          rule_names=("retag",))
         cached.execute(SQL)
-        assert only_entry(cached).cluster_key_modified
+        assert only_entry(cached).runs is None  # never patched
         db.append("r", [("e00", 55, "r0", "l1")])
         assert sorted(cached.execute(SQL).rows) == \
             sorted(plain.execute(SQL).rows)
@@ -146,17 +145,19 @@ class TestPatchDecision:
         assert cached.region_cache.patches == 1
         assert cached.region_cache.invalidations == 0
 
-    def test_truncated_delta_history_invalidates(self):
+    def test_long_append_history_patches_once(self):
+        # The rows past the region's row count are the whole history, so
+        # any number of appends between two queries is one patch.
         db, cached, plain = make_engines(base_rows())
         cached.execute(SQL)
         table = db.table("r")
-        for i in range(_DELTA_LOG_LIMIT + 1):
+        for i in range(257):
             table.insert((f"e{i % 3:02d}", 1000 + i, "r0", "l1"))
         db.analyze("r")
         assert sorted(cached.execute(SQL).rows) == \
             sorted(plain.execute(SQL).rows)
-        assert cached.region_cache.patches == 0
-        assert cached.region_cache.invalidations == 1
+        assert cached.region_cache.patches == 1
+        assert cached.region_cache.invalidations == 0
 
     def test_patch_recomputes_under_entry_ec_not_probe_ec(self):
         # Warm a wide region, append, then probe with a narrower window:
@@ -176,7 +177,7 @@ class TestPatchDecision:
 
     def test_schema_only_staleness_stays_warm(self):
         # An index creation bumps the schema epoch but appends no rows:
-        # staleness is keyed on the *data* epoch, so the entry is not
+        # staleness is keyed on the row count, so the entry is not
         # even considered stale — it serves warm with zero patching and
         # zero re-cleansing.
         db, cached, plain = make_engines(base_rows())
@@ -242,7 +243,7 @@ class TestRegionsArePrivate:
 
 
 class TestDirectCacheLookup:
-    """Unit-level: lookup() with and without a patcher."""
+    """Unit-level: lookup() with a hand-written patcher."""
 
     def _db_and_cache(self):
         db = Database()
@@ -256,12 +257,6 @@ class TestDirectCacheLookup:
             key=lambda row: (row[0], row[1]))
         cache.store(table, ("k",), ec, rows, cluster_key="epc")
         return db, cache, table, ec
-
-    def test_without_patcher_stale_entry_drops(self):
-        db, cache, table, ec = self._db_and_cache()
-        table.append_rows([("e00", 55, "r0", "l1")])
-        assert cache.lookup(table, ("k",), ec) is None
-        assert cache.invalidations == 1
 
     def test_patcher_receives_dirty_values_and_entry(self):
         db, cache, table, ec = self._db_and_cache()

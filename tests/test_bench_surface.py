@@ -50,6 +50,8 @@ def test_bench_modules_import_and_count_an_executed_plan():
     # Stubs: the executor has no encoded columns to count or decode.
     assert counts["exec.encoded_columns"] == 0
     assert counts["exec.decode_fallbacks"] == 0
+    # bench/worker.py times this call as ``snapshot.pin_ms``.
+    db.snapshot().release()
 
 
 def test_encode_stats_is_two_zeros_and_bytes_saved():

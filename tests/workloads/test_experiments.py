@@ -64,12 +64,22 @@ class TestHarnesses:
         by_site = distinct_epcs(
             "select count(distinct c.epc) from caser c, locs l "
             "where c.biz_loc = l.gln and "
-            f"l.site = '{bench.default_site()}'")
+            f"l.site = '{bench.busiest_site(0)}'")
         by_type = distinct_epcs(
             "select count(distinct c.epc) from caser c, steps s "
             "where c.biz_step = s.biz_step and s.type = 'type_03'")
         assert by_site < 0.5 * total
         assert by_type > 0.9 * total
+
+    def test_q2_answers_at_every_figure_selectivity(self):
+        """q2's default site has reads inside its own window, so the
+        figures never time an empty answer (scale 24, as they run)."""
+        bench = workbench_for(ExperimentSettings(scale=24),
+                              rule_names=("reader",))
+        for selectivity in (0.1, 0.2, 0.4, 0.6):
+            rows = bench.engine.execute(bench.q2(selectivity),
+                                        strategies={"naive"}).rows
+            assert rows, selectivity
 
     def test_fig9_rules_structure(self):
         results = fig9.run_rules(TINY, queries=("q2",))

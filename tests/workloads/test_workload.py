@@ -85,8 +85,12 @@ class TestWorkbench:
         assert subset.database is clean_bench.database
 
     def test_default_site_exists(self, clean_bench):
+        """q2's default site is a real site with reads in its window."""
         sites = {row[1] for row in clean_bench.data.location_rows}
-        assert clean_bench.default_site() in sites
+        t2 = timestamp_for_fraction_above(clean_bench.case_rtimes(), 0.2)
+        site = clean_bench.busiest_site(t2)
+        assert site in sites
+        assert f"l.site = '{site}'" in clean_bench.q2(0.2)
 
     def test_clean_data_unchanged_by_cleansing(self, clean_bench):
         """On anomaly-free data the rules must be (near) no-ops: no
