@@ -44,15 +44,6 @@ class GeneratedData:
     loc_a: str = ""
     anomalies: AnomalyCounts = field(default_factory=AnomalyCounts)
 
-    @property
-    def clean_case_read_count(self) -> int:
-        """Case reads before anomaly injection."""
-        return self.anomalies.clean_case_reads
-
-    def rtime_bounds(self) -> tuple[int, int]:
-        times = [row[1] for row in self.case_reads]
-        return min(times), max(times)
-
 
 class RFIDGen:
     """Deterministic generator; same config => identical dataset."""

@@ -23,6 +23,10 @@ path and diffs canonicalized row bags against the naive strategy
 ``cached-invalidated``    third execution after a one-row insert makes
                           the region stale (patched or dropped, it
                           must answer the new table state)
+``cached-redefined``      a cached execution, then the last rule is
+                          dropped and defined again with another
+                          action: the next execution must answer the
+                          new rule set, never the old rule's region
 ``eager``                 materialize Φ_C(R) up front, query the copy
 ``plan-cache``            the eager query re-run through the prepared-
                           plan cache (hit must reproduce the miss)
@@ -82,6 +86,8 @@ from repro.minidb.vector import forced_batch_size
 from repro.rewrite.cache import CacheOptions
 from repro.rewrite.eager import materialize_cleansed
 from repro.rewrite.engine import DeferredCleansingEngine
+from repro.sqlts.model import Action, ActionKind
+from repro.sqlts.parser import parse_rule
 from repro.sqlts.registry import RuleRegistry
 
 __all__ = ["ALL_LABELS", "Divergence", "OracleReport", "run_case",
@@ -89,8 +95,9 @@ __all__ = ["ALL_LABELS", "Divergence", "OracleReport", "run_case",
 
 #: Every comparison the oracle can run, in execution order.
 ALL_LABELS = ("expanded", "joinback", "chosen", "printed", "cached-cold",
-              "cached-warm", "cached-invalidated", "eager", "plan-cache",
-              "reference", "incremental", "disk", "served")
+              "cached-warm", "cached-invalidated", "cached-redefined",
+              "eager", "plan-cache", "reference", "incremental", "disk",
+              "served")
 
 _READS_SCHEMA = TableSchema.of(
     ("epc", SqlType.VARCHAR),
@@ -187,6 +194,14 @@ def _diff(baseline: Sequence[tuple],
     return missing, unexpected
 
 
+def _naive_answer(db: Database, registry: RuleRegistry,
+                  sql: str) -> Callable[[], tuple[tuple, ...]]:
+    """A fresh uncached engine's naive answer, asked for later: the
+    expectation after a label changed the table or the rules."""
+    return lambda: DeferredCleansingEngine(db, registry).execute(
+        sql, strategies={"naive"}).canonical()
+
+
 def run_case(case: FuzzCase,
              labels: Sequence[str] | None = None) -> OracleReport:
     """Differentially execute *case*; *labels* restricts the sweep
@@ -202,11 +217,15 @@ def run_case(case: FuzzCase,
                                                        sql)).canonical()
 
     def compare(label: str, execute: Callable[[], tuple[tuple, ...]],
+                expected: Callable[[], tuple[tuple, ...]] | None = None,
                 ) -> None:
+        """Diff *execute*'s answer against the baseline, or against
+        *expected*'s, asked for after *execute* changed the state."""
         if label not in wanted:
             return
         try:
             got = execute()
+            baseline = report.baseline if expected is None else expected()
         except RewriteError as error:
             # Infeasibility is a legitimate outcome (Q_e = null), not a
             # divergence; the strategy simply has nothing to check.
@@ -218,10 +237,10 @@ def run_case(case: FuzzCase,
                 label=label, kind="error",
                 detail=f"{type(error).__name__}: {error}"))
             return
-        if got == report.baseline:
+        if got == baseline:
             report.results[label] = "ok"
             return
-        missing, unexpected = _diff(report.baseline, got)
+        missing, unexpected = _diff(baseline, got)
         report.results[label] = "DIVERGED"
         report.divergences.append(Divergence(
             label=label, kind="rows", missing=missing,
@@ -254,35 +273,43 @@ def run_case(case: FuzzCase,
         compare("cached-warm", lambda: cached_engine.execute(
             sql).canonical())
 
-        if "cached-invalidated" in wanted and case.reads_rows:
+        def insert_then_execute() -> tuple[tuple, ...]:
             # Make the cached region stale: insert one row into the
             # source table after the region was cached, then query
             # again. Whether the cache patches the region or drops it,
             # the cached engine must agree with a fresh naive run over
             # the *new* table state (not the original baseline).
-            try:
-                probe = dict(zip(READS_COLUMNS, case.reads_rows[0]))
-                probe["rtime"] = probe["rtime"] + 1
-                cached_db.table("caser").insert(probe)
-                cached_db.analyze("caser")
-                fresh = DeferredCleansingEngine(cached_db, cached_registry)
-                expected = fresh.execute(
-                    sql, strategies={"naive"}).canonical()
-                got = cached_engine.execute(sql).canonical()
-            except Exception as error:  # noqa: BLE001
-                report.results["cached-invalidated"] = "DIVERGED"
-                report.divergences.append(Divergence(
-                    label="cached-invalidated", kind="error",
-                    detail=f"{type(error).__name__}: {error}"))
-            else:
-                if got == expected:
-                    report.results["cached-invalidated"] = "ok"
-                else:
-                    missing, unexpected = _diff(expected, got)
-                    report.results["cached-invalidated"] = "DIVERGED"
-                    report.divergences.append(Divergence(
-                        label="cached-invalidated", kind="rows",
-                        missing=missing, unexpected=unexpected))
+            probe = dict(zip(READS_COLUMNS, case.reads_rows[0]))
+            probe["rtime"] = probe["rtime"] + 1
+            cached_db.table("caser").insert(probe)
+            cached_db.analyze("caser")
+            return cached_engine.execute(sql).canonical()
+
+        if case.reads_rows:
+            compare("cached-invalidated", insert_then_execute,
+                    _naive_answer(cached_db, cached_registry, sql))
+
+    if "cached-redefined" in wanted and case.rules:
+        redefined_db, redefined_registry = build_database(case)
+        redefined_engine = DeferredCleansingEngine(
+            redefined_db, redefined_registry, cache=CacheOptions())
+
+        def redefine_then_execute() -> tuple[tuple, ...]:
+            # Cache a region under the case's rules, then drop the last
+            # rule and define it again under the same name with another
+            # action: the rule set changed, so the old region must not
+            # answer the query.
+            redefined_engine.execute(sql)
+            rule = parse_rule(case.rules[-1])
+            rule.action = Action(
+                ActionKind.DELETE if rule.action.kind is ActionKind.KEEP
+                else ActionKind.KEEP, rule.action.target)
+            redefined_registry.drop(rule.name)
+            redefined_registry.define(rule)
+            return redefined_engine.execute(sql).canonical()
+
+        compare("cached-redefined", redefine_then_execute,
+                _naive_answer(redefined_db, redefined_registry, sql))
 
     if wanted & {"eager", "plan-cache"}:
         eager_db, eager_registry = build_database(case)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro import knobs
 from repro.errors import PlanningError, SchemaError
@@ -24,7 +24,8 @@ from repro.minidb.optimizer.planner import Planner, PlannerOptions
 from repro.minidb.optimizer.stats import StatsRepository
 from repro.minidb.plan.builder import build_plan
 from repro.minidb.plan.logical import LogicalNode
-from repro.minidb.plan.physical import FilterOp, PhysicalNode, SortOp
+from repro.minidb.plan.physical import (FilterOp, IndexRangeScan,
+                                        PhysicalNode, SeqScan, SortOp)
 from repro.minidb.plan.window import WindowOp
 from repro.minidb.vector import RowBatch, materialize
 from repro.minidb.result import ResultSet
@@ -39,7 +40,8 @@ from repro.minidb.sqlparse.ast import (
 )
 from repro.minidb.table import Table
 
-__all__ = ["Database", "Explained", "ExecutionMetrics", "PreparedPlanCache"]
+__all__ = ["Database", "Explained", "ExecutionMetrics", "PreparedPlanCache",
+           "ReadView"]
 
 
 def _no_columns(qualifier: str | None, name: str) -> int:
@@ -188,6 +190,19 @@ class PreparedPlanCache:
     def clear(self) -> None:
         self._parsed.clear()
         self._plans.clear()
+
+
+class ReadView(NamedTuple):
+    """What one read plans and runs against: the statistics to cost
+    with, the plan cache and the key that makes its plans stale, and
+    table name -> visible row count (None reads every row). Live reads
+    and :class:`~repro.minidb.snapshot.Snapshot` queries differ only in
+    this view."""
+
+    stats: Any
+    plan_cache: PreparedPlanCache
+    key: tuple
+    bounds: Callable[[str], int] | None = None
 
 
 class Database:
@@ -359,27 +374,80 @@ class Database:
             if self.stats.get(table.name) is None:
                 self.stats.analyze(table)
 
-    def _to_logical(self, query: str | SelectStmt | LogicalNode) -> LogicalNode:
-        if isinstance(query, LogicalNode):
-            return query
-        if isinstance(query, str):
-            query = parse_select(query)
-        return build_plan(query, self.catalog)
+    def _live_view(self) -> ReadView:
+        """The live read view, with fresh statistics.
 
-    def _fingerprint(self, options: PlannerOptions) -> tuple:
-        """The staleness key guarding prepared-plan reuse.
-
-        Table *data* epochs deliberately do not participate: physical
+        Table *data* epochs deliberately stay out of its key: physical
         plans read table rows live at execution time, so an append
-        never makes a plan wrong —
-        only stale statistics can, and those are covered by the stats
-        version (``StatsRepository.apply_append`` keeps it unchanged for
-        trickle appends precisely so prepared plans stay warm). Schema
-        epochs still participate: a new index should trigger replanning.
+        never makes a plan wrong — only stale statistics can, and those
+        are covered by the stats version
+        (``StatsRepository.apply_append`` keeps it unchanged for trickle
+        appends precisely so prepared plans stay warm). Schema epochs
+        still participate: a new index should trigger replanning.
         """
-        return (self.catalog.version, self.stats.version,
-                tuple(table.schema_epoch for table in self.catalog),
-                tuple(sorted(vars(options).items())))
+        self._ensure_stats()
+        return ReadView(self.stats, self.plan_cache,
+                        (self.catalog.version, self.stats.version,
+                         tuple(table.schema_epoch for table in self.catalog)))
+
+    def _plan_in(self, view: ReadView,
+                 query: str | SelectStmt | LogicalNode,
+                 options: PlannerOptions | None) -> PhysicalNode:
+        """The costed physical plan for *query* under *view*'s statistics.
+
+        SQL text is parsed once, and its plan is memoized in the view's
+        plan cache under the view's key plus the planner options.
+        Statements and logical plans plan fresh every time.
+        """
+        effective = options or self.options
+        if not isinstance(query, str):
+            if not isinstance(query, LogicalNode):
+                query = build_plan(query, self.catalog)
+            return Planner(self.catalog, view.stats, self.cost_model,
+                           effective).plan(query)
+        cache = view.plan_cache
+        fingerprint = (*view.key, tuple(sorted(vars(effective).items())))
+        plan = cache.plan(query, fingerprint)
+        if plan is not None:
+            return plan
+        statement = cache.parsed(query)
+        if statement is None:
+            statement = parse_select(query)
+            cache.remember_parsed(query, statement)
+        plan = Planner(self.catalog, view.stats, self.cost_model,
+                       effective).plan(build_plan(statement, self.catalog))
+        cache.remember_plan(query, fingerprint, plan)
+        return plan
+
+    def _execute_in(self, view: ReadView,
+                    query: str | SelectStmt | LogicalNode,
+                    options: PlannerOptions | None, *, metrics: bool = False,
+                    ) -> tuple[PhysicalNode, ResultSet,
+                               ExecutionMetrics | None]:
+        """Plan and run *query* under *view*: the plan, its result and,
+        if *metrics*, its work counters. Base scans are armed with
+        ``view.bounds`` for the run only, so the plan stays reusable."""
+        cache = view.plan_cache
+        hits, misses = cache.hits, cache.misses
+        plan = self._plan_in(view, query, options)
+        armed: list[SeqScan | IndexRangeScan] = []
+        try:
+            if view.bounds is not None:
+                for node in plan.walk():
+                    if isinstance(node, (SeqScan, IndexRangeScan)):
+                        armed.append(node)
+                        node.visible_count = view.bounds(node.table.name)
+            rows = materialize(plan)
+        finally:
+            for node in armed:
+                node.visible_count = None
+        result = ResultSet([out.name for out in plan.schema], rows)
+        if not metrics:
+            return plan, result, None
+        counters = ExecutionMetrics.from_plan(plan)
+        counters.plan_cache_hits = cache.hits - hits
+        counters.plan_cache_misses = cache.misses - misses
+        return plan, result, counters
 
     def plan(self, query: str | SelectStmt | LogicalNode,
              options: PlannerOptions | None = None) -> PhysicalNode:
@@ -391,26 +459,7 @@ class Database:
         unchanged. A cache hit returns the same plan object with its
         execution counters reset.
         """
-        self._ensure_stats()
-        effective = options or self.options
-        if isinstance(query, str):
-            fingerprint = self._fingerprint(effective)
-            cached = self.plan_cache.plan(query, fingerprint)
-            if cached is not None:
-                return cached
-            statement = self.plan_cache.parsed(query)
-            if statement is None:
-                statement = parse_select(query)
-                self.plan_cache.remember_parsed(query, statement)
-            planner = Planner(self.catalog, self.stats, self.cost_model,
-                              effective)
-            logical = build_plan(statement, self.catalog)
-            plan = planner.plan(logical)
-            self.plan_cache.remember_plan(query, fingerprint, plan)
-            return plan
-        planner = Planner(self.catalog, self.stats, self.cost_model,
-                          effective)
-        return planner.plan(self._to_logical(query))
+        return self._plan_in(self._live_view(), query, options)
 
     def explain(self, query: str | SelectStmt | LogicalNode,
                 options: PlannerOptions | None = None) -> Explained:
@@ -434,8 +483,7 @@ class Database:
         """
         before = (self.storage.counters
                   if include_storage and self.storage is not None else None)
-        plan = self.plan(query, options)
-        materialize(plan)
+        plan, _, _ = self._execute_in(self._live_view(), query, options)
         text = plan.explain(analyze=True)
         if before is not None:
             after = self.storage.counters
@@ -452,10 +500,8 @@ class Database:
     def execute(self, query: str | SelectStmt | LogicalNode,
                 options: PlannerOptions | None = None) -> ResultSet:
         """Plan and run *query*, returning a materialized result."""
-        plan = self.plan(query, options)
-        rows = materialize(plan)
-        columns = [out.name for out in plan.schema]
-        return ResultSet(columns, rows)
+        _, result, _ = self._execute_in(self._live_view(), query, options)
+        return result
 
     def run(self, sql: str) -> ResultSet:
         """Execute any supported SQL statement.
@@ -501,16 +547,10 @@ class Database:
             options: PlannerOptions | None = None,
     ) -> tuple[ResultSet, ExecutionMetrics]:
         """Run *query* and also report per-operator work counters."""
-        hits_before = self.plan_cache.hits
-        misses_before = self.plan_cache.misses
         wal_before = (self.storage.wal.bytes_written
                       if self.storage is not None else 0)
-        plan = self.plan(query, options)
-        rows = materialize(plan)
-        columns = [out.name for out in plan.schema]
-        metrics = ExecutionMetrics.from_plan(plan)
-        metrics.plan_cache_hits = self.plan_cache.hits - hits_before
-        metrics.plan_cache_misses = self.plan_cache.misses - misses_before
+        _, result, metrics = self._execute_in(self._live_view(), query,
+                                              options, metrics=True)
         if self.storage is not None:
             metrics.wal_bytes = self.storage.wal.bytes_written - wal_before
-        return (ResultSet(columns, rows), metrics)
+        return (result, metrics)

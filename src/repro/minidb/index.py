@@ -164,9 +164,6 @@ class SortedIndex:
             stop = bisect.bisect_left(keys, key_range.high)
         return start, max(stop, start)
 
-    def _bounds(self, key_range: IndexRange) -> tuple[int, int]:
-        return self._bounds_in(self._data[0], key_range)
-
     def scan(self, key_range: IndexRange) -> Iterator[int]:
         """Yield row positions whose key falls in *key_range*, key order."""
         # One capture of the published arrays = one consistent epoch.

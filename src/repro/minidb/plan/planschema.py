@@ -46,9 +46,6 @@ class Field:
             return f"{self.qualifier}.{self.name}"
         return self.name
 
-    def with_name(self, name: str) -> "Field":
-        return Field(name, self.sql_type, self.qualifier, self.origin)
-
 
 class PlanSchema:
     """An ordered list of :class:`Field` with qualified-name resolution.

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.minidb.types import sort_key
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.minidb.vector import RowBatch
 
 __all__ = ["ResultSet"]
 
@@ -23,15 +20,6 @@ class ResultSet:
     def __init__(self, columns: Sequence[str], rows: list[tuple]) -> None:
         self.columns = list(columns)
         self.rows = rows
-
-    @classmethod
-    def from_batches(cls, columns: Sequence[str],
-                     batches: Iterable["RowBatch"]) -> "ResultSet":
-        """Materialize a stream of columnar batches into a result set."""
-        rows: list[tuple] = []
-        for batch in batches:
-            rows.extend(batch.rows())
-        return cls(columns, rows)
 
     def __len__(self) -> int:
         return len(self.rows)

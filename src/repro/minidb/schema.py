@@ -118,10 +118,6 @@ class TableSchema:
         """Schema extended with one appended column."""
         return TableSchema((*self._columns, column))
 
-    def rename_all(self, renamer) -> "TableSchema":
-        """Schema with every column renamed through callable *renamer*."""
-        return TableSchema(c.renamed(renamer(c.name)) for c in self._columns)
-
     def covers(self, other: "TableSchema") -> bool:
         """Whether this schema includes every column of *other* (by name
         and type), regardless of position. Used to check that rule input

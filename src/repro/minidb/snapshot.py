@@ -19,17 +19,20 @@ table leaves the catalog, but its row list stays with the pinned
 version and still holds the pinned prefix. Plans are the ordinary
 costed physical plans (the planner runs against the live catalog with
 the *pinned* statistics, so plan shapes are reproducible from the
-pinned state alone); right before execution the snapshot *arms* every
-base scan with its table's bound (``visible_count``), then disarms in a
+pinned state alone); right before execution every base scan is
+*armed* with its table's bound (``visible_count``), then disarmed in a
 ``finally`` so the plan object stays reusable for live execution.
 
-Prepared-plan reuse uses the same fingerprint discipline as
-:class:`~repro.minidb.engine.PreparedPlanCache`: table row counts are
-deliberately excluded (bounds are armed per execution, so one plan shape
-serves any number of successive snapshots), while schema epochs, the
-stats version, and every plan-shape knob participate. The cache is
-per-snapshot by default; the server hands each wire session one cache so
-a session's repeated queries replan zero times across snapshots.
+Queries run the database's own query path (``Database._execute_in``)
+under a pinned :class:`~repro.minidb.engine.ReadView`, so prepared-plan
+reuse is the same code as for live reads: row counts stay out of the
+key (bounds are armed per execution, so one plan shape serves any
+number of successive snapshots), while schema epochs, the stats
+version, and every plan-shape knob participate. A leading
+``"snapshot"`` marker keeps snapshot keys disjoint from live keys when
+a caller shares one cache for both. The cache is per-snapshot by
+default; the server hands each wire session one cache so a session's
+repeated queries replan zero times across snapshots.
 
 Concurrency contract: one Snapshot may be used from one thread at a
 time (like a cursor). Any number of snapshots can execute concurrently
@@ -39,22 +42,17 @@ with each other and with ingest on the owning database.
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Any
 
 from repro.errors import SnapshotError
-from repro.minidb.optimizer.planner import Planner, PlannerOptions
+from repro.minidb.engine import (Database, ExecutionMetrics,
+                                 PreparedPlanCache, ReadView)
+from repro.minidb.optimizer.planner import PlannerOptions
 from repro.minidb.optimizer.stats import TableStats
-from repro.minidb.plan.builder import build_plan
 from repro.minidb.plan.logical import LogicalNode
-from repro.minidb.plan.physical import IndexRangeScan, PhysicalNode, SeqScan
+from repro.minidb.plan.physical import PhysicalNode
 from repro.minidb.result import ResultSet
-from repro.minidb.sqlparse import parse_select
 from repro.minidb.sqlparse.ast import SelectStmt
 from repro.minidb.table import TableVersion
-from repro.minidb.vector import materialize
-
-if TYPE_CHECKING:  # pragma: no cover — import cycle with engine
-    from repro.minidb.engine import Database, ExecutionMetrics
 
 __all__ = ["Snapshot", "PinnedStats"]
 
@@ -88,10 +86,8 @@ class Snapshot:
     refuses queries.
     """
 
-    def __init__(self, database: "Database", *,
-                 plan_cache=None) -> None:
-        from repro.minidb.engine import PreparedPlanCache
-
+    def __init__(self, database: Database, *,
+                 plan_cache: PreparedPlanCache | None = None) -> None:
         database._ensure_stats()
         self._db = database
         self.versions: dict[str, TableVersion] = {
@@ -101,12 +97,12 @@ class Snapshot:
         self.stats = PinnedStats(database.stats.version, {
             name: copy.deepcopy(database.stats.get(name))
             for name in database.catalog.table_names()})
-        self._catalog_version = database.catalog.version
-        self._schema_epochs = tuple(sorted(
-            (name, version.schema_epoch)
-            for name, version in self.versions.items()))
         self.plan_cache = (plan_cache if plan_cache is not None
                            else PreparedPlanCache(64))
+        self._key = ("snapshot", database.catalog.version,
+                     self.stats.version,
+                     tuple(sorted((name, version.schema_epoch)
+                                  for name, version in self.versions.items())))
         self._released = False
 
     # ------------------------------------------------------------------
@@ -128,38 +124,22 @@ class Snapshot:
         return self._released
 
     def row_count(self, table_name: str) -> int:
-        """Rows of *table_name* visible to this snapshot."""
-        return self._version_of(table_name).row_count
-
-    def _version_of(self, table_name: str) -> TableVersion:
+        """Rows of *table_name* visible to this snapshot: the bound its
+        scans are armed with."""
         version = self.versions.get(table_name.lower())
         if version is None:
             raise SnapshotError(
                 f"table {table_name!r} was created after this snapshot "
                 f"was pinned")
-        return version
+        return version.row_count
 
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
+    def _pinned(self) -> ReadView:
+        if self._released:
+            raise SnapshotError("snapshot has been released")
+        return ReadView(self.stats, self.plan_cache, self._key,
+                        self.row_count)
 
-    def _fingerprint(self, options: PlannerOptions) -> tuple:
-        """Same discipline as ``Database._fingerprint``, pinned inputs.
-
-        A leading marker keeps snapshot keys disjoint from live keys
-        when a caller shares one cache for both.
-        """
-        return ("snapshot", self._catalog_version, self.stats.version,
-                self._schema_epochs,
-                tuple(sorted(vars(options).items())))
-
-    def _plan_query(self, query: SelectStmt | LogicalNode,
-                    options: PlannerOptions) -> PhysicalNode:
-        planner = Planner(self._db.catalog, self.stats,
-                          self._db.cost_model, options)
-        if not isinstance(query, LogicalNode):
-            query = build_plan(query, self._db.catalog)
-        return planner.plan(query)
+    # -- queries: the database's own path, under the pinned view -------
 
     def plan(self, query: str | SelectStmt | LogicalNode,
              options: PlannerOptions | None = None) -> PhysicalNode:
@@ -168,81 +148,30 @@ class Snapshot:
         SQL text is memoized in :attr:`plan_cache`; non-text queries
         plan fresh every time (exactly like ``Database.plan``).
         """
-        if self._released:
-            raise SnapshotError("snapshot has been released")
-        effective = options or self._db.options
-        if not isinstance(query, str):
-            return self._plan_query(query, effective)
-        fingerprint = self._fingerprint(effective)
-        cached = self.plan_cache.plan(query, fingerprint)
-        if cached is not None:
-            return cached
-        statement = self.plan_cache.parsed(query)
-        if statement is None:
-            statement = parse_select(query)
-            self.plan_cache.remember_parsed(query, statement)
-        plan = self._plan_query(statement, effective)
-        self.plan_cache.remember_plan(query, fingerprint, plan)
-        return plan
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    def _arm(self, plan: PhysicalNode) -> list[Any]:
-        armed = []
-        for node in plan.walk():
-            if isinstance(node, (SeqScan, IndexRangeScan)):
-                version = self._version_of(node.table.name)
-                node.visible_count = version.row_count
-                armed.append(node)
-        return armed
-
-    @staticmethod
-    def _disarm(armed: list[Any]) -> None:
-        for node in armed:
-            node.visible_count = None
-
-    def _materialize(self, plan: PhysicalNode) -> list[tuple]:
-        armed = self._arm(plan)
-        try:
-            return materialize(plan)
-        finally:
-            self._disarm(armed)
+        return self._db._plan_in(self._pinned(), query, options)
 
     def execute(self, query: str | SelectStmt | LogicalNode,
                 options: PlannerOptions | None = None) -> ResultSet:
         """Plan and run *query* against the pinned epochs."""
-        plan = self.plan(query, options)
-        rows = self._materialize(plan)
-        columns = [out.name for out in plan.schema]
-        return ResultSet(columns, rows)
+        _, result, _ = self._db._execute_in(self._pinned(), query, options)
+        return result
 
     def execute_with_metrics(
             self, query: str | SelectStmt | LogicalNode,
             options: PlannerOptions | None = None,
-    ) -> "tuple[ResultSet, ExecutionMetrics]":
+    ) -> tuple[ResultSet, ExecutionMetrics]:
         """Run *query* and report per-operator work counters.
 
         Counters are byte-identical to executing the same query on a
         database frozen at the pinned epochs (the snapshot-isolation
         tests pin exactly this).
         """
-        from repro.minidb.engine import ExecutionMetrics
-
-        hits_before = self.plan_cache.hits
-        misses_before = self.plan_cache.misses
-        plan = self.plan(query, options)
-        rows = self._materialize(plan)
-        columns = [out.name for out in plan.schema]
-        metrics = ExecutionMetrics.from_plan(plan)
-        metrics.plan_cache_hits = self.plan_cache.hits - hits_before
-        metrics.plan_cache_misses = self.plan_cache.misses - misses_before
-        return (ResultSet(columns, rows), metrics)
+        _, result, metrics = self._db._execute_in(
+            self._pinned(), query, options, metrics=True)
+        return (result, metrics)
 
     def explain_analyze(self, query: str | SelectStmt | LogicalNode,
                         options: PlannerOptions | None = None) -> str:
         """Execute *query* and return EXPLAIN ANALYZE text."""
-        plan = self.plan(query, options)
-        self._materialize(plan)
+        plan, _, _ = self._db._execute_in(self._pinned(), query, options)
         return plan.explain(analyze=True)

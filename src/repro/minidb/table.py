@@ -229,10 +229,9 @@ class Table:
 
         ``PrivateTable.replace_rows`` calls this eagerly so a stale copy
         (one full duplicate of the table) is never retained until the
-        next ``columnar()`` call — under fixpoint/update workloads those
-        copies used to accumulate for the lifetime of each superseded
-        version. Appends do NOT invalidate: the cache records how many
-        rows it has transposed and extends itself lazily.
+        next ``columnar()`` call. Appends do NOT invalidate: the cache
+        records how many rows it has transposed and extends itself
+        lazily.
         """
         self._columns = None
         self._columns_rows = 0
@@ -271,38 +270,29 @@ class Table:
 
 
 class PrivateTable(Table):
-    """A storage-less table that no catalog holds: derived state.
+    """A storage-less table that no catalog holds: a cached cleansed
+    region (``repro.rewrite.cache``).
 
-    A cached cleansed region or a fixpoint scratch table. No snapshot
-    pins it and no WAL logs it, so unlike a catalog table it can be
-    rewritten in place.
+    No snapshot pins it and no WAL logs it, so unlike a catalog table it
+    can be rewritten in place.
     """
 
-    def replace_rows(self, rows: Iterable[Sequence[Any]], *,
-                     coerced: bool = False) -> int:
-        """Swap the table's contents for *rows*.
+    def replace_rows(self, rows: list[tuple]) -> int:
+        """Swap the table's contents for *rows*, stored as given.
 
-        One call performs the whole consistency dance — coerce, swap,
+        The caller asserts every row is already a schema-coerced tuple:
+        a region's rows are materialized by a plan over coerced catalog
+        tables. One call performs the whole consistency dance — swap,
         bump the data epoch, rebuild every index, drop the columnar
         cache — so callers cannot end up with rows that disagree with
         the indexes or with version-keyed caches. Returns the new row
         count.
-
-        ``coerced=True`` skips per-value coercion: the caller asserts
-        every row is already a schema-coerced tuple (it was read from
-        this table or materialized by a plan over coerced tables). The
-        fast path for splice-style rewrites that shuffle existing rows.
         """
-        if coerced:
-            new_rows = rows if isinstance(rows, list) else list(rows)
-        else:
-            coerce = self._coerce_row
-            new_rows = [coerce(values) for values in rows]
-        self.rows = new_rows
+        self.rows = rows
         self.data_epoch += 1
         self._invalidate_columnar()
         self.rebuild_indexes(self.indexes.values())
-        return len(new_rows)
+        return len(rows)
 
 
 def private_table(label: str, schema: TableSchema) -> PrivateTable:

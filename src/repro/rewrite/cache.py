@@ -32,8 +32,11 @@ through the difference-constraint closure of
 handling (a goal OR needs one entailed disjunct; a fact OR is
 case-split, every branch must entail the goal).
 
-Entries are keyed on the ordered rule list and the source table (object
-identity + the row count it had when the region was cleansed). A
+Entries are keyed on the rule set (the registry's
+:attr:`~repro.sqlts.registry.RuleRegistry.version`, which moves on every
+rule or view change, so a rule redefined under its old name never
+reaches the old rule's region) and the source table (object identity +
+the row count it had when the region was cleansed). A
 catalog table only grows, so the rows appended since are
 ``rows[source_rows:]``, and a stale entry is **patched**: the dirty
 cluster-key values (those appearing in appended rows) are re-cleansed
@@ -63,6 +66,7 @@ from typing import Callable, Sequence
 from repro.analysis.linear import LinearForm, normalize_comparison
 from repro.minidb.engine import Database
 from repro.minidb.expressions import BinaryOp, Expr, Literal
+from repro.minidb.plan.builder import split_conjuncts
 from repro.minidb.schema import Column, TableSchema
 from repro.minidb.table import PrivateTable, Table, private_table
 from repro.minidb.types import sort_key
@@ -97,19 +101,6 @@ def _disjuncts(expr: Expr) -> list[Expr]:
     if _is_or(expr):
         return _disjuncts(expr.left) + _disjuncts(expr.right)
     return [expr]
-
-
-def _conjuncts(expr: Expr) -> list[Expr]:
-    if isinstance(expr, BinaryOp) and expr.op == "and":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
-
-
-def _flatten(exprs: Sequence[Expr]) -> list[Expr]:
-    out: list[Expr] = []
-    for expr in exprs:
-        out.extend(_conjuncts(expr))
-    return out
 
 
 def _edge_entails(closed, form: LinearForm, goal_strict: bool) -> bool:
@@ -180,7 +171,7 @@ def _implies(facts: list[Expr], goal: Expr, depth: int) -> bool:
     if _is_or(goal):
         for disjunct in _disjuncts(goal):
             if all(_implies(facts, conjunct, depth)
-                   for conjunct in _conjuncts(disjunct)):
+                   for conjunct in split_conjuncts(disjunct)):
                 return True
     elif _closure_entails(plain, goal):
         return True
@@ -189,7 +180,7 @@ def _implies(facts: list[Expr], goal: Expr, depth: int) -> bool:
     ors = [fact for fact in facts if _is_or(fact)]
     for index, fact in enumerate(ors):
         rest = plain + ors[:index] + ors[index + 1:]
-        if all(_implies(rest + _conjuncts(disjunct), goal, depth + 1)
+        if all(_implies(rest + split_conjuncts(disjunct), goal, depth + 1)
                for disjunct in _disjuncts(fact)):
             return True
     return False
@@ -203,9 +194,9 @@ def conjunction_implies(facts: Sequence[Expr],
     entailed (structurally, through the difference closure, or by OR
     case analysis); a False answer merely declines the cache hit.
     """
-    fact_list = _flatten(facts)
-    return all(_implies(fact_list, goal, 0)
-               for goal in _flatten(goals))
+    fact_list = [atom for fact in facts for atom in split_conjuncts(fact)]
+    return all(_implies(fact_list, atom, 0)
+               for goal in goals for atom in split_conjuncts(goal))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +231,9 @@ class RegionEntry:
 
     #: The reads table the region was cleansed from.
     source_table: Table
-    #: Ordered names of the rules applied (registry creation order).
-    rule_key: tuple[str, ...]
+    #: The rule set the region was cleansed under: the engine passes its
+    #: registry's ``version``; the cache only compares keys for equality.
+    rule_key: object
     #: Top-level conjuncts of the ec the region was materialized under.
     ec_conjuncts: list[Expr]
     #: Private (never cataloged, storage-less) table of the cleansed rows.
@@ -484,7 +476,7 @@ class CleansingRegionCache:
             fresh_rows.sort(key=lambda row: sort_key(row[position]))
             rows, runs = _splice(region.rows, entry.runs, dirty_keys,
                                  fresh_rows, position)
-            region.replace_rows(rows, coerced=True)
+            region.replace_rows(rows)
             entry.runs = runs
             self.database.stats.rebase(region)
             entry.nbytes = _estimate_bytes(rows)
@@ -495,7 +487,7 @@ class CleansingRegionCache:
 
     # ------------------------------------------------------------------
 
-    def lookup(self, table: Table, rule_key: tuple[str, ...],
+    def lookup(self, table: Table, rule_key: object,
                ec_conjuncts: Sequence[Expr], *,
                patcher: Patcher) -> RegionEntry | None:
         """The smallest region subsuming *ec_conjuncts*, or None.
@@ -530,7 +522,7 @@ class CleansingRegionCache:
         self.misses += 1
         return None
 
-    def store(self, table: Table, rule_key: tuple[str, ...],
+    def store(self, table: Table, rule_key: object,
               ec_conjuncts: Sequence[Expr],
               rows: list[tuple], *,
               cluster_key: str | None = None) -> RegionEntry | None:

@@ -346,11 +346,13 @@ class DeferredCleansingEngine:
         A region whose source table has grown since materialization is
         patched rather than re-materialized: the lookup hands the cache
         a patcher that re-cleanses just the dirty cluster-key sequences
-        (see ``CleansingRegionCache._patch``).
+        (see ``CleansingRegionCache._patch``). Regions are keyed on the
+        registry's rule-set version, so any rule or view change since a
+        region was cleansed makes it unreachable.
         """
         cache = self.region_cache
         table = self.database.table(table_name)
-        rule_key = tuple(compiled.name for compiled in rules)
+        rule_key = self.registry.version
         cluster_key, _ = validate_rule_keys(rules)
         modified = modified_columns([compiled.rule for compiled in rules])
         label = "cached"

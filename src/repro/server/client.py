@@ -6,8 +6,9 @@ declaring cleansing rules), ``query`` returns a
 :class:`~repro.minidb.result.ResultSet`, ``append`` streams rows in.
 Load sheds (``overloaded`` / ``session_busy``) surface as
 :class:`ServerBusy` carrying the server's ``retry_after`` hint;
-``query_with_retry`` implements the obvious polite loop on top. Every
-other failure raises :class:`ServerError` with the wire error code.
+``query_with_retry`` and ``append_with_retry`` implement the obvious
+polite loop on top. Every other failure raises :class:`ServerError`
+with the wire error code.
 
 The client is strictly request/response (one outstanding request); the
 server itself supports pipelining, but the benchmark drives concurrency
@@ -18,12 +19,14 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.minidb.result import ResultSet
 from repro.server import protocol
 
 __all__ = ["ServerClient", "ServerError", "ServerBusy"]
+
+T = TypeVar("T")
 
 
 class ServerError(Exception):
@@ -42,6 +45,17 @@ class ServerBusy(ServerError):
                  retry_after: float) -> None:
         super().__init__(code, message)
         self.retry_after = retry_after
+
+
+def _with_retry(call: Callable[[], T], attempts: int) -> T:
+    """*call*, sleeping out ``retry_after`` on load sheds; the last of
+    *attempts* tries lets a shed propagate."""
+    for _ in range(attempts - 1):
+        try:
+            return call()
+        except ServerBusy as shed:
+            time.sleep(shed.retry_after)
+    return call()
 
 
 class ServerClient:
@@ -74,18 +88,6 @@ class ServerClient:
         that enable ``query(..., cleansed=True)`` on this session."""
         return self._call({"op": "hello", "rules": list(rules)})
 
-    def hello_with_retry(self, rules: Sequence[str] = (), *,
-                         attempts: int = 50) -> dict[str, Any]:
-        """``hello``, sleeping out ``retry_after`` on load sheds (the
-        session-open handshake passes the same admission gate as
-        queries, so a saturated server can shed it too)."""
-        for _ in range(attempts - 1):
-            try:
-                return self.hello(rules)
-            except ServerBusy as shed:
-                time.sleep(shed.retry_after)
-        return self.hello(rules)
-
     def query(self, sql: str, *, cleansed: bool = False) -> ResultSet:
         payload = self._call({"op": "query", "sql": sql,
                               "cleansed": cleansed})
@@ -95,12 +97,8 @@ class ServerClient:
     def query_with_retry(self, sql: str, *, cleansed: bool = False,
                          attempts: int = 50) -> ResultSet:
         """``query``, sleeping out ``retry_after`` on load sheds."""
-        for _ in range(attempts - 1):
-            try:
-                return self.query(sql, cleansed=cleansed)
-            except ServerBusy as shed:
-                time.sleep(shed.retry_after)
-        return self.query(sql, cleansed=cleansed)
+        return _with_retry(lambda: self.query(sql, cleansed=cleansed),
+                           attempts)
 
     def append(self, table: str, rows: Sequence[Sequence[Any]]) -> int:
         payload = self._call({"op": "append", "table": table,
@@ -110,12 +108,8 @@ class ServerClient:
     def append_with_retry(self, table: str,
                           rows: Sequence[Sequence[Any]], *,
                           attempts: int = 50) -> int:
-        for _ in range(attempts - 1):
-            try:
-                return self.append(table, rows)
-            except ServerBusy as shed:
-                time.sleep(shed.retry_after)
-        return self.append(table, rows)
+        """``append``, sleeping out ``retry_after`` on load sheds."""
+        return _with_retry(lambda: self.append(table, rows), attempts)
 
     # -- plumbing ---------------------------------------------------------
 

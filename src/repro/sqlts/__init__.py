@@ -18,7 +18,6 @@ single-pass evaluation inside minidb.
 from repro.sqlts.model import Action, ActionKind, CleansingRule, PatternRef
 from repro.sqlts.parser import parse_rule
 from repro.sqlts.compiler import CompiledRule, compile_rule
-from repro.sqlts.fixpoint import FixpointResult, apply_to_fixpoint
 from repro.sqlts.registry import RuleRegistry
 
 __all__ = [
@@ -30,6 +29,4 @@ __all__ = [
     "CompiledRule",
     "compile_rule",
     "RuleRegistry",
-    "FixpointResult",
-    "apply_to_fixpoint",
 ]

@@ -177,21 +177,6 @@ class CleansingRule:
                 if column.qualifier == ref_name)
         return columns
 
-    def condition_atoms(self) -> list[Expr]:
-        """The condition's leaf predicates (non-AND/OR subtrees)."""
-        atoms: list[Expr] = []
-
-        def visit(node: Expr) -> None:
-            from repro.minidb.expressions import BinaryOp
-            if isinstance(node, BinaryOp) and node.op in ("and", "or"):
-                visit(node.left)
-                visit(node.right)
-            else:
-                atoms.append(node)
-
-        visit(self.condition)
-        return atoms
-
     def references_in(self, expr: Expr) -> set[str]:
         """Pattern-reference names mentioned by *expr*."""
         names = {ref.name for ref in self.pattern}

@@ -43,7 +43,12 @@ RULES_TABLE_SCHEMA = TableSchema.of(
 
 
 class RuleRegistry:
-    """Compiles, orders, and persists cleansing rules per application."""
+    """Compiles, orders, and persists cleansing rules per application.
+
+    :attr:`version` moves on every ``define``, ``drop``, ``define_view``
+    and ``clear``, so state derived from the rules (cached regions) can
+    key on it even when a rule is redefined under its old name.
+    """
 
     def __init__(self, database: Database | None = None) -> None:
         self._database = database
@@ -51,6 +56,7 @@ class RuleRegistry:
         self._views: dict[str, SelectStmt] = {}
         self._view_sql: dict[str, str] = {}
         self._counter = 0
+        self.version = 0
         if database is not None and RULES_TABLE not in database.catalog:
             database.create_table(RULES_TABLE, RULES_TABLE_SCHEMA)
 
@@ -70,6 +76,7 @@ class RuleRegistry:
         parsed.created_at = self._counter
         compiled = compile_rule(parsed)
         self._rules.append(compiled)
+        self.version += 1
         self._persist(parsed, rule_text, compiled)
         return compiled
 
@@ -79,6 +86,7 @@ class RuleRegistry:
         statement = parse_select(sql)
         self._views[name] = statement
         self._view_sql[name] = sql
+        self.version += 1
 
     def _persist(self, rule: CleansingRule, rule_text: str,
                  compiled: CompiledRule) -> None:
@@ -104,9 +112,11 @@ class RuleRegistry:
         self._rules = [rule for rule in self._rules if rule.name != name]
         if len(self._rules) == before:
             raise RuleError(f"no rule named {name!r}")
+        self.version += 1
 
     def clear(self) -> None:
         self._rules.clear()
+        self.version += 1
 
     def __len__(self) -> int:
         return len(self._rules)

@@ -59,13 +59,13 @@ class TestEpochs:
         table.replace_rows(ROWS[:5])
         assert table.data_epoch == before + 1
 
-    def test_replace_rows_trusted_skips_coercion(self):
+    def test_replace_rows_stores_rows_as_given(self):
         table = make_private_table()
         table.create_index("rtime")
         rows = [table.rows[3], table.rows[1]]
         epoch = table.data_epoch
-        table.replace_rows(rows, coerced=True)
-        assert table.rows == rows  # stored as-is, no per-value coercion
+        table.replace_rows(rows)
+        assert table.rows is rows  # stored as-is, no per-value coercion
         assert table.data_epoch == epoch + 1
         index = table.index_on("rtime")
         assert sorted(index._positions) == [0, 1]  # indexes still rebuilt
@@ -165,7 +165,7 @@ class TestStatsPatch:
         table = make_private_table()  # only private tables are spliced
         db.stats.analyze(table)
         stats_version = db.stats.version
-        table.replace_rows(table.rows[:5], coerced=True)
+        table.replace_rows(table.rows[:5])
         assert db.stats.rebase(table)
         stats = db.stats.get(table.name)  # fresh: no eviction, no analyze
         assert stats is not None and stats.row_count == 5

@@ -128,14 +128,6 @@ class TestReplaceRows:
         index = table.index_on("rtime")
         assert list(index.scan(IndexRange())) == [1, 0]
 
-    def test_coerces_and_validates(self):
-        table = private_table("r", SCHEMA)
-        table.bulk_load([("e1", 1)])
-        with pytest.raises(SchemaError):
-            table.replace_rows([("only-one",)])
-        # The failed swap must leave the old contents intact.
-        assert table.rows == [("e1", 1)]
-
     def test_only_private_tables_can_be_rewritten(self, tmp_path):
         """A catalog table only grows: neither a memory nor a disk
         database hands out a table with a rewrite method."""

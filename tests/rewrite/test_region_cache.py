@@ -391,3 +391,65 @@ class TestInvalidationRaces:
             sorted(plain.execute(sql).rows)
         assert cached.region_cache.patches == 1
         assert cached.region_cache.invalidations == 0
+
+
+class TestRuleChanges:
+    """A region is keyed on the registry's rule-set version: a rule or
+    view redefined under its old name never reaches the old region."""
+
+    ROWS = [("e1", 0, "r0", "l1"), ("e1", 10, "rx", "l1"),
+            ("e2", 0, "r0", "l1"), ("e2", 100, "rx", "l1")]
+    SQL = "select epc, rtime from r where rtime <= 5"
+
+    def _cached(self):
+        db = Database()
+        db.create_table("r", SCHEMA)
+        db.load("r", self.ROWS)
+        db.create_index("r", "rtime")
+        registry = RuleRegistry()
+        return db, registry, DeferredCleansingEngine(
+            db, registry, cache=CacheOptions())
+
+    def _naive(self, db, registry):
+        return sorted(DeferredCleansingEngine(db, registry).execute(
+            self.SQL, strategies={"naive"}).rows)
+
+    def test_redefined_rule_misses_the_old_region(self):
+        db, registry, cached = self._cached()
+        registry.define(RULES["reader"])
+        assert sorted(cached.execute(self.SQL).rows) == [("e2", 0)]
+
+        registry.drop("reader")
+        registry.define(RULES["reader"].replace("ACTION DELETE A",
+                                                "ACTION KEEP A"))
+        assert self._naive(db, registry) == [("e1", 0)]
+        assert sorted(cached.execute(self.SQL).rows) == [("e1", 0)]
+
+    def test_redefined_view_misses_the_old_region(self):
+        db, registry, cached = self._cached()
+        registry.define_view("v", "select epc, rtime, reader, biz_loc "
+                                  "from r")
+        registry.define(RULES["reader"].replace(
+            "ON r CLUSTER", "ON r FROM v CLUSTER"))
+        assert sorted(cached.execute(self.SQL).rows) == [("e2", 0)]
+
+        # Every read now looks like a plain one: the rule deletes nothing.
+        registry.define_view("v", "select epc, rtime, 'r0' as reader, "
+                                  "biz_loc from r")
+        assert self._naive(db, registry) == [("e1", 0), ("e2", 0)]
+        assert sorted(cached.execute(self.SQL).rows) == [("e1", 0),
+                                                          ("e2", 0)]
+
+    def test_each_rule_change_moves_the_version(self):
+        registry = RuleRegistry()
+        versions = [registry.version]
+        registry.define(RULES["reader"])
+        versions.append(registry.version)
+        registry.define_view("v", "select epc, rtime, reader, biz_loc "
+                                  "from r")
+        versions.append(registry.version)
+        registry.drop("reader")
+        versions.append(registry.version)
+        registry.clear()
+        versions.append(registry.version)
+        assert versions == sorted(set(versions))
